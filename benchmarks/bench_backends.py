@@ -1,8 +1,10 @@
-"""Throughput comparison of the compiled and pure-numpy training loops.
+"""Training throughput of each backend, in member-questions per second.
 
-Trains the same synthetic stream once per backend and reports questions
-per second.  The numba backend is warmed up on a short stream first so
-JIT compilation is not billed to the measured run.
+Trains the same synthetic stream with the batched numpy step at K=1 and
+K=4 ensemble members, and with the compiled kernel (one member) when
+numba is importable.  Every configuration is warmed up on a short stream
+first, so JIT compilation and first-call costs are not billed to the
+measured run.
 
     python3 benchmarks/bench_backends.py --n 5000 --d 4
     FORECAST_RL_NO_NUMBA=1 python3 benchmarks/bench_backends.py
@@ -11,17 +13,19 @@ JIT compilation is not billed to the measured run.
 import argparse
 import time
 
+import numpy as np
+
 from forecast_rl import kernels
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import SyntheticConfig, generate_synthetic_stream
 from forecast_rl.reward import PenaltyConfig
-from forecast_rl.trainer import TrainConfig, train
+from forecast_rl.trainer import TrainConfig, train_members
 
 
-def time_backend(stream, cfg, backend: str) -> tuple[float, object]:
+def time_run(stream, cfg, backend: str, k: int) -> tuple[float, list]:
     t0 = time.perf_counter()
-    result = train(stream, cfg, HyperParams(), PenaltyConfig(), backend=backend)
-    return time.perf_counter() - t0, result
+    results = train_members(stream, cfg, HyperParams(), PenaltyConfig(), range(k), backend=backend)
+    return time.perf_counter() - t0, results
 
 
 def main() -> None:
@@ -41,33 +45,27 @@ def main() -> None:
     )
     cfg = TrainConfig(algorithm=args.algorithm, seed=args.seed)
 
-    backends = ["numpy"]
+    runs = [("numpy", 1), ("numpy", 4)]
     if kernels.NUMBA_AVAILABLE:
-        backends.insert(0, "numba")
+        runs.insert(0, ("numba", 1))
     else:
         print("numba backend unavailable (package missing or FORECAST_RL_NO_NUMBA=1)")
 
-    timings = {}
-    results = {}
-    for backend in backends:
-        time_backend(warmup, cfg, backend)  # JIT / cache warmup
-        elapsed, result = time_backend(stream, cfg, backend)
-        timings[backend] = elapsed
-        results[backend] = result
-        print(f"{backend:>6}: {elapsed:8.3f} s  {args.n / elapsed:10.0f} questions/s  "
-              f"mean reward {result.run_log.summary()['mean_reward']:+.4f}")
+    first_member = {}
+    for backend, k in runs:
+        time_run(warmup, cfg, backend, k)
+        elapsed, results = time_run(stream, cfg, backend, k)
+        first_member[backend] = results[0]
+        print(f"{backend:>6} K={k}: {elapsed:8.3f} s  {k * args.n / elapsed:10.0f} member-questions/s  "
+              f"member 0 mean reward {results[0].run_log.summary()['mean_reward']:+.4f}")
 
-    if len(backends) == 2:
-        import numpy as np
-
-        speedup = timings["numpy"] / timings["numba"]
+    if "numba" in first_member:
+        a, b = first_member["numba"].params, first_member["numpy"].params
         drift = max(
-            float(np.max(np.abs(results["numba"].params.content_weights
-                                - results["numpy"].params.content_weights))),
-            float(np.max(np.abs(results["numba"].params.answer_weights
-                                - results["numpy"].params.answer_weights))),
+            float(np.max(np.abs(a.content_weights - b.content_weights))),
+            float(np.max(np.abs(a.answer_weights - b.answer_weights))),
         )
-        print(f"speedup: {speedup:.1f}x  (max param diff {drift:.2e})")
+        print(f"max param diff numba vs numpy, member 0: {drift:.2e}")
 
 
 if __name__ == "__main__":

@@ -13,13 +13,12 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from forecast_rl import __version__
-from forecast_rl.config import RunConfig, load_config, parse_config
+from forecast_rl.config import RunConfig, load_config
 from forecast_rl.data import (
     Dataset,
     generate_synthetic_stream,
@@ -53,7 +52,7 @@ from forecast_rl.trading import (
     per_question_profits,
     run_strategy,
 )
-from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train
+from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train_members
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -170,47 +169,6 @@ def _write_checkpoint(dirpath: Path, cfg: RunConfig, params: PolicyParams, basel
     return files
 
 
-def _train_member_task(cfg_dict: dict, member: int) -> dict:
-    """Train one ensemble member; runs in-process or in a worker."""
-    cfg = parse_config(cfg_dict)
-    out = _out_dir(cfg)
-    stream = _load_split(cfg, "train", "train")
-    cfg.train.member = member
-    files: list[Path] = []
-
-    def checkpoint_cb(params, baseline, index, run_log):
-        d = out / _checkpoint_name(cfg.seed, member, index)
-        files.extend(_write_checkpoint(d, cfg, params, baseline, run_log))
-
-    try:
-        result = train(
-            stream,
-            cfg.train,
-            cfg.hyperparams,
-            cfg.penalties,
-            backend=cfg.backend,
-            checkpoint_cb=checkpoint_cb,
-        )
-    except NumericAbort as exc:
-        d = out / f"seed{cfg.seed}_m{member}_lastgood"
-        saved = _write_checkpoint(d, cfg, exc.params, exc.baseline, exc.run_log)
-        return {
-            "member": member,
-            "status": "numeric_abort",
-            "error": str(exc),
-            "files": [str(f) for f in files + saved],
-        }
-    d = out / _checkpoint_name(cfg.seed, member, len(result.run_log))
-    files.extend(_write_checkpoint(d, cfg, result.params, result.baseline, result.run_log))
-    return {
-        "member": member,
-        "status": "early_stop" if result.stopped else "ok",
-        "stop_reason": result.stop_reason,
-        "summary": result.run_log.summary(),
-        "files": [str(f) for f in files],
-    }
-
-
 def cmd_train(cfg: RunConfig, args) -> int:
     t0 = time.monotonic()
     out = _out_dir(cfg)
@@ -221,41 +179,55 @@ def cmd_train(cfg: RunConfig, args) -> int:
         if len(test_ds):
             report = validate_chronology(train_ds, test_ds)
             if not report.passed:
-                shown = report.violations[:10]
                 raise ValidationError(
-                    f"chronology violation: {len(report.violations)} train questions resolve "
-                    f"after a test prediction, e.g. {shown}"
+                    f"chronology violation: {report.n_violations} (train, test) pairs where the train "
+                    f"question resolves at or after the test prediction, e.g. {report.violations}"
                 )
 
-    members = list(range(cfg.ensemble_size))
-    if args.jobs > 1 and len(members) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_train_member_task, [cfg.to_dict()] * len(members), members))
-    else:
-        results = [_train_member_task(cfg.to_dict(), m) for m in members]
+    files: list[Path] = []
 
-    files = [Path(f) for r in results for f in r["files"]]
-    Manifest(out).register("train", cfg.config_hash(), files, time.monotonic() - t0)
+    def checkpoint_cb(member, params, baseline, index, run_log):
+        d = out / _checkpoint_name(cfg.seed, member, index)
+        files.extend(_write_checkpoint(d, cfg, params, baseline, run_log))
+
+    members = list(range(cfg.ensemble_size))
+    results = train_members(
+        train_ds,
+        cfg.train,
+        cfg.hyperparams,
+        cfg.penalties,
+        members,
+        backend=cfg.backend,
+        checkpoint_cb=checkpoint_cb,
+    )
     code = EXIT_OK
-    for r in sorted(results, key=lambda r: r["member"]):
-        if r["status"] == "numeric_abort":
-            print(f"member {r['member']}: numeric abort: {r['error']}", file=sys.stderr)
+    for member, result in zip(members, results):
+        if isinstance(result, NumericAbort):
+            d = out / f"seed{cfg.seed}_m{member}_lastgood"
+            files.extend(_write_checkpoint(d, cfg, result.params, result.baseline, result.run_log))
+            print(f"member {member}: numeric abort: {result}", file=sys.stderr)
             code = max(code, EXIT_NUMERIC)
-        elif r["status"] == "early_stop":
-            print(f"member {r['member']}: early stop ({r['stop_reason']}) after {r['summary']['n_questions']} questions")
+            continue
+        d = out / _checkpoint_name(cfg.seed, member, len(result.run_log))
+        files.extend(_write_checkpoint(d, cfg, result.params, result.baseline, result.run_log))
+        s = result.run_log.summary()
+        if result.stopped:
+            print(f"member {member}: early stop ({result.stop_reason}) after {s['n_questions']} questions")
             code = max(code, EXIT_EARLY_STOP)
         else:
-            s = r["summary"]
-            print(f"member {r['member']}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}")
+            print(f"member {member}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}")
+    Manifest(out).register("train", cfg.config_hash(), files, time.monotonic() - t0)
     return code
 
 
 def _find_member_params(cfg: RunConfig, member: int) -> tuple[PolicyParams, np.ndarray | None]:
+    """Load the member's checkpoint with the highest question index."""
     out = _out_dir(cfg)
-    dirs = sorted(out.glob(f"seed{cfg.seed}_m{member}_q*"))
-    if not dirs:
-        raise ValidationError(f"no checkpoint for member {member} under {out} (expected seed{cfg.seed}_m{member}_q*)")
-    return load_checkpoint(dirs[-1] / "params.json")
+    prefix = f"seed{cfg.seed}_m{member}_q"
+    indexed = [(int(p.name[len(prefix):]), p) for p in out.glob(prefix + "*") if p.name[len(prefix):].isdigit()]
+    if not indexed:
+        raise ValidationError(f"no checkpoint for member {member} under {out} (expected {prefix}*)")
+    return load_checkpoint(max(indexed)[1] / "params.json")
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
@@ -555,7 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers where applicable")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="accepted for compatibility; training runs every member in this process and no longer forks",
+        )
         if name in ("evaluate", "trade"):
             p.add_argument("forecasts", nargs="*", help="forecast JSONL files (default: <out>/forecasts.jsonl)")
     return parser

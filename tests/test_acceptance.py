@@ -55,6 +55,7 @@ from forecast_rl.trainer import (
     ensemble_predict_dataset,
     predict_dataset,
     train,
+    train_members,
 )
 
 SEEDS = (0, 1, 2)
@@ -95,15 +96,13 @@ def lab():
             "oracle": oracle,
             "policies": policies,
         }
-    members = [out[0]["policies"]["remax"]]
-    for m in range(1, 7):
-        result = train(
-            out[0]["train"],
-            TrainConfig(algorithm="remax", seed=0, member=m),
-            HyperParams(),
-            PenaltyConfig(),
-        )
-        members.append(result.params)
+    results = train_members(
+        out[0]["train"], TrainConfig(algorithm="remax", seed=0), HyperParams(), PenaltyConfig(), range(7)
+    )
+    members = [r.params for r in results]
+    remax = out[0]["policies"]["remax"]
+    assert members[0].content_weights.tobytes() == remax.content_weights.tobytes()
+    assert members[0].answer_weights.tobytes() == remax.answer_weights.tobytes()
     out["members"] = members
     return out
 

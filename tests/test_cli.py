@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from forecast_rl.algorithms import HyperParams
 from forecast_rl.cli import (
     EXIT_EARLY_STOP,
     EXIT_NUMERIC,
@@ -11,7 +13,12 @@ from forecast_rl.cli import (
     Manifest,
     main,
 )
+from forecast_rl.config import load_config
+from forecast_rl.data import load_questions, save_questions
+from forecast_rl.errors import NumericAbort
 from forecast_rl.evaluation import Forecast, save_forecasts
+from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
+from forecast_rl.trainer import train_online
 
 BASE = {
     "schema_version": 1,
@@ -131,6 +138,18 @@ class TestPipeline:
             name = f"seed3_m{member}_q000008/params.json"
             assert (tmp_path / "out" / name).read_bytes() == (serial_out / name).read_bytes()
 
+    def test_predict_loads_the_highest_question_index(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        out = tmp_path / "out"
+        for index, answer in ((999999, 20), (1000000, 70)):
+            params = PolicyParams.zeros(2)
+            params.answer_weights[0, answer] = 5.0
+            save_checkpoint(params, out / f"seed3_m0_q{index:06d}" / "params.json")
+        assert run("predict", cfg) == EXIT_OK
+        rows = [json.loads(line) for line in (out / "forecasts.jsonl").read_text().splitlines()]
+        assert rows and {r["probability"] for r in rows} == {0.7}
+
     def test_checkpoint_cadence(self, tmp_path):
         cfg = write_config(tmp_path, train={"checkpoint_every": 10})
         assert run("synth", cfg) == EXIT_OK
@@ -226,6 +245,58 @@ class TestExitCodes:
         assert (lastgood / "params.json").exists()
         log = (lastgood / "runlog.jsonl").read_text().strip()
         assert len(log.split("\n")) == 4  # questions before the poisoned one
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_member_outcomes_are_independent(self, tmp_path, capsys):
+        """In one ensemble, a member that aborts and a member that stops
+        early leave the same files and exit code as when trained alone,
+        and the other members train on."""
+        cfg = write_config(
+            tmp_path, ensemble_size=4, hyperparams={"actor_lr": 0.01},
+            train={"algorithm": "remax", "outer_iteration_len": 4,
+                   "early_stop": {"window": 5, "gibberish_threshold": 0.38}},
+        )
+        assert run("synth", cfg) == EXIT_OK
+        out = tmp_path / "out"
+        train_ds = load_questions(out / "train.jsonl")
+        train_ds.questions[15].features[0] = 1e152
+        save_questions(train_ds, out / "train.jsonl")
+
+        assert run("train", cfg) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "member 3: numeric abort" in captured.err
+        assert "member 0: early stop (gibberish) after 15 questions" in captured.out
+        assert "member 1: trained 30 questions" in captured.out
+        assert "member 2: early stop (gibberish) after 14 questions" in captured.out
+        dirs = {"seed3_m0_q000015": 0, "seed3_m1_q000030": 1, "seed3_m2_q000014": 2, "seed3_m3_lastgood": 3}
+        assert sorted(p.name for p in out.glob("seed3_m*")) == sorted(dirs)
+        assert Manifest(out).unregistered_files() == []
+
+        run_cfg = load_config(cfg)
+        for name, member in dirs.items():
+            run_cfg.train.member = member
+            try:
+                alone = train_online(load_questions(out / "train.jsonl"), run_cfg.train, run_cfg.hyperparams,
+                                     run_cfg.penalties, backend="numpy")
+            except NumericAbort as exc:
+                alone = exc
+            params, baseline = load_checkpoint(out / name / "params.json")
+            assert params.answer_weights.tobytes() == alone.params.answer_weights.tobytes()
+            assert params.content_weights.tobytes() == alone.params.content_weights.tobytes()
+            assert baseline.tobytes() == alone.baseline.tobytes()
+            log = (out / name / "runlog.jsonl").read_text().splitlines()
+            assert [json.loads(line)["id"] for line in log] == alone.run_log.question_ids
+
+    def test_chronology_violation_reports_the_pair_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        out = tmp_path / "out"
+        train_ds, test_ds = load_questions(out / "train.jsonl"), load_questions(out / "test.jsonl", split="test")
+        # the two halves swapped: every train question resolves after every test prediction
+        save_questions(test_ds, out / "train.jsonl")
+        save_questions(train_ds, out / "test.jsonl")
+        assert run("train", cfg) == EXIT_VALIDATION
+        assert f"chronology violation: {30 * 30} (train, test) pairs" in capsys.readouterr().err
 
     def test_empty_stream_synth_then_train(self, tmp_path):
         cfg = write_config(

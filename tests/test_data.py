@@ -184,6 +184,7 @@ class TestChronology:
         report = validate_chronology(train, test)
         assert not report.passed
         assert report.violations == [("t1", "e1")]
+        assert report.n_violations == 1
 
     def test_exact_violating_pairs_listed(self):
         train = make_dataset(
@@ -221,6 +222,25 @@ class TestChronology:
         train = make_dataset([make_question("t1")])
         with pytest.raises(ValidationError, match="non-empty"):
             validate_chronology(train, Dataset([], "test"))
+
+    def test_large_bad_split_counts_every_pair_and_lists_ten(self):
+        n = m = 2000
+        train = make_dataset([
+            make_question(f"t{j:04d}", pred_ts=100 + j, open_ts=0, close_ts=9999 + j, resolve_ts=10_000 + j)
+            for j in range(n)
+        ])
+        test = make_dataset(
+            [make_question(f"e{k:04d}", pred_ts=9_000 + 2 * k, open_ts=8_000) for k in range(m)], split="test"
+        )
+        resolve = np.array([q.resolve_ts for q in train])
+        predicted = np.array([q.prediction_ts for q in test])
+        bad = resolve[:, None] >= predicted[None, :]  # brute-force oracle
+        report = validate_chronology(train, test)
+        assert not report.passed
+        assert report.n_violations == int(bad.sum()) > 10
+        rows, cols = np.nonzero(bad)
+        first = [(train.questions[r].id, test.questions[c].id) for r, c in zip(rows[:10], cols[:10])]
+        assert report.violations == first
 
 
 class TestSyntheticStream:

@@ -2,14 +2,29 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_question
-from forecast_rl.algorithms import HyperParams
+from forecast_rl import kernels
+from forecast_rl.algorithms import (
+    GroupRollout,
+    HyperParams,
+    OptimizerState,
+    adamw_step,
+    baseline_loss_and_grad,
+    baseline_predict,
+    grpo_advantages,
+    grpo_objective_and_grad,
+    modified_grpo_advantages,
+    remax_advantages,
+    remax_objective_and_grad,
+)
 from forecast_rl.data import Dataset, SyntheticConfig, generate_synthetic_stream
 from forecast_rl.errors import NumericAbort, ValidationError
 from forecast_rl.policy import (
     ABSTAIN,
     PolicyParams,
     Vocabulary,
+    predict_probability,
     sample_response,
+    snapshot_reference,
 )
 from forecast_rl.reward import PenaltyConfig, assess_guardrails, total_reward
 from forecast_rl.rng import substream
@@ -18,6 +33,7 @@ from forecast_rl.trainer import (
     EnsembleSpec,
     RunLog,
     TrainConfig,
+    check_early_stop,
     ensemble_predict,
     ensemble_predict_dataset,
     predict,
@@ -25,6 +41,7 @@ from forecast_rl.trainer import (
     resolve_backend,
     train,
     train_dpo,
+    train_members,
     train_online,
 )
 
@@ -409,3 +426,213 @@ class TestEnsemble:
             EnsembleSpec(
                 [PolicyParams.zeros(2), PolicyParams.zeros(2, Vocabulary(4))]
             ).validate()
+
+
+def oracle_train(stream, cfg, hp, penalties=None):
+    """Reference online loop for one member, built from per-response
+    objects and the modular `algorithms` primitives: sample each response,
+    audit and score it, form the advantages, build a GroupRollout, take
+    the objective's gradient and one AdamW step."""
+    pcfg = penalties if penalties is not None else PenaltyConfig()
+    n, d = len(stream), stream.feature_dim
+    G, L = hp.group_size, cfg.content_length
+    params = PolicyParams.zeros(d, Vocabulary(L))
+    baseline = np.zeros(d + 1)
+    actor_state = OptimizerState.for_params(
+        {"content": params.content_weights, "answer": params.answer_weights}
+    )
+    base_state = OptimizerState.for_params({"baseline": baseline})
+    actor_lr = hp.resolve_actor_lr(cfg.algorithm)
+    X, Y, ids = stream.feature_matrix(), stream.outcomes(), stream.ids()
+    U = substream(cfg.seed, "sampling", cfg.member).random((n, G, L + 1))
+    logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}
+    es = cfg.early_stop
+    ref = snapshot_reference(params)
+    for i in range(n):
+        if i > 0 and i % cfg.outer_iteration_len == 0:
+            ref = snapshot_reference(params)
+        x, y = X[i], int(Y[i])
+        responses = [sample_response(params, x, uniforms=U[i, g]) for g in range(G)]
+        assessments = [assess_guardrails(r) for r in responses]
+        rewards = np.array([
+            total_reward(r.parse_probability(), y, a, pcfg, schema_valid=r.schema_valid).total
+            for r, a in zip(responses, assessments)
+        ])
+        if cfg.algorithm == "grpo":
+            advs = grpo_advantages(rewards)
+        elif cfg.algorithm == "modified_grpo":
+            advs = modified_grpo_advantages(rewards)
+        else:
+            advs = remax_advantages(rewards, baseline_predict(baseline, x))
+        group = GroupRollout.from_sampling(ids[i], x, responses, rewards, advs, params)
+        objective = remax_objective_and_grad if cfg.algorithm == "remax" else grpo_objective_and_grad
+        _, grads = objective(group, params, ref, hp)
+        adamw_step(
+            {"content": params.content_weights, "answer": params.answer_weights},
+            {name: -g for name, g in grads.items()},
+            actor_state, hp, actor_lr,
+        )
+        if cfg.algorithm == "remax":
+            _, bgrads = baseline_loss_and_grad(baseline, x, rewards, hp)
+            adamw_step({"baseline": baseline}, bgrads, base_state, hp, hp.baseline_lr)
+
+        p0 = responses[0].parse_probability()
+        logs["parsed"][i] = np.nan if p0 is None else p0
+        logs["reward"][i] = rewards.mean()
+        logs["gib"][i] = np.mean([a.gibberish_proportion for a in assessments])
+        logs["nep"][i] = np.mean([a.non_english_proportion for a in assessments])
+        logs["expq"][i] = np.mean([a.explanation_quality for a in assessments])
+        if es.enabled and i + 1 >= es.window:
+            lo = i + 1 - es.window
+            hit, reason = check_early_stop(logs["parsed"][lo : i + 1], logs["gib"][lo : i + 1], es)
+            if hit:
+                log = RunLog(ids[: i + 1], *(v[: i + 1] for v in logs.values()), True, reason)
+                return params, baseline, log
+    return params, baseline, RunLog(ids, *logs.values())
+
+
+def plain_kernel(monkeypatch):
+    """Make the numba backend run `kernels.run_span` as plain Python."""
+    monkeypatch.setattr(kernels, "run_span", getattr(kernels.run_span, "py_func", kernels.run_span))
+
+
+LOG_COLUMNS = ("rewards", "gibberish", "non_english", "explanation")
+
+
+def assert_close_runs(got, params, baseline, log, atol=1e-10):
+    assert np.allclose(got.params.content_weights, params.content_weights, rtol=0, atol=atol)
+    assert np.allclose(got.params.answer_weights, params.answer_weights, rtol=0, atol=atol)
+    if got.baseline is not None:
+        assert np.allclose(got.baseline, baseline, rtol=0, atol=atol)
+    assert got.run_log.question_ids == log.question_ids
+    assert (got.run_log.stopped, got.run_log.stop_reason) == (log.stopped, log.stop_reason)
+    assert np.array_equal(got.run_log.parsed, log.parsed, equal_nan=True)
+    for col in LOG_COLUMNS:
+        assert np.allclose(getattr(got.run_log, col), getattr(log, col), rtol=0, atol=atol)
+
+
+def assert_identical_runs(a, b):
+    assert type(a) is type(b)
+    for x, y in ((a.params.content_weights, b.params.content_weights),
+                 (a.params.answer_weights, b.params.answer_weights)):
+        assert x.tobytes() == y.tobytes()
+    assert (a.baseline is None) == (b.baseline is None)
+    if a.baseline is not None:
+        assert a.baseline.tobytes() == b.baseline.tobytes()
+    assert a.run_log.question_ids == b.run_log.question_ids
+    assert (a.run_log.stopped, a.run_log.stop_reason) == (b.run_log.stopped, b.run_log.stop_reason)
+    for col in ("parsed",) + LOG_COLUMNS:
+        assert getattr(a.run_log, col).tobytes() == getattr(b.run_log, col).tobytes()
+
+
+class TestBatchedStep:
+    """The batched numpy step against the per-object loop and the kernel."""
+
+    @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo", "remax"])
+    def test_parity_with_oracle_and_kernel(self, algorithm, monkeypatch):
+        plain_kernel(monkeypatch)
+        stream = small_stream(120, d=3)
+        hp = HyperParams(actor_lr=0.01, baseline_lr=0.01, kl_coeff=0.1)
+        cfg = TrainConfig(algorithm=algorithm, seed=5, member=1, outer_iteration_len=40)
+        got = train_online(stream, cfg, hp, backend="numpy")
+        assert not np.all(got.params.answer_weights == 0.0)
+        assert_close_runs(got, *oracle_train(stream, cfg, hp))
+        kernel = train_online(stream, cfg, hp, backend="numba")
+        assert_close_runs(got, kernel.params, kernel.baseline, kernel.run_log)
+
+    @pytest.mark.parametrize("algorithm,es,reason", [
+        ("remax", EarlyStopConfig(window=6, gibberish_threshold=0.3), "gibberish"),
+        ("grpo", EarlyStopConfig(window=10, extreme_mass_threshold=0.3), "extreme_mass"),
+    ])
+    def test_early_stop_parity(self, algorithm, es, reason, monkeypatch):
+        plain_kernel(monkeypatch)
+        stream = small_stream(150, d=3)
+        hp = HyperParams(actor_lr=0.05)
+        cfg = TrainConfig(algorithm=algorithm, seed=2, outer_iteration_len=9, early_stop=es)
+        got = train_online(stream, cfg, hp, backend="numpy")
+        assert got.stop_reason == reason and len(got.run_log) < 150
+        assert_close_runs(got, *oracle_train(stream, cfg, hp))
+        kernel = train_online(stream, cfg, hp, backend="numba")
+        assert_close_runs(got, kernel.params, kernel.baseline, kernel.run_log)
+
+    @pytest.mark.parametrize("algorithm", ["grpo", "remax"])
+    def test_member_is_byte_identical_alone_and_in_a_batch(self, algorithm):
+        stream = small_stream(80, d=3)
+        hp = HyperParams(actor_lr=0.01, baseline_lr=0.01)
+        cfg = TrainConfig(algorithm=algorithm, seed=4, outer_iteration_len=25)
+        members = [0, 4, 2]
+        batch = train_members(stream, cfg, hp, members=members, backend="numpy")
+        for m, got in zip(members, batch):
+            (alone,) = train_members(stream, cfg, hp, members=[m], backend="numpy")
+            assert_identical_runs(got, alone)
+
+    def test_stopped_members_freeze_while_others_train(self):
+        """One member aborts on a non-finite gradient and another stops
+        early; each ends exactly as it would alone, and so does the
+        survivor."""
+        stream = small_stream(60)
+        stream.questions[30].features = np.array([2e152, 0.0])
+        hp = HyperParams(actor_lr=0.01)
+        cfg = TrainConfig(
+            algorithm="remax", seed=1, outer_iteration_len=4,
+            early_stop=EarlyStopConfig(window=10, gibberish_threshold=0.4),
+        )
+        members = [0, 1, 3]
+        with np.errstate(invalid="ignore", over="ignore"):
+            batch = train_members(stream, cfg, hp, members=members, backend="numpy")
+            alone = [train_members(stream, cfg, hp, members=[m], backend="numpy")[0] for m in members]
+        aborted, survivor, stopped = batch
+        assert isinstance(aborted, NumericAbort) and len(aborted.run_log) == 30
+        assert "index 30" in str(aborted)
+        assert not survivor.stopped and len(survivor.run_log) == 60
+        assert stopped.stopped and stopped.stop_reason == "gibberish" and len(stopped.run_log) == 34
+        for got, ref in zip(batch, alone):
+            assert_identical_runs(got, ref)
+        # the last good state is the span boundary before the failure
+        with np.errstate(invalid="ignore", over="ignore"):
+            (clean,) = train_members(make_dataset(stream.questions[:28]), cfg, hp, members=[0])
+        assert aborted.params.answer_weights.tobytes() == clean.params.answer_weights.tobytes()
+        assert aborted.baseline.tobytes() == clean.baseline.tobytes()
+
+    def test_members_validated(self):
+        stream = small_stream(5)
+        for bad in ([], [0, 0], [-1]):
+            with pytest.raises(ValidationError, match="members"):
+                train_members(stream, TrainConfig(), HyperParams(), members=bad)
+
+    def test_dpo_members_match_single_runs(self):
+        stream = small_stream(30)
+        hp = HyperParams(dpo_lr=1e-3)
+        a, b = train_members(stream, TrainConfig(algorithm="dpo", seed=11), hp, members=[0, 1])
+        for m, got in ((0, a), (1, b)):
+            ref = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11, member=m), hp)
+            assert got.params.answer_weights.tobytes() == ref.params.answer_weights.tobytes()
+
+
+class TestVectorizedPredict:
+    def test_matches_per_question_path_byte_for_byte(self):
+        """Dataset prediction agrees exactly with one question at a time,
+        on trained policies, an argmax tie, and an abstaining policy."""
+        stream = small_stream(300, d=3, seed=2)
+        hp = HyperParams(actor_lr=0.02)
+        trained = [r.params for r in train_members(stream, TrainConfig(seed=3), hp, members=[0, 1, 2])]
+        tie = PolicyParams.zeros(3)
+        tie.answer_weights[0, [40, 7, 93]] = 2.0
+        abstain = PolicyParams.zeros(3)
+        abstain.answer_weights[1, ABSTAIN] = 3.0  # abstains where feature 0 is positive
+        for params in trained + [tie, abstain]:
+            expected = {q.id: predict_probability(params, q.features) for q in stream}
+            assert predict_dataset(params, stream) == expected
+        assert predict(tie, stream.questions[0]) == 0.07
+        assert None in predict_dataset(abstain, stream).values()
+
+        spec = EnsembleSpec(trained + [abstain])
+        ensemble = ensemble_predict_dataset(spec, stream)
+        for q in stream:
+            present = [p for p in (predict_probability(m, q.features) for m in spec.members) if p is not None]
+            if not present:
+                assert ensemble[q.id] is None
+            elif min(present) == max(present):
+                assert ensemble[q.id] == present[0]
+            else:
+                assert ensemble[q.id] == sum(present) / len(present)
