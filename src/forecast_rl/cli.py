@@ -32,7 +32,7 @@ from forecast_rl.data import (
 from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
 from forecast_rl.evaluation import (
     Forecast,
-    ece_equal_mass_arrays,
+    equal_mass_ece_stat,
     evaluation_report,
     forecasts_from_map,
     load_forecasts,
@@ -45,12 +45,11 @@ from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
 from forecast_rl.rng import substream
 from forecast_rl.trading import (
     GATES,
-    GatingRule,
     confidence_band_edges,
     eligible,
     gating_ece,
     per_question_profits,
-    run_strategy,
+    run_strategies,
 )
 from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train_members
 
@@ -236,13 +235,13 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     test_ds = _load_split(cfg, "test", "test")
     members = [_find_member_params(cfg, k)[0] for k in range(cfg.ensemble_size)]
     files = []
+    member_probs = []
     for k, params in enumerate(members):
-        probs = predict_dataset(params, test_ds)
+        member_probs.append(predict_dataset(params, test_ds))
         path = out / f"forecasts_m{k}.jsonl"
-        save_forecasts(forecasts_from_map(probs), path)
+        save_forecasts(forecasts_from_map(member_probs[-1]), path)
         files.append(path)
-    spec = EnsembleSpec(members)
-    ens = ensemble_predict_dataset(spec, test_ds)
+    ens = ensemble_predict_dataset(EnsembleSpec(members), test_ds, member_probs)
     ens_path = out / "forecasts.jsonl"
     save_forecasts(forecasts_from_map(ens), ens_path)
     files.append(ens_path)
@@ -314,15 +313,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     if len(names) >= 2:
         rng = substream(cfg.seed, "bootstrap", "evaluate")
         stacked = np.stack([prob_arrays[n] for n in names], axis=1)
-
-        def ece_stat(idx):
-            return np.array(
-                [
-                    ece_equal_mass_arrays(stacked[idx, j], ys[idx], cfg.evaluation.n_bins)
-                    for j in range(len(names))
-                ]
-            )
-
+        ece_stat = equal_mass_ece_stat(stacked, ys, cfg.evaluation.n_bins)
         ece_boot = paired_bootstrap_stat(len(order), ece_stat, cfg.evaluation.bootstrap_reps, rng)
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -378,15 +369,13 @@ def cmd_trade(cfg: RunConfig, args) -> int:
     trade_ds = trade_sets[names[0]]
 
     per_model = {}
+    model_trades = {}
     for name in names:
-        rules = {
-            GATES[0]: GatingRule(GATES[0], ece_values[name]),
-            GATES[1]: GatingRule(GATES[1]),
-            GATES[2]: GatingRule(GATES[2]),
-        }
+        model_trades[name], results = run_strategies(
+            prob_maps[name], trade_ds, ece_values[name], substream(cfg.seed, "ties", name)
+        )
         model_out = {"gating_ece": ece_values[name], "rules": {}}
-        for rule_name, rule in rules.items():
-            result = run_strategy(prob_maps[name], trade_ds, rule, substream(cfg.seed, "ties", name))
+        for rule_name, result in results.items():
             summary = result.to_dict()
             curve_path = out / f"curve_{name}_{rule_name}.csv"
             with open(curve_path, "w", encoding="utf-8", newline="") as fh:
@@ -397,9 +386,8 @@ def cmd_trade(cfg: RunConfig, args) -> int:
             files.append(curve_path)
             summary["trades"] = summary["trades"][:20]  # head only; the full curve is in the CSV
             model_out["rules"][rule_name] = summary
-        all_trades = run_strategy(
-            prob_maps[name], trade_ds, GatingRule(GATES[2]), substream(cfg.seed, "ties", name)
-        ).trades
+        # The bands read the all-markets trades in that rule's (edge) order.
+        all_trades = results[GATES[2]].trades
         model_out["confidence_bands"] = [b.to_dict() for b in confidence_band_edges(all_trades)]
         per_model[name] = model_out
 
@@ -408,11 +396,7 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         rng = substream(cfg.seed, "bootstrap", "trade")
         for rule_name in GATES:
             values, _, ordered = per_question_profits(
-                prob_maps,
-                trade_ds,
-                rule_name,
-                ece_values if rule_name == GATES[0] else None,
-                lambda name: substream(cfg.seed, "ties", name),
+                model_trades, trade_ds, rule_name, ece_values if rule_name == GATES[0] else None
             )
             boot = paired_bootstrap(values, "total", cfg.evaluation.bootstrap_reps, rng)
             for (i, j), cmp in sorted(boot.items()):

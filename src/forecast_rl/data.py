@@ -71,6 +71,12 @@ class Question:
             raise ValidationError(f"question {self.id!r}: volume must be nonnegative")
         if self.source not in ("market", "synthetic"):
             raise ValidationError(f"question {self.id!r}: unknown source {self.source!r}")
+        # x.x is finite only when every feature is finite and the squares do
+        # not overflow; training's clip norm needs it finite.
+        if not np.isfinite(np.vdot(self.features, self.features)):
+            raise ValidationError(
+                f"question {self.id!r}: features must be finite numbers whose sum of squares is finite"
+            )
         if feature_dim is not None and self.features.shape != (feature_dim,):
             raise ValidationError(
                 f"question {self.id!r}: feature dimension {self.features.shape[0]} "

@@ -13,13 +13,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtr, stdtr, stdtrit
 
 from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.reward import soft_brier_loss
 from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# Bootstrap replicates go to the statistic in chunks whose (R, n) index
+# matrix holds about this many entries.  This bounds the working memory, and
+# at 1 MB per int64 work array the sort and gathers stay in a core's L2
+# cache; 2**18 measured about a fifth slower on a 3000-question ECE bootstrap.
+BOOTSTRAP_CHUNK_ELEMENTS = 2**17
 
 
 @dataclass
@@ -207,24 +213,101 @@ def ece_equal_mass(
     return ece_bins(forecasts, outcomes, n_bins)[0]
 
 
-def ece_equal_mass_arrays(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10) -> float:
-    """Array variant for bootstrap replicates.
+def _rank_digits(probs: np.ndarray) -> list[np.ndarray]:
+    """Dense ranks of `probs`, NaN above every number, as 16-bit radix
+    digits, least significant first.
 
-    NaN marks an absent forecast.  Rows may repeat under resampling, so
-    ties sort by position (stable argsort) rather than by question id.
+    Equal probabilities share a rank, so a stable sort of the ranks is the
+    stable sort of the probabilities, with absent rows last.
     """
+    present = ~np.isnan(probs)
+    uniq, inv = np.unique(probs[present], return_inverse=True)
+    rank = np.full(probs.shape, uniq.size, dtype=np.int64)
+    rank[present] = inv
+    digits = [(rank & 0xFFFF).astype(np.uint16)]
+    while uniq.size >> (16 * len(digits)):
+        digits.append(((rank >> (16 * len(digits))) & 0xFFFF).astype(np.uint16))
+    return digits
+
+
+def _bin_sums(a: np.ndarray, n_bins: int) -> np.ndarray:
+    """Per-bin sums of sorted rows (G, k): the larger bins first, each
+    summed along its contiguous run like `a[lo:hi].sum()`."""
+    G, k = a.shape
+    q, r = divmod(k, n_bins)
+    split = r * (q + 1)
+    return np.concatenate(
+        [a[:, :split].reshape(G, r, q + 1).sum(-1), a[:, split:].reshape(G, n_bins - r, q).sum(-1)],
+        axis=1,
+    )
+
+
+def _ece_rows(
+    probs: np.ndarray, ys: np.ndarray, digits: list[np.ndarray], idx: np.ndarray, n_bins: int
+) -> np.ndarray:
+    """Equal-mass ECE of every resampled row set in `idx` (R, n).
+
+    Each row is sorted stably by rank (radix passes over the 16-bit
+    digits), so ties keep their position order and absent rows come
+    last.  Rows with the same present count k share one bin layout and
+    are binned together; per bin the mean confidence and frequency are
+    sum / size, and the ECE adds (size / k) * |freq - conf| in bin order,
+    the arithmetic of `_equal_mass_bins` row by row.
+    """
+    R, n = idx.shape
+    row_start = np.arange(0, R * n, n)[:, None]
+    pos = idx
+    for d in digits:
+        order = np.argsort(np.take(d, pos), axis=1, kind="stable")
+        order += row_start  # flat offsets: np.take beats take_along_axis here
+        pos = np.take(pos, order)
+    sp, sy = np.take(probs, pos), np.take(ys, pos)
+    k = n - np.count_nonzero(np.isnan(sp), axis=1)
+    short = k < n_bins
+    if short.any():
+        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {k[np.argmax(short)]}")
+    # Rows ordered by k, so that each group is a slice (a view, not a copy).
+    by_k = np.argsort(k, kind="stable")
+    counts, starts = np.unique(k[by_k], return_index=True)
+    if counts.size > 1:
+        sp, sy = np.take(sp, by_k, axis=0), np.take(sy, by_k, axis=0)
+    out = np.empty(R)
+    for kk, lo, hi in zip(counts.tolist(), starts.tolist(), starts[1:].tolist() + [R]):
+        q, r = divmod(kk, n_bins)
+        sizes = np.array([q + 1] * r + [q] * (n_bins - r), dtype=np.float64)
+        conf = _bin_sums(sp[lo:hi, :kk], n_bins) / sizes
+        freq = _bin_sums(sy[lo:hi, :kk], n_bins) / sizes
+        # cumsum adds strictly left to right, as sum() over the bins does.
+        out[by_k[lo:hi]] = np.cumsum((sizes / kk) * np.abs(freq - conf), axis=1)[:, -1]
+    return out
+
+
+def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
+    """Bootstrap statistic for paired_bootstrap_stat: maps an (R, n) index
+    matrix to the (R, models) equal-mass ECE of each column of `probs`
+    (questions x models, NaN = absent) on each resampled row set.
+
+    Rows may repeat under resampling, so ties sort by position (stable)
+    rather than by question id.
+    """
+    if n_bins < 1:
+        raise ValidationError("n_bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    mask = ~np.isnan(probs)
-    p = probs[mask]
-    y = ys[mask]
-    if p.size < n_bins:
-        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {p.size}")
-    order = np.argsort(p, kind="stable")
-    rows = _equal_mass_bins(p[order], y[order], n_bins)
-    return float(
-        sum((row.count / p.size) * abs(row.empirical_frequency - row.mean_confidence) for row in rows)
-    )
+    cols = [np.ascontiguousarray(probs[:, j]) for j in range(probs.shape[1])]
+    digits = [_rank_digits(c) for c in cols]
+
+    def stat(idx: np.ndarray) -> np.ndarray:
+        return np.stack([_ece_rows(c, ys, d, idx, n_bins) for c, d in zip(cols, digits)], axis=1)
+
+    return stat
+
+
+def ece_equal_mass_arrays(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10) -> float:
+    """Equal-mass ECE of one array of probabilities (NaN = absent); the
+    one-row call of `equal_mass_ece_stat`."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return float(equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.arange(probs.size)[None, :])[0, 0])
 
 
 def evaluation_report(
@@ -262,8 +345,19 @@ def paired_brier_test(
         return PairedComparison(mean, mean, mean, p, "wald")
     se = sd / np.sqrt(d.size)
     z = mean / se
-    p = float(2.0 * sps.norm.sf(abs(z)))
+    p = float(2.0 * ndtr(-abs(z)))
     return PairedComparison(mean, mean - Z_95 * se, mean + Z_95 * se, p, "wald")
+
+
+def _replicate_indices(seeds: np.ndarray, n_rows: int) -> np.ndarray:
+    """(len(seeds), n_rows) resampled row indices, one generator per seed:
+    row r is `np.random.default_rng(seeds[r]).integers(0, n_rows, n_rows)`
+    (default_rng of an integer is Generator(PCG64(seed)), built here
+    without its argument dispatch)."""
+    idx = np.empty((len(seeds), n_rows), dtype=np.int64)
+    for r, seed in enumerate(seeds):
+        idx[r] = np.random.Generator(np.random.PCG64(seed)).integers(0, n_rows, size=n_rows)
+    return idx
 
 
 def paired_bootstrap_stat(
@@ -274,25 +368,29 @@ def paired_bootstrap_stat(
 ) -> dict[tuple[int, int], PairedComparison]:
     """Question-level paired bootstrap over an arbitrary row statistic.
 
-    stat_fn maps an index array (rows resampled with replacement, whole
-    rows at a time so cross-model pairing is preserved) to a vector of
-    per-model statistics.  Each replicate uses its own generator derived
-    from a drawn seed, so results do not depend on execution order.
-    Two-sided p-values come from the zero-centered difference
-    distribution with an add-one correction.
+    stat_fn maps an (R, n_rows) index matrix (each row one replicate's
+    rows resampled with replacement, whole rows at a time so cross-model
+    pairing is preserved) to an (R, models) array of per-model
+    statistics.  Replicates are passed in chunks of about
+    BOOTSTRAP_CHUNK_ELEMENTS indices.  Each replicate uses its own
+    generator derived from a drawn seed, so results do not depend on
+    execution order or chunking.  Two-sided p-values come from the
+    zero-centered difference distribution with an add-one correction.
     """
     if rng is None:
         raise ValidationError("paired_bootstrap needs a generator")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    observed = np.asarray(stat_fn(np.arange(n_rows)), dtype=np.float64)
+    observed = np.asarray(stat_fn(np.arange(n_rows)[None, :]), dtype=np.float64)[0]
     n_models = observed.shape[0]
     seeds = replicate_seeds(rng, reps)
-    boot = np.empty((reps, n_models))
-    for r in range(reps):
-        sub = np.random.default_rng(seeds[r])
-        idx = sub.integers(0, n_rows, size=n_rows)
-        boot[r] = stat_fn(idx)
+    step = max(1, BOOTSTRAP_CHUNK_ELEMENTS // max(n_rows, 1))
+    boot = np.concatenate(
+        [
+            np.asarray(stat_fn(_replicate_indices(seeds[lo : lo + step], n_rows)), dtype=np.float64)
+            for lo in range(0, reps, step)
+        ]
+    )
 
     out: dict[tuple[int, int], PairedComparison] = {}
     for i in range(n_models):
@@ -313,14 +411,21 @@ def paired_bootstrap(
     rng: np.random.Generator | None = None,
 ) -> dict[tuple[int, int], PairedComparison]:
     """Paired bootstrap of column means or totals of a questions-by-models
-    matrix."""
+    matrix.
+
+    The resampled rows are gathered as (n, R, models) and reduced over the
+    first axis, which adds rows one after another in resampled order, as
+    `values[idx].sum(axis=0)` does for a single replicate.  (That needs
+    two or more models; with one, numpy would sum the contiguous first
+    axis pairwise, but one model has no pairs to compare.)
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("values must be a questions x models matrix")
     if statistic == "mean":
-        stat_fn = lambda idx: values[idx].mean(axis=0)
+        stat_fn = lambda idx: np.take(values, idx.T, axis=0).mean(axis=0)
     elif statistic == "total":
-        stat_fn = lambda idx: values[idx].sum(axis=0)
+        stat_fn = lambda idx: np.take(values, idx.T, axis=0).sum(axis=0)
     else:
         raise ValidationError(f"unknown statistic {statistic!r}")
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng)
@@ -341,8 +446,8 @@ def welch_test(x: np.ndarray, y: np.ndarray) -> PairedComparison:
     delta = float(x.mean() - y.mean())
     t = delta / se
     df = (sx + sy) ** 2 / (sx**2 / (x.size - 1) + sy**2 / (y.size - 1))
-    p = float(2.0 * sps.t.sf(abs(t), df))
-    half = float(sps.t.ppf(0.975, df) * se)
+    p = float(2.0 * stdtr(df, -abs(t)))
+    half = float(stdtrit(df, 0.975) * se)
     return PairedComparison(delta, delta - half, delta + half, p, "welch")
 
 

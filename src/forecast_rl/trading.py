@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from forecast_rl.data import Dataset, split_dataset
 from forecast_rl.errors import ValidationError
@@ -180,15 +180,10 @@ def build_trades(
     return trades
 
 
-def run_strategy(
-    forecasts,
-    dataset: Dataset,
-    rule: GatingRule,
-    rng: np.random.Generator,
-) -> StrategyResult:
-    """Apply one gating rule and aggregate in descending edge order."""
+def apply_gate(trades: list[TradeRecord], rule: GatingRule) -> StrategyResult:
+    """Keep the built trades that pass one gating rule and aggregate them
+    in descending edge order."""
     rule.validate()
-    trades = build_trades(forecasts, dataset, rng)
     kept = [t for t in trades if rule.keeps(t)]
     kept.sort(key=lambda t: (-t.expected_edge, t.question_id))
     profits = np.array([t.profit for t in kept])
@@ -202,6 +197,34 @@ def run_strategy(
     if len(kept) >= 2:
         result.mean_profit, result.mean_ci = mean_per_trade(result)
     return result
+
+
+def run_strategy(
+    forecasts,
+    dataset: Dataset,
+    rule: GatingRule,
+    rng: np.random.Generator,
+) -> StrategyResult:
+    """Build the trades and apply one gating rule."""
+    return apply_gate(build_trades(forecasts, dataset, rng), rule)
+
+
+def run_strategies(
+    forecasts, dataset: Dataset, ece_value: float | None, rng: np.random.Generator
+) -> tuple[list[TradeRecord], dict[str, StrategyResult]]:
+    """Build one model's trades once and apply every gating rule to them.
+
+    Returns the trades in dataset order and one StrategyResult per gate;
+    `ece_value` is the threshold of the edge_above_ece gate.  The results
+    equal `run_strategy` per gate with the same generator state, since
+    only the build draws from it.
+    """
+    trades = build_trades(forecasts, dataset, rng)
+    results = {
+        kind: apply_gate(trades, GatingRule(kind, ece_value if kind == GATE_EDGE_ABOVE_ECE else None))
+        for kind in GATES
+    }
+    return trades, results
 
 
 def mean_per_trade(result: StrategyResult) -> tuple[float, tuple[float, float]]:
@@ -245,7 +268,7 @@ def confidence_band_edges(
             out.append(BandResult(lo, hi, int(vals.size), mean_pp, None, None))
             continue
         t_stat = float(vals.mean() / (vals.std(ddof=1) / np.sqrt(vals.size)))
-        p = float(2.0 * sps.t.sf(abs(t_stat), vals.size - 1))
+        p = float(2.0 * stdtr(vals.size - 1, -abs(t_stat)))
         out.append(BandResult(lo, hi, int(vals.size), mean_pp, t_stat, p))
     return out
 
@@ -277,26 +300,26 @@ def gating_ece(
 
 
 def per_question_profits(
-    model_forecasts: dict[str, dict[str, float | None]],
+    model_trades: dict[str, list[TradeRecord]],
     dataset: Dataset,
     rule_kind: str,
     ece_values: dict[str, float] | None,
-    rng_factory,
 ) -> tuple[np.ndarray, list[str], list[str]]:
     """Profit matrix (eligible questions x models) under one gating rule.
 
-    Questions a model does not trade (absent forecast or gated out)
-    contribute 0, keeping rows aligned for the paired bootstrap.
-    rng_factory(model_name) supplies each model's tie-break generator.
+    model_trades holds each model's built trades.  Questions a model does
+    not trade (absent forecast or gated out) contribute 0, keeping rows
+    aligned for the paired bootstrap.
     """
-    names = sorted(model_forecasts)
+    names = sorted(model_trades)
     rows = [q.id for q in dataset if eligible(q)]
     row_index = {qid: i for i, qid in enumerate(rows)}
     values = np.zeros((len(rows), len(names)))
     for j, name in enumerate(names):
         ece = None if ece_values is None else ece_values.get(name)
         rule = GatingRule(rule_kind, ece)
-        result = run_strategy(model_forecasts[name], dataset, rule, rng_factory(name))
-        for t in result.trades:
-            values[row_index[t.question_id], j] = t.profit
+        rule.validate()
+        for t in model_trades[name]:
+            if rule.keeps(t):
+                values[row_index[t.question_id], j] = t.profit
     return values, rows, names

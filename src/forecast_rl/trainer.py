@@ -523,9 +523,14 @@ def train_members(
         boundaries.update(range(0, n, cfg.checkpoint_every))
     bounds = sorted(boundaries)
 
+    def baseline(r: int, good: bool = False) -> np.ndarray | None:
+        """The member's ReMax baseline weights; None for algorithms without one."""
+        if cfg.algorithm != "remax":
+            return None
+        return (st.good_b if good else st.w_b)[r].copy()
+
     def finished(r: int, end: int, reason: str | None = None) -> TrainResult:
-        baseline = st.w_b[r].copy() if cfg.algorithm == "remax" else None
-        return TrainResult(st.params(r), baseline, st.run_log(r, ids, end, reason), reason is not None, reason)
+        return TrainResult(st.params(r), baseline(r), st.run_log(r, ids, end, reason), reason is not None, reason)
 
     results: dict[int, TrainResult | NumericAbort] = {}
     for s, e in zip(bounds[:-1], bounds[1:]):
@@ -533,7 +538,7 @@ def train_members(
             st.reset_reference()
         if checkpoint_cb is not None and s > 0 and cfg.checkpoint_every > 0 and s % cfg.checkpoint_every == 0:
             for r, m in enumerate(st.members):
-                checkpoint_cb(m, st.params(r), st.w_b[r].copy(), s, st.run_log(r, ids, s))
+                checkpoint_cb(m, st.params(r), baseline(r), s, st.run_log(r, ids, s))
         st.snapshot()
         i = s
         while i < e and st.members:
@@ -543,7 +548,7 @@ def train_members(
                     results[st.members[r]] = NumericAbort(
                         f"non-finite gradient at question {ids[at]!r} (index {at})",
                         params=st.params(r, good=True),
-                        baseline=st.good_b[r].copy(),
+                        baseline=baseline(r, good=True),
                         run_log=st.run_log(r, ids, at),
                     )
                 else:
@@ -776,16 +781,31 @@ def ensemble_predict(spec: EnsembleSpec, question: Question) -> float | None:
     return ensemble_predict_dataset(spec, Dataset([question], "test"))[question.id]
 
 
-def ensemble_predict_dataset(spec: EnsembleSpec, dataset: Dataset) -> dict[str, float | None]:
+def ensemble_predict_dataset(
+    spec: EnsembleSpec,
+    dataset: Dataset,
+    member_forecasts: list[dict[str, float | None]] | None = None,
+) -> dict[str, float | None]:
     """Mean of the members' forecasts, skipping abstentions; None where
     every member abstains.
 
     The mean is summed in member order.  Where all present member values
     are equal it is that value, so a K-copy ensemble reproduces the single
     model bit-for-bit (a naive sum/K is not exact in floating point).
+    A caller that already holds each member's `predict_dataset` map passes
+    them as `member_forecasts` (in member order) instead of having them
+    computed again.
     """
     spec.validate()
-    F = np.stack([_greedy_forecasts(m, dataset) for m in spec.members])
+    if member_forecasts is None:
+        F = np.stack([_greedy_forecasts(m, dataset) for m in spec.members])
+    else:
+        if len(member_forecasts) != len(spec.members):
+            raise ValidationError(
+                f"{len(member_forecasts)} member forecast maps for {len(spec.members)} ensemble members"
+            )
+        ids = dataset.ids()
+        F = np.array([[np.nan if f[q] is None else f[q] for q in ids] for f in member_forecasts], dtype=np.float64)
     present = ~np.isnan(F)
     total = np.zeros(F.shape[1])
     for row, has in zip(F, present):

@@ -1,0 +1,170 @@
+"""The chunked paired bootstrap against the per-replicate loop it replaced.
+
+The oracles below are that loop, kept verbatim in spirit: one generator
+and one index array per replicate, the statistic called on each, and the
+equal-mass ECE of one replicate computed with a float stable argsort and
+per-bin means.  Every comparison is exact (bit for bit).
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forecast_rl import evaluation
+from forecast_rl.errors import ValidationError
+from forecast_rl.evaluation import (
+    PairedComparison,
+    ece_equal_mass_arrays,
+    equal_mass_ece_stat,
+    paired_bootstrap,
+    paired_bootstrap_stat,
+)
+from forecast_rl.rng import replicate_seeds, substream
+
+
+def oracle_ece(probs, ys, n_bins):
+    """Equal-mass ECE of one replicate: drop NaN, float stable argsort,
+    larger bins first, sum of (size / k) * |freq - conf| in bin order."""
+    mask = ~np.isnan(probs)
+    p, y = probs[mask], ys[mask]
+    if p.size < n_bins:
+        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {p.size}")
+    order = np.argsort(p, kind="stable")
+    p, y = p[order], y[order]
+    q, r = divmod(p.size, n_bins)
+    terms, start = [], 0
+    for b in range(n_bins):
+        size = q + 1 if b < r else q
+        conf = float(p[start : start + size].mean())
+        freq = float(y[start : start + size].mean())
+        terms.append((size / p.size) * abs(freq - conf))
+        start += size
+    return float(sum(terms))
+
+
+def oracle_bootstrap(n_rows, row_stat, reps, rng):
+    """The per-replicate loop: row_stat maps one index array to a vector."""
+    observed = np.asarray(row_stat(np.arange(n_rows)), dtype=np.float64)
+    seeds = replicate_seeds(rng, reps)
+    boot = np.empty((reps, observed.shape[0]))
+    for r in range(reps):
+        boot[r] = row_stat(np.random.default_rng(seeds[r]).integers(0, n_rows, size=n_rows))
+    out = {}
+    for i in range(observed.shape[0]):
+        for j in range(i + 1, observed.shape[0]):
+            d_hat = float(observed[i] - observed[j])
+            d_boot = boot[:, i] - boot[:, j]
+            lo, hi = np.percentile(d_boot, [2.5, 97.5])
+            p = float((1 + np.sum(np.abs(d_boot - d_hat) >= abs(d_hat))) / (reps + 1))
+            out[(i, j)] = PairedComparison(d_hat, float(lo), float(hi), p, "bootstrap")
+    return out
+
+
+def same(a: dict, b: dict) -> bool:
+    return {k: v.to_dict() for k, v in a.items()} == {k: v.to_dict() for k, v in b.items()}
+
+
+@st.composite
+def forecast_matrices(draw):
+    n_bins = draw(st.integers(1, 12))
+    n = draw(st.integers(n_bins, 160))
+    models = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    probs = rng.random((n, models))
+    if draw(st.booleans()):
+        probs = np.round(probs, 2)  # heavy ties on the 0.01 grid
+    nan_share = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    probs[rng.random((n, models)) < nan_share] = np.nan
+    ys = rng.integers(0, 2, n).astype(np.float64)
+    return probs, ys, n_bins, seed
+
+
+class TestBatchedEce:
+    @settings(max_examples=60, deadline=None)
+    @given(forecast_matrices(), st.integers(1, 40), st.integers(1, 7))
+    def test_matches_the_per_replicate_loop(self, data, reps, chunk_rows):
+        probs, ys, n_bins, seed = data
+        n, models = probs.shape
+        stat = equal_mass_ece_stat(probs, ys, n_bins)
+
+        def row_stat(idx):
+            return np.array([oracle_ece(probs[idx, j], ys[idx], n_bins) for j in range(models)])
+
+        # chunks of chunk_rows replicates, so reps is rarely a multiple
+        with mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
+            try:
+                want = oracle_bootstrap(n, row_stat, reps, substream(seed, "b"))
+            except ValidationError:  # a replicate kept fewer than n_bins forecasts
+                with pytest.raises(ValidationError, match="present forecasts"):
+                    paired_bootstrap_stat(n, stat, reps, substream(seed, "b"))
+                return
+            got = paired_bootstrap_stat(n, stat, reps, substream(seed, "b"))
+        assert same(got, want)
+
+        idx = np.random.default_rng(seed).integers(0, n, size=(5, n))
+        try:
+            rows = np.array([row_stat(i) for i in idx])
+        except ValidationError:
+            return
+        assert stat(idx).tobytes() == rows.tobytes()
+
+    def test_one_row_call(self, rng):
+        probs = np.round(rng.random(101), 2)
+        probs[::7] = np.nan
+        ys = rng.integers(0, 2, 101).astype(np.float64)
+        for n_bins in (1, 3, 10, 13):
+            assert ece_equal_mass_arrays(probs, ys, n_bins) == oracle_ece(probs, ys, n_bins)
+
+    def test_two_radix_passes_past_65535_ranks(self):
+        rng = np.random.default_rng(5)
+        n = 70_000
+        probs = np.stack([rng.random(n), np.round(rng.random(n), 3)], axis=1)  # >= 2**16 and < 2**16 ranks
+        probs[rng.random((n, 2)) < 0.05] = np.nan
+        ys = rng.integers(0, 2, n).astype(np.float64)
+        assert len(evaluation._rank_digits(probs[:, 0])) == 2
+        assert len(evaluation._rank_digits(probs[:, 1])) == 1
+        idx = np.vstack([np.arange(n), rng.integers(0, n, size=(2, n))])
+        got = equal_mass_ece_stat(probs, ys, 10)(idx)
+        want = np.array([[oracle_ece(probs[i, j], ys[i], 10) for j in range(2)] for i in idx])
+        assert got.tobytes() == want.tobytes()
+
+    def test_too_few_present_rejected(self):
+        probs = np.array([[0.5, 0.5]] * 2 + [[np.nan, 0.5]] * 9)
+        ys = np.ones(11)
+        with pytest.raises(ValidationError, match="at least 10 present forecasts, got 2"):
+            equal_mass_ece_stat(probs, ys, 10)(np.arange(11)[None, :])
+        with pytest.raises(ValidationError, match="n_bins"):
+            equal_mass_ece_stat(probs, ys, 0)
+
+    def test_identical_columns_give_an_exact_zero(self, rng):
+        col = np.round(rng.random(90), 2)
+        col[::9] = np.nan
+        ys = rng.integers(0, 2, 90).astype(np.float64)
+        stat = equal_mass_ece_stat(np.stack([col, col], axis=1), ys, 10)
+        cmp = paired_bootstrap_stat(90, stat, 199, substream(0, "z"))[(0, 1)]
+        assert (cmp.delta_mean, cmp.ci_low, cmp.ci_high, cmp.p_value) == (0.0, 0.0, 0.0, 1.0)
+
+
+class TestBatchedTotals:
+    @pytest.mark.parametrize("statistic", ["mean", "total"])
+    @pytest.mark.parametrize("n, models, reps, chunk_rows", [(1, 2, 9, 1), (37, 2, 101, 8), (400, 3, 57, 5)])
+    def test_matches_the_per_replicate_loop(self, statistic, n, models, reps, chunk_rows):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, models)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        values[rng.random((n, models)) < 0.3] = 0.0  # untraded questions
+        reduce = np.mean if statistic == "mean" else np.sum
+        with mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
+            got = paired_bootstrap(values, statistic, reps, substream(1, "t"))
+        want = oracle_bootstrap(n, lambda idx: reduce(values[idx], axis=0), reps, substream(1, "t"))
+        assert same(got, want)
+
+    @pytest.mark.parametrize("statistic", ["mean", "total"])
+    def test_identical_columns_give_an_exact_zero(self, statistic):
+        col = np.random.default_rng(8).normal(size=300)
+        values = np.stack([col, col, col + 1.0], axis=1)
+        cmp = paired_bootstrap(values, statistic, 999, substream(2, "z"))[(0, 1)]
+        assert (cmp.delta_mean, cmp.ci_low, cmp.ci_high, cmp.p_value) == (0.0, 0.0, 0.0, 1.0)

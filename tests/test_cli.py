@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +163,18 @@ class TestPipeline:
         partial = (tmp_path / "out" / "seed3_m0_q000010" / "runlog.jsonl").read_text()
         assert len(partial.strip().split("\n")) == 10
 
+    @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo"])
+    def test_checkpoints_without_a_baseline_save_null(self, tmp_path, algorithm):
+        """Intermediate and final checkpoints of algorithms without a
+        baseline both record baseline_weights as null."""
+        cfg = write_config(tmp_path, train={"algorithm": algorithm, "checkpoint_every": 10})
+        assert run("synth", cfg) == EXIT_OK
+        assert run("train", cfg) == EXIT_OK
+        dirs = sorted((tmp_path / "out").glob("seed3_m0_q*"))
+        assert [d.name for d in dirs] == ["seed3_m0_q000010", "seed3_m0_q000020", "seed3_m0_q000030"]
+        for d in dirs:
+            assert json.loads((d / "params.json").read_text())["baseline_weights"] is None, d.name
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
@@ -235,7 +251,7 @@ class TestExitCodes:
         train_path = tmp_path / "out" / "train.jsonl"
         lines = train_path.read_text().strip().split("\n")
         doc = json.loads(lines[4])
-        doc["features"][0] = 1e999  # parses to inf
+        doc["features"][0] = 1.3e154  # x.x is finite, the clip norm's x.x * |g|^2 is not
         lines[4] = json.dumps(doc)
         train_path.write_text("\n".join(lines) + "\n")
 
@@ -245,6 +261,24 @@ class TestExitCodes:
         assert (lastgood / "params.json").exists()
         log = (lastgood / "runlog.jsonl").read_text().strip()
         assert len(log.split("\n")) == 4  # questions before the poisoned one
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e200])
+    def test_non_finite_features_exit_2(self, tmp_path, capsys, value):
+        """NaN and Infinity parse from JSON, and 1e200 squares to inf: each
+        is rejected at load, naming the question, before training starts."""
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        train_path = tmp_path / "out" / "train.jsonl"
+        lines = train_path.read_text().strip().split("\n")
+        doc = json.loads(lines[4])
+        doc["features"][1] = value
+        lines[4] = json.dumps(doc)
+        train_path.write_text("\n".join(lines) + "\n")
+
+        assert run("train", cfg) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"question {doc['id']!r}: features" in err
+        assert not list((tmp_path / "out").glob("seed3_m0_*"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_member_outcomes_are_independent(self, tmp_path, capsys):
@@ -331,3 +365,62 @@ class TestReportAndManifest:
         assert run("report", cfg) == EXIT_OK
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["stages_run"] == []
+
+
+class TestStatisticsOutputs:
+    # sha256 of the files that the per-replicate bootstrap loop, with trades
+    # rebuilt for every gate, wrote for this fixture.  The chunked bootstrap
+    # and the single trade build must reproduce them byte for byte.
+    DIGESTS = {
+        "bins_echo.csv": "2ca09a61784d649ebefbd84f8f4bd556596fe09ebeab70fbbbcfa67ccb47b7b7",
+        "bins_grid.csv": "275f67c280d366da90ba97c0251b0e2a2130acca9c5c4e817b68c08d7fcd08e5",
+        "bins_smooth.csv": "d0a0b9023e571fe4284ff63a8111f4e12b60865aace3a8685d325cfbc24b5939",
+        "curve_echo_all_markets.csv": "8ffe689dc7664e808c1c3469f3a77acf8d7911341184bb305c40b30551d6a3c8",
+        "curve_echo_edge_above_ece.csv": "70139497930092241372c5122a7236a48ebd51a04d75bfcf4b6941bc2bc9e661",
+        "curve_echo_edge_above_zero.csv": "70139497930092241372c5122a7236a48ebd51a04d75bfcf4b6941bc2bc9e661",
+        "curve_grid_all_markets.csv": "499b04d4ffb19c0d242b26cc884e5e4c904ca467f299a82bb9fb898439e8495a",
+        "curve_grid_edge_above_ece.csv": "258390f8af411187373e71c38786b402843904bca536c475156deca49a371853",
+        "curve_grid_edge_above_zero.csv": "499b04d4ffb19c0d242b26cc884e5e4c904ca467f299a82bb9fb898439e8495a",
+        "curve_smooth_all_markets.csv": "420467b49371ab5f415f65440b4755c1bdf2b7183d86ec396c1e82d4bd3c17d1",
+        "curve_smooth_edge_above_ece.csv": "6209eb00421bf47b8b14157e03033bfee1e2969144ac2879c64a6df7371e610f",
+        "curve_smooth_edge_above_zero.csv": "9256e4ffd92be5cbbeab1dca5772b6d6b48c622984b19e860581a9908ee1c687",
+        "evaluation.json": "56743d11fec567e7d9d13566f37465db46185b84888c33819fe318f4d69a6343",
+        "trades.json": "1b951fc51714116388e5195d208b4a1351f0e20f535d6ca5f5349de3e36cadfd",
+    }
+
+    def test_evaluate_and_trade_outputs_are_unchanged(self, tmp_path):
+        """Three models: a 0.01 grid with 20% abstentions, continuous
+        probabilities, and the market price itself (every trade a tie)."""
+        cfg = write_config(tmp_path, data={"synthetic": {"n_questions": 400, "feature_dim": 2,
+                                                         "market_noise": 0.5}},
+                           evaluation={"bootstrap_reps": 199})
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        test_ds = load_questions(out / "test.jsonl", split="test")
+        rng = np.random.default_rng(21)
+        columns = {
+            "grid": [None if rng.random() < 0.2 else float(np.round(rng.random(), 2)) for _ in test_ds],
+            "smooth": [float(rng.random()) for _ in test_ds],
+            "echo": [q.market_price for q in test_ds],
+        }
+        paths = []
+        for name, probs in columns.items():
+            paths.append(str(tmp_path / f"{name}.jsonl"))
+            save_forecasts([Forecast(q.id, p) for q, p in zip(test_ds, probs)], paths[-1])
+        assert run("evaluate", cfg, *paths) == EXIT_OK
+        assert run("trade", cfg, *paths) == EXIT_OK
+        files = sorted(p for p in out.iterdir() if p.name.startswith(("evaluation", "trades", "bins_", "curve_")))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        assert got == self.DIGESTS
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of the start-up time of every stage; the
+    p-values and quantiles come from scipy.special instead."""
+    code = "import sys, forecast_rl.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+    import forecast_rl
+
+    env = {**os.environ, "PYTHONPATH": str(Path(forecast_rl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          timeout=120, env=env)
+    assert done.stdout.split() == ["False", "True"]

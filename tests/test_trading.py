@@ -23,6 +23,7 @@ from forecast_rl.trading import (
     make_trade,
     mean_per_trade,
     per_question_profits,
+    run_strategies,
     run_strategy,
 )
 
@@ -196,6 +197,27 @@ class TestRunStrategy:
         )
 
 
+class TestRunStrategies:
+    def test_one_build_matches_a_build_per_gate(self, rng):
+        """Tie coin flips come only from the build, so gating one build
+        three ways equals three builds with fresh generators."""
+        rows = [(f"q{i:02d}", float(np.round(rng.uniform(0.05, 0.95), 2)), int(rng.integers(0, 2)))
+                for i in range(60)]
+        ds = priced_dataset(rows)
+        forecasts = {qid: (m if i % 3 == 0 else float(np.round(rng.random(), 2))) for i, (qid, m, _) in
+                     enumerate(rows)}
+        forecasts["q05"] = None
+        trades, results = run_strategies(forecasts, ds, 0.05, substream(1, "ties", "m"))
+        assert [t.to_dict() for t in trades] == \
+            [t.to_dict() for t in build_trades(forecasts, ds, substream(1, "ties", "m"))]
+        assert list(results) == list(GATES)
+        for kind, got in results.items():
+            rule = GatingRule(kind, 0.05 if kind == GATE_EDGE_ABOVE_ECE else None)
+            alone = run_strategy(forecasts, ds, rule, substream(1, "ties", "m"))
+            assert got.to_dict() == alone.to_dict()
+            assert got.cumulative_profit.tobytes() == alone.cumulative_profit.tobytes()
+
+
 class TestMeanPerTrade:
     def test_constant_profits(self):
         trades = [trade_with(profit=0.05, qid=str(i)) for i in range(5)]
@@ -320,6 +342,11 @@ class TestGatingEce:
             gating_ece(forecasts, ds, mode="holdout")
 
 
+def built(models, ds):
+    """Each model's trades, built once with its own tie generator."""
+    return {name: build_trades(f, ds, np.random.default_rng(0)) for name, f in models.items()}
+
+
 class TestPerQuestionProfits:
     def test_rows_align_and_zero_fill(self):
         ds = priced_dataset([("a", 0.6, 1), ("b", 0.6, 1), ("c", 0.6, 0)])
@@ -327,9 +354,7 @@ class TestPerQuestionProfits:
             "m2": {"a": 0.8, "b": 0.8, "c": 0.8},
             "m1": {"a": 0.8, "b": None, "c": 0.8},
         }
-        values, rows, names = per_question_profits(
-            models, ds, GATE_ALL_MARKETS, None, lambda name: np.random.default_rng(0)
-        )
+        values, rows, names = per_question_profits(built(models, ds), ds, GATE_ALL_MARKETS, None)
         assert names == ["m1", "m2"]  # sorted
         assert rows == ["a", "b", "c"]
         assert values.shape == (3, 2)
@@ -341,21 +366,15 @@ class TestPerQuestionProfits:
     def test_gating_zeroes_excluded_questions(self):
         ds = priced_dataset([("a", 0.5, 1)])
         models = {"m": {"a": 0.505}}  # edge -0.005
-        values, _, _ = per_question_profits(
-            models, ds, GATE_EDGE_ABOVE_ZERO, None, lambda name: np.random.default_rng(0)
-        )
+        values, _, _ = per_question_profits(built(models, ds), ds, GATE_EDGE_ABOVE_ZERO, None)
         assert values[0, 0] == 0.0
-        values, _, _ = per_question_profits(
-            models, ds, GATE_ALL_MARKETS, None, lambda name: np.random.default_rng(0)
-        )
+        values, _, _ = per_question_profits(built(models, ds), ds, GATE_ALL_MARKETS, None)
         assert values[0, 0] != 0.0
 
     def test_per_model_ece_thresholds(self):
         ds = priced_dataset(FIXTURE_ROWS)
         models = {"m": FIXTURE_FORECASTS}
-        values, rows, _ = per_question_profits(
-            models, ds, GATE_EDGE_ABOVE_ECE, {"m": 0.10}, lambda name: np.random.default_rng(0)
-        )
+        values, rows, _ = per_question_profits(built(models, ds), ds, GATE_EDGE_ABOVE_ECE, {"m": 0.10})
         traded = {rows[i] for i in range(len(rows)) if values[i, 0] != 0.0}
         assert traded == {"q1", "q2"}
 

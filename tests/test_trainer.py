@@ -594,6 +594,24 @@ class TestBatchedStep:
         assert aborted.params.answer_weights.tobytes() == clean.params.answer_weights.tobytes()
         assert aborted.baseline.tobytes() == clean.baseline.tobytes()
 
+    @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo"])
+    def test_algorithms_without_a_baseline_hand_out_none(self, algorithm):
+        """Checkpoint callbacks and the last-good state carry no baseline
+        for GRPO and Modified-GRPO, like a finished run."""
+        stream = small_stream(30)
+        stream.questions[25].features = np.array([np.inf, 0.0])
+        cfg = TrainConfig(algorithm=algorithm, seed=6, checkpoint_every=10)
+        seen = []
+        with np.errstate(invalid="ignore", over="ignore"):
+            results = train_members(
+                stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1], backend="numpy",
+                checkpoint_cb=lambda member, params, baseline, index, log: seen.append(baseline),
+            )
+        assert len(seen) == 4 and all(b is None for b in seen)
+        assert all(isinstance(r, NumericAbort) and r.baseline is None for r in results)
+        (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01), backend="numpy")
+        assert finished.baseline is None
+
     def test_members_validated(self):
         stream = small_stream(5)
         for bad in ([], [0, 0], [-1]):
@@ -636,3 +654,12 @@ class TestVectorizedPredict:
                 assert ensemble[q.id] == present[0]
             else:
                 assert ensemble[q.id] == sum(present) / len(present)
+
+        # the members' maps, once computed, give the same ensemble without a second predict
+        maps = [predict_dataset(m, stream) for m in spec.members]
+        again = ensemble_predict_dataset(spec, stream, maps)
+        assert list(again) == list(ensemble)
+        assert np.array([np.nan if v is None else v for v in again.values()]).tobytes() == \
+            np.array([np.nan if v is None else v for v in ensemble.values()]).tobytes()
+        with pytest.raises(ValidationError, match="member forecast maps"):
+            ensemble_predict_dataset(spec, stream, maps[:-1])
