@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401  argparse's gettext imports it lazily in parse_args; load it at start-up
 import sys
 import time
 from pathlib import Path

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from forecast_rl import kernels
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import SyntheticConfig
 from forecast_rl.errors import ValidationError
@@ -73,10 +75,16 @@ class RunConfig:
     trading: TradingConfig = field(default_factory=TradingConfig)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.ensemble_size < 1:
             raise ValidationError("ensemble_size must be >= 1")
         if self.backend not in ("auto", "numba", "numpy"):
             raise ValidationError(f"unknown backend {self.backend!r}")
+        if self.backend == "numba" and not kernels.NUMBA_AVAILABLE:
+            raise ValidationError(
+                'backend "numba" needs numba, which is not importable here; use "auto" or "numpy"'
+            )
         self.data.validate()
         self.train.validate()
         self.hyperparams.validate()
@@ -178,13 +186,46 @@ def _check_keys(section: dict, allowed: set[str], context: str) -> None:
         raise ValidationError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is: no truncated floats, numeric strings or booleans."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_float(value) -> float:
+    """A finite JSON number as a float: integers widen; strings, booleans and
+    the NaN / Infinity that Python's json reads are errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _json_bool(value) -> bool:
+    """A JSON boolean as is: the string "false" would otherwise read as True."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _json_str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _or_null(caster):
+    """The caster of a field where null means "unset" or "off"."""
+    return lambda value: None if value is None else caster(value)
+
+
 def _take(section: dict, obj, fields: dict, context: str) -> None:
-    """Assign type-coerced values from a config section onto obj."""
+    """Assign type-checked values from a config section onto obj."""
     _check_keys(section, set(fields), context)
     for key, caster in fields.items():
         if key in section:
             try:
-                value = section[key] if section[key] is None else caster(section[key])
+                value = caster(section[key])
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"bad value for {context}.{key}: {exc}") from exc
             setattr(obj, key, value)
@@ -206,14 +247,8 @@ def parse_config(raw: dict) -> RunConfig:
             f"config schema_version must be {SCHEMA_VERSION}, got {raw.get('schema_version')!r}"
         )
     cfg = RunConfig()
-    if "seed" in raw:
-        cfg.seed = int(raw["seed"])
-    if "output_dir" in raw:
-        cfg.output_dir = str(raw["output_dir"])
-    if "ensemble_size" in raw:
-        cfg.ensemble_size = int(raw["ensemble_size"])
-    if "backend" in raw:
-        cfg.backend = str(raw["backend"])
+    top = {"seed": _json_int, "output_dir": _json_str, "ensemble_size": _json_int, "backend": _json_str}
+    _take({k: v for k, v in raw.items() if k in top}, cfg, top, "config")
 
     data_raw = raw.get("data", {})
     cfg.data = DataConfig()
@@ -222,11 +257,17 @@ def parse_config(raw: dict) -> RunConfig:
         {"train_path", "test_path", "oracle_path", "train_fraction", "synthetic"},
         "data",
     )
-    for key in ("train_path", "test_path", "oracle_path"):
-        if data_raw.get(key) is not None:
-            setattr(cfg.data, key, str(data_raw[key]))
-    if "train_fraction" in data_raw:
-        cfg.data.train_fraction = float(data_raw["train_fraction"])
+    _take(
+        {k: v for k, v in data_raw.items() if k != "synthetic"},
+        cfg.data,
+        {
+            "train_path": _or_null(_json_str),
+            "test_path": _or_null(_json_str),
+            "oracle_path": _or_null(_json_str),
+            "train_fraction": _json_float,
+        },
+        "data",
+    )
     if data_raw.get("synthetic") is not None:
         if not isinstance(data_raw["synthetic"], dict):
             raise ValidationError("data.synthetic must be a JSON object")
@@ -236,10 +277,10 @@ def parse_config(raw: dict) -> RunConfig:
             synth_raw,
             synth,
             {
-                "n_questions": int,
-                "feature_dim": int,
-                "temporal_drift": float,
-                "market_noise": float,
+                "n_questions": _json_int,
+                "feature_dim": _json_int,
+                "temporal_drift": _json_float,
+                "market_noise": _or_null(_json_float),
             },
             "data.synthetic",
         )
@@ -254,11 +295,11 @@ def parse_config(raw: dict) -> RunConfig:
         train_raw,
         cfg.train,
         {
-            "algorithm": str,
-            "outer_iteration_len": int,
-            "guardrails_enabled": bool,
-            "checkpoint_every": int,
-            "content_length": int,
+            "algorithm": _json_str,
+            "outer_iteration_len": _json_int,
+            "guardrails_enabled": _json_bool,
+            "checkpoint_every": _json_int,
+            "content_length": _json_int,
         },
         "train",
     )
@@ -267,10 +308,10 @@ def parse_config(raw: dict) -> RunConfig:
         es_raw,
         cfg.train.early_stop,
         {
-            "enabled": bool,
-            "window": int,
-            "gibberish_threshold": float,
-            "extreme_mass_threshold": float,
+            "enabled": _json_bool,
+            "window": _json_int,
+            "gibberish_threshold": _json_float,
+            "extreme_mass_threshold": _json_float,
         },
         "train.early_stop",
     )
@@ -280,12 +321,12 @@ def parse_config(raw: dict) -> RunConfig:
         raw.get("hyperparams", {}),
         cfg.hyperparams,
         {
-            "actor_lr": float, "kl_coeff": float, "clip_eps": float,
-            "group_size": int, "entropy_coeff": float,
-            "adam_beta1": float, "adam_beta2": float, "adam_eps": float,
-            "weight_decay": float, "grad_clip_norm": float,
-            "baseline_lr": float, "baseline_loss_scale": float,
-            "dpo_beta": float, "dpo_lr": float, "dpo_epochs": int, "dpo_batch": int,
+            "actor_lr": _or_null(_json_float), "kl_coeff": _json_float, "clip_eps": _json_float,
+            "group_size": _json_int, "entropy_coeff": _json_float,
+            "adam_beta1": _json_float, "adam_beta2": _json_float, "adam_eps": _json_float,
+            "weight_decay": _json_float, "grad_clip_norm": _json_float,
+            "baseline_lr": _json_float, "baseline_loss_scale": _json_float,
+            "dpo_beta": _json_float, "dpo_lr": _json_float, "dpo_epochs": _json_int, "dpo_batch": _json_int,
         },
         "hyperparams",
     )
@@ -294,18 +335,18 @@ def parse_config(raw: dict) -> RunConfig:
         raw.get("penalties", {}),
         cfg.penalties,
         {
-            "lambda_lang": float, "lambda_gib": float, "lambda_miss": float,
-            "lambda_exp": float, "input_truncation_chars": int,
+            "lambda_lang": _json_float, "lambda_gib": _json_float, "lambda_miss": _json_float,
+            "lambda_exp": _json_float, "input_truncation_chars": _json_int,
         },
         "penalties",
     )
     cfg.evaluation = EvalConfig()
-    _take(raw.get("evaluation", {}), cfg.evaluation, {"n_bins": int, "bootstrap_reps": int}, "evaluation")
+    _take(raw.get("evaluation", {}), cfg.evaluation, {"n_bins": _json_int, "bootstrap_reps": _json_int}, "evaluation")
     cfg.trading = TradingConfig()
     _take(
         raw.get("trading", {}),
         cfg.trading,
-        {"ece_source": str, "calibration_fraction": float},
+        {"ece_source": _json_str, "calibration_fraction": _json_float},
         "trading",
     )
     cfg.train.seed = cfg.seed

@@ -12,11 +12,11 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.rng import substream
@@ -326,6 +326,20 @@ _BASE_TS = 1_600_000_000
 _P_CLAMP = 1e-9
 
 
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # e^-v is past the largest double: the limit is 0
+        return 0.0
+
+
+def _expit(logits: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-v) per element with the C library's exp, as
+    scipy.special.expit computes it (numpy's vectorized exp can differ in
+    the last bit, which would change the stream)."""
+    return np.array([_logistic(v) for v in logits.tolist()])
+
+
 def generate_synthetic_stream(cfg: SyntheticConfig) -> tuple[Dataset, dict[str, float]]:
     """Generate the synthetic stream and its oracle probabilities.
 
@@ -348,11 +362,11 @@ def generate_synthetic_stream(cfg: SyntheticConfig) -> tuple[Dataset, dict[str, 
     features = rng.standard_normal((n, d))
     logits = np.einsum("ij,ij->i", walk, features)
     # deep saturation rounds expit to exact 0/1, which the record schema forbids
-    p_star = np.clip(expit(logits), _P_CLAMP, 1.0 - _P_CLAMP)
+    p_star = np.clip(_expit(logits), _P_CLAMP, 1.0 - _P_CLAMP)
     outcomes = (rng.random(n) < p_star).astype(int)
     pred_offsets = rng.integers(0, _WINDOW_OPEN_LEN, size=n)
     if cfg.market_noise is not None:
-        prices = expit(logits + cfg.market_noise * rng.standard_normal(n))
+        prices = _expit(logits + cfg.market_noise * rng.standard_normal(n))
         prices = np.clip(prices, _P_CLAMP, 1.0 - _P_CLAMP)
     else:
         prices = None

@@ -9,11 +9,12 @@ comparison here is paired across the identical question set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, stdtr, stdtrit
+import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-up, not inside a stage's work
 
 from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.reward import soft_brier_loss
@@ -26,6 +27,95 @@ Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 # at 1 MB per int64 work array the sort and gathers stay in a core's L2
 # cache; 2**18 measured about a fifth slower on a 3000-question ECE bootstrap.
 BOOTSTRAP_CHUNK_ELEMENTS = 2**17
+
+# Lentz's continued fraction for the incomplete beta function stops when a
+# step changes the value by less than _CF_EPS relative (about one rounding
+# error); _CF_TINY stands in for a zero denominator.
+_CF_EPS = 3e-16
+_CF_TINY = 1e-300
+_CF_MAX_STEPS = 10_000
+_LGAMMA_HALF = math.lgamma(0.5)
+
+
+def normal_two_sided_p(z: float) -> float:
+    """P(|Z| >= |z|) for a standard normal Z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) (Numerical Recipes' betacf, modified
+    Lentz); it converges fast for x < (a + 1) / (a + b + 2)."""
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + aa / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
+
+
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) minus its Stirling approximation, to the z^-7 term."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w / 1680))) / z
+
+
+def _log_beta_half(a: float) -> float:
+    """ln B(a, 1/2).  For large a, lgamma(a) and lgamma(a + 1/2) are large
+    and nearly equal, and their difference would keep only
+    |lgamma(a)| * 2^-52 absolute accuracy (1e-11 at a = 5000), so it is
+    taken from Stirling's series instead."""
+    if a < 20.0:
+        return math.lgamma(a) + _LGAMMA_HALF - math.lgamma(a + 0.5)
+    # ln Gamma(a + 1/2) - ln Gamma(a), with ln(a + 1/2) = ln a + log1p(1/(2a))
+    diff = a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a) + _stirling_tail(a + 0.5) - _stirling_tail(a)
+    return _LGAMMA_HALF - diff
+
+
+def t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with `df` degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2); 1 - x = t^2 / (df + t^2) is formed directly, not
+    by subtraction, so small tails keep their digits.
+    """
+    t2 = t * t
+    if math.isinf(t2):
+        return 0.0
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)
+    if y == 0.0:  # 1 - p is of order sqrt(y), below half an ulp of 1
+        return 1.0
+    front = math.exp(-a * math.log1p(t2 / df) + b * math.log(y) - _log_beta_half(a))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, y) / b
+
+
+def t_quantile_975(df: float) -> float:
+    """The 0.975 quantile of Student's t: the t whose two-sided tail is
+    0.05, found by bisection down to adjacent doubles."""
+    lo, hi = 0.0, 2.0
+    while t_two_sided_p(hi, df) > 0.05:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if t_two_sided_p(mid, df) > 0.05:
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass
@@ -345,7 +435,7 @@ def paired_brier_test(
         return PairedComparison(mean, mean, mean, p, "wald")
     se = sd / np.sqrt(d.size)
     z = mean / se
-    p = float(2.0 * ndtr(-abs(z)))
+    p = normal_two_sided_p(float(z))
     return PairedComparison(mean, mean - Z_95 * se, mean + Z_95 * se, p, "wald")
 
 
@@ -446,8 +536,8 @@ def welch_test(x: np.ndarray, y: np.ndarray) -> PairedComparison:
     delta = float(x.mean() - y.mean())
     t = delta / se
     df = (sx + sy) ** 2 / (sx**2 / (x.size - 1) + sy**2 / (y.size - 1))
-    p = float(2.0 * stdtr(df, -abs(t)))
-    half = float(stdtrit(df, 0.975) * se)
+    p = t_two_sided_p(float(t), float(df))
+    half = float(t_quantile_975(float(df)) * se)
     return PairedComparison(delta, delta - half, delta + half, p, "welch")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; load it with the module, not at the first generator
 
 
 def _label_words(label: int | str) -> tuple[int, ...]:

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from forecast_rl.data import Dataset, split_dataset
 from forecast_rl.errors import ValidationError
-from forecast_rl.evaluation import Forecast, Z_95, ece_equal_mass
+from forecast_rl.evaluation import Forecast, Z_95, ece_equal_mass, t_two_sided_p
 
 FEE = 0.01
 
@@ -268,7 +267,7 @@ def confidence_band_edges(
             out.append(BandResult(lo, hi, int(vals.size), mean_pp, None, None))
             continue
         t_stat = float(vals.mean() / (vals.std(ddof=1) / np.sqrt(vals.size)))
-        p = float(2.0 * stdtr(vals.size - 1, -abs(t_stat)))
+        p = t_two_sided_p(t_stat, vals.size - 1)
         out.append(BandResult(lo, hi, int(vals.size), mean_pp, t_stat, p))
     return out
 

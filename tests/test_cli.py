@@ -20,7 +20,7 @@ from forecast_rl.cli import (
 from forecast_rl.config import load_config
 from forecast_rl.data import load_questions, save_questions
 from forecast_rl.errors import NumericAbort
-from forecast_rl.evaluation import Forecast, save_forecasts
+from forecast_rl.evaluation import Z_95, Forecast, save_forecasts
 from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
 from forecast_rl.trainer import train_online
 
@@ -225,6 +225,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not found" in err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"train": {"guardrails_enabled": "false"}}, "train.guardrails_enabled"),
+            ({"seed": "abc"}, "seed"),
+            ({"seed": -3}, "seed"),
+            ({"seed": 7.9}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"data": {"synthetic": {"n_questions": 20.7, "feature_dim": 2}}}, "data.synthetic.n_questions"),
+        ],
+    )
+    def test_miscast_config_values_exit_2(self, tmp_path, capsys, overrides, field):
+        cfg = write_config(tmp_path, **overrides)
+        assert run("synth", cfg) == EXIT_VALIDATION
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_must_be_nonnegative(self, tmp_path, capsys):
+        assert run("synth", write_config(tmp_path), "--seed", "-3") == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+
+    def test_numba_backend_without_numba_exit_2(self, tmp_path):
+        """Without numba the kernel would run as plain Python, far slower
+        than the numpy backend, so the request is refused."""
+        import forecast_rl
+
+        cfg = write_config(tmp_path, backend="numba")
+        env = {**os.environ, "PYTHONPATH": str(Path(forecast_rl.__file__).parents[1]),
+               "FORECAST_RL_NO_NUMBA": "1"}
+        done = subprocess.run([sys.executable, "-m", "forecast_rl.cli", "synth", "--config", str(cfg)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == EXIT_VALIDATION
+        assert "backend" in done.stderr and "Traceback" not in done.stderr
+
     def test_misaligned_forecasts_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         for cmd in ("synth", "train", "predict"):
@@ -370,7 +404,11 @@ class TestReportAndManifest:
 class TestStatisticsOutputs:
     # sha256 of the files that the per-replicate bootstrap loop, with trades
     # rebuilt for every gate, wrote for this fixture.  The chunked bootstrap
-    # and the single trade build must reproduce them byte for byte.
+    # and the single trade build must reproduce them byte for byte.  The
+    # p-values of evaluation.json and trades.json come from the package's own
+    # normal and Student-t tails; they differ from scipy's by at most 4.1e-15
+    # here (the scipy-era digests were 56743d11... and 1b951fc5...), and the
+    # test checks each of them against scipy below.
     DIGESTS = {
         "bins_echo.csv": "2ca09a61784d649ebefbd84f8f4bd556596fe09ebeab70fbbbcfa67ccb47b7b7",
         "bins_grid.csv": "275f67c280d366da90ba97c0251b0e2a2130acca9c5c4e817b68c08d7fcd08e5",
@@ -384,8 +422,8 @@ class TestStatisticsOutputs:
         "curve_smooth_all_markets.csv": "420467b49371ab5f415f65440b4755c1bdf2b7183d86ec396c1e82d4bd3c17d1",
         "curve_smooth_edge_above_ece.csv": "6209eb00421bf47b8b14157e03033bfee1e2969144ac2879c64a6df7371e610f",
         "curve_smooth_edge_above_zero.csv": "9256e4ffd92be5cbbeab1dca5772b6d6b48c622984b19e860581a9908ee1c687",
-        "evaluation.json": "56743d11fec567e7d9d13566f37465db46185b84888c33819fe318f4d69a6343",
-        "trades.json": "1b951fc51714116388e5195d208b4a1351f0e20f535d6ca5f5349de3e36cadfd",
+        "evaluation.json": "f9c92d01c018e393ce3f82078493f69a9795ea3d40ea1faf56cabab8bde16756",
+        "trades.json": "bf019496813b34dc90652422e2299331b0d05453595fb24e8a179c5c2c3fdacc",
     }
 
     def test_evaluate_and_trade_outputs_are_unchanged(self, tmp_path):
@@ -413,14 +451,47 @@ class TestStatisticsOutputs:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
         assert got == self.DIGESTS
 
+        from scipy.special import ndtr, stdtr
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """scipy.stats costs most of the start-up time of every stage; the
-    p-values and quantiles come from scipy.special instead."""
-    code = "import sys, forecast_rl.cli; print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)"
+        wald = [c["soft_brier"] for c in json.loads((out / "evaluation.json").read_text())["comparisons"]]
+        assert len(wald) == 3
+        for c in wald:
+            se = (c["ci_high"] - c["ci_low"]) / (2 * Z_95)
+            assert c["p_value"] == pytest.approx(2 * ndtr(-abs(c["delta_mean"] / se)), rel=0, abs=1e-12)
+        bands = [b for m in json.loads((out / "trades.json").read_text())["models"].values()
+                 for b in m["confidence_bands"] if b["t_stat"] is not None]
+        assert len(bands) >= 6
+        for b in bands:
+            assert b["p_value"] == pytest.approx(2 * stdtr(b["count"] - 1, -abs(b["t_stat"])), rel=0, abs=1e-12)
+
+
+def _python(code):
     import forecast_rl
 
     env = {**os.environ, "PYTHONPATH": str(Path(forecast_rl.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          timeout=120, env=env)
-    assert done.stdout.split() == ["False", "True"]
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          timeout=120, env=env).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """scipy costs about half the start-up time of every stage; the
+    logistic, the tails and the t quantile are computed with `math`."""
+    code = "import sys, forecast_rl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _python(code).split() == ["[]"]
+
+
+def test_stages_import_no_module_inside_main(tmp_path):
+    """numpy loads some sub-modules on first use, and argparse loads
+    locale; a stage that loaded one inside cli.main would count its import
+    as work."""
+    cfg = write_config(tmp_path, ensemble_size=2, evaluation={"bootstrap_reps": 9})
+    members = [str(tmp_path / "out" / f"forecasts_m{k}.jsonl") for k in range(2)]
+    code = (
+        "import sys, forecast_rl.cli as cli\n"
+        "before = set(sys.modules)\n"
+        f"for stage, files in [('synth', []), ('train', []), ('predict', []), ('evaluate', {members!r}),\n"
+        f"                     ('trade', {members!r}), ('report', [])]:\n"
+        f"    assert cli.main([stage, '--config', {str(cfg)!r}, *files]) == 0, stage\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    assert _python(code).splitlines()[-1] == "[]"

@@ -131,9 +131,40 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"train": {"guardrails_enabled": "false"}}, "train.guardrails_enabled"),
+            ({"train": {"early_stop": {"enabled": 0}}}, "train.early_stop.enabled"),
+            ({"train": {"guardrails_enabled": None}}, "train.guardrails_enabled"),
+            ({"seed": "abc"}, "config.seed"),
+            ({"seed": 7.9}, "config.seed"),
+            ({"seed": True}, "config.seed"),
+            ({"seed": -3}, "seed"),
+            ({"ensemble_size": 2.0}, "config.ensemble_size"),
+            ({"data": {"synthetic": {"n_questions": 20.7, "feature_dim": 2}}}, "data.synthetic.n_questions"),
+            ({"hyperparams": {"group_size": True}}, "hyperparams.group_size"),
+            ({"hyperparams": {"actor_lr": "0.01"}}, "hyperparams.actor_lr"),
+            ({"data": {"train_fraction": "0.5"}}, "data.train_fraction"),
+            ({"evaluation": {"n_bins": None}}, "evaluation.n_bins"),
+            ({"output_dir": 5}, "config.output_dir"),
+            ({"data": {"synthetic": {"n_questions": 5, "feature_dim": 2, "temporal_drift": float("nan")}}},
+             "data.synthetic.temporal_drift"),
+            ({"hyperparams": {"grad_clip_norm": float("inf")}}, "hyperparams.grad_clip_norm"),
+        ],
+    )
+    def test_values_are_not_coerced(self, patch, field):
+        raw = {"schema_version": 1}
+        raw.update(patch)
+        with pytest.raises(ValidationError, match=field.replace(".", r"\.")):
+            parse_config(raw)
+
     def test_none_is_preserved_not_cast(self):
         cfg = parse_config({"schema_version": 1, "hyperparams": {"actor_lr": None}})
         assert cfg.hyperparams.actor_lr is None
+        cfg = parse_config({"schema_version": 1, "data": {
+            "train_path": None, "synthetic": {"n_questions": 5, "feature_dim": 2, "market_noise": None}}})
+        assert cfg.data.train_path is None and cfg.data.synthetic.market_noise is None
 
 
 class TestHashAndSave:
@@ -150,6 +181,20 @@ class TestHashAndSave:
             raw = {"schema_version": 1}
             raw.update(patch)
             assert parse_config(raw).config_hash() != base.config_hash()
+
+    def test_hash_is_stable_across_releases(self):
+        # Digests written by earlier releases, which cast values loosely;
+        # integers given for float fields still hash as floats.
+        assert parse_config(json.loads(json.dumps(FULL_RAW))).config_hash() == (
+            "b84150438f044218e54e7b8ad6f60854860bfaa1812443e32a13463bdc690b62"
+        )
+        assert parse_config({"schema_version": 1}).config_hash() == (
+            "f49c00df0ab76dd6a32499161386ff8ef5113fa57704b1c7672a9bb50fee71c9"
+        )
+        ints = {"schema_version": 1, "data": {"synthetic": {"n_questions": 9, "feature_dim": 2,
+                                                            "temporal_drift": 0, "market_noise": 1}},
+                "hyperparams": {"actor_lr": 1, "kl_coeff": 0}}
+        assert parse_config(ints).config_hash() == "724ee24e016ee4b3f8569f839b6383ecae46b54a6249674a87775993818d4fe1"
 
     def test_hash_is_a_sha256_hex_digest(self):
         h = RunConfig().config_hash()

@@ -1,10 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from forecast_rl.data import (
+    _expit,
     Dataset,
     Question,
     SyntheticConfig,
@@ -297,6 +301,17 @@ class TestSyntheticStream:
     def test_n_zero_empty(self):
         ds, oracle = generate_synthetic_stream(SyntheticConfig(n_questions=0, feature_dim=2, seed=0))
         assert len(ds) == 0 and oracle == {}
+
+
+class TestExpit:
+    SPECIAL = [0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 800.0, -800.0, 709.78, -709.78, -709.79,
+               math.inf, -math.inf]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), max_size=50))
+    def test_bit_equal_to_scipy(self, values):
+        v = np.array(values + self.SPECIAL, dtype=np.float64)
+        assert _expit(v).tobytes() == expit(v).tobytes()
 
 
 class TestSplitAndOracleFile:

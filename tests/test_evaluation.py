@@ -4,8 +4,12 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.special import ndtr, stdtr, stdtrit
 
+from forecast_rl import evaluation
 from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.evaluation import (
     Forecast,
@@ -17,10 +21,13 @@ from forecast_rl.evaluation import (
     extreme_bucket_mass,
     forecasts_from_map,
     load_forecasts,
+    normal_two_sided_p,
     paired_bootstrap,
     paired_brier_test,
     save_forecasts,
     soft_brier,
+    t_quantile_975,
+    t_two_sided_p,
     welch_statistic,
     welch_test,
 )
@@ -360,6 +367,52 @@ class TestWelch:
             welch_test(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValidationError):
             welch_test(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
+
+
+def t_tail_reference(t, df):
+    """Two-sided t tail from scipy; for df = 1 the Cauchy closed form, since
+    scipy's stdtr(1, t) is off by up to 5e-9 for |t| near 1e-8."""
+    if df == 1.0:
+        return 2 / math.pi * math.atan2(1.0, abs(t))
+    return 2 * stdtr(df, -abs(t))
+
+
+class TestTails:
+    """The normal and Student-t tails and the t quantile against scipy.special.
+
+    A 20k-question run puts at most 1e4 trades in a confidence band, so the
+    band t-tests see df <= 1e4.  With ln B(a, 1/2) from lgamma differences
+    alone the t tail would be off by up to 1.1e-11 there."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(t=st.floats(-1e3, 1e3), df=st.floats(0.5, 1000.0) | st.sampled_from([1.0, 2.0]))
+    def test_t_tail_to_df_1000(self, t, df):
+        assert t_two_sided_p(t, df) == pytest.approx(t_tail_reference(t, df), rel=0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.floats(-1e3, 1e3), df=st.floats(1000.0, 1e4))
+    def test_t_tail_to_df_1e4(self, t, df):
+        assert t_two_sided_p(t, df) == pytest.approx(t_tail_reference(t, df), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, -0.0, 5e-324, 6.5e-162, 1e-150, 1e200, -1e200, math.inf, -math.inf])
+    @pytest.mark.parametrize("df", [1.0, 7.5, 5000.0])
+    def test_t_tail_limits(self, t, df):
+        assert t_two_sided_p(t, df) == pytest.approx(2 * stdtr(df, -abs(t)), rel=0, abs=1e-300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.floats(-40.0, 40.0))
+    def test_normal_tail(self, z):
+        assert normal_two_sided_p(z) == pytest.approx(2 * ndtr(-abs(z)), rel=0, abs=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(df=st.floats(1.0, 1e4))
+    def test_t_quantile(self, df):
+        assert t_quantile_975(df) == pytest.approx(stdtrit(df, 0.975), rel=1e-12, abs=0)
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_CF_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            t_two_sided_p(2.0, 50.0)
 
 
 class TestExtremeBucketMass:
