@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl import kernels
-from forecast_rl.algorithms import HyperParams, OptimizerState, adamw_step
+from forecast_rl.algorithms import ALGORITHMS, HyperParams, OptimizerState, adamw_step
 from forecast_rl.data import Dataset, Question
 from forecast_rl.errors import NumericAbort, ValidationError
 from forecast_rl.policy import (
@@ -82,7 +82,7 @@ class TrainConfig:
     content_length: int = 8
 
     def validate(self) -> None:
-        if self.algorithm not in ("grpo", "modified_grpo", "remax", "dpo"):
+        if self.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {self.algorithm!r}")
         if self.outer_iteration_len < 1:
             raise ValidationError("outer_iteration_len must be >= 1")

@@ -234,6 +234,8 @@ class TestExitCodes:
             ({"seed": 7.9}, "seed"),
             ({"seed": True}, "seed"),
             ({"data": {"synthetic": {"n_questions": 20.7, "feature_dim": 2}}}, "data.synthetic.n_questions"),
+            ({"data": {"synthetic": {}}}, "data.synthetic.n_questions"),
+            ({"data": {"synthetic": {"n_questions": 20}}}, "data.synthetic.feature_dim"),
         ],
     )
     def test_miscast_config_values_exit_2(self, tmp_path, capsys, overrides, field):

@@ -1,7 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from forecast_rl.algorithms import ALGORITHMS
 from forecast_rl.config import (
     RunConfig,
     SCHEMA_VERSION,
@@ -78,6 +83,10 @@ class TestParse:
             parse_config({"schema_version": 2})
         with pytest.raises(ValidationError, match="schema_version"):
             parse_config({"schema_version": "1"})
+        with pytest.raises(ValidationError, match="schema_version"):
+            parse_config({"schema_version": True})
+        with pytest.raises(ValidationError, match="schema_version"):
+            parse_config({"schema_version": 1.0})
 
     @pytest.mark.parametrize(
         "raw, context",
@@ -94,6 +103,14 @@ class TestParse:
             ({"schema_version": 1, "penalties": {"lambda_tok": 0.1}}, "penalties"),
             ({"schema_version": 1, "evaluation": {"bins": 10}}, "evaluation"),
             ({"schema_version": 1, "trading": {"gate": "x"}}, "trading"),
+            # Fields the program sets are unknown keys to a config.
+            ({"schema_version": 1, "data": {"synthetic": {"n_questions": 5, "feature_dim": 2,
+                                                          "latent_weights": [1.0, 2.0]}}},
+             "data.synthetic"),
+            ({"schema_version": 1, "data": {"synthetic": {"n_questions": 5, "feature_dim": 2, "seed": 1}}},
+             "data.synthetic"),
+            ({"schema_version": 1, "train": {"seed": 1}}, "train"),
+            ({"schema_version": 1, "train": {"member": 1}}, "train"),
         ],
     )
     def test_unknown_keys_rejected_everywhere(self, raw, context):
@@ -105,6 +122,10 @@ class TestParse:
             parse_config([1, 2])
         with pytest.raises(ValidationError, match="train must be a JSON object"):
             parse_config({"schema_version": 1, "train": 3})
+        with pytest.raises(ValidationError, match="data.synthetic must be a JSON object"):
+            parse_config({"schema_version": 1, "data": {"synthetic": [1]}})
+        with pytest.raises(ValidationError, match="train.early_stop must be a JSON object"):
+            parse_config({"schema_version": 1, "train": {"early_stop": None}})
 
     def test_bad_value_reports_the_key(self):
         raw = {"schema_version": 1, "hyperparams": {"group_size": "many"}}
@@ -219,3 +240,131 @@ class TestHashAndSave:
         path.write_text("{not json")
         with pytest.raises(ValidationError, match="not valid JSON"):
             load_config(path)
+
+
+def test_readme_quickstart_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    quickstart = readme[readme.index("## Quickstart"):]
+    block = re.search(r"```json\n(.*?)```", quickstart, re.S).group(1)
+    cfg = parse_config(json.loads(block))
+    assert cfg.data.synthetic is not None and cfg.train.algorithm == "remax"
+
+
+# Every key a config document may set, with a strategy for its valid values.
+# Float fields also draw JSON integers, which parse as floats.
+NONNEG = st.floats(0.0, 1e6) | st.integers(0, 10**6)
+POSITIVE = st.floats(1e-12, 1e6) | st.integers(1, 10**6)
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+HALF_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True) | st.just(1)
+PATH = st.none() | st.text(max_size=8)
+SYNTHETIC = {
+    "n_questions": st.integers(0, 10**6),
+    "feature_dim": st.integers(1, 64),
+    "temporal_drift": NONNEG,
+    "market_noise": st.none() | st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6),
+}
+SCHEMA = {
+    "seed": st.integers(0, 2**63 - 1),
+    "output_dir": st.text(max_size=8),
+    "ensemble_size": st.integers(1, 64),
+    "backend": st.sampled_from(["auto", "numpy"]),
+    "data": {
+        "train_path": PATH,
+        "test_path": PATH,
+        "oracle_path": PATH,
+        "train_fraction": OPEN_UNIT,
+        "synthetic": st.none() | st.fixed_dictionaries(
+            {k: SYNTHETIC[k] for k in ("n_questions", "feature_dim")},
+            optional={k: SYNTHETIC[k] for k in ("temporal_drift", "market_noise")},
+        ),
+    },
+    "train": {
+        "algorithm": st.sampled_from(ALGORITHMS),
+        "outer_iteration_len": st.integers(1, 10**6),
+        "guardrails_enabled": st.booleans(),
+        "checkpoint_every": st.integers(0, 10**6),
+        "content_length": st.integers(1, 64),
+        "early_stop": {
+            "enabled": st.booleans(),
+            "window": st.integers(1, 10**6),
+            "gibberish_threshold": HALF_OPEN_UNIT,
+            "extreme_mass_threshold": HALF_OPEN_UNIT,
+        },
+    },
+    "hyperparams": {
+        "actor_lr": st.none() | NONNEG,
+        "kl_coeff": NONNEG,
+        "clip_eps": OPEN_UNIT,
+        "group_size": st.integers(1, 64),
+        "entropy_coeff": NONNEG,
+        "adam_beta1": POSITIVE,
+        "adam_beta2": POSITIVE,
+        "adam_eps": POSITIVE,
+        "weight_decay": NONNEG,
+        "grad_clip_norm": POSITIVE,
+        "baseline_lr": NONNEG,
+        "baseline_loss_scale": NONNEG,
+        "dpo_beta": POSITIVE,
+        "dpo_lr": NONNEG,
+        "dpo_epochs": st.integers(1, 64),
+        "dpo_batch": st.integers(1, 1024),
+    },
+    "penalties": {
+        "lambda_lang": NONNEG,
+        "lambda_gib": NONNEG,
+        "lambda_miss": NONNEG,
+        "lambda_exp": NONNEG,
+        "input_truncation_chars": st.integers(1, 10**6),
+    },
+    "evaluation": {"n_bins": st.integers(1, 100), "bootstrap_reps": st.integers(1, 10**5)},
+    "trading": {
+        "ece_source": st.sampled_from(["calibration_split", "in_sample"]),
+        "calibration_fraction": OPEN_UNIT,
+    },
+}
+
+
+def _documents(schema: dict):
+    """Config sections holding any subset of their keys."""
+    return st.fixed_dictionaries(
+        {}, optional={k: _documents(v) if isinstance(v, dict) else v for k, v in schema.items()}
+    )
+
+
+def _leaves(doc: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _key_paths(doc: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in doc.items():
+        paths.add(prefix + key)
+        if isinstance(value, dict):
+            paths |= _key_paths(value, f"{prefix}{key}.")
+    return paths
+
+
+class TestRoundTrip:
+    @given(_documents(SCHEMA))
+    def test_parse_of_to_dict_is_identity(self, raw):
+        cfg = parse_config({"schema_version": 1, **raw})
+        doc = cfg.to_dict()
+        again = parse_config(json.loads(json.dumps(doc)))
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+        assert again.to_dict() == doc
+
+        # Every given value survives, and the document holds exactly the
+        # keys a config may set.
+        given_leaves = _leaves(raw)
+        assert {k: v for k, v in _leaves(doc).items() if k in given_leaves} == given_leaves
+        expected = _key_paths(SCHEMA) | {"schema_version"}
+        if cfg.data.synthetic is not None:
+            expected |= {f"data.synthetic.{k}" for k in SYNTHETIC}
+        assert _key_paths(doc) == expected
