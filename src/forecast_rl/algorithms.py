@@ -1,26 +1,21 @@
-"""Advantage estimators, surrogate objectives, analytic gradients, AdamW.
+"""The training maths: pure array functions over a leading row axis.
 
-Objectives are written as maximization targets; the trainer negates the
-gradients before handing them to the optimizer.  All gradients are exact
-for the linear-softmax policy, which keeps finite-difference checks tight.
+In the online step a row is one ensemble member; when DPO scores its
+preference pairs a row is one question.  Each function keeps a fixed
+summation order, so a row's result never depends on which other rows
+share the call.  Gradients are returned for minimization (the objective
+negated), ready for AdamW, and are exact for the linear-softmax policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from forecast_rl.errors import NumericAbort, ValidationError
-from forecast_rl.policy import (
-    N_ANSWER,
-    N_CONTENT,
-    PolicyParams,
-    Response,
-    augment,
-    head_log_distributions,
-    response_logprob,
-)
+from forecast_rl.errors import ValidationError
+from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, NONENGLISH
+from forecast_rl.reward import PenaltyConfig
 
 ALGORITHMS = ("grpo", "modified_grpo", "remax", "dpo")
 
@@ -80,335 +75,149 @@ class HyperParams:
             raise ValidationError("clip_eps must lie in (0, 1)")
 
 
-@dataclass
-class GroupRollout:
-    """G responses to one question with everything an update step needs."""
-
-    question_id: str
-    features: np.ndarray
-    responses: list[Response]
-    rewards: np.ndarray  # (G,)
-    advantages: np.ndarray  # (G,)
-    old_logprobs: np.ndarray  # (G, L+1) per-token logprobs at sampling time
-
-    @classmethod
-    def from_sampling(
-        cls,
-        question_id: str,
-        features: np.ndarray,
-        responses: list[Response],
-        rewards: np.ndarray,
-        advantages: np.ndarray,
-        old_params: PolicyParams,
-    ) -> "GroupRollout":
-        log_c, log_a = head_log_distributions(old_params, features)
-        old = np.stack(
-            [np.concatenate((log_c[r.content], [log_a[r.answer]])) for r in responses]
-        )
-        return cls(
-            question_id=question_id,
-            features=features,
-            responses=responses,
-            rewards=np.asarray(rewards, dtype=np.float64),
-            advantages=np.asarray(advantages, dtype=np.float64),
-            old_logprobs=old,
-        )
+def log_softmax_rows(Z: np.ndarray) -> np.ndarray:
+    shifted = Z - Z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def grpo_advantages(rewards: np.ndarray) -> np.ndarray:
-    """Group-standardized advantages (r - mean) / std.
+def head_log_softmax(xt: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Log-softmax of xt @ W[r] for each row r of a (R, d+1, V) weight
+    stack, with the product summed over features in order."""
+    return log_softmax_rows((xt[:, None] * W).sum(axis=1))
 
-    The population std (1/G) is used.  A zero-spread group yields all-zero
-    advantages rather than an error; constant-reward groups are routine
-    early in training.
+
+def sample_tokens(p_c: np.ndarray, p_a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF sampling of G responses per row from the content head
+    `p_c` (R, N_CONTENT) and the answer head `p_a` (R, N_ANSWER).
+
+    `u` (R, G, L+1) holds each response's uniforms, the last one for the
+    answer.  A token is the number of leading cumulative sums (all but the
+    last) that do not exceed its uniform, i.e. the smallest k with
+    u < cumsum(p)[k].  Returns content (R, G, L) and answers (R, G).
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.shape[0] < 2:
-        raise ValidationError("grpo_advantages needs a group of at least 2")
-    mu = rewards.mean()
-    sigma = rewards.std()
-    if sigma == 0.0:
-        return np.zeros_like(rewards)
-    return (rewards - mu) / sigma
+    L = u.shape[2] - 1
+    content = (u[:, :, :L, None] >= np.cumsum(p_c, axis=1)[:, None, None, :-1]).sum(axis=-1)
+    answers = (u[:, :, L, None] >= np.cumsum(p_a, axis=1)[:, None, :-1]).sum(axis=-1)
+    return content, answers
 
 
-def modified_grpo_advantages(rewards: np.ndarray) -> np.ndarray:
-    """Mean-centered advantages without the std division, preserving the
-    raw magnitude of large errors."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    if rewards.shape[0] < 2:
-        raise ValidationError("modified_grpo_advantages needs a group of at least 2")
-    return rewards - rewards.mean()
+def guardrail_rewards(
+    content: np.ndarray, answers: np.ndarray, y, pen: PenaltyConfig
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Training reward of each response from its token counts.
+
+    The strict Brier reward (an abstention scores -1) plus the guard-rail
+    terms of `pen`: -lambda_lang and -lambda_gib times the non-English and
+    gibberish proportions, -lambda_miss when no content token is
+    rationale, and lambda_exp times the rationale proportion.  `y` is the
+    outcome, broadcast against `answers`.
+    Returns the (R, G) rewards, the gibberish token counts and the
+    (gibberish, non-English, rationale) proportions.
+    """
+    L = content.shape[-1]
+    gib_ct = (content == GIBBERISH).sum(axis=-1)
+    nep_ct = (content == NONENGLISH).sum(axis=-1)
+    rat_ct = L - gib_ct - nep_ct
+    nep, gp, eq = nep_ct / L, gib_ct / L, rat_ct / L
+    strict = np.where(answers == ABSTAIN, -1.0, -((answers / 100.0 - y) ** 2))
+    miss = np.where(rat_ct > 0, 0.0, -pen.lambda_miss)
+    rewards = strict + (-pen.lambda_lang * nep) + (-pen.lambda_gib * gp) + miss + pen.lambda_exp * eq
+    return rewards, gib_ct, (gp, nep, eq)
 
 
-def remax_advantages(rewards: np.ndarray, baseline: float) -> np.ndarray:
-    """Baseline-subtracted advantages r - b."""
-    return np.asarray(rewards, dtype=np.float64) - baseline
+def advantages(algo: str, rewards: np.ndarray, mu: np.ndarray, baseline: np.ndarray | None) -> np.ndarray:
+    """Per-response advantages of a (R, G) reward group with row means `mu`.
+
+    GRPO standardizes by the population std (a zero-spread group gets all
+    zeros), Modified GRPO only centers, and ReMax subtracts the row's
+    learned baseline value.
+    """
+    if algo == "grpo":
+        dev = rewards - mu[:, None]
+        sigma = np.sqrt((dev**2).sum(axis=1) / rewards.shape[1])[:, None]
+        return np.divide(dev, sigma, out=np.zeros_like(dev), where=sigma != 0.0)
+    if algo == "modified_grpo":
+        return rewards - mu[:, None]
+    return rewards - baseline[:, None]
 
 
-def _kl_and_grad_z(log_p: np.ndarray, log_q: np.ndarray) -> tuple[float, np.ndarray]:
-    """Head KL(p || q) and its gradient in the logits of p."""
+def head_logit_gradient(
+    log_p: np.ndarray, ref_log_p: np.ndarray, tokens: np.ndarray, w: np.ndarray, hp: HyperParams
+) -> np.ndarray:
+    """Logit gradient, for minimization, of one head's part of the objective
+
+        sum_{g,t} w[g] log p(tokens[g, t]) - kl_coeff T KL(p || ref) + entropy_coeff T H(p)
+
+    per row, where `tokens` (R, G, T) holds the T tokens each response
+    draws from this head (L content tokens, or 1 answer token) and `w`
+    (R, G) the per-token weight of each response.  Uses
+    grad_z log p[k] = e_k - p.  The policy is on-policy, so every
+    importance ratio is exactly 1 and no token is clipped.
+    """
+    R, V = log_p.shape
+    T = tokens.shape[2]
     p = np.exp(log_p)
-    ell = log_p - log_q
-    kl = float(np.sum(p * ell))
-    return kl, p * (ell - kl)
+    index = (np.arange(R) * V)[:, None, None] + tokens
+    counts = np.bincount(index.ravel(), np.repeat(w, T), R * V).reshape(R, V)
+    ell = log_p - ref_log_p
+    kl = (p * ell).sum(axis=1)[:, None]
+    h = -(p * log_p).sum(axis=1)[:, None]
+    surrogate = counts - (w * T).sum(axis=1)[:, None] * p
+    return -(surrogate - hp.kl_coeff * T * (p * (ell - kl)) + hp.entropy_coeff * T * (-p * (log_p + h)))
 
 
-def _entropy_and_grad_z(log_p: np.ndarray) -> tuple[float, np.ndarray]:
-    """Head entropy and its gradient in the logits."""
-    p = np.exp(log_p)
-    h = -float(np.sum(p * log_p))
-    return h, -p * (log_p + h)
+def clip_scale(norm: np.ndarray, clip: float) -> np.ndarray:
+    """Global-norm clipping factor: exactly 1 unless norm > clip."""
+    return clip / np.maximum(norm, clip)
 
 
-def _token_weight_grad_z(
-    responses: list[Response],
-    token_w: np.ndarray,
-    p_c: np.ndarray,
-    p_a: np.ndarray,
+def bias_corrections(hp: HyperParams, t) -> tuple:
+    """AdamW's bias corrections 1 - beta^t at step counts `t`."""
+    return 1.0 - hp.adam_beta1**t, 1.0 - hp.adam_beta2**t
+
+
+def adamw_rows(W, m, v, g, lr: float, hp: HyperParams, bc1, bc2) -> None:
+    """One AdamW step in place on a stack of weights, with the bias
+    corrections `bias_corrections` gives for each row's step count
+    (broadcast against W)."""
+    m *= hp.adam_beta1
+    m += (1.0 - hp.adam_beta1) * g
+    v *= hp.adam_beta2
+    v += (1.0 - hp.adam_beta2) * g * g
+    upd = (m / bc1) / (np.sqrt(v / bc2) + hp.adam_eps)
+    if hp.weight_decay > 0.0:
+        upd += hp.weight_decay * W
+    W -= lr * upd
+
+
+def dpo_gradients(
+    xb: np.ndarray,
+    w_c: np.ndarray,
+    w_a: np.ndarray,
+    cdiff: np.ndarray,
+    answers: np.ndarray,
+    ref_margin: np.ndarray,
+    beta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Logit gradients of sum_{i,t} w_{i,t} log p(token_{i,t}).
+    """Weight gradients of the mean DPO loss -log sigmoid(beta (m - m_ref))
+    over a minibatch of B preference pairs.
 
-    Uses grad_z log p[k] = e_k - p, so the total is (weighted token
-    counts) - (total weight) * p per head.
+    `xb` (B, d+1) holds the bias-augmented features, `cdiff` (B, N_CONTENT)
+    the winner-minus-loser content token counts, `answers` (B, 2) the
+    winner's and loser's answer tokens and `ref_margin` the reference
+    policy's margin m_ref.  Shared content probabilities cancel in the
+    margin m, leaving the token-count differences.
     """
-    coeff_c = np.zeros(N_CONTENT)
-    coeff_a = np.zeros(N_ANSWER)
-    for i, r in enumerate(responses):
-        np.add.at(coeff_c, r.content, token_w[i, :-1])
-        coeff_a[r.answer] += token_w[i, -1]
-    return coeff_c - coeff_c.sum() * p_c, coeff_a - coeff_a.sum() * p_a
-
-
-def _regularizer_terms(
-    params: PolicyParams, ref: PolicyParams, hp: HyperParams, x: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """-beta*KL + ent_coeff*H and its logit gradients, plus the current
-    log-distributions (returned to avoid recomputing them)."""
-    L = params.vocab.content_length
-    log_c, log_a = head_log_distributions(params, x)
-    ref_log_c, ref_log_a = head_log_distributions(ref, x)
-    kl_c, dkl_c = _kl_and_grad_z(log_c, ref_log_c)
-    kl_a, dkl_a = _kl_and_grad_z(log_a, ref_log_a)
-    h_c, dh_c = _entropy_and_grad_z(log_c)
-    h_a, dh_a = _entropy_and_grad_z(log_a)
-    value = -hp.kl_coeff * (L * kl_c + kl_a) + hp.entropy_coeff * (L * h_c + h_a)
-    gz_c = -hp.kl_coeff * L * dkl_c + hp.entropy_coeff * L * dh_c
-    gz_a = -hp.kl_coeff * dkl_a + hp.entropy_coeff * dh_a
-    return value, gz_c, gz_a, log_c, log_a
-
-
-def grpo_objective_and_grad(
-    group: GroupRollout,
-    params: PolicyParams,
-    ref: PolicyParams,
-    hp: HyperParams,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Clipped surrogate objective with KL penalty and entropy bonus.
-
-    Serves both GRPO and Modified GRPO; only the advantages in the group
-    differ.  Gradient flows through a token exactly when the min selects
-    the unclipped branch (ties included, so the on-policy ratio of 1
-    always propagates).
-    """
-    G = len(group.responses)
-    L = params.vocab.content_length
-    n_tok = L + 1
-    reg, gz_c, gz_a, log_c, log_a = _regularizer_terms(params, ref, hp, group.features)
-
-    token_w = np.zeros((G, n_tok))
-    surrogate = 0.0
-    lo, hi = 1.0 - hp.clip_eps, 1.0 + hp.clip_eps
-    for i, r in enumerate(group.responses):
-        logp = np.concatenate((log_c[r.content], [log_a[r.answer]]))
-        ratio = np.exp(logp - group.old_logprobs[i])
-        if not np.all(np.isfinite(ratio)):
-            raise NumericAbort(f"non-finite importance ratio on question {group.question_id!r}")
-        adv = group.advantages[i]
-        unclipped = ratio * adv
-        clipped = np.clip(ratio, lo, hi) * adv
-        surrogate += float(np.minimum(unclipped, clipped).sum()) / (G * n_tok)
-        live = unclipped <= clipped
-        token_w[i] = adv * ratio * live / (G * n_tok)
-
-    p_c, p_a = np.exp(log_c), np.exp(log_a)
-    sz_c, sz_a = _token_weight_grad_z(group.responses, token_w, p_c, p_a)
-    xt = augment(group.features)
-    return surrogate + reg, {
-        "content": np.outer(xt, sz_c + gz_c),
-        "answer": np.outer(xt, sz_a + gz_a),
-    }
-
-
-def grpo_objective(
-    group: GroupRollout, params: PolicyParams, ref: PolicyParams, hp: HyperParams
-) -> float:
-    return grpo_objective_and_grad(group, params, ref, hp)[0]
-
-
-def remax_objective_and_grad(
-    group: GroupRollout,
-    params: PolicyParams,
-    ref: PolicyParams,
-    hp: HyperParams,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """REINFORCE-with-baseline objective with KL penalty and entropy bonus.
-
-    No per-token mean and no ratio clipping: each response contributes
-    its advantage times the sum of its token log-probabilities.
-    """
-    G = len(group.responses)
-    L = params.vocab.content_length
-    reg, gz_c, gz_a, log_c, log_a = _regularizer_terms(params, ref, hp, group.features)
-
-    value = 0.0
-    token_w = np.zeros((G, L + 1))
-    for i, r in enumerate(group.responses):
-        logp_sum = float(np.sum(log_c[r.content]) + log_a[r.answer])
-        value += group.advantages[i] * logp_sum / G
-        token_w[i] = group.advantages[i] / G
-
-    p_c, p_a = np.exp(log_c), np.exp(log_a)
-    sz_c, sz_a = _token_weight_grad_z(group.responses, token_w, p_c, p_a)
-    xt = augment(group.features)
-    return value + reg, {
-        "content": np.outer(xt, sz_c + gz_c),
-        "answer": np.outer(xt, sz_a + gz_a),
-    }
-
-
-def remax_objective(
-    group: GroupRollout, params: PolicyParams, ref: PolicyParams, hp: HyperParams
-) -> float:
-    return remax_objective_and_grad(group, params, ref, hp)[0]
-
-
-def baseline_predict(weights: np.ndarray, x: np.ndarray) -> float:
-    """Linear value head on bias-augmented features."""
-    return float(augment(x) @ weights)
-
-
-def baseline_loss(predicted: float, reward: float, hp: HyperParams) -> float:
-    """Scaled squared error of the value head against one reward."""
-    return hp.baseline_loss_scale * (predicted - reward) ** 2
-
-
-def baseline_loss_and_grad(
-    weights: np.ndarray, x: np.ndarray, rewards: np.ndarray, hp: HyperParams
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean scaled squared error over the group and its weight gradient."""
-    xt = augment(x)
-    b = float(xt @ weights)
-    resid = b - np.asarray(rewards, dtype=np.float64)
-    loss = hp.baseline_loss_scale * float(np.mean(resid**2))
-    grad = 2.0 * hp.baseline_loss_scale * float(resid.mean()) * xt
-    return loss, {"baseline": grad}
-
-
-def dpo_loss_and_grad(
-    params: PolicyParams,
-    ref: PolicyParams,
-    x: np.ndarray,
-    winner: Response,
-    loser: Response,
-    hp: HyperParams,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Preference loss -log sigmoid(beta * margin) and its gradient.
-
-    The margin is the winner-minus-loser gap of policy-vs-reference
-    log-probability differences, summed over all tokens.  Shared content
-    probabilities cancel in the gradient, leaving token-count differences.
-    """
-    margin = (
-        response_logprob(params, x, winner)
-        - response_logprob(ref, x, winner)
-        - response_logprob(params, x, loser)
-        + response_logprob(ref, x, loser)
-    )
-    z = hp.dpo_beta * margin
-    # -log sigmoid(z), computed stably; d/dz = -sigmoid(-z)
-    loss = float(np.logaddexp(0.0, -z))
-    coeff = -hp.dpo_beta / (1.0 + np.exp(z))
-
-    counts_w = np.bincount(winner.content, minlength=N_CONTENT).astype(np.float64)
-    counts_l = np.bincount(loser.content, minlength=N_CONTENT).astype(np.float64)
-    ans_diff = np.zeros(N_ANSWER)
-    ans_diff[winner.answer] += 1.0
-    ans_diff[loser.answer] -= 1.0
-    xt = augment(x)
-    return loss, {
-        "content": coeff * np.outer(xt, counts_w - counts_l),
-        "answer": coeff * np.outer(xt, ans_diff),
-    }
-
-
-def dpo_loss(
-    params: PolicyParams,
-    ref: PolicyParams,
-    x: np.ndarray,
-    winner: Response,
-    loser: Response,
-    hp: HyperParams,
-) -> float:
-    return dpo_loss_and_grad(params, ref, x, winner, loser, hp)[0]
-
-
-@dataclass
-class OptimizerState:
-    """AdamW moment accumulators, keyed like the parameter dict."""
-
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            step=0,
-        )
-
-
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-
-
-def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    hp: HyperParams,
-    lr: float,
-) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One AdamW minimization step, mutating params and state in place.
-
-    The global gradient norm across all entries is clipped to
-    grad_clip_norm before the moment updates.  A non-finite gradient
-    refuses the step.
-    """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericAbort(f"non-finite gradient for parameter {name!r}")
-    norm = global_grad_norm(grads)
-    if not np.isfinite(norm):
-        raise NumericAbort("gradient norm overflowed")
-    scale = hp.grad_clip_norm / norm if norm > hp.grad_clip_norm else 1.0
-
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - hp.adam_beta1**t
-    bc2 = 1.0 - hp.adam_beta2**t
-    for name, p in params.items():
-        g = grads[name] * scale
-        m = state.m[name]
-        v = state.v[name]
-        m *= hp.adam_beta1
-        m += (1.0 - hp.adam_beta1) * g
-        v *= hp.adam_beta2
-        v += (1.0 - hp.adam_beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + hp.adam_eps)
-        if hp.weight_decay > 0.0:
-            update = update + hp.weight_decay * p
-        p -= lr * update
-    return params, state
+    B = len(xb)
+    rows = np.arange(B)
+    log_c = log_softmax_rows(xb @ w_c)
+    log_a = log_softmax_rows(xb @ w_a)
+    margin = np.sum(cdiff * log_c, axis=1) + log_a[rows, answers[:, 0]] - log_a[rows, answers[:, 1]]
+    z = beta * (margin - ref_margin)
+    coeff = -beta / (1.0 + np.exp(z))  # d loss / d margin per pair
+    g_content = xb.T @ (coeff[:, None] * cdiff) / B
+    mask = np.zeros((B, N_ANSWER))
+    mask[rows, answers[:, 0]] += 1.0
+    mask[rows, answers[:, 1]] -= 1.0
+    g_answer = xb.T @ (coeff[:, None] * mask) / B
+    return g_content, g_answer

@@ -197,7 +197,6 @@ def cmd_train(cfg: RunConfig, args) -> int:
         cfg.hyperparams,
         cfg.penalties,
         members,
-        backend=cfg.backend,
         checkpoint_cb=checkpoint_cb,
     )
     code = EXIT_OK

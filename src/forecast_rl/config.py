@@ -16,7 +16,6 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from forecast_rl import kernels
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import SyntheticConfig
 from forecast_rl.errors import ValidationError
@@ -95,11 +94,7 @@ class RunConfig:
         if self.ensemble_size < 1:
             raise ValidationError("ensemble_size must be >= 1")
         if self.backend not in BACKENDS:
-            raise ValidationError(f"unknown backend {self.backend!r}")
-        if self.backend == "numba" and not kernels.NUMBA_AVAILABLE:
-            raise ValidationError(
-                'backend "numba" needs numba, which is not importable here; use "auto" or "numpy"'
-            )
+            raise ValidationError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         self.data.validate()
         self.train.validate()
         self.hyperparams.validate()
@@ -170,10 +165,17 @@ def _config_fields(cls) -> tuple[tuple[str, object, bool], ...]:
 
 
 def _to_json(section) -> dict:
+    """The section as a JSON object.  A float field holds a float even when
+    it was set to an int, so the document, and `config_hash`, are those of
+    the config that `parse_config` reads back."""
     doc = {}
-    for name, _, _ in _config_fields(type(section)):
+    for name, hint, _ in _config_fields(type(section)):
         value = getattr(section, name)
-        doc[name] = _to_json(value) if is_dataclass(value) else value
+        if is_dataclass(value):
+            value = _to_json(value)
+        elif value is not None and float in (hint, *typing.get_args(hint)):
+            value = float(value)
+        doc[name] = value
     return doc
 
 

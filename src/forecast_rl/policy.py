@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.errors import ValidationError
 
 RATIONALE = 0
 GIBBERISH = 1
@@ -28,12 +28,6 @@ ABSTAIN = 101
 N_ANSWER = 102
 
 ANSWER_VALUES = np.arange(N_PROB, dtype=np.float64) / 100.0
-
-CONTENT_TOKEN_TEXT = {
-    RATIONALE: "because the base rate and current evidence point this way",
-    GIBBERISH: "zxqv kplf wrtm glorp",
-    NONENGLISH: "par consequent la probabilite semble etre",
-}
 
 CHECKPOINT_VERSION = 1
 
@@ -99,148 +93,6 @@ class PolicyParams:
             answer_weights=self.answer_weights.copy(),
             vocab=Vocabulary(self.vocab.content_length),
         )
-
-
-@dataclass
-class Response:
-    """One sampled response: L content tokens then one answer token.
-
-    token_logprobs holds the sampling-time log-probabilities (L+1
-    values); it is None on hand-constructed responses.
-    """
-
-    content: np.ndarray  # (L,) int token ids
-    answer: int
-    schema_valid: bool = True
-    token_logprobs: np.ndarray | None = None
-
-    def parse_probability(self) -> float | None:
-        """The forecast the response commits to, or None when abstaining."""
-        if not self.schema_valid or self.answer == ABSTAIN:
-            return None
-        return float(ANSWER_VALUES[self.answer])
-
-    def render_text(self) -> str:
-        """Plain-text rendering used by the guard-rail scorer."""
-        words = [CONTENT_TOKEN_TEXT[int(t)] for t in self.content]
-        if self.answer == ABSTAIN:
-            words.append("final answer: abstain")
-        else:
-            words.append(f"final answer: {ANSWER_VALUES[self.answer]:.2f}")
-        return " ".join(words)
-
-
-def augment(x: np.ndarray) -> np.ndarray:
-    """Prepend the bias feature: x -> [1, x]."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.concatenate(([1.0], x))
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - np.log(np.sum(np.exp(shifted)))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
-def head_distributions(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Content and answer probability vectors at feature vector x."""
-    xt = augment(x)
-    return softmax(xt @ params.content_weights), softmax(xt @ params.answer_weights)
-
-
-def head_log_distributions(params: PolicyParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xt = augment(x)
-    return log_softmax(xt @ params.content_weights), log_softmax(xt @ params.answer_weights)
-
-
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF sample: smallest k with cumsum(probs)[k] > u."""
-    c = 0.0
-    for k in range(probs.shape[0] - 1):
-        c += probs[k]
-        if u < c:
-            return k
-    return probs.shape[0] - 1
-
-
-def sample_response(
-    params: PolicyParams,
-    x: np.ndarray,
-    rng: np.random.Generator | None = None,
-    uniforms: np.ndarray | None = None,
-) -> Response:
-    """Sample one response.
-
-    Either an rng or a pre-drawn array of L+1 uniforms must be given; the
-    uniforms path exists so different backends can consume identical
-    randomness.
-    """
-    L = params.vocab.content_length
-    if uniforms is None:
-        if rng is None:
-            raise ValidationError("sample_response needs an rng or pre-drawn uniforms")
-        uniforms = rng.random(L + 1)
-    if uniforms.shape != (L + 1,):
-        raise ValidationError(f"expected {L + 1} uniforms, got shape {uniforms.shape}")
-    log_c, log_a = head_log_distributions(params, x)
-    if not (np.all(np.isfinite(log_c)) and np.all(np.isfinite(log_a))):
-        raise NumericAbort("non-finite logits while sampling")
-    content_p, answer_p = np.exp(log_c), np.exp(log_a)
-    content = np.array([_sample_index(content_p, float(uniforms[t])) for t in range(L)], dtype=np.int64)
-    answer = _sample_index(answer_p, float(uniforms[L]))
-    logprobs = np.concatenate((log_c[content], [log_a[answer]]))
-    return Response(content=content, answer=answer, token_logprobs=logprobs)
-
-
-def response_logprob(params: PolicyParams, x: np.ndarray, response: Response) -> float:
-    """Joint log-probability of a response: sum over all L+1 tokens."""
-    log_c, log_a = head_log_distributions(params, x)
-    return float(np.sum(log_c[response.content]) + log_a[response.answer])
-
-
-def predict_probability(params: PolicyParams, x: np.ndarray) -> float | None:
-    """Greedy forecast: the argmax answer token (ties to the lowest
-    index), or None when the argmax is the abstain token."""
-    _, answer_p = head_distributions(params, x)
-    k = int(np.argmax(answer_p))
-    if k == ABSTAIN:
-        return None
-    return float(ANSWER_VALUES[k])
-
-
-def kl_divergence(params: PolicyParams, ref: PolicyParams, x: np.ndarray) -> float:
-    """KL(pi_theta(.|x) || pi_ref(.|x)) over full responses.
-
-    Tokens are independent given x, so the response-level KL is L times
-    the content-head KL plus the answer-head KL.
-    """
-    L = params.vocab.content_length
-    log_c, log_a = head_log_distributions(params, x)
-    ref_log_c, ref_log_a = head_log_distributions(ref, x)
-    kl_c = float(np.sum(np.exp(log_c) * (log_c - ref_log_c)))
-    kl_a = float(np.sum(np.exp(log_a) * (log_a - ref_log_a)))
-    return L * kl_c + kl_a
-
-
-def entropy(params: PolicyParams, x: np.ndarray) -> float:
-    """Entropy of the full response distribution at x."""
-    L = params.vocab.content_length
-    log_c, log_a = head_log_distributions(params, x)
-    h_c = -float(np.sum(np.exp(log_c) * log_c))
-    h_a = -float(np.sum(np.exp(log_a) * log_a))
-    return L * h_c + h_a
-
-
-def snapshot_reference(params: PolicyParams) -> PolicyParams:
-    """Frozen copy for KL anchoring; arrays are marked read-only so a
-    buggy update step cannot silently mutate the anchor."""
-    ref = params.copy()
-    ref.content_weights.flags.writeable = False
-    ref.answer_weights.flags.writeable = False
-    return ref
 
 
 def save_checkpoint(

@@ -1,19 +1,16 @@
-"""Brier rewards and the guard-rail penalty scorer.
+"""Guard-rail penalty weights and the evaluation loss.
 
 Training uses the strict Brier reward (abstention scores as the maximum
-loss); evaluation uses the soft Brier loss (abstention costs a flat 0.25,
-the loss of always guessing 50%).  Guard-rail penalties adjust only the
-training reward.
+loss) plus the guard-rail terms weighted here, computed from token counts
+by `algorithms.guardrail_rewards`.  Evaluation uses the soft Brier loss
+(abstention costs a flat 0.25, the loss of always guessing 50%).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from forecast_rl.errors import ValidationError
-from forecast_rl.policy import GIBBERISH, NONENGLISH, RATIONALE, Response
 
 
 @dataclass
@@ -34,125 +31,8 @@ class PenaltyConfig:
             raise ValidationError("input_truncation_chars must be >= 1")
 
 
-@dataclass
-class GuardrailAssessment:
-    """Structural audit of one response's content tokens."""
-
-    contains_non_english: bool
-    contains_gibberish: bool
-    explains_answer: bool
-    non_english_proportion: float
-    gibberish_proportion: float
-    explanation_quality: float
-
-
-@dataclass
-class RewardBreakdown:
-    """Components of one training reward r^i."""
-
-    brier_reward: float
-    lang_penalty: float
-    gib_penalty: float
-    miss_penalty: float
-    exp_bonus: float
-    zeroed: bool
-    total: float
-
-
-def brier_reward(p_hat: float, y: int) -> float:
-    """Negated squared error, the strictly proper scoring rule."""
-    if not (0.0 <= p_hat <= 1.0):
-        raise ValidationError(f"p_hat must lie in [0, 1], got {p_hat}")
-    if y not in (0, 1):
-        raise ValidationError(f"outcome must be 0 or 1, got {y}")
-    return -((p_hat - y) ** 2)
-
-
-def strict_reward(parsed: float | None, y: int) -> float:
-    """Training reward: an absent forecast scores the maximum loss."""
-    if parsed is None:
-        return -1.0
-    return brier_reward(parsed, y)
-
-
 def soft_brier_loss(parsed: float | None, y: int) -> float:
     """Evaluation loss: an absent forecast costs a flat 0.25."""
     if parsed is None:
         return 0.25
     return (parsed - y) ** 2
-
-
-def assess_guardrails(r: Response) -> GuardrailAssessment:
-    """Token-count audit of the content block."""
-    content = np.asarray(r.content)
-    L = content.shape[0]
-    nep = float(np.count_nonzero(content == NONENGLISH)) / L
-    gp = float(np.count_nonzero(content == GIBBERISH)) / L
-    eq = float(np.count_nonzero(content == RATIONALE)) / L
-    return GuardrailAssessment(
-        contains_non_english=nep > 0,
-        contains_gibberish=gp > 0,
-        explains_answer=eq > 0,
-        non_english_proportion=nep,
-        gibberish_proportion=gp,
-        explanation_quality=eq,
-    )
-
-
-def total_reward(
-    parsed: float | None,
-    y: int,
-    g: GuardrailAssessment,
-    cfg: PenaltyConfig,
-    schema_valid: bool = True,
-) -> RewardBreakdown:
-    """Combine the strict Brier reward with guard-rail adjustments.
-
-    A schema-invalid response zeroes the whole reward regardless of the
-    other components.
-    """
-    if not schema_valid:
-        return RewardBreakdown(
-            brier_reward=0.0,
-            lang_penalty=0.0,
-            gib_penalty=0.0,
-            miss_penalty=0.0,
-            exp_bonus=0.0,
-            zeroed=True,
-            total=0.0,
-        )
-    R = strict_reward(parsed, y)
-    lang_penalty = -cfg.lambda_lang * g.non_english_proportion
-    gib_penalty = -cfg.lambda_gib * g.gibberish_proportion
-    miss_penalty = 0.0 if g.explains_answer else -cfg.lambda_miss
-    exp_bonus = cfg.lambda_exp * g.explanation_quality
-    return RewardBreakdown(
-        brier_reward=R,
-        lang_penalty=lang_penalty,
-        gib_penalty=gib_penalty,
-        miss_penalty=miss_penalty,
-        exp_bonus=exp_bonus,
-        zeroed=False,
-        total=R + lang_penalty + gib_penalty + miss_penalty + exp_bonus,
-    )
-
-
-def truncate_input(payload: str, cfg: PenaltyConfig) -> str:
-    """Hard-truncate raw input text, keeping the prefix."""
-    return payload[: cfg.input_truncation_chars]
-
-
-def reward_for_response(
-    r: Response,
-    y: int,
-    cfg: PenaltyConfig,
-    guardrails_enabled: bool = True,
-) -> RewardBreakdown:
-    """Convenience wrapper: parse, assess, and combine in one call.
-
-    With guard-rails disabled the penalties are computed with all-zero
-    lambdas so the assessment fields still appear in run logs.
-    """
-    g = assess_guardrails(r)
-    eff = cfg if guardrails_enabled else PenaltyConfig(0.0, 0.0, 0.0, 0.0, cfg.input_truncation_chars)
-    return total_reward(r.parse_probability(), y, g, eff, schema_valid=r.schema_valid)

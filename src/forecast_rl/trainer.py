@@ -6,11 +6,10 @@ KL reference policy is re-snapshotted every `outer_iteration_len`
 questions.  A rolling early-stop guard watches for the two collapse
 modes (gibberish takeover, extreme-probability pileup).
 
-Two backends implement the same loop: the fused kernel in `kernels`
-(JIT-compiled when numba is available), which trains one member at a
-time, and a numpy step that trains every ensemble member at once over a
-leading member axis.  Both consume one pre-drawn array of uniform
-variates per member, so they agree to floating-point roundoff.
+One numpy step trains every ensemble member at once over a leading
+member axis, composing the array functions of `algorithms`.  Each
+member consumes its own pre-drawn array of uniform variates, so its
+trajectory is the same whether it trains alone or in a batch.
 """
 
 from __future__ import annotations
@@ -22,34 +21,39 @@ from pathlib import Path
 
 import numpy as np
 
-from forecast_rl import kernels
-from forecast_rl.algorithms import ALGORITHMS, HyperParams, OptimizerState, adamw_step
+from forecast_rl.algorithms import (
+    ALGORITHMS,
+    HyperParams,
+    adamw_rows,
+    advantages,
+    bias_corrections,
+    clip_scale,
+    dpo_gradients,
+    guardrail_rewards,
+    head_log_softmax,
+    head_logit_gradient,
+    log_softmax_rows,
+    sample_tokens,
+)
 from forecast_rl.data import Dataset, Question
 from forecast_rl.errors import NumericAbort, ValidationError
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
-    GIBBERISH,
-    N_ANSWER,
     N_CONTENT,
     N_PROB,
-    NONENGLISH,
     PolicyParams,
     Vocabulary,
-    head_log_distributions,
-    sample_response,
-    snapshot_reference,
 )
-from forecast_rl.reward import PenaltyConfig, assess_guardrails, total_reward
+from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 
-BACKENDS = ("auto", "numba", "numpy")
+# `backend` is a config key; the numpy step is the only implementation.
+BACKENDS = ("auto", "numpy")
 
-_ALGO_CODES = {
-    "grpo": kernels.ALGO_GRPO,
-    "modified_grpo": kernels.ALGO_MODIFIED_GRPO,
-    "remax": kernels.ALGO_REMAX,
-}
+# Why a member left the batch mid-span.
+SPAN_EARLY_STOP = 1
+SPAN_NUMERIC = 2
 
 
 @dataclass
@@ -173,11 +177,10 @@ def check_early_stop(
 
 
 def resolve_backend(backend: str) -> str:
+    """The implementation a config's `backend` names: always the numpy step."""
     if backend not in BACKENDS:
         raise ValidationError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if backend == "auto":
-        return "numba" if kernels.NUMBA_AVAILABLE else "numpy"
-    return backend
+    return "numpy"
 
 
 def _effective_penalties(penalties: PenaltyConfig, enabled: bool) -> PenaltyConfig:
@@ -186,40 +189,13 @@ def _effective_penalties(penalties: PenaltyConfig, enabled: bool) -> PenaltyConf
     return PenaltyConfig(0.0, 0.0, 0.0, 0.0, penalties.input_truncation_chars)
 
 
-def _pack_hp(
-    algo: str, hp: HyperParams, pcfg: PenaltyConfig, es: EarlyStopConfig, actor_lr: float
-) -> np.ndarray:
-    packed = np.zeros(kernels.HP_SIZE)
-    packed[kernels.HP_ALGO] = _ALGO_CODES[algo]
-    packed[kernels.HP_ACTOR_LR] = actor_lr
-    packed[kernels.HP_KL_COEFF] = hp.kl_coeff
-    packed[kernels.HP_CLIP_EPS] = hp.clip_eps
-    packed[kernels.HP_ENT_COEFF] = hp.entropy_coeff
-    packed[kernels.HP_BETA1] = hp.adam_beta1
-    packed[kernels.HP_BETA2] = hp.adam_beta2
-    packed[kernels.HP_ADAM_EPS] = hp.adam_eps
-    packed[kernels.HP_WEIGHT_DECAY] = hp.weight_decay
-    packed[kernels.HP_GRAD_CLIP] = hp.grad_clip_norm
-    packed[kernels.HP_BASE_LR] = hp.baseline_lr
-    packed[kernels.HP_BASE_SCALE] = hp.baseline_loss_scale
-    packed[kernels.HP_LAM_LANG] = pcfg.lambda_lang
-    packed[kernels.HP_LAM_GIB] = pcfg.lambda_gib
-    packed[kernels.HP_LAM_MISS] = pcfg.lambda_miss
-    packed[kernels.HP_LAM_EXP] = pcfg.lambda_exp
-    packed[kernels.HP_ES_ENABLED] = 1.0 if es.enabled else 0.0
-    packed[kernels.HP_ES_WINDOW] = es.window
-    packed[kernels.HP_ES_GIB_THR] = es.gibberish_threshold
-    packed[kernels.HP_ES_EXT_THR] = es.extreme_mass_threshold
-    return packed
-
-
-class _Logs:
-    def __init__(self, n: int):
-        self.parsed = np.full(n, np.nan)
-        self.reward = np.zeros(n)
-        self.gib = np.zeros(n)
-        self.nep = np.zeros(n)
-        self.expq = np.zeros(n)
+def _group_log(answers: np.ndarray, mu: np.ndarray, proportions: tuple) -> tuple:
+    """Per-row log values of a (R, G) group: the first response's forecast
+    (NaN where it abstained), the mean reward `mu`, and the group means of
+    the (gibberish, non-English, rationale) proportions."""
+    G = answers.shape[1]
+    parsed = np.where(answers[:, 0] == ABSTAIN, np.nan, answers[:, 0] / 100.0)
+    return (parsed, mu, *(x.sum(axis=1) / G for x in proportions))
 
 
 class _Members:
@@ -290,140 +266,56 @@ class _Members:
         )
 
 
-def _advance_kernel(st: _Members, X: np.ndarray, Y: np.ndarray, start: int, end: int,
-                    hp_vec: np.ndarray, es: EarlyStopConfig) -> tuple[int, list]:
-    """Run every member through [start, end) with `kernels.run_span`."""
-    events = []
-    for r in range(len(st.members)):
-        status, nxt = kernels.run_span(
-            st.w_c[r], st.w_a[r], st.ref_c[r], st.ref_a[r], st.w_b[r],
-            st.m_c[r], st.v_c[r], st.m_a[r], st.v_a[r], st.m_b[r], st.v_b[r], st.steps[r],
-            X, Y, st.U[r], start, end, hp_vec,
-            st.parsed[r], st.reward[r], st.gib[r], st.nep[r], st.expq[r],
-        )
-        reason = None
-        if status == kernels.SPAN_EARLY_STOP:
-            lo = nxt - es.window
-            _, reason = check_early_stop(st.parsed[r, lo:nxt], st.gib[r, lo:nxt], es)
-        if status != kernels.SPAN_OK:
-            events.append((r, status, nxt, reason))
-    return end, events
-
-
-def _head_logs(xt: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Log-softmax of xt @ W[r] for each row r, summed over features in
-    the kernel's order."""
-    return _log_softmax_rows((xt[:, None] * W).sum(axis=1))
-
-
-def _adamw_rows(W, m, v, g, lr, hp: HyperParams, bc1, bc2) -> None:
-    """AdamW on a stack of weight matrices, one bias correction per row."""
-    m *= hp.adam_beta1
-    m += (1.0 - hp.adam_beta1) * g
-    v *= hp.adam_beta2
-    v += (1.0 - hp.adam_beta2) * g * g
-    upd = (m / bc1) / (np.sqrt(v / bc2) + hp.adam_eps)
-    if hp.weight_decay > 0.0:
-        upd += hp.weight_decay * W
-    W -= lr * upd
-
-
-def _advance_numpy(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
-                   algo: str, hp: HyperParams, pcfg: PenaltyConfig, es: EarlyStopConfig,
-                   lr: float) -> tuple[int, list]:
+def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
+             algo: str, hp: HyperParams, pcfg: PenaltyConfig, es: EarlyStopConfig,
+             lr: float) -> tuple[int, list]:
     """One vectorized online step per question for every running member.
 
-    The closed form of `kernels.run_span` over a leading member axis:
-    sampling compares each uniform with the running cumulative sum in
-    the kernel's order, so the same tokens are drawn.  Returns at the
-    first question where some member stops, with one
+    Returns at the first question where some member stops, with one
     (row, status, index, reason) event per stopped member.
     """
     R, _, G, n_tok = st.U.shape
     L = n_tok - 1
-    rows = np.arange(R)
-    c_index = (rows * N_CONTENT)[:, None, None]
-    a_index = (rows * N_ANSWER)[:, None]
     token_div = G if algo == "remax" else G * n_tok
-    clip = hp.grad_clip_norm
     es_tokens = es.window * G * L
     for i in range(start, end):
         xt = X1[i]
-        log_c, rlog_c = _head_logs(xt, st.w_c), _head_logs(xt, st.ref_c)
-        log_a, rlog_a = _head_logs(xt, st.w_a), _head_logs(xt, st.ref_a)
-        p_c, p_a = np.exp(log_c), np.exp(log_a)
-
-        # Inverse-CDF sampling: the token is the number of leading
-        # cumulative sums (all but the last) that do not exceed u.
-        u = st.U[:, i]
-        content = (u[:, :, :L, None] >= np.cumsum(p_c, axis=1)[:, None, None, :-1]).sum(axis=-1)
-        answers = (u[:, :, L, None] >= np.cumsum(p_a, axis=1)[:, None, :-1]).sum(axis=-1)
-
-        # Guard-rail rewards from token counts, summed as the kernel does.
-        gib_ct = (content == GIBBERISH).sum(axis=-1)
-        nep_ct = (content == NONENGLISH).sum(axis=-1)
-        rat_ct = L - gib_ct - nep_ct
-        nep, gp, eq = nep_ct / L, gib_ct / L, rat_ct / L
-        strict = np.where(answers == ABSTAIN, -1.0, -((answers / 100.0 - Y[i]) ** 2))
-        miss = np.where(rat_ct > 0, 0.0, -pcfg.lambda_miss)
-        rewards = strict + (-pcfg.lambda_lang * nep) + (-pcfg.lambda_gib * gp) + miss + pcfg.lambda_exp * eq
+        log_c, rlog_c = head_log_softmax(xt, st.w_c), head_log_softmax(xt, st.ref_c)
+        log_a, rlog_a = head_log_softmax(xt, st.w_a), head_log_softmax(xt, st.ref_a)
+        content, answers = sample_tokens(np.exp(log_c), np.exp(log_a), st.U[:, i])
+        rewards, gib_ct, proportions = guardrail_rewards(content, answers, Y[i], pcfg)
         mu = rewards.sum(axis=1) / G
+        b = (xt * st.w_b).sum(axis=1) if algo == "remax" else None
+        advs = advantages(algo, rewards, mu, b)
 
-        if algo == "grpo":
-            dev = rewards - mu[:, None]
-            sigma = np.sqrt((dev**2).sum(axis=1) / G)[:, None]
-            advs = np.divide(dev, sigma, out=np.zeros_like(dev), where=sigma != 0.0)
-        elif algo == "modified_grpo":
-            advs = rewards - mu[:, None]
-        else:
-            advs = rewards - (xt * st.w_b).sum(axis=1)[:, None]
-
-        # Logit gradients of the maximization objective; on-policy every
-        # importance ratio is exactly 1, so no token is clipped.
         w = advs / token_div
-        coeff_c = np.bincount(
-            (c_index + content).ravel(), np.broadcast_to(w[:, :, None], content.shape).ravel(), R * N_CONTENT
-        ).reshape(R, N_CONTENT)
-        coeff_a = np.bincount((a_index + answers).ravel(), w.ravel(), R * N_ANSWER).reshape(R, N_ANSWER)
-        ell_c, ell_a = log_c - rlog_c, log_a - rlog_a
-        kl_c = (p_c * ell_c).sum(axis=1)[:, None]
-        kl_a = (p_a * ell_a).sum(axis=1)[:, None]
-        h_c = -(p_c * log_c).sum(axis=1)[:, None]
-        h_a = -(p_a * log_a).sum(axis=1)[:, None]
-        surr_c = coeff_c - (w * L).sum(axis=1)[:, None] * p_c
-        surr_a = coeff_a - w.sum(axis=1)[:, None] * p_a
-        gz_c = -(surr_c - hp.kl_coeff * L * (p_c * (ell_c - kl_c)) + hp.entropy_coeff * L * (-p_c * (log_c + h_c)))
-        gz_a = -(surr_a - hp.kl_coeff * (p_a * (ell_a - kl_a)) + hp.entropy_coeff * (-p_a * (log_a + h_a)))
+        gz_c = head_logit_gradient(log_c, rlog_c, content, w, hp)
+        gz_a = head_logit_gradient(log_a, rlog_a, answers[:, :, None], w, hp)
 
         # Global-norm clipping of the actor gradient outer(xt, gz), then AdamW.
         xt_sq = (xt * xt).sum()
         norm = np.sqrt(xt_sq * ((gz_c * gz_c).sum(axis=1) + (gz_a * gz_a).sum(axis=1)))
         bad = ~np.isfinite(norm)
-        scale = (clip / np.maximum(norm, clip))[:, None, None]  # exactly 1 unless norm > clip
+        scale = clip_scale(norm, hp.grad_clip_norm)[:, None, None]
         st.steps[:, 0] += 1
-        t = st.steps[:, 0][:, None, None]
-        bc1, bc2 = 1.0 - hp.adam_beta1**t, 1.0 - hp.adam_beta2**t
-        _adamw_rows(st.w_c, st.m_c, st.v_c, xt[:, None] * gz_c[:, None, :] * scale, lr, hp, bc1, bc2)
-        _adamw_rows(st.w_a, st.m_a, st.v_a, xt[:, None] * gz_a[:, None, :] * scale, lr, hp, bc1, bc2)
+        bc = bias_corrections(hp, st.steps[:, 0][:, None, None])
+        adamw_rows(st.w_c, st.m_c, st.v_c, xt[:, None] * gz_c[:, None, :] * scale, lr, hp, *bc)
+        adamw_rows(st.w_a, st.m_a, st.v_a, xt[:, None] * gz_a[:, None, :] * scale, lr, hp, *bc)
 
         if algo == "remax":
             gb = -2.0 * hp.baseline_loss_scale * (advs.sum(axis=1) / G)  # grad of the MSE in b - r
             b_norm = np.abs(gb) * np.sqrt(xt_sq)
             bad |= ~np.isfinite(b_norm)
-            b_scale = clip / np.maximum(b_norm, clip)
+            b_scale = clip_scale(b_norm, hp.grad_clip_norm)
             st.steps[:, 1] += 1
-            t = st.steps[:, 1][:, None]
-            _adamw_rows(st.w_b, st.m_b, st.v_b, (gb[:, None] * xt) * b_scale[:, None], hp.baseline_lr, hp,
-                        1.0 - hp.adam_beta1**t, 1.0 - hp.adam_beta2**t)
+            adamw_rows(st.w_b, st.m_b, st.v_b, (gb[:, None] * xt) * b_scale[:, None], hp.baseline_lr, hp,
+                       *bias_corrections(hp, st.steps[:, 1][:, None]))
 
-        # Per-question log: first response's parse, group means otherwise.
-        st.parsed[:, i] = np.where(answers[:, 0] == ABSTAIN, np.nan, answers[:, 0] / 100.0)
-        st.reward[:, i] = mu
-        st.gib[:, i] = gp.sum(axis=1) / G
-        st.nep[:, i] = nep.sum(axis=1) / G
-        st.expq[:, i] = eq.sum(axis=1) / G
+        st.parsed[:, i], st.reward[:, i], st.gib[:, i], st.nep[:, i], st.expq[:, i] = _group_log(
+            answers, mu, proportions
+        )
 
-        events = [(int(r), kernels.SPAN_NUMERIC, i, None) for r in np.flatnonzero(bad)]
+        events = [(int(r), SPAN_NUMERIC, i, None) for r in np.flatnonzero(bad)]
         if es.enabled:
             p0 = st.parsed[:, i]
             st.es_counts[:, i, 0] = gib_ct.sum(axis=1)
@@ -439,7 +331,7 @@ def _advance_numpy(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end:
                 ext_hit = ext_mass > es.extreme_mass_threshold
                 for r in np.flatnonzero((gib_hit | ext_hit) & ~bad):
                     reason = "gibberish" if gib_hit[r] else "extreme_mass"
-                    events.append((int(r), kernels.SPAN_EARLY_STOP, i + 1, reason))
+                    events.append((int(r), SPAN_EARLY_STOP, i + 1, reason))
         if events:
             return i + 1, events
     return end, []
@@ -451,7 +343,6 @@ def train_members(
     hp: HyperParams,
     penalties: PenaltyConfig | None = None,
     members=(0,),
-    backend: str = "auto",
     init_params: PolicyParams | None = None,
     checkpoint_cb=None,
 ) -> list[TrainResult | NumericAbort]:
@@ -459,9 +350,8 @@ def train_members(
 
     Member m draws its rollouts from substream(cfg.seed, "sampling", m)
     (DPO: "dpo", m), so a member's trajectory is the same whether it is
-    trained alone or in a batch.  On the numpy backend all members take
-    each online step together; on the numba backend `kernels.run_span`
-    runs them one after another.
+    trained alone or in a batch.  All members take each online step
+    together.
 
     A member that early-stops or meets a non-finite gradient is frozen
     there while the others keep training.  The result list follows
@@ -480,7 +370,6 @@ def train_members(
         raise ValidationError(f"members must be distinct non-negative indices, got {members}")
     if cfg.algorithm == "dpo":
         return [train_dpo(stream, replace(cfg, member=m), hp, penalties, init_params) for m in members]
-    backend = resolve_backend(backend)
 
     n = len(stream)
     if n == 0:
@@ -506,16 +395,10 @@ def train_members(
 
     pcfg = _effective_penalties(penalties, cfg.guardrails_enabled)
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
-    X = np.ascontiguousarray(stream.feature_matrix())
+    X1 = np.hstack([np.ones((n, 1)), stream.feature_matrix()])
     Y = stream.outcomes()
     ids = stream.ids()
     st = _Members(members, params, cfg.seed, n, G)
-    if backend == "numpy":
-        X1 = np.hstack([np.ones((n, 1)), X])
-        advance = lambda s, e: _advance_numpy(st, X1, Y, s, e, cfg.algorithm, hp, pcfg, cfg.early_stop, actor_lr)
-    else:
-        hp_vec = _pack_hp(cfg.algorithm, hp, pcfg, cfg.early_stop, actor_lr)
-        advance = lambda s, e: _advance_kernel(st, X, Y, s, e, hp_vec, cfg.early_stop)
 
     boundaries = {0, n}
     boundaries.update(range(0, n, cfg.outer_iteration_len))
@@ -542,9 +425,9 @@ def train_members(
         st.snapshot()
         i = s
         while i < e and st.members:
-            i, events = advance(i, e)
+            i, events = _advance(st, X1, Y, i, e, cfg.algorithm, hp, pcfg, cfg.early_stop, actor_lr)
             for r, status, at, reason in events:
-                if status == kernels.SPAN_NUMERIC:
+                if status == SPAN_NUMERIC:
                     results[st.members[r]] = NumericAbort(
                         f"non-finite gradient at question {ids[at]!r} (index {at})",
                         params=st.params(r, good=True),
@@ -567,7 +450,6 @@ def train_online(
     cfg: TrainConfig,
     hp: HyperParams,
     penalties: PenaltyConfig | None = None,
-    backend: str = "auto",
     init_params: PolicyParams | None = None,
     checkpoint_cb=None,
 ) -> TrainResult:
@@ -581,15 +463,10 @@ def train_online(
     if cfg.algorithm == "dpo":
         raise ValidationError("dpo is trained offline; use train_dpo")
     cb = None if checkpoint_cb is None else lambda member, *args: checkpoint_cb(*args)
-    (result,) = train_members(stream, cfg, hp, penalties, [cfg.member], backend, init_params, cb)
+    (result,) = train_members(stream, cfg, hp, penalties, [cfg.member], init_params, cb)
     if isinstance(result, NumericAbort):
         raise result
     return result
-
-
-def _log_softmax_rows(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def train_dpo(
@@ -618,91 +495,52 @@ def train_dpo(
     params = init_params.copy() if init_params is not None else PolicyParams.zeros(d, Vocabulary(cfg.content_length))
     if params.feature_dim != d:
         raise ValidationError("init_params feature_dim does not match the stream")
-    ref = snapshot_reference(params)
     L = params.vocab.content_length
     pcfg = _effective_penalties(penalties, cfg.guardrails_enabled)
     rng = substream(cfg.seed, "dpo", cfg.member)
     U = rng.random((n, 2, L + 1))
 
-    X = stream.feature_matrix()
+    # Every pair is drawn from the frozen reference (the initial policy)
+    # at once: one row per question, G = 2.
+    X1 = np.hstack([np.ones((n, 1)), stream.feature_matrix()])
     Y = stream.outcomes()
-    ids = stream.ids()
-    logs = _Logs(n)
+    ref_log_c = log_softmax_rows(X1 @ params.content_weights)
+    ref_log_a = log_softmax_rows(X1 @ params.answer_weights)
+    content, answers = sample_tokens(np.exp(ref_log_c), np.exp(ref_log_a), U)
+    rewards, _, proportions = guardrail_rewards(content, answers, Y[:, None], pcfg)
+    run_log = RunLog(stream.ids(), *_group_log(answers, rewards.sum(axis=1) / 2, proportions))
 
-    pair_rows: list[int] = []
-    cdiff_rows: list[np.ndarray] = []
-    answer_pairs: list[tuple[int, int]] = []
-    ref_margins: list[float] = []
-    for i in range(n):
-        y = int(Y[i])
-        pair = [sample_response(ref, X[i], uniforms=U[i, k]) for k in range(2)]
-        assessments = [assess_guardrails(r) for r in pair]
-        totals = [
-            total_reward(r.parse_probability(), y, g, pcfg, schema_valid=r.schema_valid).total
-            for r, g in zip(pair, assessments)
-        ]
-        p0 = pair[0].parse_probability()
-        logs.parsed[i] = np.nan if p0 is None else p0
-        logs.reward[i] = float(np.mean(totals))
-        logs.gib[i] = float(np.mean([a.gibberish_proportion for a in assessments]))
-        logs.nep[i] = float(np.mean([a.non_english_proportion for a in assessments]))
-        logs.expq[i] = float(np.mean([a.explanation_quality for a in assessments]))
-        if totals[0] == totals[1]:
-            continue
-        w, l = (0, 1) if totals[0] > totals[1] else (1, 0)
-        counts_w = np.bincount(pair[w].content, minlength=N_CONTENT).astype(np.float64)
-        counts_l = np.bincount(pair[l].content, minlength=N_CONTENT).astype(np.float64)
-        log_c, log_a = head_log_distributions(ref, X[i])
-        rm = float(
-            (counts_w - counts_l) @ log_c + log_a[pair[w].answer] - log_a[pair[l].answer]
-        )
-        pair_rows.append(i)
-        cdiff_rows.append(counts_w - counts_l)
-        answer_pairs.append((pair[w].answer, pair[l].answer))
-        ref_margins.append(rm)
-
-    if not pair_rows:
+    rows = np.flatnonzero(rewards[:, 0] != rewards[:, 1])
+    if not rows.size:
         raise ValidationError("no valid preference pairs: every sampled pair tied")
-
-    rows = np.array(pair_rows)
-    cdiff = np.stack(cdiff_rows)
-    answers = np.array(answer_pairs)
-    ref_margin = np.array(ref_margins)
-    Xt = np.hstack([np.ones((len(rows), 1)), X[rows]])
-
-    state = OptimizerState.for_params(
-        {"content": params.content_weights, "answer": params.answer_weights}
+    winner = (rewards[rows, 1] > rewards[rows, 0]).astype(np.intp)
+    counts = (content[rows, :, :, None] == np.arange(N_CONTENT)).sum(axis=2).astype(np.float64)
+    cdiff = counts[np.arange(rows.size), winner] - counts[np.arange(rows.size), 1 - winner]
+    pair_answers = np.stack([answers[rows, winner], answers[rows, 1 - winner]], axis=1)
+    ref_margin = (
+        (cdiff * ref_log_c[rows]).sum(axis=1)
+        + ref_log_a[rows, pair_answers[:, 0]] - ref_log_a[rows, pair_answers[:, 1]]
     )
-    P = len(rows)
+    Xt = X1[rows]
+
+    w_c, w_a = params.content_weights, params.answer_weights
+    m_c, v_c = np.zeros_like(w_c), np.zeros_like(w_c)
+    m_a, v_a = np.zeros_like(w_a), np.zeros_like(w_a)
+    t = 0
+    P = rows.size
     for _ in range(hp.dpo_epochs):
         perm = rng.permutation(P)
         for lo in range(0, P, hp.dpo_batch):
             sel = perm[lo : lo + hp.dpo_batch]
-            B = len(sel)
-            xb = Xt[sel]
-            log_c = _log_softmax_rows(xb @ params.content_weights)
-            log_a = _log_softmax_rows(xb @ params.answer_weights)
-            theta_diff = (
-                np.sum(cdiff[sel] * log_c, axis=1)
-                + log_a[np.arange(B), answers[sel, 0]]
-                - log_a[np.arange(B), answers[sel, 1]]
-            )
-            z = hp.dpo_beta * (theta_diff - ref_margin[sel])
-            coeff = -hp.dpo_beta / (1.0 + np.exp(z))  # d loss / d margin per pair
-            g_content = xb.T @ (coeff[:, None] * cdiff[sel]) / B
-            mask = np.zeros((B, N_ANSWER))
-            mask[np.arange(B), answers[sel, 0]] += 1.0
-            mask[np.arange(B), answers[sel, 1]] -= 1.0
-            g_answer = xb.T @ (coeff[:, None] * mask) / B
-            adamw_step(
-                {"content": params.content_weights, "answer": params.answer_weights},
-                {"content": g_content, "answer": g_answer},
-                state,
-                hp,
-                hp.dpo_lr,
-            )
-
-    run_log = RunLog(ids, logs.parsed, logs.reward, logs.gib, logs.nep, logs.expq)
+            g_c, g_a = dpo_gradients(Xt[sel], w_c, w_a, cdiff[sel], pair_answers[sel], ref_margin[sel], hp.dpo_beta)
+            norm = np.sqrt((g_c * g_c).sum() + (g_a * g_a).sum())
+            if not np.isfinite(norm):
+                raise NumericAbort("non-finite DPO gradient")
+            scale = clip_scale(norm, hp.grad_clip_norm)
+            t += 1
+            bc = bias_corrections(hp, t)
+            adamw_rows(w_c, m_c, v_c, g_c * scale, hp.dpo_lr, hp, *bc)
+            adamw_rows(w_a, m_a, v_a, g_a * scale, hp.dpo_lr, hp, *bc)
     return TrainResult(params, None, run_log)
 
 
@@ -711,14 +549,13 @@ def train(
     cfg: TrainConfig,
     hp: HyperParams,
     penalties: PenaltyConfig | None = None,
-    backend: str = "auto",
     init_params: PolicyParams | None = None,
     checkpoint_cb=None,
 ) -> TrainResult:
     """Dispatch to the online loop or the offline DPO path."""
     if cfg.algorithm == "dpo":
         return train_dpo(stream, cfg, hp, penalties, init_params)
-    return train_online(stream, cfg, hp, penalties, backend, init_params, checkpoint_cb)
+    return train_online(stream, cfg, hp, penalties, init_params, checkpoint_cb)
 
 
 _PREDICT_ROWS = 512  # rows per block, which bounds the (rows, N_ANSWER) temporaries
@@ -742,7 +579,7 @@ def _greedy_forecasts(params: PolicyParams, dataset: Dataset) -> np.ndarray:
         # call per row as one question's `xt @ W`, so the probabilities, and
         # with them every argmax tie, are bit-identical to the per-question path.
         logits = np.matmul(X1[lo : lo + _PREDICT_ROWS, None, :], params.answer_weights)[:, 0]
-        k[lo : lo + _PREDICT_ROWS] = np.exp(_log_softmax_rows(logits)).argmax(axis=1)
+        k[lo : lo + _PREDICT_ROWS] = np.exp(log_softmax_rows(logits)).argmax(axis=1)
     return np.where(k == ABSTAIN, np.nan, ANSWER_VALUES[np.minimum(k, N_PROB - 1)])
 
 

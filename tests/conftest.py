@@ -40,27 +40,23 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def fd_policy_grad(fn, params, step=1e-5):
-    """Central finite differences of a scalar fn(params) over both heads.
+def fd_rows_grad(objective_rows, params, step=1e-5):
+    """Central finite differences over both heads of a row-wise objective.
 
-    Mutates and restores the weight arrays in place, so fn must read the
-    weights fresh on every call.
+    `objective_rows(w_c, w_a)` takes (R, d+1, N_CONTENT) and
+    (R, d+1, N_ANSWER) weight stacks and returns one value per row.  It is
+    called once, with one row per parameter and sign: rows [0, P) hold
+    +step and rows [P, 2P) -step on parameter k = row mod P.
     """
-    grads = {}
-    for name, arr in (("content", params.content_weights), ("answer", params.answer_weights)):
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + step
-            hi = fn(params)
-            arr[idx] = orig - step
-            lo = fn(params)
-            arr[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * step)
-        grads[name] = g
-    return grads
+    c, a = params.content_weights, params.answer_weights
+    n_c, P = c.size, c.size + a.size
+    flat = np.tile(np.concatenate((c.ravel(), a.ravel())), (2 * P, 1))
+    k = np.arange(P)
+    flat[k, k] += step
+    flat[P + k, k] -= step
+    values = objective_rows(flat[:, :n_c].reshape(2 * P, *c.shape), flat[:, n_c:].reshape(2 * P, *a.shape))
+    g = (values[:P] - values[P:]) / (2.0 * step)
+    return {"content": g[:n_c].reshape(c.shape), "answer": g[n_c:].reshape(a.shape)}
 
 
 def fd_vector_grad(fn, weights, step=1e-5):

@@ -11,22 +11,17 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fd_policy_grad, fd_vector_grad, max_rel_err
-from test_algorithms import random_group, random_params, random_response
-
-from forecast_rl.algorithms import (
-    HyperParams,
+from conftest import fd_vector_grad, max_rel_err
+from oracle import (
     baseline_loss_and_grad,
-    dpo_loss,
-    dpo_loss_and_grad,
     grpo_advantages,
-    grpo_objective,
-    grpo_objective_and_grad,
+    head_distributions,
     modified_grpo_advantages,
     remax_advantages,
-    remax_objective,
-    remax_objective_and_grad,
 )
+from test_algorithms import dpo_gradient_error, policy_gradient_error
+
+from forecast_rl.algorithms import HyperParams, guardrail_rewards
 from forecast_rl.cli import EXIT_OK, main as cli_main
 from forecast_rl.data import SyntheticConfig, generate_synthetic_stream, split_dataset
 from forecast_rl.evaluation import (
@@ -38,8 +33,8 @@ from forecast_rl.evaluation import (
     soft_brier,
     welch_statistic,
 )
-from forecast_rl.policy import GIBBERISH, PolicyParams, head_distributions
-from forecast_rl.reward import PenaltyConfig, brier_reward
+from forecast_rl.policy import GIBBERISH, PolicyParams
+from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 from forecast_rl.trading import (
     FEE,
@@ -108,9 +103,11 @@ def lab():
 
 
 def test_criterion_01_strict_propriety():
+    # The trainer's reward for each grid answer, guard-rails off.
     grid = np.arange(101) / 100.0
-    r1 = np.array([brier_reward(g, 1) for g in grid])
-    r0 = np.array([brier_reward(g, 0) for g in grid])
+    answers = np.arange(101)[None]
+    rationale = np.zeros((1, 101, 1), dtype=np.int64)
+    r1, r0 = (guardrail_rewards(rationale, answers, y, PenaltyConfig(0.0, 0.0, 0.0, 0.0))[0][0] for y in (1.0, 0.0))
     rng = substream(11, "acceptance", "propriety")
     ok = True
     for p in rng.random(1000):
@@ -128,32 +125,10 @@ def test_criterion_02_gradient_correctness():
     d, L, G = 1, 4, 2
     worst = {}
 
-    errs = []
-    for k in range(100):
-        params = random_params(rng, d, L)
-        old = random_params(rng, d, L)
-        ref = random_params(rng, d, L)
-        x = rng.normal(size=d)
-        group = random_group(rng, params, old, x, G, hp)
-        advantage_fn = grpo_advantages if k % 2 == 0 else modified_grpo_advantages
-        group.advantages = advantage_fn(rng.normal(size=G))
-        _, grads = grpo_objective_and_grad(group, params, ref, hp)
-        fd = fd_policy_grad(lambda p: grpo_objective(group, p, ref, hp), params)
-        errs.append(max_rel_err(grads, fd))
-    worst["grpo"] = max(errs)
-
-    errs = []
-    for _ in range(100):
-        params = random_params(rng, d, L)
-        old = random_params(rng, d, L)
-        ref = random_params(rng, d, L)
-        x = rng.normal(size=d)
-        group = random_group(rng, params, old, x, G, hp)
-        group.advantages = remax_advantages(group.rewards, float(rng.normal()))
-        _, grads = remax_objective_and_grad(group, params, ref, hp)
-        fd = fd_policy_grad(lambda p: remax_objective(group, p, ref, hp), params)
-        errs.append(max_rel_err(grads, fd))
-    worst["remax"] = max(errs)
+    worst["grpo"] = max(
+        policy_gradient_error(rng, "grpo" if k % 2 == 0 else "modified_grpo", d, L, G, hp) for k in range(100)
+    )
+    worst["remax"] = max(policy_gradient_error(rng, "remax", d, L, G, hp) for _ in range(100))
 
     errs = []
     for _ in range(100):
@@ -165,16 +140,7 @@ def test_criterion_02_gradient_correctness():
         errs.append(max_rel_err({"baseline": grads["baseline"]}, {"baseline": fd}))
     worst["baseline"] = max(errs)
 
-    errs = []
-    for _ in range(100):
-        params = random_params(rng, d, L)
-        ref = random_params(rng, d, L)
-        x = rng.normal(size=d)
-        winner, loser = random_response(rng, L), random_response(rng, L)
-        _, grads = dpo_loss_and_grad(params, ref, x, winner, loser, hp)
-        fd = fd_policy_grad(lambda p: dpo_loss(p, ref, x, winner, loser, hp), params)
-        errs.append(max_rel_err(grads, fd))
-    worst["dpo"] = max(errs)
+    worst["dpo"] = max(dpo_gradient_error(rng, d, L, hp) for _ in range(100))
 
     ok = all(v <= 1e-4 for v in worst.values())
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())

@@ -5,40 +5,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_policy_grad, fd_vector_grad, max_rel_err
-from forecast_rl.algorithms import (
+from conftest import fd_rows_grad, fd_vector_grad, max_rel_err
+from oracle import (
     GroupRollout,
-    HyperParams,
     OptimizerState,
+    Response,
     adamw_step,
+    augment,
     baseline_loss,
     baseline_loss_and_grad,
     baseline_predict,
     dpo_loss,
-    dpo_loss_and_grad,
+    dpo_loss_rows,
+    entropy,
     global_grad_norm,
     grpo_advantages,
     grpo_objective,
     grpo_objective_and_grad,
-    modified_grpo_advantages,
-    remax_advantages,
-    remax_objective,
-    remax_objective_and_grad,
-)
-from forecast_rl.errors import NumericAbort, ValidationError
-from forecast_rl.policy import (
-    N_ANSWER,
-    N_CONTENT,
-    RATIONALE,
-    PolicyParams,
-    Response,
-    Vocabulary,
-    augment,
-    entropy,
     head_log_distributions,
     kl_divergence,
+    modified_grpo_advantages,
+    policy_objective_rows,
+    remax_advantages,
+    remax_objective,
     response_logprob,
 )
+
+from forecast_rl.algorithms import (
+    HyperParams,
+    adamw_rows,
+    advantages,
+    bias_corrections,
+    clip_scale,
+    dpo_gradients,
+    head_log_softmax,
+    head_logit_gradient,
+)
+from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.policy import N_ANSWER, N_CONTENT, RATIONALE, PolicyParams, Vocabulary
 
 
 def random_params(rng, d=2, L=8, scale=0.3) -> PolicyParams:
@@ -52,26 +56,64 @@ def random_response(rng, L=8) -> Response:
     return Response(rng.integers(0, N_CONTENT, size=L), int(rng.integers(0, N_ANSWER)))
 
 
-def random_group(rng, params, old_params, x, G, hp) -> GroupRollout:
-    """A rollout whose importance ratios stay clear of the clip kinks, so
-    finite differences stay valid."""
-    L = params.vocab.content_length
-    lo, hi = 1.0 - hp.clip_eps, 1.0 + hp.clip_eps
-    log_c, log_a = head_log_distributions(params, x)
-    while True:
-        responses = [random_response(rng, L) for _ in range(G)]
-        group = GroupRollout.from_sampling(
-            "q", x, responses,
-            rewards=rng.normal(size=G),
-            advantages=rng.normal(size=G),
-            old_params=old_params,
-        )
-        ratios = np.exp(
-            np.stack([np.concatenate((log_c[r.content], [log_a[r.answer]])) for r in responses])
-            - group.old_logprobs
-        )
-        if min(np.abs(ratios - lo).min(), np.abs(ratios - hi).min()) > 1e-3:
-            return group
+def policy_grad(params, ref, x, responses, token_w, hp):
+    """The trainer's weight gradient of the online objective (as a
+    maximization target, like `oracle.policy_objective_rows`), from one
+    row of the array functions."""
+    xt = augment(x)
+    content = np.stack([r.content for r in responses])[None]
+    answers = np.array([[[r.answer] for r in responses]])
+    grads = {}
+    for name, W, W_ref, tokens in (
+        ("content", params.content_weights, ref.content_weights, content),
+        ("answer", params.answer_weights, ref.answer_weights, answers),
+    ):
+        gz = head_logit_gradient(head_log_softmax(xt, W[None]), head_log_softmax(xt, W_ref[None]), tokens,
+                                 np.asarray(token_w)[None], hp)
+        grads[name] = -np.outer(xt, gz[0])
+    return grads
+
+
+def dpo_grad(params, ref, pairs, hp):
+    """The trainer's mean DPO loss gradient over a minibatch of
+    (x, winner, loser) pairs."""
+    xb = np.stack([augment(x) for x, _, _ in pairs])
+    cdiff = np.stack([np.bincount(w.content, minlength=N_CONTENT) - np.bincount(l.content, minlength=N_CONTENT)
+                      for _, w, l in pairs]).astype(np.float64)
+    answers = np.array([[w.answer, l.answer] for _, w, l in pairs])
+    ref_margin = np.array([response_logprob(ref, x, w) - response_logprob(ref, x, l) for x, w, l in pairs])
+    g_c, g_a = dpo_gradients(xb, params.content_weights, params.answer_weights, cdiff, answers, ref_margin,
+                             hp.dpo_beta)
+    return {"content": g_c, "answer": g_a}
+
+
+def token_weights(algorithm, rewards, L, baseline=0.0):
+    """Per-token weights of one response group from the trainer's
+    advantages: A / (G (L+1)) for the GRPO variants, A / G for ReMax."""
+    G = len(rewards)
+    advs = advantages(algorithm, rewards[None], rewards[None].sum(axis=1) / G, np.array([baseline]))[0]
+    return advs / (G if algorithm == "remax" else G * (L + 1))
+
+
+def policy_gradient_error(rng, algorithm, d, L, G, hp) -> float:
+    """Worst relative error of the trainer's online gradient against
+    central differences of `oracle.policy_objective_rows`, on one random
+    fixture.  On-policy there is no clipping, so any tokens will do."""
+    params, ref = random_params(rng, d, L), random_params(rng, d, L)
+    x = rng.normal(size=d)
+    responses = [random_response(rng, L) for _ in range(G)]
+    token_w = token_weights(algorithm, rng.normal(size=G), L, float(rng.normal()))
+    fd = fd_rows_grad(lambda w_c, w_a: policy_objective_rows(w_c, w_a, ref, x, responses, token_w, hp), params)
+    return max_rel_err(policy_grad(params, ref, x, responses, token_w, hp), fd)
+
+
+def dpo_gradient_error(rng, d, L, hp, B=3) -> float:
+    """Worst relative error of the trainer's DPO gradient against central
+    differences of `oracle.dpo_loss_rows`, on one random minibatch."""
+    params, ref = random_params(rng, d, L), random_params(rng, d, L)
+    pairs = [(rng.normal(size=d), random_response(rng, L), random_response(rng, L)) for _ in range(B)]
+    fd = fd_rows_grad(lambda w_c, w_a: dpo_loss_rows(w_c, w_a, ref, pairs, hp), params)
+    return max_rel_err(dpo_grad(params, ref, pairs, hp), fd)
 
 
 class TestGrpoAdvantages:
@@ -388,8 +430,10 @@ class TestDpoLoss:
 
 
 class TestGradientChecks:
-    """Central finite differences, step 1e-5, against every analytic
-    gradient; 100 random fixtures per objective."""
+    """Central finite differences, step 1e-5, against the trainer's
+    gradients (the baseline's: the oracle's); 100 random fixtures per
+    objective.  Every perturbation of one fixture is a row of one call of
+    a row-wise objective from `oracle`."""
 
     N_FIXTURES = 100
 
@@ -397,43 +441,20 @@ class TestGradientChecks:
         rng = np.random.default_rng(20)
         hp = HyperParams()
         for k in range(self.N_FIXTURES):
-            params, ref, old = random_params(rng), random_params(rng), random_params(rng)
-            x = rng.normal(size=2)
-            group = random_group(rng, params, old, x, G=int(rng.integers(2, 5)), hp=hp)
-            if k % 2 == 0:
-                group.advantages = grpo_advantages(group.rewards)
-            else:
-                group.advantages = modified_grpo_advantages(group.rewards)
-            _, grads = grpo_objective_and_grad(group, params, ref, hp)
-            fd = fd_policy_grad(lambda p: grpo_objective(group, p, ref, hp), params)
-            assert max_rel_err(grads, fd) <= 1e-4
+            algorithm = "grpo" if k % 2 == 0 else "modified_grpo"
+            assert policy_gradient_error(rng, algorithm, 2, 8, int(rng.integers(2, 5)), hp) <= 1e-4
 
     def test_remax_gradients(self):
         rng = np.random.default_rng(21)
         hp = HyperParams()
         for _ in range(self.N_FIXTURES):
-            params, ref = random_params(rng), random_params(rng)
-            x = rng.normal(size=2)
-            G = int(rng.integers(1, 5))
-            rewards = rng.normal(size=G)
-            group = GroupRollout.from_sampling(
-                "q", x, [random_response(rng) for _ in range(G)],
-                rewards, remax_advantages(rewards, float(rng.normal())), params,
-            )
-            _, grads = remax_objective_and_grad(group, params, ref, hp)
-            fd = fd_policy_grad(lambda p: remax_objective(group, p, ref, hp), params)
-            assert max_rel_err(grads, fd) <= 1e-4
+            assert policy_gradient_error(rng, "remax", 2, 8, int(rng.integers(1, 5)), hp) <= 1e-4
 
     def test_dpo_gradients(self):
         rng = np.random.default_rng(22)
         hp = HyperParams()
         for _ in range(self.N_FIXTURES):
-            params, ref = random_params(rng), random_params(rng)
-            x = rng.normal(size=2)
-            w, l = random_response(rng), random_response(rng)
-            _, grads = dpo_loss_and_grad(params, ref, x, w, l, hp)
-            fd = fd_policy_grad(lambda p: dpo_loss(p, ref, x, w, l, hp), params)
-            assert max_rel_err(grads, fd) <= 1e-4
+            assert dpo_gradient_error(rng, 2, 8, hp) <= 1e-4
 
     def test_baseline_gradients(self):
         rng = np.random.default_rng(23)
@@ -510,6 +531,21 @@ class TestAdamW:
             return params["w"]
 
         assert np.array_equal(run(), run())
+
+    def test_row_step_matches_hand_recurrence(self):
+        """The trainer's AdamW on a stack of rows, each with its own step
+        count, against the textbook recurrence."""
+        for wd in (0.0, 0.01):
+            hp = HyperParams(weight_decay=wd)
+            W = np.array([[1.0], [2.0]])
+            m, v = np.zeros_like(W), np.zeros_like(W)
+            adamw_rows(W, m, v, np.array([[0.5], [0.0]]), 0.1, hp, *bias_corrections(hp, np.array([[1], [1]])))
+            adamw_rows(W[:1], m[:1], v[:1], np.array([[-0.25]]), 0.1, hp, *bias_corrections(hp, 2))
+            assert W[0, 0] == pytest.approx(adamw_oracle(1.0, [0.5, -0.25], lr=0.1, wd=wd), abs=1e-15)
+            assert W[1, 0] == pytest.approx(adamw_oracle(2.0, [0.0], lr=0.1, wd=wd), abs=1e-15)
+
+    def test_clip_scale(self):
+        assert np.array_equal(clip_scale(np.array([0.0, 0.5, 1.0, 4.0]), 1.0), [1.0, 1.0, 1.0, 0.25])
 
     def test_nonfinite_gradient_refuses_step(self):
         params = {"w": np.array([1.0])}

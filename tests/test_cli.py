@@ -249,13 +249,12 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
 
     def test_numba_backend_without_numba_exit_2(self, tmp_path):
-        """Without numba the kernel would run as plain Python, far slower
-        than the numpy backend, so the request is refused."""
+        """numba is no longer a backend: the config is refused, naming the
+        key, whether or not numba is installed."""
         import forecast_rl
 
         cfg = write_config(tmp_path, backend="numba")
-        env = {**os.environ, "PYTHONPATH": str(Path(forecast_rl.__file__).parents[1]),
-               "FORECAST_RL_NO_NUMBA": "1"}
+        env = {**os.environ, "PYTHONPATH": str(Path(forecast_rl.__file__).parents[1])}
         done = subprocess.run([sys.executable, "-m", "forecast_rl.cli", "synth", "--config", str(cfg)],
                               capture_output=True, text=True, timeout=120, env=env)
         assert done.returncode == EXIT_VALIDATION
@@ -347,7 +346,7 @@ class TestExitCodes:
             run_cfg.train.member = member
             try:
                 alone = train_online(load_questions(out / "train.jsonl"), run_cfg.train, run_cfg.hyperparams,
-                                     run_cfg.penalties, backend="numpy")
+                                     run_cfg.penalties)
             except NumericAbort as exc:
                 alone = exc
             params, baseline = load_checkpoint(out / name / "params.json")

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forecast_rl.algorithms import ALGORITHMS
+from forecast_rl.algorithms import ALGORITHMS, HyperParams
 from forecast_rl.config import (
+    DataConfig,
     RunConfig,
     SCHEMA_VERSION,
     load_config,
     parse_config,
 )
+from forecast_rl.data import SyntheticConfig
 from forecast_rl.errors import ValidationError
 
 FULL_RAW = {
@@ -216,6 +218,18 @@ class TestHashAndSave:
                                                             "temporal_drift": 0, "market_noise": 1}},
                 "hyperparams": {"actor_lr": 1, "kl_coeff": 0}}
         assert parse_config(ints).config_hash() == "724ee24e016ee4b3f8569f839b6383ecae46b54a6249674a87775993818d4fe1"
+
+    def test_python_built_config_hashes_like_its_loaded_copy(self, tmp_path):
+        """Integers set from Python in float fields are written as floats,
+        as `parse_config` reads them back."""
+        cfg = RunConfig(data=DataConfig(synthetic=SyntheticConfig(10, 2, temporal_drift=0, market_noise=1)),
+                        hyperparams=HyperParams(actor_lr=1, kl_coeff=0))
+        cfg.save(tmp_path / "run.json")
+        loaded = load_config(tmp_path / "run.json")
+        assert loaded == cfg
+        assert loaded.config_hash() == cfg.config_hash()
+        assert cfg.to_dict()["hyperparams"]["actor_lr"] == 1.0
+        assert type(cfg.to_dict()["data"]["synthetic"]["temporal_drift"]) is float
 
     def test_hash_is_a_sha256_hex_digest(self):
         h = RunConfig().config_hash()

@@ -3,26 +3,29 @@ import json
 import numpy as np
 import pytest
 
-from forecast_rl.errors import ValidationError
-from forecast_rl.policy import (
-    ABSTAIN,
-    ANSWER_VALUES,
-    N_ANSWER,
-    N_CONTENT,
-    PolicyParams,
+from oracle import (
     Response,
-    Vocabulary,
     augment,
     entropy,
     head_distributions,
     head_log_distributions,
     kl_divergence,
-    load_checkpoint,
     predict_probability,
     response_logprob,
     sample_response,
-    save_checkpoint,
     snapshot_reference,
+)
+
+from forecast_rl.algorithms import head_log_softmax, sample_tokens
+from forecast_rl.errors import ValidationError
+from forecast_rl.policy import (
+    ABSTAIN,
+    N_ANSWER,
+    N_CONTENT,
+    PolicyParams,
+    Vocabulary,
+    load_checkpoint,
+    save_checkpoint,
 )
 
 
@@ -79,14 +82,23 @@ class TestDistributions:
         assert pa[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def sample(params, x, u):
+    """The trainer's sampler on one policy: u (G, L+1) uniforms, one row
+    per response."""
+    xt = augment(x)
+    p_c = np.exp(head_log_softmax(xt, params.content_weights[None]))
+    p_a = np.exp(head_log_softmax(xt, params.answer_weights[None]))
+    content, answers = sample_tokens(p_c, p_a, u[None])
+    return content[0], answers[0]
+
+
 class TestSampling:
     def test_deterministic_under_seed(self, rng):
         p = random_params(rng)
         x = rng.normal(size=3)
-        r1 = sample_response(p, x, rng=np.random.default_rng(42))
-        r2 = sample_response(p, x, rng=np.random.default_rng(42))
-        assert np.array_equal(r1.content, r2.content)
-        assert r1.answer == r2.answer
+        c1, a1 = sample(p, x, np.random.default_rng(42).random((4, 9)))
+        c2, a2 = sample(p, x, np.random.default_rng(42).random((4, 9)))
+        assert np.array_equal(c1, c2) and np.array_equal(a1, a2)
 
     def test_needs_rng_or_uniforms(self):
         p = PolicyParams.zeros(2)
@@ -99,11 +111,12 @@ class TestSampling:
             sample_response(p, np.zeros(2), uniforms=np.zeros(4))
 
     def test_inverse_cdf_against_manual_oracle(self, rng):
-        # replay the same uniforms through an independent cumsum search
+        # replay the same uniforms through an independent cumsum search,
+        # and through the per-object sampler
         p = random_params(rng, L=5)
         x = rng.normal(size=3)
         u = rng.random(6)
-        r = sample_response(p, x, uniforms=u)
+        content, answers = sample(p, x, u[None])
         pc, pa = head_distributions(p, x)
 
         def manual(probs, uu):
@@ -114,18 +127,17 @@ class TestSampling:
             return len(probs) - 1
 
         for t in range(5):
-            assert r.content[t] == manual(pc, u[t])
-        assert r.answer == manual(pa, u[5])
+            assert content[0, t] == manual(pc, u[t])
+        assert answers[0] == manual(pa, u[5])
+        r = sample_response(p, x, uniforms=u)
+        assert np.array_equal(r.content, content[0]) and r.answer == answers[0]
 
     def test_abstain_frequency_uniform_policy(self):
         p = PolicyParams.zeros(2, Vocabulary(1))
         gen = np.random.default_rng(8)
         n = 100_000
-        u = gen.random((n, 2))
-        abstains = sum(
-            sample_response(p, np.zeros(2), uniforms=u[i]).answer == ABSTAIN for i in range(n)
-        )
-        freq = abstains / n
+        _, answers = sample(p, np.zeros(2), gen.random((n, 2)))
+        freq = np.count_nonzero(answers == ABSTAIN) / n
         se = np.sqrt((1 / 102) * (1 - 1 / 102) / n)
         assert abs(freq - 1 / 102) < 3 * se
 

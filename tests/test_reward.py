@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forecast_rl.errors import ValidationError
-from forecast_rl.policy import GIBBERISH, NONENGLISH, RATIONALE, Response
-from forecast_rl.reward import (
-    GuardrailAssessment,
-    PenaltyConfig,
+from oracle import (
+    Response,
     assess_guardrails,
     brier_reward,
     reward_for_response,
-    soft_brier_loss,
     strict_reward,
     total_reward,
-    truncate_input,
 )
+
+from forecast_rl.algorithms import guardrail_rewards
+from forecast_rl.errors import ValidationError
+from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, N_CONTENT, NONENGLISH, RATIONALE
+from forecast_rl.reward import PenaltyConfig, soft_brier_loss
 
 
 def response_of(tokens, answer=50, schema_valid=True) -> Response:
@@ -153,18 +153,28 @@ class TestTotalReward:
         assert t_worse <= t_base + 1e-12
 
 
-class TestTruncation:
-    def test_short_unchanged(self):
-        assert truncate_input("x" * 10, PenaltyConfig()) == "x" * 10
-
-    def test_boundary_unchanged(self):
-        s = "y" * 16_000
-        assert truncate_input(s, PenaltyConfig()) == s
-
-    def test_over_limit_prefix_kept(self):
-        s = "a" * 16_000 + "b"
-        out = truncate_input(s, PenaltyConfig())
-        assert len(out) == 16_000 and out == "a" * 16_000
+class TestGuardrailRewards:
+    def test_matches_the_per_response_scorer(self):
+        """The trainer's token-count rewards equal the per-object audit and
+        total, on random groups including abstentions."""
+        rng = np.random.default_rng(19)
+        for pen in (PenaltyConfig(), PenaltyConfig(0.7, 0.2, 0.4, 0.3), PenaltyConfig(0.0, 0.0, 0.0, 0.0)):
+            content = rng.integers(0, N_CONTENT, size=(50, 4, 6))
+            content[:5] = RATIONALE
+            content[5:10] = GIBBERISH
+            answers = rng.integers(0, N_ANSWER, size=(50, 4))
+            answers[:, 0] = ABSTAIN
+            y = rng.integers(0, 2, size=(50, 1))
+            rewards, gib_ct, (gp, nep, eq) = guardrail_rewards(content, answers, y.astype(np.float64), pen)
+            for r in range(50):
+                for g in range(4):
+                    resp = Response(content[r, g], int(answers[r, g]))
+                    a = assess_guardrails(resp)
+                    assert rewards[r, g] == total_reward(resp.parse_probability(), int(y[r, 0]), a, pen).total
+                    assert gib_ct[r, g] == np.count_nonzero(content[r, g] == GIBBERISH)
+                    assert (gp[r, g], nep[r, g], eq[r, g]) == (
+                        a.gibberish_proportion, a.non_english_proportion, a.explanation_quality
+                    )
 
 
 class TestRewardForResponse:

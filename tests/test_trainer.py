@@ -2,38 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, make_question
-from forecast_rl import kernels
-from forecast_rl.algorithms import (
-    GroupRollout,
-    HyperParams,
-    OptimizerState,
-    adamw_step,
-    baseline_loss_and_grad,
-    baseline_predict,
-    grpo_advantages,
-    grpo_objective_and_grad,
-    modified_grpo_advantages,
-    remax_advantages,
-    remax_objective_and_grad,
-)
+from oracle import assess_guardrails, oracle_dpo, oracle_train, predict_probability, sample_response, total_reward
+
+from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import Dataset, SyntheticConfig, generate_synthetic_stream
 from forecast_rl.errors import NumericAbort, ValidationError
-from forecast_rl.policy import (
-    ABSTAIN,
-    PolicyParams,
-    Vocabulary,
-    predict_probability,
-    sample_response,
-    snapshot_reference,
-)
-from forecast_rl.reward import PenaltyConfig, assess_guardrails, total_reward
+from forecast_rl.policy import ABSTAIN, PolicyParams, Vocabulary
+from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 from forecast_rl.trainer import (
     EarlyStopConfig,
     EnsembleSpec,
     RunLog,
     TrainConfig,
-    check_early_stop,
     ensemble_predict,
     ensemble_predict_dataset,
     predict,
@@ -84,7 +65,7 @@ class TestRunLogSemantics:
         stream = small_stream(12, d=3, seed=5)
         cfg = TrainConfig(algorithm="remax", seed=9, member=2)
         hp = frozen_hp()
-        result = train_online(stream, cfg, hp, backend="numpy")
+        result = train_online(stream, cfg, hp)
 
         params = PolicyParams.zeros(3)
         U = substream(9, "sampling", 2).random((12, hp.group_size, 9))
@@ -289,21 +270,21 @@ class TestValidationAndEdgeCases:
 
     def test_resolve_backend(self):
         assert resolve_backend("numpy") == "numpy"
-        assert resolve_backend("auto") in ("numba", "numpy")
-        with pytest.raises(ValidationError):
-            resolve_backend("cuda")
+        assert resolve_backend("auto") == "numpy"
+        for bad in ("cuda", "numba"):
+            with pytest.raises(ValidationError):
+                resolve_backend(bad)
 
 
 class TestNumericAbort:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_abort_carries_last_good_state(self, backend):
+    def test_abort_carries_last_good_state(self):
         qs = [make_question(f"q{i}", pred_ts=100 + i, features=[0.1 * i, -0.2]) for i in range(5)]
         qs[3].features = np.array([np.inf, 0.0])  # poisoned mid-stream
         stream = make_dataset(qs)
         cfg = TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2)
         hp = HyperParams(actor_lr=0.01)
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericAbort) as exc_info:
-            train_online(stream, cfg, hp, backend=backend)
+            train_online(stream, cfg, hp)
         abort = exc_info.value
         assert len(abort.run_log) == 3
         assert abort.run_log.question_ids == ["q0", "q1", "q2"]
@@ -312,7 +293,6 @@ class TestNumericAbort:
         # identical to training on just the first two questions
         clean = train_online(
             make_dataset(qs[:2]), TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2), hp,
-            backend=backend,
         )
         assert np.array_equal(abort.params.answer_weights, clean.params.answer_weights)
         assert np.array_equal(abort.params.content_weights, clean.params.content_weights)
@@ -352,6 +332,22 @@ class TestDpo:
                 for r in pair
             ]
             assert result.run_log.rewards[i] == pytest.approx(np.mean(totals), abs=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(algorithm="dpo", seed=11),
+        TrainConfig(algorithm="dpo", seed=3, member=2, guardrails_enabled=False),
+    ])
+    def test_matches_per_object_oracle(self, cfg):
+        """The same rewards, hence the same preference pairs, and final
+        weights within 1e-10 of the per-object DPO loop."""
+        stream = small_stream(60)
+        hp = HyperParams(dpo_lr=1e-3, dpo_batch=16)
+        got = train_dpo(stream, cfg, hp)
+        params, pairs, log = oracle_dpo(stream, cfg, hp)
+        assert np.array_equal(got.run_log.rewards, log.rewards)
+        assert len(pairs) > hp.dpo_batch  # several minibatches per epoch
+        assert not np.all(got.params.answer_weights == 0.0)
+        assert_close_runs(got, params, None, log)
 
     def test_all_tied_pairs_rejected(self):
         # a policy saturated on one answer ties every pair once guard-rails
@@ -428,74 +424,6 @@ class TestEnsemble:
             ).validate()
 
 
-def oracle_train(stream, cfg, hp, penalties=None):
-    """Reference online loop for one member, built from per-response
-    objects and the modular `algorithms` primitives: sample each response,
-    audit and score it, form the advantages, build a GroupRollout, take
-    the objective's gradient and one AdamW step."""
-    pcfg = penalties if penalties is not None else PenaltyConfig()
-    n, d = len(stream), stream.feature_dim
-    G, L = hp.group_size, cfg.content_length
-    params = PolicyParams.zeros(d, Vocabulary(L))
-    baseline = np.zeros(d + 1)
-    actor_state = OptimizerState.for_params(
-        {"content": params.content_weights, "answer": params.answer_weights}
-    )
-    base_state = OptimizerState.for_params({"baseline": baseline})
-    actor_lr = hp.resolve_actor_lr(cfg.algorithm)
-    X, Y, ids = stream.feature_matrix(), stream.outcomes(), stream.ids()
-    U = substream(cfg.seed, "sampling", cfg.member).random((n, G, L + 1))
-    logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}
-    es = cfg.early_stop
-    ref = snapshot_reference(params)
-    for i in range(n):
-        if i > 0 and i % cfg.outer_iteration_len == 0:
-            ref = snapshot_reference(params)
-        x, y = X[i], int(Y[i])
-        responses = [sample_response(params, x, uniforms=U[i, g]) for g in range(G)]
-        assessments = [assess_guardrails(r) for r in responses]
-        rewards = np.array([
-            total_reward(r.parse_probability(), y, a, pcfg, schema_valid=r.schema_valid).total
-            for r, a in zip(responses, assessments)
-        ])
-        if cfg.algorithm == "grpo":
-            advs = grpo_advantages(rewards)
-        elif cfg.algorithm == "modified_grpo":
-            advs = modified_grpo_advantages(rewards)
-        else:
-            advs = remax_advantages(rewards, baseline_predict(baseline, x))
-        group = GroupRollout.from_sampling(ids[i], x, responses, rewards, advs, params)
-        objective = remax_objective_and_grad if cfg.algorithm == "remax" else grpo_objective_and_grad
-        _, grads = objective(group, params, ref, hp)
-        adamw_step(
-            {"content": params.content_weights, "answer": params.answer_weights},
-            {name: -g for name, g in grads.items()},
-            actor_state, hp, actor_lr,
-        )
-        if cfg.algorithm == "remax":
-            _, bgrads = baseline_loss_and_grad(baseline, x, rewards, hp)
-            adamw_step({"baseline": baseline}, bgrads, base_state, hp, hp.baseline_lr)
-
-        p0 = responses[0].parse_probability()
-        logs["parsed"][i] = np.nan if p0 is None else p0
-        logs["reward"][i] = rewards.mean()
-        logs["gib"][i] = np.mean([a.gibberish_proportion for a in assessments])
-        logs["nep"][i] = np.mean([a.non_english_proportion for a in assessments])
-        logs["expq"][i] = np.mean([a.explanation_quality for a in assessments])
-        if es.enabled and i + 1 >= es.window:
-            lo = i + 1 - es.window
-            hit, reason = check_early_stop(logs["parsed"][lo : i + 1], logs["gib"][lo : i + 1], es)
-            if hit:
-                log = RunLog(ids[: i + 1], *(v[: i + 1] for v in logs.values()), True, reason)
-                return params, baseline, log
-    return params, baseline, RunLog(ids, *logs.values())
-
-
-def plain_kernel(monkeypatch):
-    """Make the numba backend run `kernels.run_span` as plain Python."""
-    monkeypatch.setattr(kernels, "run_span", getattr(kernels.run_span, "py_func", kernels.run_span))
-
-
 LOG_COLUMNS = ("rewards", "gibberish", "non_english", "explanation")
 
 
@@ -526,34 +454,28 @@ def assert_identical_runs(a, b):
 
 
 class TestBatchedStep:
-    """The batched numpy step against the per-object loop and the kernel."""
+    """The batched step against the per-object loop of `oracle`."""
 
     @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo", "remax"])
-    def test_parity_with_oracle_and_kernel(self, algorithm, monkeypatch):
-        plain_kernel(monkeypatch)
+    def test_parity_with_oracle_and_kernel(self, algorithm):
         stream = small_stream(120, d=3)
         hp = HyperParams(actor_lr=0.01, baseline_lr=0.01, kl_coeff=0.1)
         cfg = TrainConfig(algorithm=algorithm, seed=5, member=1, outer_iteration_len=40)
-        got = train_online(stream, cfg, hp, backend="numpy")
+        got = train_online(stream, cfg, hp)
         assert not np.all(got.params.answer_weights == 0.0)
         assert_close_runs(got, *oracle_train(stream, cfg, hp))
-        kernel = train_online(stream, cfg, hp, backend="numba")
-        assert_close_runs(got, kernel.params, kernel.baseline, kernel.run_log)
 
     @pytest.mark.parametrize("algorithm,es,reason", [
         ("remax", EarlyStopConfig(window=6, gibberish_threshold=0.3), "gibberish"),
         ("grpo", EarlyStopConfig(window=10, extreme_mass_threshold=0.3), "extreme_mass"),
     ])
-    def test_early_stop_parity(self, algorithm, es, reason, monkeypatch):
-        plain_kernel(monkeypatch)
+    def test_early_stop_parity(self, algorithm, es, reason):
         stream = small_stream(150, d=3)
         hp = HyperParams(actor_lr=0.05)
         cfg = TrainConfig(algorithm=algorithm, seed=2, outer_iteration_len=9, early_stop=es)
-        got = train_online(stream, cfg, hp, backend="numpy")
+        got = train_online(stream, cfg, hp)
         assert got.stop_reason == reason and len(got.run_log) < 150
         assert_close_runs(got, *oracle_train(stream, cfg, hp))
-        kernel = train_online(stream, cfg, hp, backend="numba")
-        assert_close_runs(got, kernel.params, kernel.baseline, kernel.run_log)
 
     @pytest.mark.parametrize("algorithm", ["grpo", "remax"])
     def test_member_is_byte_identical_alone_and_in_a_batch(self, algorithm):
@@ -561,9 +483,9 @@ class TestBatchedStep:
         hp = HyperParams(actor_lr=0.01, baseline_lr=0.01)
         cfg = TrainConfig(algorithm=algorithm, seed=4, outer_iteration_len=25)
         members = [0, 4, 2]
-        batch = train_members(stream, cfg, hp, members=members, backend="numpy")
+        batch = train_members(stream, cfg, hp, members=members)
         for m, got in zip(members, batch):
-            (alone,) = train_members(stream, cfg, hp, members=[m], backend="numpy")
+            (alone,) = train_members(stream, cfg, hp, members=[m])
             assert_identical_runs(got, alone)
 
     def test_stopped_members_freeze_while_others_train(self):
@@ -579,8 +501,8 @@ class TestBatchedStep:
         )
         members = [0, 1, 3]
         with np.errstate(invalid="ignore", over="ignore"):
-            batch = train_members(stream, cfg, hp, members=members, backend="numpy")
-            alone = [train_members(stream, cfg, hp, members=[m], backend="numpy")[0] for m in members]
+            batch = train_members(stream, cfg, hp, members=members)
+            alone = [train_members(stream, cfg, hp, members=[m])[0] for m in members]
         aborted, survivor, stopped = batch
         assert isinstance(aborted, NumericAbort) and len(aborted.run_log) == 30
         assert "index 30" in str(aborted)
@@ -604,12 +526,12 @@ class TestBatchedStep:
         seen = []
         with np.errstate(invalid="ignore", over="ignore"):
             results = train_members(
-                stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1], backend="numpy",
+                stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1],
                 checkpoint_cb=lambda member, params, baseline, index, log: seen.append(baseline),
             )
         assert len(seen) == 4 and all(b is None for b in seen)
         assert all(isinstance(r, NumericAbort) and r.baseline is None for r in results)
-        (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01), backend="numpy")
+        (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01))
         assert finished.baseline is None
 
     def test_members_validated(self):
