@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import locale  # noqa: F401  argparse's gettext imports it lazily in parse_args; load it at start-up
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from forecast_rl.evaluation import (
     paired_brier_test,
     save_forecasts,
 )
+from forecast_rl.files import atomic_write, read_json, write_json
 from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
 from forecast_rl.rng import substream
 from forecast_rl.trading import (
@@ -68,8 +69,7 @@ class Manifest:
         self.path = out_dir / "manifest.json"
         self.doc = {"version": __version__, "config_hash": None, "stages": {}}
         if self.path.exists():
-            with open(self.path, encoding="utf-8") as fh:
-                self.doc = json.load(fh)
+            self.doc = read_json(self.path)
 
     def _rel(self, f: Path) -> str:
         try:
@@ -85,10 +85,7 @@ class Manifest:
         self.save()
 
     def save(self) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(self.path, self.doc)
 
     def registered_files(self) -> set[str]:
         out = set()
@@ -105,13 +102,6 @@ class Manifest:
             if p.is_file() and p.name != "manifest.json"
         }
         return sorted(actual - self.registered_files())
-
-
-def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -290,10 +280,9 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     reports = {}
     for name in names:
         report = evaluation_report(models[name], outcomes, cfg.evaluation.n_bins)
-        reports[name] = report.to_dict()
+        reports[name] = asdict(report)
         bins_path = out / f"bins_{name}.csv"
-        bins_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(bins_path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(bins_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lo", "hi", "count", "mean_confidence", "empirical_frequency"])
             for b in report.bins:
@@ -318,17 +307,24 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 brier_cmp = paired_brier_test(models[names[i]], models[names[j]], outcomes)
+                ece_cmp = ece_boot[(i, j)]
+                if ece_cmp.n_dropped:
+                    print(
+                        f"{names[i]} vs {names[j]}: ECE bootstrap dropped {ece_cmp.n_dropped} of "
+                        f"{cfg.evaluation.bootstrap_reps} replicates with fewer than {cfg.evaluation.n_bins} "
+                        "present forecasts"
+                    )
                 comparisons.append(
                     {
                         "model_a": names[i],
                         "model_b": names[j],
-                        "soft_brier": brier_cmp.to_dict(),
-                        "ece": ece_boot[(i, j)].to_dict(),
+                        "soft_brier": asdict(brier_cmp),
+                        "ece": asdict(ece_cmp),
                     }
                 )
 
     eval_path = out / "evaluation.json"
-    _write_json(eval_path, {"models": reports, "comparisons": comparisons})
+    write_json(eval_path, {"models": reports, "comparisons": comparisons})
     files.append(eval_path)
     Manifest(out).register("evaluate", cfg.config_hash(), files, time.monotonic() - t0)
     for name in names:
@@ -348,7 +344,7 @@ def cmd_trade(cfg: RunConfig, args) -> int:
     files = []
     if n_priced == 0:
         trade_path = out / "trades.json"
-        _write_json(trade_path, {"models": {}, "comparisons": [], "note": "no priced questions"})
+        write_json(trade_path, {"models": {}, "comparisons": [], "note": "no priced questions"})
         Manifest(out).register("trade", cfg.config_hash(), [trade_path], time.monotonic() - t0)
         print("trade: no priced questions in the test set; empty result written")
         return EXIT_OK
@@ -376,19 +372,18 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         )
         model_out = {"gating_ece": ece_values[name], "rules": {}}
         for rule_name, result in results.items():
-            summary = result.to_dict()
             curve_path = out / f"curve_{name}_{rule_name}.csv"
-            with open(curve_path, "w", encoding="utf-8", newline="") as fh:
+            with atomic_write(curve_path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["trade_index", "question_id", "expected_edge", "profit", "cumulative_profit"])
-                for i, t in enumerate(result.trades):
-                    writer.writerow([i, t.question_id, t.expected_edge, t.profit, float(result.cumulative_profit[i])])
+                for i, (t, cum) in enumerate(zip(result.trades, result.cumulative_profit.tolist())):
+                    writer.writerow([i, t.question_id, t.expected_edge, t.profit, cum])
             files.append(curve_path)
-            summary["trades"] = summary["trades"][:20]  # head only; the full curve is in the CSV
-            model_out["rules"][rule_name] = summary
+            # head only; the full curve is in the CSV
+            model_out["rules"][rule_name] = asdict(replace(result, trades=result.trades[:20]))
         # The bands read the all-markets trades in that rule's (edge) order.
         all_trades = results[GATES[2]].trades
-        model_out["confidence_bands"] = [b.to_dict() for b in confidence_band_edges(all_trades)]
+        model_out["confidence_bands"] = [asdict(b) for b in confidence_band_edges(all_trades)]
         per_model[name] = model_out
 
     comparisons = []
@@ -405,12 +400,12 @@ def cmd_trade(cfg: RunConfig, args) -> int:
                         "rule": rule_name,
                         "model_a": ordered[i],
                         "model_b": ordered[j],
-                        "total_profit_delta": cmp.to_dict(),
+                        "total_profit_delta": asdict(cmp),
                     }
                 )
 
     trade_path = out / "trades.json"
-    _write_json(trade_path, {"models": per_model, "comparisons": comparisons})
+    write_json(trade_path, {"models": per_model, "comparisons": comparisons})
     files.append(trade_path)
     Manifest(out).register("trade", cfg.config_hash(), files, time.monotonic() - t0)
     for name in names:
@@ -431,12 +426,10 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     eval_path = out / "evaluation.json"
     if eval_path.exists():
-        with open(eval_path, encoding="utf-8") as fh:
-            doc["evaluation"] = json.load(fh)
+        doc["evaluation"] = read_json(eval_path)
     trades_path = out / "trades.json"
     if trades_path.exists():
-        with open(trades_path, encoding="utf-8") as fh:
-            trades = json.load(fh)
+        trades = read_json(trades_path)
         doc["trading"] = {
             name: {
                 rule: {
@@ -482,8 +475,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     report_json = out / "report.json"
     report_md = out / "report.md"
-    _write_json(report_json, doc)
-    with open(report_md, "w", encoding="utf-8") as fh:
+    write_json(report_json, doc)
+    with atomic_write(report_md) as fh:
         fh.write("\n".join(lines) + "\n")
     manifest.register("report", cfg.config_hash(), [report_json, report_md], time.monotonic() - t0)
     print(f"report -> {report_md}" + (f" ({len(unregistered)} unregistered files!)" if unregistered else ""))

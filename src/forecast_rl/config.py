@@ -19,6 +19,7 @@ from pathlib import Path
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import SyntheticConfig
 from forecast_rl.errors import ValidationError
+from forecast_rl.files import read_json, write_json
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.trainer import BACKENDS, TrainConfig
 
@@ -114,11 +115,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _json_int(value) -> int:
@@ -225,11 +222,4 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    return parse_config(read_json(path))

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl.errors import DataFormatError, ValidationError
+from forecast_rl.files import atomic_write, read_jsonl, write_jsonl
 from forecast_rl.rng import substream
 
 _REQUIRED_FIELDS = (
@@ -185,7 +186,7 @@ def _question_from_record(record: dict, line: int) -> Question:
             volume=None if volume in (None, "") else float(volume),
             source=str(record.get("source") or "synthetic"),
         )
-    except (TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataFormatError(f"cannot parse record: {exc}", line=line) from exc
 
 
@@ -204,18 +205,10 @@ def load_questions(path: str | Path, format: str | None = None, split: str = "tr
 
     questions: list[Question] = []
     if format == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataFormatError(f"invalid JSON: {exc}", line=line_no) from exc
-                if not isinstance(record, dict):
-                    raise DataFormatError("record is not an object", line=line_no)
-                questions.append(_question_from_record(record, line_no))
+        for line_no, record in read_jsonl(path):
+            if not isinstance(record, dict):
+                raise DataFormatError("record is not an object", line=line_no)
+            questions.append(_question_from_record(record, line_no))
     else:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -244,13 +237,10 @@ def save_questions(dataset: Dataset, path: str | Path, format: str | None = None
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for q in dataset:
-                fh.write(json.dumps(_question_record(q), sort_keys=True) + "\n")
+        write_jsonl(path, (_question_record(q) for q in dataset))
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(_CSV_COLUMNS))
             writer.writeheader()
             for q in dataset:
@@ -407,23 +397,14 @@ def split_dataset(dataset: Dataset, train_fraction: float) -> tuple[Dataset, Dat
 
 
 def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for qid in oracle:
-            fh.write(json.dumps({"id": qid, "p_star": oracle[qid]}, sort_keys=True) + "\n")
+    write_jsonl(path, ({"id": qid, "p_star": p} for qid, p in oracle.items()))
 
 
 def load_oracle(path: str | Path) -> dict[str, float]:
     oracle: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                oracle[str(record["id"])] = float(record["p_star"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"invalid oracle record: {exc}", line=line_no) from exc
+    for line_no, record in read_jsonl(path):
+        try:
+            oracle[str(record["id"])] = float(record["p_star"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"invalid oracle record: {exc}", line=line_no) from exc
     return oracle

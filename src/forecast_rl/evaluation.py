@@ -8,7 +8,6 @@ comparison here is paired across the identical question set.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-up, not inside a stage's work
 
 from forecast_rl.errors import DataFormatError, ValidationError
+from forecast_rl.files import read_jsonl, write_jsonl
 from forecast_rl.reward import soft_brier_loss
 from forecast_rl.rng import replicate_seeds
 
@@ -102,22 +102,6 @@ def t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - front * _beta_cf(b, a, y) / b
 
 
-def t_quantile_975(df: float) -> float:
-    """The 0.975 quantile of Student's t: the t whose two-sided tail is
-    0.05, found by bisection down to adjacent doubles."""
-    lo, hi = 0.0, 2.0
-    while t_two_sided_p(hi, df) > 0.05:
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi
-        if t_two_sided_p(mid, df) > 0.05:
-            lo = mid
-        else:
-            hi = mid
-
-
 @dataclass
 class Forecast:
     question_id: str
@@ -154,24 +138,6 @@ class EvalReport:
     n_questions: int
     n_malformed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "soft_brier_mean": self.soft_brier_mean,
-            "ece": self.ece,
-            "n_questions": self.n_questions,
-            "n_malformed": self.n_malformed,
-            "bins": [
-                {
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "count": b.count,
-                    "mean_confidence": b.mean_confidence,
-                    "empirical_frequency": b.empirical_frequency,
-                }
-                for b in self.bins
-            ],
-        }
-
 
 @dataclass
 class PairedComparison:
@@ -179,16 +145,10 @@ class PairedComparison:
     ci_low: float
     ci_high: float
     p_value: float
-    method: str  # wald | bootstrap | welch
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_mean": self.delta_mean,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "p_value": self.p_value,
-            "method": self.method,
-        }
+    method: str  # wald | bootstrap
+    # Bootstrap replicates left out for a statistic that is not finite on
+    # them; a class attribute, not a field, so it stays out of the record.
+    n_dropped = 0
 
 
 def forecasts_from_map(probabilities: dict[str, float | None]) -> list[Forecast]:
@@ -199,34 +159,24 @@ def load_forecasts(path: str | Path) -> list[Forecast]:
     """Read forecast JSONL ({question_id, probability|null} per line)."""
     out: list[Forecast] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                f = Forecast(
-                    question_id=str(record["question_id"]),
-                    probability=None if record["probability"] is None else float(record["probability"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataFormatError(f"invalid forecast record: {exc}", line=line_no) from exc
-            f.validate()
-            if f.question_id in seen:
-                raise DataFormatError(f"duplicate question_id {f.question_id!r}", line=line_no)
-            seen.add(f.question_id)
-            out.append(f)
+    for line_no, record in read_jsonl(path):
+        try:
+            f = Forecast(
+                question_id=str(record["question_id"]),
+                probability=None if record["probability"] is None else float(record["probability"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"invalid forecast record: {exc}", line=line_no) from exc
+        f.validate()
+        if f.question_id in seen:
+            raise DataFormatError(f"duplicate question_id {f.question_id!r}", line=line_no)
+        seen.add(f.question_id)
+        out.append(f)
     return out
 
 
 def save_forecasts(forecasts: list[Forecast], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in forecasts:
-            record = {"question_id": f.question_id, "probability": f.probability}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(path, ({"question_id": f.question_id, "probability": f.probability} for f in forecasts))
 
 
 def _aligned_losses(forecasts: list[Forecast], outcomes: dict[str, int]) -> np.ndarray:
@@ -342,7 +292,8 @@ def _ece_rows(
     last.  Rows with the same present count k share one bin layout and
     are binned together; per bin the mean confidence and frequency are
     sum / size, and the ECE adds (size / k) * |freq - conf| in bin order,
-    the arithmetic of `_equal_mass_bins` row by row.
+    the arithmetic of `_equal_mass_bins` row by row.  A row with fewer
+    than n_bins present forecasts has no ECE: it gets NaN.
     """
     R, n = idx.shape
     row_start = np.arange(0, R * n, n)[:, None]
@@ -353,16 +304,15 @@ def _ece_rows(
         pos = np.take(pos, order)
     sp, sy = np.take(probs, pos), np.take(ys, pos)
     k = n - np.count_nonzero(np.isnan(sp), axis=1)
-    short = k < n_bins
-    if short.any():
-        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {k[np.argmax(short)]}")
     # Rows ordered by k, so that each group is a slice (a view, not a copy).
     by_k = np.argsort(k, kind="stable")
     counts, starts = np.unique(k[by_k], return_index=True)
     if counts.size > 1:
         sp, sy = np.take(sp, by_k, axis=0), np.take(sy, by_k, axis=0)
-    out = np.empty(R)
+    out = np.full(R, np.nan)
     for kk, lo, hi in zip(counts.tolist(), starts.tolist(), starts[1:].tolist() + [R]):
+        if kk < n_bins:
+            continue
         q, r = divmod(kk, n_bins)
         sizes = np.array([q + 1] * r + [q] * (n_bins - r), dtype=np.float64)
         conf = _bin_sums(sp[lo:hi, :kk], n_bins) / sizes
@@ -375,7 +325,8 @@ def _ece_rows(
 def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
     """Bootstrap statistic for paired_bootstrap_stat: maps an (R, n) index
     matrix to the (R, models) equal-mass ECE of each column of `probs`
-    (questions x models, NaN = absent) on each resampled row set.
+    (questions x models, NaN = absent) on each resampled row set, NaN
+    where a row set holds fewer than n_bins present forecasts.
 
     Rows may repeat under resampling, so ties sort by position (stable)
     rather than by question id.
@@ -397,6 +348,9 @@ def ece_equal_mass_arrays(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10) -
     """Equal-mass ECE of one array of probabilities (NaN = absent); the
     one-row call of `equal_mass_ece_stat`."""
     probs = np.asarray(probs, dtype=np.float64)
+    k = int(np.count_nonzero(~np.isnan(probs)))
+    if k < n_bins:
+        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {k}")
     return float(equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.arange(probs.size)[None, :])[0, 0])
 
 
@@ -466,12 +420,20 @@ def paired_bootstrap_stat(
     generator derived from a drawn seed, so results do not depend on
     execution order or chunking.  Two-sided p-values come from the
     zero-centered difference distribution with an add-one correction.
+
+    A pair's CI and p-value use the replicates where both statistics are
+    finite (an ECE of a replicate with too few present forecasts is NaN);
+    the others are counted in its `n_dropped`.  A statistic that is not
+    finite on the observed rows, or a pair with no replicate left, is a
+    ValidationError.
     """
     if rng is None:
         raise ValidationError("paired_bootstrap needs a generator")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     observed = np.asarray(stat_fn(np.arange(n_rows)[None, :]), dtype=np.float64)[0]
+    if not np.isfinite(observed).all():
+        raise ValidationError(f"the bootstrap statistic is not finite on the observed rows: {observed.tolist()}")
     n_models = observed.shape[0]
     seeds = replicate_seeds(rng, reps)
     step = max(1, BOOTSTRAP_CHUNK_ELEMENTS // max(n_rows, 1))
@@ -487,10 +449,16 @@ def paired_bootstrap_stat(
         for j in range(i + 1, n_models):
             d_hat = float(observed[i] - observed[j])
             d_boot = boot[:, i] - boot[:, j]
+            kept = np.isfinite(boot[:, i]) & np.isfinite(boot[:, j])
+            if not kept.all():
+                d_boot = d_boot[kept]
+            if d_boot.size == 0:
+                raise ValidationError(f"no bootstrap replicate has a finite statistic for models {i} and {j}")
             lo, hi = np.percentile(d_boot, [2.5, 97.5])
             centered = d_boot - d_hat
-            p = float((1 + np.sum(np.abs(centered) >= abs(d_hat))) / (reps + 1))
+            p = float((1 + np.sum(np.abs(centered) >= abs(d_hat))) / (d_boot.size + 1))
             out[(i, j)] = PairedComparison(d_hat, float(lo), float(hi), p, "bootstrap")
+            out[(i, j)].n_dropped = reps - d_boot.size
     return out
 
 
@@ -521,28 +489,8 @@ def paired_bootstrap(
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng)
 
 
-def welch_test(x: np.ndarray, y: np.ndarray) -> PairedComparison:
-    """Welch two-sample t-test with Satterthwaite degrees of freedom."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size < 2 or y.size < 2:
-        raise ValidationError("welch_test needs at least 2 observations per sample")
-    vx = float(x.var(ddof=1))
-    vy = float(y.var(ddof=1))
-    if vx == 0.0 and vy == 0.0:
-        raise ValidationError("welch_test is undefined when both samples are constant")
-    sx, sy = vx / x.size, vy / y.size
-    se = np.sqrt(sx + sy)
-    delta = float(x.mean() - y.mean())
-    t = delta / se
-    df = (sx + sy) ** 2 / (sx**2 / (x.size - 1) + sy**2 / (y.size - 1))
-    p = t_two_sided_p(float(t), float(df))
-    half = float(t_quantile_975(float(df)) * se)
-    return PairedComparison(delta, delta - half, delta + half, p, "welch")
-
-
 def welch_statistic(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """The (t, df) pair behind welch_test, for direct inspection."""
+    """Welch's two-sample t statistic with Satterthwaite degrees of freedom."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     sx = x.var(ddof=1) / x.size

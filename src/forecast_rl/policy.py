@@ -10,13 +10,13 @@ vector, so zero weights give the uniform policy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from forecast_rl.errors import ValidationError
+from forecast_rl.files import read_json, write_json
 
 RATIONALE = 0
 GIBBERISH = 1
@@ -111,16 +111,11 @@ def save_checkpoint(
         "answer_weights": params.answer_weights.tolist(),
         "baseline_weights": None if baseline_weights is None else baseline_weights.tolist(),
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, record)
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, np.ndarray | None]:
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    record = read_json(path)
     if record.get("version") != CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {record.get('version')!r}")
     params = PolicyParams(

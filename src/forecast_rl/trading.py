@@ -38,18 +38,6 @@ class TradeRecord:
     realized_value: int
     profit: float
 
-    def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "side": self.side,
-            "market_price": self.market_price,
-            "entry_cost": self.entry_cost,
-            "belief_value": self.belief_value,
-            "expected_edge": self.expected_edge,
-            "realized_value": self.realized_value,
-            "profit": self.profit,
-        }
-
 
 @dataclass
 class GatingRule:
@@ -73,23 +61,18 @@ class GatingRule:
 
 @dataclass
 class StrategyResult:
-    """Kept trades in descending expected-edge order with running totals."""
+    """Kept trades in descending expected-edge order with their totals."""
 
     trades: list[TradeRecord]
-    cumulative_profit: np.ndarray
     total_profit: float
     n_trades: int
     mean_profit: float | None = None
     mean_ci: tuple[float, float] | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n_trades": self.n_trades,
-            "total_profit": self.total_profit,
-            "mean_profit": self.mean_profit,
-            "mean_ci": list(self.mean_ci) if self.mean_ci is not None else None,
-            "trades": [t.to_dict() for t in self.trades],
-        }
+    @property
+    def cumulative_profit(self) -> np.ndarray:
+        """Running profit total after each trade."""
+        return np.cumsum(np.array([t.profit for t in self.trades])) if self.trades else np.empty(0)
 
 
 @dataclass
@@ -100,16 +83,6 @@ class BandResult:
     mean_pp: float | None
     t_stat: float | None
     p_value: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "count": self.count,
-            "mean_pp": self.mean_pp,
-            "t_stat": self.t_stat,
-            "p_value": self.p_value,
-        }
 
 
 def make_trade(p: float, m: float, y: int, rng: np.random.Generator) -> TradeRecord:
@@ -186,10 +159,8 @@ def apply_gate(trades: list[TradeRecord], rule: GatingRule) -> StrategyResult:
     kept = [t for t in trades if rule.keeps(t)]
     kept.sort(key=lambda t: (-t.expected_edge, t.question_id))
     profits = np.array([t.profit for t in kept])
-    cumulative = np.cumsum(profits) if kept else np.empty(0)
     result = StrategyResult(
         trades=kept,
-        cumulative_profit=cumulative,
         total_profit=float(profits.sum()) if kept else 0.0,
         n_trades=len(kept),
     )

@@ -14,7 +14,6 @@ trajectory is the same whether it trains alone or in a batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,6 +36,7 @@ from forecast_rl.algorithms import (
 )
 from forecast_rl.data import Dataset, Question
 from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.files import write_jsonl
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
@@ -132,11 +132,7 @@ class RunLog:
         return out
 
     def to_jsonl(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.to_records():
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        write_jsonl(path, self.to_records())
 
     def summary(self) -> dict:
         present = self.parsed[~np.isnan(self.parsed)]

@@ -6,6 +6,7 @@ equal-mass ECE of one replicate computed with a float stable argsort and
 per-bin means.  Every comparison is exact (bit for bit).
 """
 
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -27,11 +28,12 @@ from forecast_rl.rng import replicate_seeds, substream
 
 def oracle_ece(probs, ys, n_bins):
     """Equal-mass ECE of one replicate: drop NaN, float stable argsort,
-    larger bins first, sum of (size / k) * |freq - conf| in bin order."""
+    larger bins first, sum of (size / k) * |freq - conf| in bin order;
+    NaN with fewer than n_bins present forecasts."""
     mask = ~np.isnan(probs)
     p, y = probs[mask], ys[mask]
     if p.size < n_bins:
-        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {p.size}")
+        return np.nan
     order = np.argsort(p, kind="stable")
     p, y = p[order], y[order]
     q, r = divmod(p.size, n_bins)
@@ -46,8 +48,11 @@ def oracle_ece(probs, ys, n_bins):
 
 
 def oracle_bootstrap(n_rows, row_stat, reps, rng):
-    """The per-replicate loop: row_stat maps one index array to a vector."""
+    """The per-replicate loop: row_stat maps one index array to a vector.
+    Each pair keeps the replicates where both statistics are finite."""
     observed = np.asarray(row_stat(np.arange(n_rows)), dtype=np.float64)
+    if not np.isfinite(observed).all():
+        raise ValidationError("statistic not finite on the observed rows")
     seeds = replicate_seeds(rng, reps)
     boot = np.empty((reps, observed.shape[0]))
     for r in range(reps):
@@ -56,15 +61,19 @@ def oracle_bootstrap(n_rows, row_stat, reps, rng):
     for i in range(observed.shape[0]):
         for j in range(i + 1, observed.shape[0]):
             d_hat = float(observed[i] - observed[j])
-            d_boot = boot[:, i] - boot[:, j]
+            kept = np.isfinite(boot[:, i]) & np.isfinite(boot[:, j])
+            if not kept.any():
+                raise ValidationError("no bootstrap replicate kept")
+            d_boot = boot[kept, i] - boot[kept, j]
             lo, hi = np.percentile(d_boot, [2.5, 97.5])
-            p = float((1 + np.sum(np.abs(d_boot - d_hat) >= abs(d_hat))) / (reps + 1))
+            p = float((1 + np.sum(np.abs(d_boot - d_hat) >= abs(d_hat))) / (d_boot.size + 1))
             out[(i, j)] = PairedComparison(d_hat, float(lo), float(hi), p, "bootstrap")
+            out[(i, j)].n_dropped = reps - d_boot.size
     return out
 
 
 def same(a: dict, b: dict) -> bool:
-    return {k: v.to_dict() for k, v in a.items()} == {k: v.to_dict() for k, v in b.items()}
+    return {k: (asdict(v), v.n_dropped) for k, v in a.items()} == {k: (asdict(v), v.n_dropped) for k, v in b.items()}
 
 
 @st.composite
@@ -96,21 +105,16 @@ class TestBatchedEce:
 
         # chunks of chunk_rows replicates, so reps is rarely a multiple
         with mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
+            idx = np.random.default_rng(seed).integers(0, n, size=(5, n))
+            assert stat(idx).tobytes() == np.array([row_stat(i) for i in idx]).tobytes()
             try:
                 want = oracle_bootstrap(n, row_stat, reps, substream(seed, "b"))
-            except ValidationError:  # a replicate kept fewer than n_bins forecasts
-                with pytest.raises(ValidationError, match="present forecasts"):
+            except ValidationError:  # the observed ECE or every replicate's is undefined
+                with pytest.raises(ValidationError, match="observed rows|no bootstrap replicate"):
                     paired_bootstrap_stat(n, stat, reps, substream(seed, "b"))
                 return
             got = paired_bootstrap_stat(n, stat, reps, substream(seed, "b"))
         assert same(got, want)
-
-        idx = np.random.default_rng(seed).integers(0, n, size=(5, n))
-        try:
-            rows = np.array([row_stat(i) for i in idx])
-        except ValidationError:
-            return
-        assert stat(idx).tobytes() == rows.tobytes()
 
     def test_one_row_call(self, rng):
         probs = np.round(rng.random(101), 2)
@@ -133,12 +137,30 @@ class TestBatchedEce:
         assert got.tobytes() == want.tobytes()
 
     def test_too_few_present_rejected(self):
+        """A row set with fewer than n_bins present forecasts has no ECE;
+        on the observed rows that fails the bootstrap."""
         probs = np.array([[0.5, 0.5]] * 2 + [[np.nan, 0.5]] * 9)
         ys = np.ones(11)
-        with pytest.raises(ValidationError, match="at least 10 present forecasts, got 2"):
-            equal_mass_ece_stat(probs, ys, 10)(np.arange(11)[None, :])
+        stat = equal_mass_ece_stat(probs, ys, 10)
+        got = stat(np.arange(11)[None, :])
+        assert np.isnan(got[0, 0]) and got[0, 1] == oracle_ece(probs[:, 1], ys, 10)
+        with pytest.raises(ValidationError, match="observed rows"):
+            paired_bootstrap_stat(11, stat, 9, substream(0, "s"))
         with pytest.raises(ValidationError, match="n_bins"):
             equal_mass_ece_stat(probs, ys, 0)
+
+    def test_short_replicates_are_dropped_and_counted(self):
+        """Replicates that resample fewer than n_bins present forecasts
+        leave the CI and p-value; the others decide them."""
+        rng = np.random.default_rng(11)
+        probs = np.round(rng.random((60, 2)), 2)
+        probs[12:, 0] = np.nan  # 12 present: many replicates draw fewer than 10
+        ys = rng.integers(0, 2, 60).astype(np.float64)
+        stat = equal_mass_ece_stat(probs, ys, 10)
+        got = paired_bootstrap_stat(60, stat, 199, substream(3, "s"))
+        want = oracle_bootstrap(60, lambda idx: stat(idx[None, :])[0], 199, substream(3, "s"))
+        assert same(got, want)
+        assert 0 < got[(0, 1)].n_dropped < 199
 
     def test_identical_columns_give_an_exact_zero(self, rng):
         col = np.round(rng.random(90), 2)

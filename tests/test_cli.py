@@ -126,6 +126,28 @@ class TestPipeline:
             "edge_above_ece", "edge_above_zero", "all_markets",
         }
 
+    def test_sparse_model_evaluates(self, tmp_path, capsys):
+        """A model present on 15 of 100 test questions: some bootstrap
+        replicates draw fewer than 10 of its forecasts and have no ECE.
+        They are dropped and counted instead of failing the stage."""
+        cfg = write_config(tmp_path, data={"synthetic": {"n_questions": 200, "feature_dim": 2,
+                                                         "market_noise": 0.5}})
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        ids = load_questions(out / "test.jsonl").ids()
+        dense, sparse = tmp_path / "dense.jsonl", tmp_path / "sparse.jsonl"
+        save_forecasts([Forecast(q, 0.5) for q in ids], dense)
+        save_forecasts([Forecast(q, (i % 15) / 15 if i < 15 else None) for i, q in enumerate(ids)], sparse)
+        capsys.readouterr()
+
+        assert run("evaluate", cfg, str(dense), str(sparse)) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "dense vs sparse: ECE bootstrap dropped" in printed
+        dropped = int(printed.split("ECE bootstrap dropped ")[1].split()[0])
+        assert 0 < dropped < 99
+        ece = json.loads((out / "evaluation.json").read_text())["comparisons"][0]["ece"]
+        assert 1 / 99 <= ece["p_value"] <= 1 and ece["ci_low"] <= ece["ci_high"]
+
     def test_parallel_training_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, ensemble_size=2,
                            data={"synthetic": {"n_questions": 16, "feature_dim": 2,

@@ -1,13 +1,14 @@
 import json
 import math
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
-from scipy.special import ndtr, stdtr, stdtrit
+from scipy.special import ndtr, stdtr
 
 from forecast_rl import evaluation
 from forecast_rl.errors import DataFormatError, ValidationError
@@ -26,10 +27,8 @@ from forecast_rl.evaluation import (
     paired_brier_test,
     save_forecasts,
     soft_brier,
-    t_quantile_975,
     t_two_sided_p,
     welch_statistic,
-    welch_test,
 )
 from forecast_rl.rng import replicate_seeds, substream
 
@@ -193,7 +192,7 @@ class TestEce:
         assert report.soft_brier_mean == soft_brier(fs, ys)
         assert report.ece == ece_equal_mass(fs, ys)
         assert report.n_questions == 30 and report.n_malformed == 1
-        d = report.to_dict()
+        d = asdict(report)
         assert set(d) == {"soft_brier_mean", "ece", "n_questions", "n_malformed", "bins"}
         assert len(d["bins"]) == 10
 
@@ -327,11 +326,6 @@ class TestPairedBootstrap:
 
 
 class TestWelch:
-    def test_identical_samples(self):
-        x = np.array([1.0, 2.0, 3.0])
-        cmp = welch_test(x, x.copy())
-        assert cmp.delta_mean == 0.0 and cmp.p_value == pytest.approx(1.0)
-
     def test_textbook_fixture(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         y = np.array([2.0, 4.0, 6.0, 8.0])
@@ -347,12 +341,9 @@ class TestWelch:
         for _ in range(20):
             x = rng.normal(size=int(rng.integers(2, 30)))
             y = rng.normal(loc=0.3, size=int(rng.integers(2, 30)))
-            cmp = welch_test(x, y)
             ref = sps.ttest_ind(x, y, equal_var=False)
             t, _ = welch_statistic(x, y)
             assert t == pytest.approx(ref.statistic, abs=1e-12)
-            assert cmp.p_value == pytest.approx(ref.pvalue, abs=1e-12)
-            assert cmp.ci_low <= cmp.delta_mean <= cmp.ci_high
 
     def test_scale_equivariance(self):
         x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -361,12 +352,6 @@ class TestWelch:
         t2, df2 = welch_statistic(3.7 * x, 3.7 * y)
         assert t2 == pytest.approx(t1, abs=1e-12)
         assert df2 == pytest.approx(df1, abs=1e-12)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValidationError):
-            welch_test(np.array([1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValidationError):
-            welch_test(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
 
 
 def t_tail_reference(t, df):
@@ -378,7 +363,7 @@ def t_tail_reference(t, df):
 
 
 class TestTails:
-    """The normal and Student-t tails and the t quantile against scipy.special.
+    """The normal and Student-t tails against scipy.special.
 
     A 20k-question run puts at most 1e4 trades in a confidence band, so the
     band t-tests see df <= 1e4.  With ln B(a, 1/2) from lgamma differences
@@ -403,11 +388,6 @@ class TestTails:
     @given(z=st.floats(-40.0, 40.0))
     def test_normal_tail(self, z):
         assert normal_two_sided_p(z) == pytest.approx(2 * ndtr(-abs(z)), rel=0, abs=1e-15)
-
-    @settings(max_examples=100, deadline=None)
-    @given(df=st.floats(1.0, 1e4))
-    def test_t_quantile(self, df):
-        assert t_quantile_975(df) == pytest.approx(stdtrit(df, 0.975), rel=1e-12, abs=0)
 
     def test_unconverged_fraction_raises(self, monkeypatch):
         monkeypatch.setattr(evaluation, "_CF_MAX_STEPS", 1)

@@ -1,0 +1,158 @@
+"""Run files: one module writes them atomically and reads them strictly."""
+
+import ast
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+import forecast_rl
+from forecast_rl.cli import EXIT_OK, EXIT_VALIDATION, main
+from forecast_rl.errors import DataFormatError
+from forecast_rl.evaluation import Forecast, load_forecasts, save_forecasts
+from forecast_rl.files import atomic_write, read_json, read_jsonl, write_json
+
+PACKAGE = Path(forecast_rl.__file__).parent
+WRITE_MODE = set("wax+")
+
+
+def _writes(tree: ast.AST) -> list[str]:
+    """Each call in `tree` that opens a file for writing or moves one."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name == "open":
+            # open(path, mode) or path.open(mode)
+            pos = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > pos:
+                mode = node.args[pos]
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or WRITE_MODE & set(mode.value):
+                found.append(f"line {node.lineno}: open for writing")
+        elif name in ("replace", "rename") and isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            found.append(f"line {node.lineno}: os.{name}")
+        elif name in ("write_text", "write_bytes", "tofile", "savetxt", "savez"):
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_only_files_module_writes():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "files.py" and (hits := _writes(ast.parse(path.read_text())))
+    }
+    assert offenders == {}
+
+
+def test_scan_catches_each_form():
+    src = (
+        "open(p, 'w')\nopen(p, mode='a')\nopen(p, m)\np.open('wb')\nos.replace(a, b)\n"
+        "p.write_text(s)\nopen(p)\nopen(p, 'rb')\np.open()\ns.replace('a', 'b')\nreplace(r, a=1)\n"
+    )
+    assert len(_writes(ast.parse(src))) == 6
+
+
+def _tmp_files(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+class TestAtomicWrite:
+    def test_a_write_that_raises_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.md"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write("new, half written")
+                raise RuntimeError("crash")
+        assert path.read_text() == "old\n"
+        assert _tmp_files(tmp_path) == []
+
+    def test_forecasts_that_fail_midway_keep_the_old_file(self, tmp_path):
+        path = tmp_path / "forecasts.jsonl"
+        save_forecasts([Forecast("a", 0.5), Forecast("b", None)], path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # the second record cannot be encoded
+            save_forecasts([Forecast("a", 0.25), Forecast("b", object())], path)
+        assert path.read_bytes() == before
+        assert _tmp_files(tmp_path) == []
+        assert [f.probability for f in load_forecasts(path)] == [0.5, None]
+
+    def test_json_that_fails_midway_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "evaluation.json"
+        write_json(path, {"a": 1})
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": {1, 2}})
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert _tmp_files(tmp_path) == []
+
+    def test_commit_makes_directories_and_default_permissions(self, tmp_path):
+        path = tmp_path / "a" / "b" / "params.json"
+        write_json(path, [1.5, None])
+        assert path.read_text() == "[\n  1.5,\n  null\n]\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert _tmp_files(path.parent) == []
+
+
+class TestStrictReads:
+    def test_truncated_json_names_the_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"stages": {"synth"')
+        with pytest.raises(DataFormatError, match="manifest.json is not valid JSON"):
+            read_json(path)
+
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataFormatError, match="cannot read"):
+            read_json(tmp_path / "absent.json")
+
+    def test_jsonl_names_the_file_and_the_line(self, tmp_path):
+        path = tmp_path / "oracle.jsonl"
+        path.write_text('{"id": "a"}\n\n{"id": "b"}\n{"id": \n')
+        it = read_jsonl(path)
+        assert next(it) == (1, {"id": "a"})
+        assert next(it) == (3, {"id": "b"})
+        with pytest.raises(DataFormatError, match=r"line 4: invalid JSON in .*oracle\.jsonl"):
+            next(it)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "forecasts.jsonl"
+        path.write_bytes(b'{"question_id": "\xff"}\n')
+        with pytest.raises(DataFormatError, match="forecasts.jsonl"):
+            list(read_jsonl(path))
+
+
+CONFIG = {
+    "schema_version": 1,
+    "seed": 3,
+    "data": {"train_fraction": 0.5, "synthetic": {"n_questions": 60, "feature_dim": 2, "market_noise": 0.5}},
+    "train": {"algorithm": "remax"},
+    "evaluation": {"bootstrap_reps": 19},
+}
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [("seed3_m0_q000030/params.json", "predict"), ("manifest.json", "report"), ("evaluation.json", "report")],
+)
+def test_truncated_run_file_exits_2(tmp_path, capsys, name, stage):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "output_dir": str(tmp_path / "out")}))
+    for step in ("synth", "train", "predict", "evaluate"):
+        assert main([step, "--config", str(cfg)]) == EXIT_OK
+    path = tmp_path / "out" / name
+    path.write_bytes(path.read_bytes()[:100])
+    capsys.readouterr()
+
+    assert main([stage, "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"error: {path} is not valid JSON" in err
+    assert "Traceback" not in err
+

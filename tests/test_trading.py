@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -208,26 +210,25 @@ class TestRunStrategies:
                      enumerate(rows)}
         forecasts["q05"] = None
         trades, results = run_strategies(forecasts, ds, 0.05, substream(1, "ties", "m"))
-        assert [t.to_dict() for t in trades] == \
-            [t.to_dict() for t in build_trades(forecasts, ds, substream(1, "ties", "m"))]
+        assert trades == build_trades(forecasts, ds, substream(1, "ties", "m"))
         assert list(results) == list(GATES)
         for kind, got in results.items():
             rule = GatingRule(kind, 0.05 if kind == GATE_EDGE_ABOVE_ECE else None)
             alone = run_strategy(forecasts, ds, rule, substream(1, "ties", "m"))
-            assert got.to_dict() == alone.to_dict()
+            assert asdict(got) == asdict(alone)
             assert got.cumulative_profit.tobytes() == alone.cumulative_profit.tobytes()
 
 
 class TestMeanPerTrade:
     def test_constant_profits(self):
         trades = [trade_with(profit=0.05, qid=str(i)) for i in range(5)]
-        result = StrategyResult(trades, np.cumsum([0.05] * 5), 0.25, 5)
+        result = StrategyResult(trades, 0.25, 5)
         mean, (lo, hi) = mean_per_trade(result)
         assert mean == pytest.approx(0.05) and lo == hi == pytest.approx(0.05)
 
     def test_two_trade_fixture(self):
         trades = [trade_with(profit=0.39, qid="a"), trade_with(profit=-0.41, qid="b")]
-        result = StrategyResult(trades, np.cumsum([0.39, -0.41]), -0.02, 2)
+        result = StrategyResult(trades, -0.02, 2)
         mean, (lo, hi) = mean_per_trade(result)
         sd = np.std([0.39, -0.41], ddof=1)
         assert mean == pytest.approx(-0.01)
@@ -237,7 +238,7 @@ class TestMeanPerTrade:
         assert lo <= mean <= hi
 
     def test_single_trade_rejected(self):
-        result = StrategyResult([trade_with()], np.array([0.0]), 0.0, 1)
+        result = StrategyResult([trade_with()], 0.0, 1)
         with pytest.raises(ValidationError):
             mean_per_trade(result)
 
@@ -392,7 +393,7 @@ class TestGatingRule:
 
     def test_to_dict_round_trip_keys(self):
         t = trade_with(profit=0.39, qid="q1")
-        assert set(t.to_dict()) == {
+        assert set(asdict(t)) == {
             "question_id", "side", "market_price", "entry_cost",
             "belief_value", "expected_edge", "realized_value", "profit",
         }
