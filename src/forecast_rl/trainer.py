@@ -289,8 +289,10 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
         gz_a = head_logit_gradient(log_a, rlog_a, answers[:, :, None], w, hp)
 
         # Global-norm clipping of the actor gradient outer(xt, gz), then AdamW.
-        xt_sq = (xt * xt).sum()
-        norm = np.sqrt(xt_sq * ((gz_c * gz_c).sum(axis=1) + (gz_a * gz_a).sum(axis=1)))
+        # The norm is |xt| * |gz|: the product of the squares overflows for
+        # features near 1.3e154 although the clipped step is finite.
+        xt_norm = np.sqrt((xt * xt).sum())
+        norm = xt_norm * np.sqrt((gz_c * gz_c).sum(axis=1) + (gz_a * gz_a).sum(axis=1))
         bad = ~np.isfinite(norm)
         scale = clip_scale(norm, hp.grad_clip_norm)[:, None, None]
         st.steps[:, 0] += 1
@@ -300,7 +302,7 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
 
         if algo == "remax":
             gb = -2.0 * hp.baseline_loss_scale * (advs.sum(axis=1) / G)  # grad of the MSE in b - r
-            b_norm = np.abs(gb) * np.sqrt(xt_sq)
+            b_norm = np.abs(gb) * xt_norm
             bad |= ~np.isfinite(b_norm)
             b_scale = clip_scale(b_norm, hp.grad_clip_norm)
             st.steps[:, 1] += 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from forecast_rl import trainer
 from forecast_rl.data import Dataset, Question
 
 
@@ -33,6 +34,25 @@ def make_question(
 
 def make_dataset(questions, split="train") -> Dataset:
     return Dataset(questions=sorted(questions, key=lambda q: (q.prediction_ts, q.id)), split=split)
+
+
+def poison_baseline(monkeypatch, member: int, index: int) -> None:
+    """Set `member`'s ReMax baseline weights to NaN just before question
+    `index`, so its gradient there is non-finite whether it trains alone
+    or in a batch; the other members are untouched."""
+    real = trainer._advance
+
+    def advance(st, X1, Y, start, end, *args):
+        if start <= index < end and member in st.members:
+            if start < index:
+                stop, events = real(st, X1, Y, start, index, *args)
+                if events:
+                    return stop, events
+            st.w_b[st.members.index(member)] = np.nan
+            start = index
+        return real(st, X1, Y, start, end, *args)
+
+    monkeypatch.setattr(trainer, "_advance", advance)
 
 
 @pytest.fixture

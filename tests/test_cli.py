@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import poison_baseline
 
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.cli import (
@@ -303,21 +304,33 @@ class TestExitCodes:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_4(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, hyperparams={"actor_lr": 1e308})  # the weights overflow
         assert run("synth", cfg) == EXIT_OK
-        train_path = tmp_path / "out" / "train.jsonl"
-        lines = train_path.read_text().strip().split("\n")
-        doc = json.loads(lines[4])
-        doc["features"][0] = 1.3e154  # x.x is finite, the clip norm's x.x * |g|^2 is not
-        lines[4] = json.dumps(doc)
-        train_path.write_text("\n".join(lines) + "\n")
 
         assert run("train", cfg) == EXIT_NUMERIC
         assert "numeric abort" in capsys.readouterr().err
         lastgood = tmp_path / "out" / "seed3_m0_lastgood"
         assert (lastgood / "params.json").exists()
         log = (lastgood / "runlog.jsonl").read_text().strip()
-        assert len(log.split("\n")) == 4  # questions before the poisoned one
+        assert len(log.split("\n")) == 2  # questions before the one that overflowed
+
+    @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo", "remax"])
+    def test_huge_feature_trains_on(self, tmp_path, capsys, algorithm):
+        """x.x of a 1.3e154 feature is finite but x.x * |g|^2 is not; the
+        clip norm |x| * |g| is finite, so the member trains to the end."""
+        cfg = write_config(tmp_path, train={"algorithm": algorithm})
+        assert run("synth", cfg) == EXIT_OK
+        train_path = tmp_path / "out" / "train.jsonl"
+        lines = train_path.read_text().strip().split("\n")
+        doc = json.loads(lines[4])
+        doc["features"][0] = 1.3e154
+        lines[4] = json.dumps(doc)
+        train_path.write_text("\n".join(lines) + "\n")
+
+        assert run("train", cfg) == EXIT_OK
+        assert "trained 30 questions" in capsys.readouterr().out
+        params, _ = load_checkpoint(tmp_path / "out" / "seed3_m0_q000030" / "params.json")
+        params.validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e200])
     def test_non_finite_features_exit_2(self, tmp_path, capsys, value):
@@ -338,7 +351,7 @@ class TestExitCodes:
         assert not list((tmp_path / "out").glob("seed3_m0_*"))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_member_outcomes_are_independent(self, tmp_path, capsys):
+    def test_member_outcomes_are_independent(self, tmp_path, capsys, monkeypatch):
         """In one ensemble, a member that aborts and a member that stops
         early leave the same files and exit code as when trained alone,
         and the other members train on."""
@@ -349,9 +362,7 @@ class TestExitCodes:
         )
         assert run("synth", cfg) == EXIT_OK
         out = tmp_path / "out"
-        train_ds = load_questions(out / "train.jsonl")
-        train_ds.questions[15].features[0] = 1e152
-        save_questions(train_ds, out / "train.jsonl")
+        poison_baseline(monkeypatch, member=3, index=15)
 
         assert run("train", cfg) == EXIT_NUMERIC
         captured = capsys.readouterr()

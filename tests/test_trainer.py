@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset, make_question
+from conftest import make_dataset, make_question, poison_baseline
 from oracle import assess_guardrails, oracle_dpo, oracle_train, predict_probability, sample_response, total_reward
 
 from forecast_rl.algorithms import HyperParams
@@ -488,18 +488,18 @@ class TestBatchedStep:
             (alone,) = train_members(stream, cfg, hp, members=[m])
             assert_identical_runs(got, alone)
 
-    def test_stopped_members_freeze_while_others_train(self):
+    def test_stopped_members_freeze_while_others_train(self, monkeypatch):
         """One member aborts on a non-finite gradient and another stops
         early; each ends exactly as it would alone, and so does the
         survivor."""
         stream = small_stream(60)
-        stream.questions[30].features = np.array([2e152, 0.0])
+        poison_baseline(monkeypatch, member=0, index=30)
         hp = HyperParams(actor_lr=0.01)
         cfg = TrainConfig(
             algorithm="remax", seed=1, outer_iteration_len=4,
             early_stop=EarlyStopConfig(window=10, gibberish_threshold=0.4),
         )
-        members = [0, 1, 3]
+        members = [0, 1, 6]
         with np.errstate(invalid="ignore", over="ignore"):
             batch = train_members(stream, cfg, hp, members=members)
             alone = [train_members(stream, cfg, hp, members=[m])[0] for m in members]
@@ -507,7 +507,7 @@ class TestBatchedStep:
         assert isinstance(aborted, NumericAbort) and len(aborted.run_log) == 30
         assert "index 30" in str(aborted)
         assert not survivor.stopped and len(survivor.run_log) == 60
-        assert stopped.stopped and stopped.stop_reason == "gibberish" and len(stopped.run_log) == 34
+        assert stopped.stopped and stopped.stop_reason == "gibberish" and len(stopped.run_log) == 40
         for got, ref in zip(batch, alone):
             assert_identical_runs(got, ref)
         # the last good state is the span boundary before the failure
