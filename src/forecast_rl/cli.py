@@ -61,6 +61,22 @@ EXIT_EARLY_STOP = 3
 EXIT_NUMERIC = 4
 
 
+# The keys and types that each reader of a run file uses (see files.check_shape).
+MANIFEST_SHAPE = {"stages": {str: {"files": [str]}}}
+EVALUATION_SHAPE = {
+    "models": {str: {"soft_brier_mean": float, "ece": float, "n_questions": int, "n_malformed": int}},
+    "comparisons": [
+        {
+            "model_a": str,
+            "model_b": str,
+            "soft_brier": {"delta_mean": float, "p_value": float},
+            "ece": {"delta_mean": float, "p_value": float},
+        }
+    ],
+}
+TRADES_SHAPE = {"models": {str: {"rules": {str: {"total_profit": float, "n_trades": int}}}}, "comparisons": list}
+
+
 class Manifest:
     """Registry of every file a run has produced, plus stage timings."""
 
@@ -69,7 +85,7 @@ class Manifest:
         self.path = out_dir / "manifest.json"
         self.doc = {"version": __version__, "config_hash": None, "stages": {}}
         if self.path.exists():
-            self.doc = read_json(self.path)
+            self.doc = read_json(self.path, MANIFEST_SHAPE)
 
     def _rel(self, f: Path) -> str:
         try:
@@ -388,20 +404,20 @@ def cmd_trade(cfg: RunConfig, args) -> int:
 
     comparisons = []
     if len(names) >= 2:
+        # One replicate set serves every gate: the gates' profit matrices
+        # (columns in `names` order) stand side by side, and only pairs
+        # within a gate are reported.
+        values = [
+            per_question_profits(model_trades, trade_ds, rule_name, ece_values if rule_name == GATES[0] else None)[0]
+            for rule_name in GATES
+        ]
         rng = substream(cfg.seed, "bootstrap", "trade")
-        for rule_name in GATES:
-            values, _, ordered = per_question_profits(
-                model_trades, trade_ds, rule_name, ece_values if rule_name == GATES[0] else None
-            )
-            boot = paired_bootstrap(values, "total", cfg.evaluation.bootstrap_reps, rng)
-            for (i, j), cmp in sorted(boot.items()):
+        boot = paired_bootstrap(np.concatenate(values, axis=1), "total", cfg.evaluation.bootstrap_reps, rng)
+        for (i, j), cmp in sorted(boot.items()):
+            (gate, a), (gate_b, b) = divmod(i, len(names)), divmod(j, len(names))
+            if gate == gate_b:
                 comparisons.append(
-                    {
-                        "rule": rule_name,
-                        "model_a": ordered[i],
-                        "model_b": ordered[j],
-                        "total_profit_delta": asdict(cmp),
-                    }
+                    {"rule": GATES[gate], "model_a": names[a], "model_b": names[b], "total_profit_delta": asdict(cmp)}
                 )
 
     trade_path = out / "trades.json"
@@ -426,21 +442,18 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     eval_path = out / "evaluation.json"
     if eval_path.exists():
-        doc["evaluation"] = read_json(eval_path)
+        doc["evaluation"] = read_json(eval_path, EVALUATION_SHAPE)
     trades_path = out / "trades.json"
     if trades_path.exists():
-        trades = read_json(trades_path)
+        trades = read_json(trades_path, TRADES_SHAPE)
         doc["trading"] = {
             name: {
-                rule: {
-                    "total_profit": entry["rules"][rule]["total_profit"],
-                    "n_trades": entry["rules"][rule]["n_trades"],
-                }
-                for rule in entry.get("rules", {})
+                rule: {"total_profit": result["total_profit"], "n_trades": result["n_trades"]}
+                for rule, result in entry["rules"].items()
             }
-            for name, entry in trades.get("models", {}).items()
+            for name, entry in trades["models"].items()
         }
-        doc["trading_comparisons"] = trades.get("comparisons", [])
+        doc["trading_comparisons"] = trades["comparisons"]
 
     lines = ["# Run report", "", f"Config hash: `{doc['config_hash']}`", ""]
     if "evaluation" in doc:
@@ -451,7 +464,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
                 f"| {r['n_questions']} | {r['n_malformed']} |"
             )
         lines.append("")
-        for cmp in doc["evaluation"].get("comparisons", []):
+        for cmp in doc["evaluation"]["comparisons"]:
             sb = cmp["soft_brier"]
             ec = cmp["ece"]
             lines.append(

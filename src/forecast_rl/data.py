@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import atomic_write, read_jsonl, write_jsonl
+from forecast_rl.files import atomic_write, read_csv, read_jsonl, write_jsonl
 from forecast_rl.rng import substream
 
 _REQUIRED_FIELDS = (
@@ -210,10 +210,8 @@ def load_questions(path: str | Path, format: str | None = None, split: str = "tr
                 raise DataFormatError("record is not an object", line=line_no)
             questions.append(_question_from_record(record, line_no))
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for line_no, record in enumerate(reader, start=2):
-                questions.append(_question_from_record(dict(record), line_no))
+        for line_no, record in read_csv(path):
+            questions.append(_question_from_record(record, line_no))
     return _finalize(questions, split=split)
 
 

@@ -253,72 +253,57 @@ def ece_equal_mass(
     return ece_bins(forecasts, outcomes, n_bins)[0]
 
 
-def _rank_digits(probs: np.ndarray) -> list[np.ndarray]:
-    """Dense ranks of `probs`, NaN above every number, as 16-bit radix
-    digits, least significant first.
+def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-mass ECE of every row of a count matrix.
 
-    Equal probabilities share a rank, so a stable sort of the ranks is the
-    stable sort of the probabilities, with absent rows last.
+    `c` (R, m) holds how often each of a model's m present forecasts was
+    drawn, in (probability, row index) order, with `p` and `y` in that
+    order.  Expanding each row by its counts gives the sorted sample; its
+    k = sum(c) draws split into n_bins contiguous bins, the larger bins
+    first.  The bin edges are found on the cumulative counts, the bin sums
+    of c*p and c*y come from one `reduceat` over the forecasts whose first
+    draw lies in the bin, and a forecast whose draws straddle an edge is
+    split by count.  Per bin the mean confidence and frequency are
+    sum / size, and the ECE adds (size / k) * |freq - conf| in bin order.
+    A row with fewer than n_bins draws has no ECE: it gets NaN.
     """
-    present = ~np.isnan(probs)
-    uniq, inv = np.unique(probs[present], return_inverse=True)
-    rank = np.full(probs.shape, uniq.size, dtype=np.int64)
-    rank[present] = inv
-    digits = [(rank & 0xFFFF).astype(np.uint16)]
-    while uniq.size >> (16 * len(digits)):
-        digits.append(((rank >> (16 * len(digits))) & 0xFFFF).astype(np.uint16))
-    return digits
-
-
-def _bin_sums(a: np.ndarray, n_bins: int) -> np.ndarray:
-    """Per-bin sums of sorted rows (G, k): the larger bins first, each
-    summed along its contiguous run like `a[lo:hi].sum()`."""
-    G, k = a.shape
-    q, r = divmod(k, n_bins)
-    split = r * (q + 1)
-    return np.concatenate(
-        [a[:, :split].reshape(G, r, q + 1).sum(-1), a[:, split:].reshape(G, n_bins - r, q).sum(-1)],
-        axis=1,
-    )
-
-
-def _ece_rows(
-    probs: np.ndarray, ys: np.ndarray, digits: list[np.ndarray], idx: np.ndarray, n_bins: int
-) -> np.ndarray:
-    """Equal-mass ECE of every resampled row set in `idx` (R, n).
-
-    Each row is sorted stably by rank (radix passes over the 16-bit
-    digits), so ties keep their position order and absent rows come
-    last.  Rows with the same present count k share one bin layout and
-    are binned together; per bin the mean confidence and frequency are
-    sum / size, and the ECE adds (size / k) * |freq - conf| in bin order,
-    the arithmetic of `_equal_mass_bins` row by row.  A row with fewer
-    than n_bins present forecasts has no ECE: it gets NaN.
-    """
-    R, n = idx.shape
-    row_start = np.arange(0, R * n, n)[:, None]
-    pos = idx
-    for d in digits:
-        order = np.argsort(np.take(d, pos), axis=1, kind="stable")
-        order += row_start  # flat offsets: np.take beats take_along_axis here
-        pos = np.take(pos, order)
-    sp, sy = np.take(probs, pos), np.take(ys, pos)
-    k = n - np.count_nonzero(np.isnan(sp), axis=1)
-    # Rows ordered by k, so that each group is a slice (a view, not a copy).
-    by_k = np.argsort(k, kind="stable")
-    counts, starts = np.unique(k[by_k], return_index=True)
-    if counts.size > 1:
-        sp, sy = np.take(sp, by_k, axis=0), np.take(sy, by_k, axis=0)
+    R, m = c.shape
     out = np.full(R, np.nan)
-    for kk, lo, hi in zip(counts.tolist(), starts.tolist(), starts[1:].tolist() + [R]):
-        if kk < n_bins:
-            continue
-        q, r = divmod(kk, n_bins)
-        sizes = np.array([q + 1] * r + [q] * (n_bins - r), dtype=np.float64)
-        conf = _bin_sums(sp[lo:hi, :kk], n_bins) / sizes
-        freq = _bin_sums(sy[lo:hi, :kk], n_bins) / sizes
-        # cumsum adds strictly left to right, as sum() over the bins does.
-        out[by_k[lo:hi]] = np.cumsum((sizes / kk) * np.abs(freq - conf), axis=1)[:, -1]
+    if m == 0:
+        return out
+    flat = c.ravel()
+    cum = np.cumsum(flat)  # runs on across rows, so that one search serves every row
+    row0 = np.arange(0, R * m, m)
+    before = cum[row0] - flat[row0]  # draws in earlier rows
+    k = cum[row0 + m - 1] - before
+    q, r = np.divmod(k, n_bins)
+    b = np.arange(n_bins)
+    size = q[:, None] + (b < r[:, None])
+    lo = before[:, None] + b * q[:, None] + np.minimum(b, r[:, None])  # each bin's first draw
+    # The forecast holding it is the first whose running count passes it
+    # (clipped to its row where k < n_bins).  Its draws before the edge
+    # belong to the bin before: `head` of them.
+    first = np.searchsorted(cum, lo.ravel(), side="right").reshape(R, n_bins)
+    first = np.clip(first, row0[:, None], row0[:, None] + m - 1)
+    head = lo - (cum[first] - flat[first])
+    # reduceat sums the forecasts from a bin's first up to the next bin's
+    # first (from the row start for the first bin: the forecasts before it
+    # were not drawn); a bin inside a single forecast has none of its own.
+    starts = first.copy()
+    starts[:, 0] = row0
+    whole = np.ones((R, n_bins), dtype=bool)
+    whole[:, :-1] = first[:, :-1] < first[:, 1:]
+    j = first - row0[:, None]
+    sums = []
+    for v in (p, y):
+        split = head * v[j]
+        s = np.where(whole, np.add.reduceat((c * v).ravel(), starts.ravel()).reshape(R, n_bins), 0.0) - split
+        s[:, :-1] += split[:, 1:]
+        sums.append(s)
+    ok = k >= n_bins
+    conf, freq = sums[0][ok] / size[ok], sums[1][ok] / size[ok]
+    # cumsum adds strictly left to right, as sum() over the bins does.
+    out[ok] = np.cumsum((size[ok] / k[ok, None]) * np.abs(freq - conf), axis=1)[:, -1]
     return out
 
 
@@ -328,18 +313,29 @@ def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
     (questions x models, NaN = absent) on each resampled row set, NaN
     where a row set holds fewer than n_bins present forecasts.
 
-    Rows may repeat under resampling, so ties sort by position (stable)
-    rather than by question id.
+    Each chunk's index matrix becomes one (R, n) count matrix, shared by
+    every model.  Tied probabilities are ordered by row index, so a
+    replicate's ECE depends only on which rows were drawn, not on the
+    order of the draws.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    cols = [np.ascontiguousarray(probs[:, j]) for j in range(probs.shape[1])]
-    digits = [_rank_digits(c) for c in cols]
+    n = probs.shape[0]
+    models = []
+    for j in range(probs.shape[1]):
+        rows = np.flatnonzero(~np.isnan(probs[:, j]))
+        # a stable sort of ascending rows breaks ties by row index
+        order = rows[np.argsort(probs[rows, j], kind="stable")]
+        models.append((order, probs[order, j], ys[order]))
 
     def stat(idx: np.ndarray) -> np.ndarray:
-        return np.stack([_ece_rows(c, ys, d, idx, n_bins) for c, d in zip(cols, digits)], axis=1)
+        R = idx.shape[0]
+        counts = np.bincount((idx + np.arange(0, R * n, n)[:, None]).ravel(), minlength=R * n).reshape(R, n)
+        return np.stack(
+            [_ece_from_counts(np.take(counts, order, axis=1), p, y, n_bins) for order, p, y in models], axis=1
+        )
 
     return stat
 
@@ -475,17 +471,25 @@ def paired_bootstrap(
     first axis, which adds rows one after another in resampled order, as
     `values[idx].sum(axis=0)` does for a single replicate.  (That needs
     two or more models; with one, numpy would sum the contiguous first
-    axis pairwise, but one model has no pairs to compare.)
+    axis pairwise, but one model has no pairs to compare.)  A chunk's
+    replicates are gathered in ceil(models / 2) parts, so that the gathered
+    array holds about two models' worth of values however many columns
+    come in.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("values must be a questions x models matrix")
-    if statistic == "mean":
-        stat_fn = lambda idx: np.take(values, idx.T, axis=0).mean(axis=0)
-    elif statistic == "total":
-        stat_fn = lambda idx: np.take(values, idx.T, axis=0).sum(axis=0)
-    else:
+    if statistic not in ("mean", "total"):
         raise ValidationError(f"unknown statistic {statistic!r}")
+    n_parts = -(-values.shape[1] // 2)
+
+    def stat_fn(idx: np.ndarray) -> np.ndarray:
+        out = []
+        for part in np.array_split(idx, n_parts):
+            gathered = np.take(values, part.T, axis=0)
+            out.append(gathered.mean(axis=0) if statistic == "mean" else gathered.sum(axis=0))
+        return np.concatenate(out)
+
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng)
 
 

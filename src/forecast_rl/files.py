@@ -6,13 +6,15 @@ or the new one, never a truncated one; if the write raises, the temp file
 is removed.  A temp file left by a killed process is not registered in the
 manifest, so `report` lists it among the unregistered files.
 
-The readers turn a file that cannot be read or decoded into a
+The readers turn a file that cannot be read or decoded, or a JSON
+document without the keys and types its reader uses, into a
 DataFormatError naming it, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import os
 from pathlib import Path
@@ -49,14 +51,66 @@ def write_jsonl(path: str | Path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_json(path: str | Path):
+_KINDS = {None: "null", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _is(value, kind) -> bool:
+    if kind is None:
+        return value is None
+    if kind in (int, float) and isinstance(value, bool):  # true and false are no numbers
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _kind(shape) -> str:
+    return _KINDS[list if isinstance(shape, list) else dict if isinstance(shape, dict) else shape]
+
+
+def check_shape(value, shape, path, field: str = "") -> None:
+    """Raise DataFormatError naming `path` and the field unless the JSON
+    `value` has `shape`: None (null), int, float (any number, not a bool),
+    str, list or dict; a list [item shape]; a dict of required keys to
+    shapes, or {str: shape} for an object whose every value has it; or a
+    tuple of alternative shapes."""
+    where = field or "the document"
+    if isinstance(shape, tuple):
+        for alternative in shape:
+            try:
+                return check_shape(value, alternative, path, field)
+            except DataFormatError:
+                pass
+        raise DataFormatError(f"{path}: {where} must be {' or '.join(map(_kind, shape))}")
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise DataFormatError(f"{path}: {where} must be an object")
+        if list(shape) == [str]:
+            shape = dict.fromkeys(value, shape[str])
+        for key, sub in shape.items():
+            if key not in value:
+                raise DataFormatError(f"{path}: {where} has no key {key!r}")
+            check_shape(value[key], sub, path, f"{field}.{key}" if field else key)
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise DataFormatError(f"{path}: {where} must be a list")
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], path, f"{field}[{i}]")
+    elif not _is(value, shape):
+        raise DataFormatError(f"{path}: {where} must be {_kind(shape)}, got {json.dumps(value)[:40]}")
+
+
+def read_json(path: str | Path, shape=None):
+    """The decoded document; with `shape` (see `check_shape`), also check
+    the keys and types its reader uses."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from exc
+    if shape is not None:
+        check_shape(doc, shape, path)
+    return doc
 
 
 def read_jsonl(path: str | Path):
@@ -76,3 +130,17 @@ def read_jsonl(path: str | Path):
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_csv(path: str | Path):
+    """Yield (line number, record) for each row under the header row."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for line_no, record in enumerate(csv.DictReader(fh), start=2):
+                yield line_no, record
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"invalid CSV in {path}: {exc}") from exc

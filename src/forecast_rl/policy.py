@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from forecast_rl.errors import ValidationError
-from forecast_rl.files import read_json, write_json
+from forecast_rl.errors import DataFormatError, ValidationError
+from forecast_rl.files import check_shape, read_json, write_json
 
 RATIONALE = 0
 GIBBERISH = 1
@@ -114,17 +114,31 @@ def save_checkpoint(
     write_json(path, record)
 
 
+_CHECKPOINT_SHAPE = {
+    "content_length": int,
+    "feature_dim": int,
+    "content_weights": [[float]],
+    "answer_weights": [[float]],
+    "baseline_weights": (None, [float]),
+}
+
+
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, np.ndarray | None]:
-    record = read_json(path)
+    record = read_json(path, dict)
     if record.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {record.get('version')!r}")
-    params = PolicyParams(
-        content_weights=np.asarray(record["content_weights"], dtype=np.float64),
-        answer_weights=np.asarray(record["answer_weights"], dtype=np.float64),
-        vocab=Vocabulary(int(record["content_length"])),
-    )
-    params.validate()
-    if params.feature_dim != int(record["feature_dim"]):
-        raise ValidationError("checkpoint feature_dim does not match weight shapes")
-    baseline = record.get("baseline_weights")
+        raise DataFormatError(f"{path}: unsupported checkpoint version {record.get('version')!r}")
+    check_shape(record, _CHECKPOINT_SHAPE, path)
+    weights = {}
+    for key in ("content_weights", "answer_weights"):
+        if len({len(row) for row in record[key]}) > 1:
+            raise DataFormatError(f"{path}: the rows of {key} differ in length")
+        weights[key] = np.asarray(record[key], dtype=np.float64)
+    try:
+        params = PolicyParams(**weights, vocab=Vocabulary(record["content_length"]))
+        params.validate()
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+    if params.feature_dim != record["feature_dim"]:
+        raise DataFormatError(f"{path}: checkpoint feature_dim does not match weight shapes")
+    baseline = record["baseline_weights"]
     return params, None if baseline is None else np.asarray(baseline, dtype=np.float64)

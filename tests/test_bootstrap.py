@@ -1,17 +1,21 @@
-"""The chunked paired bootstrap against the per-replicate loop it replaced.
+"""The chunked paired bootstrap against the per-replicate loop it replaced,
+and the count-matrix equal-mass ECE against a brute-force count oracle.
 
-The oracles below are that loop, kept verbatim in spirit: one generator
-and one index array per replicate, the statistic called on each, and the
-equal-mass ECE of one replicate computed with a float stable argsort and
-per-bin means.  Every comparison is exact (bit for bit).
+The bootstrap machinery (replicate streams, chunking, CIs, p-values,
+dropped replicates) is compared exactly, bit for bit, with the loop run on
+the product's own row statistic.  The ECE is compared with the oracle to
+1e-12: it expands every drawn row by how often it was drawn, sorts by
+(probability, row index) and takes per-bin means, so it adds in a
+different order than the product.
 """
 
+import math
 from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from forecast_rl import evaluation
@@ -26,16 +30,11 @@ from forecast_rl.evaluation import (
 from forecast_rl.rng import replicate_seeds, substream
 
 
-def oracle_ece(probs, ys, n_bins):
-    """Equal-mass ECE of one replicate: drop NaN, float stable argsort,
-    larger bins first, sum of (size / k) * |freq - conf| in bin order;
-    NaN with fewer than n_bins present forecasts."""
-    mask = ~np.isnan(probs)
-    p, y = probs[mask], ys[mask]
+def _binned_ece(p, y, n_bins):
+    """Equal-mass ECE of sorted arrays: larger bins first, sum of
+    (size / k) * |freq - conf| in bin order; NaN below n_bins entries."""
     if p.size < n_bins:
         return np.nan
-    order = np.argsort(p, kind="stable")
-    p, y = p[order], y[order]
     q, r = divmod(p.size, n_bins)
     terms, start = [], 0
     for b in range(n_bins):
@@ -45,6 +44,24 @@ def oracle_ece(probs, ys, n_bins):
         terms.append((size / p.size) * abs(freq - conf))
         start += size
     return float(sum(terms))
+
+
+def oracle_ece(probs, ys, idx, n_bins):
+    """Equal-mass ECE of the rows `idx` drew: each present row repeated as
+    often as it was drawn, sorted by (probability, row index)."""
+    counts = np.bincount(idx, minlength=probs.size)
+    rows = sorted((p, i) for i, p in enumerate(probs.tolist()) if not math.isnan(p))
+    drawn = np.array([i for _, i in rows for _ in range(counts[i])], dtype=np.int64)
+    return _binned_ece(probs[drawn], ys[drawn], n_bins)
+
+
+def position_ece(probs, ys, idx, n_bins):
+    """The ECE the rank-radix implementation computed: drawn rows in draw
+    order, a float stable argsort, so tied probabilities keep draw order."""
+    p, y = probs[idx], ys[idx]
+    mask = ~np.isnan(p)
+    order = np.argsort(p[mask], kind="stable")
+    return _binned_ece(p[mask][order], y[mask][order], n_bins)
 
 
 def oracle_bootstrap(n_rows, row_stat, reps, rng):
@@ -76,37 +93,59 @@ def same(a: dict, b: dict) -> bool:
     return {k: (asdict(v), v.n_dropped) for k, v in a.items()} == {k: (asdict(v), v.n_dropped) for k, v in b.items()}
 
 
+def assert_close(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def _forecasts(seed, n, models, grid, nan_share):
+    rng = np.random.default_rng(seed)
+    probs = rng.random((n, models))
+    if grid:
+        probs = np.round(probs, 2)  # heavy ties on the 0.01 grid
+    probs[rng.random((n, models)) < nan_share] = np.nan
+    ys = rng.integers(0, 2, n).astype(np.float64)
+    return probs, ys
+
+
 @st.composite
 def forecast_matrices(draw):
     n_bins = draw(st.integers(1, 12))
     n = draw(st.integers(n_bins, 160))
-    models = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    probs = rng.random((n, models))
-    if draw(st.booleans()):
-        probs = np.round(probs, 2)  # heavy ties on the 0.01 grid
-    nan_share = draw(st.sampled_from([0.0, 0.05, 0.3]))
-    probs[rng.random((n, models)) < nan_share] = np.nan
-    ys = rng.integers(0, 2, n).astype(np.float64)
+    probs, ys = _forecasts(
+        seed, n, draw(st.integers(1, 3)), draw(st.booleans()), draw(st.sampled_from([0.0, 0.05, 0.3]))
+    )
     return probs, ys, n_bins, seed
+
+
+def _wide():
+    """70,000 rows: a continuous column with more than 65,535 distinct
+    probabilities and a 0.001-grid column with fewer."""
+    probs, ys = _forecasts(5, 70_000, 2, False, 0.05)
+    probs[:, 1] = np.round(probs[:, 1], 3)
+    return probs, ys, 10, 5
 
 
 class TestBatchedEce:
     @settings(max_examples=60, deadline=None)
-    @given(forecast_matrices(), st.integers(1, 40), st.integers(1, 7))
+    @given(data=forecast_matrices(), reps=st.integers(1, 40), chunk_rows=st.integers(1, 7))
+    @example(data=_wide(), reps=3, chunk_rows=2)
     def test_matches_the_per_replicate_loop(self, data, reps, chunk_rows):
         probs, ys, n_bins, seed = data
         n, models = probs.shape
         stat = equal_mass_ece_stat(probs, ys, n_bins)
+        idx = np.random.default_rng(seed).integers(0, n, size=(chunk_rows, n))
+        want = [[oracle_ece(probs[:, j], ys, i, n_bins) for j in range(models)] for i in idx]
+        assert_close(stat(idx), np.array(want))
 
-        def row_stat(idx):
-            return np.array([oracle_ece(probs[idx, j], ys[idx], n_bins) for j in range(models)])
+        # The bootstrap around it is exact: the per-replicate loop on the
+        # product's own row statistic, with chunks of chunk_rows replicates
+        # so reps is rarely a multiple.
+        def row_stat(i):
+            return stat(i[None, :])[0]
 
-        # chunks of chunk_rows replicates, so reps is rarely a multiple
         with mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
-            idx = np.random.default_rng(seed).integers(0, n, size=(5, n))
-            assert stat(idx).tobytes() == np.array([row_stat(i) for i in idx]).tobytes()
             try:
                 want = oracle_bootstrap(n, row_stat, reps, substream(seed, "b"))
             except ValidationError:  # the observed ECE or every replicate's is undefined
@@ -116,25 +155,25 @@ class TestBatchedEce:
             got = paired_bootstrap_stat(n, stat, reps, substream(seed, "b"))
         assert same(got, want)
 
+    def test_ties_follow_row_index_not_draw_order(self):
+        """A replicate's ECE is the rank-radix ECE of its indices sorted
+        ascending; on untied probabilities it is the rank-radix ECE of the
+        indices as drawn."""
+        probs, ys = _forecasts(9, 500, 2, False, 0.05)
+        probs[:, 1] = np.round(probs[:, 1], 2)
+        idx = np.random.default_rng(9).integers(0, 500, size=(6, 500))
+        got = equal_mass_ece_stat(probs, ys, 10)(idx)
+        assert_close(got[:, 0], [position_ece(probs[:, 0], ys, i, 10) for i in idx])
+        assert_close(got[:, 1], [position_ece(probs[:, 1], ys, np.sort(i), 10) for i in idx])
+        assert not np.allclose(got[:, 1], [position_ece(probs[:, 1], ys, i, 10) for i in idx], rtol=0, atol=1e-12)
+
     def test_one_row_call(self, rng):
         probs = np.round(rng.random(101), 2)
         probs[::7] = np.nan
         ys = rng.integers(0, 2, 101).astype(np.float64)
         for n_bins in (1, 3, 10, 13):
-            assert ece_equal_mass_arrays(probs, ys, n_bins) == oracle_ece(probs, ys, n_bins)
-
-    def test_two_radix_passes_past_65535_ranks(self):
-        rng = np.random.default_rng(5)
-        n = 70_000
-        probs = np.stack([rng.random(n), np.round(rng.random(n), 3)], axis=1)  # >= 2**16 and < 2**16 ranks
-        probs[rng.random((n, 2)) < 0.05] = np.nan
-        ys = rng.integers(0, 2, n).astype(np.float64)
-        assert len(evaluation._rank_digits(probs[:, 0])) == 2
-        assert len(evaluation._rank_digits(probs[:, 1])) == 1
-        idx = np.vstack([np.arange(n), rng.integers(0, n, size=(2, n))])
-        got = equal_mass_ece_stat(probs, ys, 10)(idx)
-        want = np.array([[oracle_ece(probs[i, j], ys[i], 10) for j in range(2)] for i in idx])
-        assert got.tobytes() == want.tobytes()
+            want = oracle_ece(probs, ys, np.arange(101), n_bins)
+            assert ece_equal_mass_arrays(probs, ys, n_bins) == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_too_few_present_rejected(self):
         """A row set with fewer than n_bins present forecasts has no ECE;
@@ -143,7 +182,8 @@ class TestBatchedEce:
         ys = np.ones(11)
         stat = equal_mass_ece_stat(probs, ys, 10)
         got = stat(np.arange(11)[None, :])
-        assert np.isnan(got[0, 0]) and got[0, 1] == oracle_ece(probs[:, 1], ys, 10)
+        assert np.isnan(got[0, 0])
+        assert got[0, 1] == pytest.approx(oracle_ece(probs[:, 1], ys, np.arange(11), 10), rel=0, abs=1e-12)
         with pytest.raises(ValidationError, match="observed rows"):
             paired_bootstrap_stat(11, stat, 9, substream(0, "s"))
         with pytest.raises(ValidationError, match="n_bins"):
@@ -173,7 +213,10 @@ class TestBatchedEce:
 
 class TestBatchedTotals:
     @pytest.mark.parametrize("statistic", ["mean", "total"])
-    @pytest.mark.parametrize("n, models, reps, chunk_rows", [(1, 2, 9, 1), (37, 2, 101, 8), (400, 3, 57, 5)])
+    @pytest.mark.parametrize(
+        "n, models, reps, chunk_rows",
+        [(1, 2, 9, 1), (37, 2, 101, 8), (400, 3, 57, 5), (150, 7, 41, 3), (90, 9, 23, 2)],
+    )
     def test_matches_the_per_replicate_loop(self, statistic, n, models, reps, chunk_rows):
         rng = np.random.default_rng(n)
         values = rng.normal(size=(n, models)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))

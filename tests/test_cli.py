@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,10 @@ from forecast_rl.cli import (
 from forecast_rl.config import load_config
 from forecast_rl.data import load_questions, save_questions
 from forecast_rl.errors import NumericAbort
-from forecast_rl.evaluation import Z_95, Forecast, save_forecasts
+from forecast_rl.evaluation import Z_95, Forecast, load_forecasts, paired_bootstrap, save_forecasts
 from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
+from forecast_rl.rng import substream
+from forecast_rl.trading import GATES, gating_ece, per_question_profits, run_strategies
 from forecast_rl.trainer import train_online
 
 BASE = {
@@ -442,7 +445,10 @@ class TestStatisticsOutputs:
     # p-values of evaluation.json and trades.json come from the package's own
     # normal and Student-t tails; they differ from scipy's by at most 4.1e-15
     # here (the scipy-era digests were 56743d11... and 1b951fc5...), and the
-    # test checks each of them against scipy below.
+    # test checks each of them against scipy below.  evaluation.json and
+    # trades.json were re-pinned when the ECE bootstrap began to order tied
+    # probabilities by row index and the trade gates began to share one
+    # replicate set (they were f9c92d01... and bf019496...).
     DIGESTS = {
         "bins_echo.csv": "2ca09a61784d649ebefbd84f8f4bd556596fe09ebeab70fbbbcfa67ccb47b7b7",
         "bins_grid.csv": "275f67c280d366da90ba97c0251b0e2a2130acca9c5c4e817b68c08d7fcd08e5",
@@ -456,11 +462,12 @@ class TestStatisticsOutputs:
         "curve_smooth_all_markets.csv": "420467b49371ab5f415f65440b4755c1bdf2b7183d86ec396c1e82d4bd3c17d1",
         "curve_smooth_edge_above_ece.csv": "6209eb00421bf47b8b14157e03033bfee1e2969144ac2879c64a6df7371e610f",
         "curve_smooth_edge_above_zero.csv": "9256e4ffd92be5cbbeab1dca5772b6d6b48c622984b19e860581a9908ee1c687",
-        "evaluation.json": "f9c92d01c018e393ce3f82078493f69a9795ea3d40ea1faf56cabab8bde16756",
-        "trades.json": "bf019496813b34dc90652422e2299331b0d05453595fb24e8a179c5c2c3fdacc",
+        "evaluation.json": "e7bca65a0d19f46937d391ab2acee2dfca1b6009eebcfa243399e77c7f8ecc0d",
+        "trades.json": "738ea9f5f699bbd0ff1d74fc8895a2ddd17ca67370074e3f940c16b804019751",
     }
 
-    def test_evaluate_and_trade_outputs_are_unchanged(self, tmp_path):
+    @staticmethod
+    def _models(tmp_path):
         """Three models: a 0.01 grid with 20% abstentions, continuous
         probabilities, and the market price itself (every trade a tie)."""
         cfg = write_config(tmp_path, data={"synthetic": {"n_questions": 400, "feature_dim": 2,
@@ -479,6 +486,10 @@ class TestStatisticsOutputs:
         for name, probs in columns.items():
             paths.append(str(tmp_path / f"{name}.jsonl"))
             save_forecasts([Forecast(q.id, p) for q, p in zip(test_ds, probs)], paths[-1])
+        return cfg, out, paths
+
+    def test_evaluate_and_trade_outputs_are_unchanged(self, tmp_path):
+        cfg, out, paths = self._models(tmp_path)
         assert run("evaluate", cfg, *paths) == EXIT_OK
         assert run("trade", cfg, *paths) == EXIT_OK
         files = sorted(p for p in out.iterdir() if p.name.startswith(("evaluation", "trades", "bins_", "curve_")))
@@ -497,6 +508,31 @@ class TestStatisticsOutputs:
         assert len(bands) >= 6
         for b in bands:
             assert b["p_value"] == pytest.approx(2 * stdtr(b["count"] - 1, -abs(b["t_stat"])), rel=0, abs=1e-12)
+
+
+    def test_each_gate_compares_on_one_shared_replicate_set(self, tmp_path):
+        """Every gate's comparisons equal a bootstrap of that gate's profit
+        matrix alone, started from a fresh trade substream."""
+        cfg, out, paths = self._models(tmp_path)
+        assert run("trade", cfg, *paths) == EXIT_OK
+        config = load_config(cfg)
+        test_ds = load_questions(out / "test.jsonl", split="test")
+        ece, trades = {}, {}
+        for path in paths:
+            name = Path(path).stem
+            probs = {f.question_id: f.probability for f in load_forecasts(path)}
+            ece[name], trade_ds = gating_ece(probs, test_ds, config.trading.ece_source,
+                                             config.trading.calibration_fraction, config.evaluation.n_bins)
+            trades[name], _ = run_strategies(probs, trade_ds, ece[name], substream(config.seed, "ties", name))
+        want = []
+        for rule in GATES:
+            values, _, names = per_question_profits(trades, trade_ds, rule, ece if rule == GATES[0] else None)
+            boot = paired_bootstrap(values, "total", config.evaluation.bootstrap_reps,
+                                    substream(config.seed, "bootstrap", "trade"))
+            want += [{"rule": rule, "model_a": names[i], "model_b": names[j], "total_profit_delta": asdict(cmp)}
+                     for (i, j), cmp in sorted(boot.items())]
+        assert len(want) == 9
+        assert json.loads((out / "trades.json").read_text())["comparisons"] == json.loads(json.dumps(want))
 
 
 def _python(code):

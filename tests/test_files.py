@@ -42,6 +42,27 @@ def _writes(tree: ast.AST) -> list[str]:
     return found
 
 
+def _opens(tree: ast.AST) -> list[str]:
+    """Each call in `tree` that opens a file, for reading or writing."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("open", "read_text", "read_bytes"):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_only_files_module_opens():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "files.py" and (hits := _opens(ast.parse(path.read_text())))
+    }
+    assert offenders == {}
+
+
 def test_only_files_module_writes():
     offenders = {
         path.name: hits
@@ -54,9 +75,10 @@ def test_only_files_module_writes():
 def test_scan_catches_each_form():
     src = (
         "open(p, 'w')\nopen(p, mode='a')\nopen(p, m)\np.open('wb')\nos.replace(a, b)\n"
-        "p.write_text(s)\nopen(p)\nopen(p, 'rb')\np.open()\ns.replace('a', 'b')\nreplace(r, a=1)\n"
+        "p.write_text(s)\nopen(p)\nopen(p, 'rb')\np.open()\ns.replace('a', 'b')\nreplace(r, a=1)\np.read_text()\n"
     )
     assert len(_writes(ast.parse(src))) == 6
+    assert len(_opens(ast.parse(src))) == 8
 
 
 def _tmp_files(directory: Path) -> list[str]:
@@ -138,15 +160,20 @@ CONFIG = {
 }
 
 
+def _run_through_trade(tmp_path) -> Path:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "output_dir": str(tmp_path / "out")}))
+    for step in ("synth", "train", "predict", "evaluate", "trade"):
+        assert main([step, "--config", str(cfg)]) == EXIT_OK
+    return cfg
+
+
 @pytest.mark.parametrize(
     "name, stage",
     [("seed3_m0_q000030/params.json", "predict"), ("manifest.json", "report"), ("evaluation.json", "report")],
 )
 def test_truncated_run_file_exits_2(tmp_path, capsys, name, stage):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**CONFIG, "output_dir": str(tmp_path / "out")}))
-    for step in ("synth", "train", "predict", "evaluate"):
-        assert main([step, "--config", str(cfg)]) == EXIT_OK
+    cfg = _run_through_trade(tmp_path)
     path = tmp_path / "out" / name
     path.write_bytes(path.read_bytes()[:100])
     capsys.readouterr()
@@ -156,3 +183,53 @@ def test_truncated_run_file_exits_2(tmp_path, capsys, name, stage):
     assert f"error: {path} is not valid JSON" in err
     assert "Traceback" not in err
 
+
+RULES = {"all_markets": {"total_profit": "12.5", "n_trades": 3}}
+
+
+@pytest.mark.parametrize(
+    "name, doc, stage, message",
+    [
+        ("seed3_m0_q000030/params.json", {"version": 1}, "predict", "the document has no key 'content_length'"),
+        ("seed3_m0_q000030/params.json", {"version": 9}, "predict", "unsupported checkpoint version 9"),
+        ("seed3_m0_q000030/params.json", None, "predict", "content_weights[1][0] must be a number"),
+        ("seed3_m0_q000030/params.json", "ragged", "predict", "the rows of content_weights differ in length"),
+        ("evaluation.json", {}, "report", "the document has no key 'models'"),
+        ("evaluation.json", {"models": {"m": {}}, "comparisons": []}, "report",
+         "models.m has no key 'soft_brier_mean'"),
+        ("trades.json", {"models": {"m": {"rules": RULES}}, "comparisons": []}, "report",
+         'models.m.rules.all_markets.total_profit must be a number, got "12.5"'),
+        ("manifest.json", [], "report", "the document must be an object"),
+        ("manifest.json", {"stages": {"synth": {"files": "test.jsonl"}}}, "evaluate",
+         "stages.synth.files must be a list"),
+    ],
+)
+def test_wrong_shaped_run_file_exits_2(tmp_path, capsys, name, doc, stage, message):
+    """JSON that decodes but lacks a key or a type its reader uses."""
+    cfg = _run_through_trade(tmp_path)
+    path = tmp_path / "out" / name
+    if doc is None:  # a weight that is a string
+        doc = json.loads(path.read_text())
+        doc["content_weights"][1][0] = "0.5"
+    elif doc == "ragged":
+        doc = json.loads(path.read_text())
+        doc["content_weights"][1].append(0.0)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+
+    assert main([stage, "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_csv_dataset_exits_2(tmp_path, capsys):
+    train = tmp_path / "train.csv"
+    train.write_bytes(b"id,open_ts\n\xff,1\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**CONFIG, "output_dir": str(tmp_path / "out"), "data": {"train_path": str(train)}}))
+
+    assert main(["train", "--config", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {train} is not UTF-8 text")
+    assert "Traceback" not in err
