@@ -17,14 +17,19 @@ PACKAGE = Path(forecast_rl.__file__).parent
 WRITE_MODE = set("wax+")
 
 
+def _calls(tree: ast.AST):
+    """(call, name of the function or method it calls) for each call in `tree`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield node, func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
 def _writes(tree: ast.AST) -> list[str]:
     """Each call in `tree` that opens a file for writing or moves one."""
     found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node, name in _calls(tree):
         func = node.func
-        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
         if name == "open":
             # open(path, mode) or path.open(mode)
             pos = 1 if isinstance(func, ast.Name) else 0
@@ -44,14 +49,7 @@ def _writes(tree: ast.AST) -> list[str]:
 
 def _opens(tree: ast.AST) -> list[str]:
     """Each call in `tree` that opens a file, for reading or writing."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-            if name in ("open", "read_text", "read_bytes"):
-                found.append(f"line {node.lineno}: {name}")
-    return found
+    return [f"line {node.lineno}: {name}" for node, name in _calls(tree) if name in ("open", "read_text", "read_bytes")]
 
 
 def test_only_files_module_opens():
@@ -203,6 +201,8 @@ RULES = {"all_markets": {"total_profit": "12.5", "n_trades": 3}}
         ("manifest.json", {"stages": {"synth": {"files": "test.jsonl"}}}, "evaluate",
          "stages.synth.files must be a list"),
     ],
+    ids=["params-keys", "params-version", "params-string-weight", "params-ragged", "evaluation-empty",
+         "evaluation-model-keys", "trades-string-profit", "manifest-list", "manifest-files"],
 )
 def test_wrong_shaped_run_file_exits_2(tmp_path, capsys, name, doc, stage, message):
     """JSON that decodes but lacks a key or a type its reader uses."""
