@@ -167,6 +167,18 @@ class TestBatchedEce:
         assert_close(got[:, 1], [position_ece(probs[:, 1], ys, np.sort(i), 10) for i in idx])
         assert not np.allclose(got[:, 1], [position_ece(probs[:, 1], ys, i, 10) for i in idx], rtol=0, atol=1e-12)
 
+    def test_two_radix_passes_past_65535_ranks(self):
+        """More than 2**16 distinct probabilities in one column and fewer in
+        the other, on the observed rows and on two resamples."""
+        probs, ys, n_bins, seed = _wide()
+        n = probs.shape[0]
+        distinct = [np.unique(probs[~np.isnan(probs[:, j]), j]).size for j in range(2)]
+        assert distinct[0] > 2**16 > distinct[1]
+        idx = np.vstack([np.arange(n), np.random.default_rng(seed).integers(0, n, size=(2, n))])
+        got = equal_mass_ece_stat(probs, ys, n_bins)(idx)
+        want = np.array([[oracle_ece(probs[:, j], ys, i, n_bins) for j in range(2)] for i in idx])
+        assert_close(got, want)
+
     def test_one_row_call(self, rng):
         probs = np.round(rng.random(101), 2)
         probs[::7] = np.nan
