@@ -5,6 +5,10 @@ preference pairs a row is one question.  Each function keeps a fixed
 summation order, so a row's result never depends on which other rows
 share the call.  Gradients are returned for minimization (the objective
 negated), ready for AdamW, and are exact for the linear-softmax policy.
+
+The online step holds both heads in one joint vocabulary (see HEADS) and
+runs once per question, so its functions call `np.add.reduce` where
+`.sum` would add a Python-level wrapper around the same reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from forecast_rl.errors import ValidationError
-from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, NONENGLISH
+from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, N_CONTENT, NONENGLISH
 from forecast_rl.reward import PenaltyConfig
 
 ALGORITHMS = ("grpo", "modified_grpo", "remax", "dpo")
@@ -75,15 +79,51 @@ class HyperParams:
             raise ValidationError("clip_eps must lie in (0, 1)")
 
 
+# The joint vocabulary of the two heads: N_CONTENT content columns, then
+# N_ANSWER answer columns.  HEADS slices each head out of a logit row,
+# HEAD_STARTS gives their first columns and HEAD_OF the head of every column.
+HEADS = (slice(0, N_CONTENT), slice(N_CONTENT, N_CONTENT + N_ANSWER))
+HEAD_STARTS = np.array([0, N_CONTENT])
+HEAD_OF = np.array([0] * N_CONTENT + [1] * N_ANSWER)
+
+
 def log_softmax_rows(Z: np.ndarray) -> np.ndarray:
-    shifted = Z - Z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = Z - np.maximum.reduce(Z, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def head_log_softmax(xt: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Log-softmax of xt @ W[r] for each row r of a (R, d+1, V) weight
-    stack, with the product summed over features in order."""
-    return log_softmax_rows((xt[:, None] * W).sum(axis=1))
+def two_head_log_softmax(Z: np.ndarray) -> np.ndarray:
+    """Each head's log-softmax of joint logits (last axis N_CONTENT + N_ANSWER).
+
+    Bit-identical to `log_softmax_rows` of each head's columns: each head
+    is shifted by its own maximum and its exponentials are summed over its
+    own columns, while the subtractions, `exp` and `log` run over both
+    heads at once.
+    """
+    shifted = Z - np.maximum.reduceat(Z, HEAD_STARTS, axis=-1)[..., HEAD_OF]
+    e = np.exp(shifted)
+    sums = np.empty(Z.shape[:-1] + (2,))
+    for k, head in enumerate(HEADS):
+        np.add.reduce(e[..., head], axis=-1, out=sums[..., k])
+    return shifted - np.log(sums)[..., HEAD_OF]
+
+
+def policy_log_probs(xt: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Joint log-probabilities (R, N_CONTENT + N_ANSWER) of xt under each
+    row r of a (R, d+1, N_CONTENT + N_ANSWER) weight stack, with the
+    product xt @ W[r] summed over features in order."""
+    return two_head_log_softmax(np.add.reduce(xt[:, None] * W, axis=1))
+
+
+def block_log_probs(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """`policy_log_probs` of each of the B questions of X (B, d+1) at
+    once, as a (B, R, N_CONTENT + N_ANSWER) array.  The features are
+    summed in the same order, so every question's rows are bit-identical
+    to its own `policy_log_probs`."""
+    Z = X[:, 0, None, None] * W[None, :, 0]
+    for f in range(1, X.shape[1]):
+        Z += X[:, f, None, None] * W[None, :, f]
+    return two_head_log_softmax(Z)
 
 
 def sample_tokens(p_c: np.ndarray, p_a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,33 +136,45 @@ def sample_tokens(p_c: np.ndarray, p_a: np.ndarray, u: np.ndarray) -> tuple[np.n
     u < cumsum(p)[k].  Returns content (R, G, L) and answers (R, G).
     """
     L = u.shape[2] - 1
-    content = (u[:, :, :L, None] >= np.cumsum(p_c, axis=1)[:, None, None, :-1]).sum(axis=-1)
-    answers = (u[:, :, L, None] >= np.cumsum(p_a, axis=1)[:, None, :-1]).sum(axis=-1)
+    content = np.add.reduce(u[:, :, :L, None] >= p_c.cumsum(axis=1)[:, None, None, :-1], axis=-1)
+    answers = np.add.reduce(u[:, :, L, None] >= p_a.cumsum(axis=1)[:, None, :-1], axis=-1)
     return content, answers
 
 
-def guardrail_rewards(
-    content: np.ndarray, answers: np.ndarray, y, pen: PenaltyConfig
-) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Training reward of each response from its token counts.
+def count_rewards(answers, y, gib_ct, nep_ct, L: int, pen: PenaltyConfig) -> np.ndarray:
+    """Training reward of each response from its answer token and its
+    gibberish and non-English token counts out of L content tokens.
 
     The strict Brier reward (an abstention scores -1) plus the guard-rail
     terms of `pen`: -lambda_lang and -lambda_gib times the non-English and
     gibberish proportions, -lambda_miss when no content token is
     rationale, and lambda_exp times the rationale proportion.  `y` is the
-    outcome, broadcast against `answers`.
-    Returns the (R, G) rewards, the gibberish token counts and the
-    (gibberish, non-English, rationale) proportions.
+    outcome; all arguments broadcast.
     """
-    L = content.shape[-1]
-    gib_ct = (content == GIBBERISH).sum(axis=-1)
-    nep_ct = (content == NONENGLISH).sum(axis=-1)
     rat_ct = L - gib_ct - nep_ct
-    nep, gp, eq = nep_ct / L, gib_ct / L, rat_ct / L
     strict = np.where(answers == ABSTAIN, -1.0, -((answers / 100.0 - y) ** 2))
     miss = np.where(rat_ct > 0, 0.0, -pen.lambda_miss)
-    rewards = strict + (-pen.lambda_lang * nep) + (-pen.lambda_gib * gp) + miss + pen.lambda_exp * eq
-    return rewards, gib_ct, (gp, nep, eq)
+    rationale = rat_ct / L
+    return strict + (-pen.lambda_lang * (nep_ct / L)) + (-pen.lambda_gib * (gib_ct / L)) + miss + pen.lambda_exp * rationale
+
+
+def guardrail_rewards(
+    content: np.ndarray, answers: np.ndarray, y, pen: PenaltyConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count_rewards` of sampled responses: content (..., L) and answers
+    (...).  Returns the rewards with the gibberish and non-English token
+    counts."""
+    gib_ct = (content == GIBBERISH).sum(axis=-1)
+    nep_ct = (content == NONENGLISH).sum(axis=-1)
+    return count_rewards(answers, y, gib_ct, nep_ct, content.shape[-1], pen), gib_ct, nep_ct
+
+
+def reward_table(L: int, pen: PenaltyConfig) -> np.ndarray:
+    """`count_rewards` on every (outcome, answer, gibberish count,
+    non-English count) cell, as a (2, N_ANSWER, L+1, L+1) lookup table.
+    Cells whose counts sum past L are never looked up."""
+    y, answers, gib_ct, nep_ct = np.ix_(np.array([0.0, 1.0]), np.arange(N_ANSWER), np.arange(L + 1), np.arange(L + 1))
+    return count_rewards(answers, y, gib_ct, nep_ct, L, pen)
 
 
 def advantages(algo: str, rewards: np.ndarray, mu: np.ndarray, baseline: np.ndarray | None) -> np.ndarray:
@@ -134,36 +186,50 @@ def advantages(algo: str, rewards: np.ndarray, mu: np.ndarray, baseline: np.ndar
     """
     if algo == "grpo":
         dev = rewards - mu[:, None]
-        sigma = np.sqrt((dev**2).sum(axis=1) / rewards.shape[1])[:, None]
+        sigma = np.sqrt(np.add.reduce(dev**2, axis=1) / rewards.shape[1])[:, None]
         return np.divide(dev, sigma, out=np.zeros_like(dev), where=sigma != 0.0)
     if algo == "modified_grpo":
         return rewards - mu[:, None]
     return rewards - baseline[:, None]
 
 
-def head_logit_gradient(
-    log_p: np.ndarray, ref_log_p: np.ndarray, tokens: np.ndarray, w: np.ndarray, hp: HyperParams
+def logit_gradient(
+    p: np.ndarray, log_p: np.ndarray, ref_log_p: np.ndarray, tokens: np.ndarray, w: np.ndarray, hp: HyperParams
 ) -> np.ndarray:
-    """Logit gradient, for minimization, of one head's part of the objective
+    """Joint logit gradient, for minimization, of the objective
 
-        sum_{g,t} w[g] log p(tokens[g, t]) - kl_coeff T KL(p || ref) + entropy_coeff T H(p)
+        sum_{g,t} w[g] log p(tokens[g, t]) - kl_coeff sum_h T_h KL(p_h || ref_h) + entropy_coeff sum_h T_h H(p_h)
 
-    per row, where `tokens` (R, G, T) holds the T tokens each response
-    draws from this head (L content tokens, or 1 answer token) and `w`
-    (R, G) the per-token weight of each response.  Uses
-    grad_z log p[k] = e_k - p.  The policy is on-policy, so every
-    importance ratio is exactly 1 and no token is clipped.
+    per row, over both heads h: the content head, from which each
+    response draws T = L tokens, and the answer head (T = 1).  `p`,
+    `log_p` and `ref_log_p` are (R, N_CONTENT + N_ANSWER) joint rows,
+    `tokens` (R, G, L+1) holds each response's L content tokens and then
+    its answer token offset by N_CONTENT, and `w` (R, G) the per-token
+    weight of each response.  Uses grad_z log p[k] = e_k - p within each
+    head.  The policy is on-policy, so every importance ratio is exactly
+    1 and no token is clipped.
     """
     R, V = log_p.shape
-    T = tokens.shape[2]
-    p = np.exp(log_p)
+    L = tokens.shape[2] - 1
+    # kl_coeff T and entropy_coeff T in each column's head
+    klT, entT = np.array([[hp.kl_coeff * L, hp.kl_coeff], [hp.entropy_coeff * L, hp.entropy_coeff]])[:, HEAD_OF]
     index = (np.arange(R) * V)[:, None, None] + tokens
-    counts = np.bincount(index.ravel(), np.repeat(w, T), R * V).reshape(R, V)
+    counts = np.bincount(index.ravel(), w.repeat(L + 1), R * V).reshape(R, V)
     ell = log_p - ref_log_p
-    kl = (p * ell).sum(axis=1)[:, None]
-    h = -(p * log_p).sum(axis=1)[:, None]
-    surrogate = counts - (w * T).sum(axis=1)[:, None] * p
-    return -(surrogate - hp.kl_coeff * T * (p * (ell - kl)) + hp.entropy_coeff * T * (-p * (log_p + h)))
+    # Per row and head: the summed token weight (w T).sum, KL(p || ref) and
+    # sum p log p = -H(p), each summed over that head's columns alone.
+    sums = np.empty((3, R, 2))
+    np.add.reduce(w * L, axis=1, out=sums[0, :, 0])
+    np.add.reduce(w, axis=1, out=sums[0, :, 1])
+    for q, a in ((1, p * ell), (2, p * log_p)):
+        for k, head in enumerate(HEADS):
+            np.add.reduce(a[:, head], axis=1, out=sums[q, :, k])
+    wT, kl, neg_h = sums[..., HEAD_OF]
+    return -(
+        counts - wT * p
+        - klT * (p * (ell - kl))
+        + entT * (-p * (log_p - neg_h))
+    )
 
 
 def clip_scale(norm: np.ndarray, clip: float) -> np.ndarray:

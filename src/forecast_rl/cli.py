@@ -406,19 +406,20 @@ def cmd_trade(cfg: RunConfig, args) -> int:
     if len(names) >= 2:
         # One replicate set serves every gate: the gates' profit matrices
         # (columns in `names` order) stand side by side, and only pairs
-        # within a gate are reported.
+        # within a gate are compared.
         values = [
             per_question_profits(model_trades, trade_ds, rule_name, ece_values if rule_name == GATES[0] else None)[0]
             for rule_name in GATES
         ]
+        M = len(names)
+        pairs = [(g * M + a, g * M + b) for g in range(len(GATES)) for a in range(M) for b in range(a + 1, M)]
         rng = substream(cfg.seed, "bootstrap", "trade")
-        boot = paired_bootstrap(np.concatenate(values, axis=1), "total", cfg.evaluation.bootstrap_reps, rng)
-        for (i, j), cmp in sorted(boot.items()):
-            (gate, a), (gate_b, b) = divmod(i, len(names)), divmod(j, len(names))
-            if gate == gate_b:
-                comparisons.append(
-                    {"rule": GATES[gate], "model_a": names[a], "model_b": names[b], "total_profit_delta": asdict(cmp)}
-                )
+        boot = paired_bootstrap(np.concatenate(values, axis=1), "total", cfg.evaluation.bootstrap_reps, rng, pairs)
+        for (i, j), cmp in boot.items():
+            (gate, a), b = divmod(i, M), j % M
+            comparisons.append(
+                {"rule": GATES[gate], "model_a": names[a], "model_b": names[b], "total_profit_delta": asdict(cmp)}
+            )
 
     trade_path = out / "trades.json"
     write_json(trade_path, {"models": per_model, "comparisons": comparisons})

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import atomic_write, read_csv, read_jsonl, write_jsonl
+from forecast_rl.files import atomic_write, read_csv, read_jsonl, record_field, write_jsonl
 from forecast_rl.rng import substream
 
 _REQUIRED_FIELDS = (
@@ -160,59 +160,57 @@ def _finalize(questions: list[Question], split: str) -> Dataset:
     return Dataset(questions=questions, split=split)
 
 
-def _question_from_record(record: dict, line: int) -> Question:
+def _features(value) -> np.ndarray:
+    return np.asarray(json.loads(value) if isinstance(value, str) else value, dtype=np.float64)
+
+
+def _optional_float(value) -> float | None:
+    return None if value in (None, "") else float(value)
+
+
+# How each field is read; market_price and volume may be absent.
+_CASTS = {
+    **dict.fromkeys(("open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome"), int),
+    "features": _features,  # a JSONDecodeError is a ValueError
+    "market_price": _optional_float,
+    "volume": _optional_float,
+}
+
+
+def _question_from_record(record) -> Question:
+    """One JSONL or CSV record as a Question; errors name the field."""
+    if not isinstance(record, dict):
+        raise DataFormatError("record is not an object")
     for name in _REQUIRED_FIELDS:
         if name not in record or record[name] is None or record[name] == "":
-            raise DataFormatError(f"missing required field {name!r}", line=line)
+            raise DataFormatError(f"missing required field {name!r}")
     unknown = set(record) - set(_CSV_COLUMNS)
     if unknown:
-        raise DataFormatError(f"unknown fields {sorted(unknown)}", line=line)
+        raise DataFormatError(f"unknown fields {sorted(unknown)}")
     try:
-        features = record["features"]
-        if isinstance(features, str):
-            features = json.loads(features)
-        features = np.asarray(features, dtype=np.float64)
-        market_price = record.get("market_price")
-        volume = record.get("volume")
-        return Question(
-            id=str(record["id"]),
-            open_ts=int(record["open_ts"]),
-            close_ts=int(record["close_ts"]),
-            resolve_ts=int(record["resolve_ts"]),
-            prediction_ts=int(record["prediction_ts"]),
-            outcome=int(record["outcome"]),
-            features=features,
-            market_price=None if market_price in (None, "") else float(market_price),
-            volume=None if volume in (None, "") else float(volume),
-            source=str(record.get("source") or "synthetic"),
-        )
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise DataFormatError(f"cannot parse record: {exc}", line=line) from exc
+        fields = {name: cast(record[name]) for name, cast in _CASTS.items() if name in record}
+    except (TypeError, ValueError):
+        for name, cast in _CASTS.items():
+            if name in record:
+                record_field(record, name, cast)  # raises, naming the first field that does not cast
+        raise
+    return Question(id=str(record["id"]), source=str(record.get("source") or "synthetic"), **fields)
 
 
 def load_questions(path: str | Path, format: str | None = None, split: str = "train") -> Dataset:
     """Load a Dataset from JSONL or CSV.
 
     The format is inferred from the suffix unless given.  Parse failures
-    report the offending line number; invariant violations report the
-    question id.  Duplicate ids are rejected.
+    report the file, the offending line and the field; invariant
+    violations report the question id.  Duplicate ids are rejected.
     """
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in ("jsonl", "csv"):
         raise ValidationError(f"unknown dataset format {format!r}")
-
-    questions: list[Question] = []
-    if format == "jsonl":
-        for line_no, record in read_jsonl(path):
-            if not isinstance(record, dict):
-                raise DataFormatError("record is not an object", line=line_no)
-            questions.append(_question_from_record(record, line_no))
-    else:
-        for line_no, record in read_csv(path):
-            questions.append(_question_from_record(record, line_no))
-    return _finalize(questions, split=split)
+    read = read_jsonl if format == "jsonl" else read_csv
+    return _finalize(list(read(path, _question_from_record)), split=split)
 
 
 def _question_record(q: Question) -> dict:
@@ -399,10 +397,4 @@ def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
 
 
 def load_oracle(path: str | Path) -> dict[str, float]:
-    oracle: dict[str, float] = {}
-    for line_no, record in read_jsonl(path):
-        try:
-            oracle[str(record["id"])] = float(record["p_star"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"invalid oracle record: {exc}", line=line_no) from exc
-    return oracle
+    return dict(read_jsonl(path, lambda r: (record_field(r, "id", str), record_field(r, "p_star", float))))

@@ -9,11 +9,14 @@ class ValidationError(ValueError):
 
 
 class DataFormatError(ValidationError):
-    """A file failed to parse.  Carries the offending line number when known."""
+    """A file failed to parse.  Carries the offending line number and the
+    file when known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-up, not inside a stage's work
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import read_jsonl, write_jsonl
+from forecast_rl.files import read_jsonl, record_field, write_jsonl
 from forecast_rl.reward import soft_brier_loss
 from forecast_rl.rng import replicate_seeds
 
@@ -157,22 +157,20 @@ def forecasts_from_map(probabilities: dict[str, float | None]) -> list[Forecast]
 
 def load_forecasts(path: str | Path) -> list[Forecast]:
     """Read forecast JSONL ({question_id, probability|null} per line)."""
-    out: list[Forecast] = []
     seen: set[str] = set()
-    for line_no, record in read_jsonl(path):
-        try:
-            f = Forecast(
-                question_id=str(record["question_id"]),
-                probability=None if record["probability"] is None else float(record["probability"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"invalid forecast record: {exc}", line=line_no) from exc
+
+    def parse(record) -> Forecast:
+        f = Forecast(
+            question_id=record_field(record, "question_id", str),
+            probability=record_field(record, "probability", lambda p: None if p is None else float(p)),
+        )
         f.validate()
         if f.question_id in seen:
-            raise DataFormatError(f"duplicate question_id {f.question_id!r}", line=line_no)
+            raise DataFormatError(f"duplicate question_id {f.question_id!r}")
         seen.add(f.question_id)
-        out.append(f)
-    return out
+        return f
+
+    return list(read_jsonl(path, parse))
 
 
 def save_forecasts(forecasts: list[Forecast], path: str | Path) -> None:
@@ -405,6 +403,7 @@ def paired_bootstrap_stat(
     stat_fn,
     reps: int = 9999,
     rng: np.random.Generator | None = None,
+    pairs=None,
 ) -> dict[tuple[int, int], PairedComparison]:
     """Question-level paired bootstrap over an arbitrary row statistic.
 
@@ -416,6 +415,8 @@ def paired_bootstrap_stat(
     generator derived from a drawn seed, so results do not depend on
     execution order or chunking.  Two-sided p-values come from the
     zero-centered difference distribution with an add-one correction.
+    `pairs` lists the (i, j) model pairs to compare; by default every
+    pair with i < j.
 
     A pair's CI and p-value use the replicates where both statistics are
     finite (an ECE of a replicate with too few present forecasts is NaN);
@@ -440,21 +441,22 @@ def paired_bootstrap_stat(
         ]
     )
 
+    if pairs is None:
+        pairs = [(i, j) for i in range(n_models) for j in range(i + 1, n_models)]
     out: dict[tuple[int, int], PairedComparison] = {}
-    for i in range(n_models):
-        for j in range(i + 1, n_models):
-            d_hat = float(observed[i] - observed[j])
-            d_boot = boot[:, i] - boot[:, j]
-            kept = np.isfinite(boot[:, i]) & np.isfinite(boot[:, j])
-            if not kept.all():
-                d_boot = d_boot[kept]
-            if d_boot.size == 0:
-                raise ValidationError(f"no bootstrap replicate has a finite statistic for models {i} and {j}")
-            lo, hi = np.percentile(d_boot, [2.5, 97.5])
-            centered = d_boot - d_hat
-            p = float((1 + np.sum(np.abs(centered) >= abs(d_hat))) / (d_boot.size + 1))
-            out[(i, j)] = PairedComparison(d_hat, float(lo), float(hi), p, "bootstrap")
-            out[(i, j)].n_dropped = reps - d_boot.size
+    for i, j in pairs:
+        d_hat = float(observed[i] - observed[j])
+        d_boot = boot[:, i] - boot[:, j]
+        kept = np.isfinite(boot[:, i]) & np.isfinite(boot[:, j])
+        if not kept.all():
+            d_boot = d_boot[kept]
+        if d_boot.size == 0:
+            raise ValidationError(f"no bootstrap replicate has a finite statistic for models {i} and {j}")
+        lo, hi = np.percentile(d_boot, [2.5, 97.5])
+        centered = d_boot - d_hat
+        p = float((1 + np.sum(np.abs(centered) >= abs(d_hat))) / (d_boot.size + 1))
+        out[(i, j)] = PairedComparison(d_hat, float(lo), float(hi), p, "bootstrap")
+        out[(i, j)].n_dropped = reps - d_boot.size
     return out
 
 
@@ -463,9 +465,10 @@ def paired_bootstrap(
     statistic: str = "mean",
     reps: int = 9999,
     rng: np.random.Generator | None = None,
+    pairs=None,
 ) -> dict[tuple[int, int], PairedComparison]:
     """Paired bootstrap of column means or totals of a questions-by-models
-    matrix.
+    matrix, comparing `pairs` of columns (see `paired_bootstrap_stat`).
 
     The resampled rows are gathered as (n, R, models) and reduced over the
     first axis, which adds rows one after another in resampled order, as
@@ -490,7 +493,7 @@ def paired_bootstrap(
             out.append(gathered.mean(axis=0) if statistic == "mean" else gathered.sum(axis=0))
         return np.concatenate(out)
 
-    return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng)
+    return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng, pairs)
 
 
 def welch_statistic(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

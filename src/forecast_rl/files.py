@@ -6,9 +6,10 @@ or the new one, never a truncated one; if the write raises, the temp file
 is removed.  A temp file left by a killed process is not registered in the
 manifest, so `report` lists it among the unregistered files.
 
-The readers turn a file that cannot be read or decoded, or a JSON
-document without the keys and types its reader uses, into a
-DataFormatError naming it, which the CLI maps to exit code 2.
+The readers turn a file that cannot be read or decoded, a JSON document
+without the keys and types its reader uses, or a JSONL / CSV record that
+its parser rejects, into a DataFormatError naming the file (and the line
+of a record), which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 from pathlib import Path
 
-from forecast_rl.errors import DataFormatError
+from forecast_rl.errors import DataFormatError, ValidationError
 
 
 @contextlib.contextmanager
@@ -113,34 +114,59 @@ def read_json(path: str | Path, shape=None):
     return doc
 
 
-def read_jsonl(path: str | Path):
-    """Yield (line number, record) for each non-blank line."""
+def _parsed(path, rows, parse):
+    """parse(record) of each (line number, record); a ValidationError that
+    parse raises is re-raised naming the file and the line."""
+    for line_no, record in rows:
+        try:
+            yield parse(record)
+        except ValidationError as exc:
+            raise DataFormatError(str(exc), line=line_no, path=path) from exc
+
+
+def read_jsonl(path: str | Path, parse):
+    """Yield parse(record) for each non-blank line (see `_parsed`)."""
+
+    def rows(fh):
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield line_no, json.loads(line)
+            except ValueError as exc:
+                raise DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no) from exc
+
     try:
         with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError as exc:
-                    raise DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no) from exc
-                yield line_no, record
+            yield from _parsed(path, rows(fh), parse)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def read_csv(path: str | Path):
-    """Yield (line number, record) for each row under the header row."""
+def read_csv(path: str | Path, parse):
+    """Yield parse(record) for each row under the header row (see `_parsed`)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            for line_no, record in enumerate(csv.DictReader(fh), start=2):
-                yield line_no, record
+            yield from _parsed(path, enumerate(csv.DictReader(fh), start=2), parse)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except csv.Error as exc:
         raise DataFormatError(f"invalid CSV in {path}: {exc}") from exc
+
+
+def record_field(record, name: str, cast):
+    """cast(record[name]), or a DataFormatError naming the field when the
+    record is not an object, lacks the field or the value does not cast."""
+    if not isinstance(record, dict):
+        raise DataFormatError("record is not an object")
+    if name not in record:
+        raise DataFormatError(f"missing field {name!r}")
+    try:
+        return cast(record[name])
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"field {name!r}: {exc}") from exc

@@ -2,7 +2,7 @@
 
 Training uses the strict Brier reward (abstention scores as the maximum
 loss) plus the guard-rail terms weighted here, computed from token counts
-by `algorithms.guardrail_rewards`.  Evaluation uses the soft Brier loss
+by `algorithms.count_rewards`.  Evaluation uses the soft Brier loss
 (abstention costs a flat 0.25, the loss of always guessing 50%).
 """
 

@@ -26,12 +26,14 @@ from forecast_rl.algorithms import (
     adamw_rows,
     advantages,
     bias_corrections,
+    block_log_probs,
     clip_scale,
     dpo_gradients,
     guardrail_rewards,
-    head_log_softmax,
-    head_logit_gradient,
     log_softmax_rows,
+    logit_gradient,
+    policy_log_probs,
+    reward_table,
     sample_tokens,
 )
 from forecast_rl.data import Dataset, Question
@@ -40,8 +42,11 @@ from forecast_rl.files import write_jsonl
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
+    GIBBERISH,
+    N_ANSWER,
     N_CONTENT,
     N_PROB,
+    NONENGLISH,
     PolicyParams,
     Vocabulary,
 )
@@ -54,6 +59,25 @@ BACKENDS = ("auto", "numpy")
 # Why a member left the batch mid-span.
 SPAN_EARLY_STOP = 1
 SPAN_NUMERIC = 2
+
+# Questions whose reference log-probs are taken in one block.  The
+# reference is fixed between resets, so any block within a span gives the
+# same bits; a small one keeps the (block, members, V) temporaries small.
+# Training 4 GRPO members on 1,300 questions (d = 4), the train process
+# peaked at 40.9 MB with blocks of 1 or 16, 41.5 MB with 64 and 46.9 MB
+# with whole 500-question spans.
+REF_BLOCK = 16
+
+# The two content token kinds the guard rails count.
+_COUNTED = np.array([GIBBERISH, NONENGLISH])
+
+# (present, extreme) of each answer token, as the early-stop guard counts a
+# first response's forecast.  Built from Python floats: running numpy's
+# comparison loops at import maps about 0.4 MB more of its library into
+# every stage process.
+_ANSWER_FLAGS = np.array(
+    [(t != ABSTAIN, t != ABSTAIN and (t / 100.0 <= 0.10 or t / 100.0 >= 0.90)) for t in range(N_ANSWER)], dtype=np.int64
+)
 
 
 @dataclass
@@ -185,13 +209,14 @@ def _effective_penalties(penalties: PenaltyConfig, enabled: bool) -> PenaltyConf
     return PenaltyConfig(0.0, 0.0, 0.0, 0.0, penalties.input_truncation_chars)
 
 
-def _group_log(answers: np.ndarray, mu: np.ndarray, proportions: tuple) -> tuple:
-    """Per-row log values of a (R, G) group: the first response's forecast
+def _group_log(first: np.ndarray, mu: np.ndarray, gib_ct: np.ndarray, nep_ct: np.ndarray, L: int) -> tuple:
+    """RunLog columns of (n, G) response groups from their first answer
+    tokens `first` (n,) and token counts: the first response's forecast
     (NaN where it abstained), the mean reward `mu`, and the group means of
-    the (gibberish, non-English, rationale) proportions."""
-    G = answers.shape[1]
-    parsed = np.where(answers[:, 0] == ABSTAIN, np.nan, answers[:, 0] / 100.0)
-    return (parsed, mu, *(x.sum(axis=1) / G for x in proportions))
+    the gibberish, non-English and rationale proportions."""
+    G = gib_ct.shape[1]
+    parsed = np.where(first == ABSTAIN, np.nan, first / 100.0)
+    return (parsed, mu, *((ct / L).sum(axis=1) / G for ct in (gib_ct, nep_ct, L - gib_ct - nep_ct)))
 
 
 class _Members:
@@ -200,49 +225,47 @@ class _Members:
     Every array has the running members on its leading axis.  `drop`
     removes the rows of members that stopped, so later steps never touch
     a frozen member and a member's arithmetic never depends on which
-    others share the batch.
+    others share the batch.  The actor's weights, reference, AdamW
+    moments and last good state are each one (K, d+1, N_CONTENT +
+    N_ANSWER) stack: the content head's columns, then the answer head's.
     """
 
     _ROWS = (
-        "w_c", "w_a", "w_b", "ref_c", "ref_a", "m_c", "v_c", "m_a", "v_a", "m_b", "v_b",
-        "steps", "U", "parsed", "reward", "gib", "nep", "expq", "es_counts", "window",
-        "good_c", "good_a", "good_b",
+        "w", "w_b", "ref", "m", "v", "m_b", "v_b", "U", "first", "counts", "reward",
+        "es_counts", "window", "good", "good_b",
     )
 
     def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int):
         K, L = len(members), params.vocab.content_length
         self.members = list(members)
         self.L = L
-        self.w_c = np.repeat(params.content_weights[None], K, axis=0)
-        self.w_a = np.repeat(params.answer_weights[None], K, axis=0)
-        self.w_b = np.zeros((K, self.w_c.shape[1]))
-        self.ref_c, self.ref_a = self.w_c.copy(), self.w_a.copy()
-        self.m_c, self.v_c = np.zeros_like(self.w_c), np.zeros_like(self.w_c)
-        self.m_a, self.v_a = np.zeros_like(self.w_a), np.zeros_like(self.w_a)
+        self.w = np.repeat(np.hstack((params.content_weights, params.answer_weights))[None], K, axis=0)
+        self.w_b = np.zeros((K, self.w.shape[1]))
+        self.ref = self.w.copy()
+        self.m, self.v = np.zeros_like(self.w), np.zeros_like(self.w)
         self.m_b, self.v_b = np.zeros_like(self.w_b), np.zeros_like(self.w_b)
-        self.steps = np.zeros((K, 2), dtype=np.int64)  # actor and baseline AdamW steps
         self.U = np.empty((K, n, G, L + 1))  # each member's pre-drawn sampling uniforms
         for k, m in enumerate(members):
             substream(seed, "sampling", m).random(out=self.U[k])
-        self.parsed = np.full((K, n), np.nan)
+        # The log, per question: the first response's answer token, every
+        # response's (gibberish, non-English) token counts and the mean
+        # reward.  `run_log` turns them into the RunLog columns.
+        self.first = np.zeros((K, n), dtype=np.uint8)
+        self.counts = np.zeros((K, n, G, 2), dtype=np.min_scalar_type(L))
         self.reward = np.zeros((K, n))
-        self.gib = np.zeros((K, n))
-        self.nep = np.zeros((K, n))
-        self.expq = np.zeros((K, n))
-        # The numpy step's early-stop guard in integer counts: per question
-        # (gibberish tokens, answer present, answer extreme), and their
-        # sums over the current window.
+        # The early-stop guard in integer counts: per question (gibberish
+        # tokens, answer present, answer extreme), and their sums over the
+        # current window.
         self.es_counts = np.zeros((K, n, 3), dtype=np.int64)
         self.window = np.zeros((K, 3), dtype=np.int64)
         self.snapshot()
 
     def snapshot(self) -> None:
         """Remember the current weights as the last good state."""
-        self.good_c, self.good_a, self.good_b = self.w_c.copy(), self.w_a.copy(), self.w_b.copy()
+        self.good, self.good_b = self.w.copy(), self.w_b.copy()
 
     def reset_reference(self) -> None:
-        self.ref_c[...] = self.w_c
-        self.ref_a[...] = self.w_a
+        self.ref[...] = self.w
 
     def drop(self, rows: list[int]) -> None:
         keep = [r for r in range(len(self.members)) if r not in rows]
@@ -251,74 +274,80 @@ class _Members:
         self.members = [self.members[r] for r in keep]
 
     def params(self, r: int, good: bool = False) -> PolicyParams:
-        c, a = (self.good_c, self.good_a) if good else (self.w_c, self.w_a)
-        return PolicyParams(c[r].copy(), a[r].copy(), Vocabulary(self.L))
+        W = (self.good if good else self.w)[r]
+        return PolicyParams(W[:, :N_CONTENT].copy(), W[:, N_CONTENT:].copy(), Vocabulary(self.L))
 
     def run_log(self, r: int, ids: list[str], end: int, reason: str | None = None) -> RunLog:
+        counts = self.counts[r, :end].astype(np.int64)
         return RunLog(
-            ids[:end], self.parsed[r, :end].copy(), self.reward[r, :end].copy(),
-            self.gib[r, :end].copy(), self.nep[r, :end].copy(), self.expq[r, :end].copy(),
+            ids[:end],
+            *_group_log(self.first[r, :end].astype(np.int64), self.reward[r, :end].copy(),
+                        counts[..., 0], counts[..., 1], self.L),
             stopped=reason is not None, stop_reason=reason,
         )
 
 
 def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
-             algo: str, hp: HyperParams, pcfg: PenaltyConfig, es: EarlyStopConfig,
+             algo: str, hp: HyperParams, rewards_of: np.ndarray, es: EarlyStopConfig,
              lr: float) -> tuple[int, list]:
     """One vectorized online step per question for every running member.
 
-    Returns at the first question where some member stops, with one
-    (row, status, index, reason) event per stopped member.
+    `Y` holds the outcomes as indices into `rewards_of`, the run's
+    `reward_table`.  Returns at the first question where some member
+    stops, with one (row, status, index, reason) event per stopped member.
     """
     R, _, G, n_tok = st.U.shape
     L = n_tok - 1
     token_div = G if algo == "remax" else G * n_tok
     es_tokens = es.window * G * L
+    # Every running member has taken one AdamW step per question since
+    # question 0, so question i is step i + 1 of the actor and the baseline.
+    bc1, bc2 = bias_corrections(hp, np.arange(start + 1, end + 1))
+    # The clip norm is |xt| * |gz|: the product of the squares overflows for
+    # features near 1.3e154 although the clipped step is finite.
+    X = X1[start:end]
+    x_norms = np.sqrt((X * X).sum(axis=1))
     for i in range(start, end):
+        j = i - start
+        if j % REF_BLOCK == 0:
+            ref_log = block_log_probs(X1[i : min(i + REF_BLOCK, end)], st.ref)
         xt = X1[i]
-        log_c, rlog_c = head_log_softmax(xt, st.w_c), head_log_softmax(xt, st.ref_c)
-        log_a, rlog_a = head_log_softmax(xt, st.w_a), head_log_softmax(xt, st.ref_a)
-        content, answers = sample_tokens(np.exp(log_c), np.exp(log_a), st.U[:, i])
-        rewards, gib_ct, proportions = guardrail_rewards(content, answers, Y[i], pcfg)
-        mu = rewards.sum(axis=1) / G
-        b = (xt * st.w_b).sum(axis=1) if algo == "remax" else None
+        log_p = policy_log_probs(xt, st.w)
+        p = np.exp(log_p)
+        content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], st.U[:, i])
+        counts = np.add.reduce(content[..., None] == _COUNTED, axis=2)
+        rewards = rewards_of[Y[i], answers, counts[..., 0], counts[..., 1]]
+        mu = np.add.reduce(rewards, axis=1) / G
+        b = np.add.reduce(xt * st.w_b, axis=1) if algo == "remax" else None
         advs = advantages(algo, rewards, mu, b)
 
-        w = advs / token_div
-        gz_c = head_logit_gradient(log_c, rlog_c, content, w, hp)
-        gz_a = head_logit_gradient(log_a, rlog_a, answers[:, :, None], w, hp)
+        tokens = np.concatenate((content, answers[..., None] + N_CONTENT), axis=2)
+        gz = logit_gradient(p, log_p, ref_log[j % REF_BLOCK], tokens, advs / token_div, hp)
 
         # Global-norm clipping of the actor gradient outer(xt, gz), then AdamW.
-        # The norm is |xt| * |gz|: the product of the squares overflows for
-        # features near 1.3e154 although the clipped step is finite.
-        xt_norm = np.sqrt((xt * xt).sum())
-        norm = xt_norm * np.sqrt((gz_c * gz_c).sum(axis=1) + (gz_a * gz_a).sum(axis=1))
+        gz2 = gz * gz
+        gz_sq = np.add.reduce(gz2[:, :N_CONTENT], axis=1) + np.add.reduce(gz2[:, N_CONTENT:], axis=1)
+        norm = x_norms[j] * np.sqrt(gz_sq)
         bad = ~np.isfinite(norm)
         scale = clip_scale(norm, hp.grad_clip_norm)[:, None, None]
-        st.steps[:, 0] += 1
-        bc = bias_corrections(hp, st.steps[:, 0][:, None, None])
-        adamw_rows(st.w_c, st.m_c, st.v_c, xt[:, None] * gz_c[:, None, :] * scale, lr, hp, *bc)
-        adamw_rows(st.w_a, st.m_a, st.v_a, xt[:, None] * gz_a[:, None, :] * scale, lr, hp, *bc)
+        adamw_rows(st.w, st.m, st.v, xt[:, None] * gz[:, None, :] * scale, lr, hp, bc1[j], bc2[j])
 
         if algo == "remax":
-            gb = -2.0 * hp.baseline_loss_scale * (advs.sum(axis=1) / G)  # grad of the MSE in b - r
-            b_norm = np.abs(gb) * xt_norm
+            gb = -2.0 * hp.baseline_loss_scale * (np.add.reduce(advs, axis=1) / G)  # grad of the MSE in b - r
+            b_norm = np.abs(gb) * x_norms[j]
             bad |= ~np.isfinite(b_norm)
             b_scale = clip_scale(b_norm, hp.grad_clip_norm)
-            st.steps[:, 1] += 1
             adamw_rows(st.w_b, st.m_b, st.v_b, (gb[:, None] * xt) * b_scale[:, None], hp.baseline_lr, hp,
-                       *bias_corrections(hp, st.steps[:, 1][:, None]))
+                       bc1[j], bc2[j])
 
-        st.parsed[:, i], st.reward[:, i], st.gib[:, i], st.nep[:, i], st.expq[:, i] = _group_log(
-            answers, mu, proportions
-        )
+        st.first[:, i] = answers[:, 0]
+        st.counts[:, i] = counts
+        st.reward[:, i] = mu
 
-        events = [(int(r), SPAN_NUMERIC, i, None) for r in np.flatnonzero(bad)]
+        events = [(int(r), SPAN_NUMERIC, i, None) for r in bad.nonzero()[0]]
         if es.enabled:
-            p0 = st.parsed[:, i]
-            st.es_counts[:, i, 0] = gib_ct.sum(axis=1)
-            st.es_counts[:, i, 1] = ~np.isnan(p0)
-            st.es_counts[:, i, 2] = (p0 <= 0.10) | (p0 >= 0.90)
+            st.es_counts[:, i, 0] = np.add.reduce(counts[..., 0], axis=1)
+            st.es_counts[:, i, 1:] = _ANSWER_FLAGS[answers[:, 0]]
             st.window += st.es_counts[:, i]
             if i >= es.window:
                 st.window -= st.es_counts[:, i - es.window]
@@ -327,7 +356,7 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
                 present = st.window[:, 1]
                 ext_mass = np.divide(st.window[:, 2], present, out=np.zeros(R), where=present > 0)
                 ext_hit = ext_mass > es.extreme_mass_threshold
-                for r in np.flatnonzero((gib_hit | ext_hit) & ~bad):
+                for r in ((gib_hit | ext_hit) & ~bad).nonzero()[0]:
                     reason = "gibberish" if gib_hit[r] else "extreme_mass"
                     events.append((int(r), SPAN_EARLY_STOP, i + 1, reason))
         if events:
@@ -391,10 +420,10 @@ def train_members(
     if cfg.algorithm in ("grpo", "modified_grpo") and G < 2:
         raise ValidationError("GRPO variants need group_size >= 2")
 
-    pcfg = _effective_penalties(penalties, cfg.guardrails_enabled)
+    rewards_of = reward_table(params.vocab.content_length, _effective_penalties(penalties, cfg.guardrails_enabled))
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
     X1 = np.hstack([np.ones((n, 1)), stream.feature_matrix()])
-    Y = stream.outcomes()
+    Y = stream.outcomes().astype(np.intp)
     ids = stream.ids()
     st = _Members(members, params, cfg.seed, n, G)
 
@@ -423,7 +452,7 @@ def train_members(
         st.snapshot()
         i = s
         while i < e and st.members:
-            i, events = _advance(st, X1, Y, i, e, cfg.algorithm, hp, pcfg, cfg.early_stop, actor_lr)
+            i, events = _advance(st, X1, Y, i, e, cfg.algorithm, hp, rewards_of, cfg.early_stop, actor_lr)
             for r, status, at, reason in events:
                 if status == SPAN_NUMERIC:
                     results[st.members[r]] = NumericAbort(
@@ -505,8 +534,8 @@ def train_dpo(
     ref_log_c = log_softmax_rows(X1 @ params.content_weights)
     ref_log_a = log_softmax_rows(X1 @ params.answer_weights)
     content, answers = sample_tokens(np.exp(ref_log_c), np.exp(ref_log_a), U)
-    rewards, _, proportions = guardrail_rewards(content, answers, Y[:, None], pcfg)
-    run_log = RunLog(stream.ids(), *_group_log(answers, rewards.sum(axis=1) / 2, proportions))
+    rewards, gib_ct, nep_ct = guardrail_rewards(content, answers, Y[:, None], pcfg)
+    run_log = RunLog(stream.ids(), *_group_log(answers[:, 0], rewards.sum(axis=1) / 2, gib_ct, nep_ct, L))
 
     rows = np.flatnonzero(rewards[:, 0] != rewards[:, 1])
     if not rows.size:

@@ -55,6 +55,12 @@ def poison_baseline(monkeypatch, member: int, index: int) -> None:
     monkeypatch.setattr(trainer, "_advance", advance)
 
 
+def joint_weights(params) -> np.ndarray:
+    """A policy's two heads as the trainer stacks them: one (1, d+1,
+    N_CONTENT + N_ANSWER) weight stack, content columns first."""
+    return np.hstack((params.content_weights, params.answer_weights))[None]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

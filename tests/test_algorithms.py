@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_rows_grad, fd_vector_grad, max_rel_err
+from conftest import fd_rows_grad, fd_vector_grad, joint_weights, max_rel_err
 from oracle import (
     GroupRollout,
     OptimizerState,
@@ -38,8 +38,8 @@ from forecast_rl.algorithms import (
     bias_corrections,
     clip_scale,
     dpo_gradients,
-    head_log_softmax,
-    head_logit_gradient,
+    logit_gradient,
+    policy_log_probs,
 )
 from forecast_rl.errors import NumericAbort, ValidationError
 from forecast_rl.policy import N_ANSWER, N_CONTENT, RATIONALE, PolicyParams, Vocabulary
@@ -61,17 +61,12 @@ def policy_grad(params, ref, x, responses, token_w, hp):
     maximization target, like `oracle.policy_objective_rows`), from one
     row of the array functions."""
     xt = augment(x)
-    content = np.stack([r.content for r in responses])[None]
-    answers = np.array([[[r.answer] for r in responses]])
-    grads = {}
-    for name, W, W_ref, tokens in (
-        ("content", params.content_weights, ref.content_weights, content),
-        ("answer", params.answer_weights, ref.answer_weights, answers),
-    ):
-        gz = head_logit_gradient(head_log_softmax(xt, W[None]), head_log_softmax(xt, W_ref[None]), tokens,
-                                 np.asarray(token_w)[None], hp)
-        grads[name] = -np.outer(xt, gz[0])
-    return grads
+    log_p = policy_log_probs(xt, joint_weights(params))
+    tokens = np.array([[[*r.content, r.answer + N_CONTENT] for r in responses]])
+    gz = logit_gradient(np.exp(log_p), log_p, policy_log_probs(xt, joint_weights(ref)), tokens,
+                        np.asarray(token_w)[None], hp)
+    g = -np.outer(xt, gz[0])
+    return {"content": g[:, :N_CONTENT], "answer": g[:, N_CONTENT:]}
 
 
 def dpo_grad(params, ref, pairs, hp):

@@ -245,3 +245,13 @@ class TestBatchedTotals:
         values = np.stack([col, col, col + 1.0], axis=1)
         cmp = paired_bootstrap(values, statistic, 999, substream(2, "z"))[(0, 1)]
         assert (cmp.delta_mean, cmp.ci_low, cmp.ci_high, cmp.p_value) == (0.0, 0.0, 0.0, 1.0)
+
+    def test_listed_pairs_only(self):
+        """Given pairs, only those are compared, in the order given, each
+        exactly as in the all-pairs call."""
+        values = np.random.default_rng(5).normal(size=(120, 6))
+        every = paired_bootstrap(values, "total", 199, substream(4, "p"))
+        pairs = [(3, 5), (0, 1), (3, 4)]
+        got = paired_bootstrap(values, "total", 199, substream(4, "p"), pairs)
+        assert list(got) == pairs
+        assert same(got, {pair: every[pair] for pair in pairs})

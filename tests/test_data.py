@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +137,25 @@ class TestRoundTrip:
         path = tmp_path / "q.jsonl"
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(DataFormatError, match="bogus"):
+            load_questions(path)
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    def test_bad_value_names_the_file_the_line_and_the_field(self, tmp_path, suffix):
+        path = tmp_path / f"test.{suffix}"
+        save_questions(make_dataset([make_question(f"q{i}", 100 + i, i % 2, [0.5 * i, 1.0]) for i in range(6)]), path)
+        lines = path.read_text().splitlines()
+        k = 3 if suffix == "jsonl" else 4  # the 4th record; a CSV starts with its header
+        if suffix == "jsonl":
+            lines[k] = json.dumps({**json.loads(lines[k]), "outcome": "yes"})
+        else:
+            header = lines[0].split(",")
+            cells = next(csv.reader([lines[k]]))
+            cells[header.index("outcome")] = "yes"
+            out = io.StringIO()
+            csv.writer(out).writerow(cells)
+            lines[k] = out.getvalue().strip()
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {k + 1}: field 'outcome': "):
             load_questions(path)
 
     def test_csv_and_jsonl_agree(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import statistics
 from dataclasses import asdict
 
@@ -66,6 +67,15 @@ class TestForecastIO:
         path = tmp_path / "f.jsonl"
         path.write_text('{"question_id": "a"}\n')
         with pytest.raises(DataFormatError, match="line 1"):
+            load_forecasts(path)
+
+    def test_bad_probability_names_the_file_the_line_and_the_field(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text(
+            json.dumps({"question_id": "a", "probability": 0.5}) + "\n"
+            + json.dumps({"question_id": "b", "probability": "abc"}) + "\n"
+        )
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 2: field 'probability': "):
             load_forecasts(path)
 
     def test_from_map(self):

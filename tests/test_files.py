@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import forecast_rl
 from forecast_rl.cli import EXIT_OK, EXIT_VALIDATION, main
 from forecast_rl.errors import DataFormatError
 from forecast_rl.evaluation import Forecast, load_forecasts, save_forecasts
-from forecast_rl.files import atomic_write, read_json, read_jsonl, write_json
+from forecast_rl.files import atomic_write, read_csv, read_json, read_jsonl, record_field, write_json
 
 PACKAGE = Path(forecast_rl.__file__).parent
 WRITE_MODE = set("wax+")
@@ -136,17 +137,31 @@ class TestStrictReads:
     def test_jsonl_names_the_file_and_the_line(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
         path.write_text('{"id": "a"}\n\n{"id": "b"}\n{"id": \n')
-        it = read_jsonl(path)
-        assert next(it) == (1, {"id": "a"})
-        assert next(it) == (3, {"id": "b"})
+        it = read_jsonl(path, lambda record: record)
+        assert next(it) == {"id": "a"}
+        assert next(it) == {"id": "b"}
         with pytest.raises(DataFormatError, match=r"line 4: invalid JSON in .*oracle\.jsonl"):
             next(it)
+
+    @pytest.mark.parametrize("reader,text", [
+        (read_jsonl, '{"p": "0.5"}\n{"p": "x"}\n'),
+        (read_csv, "p\n0.5\nx\n"),
+    ])
+    def test_parse_errors_name_the_file_the_line_and_the_field(self, tmp_path, reader, text):
+        path = tmp_path / "records.txt"
+        path.write_text(text)
+        assert next(reader(path, lambda record: record_field(record, "p", float))) == 0.5
+        first = 1 if reader is read_jsonl else 2  # a CSV's first record follows its header
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {first + 1}: field 'p': could not"):
+            list(reader(path, lambda record: record_field(record, "p", float)))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {first}: missing field 'q'"):
+            list(reader(path, lambda record: record_field(record, "q", float)))
 
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "forecasts.jsonl"
         path.write_bytes(b'{"question_id": "\xff"}\n')
         with pytest.raises(DataFormatError, match="forecasts.jsonl"):
-            list(read_jsonl(path))
+            list(read_jsonl(path, lambda record: record))
 
 
 CONFIG = {

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import joint_weights
 from oracle import (
     Response,
     augment,
@@ -16,7 +17,7 @@ from oracle import (
     snapshot_reference,
 )
 
-from forecast_rl.algorithms import head_log_softmax, sample_tokens
+from forecast_rl.algorithms import policy_log_probs, sample_tokens
 from forecast_rl.errors import ValidationError
 from forecast_rl.policy import (
     ABSTAIN,
@@ -85,10 +86,8 @@ class TestDistributions:
 def sample(params, x, u):
     """The trainer's sampler on one policy: u (G, L+1) uniforms, one row
     per response."""
-    xt = augment(x)
-    p_c = np.exp(head_log_softmax(xt, params.content_weights[None]))
-    p_a = np.exp(head_log_softmax(xt, params.answer_weights[None]))
-    content, answers = sample_tokens(p_c, p_a, u[None])
+    p = np.exp(policy_log_probs(augment(x), joint_weights(params)))
+    content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], u[None])
     return content[0], answers[0]
 
 

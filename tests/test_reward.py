@@ -12,7 +12,7 @@ from oracle import (
     total_reward,
 )
 
-from forecast_rl.algorithms import guardrail_rewards
+from forecast_rl.algorithms import count_rewards, guardrail_rewards, reward_table
 from forecast_rl.errors import ValidationError
 from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, N_CONTENT, NONENGLISH, RATIONALE
 from forecast_rl.reward import PenaltyConfig, soft_brier_loss
@@ -165,16 +165,34 @@ class TestGuardrailRewards:
             answers = rng.integers(0, N_ANSWER, size=(50, 4))
             answers[:, 0] = ABSTAIN
             y = rng.integers(0, 2, size=(50, 1))
-            rewards, gib_ct, (gp, nep, eq) = guardrail_rewards(content, answers, y.astype(np.float64), pen)
+            rewards, gib_ct, nep_ct = guardrail_rewards(content, answers, y.astype(np.float64), pen)
             for r in range(50):
                 for g in range(4):
                     resp = Response(content[r, g], int(answers[r, g]))
                     a = assess_guardrails(resp)
                     assert rewards[r, g] == total_reward(resp.parse_probability(), int(y[r, 0]), a, pen).total
                     assert gib_ct[r, g] == np.count_nonzero(content[r, g] == GIBBERISH)
-                    assert (gp[r, g], nep[r, g], eq[r, g]) == (
+                    assert nep_ct[r, g] == np.count_nonzero(content[r, g] == NONENGLISH)
+                    assert (gib_ct[r, g] / 6, nep_ct[r, g] / 6, (6 - gib_ct[r, g] - nep_ct[r, g]) / 6) == (
                         a.gibberish_proportion, a.non_english_proportion, a.explanation_quality
                     )
+
+    @pytest.mark.parametrize("L", [1, 3, 8])
+    def test_table_equals_the_reward_function_on_every_cell(self, L):
+        """Each (outcome, answer, gibberish, non-English) cell of the
+        trainer's lookup table holds `count_rewards` of that cell, bit for
+        bit, and on every reachable cell the per-object total."""
+        for pen in (PenaltyConfig(), PenaltyConfig(0.7, 0.2, 0.4, 0.3), PenaltyConfig(0.0, 0.0, 0.0, 0.0)):
+            table = reward_table(L, pen)
+            assert table.shape == (2, N_ANSWER, L + 1, L + 1)
+            y, answer, gib, nep = np.indices(table.shape).reshape(4, -1)
+            cells = count_rewards(answer, y.astype(np.float64), gib, nep, L, pen)
+            assert table.ravel().tobytes() == cells.tobytes()
+            for k in np.flatnonzero(gib + nep <= L):
+                tokens = [GIBBERISH] * gib[k] + [NONENGLISH] * nep[k] + [RATIONALE] * (L - gib[k] - nep[k])
+                resp = Response(np.array(tokens), int(answer[k]))
+                total = total_reward(resp.parse_probability(), int(y[k]), assess_guardrails(resp), pen).total
+                assert table[y[k], answer[k], gib[k], nep[k]] == total
 
 
 class TestRewardForResponse:

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import make_dataset, make_question, poison_baseline
 from oracle import assess_guardrails, oracle_dpo, oracle_train, predict_probability, sample_response, total_reward
 
+from forecast_rl import trainer
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import Dataset, SyntheticConfig, generate_synthetic_stream
 from forecast_rl.errors import NumericAbort, ValidationError
@@ -585,3 +588,83 @@ class TestVectorizedPredict:
             np.array([np.nan if v is None else v for v in ensemble.values()]).tobytes()
         with pytest.raises(ValidationError, match="member forecast maps"):
             ensemble_predict_dataset(spec, stream, maps[:-1])
+
+
+
+def run_digest(result) -> str:
+    """sha256 of a member's final (or last good) weights and its run log."""
+    h = hashlib.sha256(type(result).__name__.encode())
+    h.update(result.params.content_weights.tobytes())
+    h.update(result.params.answer_weights.tobytes())
+    h.update(b"none" if result.baseline is None else result.baseline.tobytes())
+    log = result.run_log
+    h.update("\n".join(log.question_ids).encode())
+    h.update(repr((log.stopped, log.stop_reason)).encode())
+    for col in ("parsed",) + LOG_COLUMNS:
+        h.update(getattr(log, col).tobytes())
+    return h.hexdigest()
+
+
+def step_runs() -> dict:
+    """Two-member runs of every online algorithm, one early stop per
+    collapse mode (members stopping at different questions, one running
+    on) and a numeric abort, each crossing several reference resets."""
+    hp = HyperParams(actor_lr=0.01, baseline_lr=0.01, kl_coeff=0.1)
+    runs = {
+        algo: train_members(small_stream(200, d=3), TrainConfig(algorithm=algo, seed=5, outer_iteration_len=40),
+                            hp, members=[0, 1])
+        for algo in ("grpo", "modified_grpo", "remax")
+    }
+    fast = HyperParams(actor_lr=0.05)
+    for name, algo, es, members in (
+        ("gibberish_stop", "remax", EarlyStopConfig(window=20, gibberish_threshold=0.36), [0, 1, 2]),
+        ("extreme_stop", "grpo", EarlyStopConfig(window=10, extreme_mass_threshold=0.3), [0, 1]),
+    ):
+        cfg = TrainConfig(algorithm=algo, seed=1, outer_iteration_len=9, early_stop=es)
+        runs[name] = train_members(small_stream(150, d=3), cfg, fast, members=members)
+    stream = small_stream(60)
+    stream.questions[33].features = np.array([np.inf, 0.0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        runs["numeric_abort"] = train_members(
+            stream, TrainConfig(algorithm="remax", seed=6, outer_iteration_len=20),
+            HyperParams(actor_lr=0.01, baseline_lr=0.01), members=[0, 1],
+        )
+    return runs
+
+
+class TestStepDigests:
+    # sha256 (`run_digest`) of every member of `step_runs`, as the step wrote
+    # them when each head kept its own weight arrays and every question took
+    # its own reference log-probs.  The fused step must reproduce them bit
+    # for bit.
+    DIGESTS = {
+        "grpo": ["027687ca1db5beedc524e1a22197542788188fb0b9e2f92a8ade24667978eadd",
+                 "b660fe6be4c3aa191bf8f1a75748ac4c4917a50884f102407984a480f5ba7a79"],
+        "modified_grpo": ["ecac9704507d8852e2043df9d4c425a595ee72289421aae3c38f3e2574fc07d6",
+                          "76b44a74a2b57dc9435ce18018dc5563712abb3a056798ed29a6f33cf83da1b8"],
+        "remax": ["50f192c8f02daa5f7f8ebd97873012ea1586d50ec704ccbcb55d91f856d4aa42",
+                  "b187700a2504a5aaa2fae9abce5604135fe4e7ca945fb97a0d520e504beb0d75"],
+        "gibberish_stop": ["c1f85c6245a888dcef708c35956436bb966ceb70c02df3298a9ea9ed9287ef65",
+                           "e576f5993e31d0c87e3c35dae6ce2bfe38e2ff55cef7380489a40eb3b6925f76",
+                           "e1bcb56825aeee93cbcae0d3f164c5e6b56edfe8e66da634abae319c3be7864f"],
+        "extreme_stop": ["912014ee83bc4eb35aaf884f4356234456830ce7ffe6022bba34d54f8fa91158",
+                         "26f48313e1000abd9a92c735202f52dd8e2a6f042c0a5b9028cae91080c3b1d8"],
+        "numeric_abort": ["0636514ca09209cfd4769aa0012daaf586807f86f6d392524462552c7154f5d4",
+                          "aea2d9781079d1e3471990a32cb464154b12563f76ccd7010d8b863760bffdc1"],
+    }
+
+    def test_runs_match_the_pinned_digests(self):
+        runs = step_runs()
+        assert [(len(r.run_log), r.stop_reason) for r in runs["gibberish_stop"]] == \
+            [(41, "gibberish"), (36, "gibberish"), (150, None)]
+        assert [(len(r.run_log), r.stop_reason) for r in runs["extreme_stop"]] == \
+            [(17, "extreme_mass"), (28, "extreme_mass")]
+        assert all(isinstance(r, NumericAbort) and len(r.run_log) == 33 for r in runs["numeric_abort"])
+        assert {name: [run_digest(r) for r in results] for name, results in runs.items()} == self.DIGESTS
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_reference_block_size_is_invisible(self, monkeypatch, block):
+        """Reference log-probs taken one question at a time, in blocks that
+        straddle the early stops, or a span at a time give the same bits."""
+        monkeypatch.setattr(trainer, "REF_BLOCK", block)
+        assert {name: [run_digest(r) for r in results] for name, results in step_runs().items()} == self.DIGESTS
