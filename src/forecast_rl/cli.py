@@ -23,7 +23,6 @@ from forecast_rl.config import RunConfig, load_config
 from forecast_rl.data import (
     Dataset,
     generate_synthetic_stream,
-    load_oracle,
     load_questions,
     save_questions,
     split_dataset,
@@ -32,7 +31,6 @@ from forecast_rl.data import (
 )
 from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
 from forecast_rl.evaluation import (
-    Forecast,
     equal_mass_ece_stat,
     evaluation_report,
     forecasts_from_map,
@@ -257,45 +255,24 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _forecast_inputs(cfg: RunConfig, args) -> dict[str, list[Forecast]]:
+def _load_forecasts(cfg: RunConfig, args, test_ds: Dataset) -> tuple[list[str], np.ndarray]:
+    """The model names and their (test rows x models) probability matrix."""
     paths = [Path(p) for p in args.forecasts] if args.forecasts else [_out_dir(cfg) / "forecasts.jsonl"]
-    models = {}
-    for p in paths:
-        if not p.exists():
-            raise ValidationError(f"forecast file {p} not found")
-        name = p.stem
-        if name in models:
-            raise ValidationError(f"duplicate model name {name!r} among forecast files")
-        models[name] = load_forecasts(p)
-    return models
-
-
-def _check_alignment(models: dict[str, list[Forecast]], test_ds: Dataset) -> None:
-    test_ids = set(test_ds.ids())
-    for name, fs in models.items():
-        got = {f.question_id for f in fs}
-        if got != test_ids:
-            missing = sorted(test_ids - got)[:10]
-            extra = sorted(got - test_ids)[:10]
-            raise ValidationError(
-                f"model {name!r} does not align with the test set; "
-                f"missing {missing or 'none'}, unknown {extra or 'none'}"
-            )
+    return load_forecasts(paths, test_ds.ids())
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     t0 = time.monotonic()
     out = _out_dir(cfg)
     test_ds = _load_split(cfg, "test", "test")
-    outcomes = test_ds.outcome_by_id()
-    models = _forecast_inputs(cfg, args)
-    _check_alignment(models, test_ds)
-    names = sorted(models)
+    names, probs = _load_forecasts(cfg, args, test_ds)
+    y = test_ds.outcomes()
+    n_bins = cfg.evaluation.n_bins
     files = []
 
     reports = {}
-    for name in names:
-        report = evaluation_report(models[name], outcomes, cfg.evaluation.n_bins)
+    for j, name in enumerate(names):
+        report = evaluation_report(probs[:, j], y, n_bins)
         reports[name] = asdict(report)
         bins_path = out / f"bins_{name}.csv"
         with atomic_write(bins_path, newline="") as fh:
@@ -306,38 +283,21 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
         files.append(bins_path)
 
     # Pairwise: Wald on per-question soft-Brier, bootstrap on ECE.
-    order = test_ds.ids()
-    ys = test_ds.outcomes()
-    prob_arrays = {}
-    for name in names:
-        by_id = {f.question_id: f.probability for f in models[name]}
-        prob_arrays[name] = np.array(
-            [np.nan if by_id[q] is None else by_id[q] for q in order], dtype=np.float64
-        )
     comparisons = []
     if len(names) >= 2:
         rng = substream(cfg.seed, "bootstrap", "evaluate")
-        stacked = np.stack([prob_arrays[n] for n in names], axis=1)
-        ece_stat = equal_mass_ece_stat(stacked, ys, cfg.evaluation.n_bins)
-        ece_boot = paired_bootstrap_stat(len(order), ece_stat, cfg.evaluation.bootstrap_reps, rng)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                brier_cmp = paired_brier_test(models[names[i]], models[names[j]], outcomes)
-                ece_cmp = ece_boot[(i, j)]
-                if ece_cmp.n_dropped:
-                    print(
-                        f"{names[i]} vs {names[j]}: ECE bootstrap dropped {ece_cmp.n_dropped} of "
-                        f"{cfg.evaluation.bootstrap_reps} replicates with fewer than {cfg.evaluation.n_bins} "
-                        "present forecasts"
-                    )
-                comparisons.append(
-                    {
-                        "model_a": names[i],
-                        "model_b": names[j],
-                        "soft_brier": asdict(brier_cmp),
-                        "ece": asdict(ece_cmp),
-                    }
+        brier = paired_brier_test(probs, y)
+        ece_stat = equal_mass_ece_stat(probs, y, n_bins)
+        ece_boot = paired_bootstrap_stat(len(y), ece_stat, cfg.evaluation.bootstrap_reps, rng)
+        for (i, j), ece_cmp in ece_boot.items():
+            if ece_cmp.n_dropped:
+                print(
+                    f"{names[i]} vs {names[j]}: ECE bootstrap dropped {ece_cmp.n_dropped} of "
+                    f"{cfg.evaluation.bootstrap_reps} replicates with fewer than {n_bins} present forecasts"
                 )
+            comparisons.append(
+                {"model_a": names[i], "model_b": names[j], "soft_brier": asdict(brier[(i, j)]), "ece": asdict(ece_cmp)}
+            )
 
     eval_path = out / "evaluation.json"
     write_json(eval_path, {"models": reports, "comparisons": comparisons})
@@ -353,9 +313,7 @@ def cmd_trade(cfg: RunConfig, args) -> int:
     t0 = time.monotonic()
     out = _out_dir(cfg)
     test_ds = _load_split(cfg, "test", "test")
-    models = _forecast_inputs(cfg, args)
-    _check_alignment(models, test_ds)
-    names = sorted(models)
+    names, probs = _load_forecasts(cfg, args, test_ds)
     n_priced = sum(1 for q in test_ds if eligible(q))
     files = []
     if n_priced == 0:
@@ -365,28 +323,17 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         print("trade: no priced questions in the test set; empty result written")
         return EXIT_OK
 
-    prob_maps = {n: {f.question_id: f.probability for f in fs} for n, fs in models.items()}
-    ece_values = {}
-    trade_sets = {}
-    for name in names:
-        ece_values[name], trade_sets[name] = gating_ece(
-            prob_maps[name],
-            test_ds,
-            cfg.trading.ece_source,
-            cfg.trading.calibration_fraction,
-            cfg.evaluation.n_bins,
-        )
-    # All models share the same trading window by construction (the split
-    # is chronological, not forecast-dependent).
-    trade_ds = trade_sets[names[0]]
+    ece_values, trade_ds = gating_ece(
+        probs, test_ds, cfg.trading.ece_source, cfg.trading.calibration_fraction, cfg.evaluation.n_bins
+    )
+    trade_probs = probs[len(test_ds) - len(trade_ds) :]  # the trading set is the test set's tail
 
     per_model = {}
-    model_trades = {}
-    for name in names:
-        model_trades[name], results = run_strategies(
-            prob_maps[name], trade_ds, ece_values[name], substream(cfg.seed, "ties", name)
-        )
-        model_out = {"gating_ece": ece_values[name], "rules": {}}
+    gated = []  # each model's StrategyResult per gate
+    for j, name in enumerate(names):
+        results = run_strategies(trade_probs[:, j], trade_ds, ece_values[j], substream(cfg.seed, "ties", name))
+        gated.append(results)
+        model_out = {"gating_ece": ece_values[j], "rules": {}}
         for rule_name, result in results.items():
             curve_path = out / f"curve_{name}_{rule_name}.csv"
             with atomic_write(curve_path, newline="") as fh:
@@ -407,10 +354,7 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         # One replicate set serves every gate: the gates' profit matrices
         # (columns in `names` order) stand side by side, and only pairs
         # within a gate are compared.
-        values = [
-            per_question_profits(model_trades, trade_ds, rule_name, ece_values if rule_name == GATES[0] else None)[0]
-            for rule_name in GATES
-        ]
+        values = [per_question_profits([results[rule] for results in gated], trade_ds)[0] for rule in GATES]
         M = len(names)
         pairs = [(g * M + a, g * M + b) for g in range(len(GATES)) for a in range(M) for b in range(a + 1, M)]
         rng = substream(cfg.seed, "bootstrap", "trade")

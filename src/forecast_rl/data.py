@@ -168,9 +168,20 @@ def _optional_float(value) -> float | None:
     return None if value in (None, "") else float(value)
 
 
+def _integer(value) -> int:
+    """An integer field: a JSON integer, an integral JSON number or a CSV
+    cell.  A boolean, or a number with a fraction, is refused rather than
+    counted as 1 or truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 # How each field is read; market_price and volume may be absent.
 _CASTS = {
-    **dict.fromkeys(("open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome"), int),
+    **dict.fromkeys(("open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome"), _integer),
     "features": _features,  # a JSONDecodeError is a ValueError
     "market_price": _optional_float,
     "volume": _optional_float,

@@ -1,9 +1,11 @@
 """Accuracy, calibration, and statistical comparison of forecast sets.
 
-Forecasts are point probabilities keyed by question id; an absent
-probability means the model produced no usable forecast.  Soft-Brier
-charges absences 0.25, calibration metrics exclude them, and every
-comparison here is paired across the identical question set.
+`load_forecasts` reads each model's forecast file into one column of a
+(test rows x models) matrix in test-row order, NaN where the model
+produced no usable forecast; every statistic here is a function of those
+columns and the outcome column.  Soft-Brier charges absences 0.25,
+calibration metrics exclude them, and every comparison is paired across
+the identical rows.  Equal-mass ECE orders tied probabilities by row.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-u
 
 from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.files import read_jsonl, record_field, write_jsonl
-from forecast_rl.reward import soft_brier_loss
 from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -102,17 +103,18 @@ def t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - front * _beta_cf(b, a, y) / b
 
 
+def _check_probability(question_id: str, p: float | None) -> None:
+    if p is not None and not (0.0 <= p <= 1.0):
+        raise ValidationError(f"forecast {question_id!r}: probability must lie in [0, 1], got {p}")
+
+
 @dataclass
 class Forecast:
     question_id: str
     probability: float | None
 
     def validate(self) -> None:
-        if self.probability is not None and not (0.0 <= self.probability <= 1.0):
-            raise ValidationError(
-                f"forecast {self.question_id!r}: probability must lie in [0, 1], "
-                f"got {self.probability}"
-            )
+        _check_probability(self.question_id, self.probability)
 
 
 @dataclass
@@ -155,42 +157,84 @@ def forecasts_from_map(probabilities: dict[str, float | None]) -> list[Forecast]
     return [Forecast(qid, p) for qid, p in probabilities.items()]
 
 
-def load_forecasts(path: str | Path) -> list[Forecast]:
-    """Read forecast JSONL ({question_id, probability|null} per line)."""
-    seen: set[str] = set()
+def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """Model names (file stems, sorted) and their (len(ids), models)
+    probability matrix: row i holds the forecasts for question ids[i], NaN
+    where the probability is null.
 
-    def parse(record) -> Forecast:
-        f = Forecast(
-            question_id=record_field(record, "question_id", str),
-            probability=record_field(record, "probability", lambda p: None if p is None else float(p)),
-        )
-        f.validate()
-        if f.question_id in seen:
-            raise DataFormatError(f"duplicate question_id {f.question_id!r}")
-        seen.add(f.question_id)
-        return f
+    Each file is JSONL, one {question_id, probability|null} per line, and
+    must hold exactly one forecast for every id and none for another.  A
+    missing file, a repeated model name, a bad or repeated record, or a
+    file that does not align with `ids` is a ValidationError.
+    """
+    row = {qid: i for i, qid in enumerate(ids)}
+    columns: dict[str, tuple[np.ndarray, np.ndarray, list[str]]] = {}
+    for path in map(Path, paths):
+        if not path.exists():
+            raise ValidationError(f"forecast file {path} not found")
+        if path.stem in columns:
+            raise ValidationError(f"duplicate model name {path.stem!r} among forecast files")
+        seen: set[str] = set()
 
-    return list(read_jsonl(path, parse))
+        def parse(record) -> tuple[str, float | None]:
+            qid = record_field(record, "question_id", str)
+            p = record_field(record, "probability", lambda v: None if v is None else float(v))
+            _check_probability(qid, p)
+            if qid in seen:
+                raise DataFormatError(f"duplicate question_id {qid!r}")
+            seen.add(qid)
+            return qid, p
+
+        rows, probs, unknown = [], [], []
+        for qid, p in read_jsonl(path, parse):
+            i = row.get(qid)
+            if i is None:
+                unknown.append(qid)
+            else:
+                rows.append(i)
+                probs.append(p)
+        col = np.full(len(ids), math.nan)
+        col[rows] = probs  # None becomes NaN
+        got = np.zeros(len(ids), dtype=bool)
+        got[rows] = True
+        columns[path.stem] = col, got, unknown
+    for name, (_, got, unknown) in columns.items():
+        if unknown or not got.all():
+            missing = sorted(ids[i] for i in np.flatnonzero(~got))[:10]
+            raise ValidationError(
+                f"model {name!r} does not align with the test set; "
+                f"missing {missing or 'none'}, unknown {sorted(unknown)[:10] or 'none'}"
+            )
+    names = sorted(columns)
+    return names, np.stack([columns[n][0] for n in names], axis=1)
 
 
 def save_forecasts(forecasts: list[Forecast], path: str | Path) -> None:
     write_jsonl(path, ({"question_id": f.question_id, "probability": f.probability} for f in forecasts))
 
 
-def _aligned_losses(forecasts: list[Forecast], outcomes: dict[str, int]) -> np.ndarray:
-    losses = np.empty(len(forecasts))
-    for i, f in enumerate(forecasts):
+def soft_brier_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row soft-Brier loss, (p - y)^2, or 0.25 where p is NaN.  The
+    square is `float_power`, the C library's pow, as Python's ** takes it."""
+    return np.where(np.isnan(probs), 0.25, np.float_power(probs - y, 2))
+
+
+def _forecast_column(forecasts: list[Forecast], outcomes: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The probability column (NaN = absent) and outcome column of a
+    forecast list, in question-id order."""
+    forecasts = sorted(forecasts, key=lambda f: f.question_id)
+    for f in forecasts:
         if f.question_id not in outcomes:
             raise ValidationError(f"no outcome for forecast {f.question_id!r}")
-        losses[i] = soft_brier_loss(f.probability, outcomes[f.question_id])
-    return losses
+    probs = np.array([f.probability for f in forecasts], dtype=np.float64)  # None becomes NaN
+    return probs, np.array([outcomes[f.question_id] for f in forecasts], dtype=np.float64)
 
 
 def soft_brier(forecasts: list[Forecast], outcomes: dict[str, int]) -> float:
     """Mean soft-Brier loss over the forecast set."""
     if not forecasts:
         raise ValidationError("soft_brier needs at least one forecast")
-    return float(_aligned_losses(forecasts, outcomes).mean())
+    return float(soft_brier_losses(*_forecast_column(forecasts, outcomes)).mean())
 
 
 def _equal_mass_bins(probs: np.ndarray, ys: np.ndarray, n_bins: int) -> list[BinRow]:
@@ -215,40 +259,35 @@ def _equal_mass_bins(probs: np.ndarray, ys: np.ndarray, n_bins: int) -> list[Bin
     return rows
 
 
-def ece_bins(
-    forecasts: list[Forecast], outcomes: dict[str, int], n_bins: int = 10
-) -> tuple[float, list[BinRow], int, int]:
-    """Equal-mass ECE with its bin table.
+def _present_order(probs: np.ndarray) -> np.ndarray:
+    """Rows of the present (non-NaN) probabilities in ascending order, tied
+    probabilities by row (a stable sort of ascending rows)."""
+    rows = np.flatnonzero(~np.isnan(probs))
+    return rows[np.argsort(probs[rows], kind="stable")]
 
-    Present forecasts are sorted by (probability, question_id) — the id
-    tie-break makes the split of identical probabilities across a bin
-    boundary independent of input order — then partitioned into n_bins
-    contiguous groups with the larger groups first.
+
+def ece_bins(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> tuple[float, list[BinRow], int, int]:
+    """Equal-mass ECE of one probability column (NaN = absent) with its bin
+    table, the number of present forecasts and the number absent.
+
+    The present forecasts, sorted by (probability, row), are partitioned
+    into n_bins contiguous groups with the larger groups first.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
-    present = [f for f in forecasts if f.probability is not None]
-    n_malformed = len(forecasts) - len(present)
-    if len(present) < n_bins:
-        raise ValidationError(
-            f"ece needs at least {n_bins} present forecasts, got {len(present)}"
-        )
-    for f in present:
-        if f.question_id not in outcomes:
-            raise ValidationError(f"no outcome for forecast {f.question_id!r}")
-    present.sort(key=lambda f: (f.probability, f.question_id))
-    probs = np.array([f.probability for f in present])
-    ys = np.array([outcomes[f.question_id] for f in present], dtype=np.float64)
-    rows = _equal_mass_bins(probs, ys, n_bins)
-    n = len(present)
+    order = _present_order(probs)
+    n = order.size
+    if n < n_bins:
+        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {n}")
+    rows = _equal_mass_bins(probs[order], y[order], n_bins)
     ece = sum((row.count / n) * abs(row.empirical_frequency - row.mean_confidence) for row in rows)
-    return float(ece), rows, n, n_malformed
+    return float(ece), rows, n, probs.size - n
 
 
-def ece_equal_mass(
-    forecasts: list[Forecast], outcomes: dict[str, int], n_bins: int = 10
-) -> float:
-    return ece_bins(forecasts, outcomes, n_bins)[0]
+def ece_equal_mass(forecasts: list[Forecast], outcomes: dict[str, int], n_bins: int = 10) -> float:
+    """Equal-mass ECE of a forecast list; tied probabilities are ordered by
+    question id, so the result does not depend on the list's order."""
+    return ece_bins(*_forecast_column(forecasts, outcomes), n_bins)[0]
 
 
 def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -> np.ndarray:
@@ -323,9 +362,7 @@ def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
     n = probs.shape[0]
     models = []
     for j in range(probs.shape[1]):
-        rows = np.flatnonzero(~np.isnan(probs[:, j]))
-        # a stable sort of ascending rows breaks ties by row index
-        order = rows[np.argsort(probs[rows, j], kind="stable")]
+        order = _present_order(probs[:, j])
         models.append((order, probs[order, j], ys[order]))
 
     def stat(idx: np.ndarray) -> np.ndarray:
@@ -338,22 +375,11 @@ def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
     return stat
 
 
-def ece_equal_mass_arrays(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10) -> float:
-    """Equal-mass ECE of one array of probabilities (NaN = absent); the
-    one-row call of `equal_mass_ece_stat`."""
-    probs = np.asarray(probs, dtype=np.float64)
-    k = int(np.count_nonzero(~np.isnan(probs)))
-    if k < n_bins:
-        raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {k}")
-    return float(equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.arange(probs.size)[None, :])[0, 0])
-
-
-def evaluation_report(
-    forecasts: list[Forecast], outcomes: dict[str, int], n_bins: int = 10
-) -> EvalReport:
-    ece, rows, n, n_malformed = ece_bins(forecasts, outcomes, n_bins)
+def evaluation_report(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> EvalReport:
+    """Soft-Brier mean, ECE and bins of one probability column (NaN = absent)."""
+    ece, rows, n, n_malformed = ece_bins(probs, y, n_bins)
     return EvalReport(
-        soft_brier_mean=soft_brier(forecasts, outcomes),
+        soft_brier_mean=float(soft_brier_losses(probs, y).mean()),
         ece=ece,
         bins=rows,
         n_questions=n,
@@ -361,19 +387,8 @@ def evaluation_report(
     )
 
 
-def paired_brier_test(
-    a: list[Forecast], b: list[Forecast], outcomes: dict[str, int]
-) -> PairedComparison:
-    """Wald test on per-question soft-Brier loss differences (a minus b)."""
-    ids_a = {f.question_id for f in a}
-    ids_b = {f.question_id for f in b}
-    if ids_a != ids_b:
-        missing = sorted(ids_a ^ ids_b)[:5]
-        raise ValidationError(f"forecast sets cover different questions, e.g. {missing}")
-    order = sorted(ids_a)
-    loss_a = dict(zip([f.question_id for f in a], _aligned_losses(a, outcomes)))
-    loss_b = dict(zip([f.question_id for f in b], _aligned_losses(b, outcomes)))
-    d = np.array([loss_a[q] - loss_b[q] for q in order])
+def _wald(d: np.ndarray) -> PairedComparison:
+    """Wald test of the mean of the per-question differences d."""
     mean = float(d.mean())
     sd = float(d.std(ddof=1)) if d.size > 1 else 0.0
     if sd == 0.0:
@@ -382,9 +397,18 @@ def paired_brier_test(
         p = 1.0 if mean == 0.0 else float(np.finfo(np.float64).tiny)
         return PairedComparison(mean, mean, mean, p, "wald")
     se = sd / np.sqrt(d.size)
-    z = mean / se
-    p = normal_two_sided_p(float(z))
+    p = normal_two_sided_p(float(mean / se))
     return PairedComparison(mean, mean - Z_95 * se, mean + Z_95 * se, p, "wald")
+
+
+def paired_brier_test(probs: np.ndarray, y: np.ndarray) -> dict[tuple[int, int], PairedComparison]:
+    """Wald test on per-question soft-Brier loss differences (column i minus
+    column j) for every pair i < j of a questions x models probability
+    matrix (NaN = absent); each column's losses are computed once."""
+    if probs.ndim != 2 or probs.shape[0] != len(y):
+        raise ValidationError(f"forecast columns {probs.shape} cover different questions than {len(y)} outcomes")
+    losses = [soft_brier_losses(probs[:, j], y) for j in range(probs.shape[1])]
+    return {(i, j): _wald(losses[i] - losses[j]) for i in range(len(losses)) for j in range(i + 1, len(losses))}
 
 
 def _replicate_indices(seeds: np.ndarray, n_rows: int) -> np.ndarray:
@@ -494,26 +518,3 @@ def paired_bootstrap(
         return np.concatenate(out)
 
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng, pairs)
-
-
-def welch_statistic(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Welch's two-sample t statistic with Satterthwaite degrees of freedom."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    sx = x.var(ddof=1) / x.size
-    sy = y.var(ddof=1) / y.size
-    t = (x.mean() - y.mean()) / np.sqrt(sx + sy)
-    df = (sx + sy) ** 2 / (sx**2 / (x.size - 1) + sy**2 / (y.size - 1))
-    return float(t), float(df)
-
-
-def extreme_bucket_mass(forecasts: list[Forecast]) -> float:
-    """Fraction of present forecasts at or below 10% or at or above 90%.
-
-    Boundaries are inclusive; absent forecasts are excluded from both
-    numerator and denominator, and an all-absent set scores 0.
-    """
-    present = np.array([f.probability for f in forecasts if f.probability is not None])
-    if present.size == 0:
-        return 0.0
-    return float(np.mean((present <= 0.10) | (present >= 0.90)))

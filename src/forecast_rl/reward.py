@@ -1,9 +1,10 @@
-"""Guard-rail penalty weights and the evaluation loss.
+"""Guard-rail penalty weights.
 
 Training uses the strict Brier reward (abstention scores as the maximum
 loss) plus the guard-rail terms weighted here, computed from token counts
 by `algorithms.count_rewards`.  Evaluation uses the soft Brier loss
-(abstention costs a flat 0.25, the loss of always guessing 50%).
+(`evaluation.soft_brier_losses`: abstention costs a flat 0.25, the loss
+of always guessing 50%).
 """
 
 from __future__ import annotations
@@ -30,9 +31,3 @@ class PenaltyConfig:
         if self.input_truncation_chars < 1:
             raise ValidationError("input_truncation_chars must be >= 1")
 
-
-def soft_brier_loss(parsed: float | None, y: int) -> float:
-    """Evaluation loss: an absent forecast costs a flat 0.25."""
-    if parsed is None:
-        return 0.25
-    return (parsed - y) ** 2

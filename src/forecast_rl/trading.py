@@ -4,18 +4,20 @@ Each forecast/price pair yields one trade: buy a $1 long share at
 m + 0.01 when the model's probability exceeds the price, short at
 (1 - m) + 0.01 when it is below, coin-flip on exact ties.  The added
 cent stands in for fees and slippage.  Three gating rules select which
-trades count toward the totals.
+trades count toward the totals.  A model's forecasts come as a
+probability column aligned with the dataset's rows, NaN where absent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from forecast_rl.data import Dataset, split_dataset
 from forecast_rl.errors import ValidationError
-from forecast_rl.evaluation import Forecast, Z_95, ece_equal_mass, t_two_sided_p
+from forecast_rl.evaluation import Z_95, ece_bins, t_two_sided_p
 
 FEE = 0.01
 
@@ -127,24 +129,15 @@ def eligible(q) -> bool:
     return q.market_price is not None and (q.volume is None or q.volume > 0)
 
 
-def _probability_map(forecasts) -> dict[str, float | None]:
-    if isinstance(forecasts, dict):
-        return forecasts
-    return {f.question_id: f.probability for f in forecasts}
-
-
-def build_trades(
-    forecasts, dataset: Dataset, rng: np.random.Generator
-) -> list[TradeRecord]:
-    """One trade per eligible question with a present forecast, in
-    dataset order (tie coin flips consume the generator in that order)."""
-    probs = _probability_map(forecasts)
+def build_trades(probs: np.ndarray, dataset: Dataset, rng: np.random.Generator) -> list[TradeRecord]:
+    """One trade per eligible question with a present forecast (`probs`
+    holds one per dataset row, NaN = absent), in dataset order (tie coin
+    flips consume the generator in that order)."""
+    if len(probs) != len(dataset):
+        raise ValidationError(f"{len(probs)} probabilities for a dataset of {len(dataset)} questions")
     trades = []
-    for q in dataset:
-        if not eligible(q):
-            continue
-        p = probs.get(q.id)
-        if p is None:
+    for q, p in zip(dataset, probs.tolist()):
+        if not eligible(q) or math.isnan(p):
             continue
         t = make_trade(p, q.market_price, q.outcome, rng)
         t.question_id = q.id
@@ -170,31 +163,31 @@ def apply_gate(trades: list[TradeRecord], rule: GatingRule) -> StrategyResult:
 
 
 def run_strategy(
-    forecasts,
+    forecasts: dict[str, float | None],
     dataset: Dataset,
     rule: GatingRule,
     rng: np.random.Generator,
 ) -> StrategyResult:
-    """Build the trades and apply one gating rule."""
-    return apply_gate(build_trades(forecasts, dataset, rng), rule)
+    """Build the trades of a {question id: probability or None} map (a
+    missing id is an absent forecast) and apply one gating rule."""
+    probs = np.array([forecasts.get(q.id) for q in dataset], dtype=np.float64)  # None becomes NaN
+    return apply_gate(build_trades(probs, dataset, rng), rule)
 
 
 def run_strategies(
-    forecasts, dataset: Dataset, ece_value: float | None, rng: np.random.Generator
-) -> tuple[list[TradeRecord], dict[str, StrategyResult]]:
+    probs: np.ndarray, dataset: Dataset, ece_value: float | None, rng: np.random.Generator
+) -> dict[str, StrategyResult]:
     """Build one model's trades once and apply every gating rule to them.
 
-    Returns the trades in dataset order and one StrategyResult per gate;
-    `ece_value` is the threshold of the edge_above_ece gate.  The results
-    equal `run_strategy` per gate with the same generator state, since
-    only the build draws from it.
+    Returns one StrategyResult per gate; `ece_value` is the threshold of
+    the edge_above_ece gate.  The results equal `run_strategy` per gate
+    with the same generator state, since only the build draws from it.
     """
-    trades = build_trades(forecasts, dataset, rng)
-    results = {
+    trades = build_trades(probs, dataset, rng)
+    return {
         kind: apply_gate(trades, GatingRule(kind, ece_value if kind == GATE_EDGE_ABOVE_ECE else None))
         for kind in GATES
     }
-    return trades, results
 
 
 def mean_per_trade(result: StrategyResult) -> tuple[float, tuple[float, float]]:
@@ -244,52 +237,41 @@ def confidence_band_edges(
 
 
 def gating_ece(
-    forecasts,
+    probs: np.ndarray,
     dataset: Dataset,
     mode: str = "calibration_split",
     calibration_fraction: float = 0.5,
     n_bins: int = 10,
-) -> tuple[float, Dataset]:
-    """ECE threshold for the edge_above_ece gate.
+) -> tuple[list[float], Dataset]:
+    """ECE threshold of the edge_above_ece gate for each column of `probs`
+    (dataset rows x models, NaN = absent), and the dataset to trade.
 
     calibration_split estimates ECE on the chronologically first
-    `calibration_fraction` of the dataset and trades only the disjoint
-    remainder (returned as the trading set); in_sample estimates on the
-    full dataset and trades all of it.
+    `calibration_fraction` of the rows and trades only the disjoint
+    remainder (returned as the trading set, the dataset's tail);
+    in_sample estimates on every row and trades all of them.
     """
-    probs = _probability_map(forecasts)
     if mode == "in_sample":
-        cal, trade_ds = dataset, dataset
+        n_cal, trade_ds = len(dataset), dataset
     elif mode == "calibration_split":
         cal, trade_ds = split_dataset(dataset, calibration_fraction)
+        n_cal = len(cal)
     else:
         raise ValidationError(f"unknown ece source {mode!r}")
-    cal_forecasts = [Forecast(q.id, probs.get(q.id)) for q in cal]
-    outcomes = {q.id: q.outcome for q in cal}
-    return ece_equal_mass(cal_forecasts, outcomes, n_bins), trade_ds
+    y = dataset.outcomes()[:n_cal]
+    return [ece_bins(probs[:n_cal, j], y, n_bins)[0] for j in range(probs.shape[1])], trade_ds
 
 
-def per_question_profits(
-    model_trades: dict[str, list[TradeRecord]],
-    dataset: Dataset,
-    rule_kind: str,
-    ece_values: dict[str, float] | None,
-) -> tuple[np.ndarray, list[str], list[str]]:
-    """Profit matrix (eligible questions x models) under one gating rule.
-
-    model_trades holds each model's built trades.  Questions a model does
-    not trade (absent forecast or gated out) contribute 0, keeping rows
-    aligned for the paired bootstrap.
+def per_question_profits(results: list[StrategyResult], dataset: Dataset) -> tuple[np.ndarray, list[str]]:
+    """Profit matrix (eligible questions x models) of one gate's kept
+    trades, one StrategyResult per model, and the row ids.  Questions a
+    model does not trade (absent forecast or gated out) contribute 0,
+    keeping rows aligned for the paired bootstrap.
     """
-    names = sorted(model_trades)
     rows = [q.id for q in dataset if eligible(q)]
     row_index = {qid: i for i, qid in enumerate(rows)}
-    values = np.zeros((len(rows), len(names)))
-    for j, name in enumerate(names):
-        ece = None if ece_values is None else ece_values.get(name)
-        rule = GatingRule(rule_kind, ece)
-        rule.validate()
-        for t in model_trades[name]:
-            if rule.keeps(t):
-                values[row_index[t.question_id], j] = t.profit
-    return values, rows, names
+    values = np.zeros((len(rows), len(results)))
+    for j, result in enumerate(results):
+        for t in result.trades:
+            values[row_index[t.question_id], j] = t.profit
+    return values, rows

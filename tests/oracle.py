@@ -7,8 +7,9 @@ it, form the group's advantages, take the objective's gradient through
 a `GroupRollout` (a maximization target, negated before the step), and
 step AdamW on a parameter dict.  The tests compare the package against
 it (`oracle_train`, `oracle_dpo`), and it keeps its own unit tests.  The
-row-wise objective values at the end are what the finite-difference
-checks differentiate.
+row-wise objective values are what the finite-difference checks
+differentiate.  Two forecast statistics that no stage reports, Welch's t
+and the extreme-bucket mass, close the module for the acceptance gate.
 """
 
 from __future__ import annotations
@@ -772,3 +773,27 @@ def dpo_loss_rows(w_c, w_a, ref: PolicyParams, pairs, hp: HyperParams):
         ref_margin = response_logprob(ref, x, winner) - response_logprob(ref, x, loser)
         total = total + np.logaddexp(0.0, -hp.dpo_beta * (logp(winner) - logp(loser) - ref_margin))
     return total / len(pairs)
+
+
+# Forecast statistics of the acceptance gate
+
+
+def welch_statistic(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Welch's two-sample t statistic with Satterthwaite degrees of freedom."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    sx = x.var(ddof=1) / x.size
+    sy = y.var(ddof=1) / y.size
+    t = (x.mean() - y.mean()) / np.sqrt(sx + sy)
+    df = (sx + sy) ** 2 / (sx**2 / (x.size - 1) + sy**2 / (y.size - 1))
+    return float(t), float(df)
+
+
+def extreme_bucket_mass(probabilities) -> float:
+    """Fraction of present forecasts (None = absent) at or below 10% or at
+    or above 90%.  Boundaries are inclusive; absent forecasts are excluded
+    from both numerator and denominator, and an all-absent set scores 0."""
+    present = np.array([p for p in probabilities if p is not None])
+    if present.size == 0:
+        return 0.0
+    return float(np.mean((present <= 0.10) | (present >= 0.90)))

@@ -14,10 +14,12 @@ import pytest
 from conftest import fd_vector_grad, max_rel_err
 from oracle import (
     baseline_loss_and_grad,
+    extreme_bucket_mass,
     grpo_advantages,
     head_distributions,
     modified_grpo_advantages,
     remax_advantages,
+    welch_statistic,
 )
 from test_algorithms import dpo_gradient_error, policy_gradient_error
 
@@ -27,11 +29,9 @@ from forecast_rl.data import SyntheticConfig, generate_synthetic_stream, split_d
 from forecast_rl.evaluation import (
     Forecast,
     ece_equal_mass,
-    extreme_bucket_mass,
     forecasts_from_map,
     paired_bootstrap,
     soft_brier,
-    welch_statistic,
 )
 from forecast_rl.policy import GIBBERISH, PolicyParams
 from forecast_rl.reward import PenaltyConfig
@@ -195,8 +195,8 @@ def test_criterion_05_overconfidence_ordering(lab):
     details = []
     for seed in SEEDS:
         entry = lab[seed]
-        grpo = extreme_bucket_mass(model_forecasts(entry["policies"]["grpo"], entry["test"]))
-        mod = extreme_bucket_mass(model_forecasts(entry["policies"]["modified"], entry["test"]))
+        grpo = extreme_bucket_mass(predict_dataset(entry["policies"]["grpo"], entry["test"]).values())
+        mod = extreme_bucket_mass(predict_dataset(entry["policies"]["modified"], entry["test"]).values())
         ok &= grpo > mod
         details.append(f"seed {seed}: {grpo:.4f} > {mod:.4f}")
     verdict(5, "overconfidence ordering", ok, "; ".join(details))

@@ -22,7 +22,7 @@ from forecast_rl import evaluation
 from forecast_rl.errors import ValidationError
 from forecast_rl.evaluation import (
     PairedComparison,
-    ece_equal_mass_arrays,
+    ece_bins,
     equal_mass_ece_stat,
     paired_bootstrap,
     paired_bootstrap_stat,
@@ -180,12 +180,16 @@ class TestBatchedEce:
         assert_close(got, want)
 
     def test_one_row_call(self, rng):
+        """The observed rows drawn once each: the count-matrix ECE and the
+        report's sorted-column ECE both equal the oracle."""
         probs = np.round(rng.random(101), 2)
         probs[::7] = np.nan
         ys = rng.integers(0, 2, 101).astype(np.float64)
         for n_bins in (1, 3, 10, 13):
             want = oracle_ece(probs, ys, np.arange(101), n_bins)
-            assert ece_equal_mass_arrays(probs, ys, n_bins) == pytest.approx(want, rel=0, abs=1e-12)
+            got = equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.arange(101)[None, :])[0, 0]
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+            assert ece_bins(probs, ys, n_bins)[0] == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_too_few_present_rejected(self):
         """A row set with fewer than n_bins present forecasts has no ECE;

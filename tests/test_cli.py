@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import poison_baseline
+from conftest import make_dataset, make_question, poison_baseline
 
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.cli import (
@@ -517,22 +517,45 @@ class TestStatisticsOutputs:
         assert run("trade", cfg, *paths) == EXIT_OK
         config = load_config(cfg)
         test_ds = load_questions(out / "test.jsonl", split="test")
-        ece, trades = {}, {}
-        for path in paths:
-            name = Path(path).stem
-            probs = {f.question_id: f.probability for f in load_forecasts(path)}
-            ece[name], trade_ds = gating_ece(probs, test_ds, config.trading.ece_source,
-                                             config.trading.calibration_fraction, config.evaluation.n_bins)
-            trades[name], _ = run_strategies(probs, trade_ds, ece[name], substream(config.seed, "ties", name))
+        names, probs = load_forecasts(paths, test_ds.ids())
+        ece, trade_ds = gating_ece(probs, test_ds, config.trading.ece_source,
+                                   config.trading.calibration_fraction, config.evaluation.n_bins)
+        probs = probs[len(test_ds) - len(trade_ds):]
+        results = [run_strategies(probs[:, j], trade_ds, ece[j], substream(config.seed, "ties", name))
+                   for j, name in enumerate(names)]
         want = []
         for rule in GATES:
-            values, _, names = per_question_profits(trades, trade_ds, rule, ece if rule == GATES[0] else None)
+            values, _ = per_question_profits([r[rule] for r in results], trade_ds)
             boot = paired_bootstrap(values, "total", config.evaluation.bootstrap_reps,
                                     substream(config.seed, "bootstrap", "trade"))
             want += [{"rule": rule, "model_a": names[i], "model_b": names[j], "total_profit_delta": asdict(cmp)}
                      for (i, j), cmp in sorted(boot.items())]
         assert len(want) == 9
         assert json.loads((out / "trades.json").read_text())["comparisons"] == json.loads(json.dumps(want))
+
+
+class TestTieRule:
+    def test_report_and_bootstrap_order_ties_by_row(self, tmp_path):
+        """Row order is not id order here: ids descend while prediction_ts
+        ascends, and one model forecasts 0.5 everywhere, so tied
+        probabilities with different outcomes straddle every bin edge.
+        The report's ECE difference equals the bootstrap's observed one."""
+        cfg = write_config(tmp_path, evaluation={"bootstrap_reps": 19})
+        out = tmp_path / "out"
+        n = 25  # bins of 3, 3, 3, 3, 3, 2, 2, 2, 2, 2
+        ys = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0]
+        test_ds = make_dataset([make_question(f"q{n - i:03d}", pred_ts=100 + i, outcome=ys[i]) for i in range(n)])
+        save_questions(test_ds, out / "test.jsonl")
+        assert test_ds.ids() == sorted(test_ds.ids(), reverse=True)
+        smooth = np.random.default_rng(4).random(n)
+        paths = [str(tmp_path / "tied.jsonl"), str(tmp_path / "smooth.jsonl")]
+        save_forecasts([Forecast(q.id, 0.5) for q in test_ds], paths[0])
+        save_forecasts([Forecast(q.id, float(p)) for q, p in zip(test_ds, smooth)], paths[1])
+        assert run("evaluate", cfg, *paths) == EXIT_OK
+        doc = json.loads((out / "evaluation.json").read_text())
+        (cmp,) = doc["comparisons"]
+        report_delta = doc["models"][cmp["model_a"]]["ece"] - doc["models"][cmp["model_b"]]["ece"]
+        assert report_delta == pytest.approx(cmp["ece"]["delta_mean"], rel=0, abs=1e-12)
 
 
 def _python(code):

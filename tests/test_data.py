@@ -158,6 +158,34 @@ class TestRoundTrip:
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {k + 1}: field 'outcome': "):
             load_questions(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("outcome", 0.7), ("prediction_ts", 5.9), ("outcome", True), ("open_ts", False), ("resolve_ts", float("inf"))],
+    )
+    def test_integer_fields_refuse_fractions_and_booleans(self, tmp_path, field, value):
+        """int() would load 0.7 as 0, 5.9 as 5 and true as 1, each a valid
+        question; the record is refused instead, naming the field."""
+        record = {
+            "id": "a", "open_ts": 0, "close_ts": 10, "resolve_ts": 20,
+            "prediction_ts": 5, "outcome": 1, "features": [0.0],
+        }
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", field: value}) + "\n")
+        message = rf"^{re.escape(str(path))}: line 2: field '{field}': expected an integer, got "
+        with pytest.raises(DataFormatError, match=message):
+            load_questions(path)
+
+    def test_integral_numbers_load_as_integers(self, tmp_path):
+        record = {
+            "id": "a", "open_ts": 0.0, "close_ts": 10, "resolve_ts": 20,
+            "prediction_ts": 5.0, "outcome": 1.0, "features": [0.0],
+        }
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        (q,) = load_questions(path)
+        assert (q.open_ts, q.prediction_ts, q.outcome) == (0, 5, 1)
+        assert all(type(v) is int for v in (q.open_ts, q.prediction_ts, q.outcome))
+
     def test_csv_and_jsonl_agree(self, tmp_path):
         ds = self._sample()
         save_questions(ds, tmp_path / "q.jsonl")

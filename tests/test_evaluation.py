@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import ndtr, stdtr
 
+from oracle import extreme_bucket_mass, welch_statistic
+
 from forecast_rl import evaluation
 from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.evaluation import (
@@ -18,9 +20,7 @@ from forecast_rl.evaluation import (
     Z_95,
     ece_bins,
     ece_equal_mass,
-    ece_equal_mass_arrays,
     evaluation_report,
-    extreme_bucket_mass,
     forecasts_from_map,
     load_forecasts,
     normal_two_sided_p,
@@ -29,7 +29,6 @@ from forecast_rl.evaluation import (
     save_forecasts,
     soft_brier,
     t_two_sided_p,
-    welch_statistic,
 )
 from forecast_rl.rng import replicate_seeds, substream
 
@@ -39,6 +38,13 @@ def fixture(pairs):
     fs = [Forecast(f"q{i:03d}", p) for i, (p, _) in enumerate(pairs)]
     ys = {f"q{i:03d}": y for i, (_, y) in enumerate(pairs)}
     return fs, ys
+
+
+def columns(pairs):
+    """pairs: list of (probability|None, outcome) -> (probability column
+    with NaN for None, outcome column)."""
+    probs = np.array([np.nan if p is None else p for p, _ in pairs], dtype=np.float64)
+    return probs, np.array([y for _, y in pairs], dtype=np.float64)
 
 
 class TestForecastIO:
@@ -52,7 +58,9 @@ class TestForecastIO:
         fs = [Forecast("a", 0.25), Forecast("b", None), Forecast("c", 1.0)]
         path = tmp_path / "f.jsonl"
         save_forecasts(fs, path)
-        assert load_forecasts(path) == fs
+        names, probs = load_forecasts([path], ["c", "a", "b"])
+        assert names == ["f"]
+        np.testing.assert_array_equal(probs, [[1.0], [0.25], [np.nan]])
 
     def test_duplicate_id_names_line(self, tmp_path):
         path = tmp_path / "f.jsonl"
@@ -61,13 +69,13 @@ class TestForecastIO:
             + json.dumps({"question_id": "a", "probability": 0.6}) + "\n"
         )
         with pytest.raises(DataFormatError, match="line 2"):
-            load_forecasts(path)
+            load_forecasts([path], ["a"])
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "f.jsonl"
         path.write_text('{"question_id": "a"}\n')
         with pytest.raises(DataFormatError, match="line 1"):
-            load_forecasts(path)
+            load_forecasts([path], ["a"])
 
     def test_bad_probability_names_the_file_the_line_and_the_field(self, tmp_path):
         path = tmp_path / "f.jsonl"
@@ -76,7 +84,31 @@ class TestForecastIO:
             + json.dumps({"question_id": "b", "probability": "abc"}) + "\n"
         )
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 2: field 'probability': "):
-            load_forecasts(path)
+            load_forecasts([path], ["a", "b"])
+
+    def test_alignment_errors(self, tmp_path):
+        """Each file must cover the ids exactly; a missing file and a
+        repeated model name are refused before any alignment check."""
+        (tmp_path / "b").mkdir()
+        good, twin, odd = tmp_path / "m.jsonl", tmp_path / "b" / "m.jsonl", tmp_path / "odd.jsonl"
+        save_forecasts([Forecast("a", 0.5), Forecast("b", None)], good)
+        save_forecasts([Forecast("a", 0.5), Forecast("b", None)], twin)
+        save_forecasts([Forecast("a", 0.5), Forecast("z", 0.1), Forecast("y", 0.2)], odd)
+        with pytest.raises(ValidationError, match=r"forecast file .*nope\.jsonl not found"):
+            load_forecasts([odd, tmp_path / "nope.jsonl"], ["a", "b"])
+        with pytest.raises(ValidationError, match="duplicate model name 'm' among forecast files"):
+            load_forecasts([good, twin], ["a", "b"])
+        message = "model 'odd' does not align with the test set; missing ['b'], unknown ['y', 'z']"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_forecasts([good, odd], ["a", "b"])
+
+    def test_columns_follow_sorted_names_and_the_given_rows(self, tmp_path):
+        paths = [tmp_path / "zeta.jsonl", tmp_path / "alpha.jsonl"]
+        save_forecasts([Forecast("b", 0.2), Forecast("a", None)], paths[0])
+        save_forecasts([Forecast("a", 0.7), Forecast("b", 0.1)], paths[1])
+        names, probs = load_forecasts(paths, ["b", "a"])
+        assert names == ["alpha", "zeta"]
+        np.testing.assert_array_equal(probs, [[0.1, 0.2], [0.7, np.nan]])
 
     def test_from_map(self):
         fs = forecasts_from_map({"a": 0.5, "b": None})
@@ -150,8 +182,7 @@ class TestEce:
             assert ece_equal_mass(fs, out) == pytest.approx(brute_force_ece(triples), abs=1e-12)
 
     def test_bin_sizes_larger_first(self):
-        fs, ys = fixture([(i / 23, i % 2) for i in range(23)])
-        _, rows, n, _ = ece_bins(fs, ys)
+        _, rows, n, _ = ece_bins(*columns([(i / 23, i % 2) for i in range(23)]))
         counts = [r.count for r in rows]
         assert counts == [3, 3, 3] + [2] * 7
         assert sum(counts) == n == 23
@@ -174,8 +205,7 @@ class TestEce:
 
     def test_malformed_excluded_but_counted(self):
         pairs = [(i / 10, 1) for i in range(10)] + [(None, 0), (None, 1)]
-        fs, ys = fixture(pairs)
-        ece, rows, n, n_malformed = ece_bins(fs, ys)
+        ece, rows, n, n_malformed = ece_bins(*columns(pairs))
         assert n == 10 and n_malformed == 2
         assert sum(r.count for r in rows) == 10
 
@@ -185,20 +215,20 @@ class TestEce:
         ys = rng.integers(0, 2, size=n).astype(np.float64)
         fs = [Forecast(f"q{i:03d}", float(probs[i])) for i in range(n)]
         out = {f"q{i:03d}": int(ys[i]) for i in range(n)}
-        assert ece_equal_mass_arrays(probs, ys) == pytest.approx(ece_equal_mass(fs, out), abs=1e-15)
+        assert ece_bins(probs, ys)[0] == ece_equal_mass(fs, out)
 
     def test_array_variant_nan_handling(self):
         probs = np.array([0.1] * 12 + [np.nan] * 3)
         ys = np.array([0.0] * 15)
-        assert ece_equal_mass_arrays(probs, ys) == pytest.approx(0.1)
+        assert ece_bins(probs, ys)[0] == pytest.approx(0.1)
         with pytest.raises(ValidationError):
-            ece_equal_mass_arrays(np.array([0.5, np.nan]), np.array([1.0, 1.0]), n_bins=2)
+            ece_bins(np.array([0.5, np.nan]), np.array([1.0, 1.0]), n_bins=2)
 
     def test_report_consistency(self, rng):
         pairs = [(float(p), int(y)) for p, y in zip(rng.random(30), rng.integers(0, 2, 30))]
         pairs.append((None, 1))
         fs, ys = fixture(pairs)
-        report = evaluation_report(fs, ys)
+        report = evaluation_report(*columns(pairs))
         assert report.soft_brier_mean == soft_brier(fs, ys)
         assert report.ece == ece_equal_mass(fs, ys)
         assert report.n_questions == 30 and report.n_malformed == 1
@@ -209,17 +239,15 @@ class TestEce:
 
 class TestPairedBrierTest:
     def test_identical_sets(self):
-        fs, ys = fixture([(0.3, 1), (0.8, 0), (0.5, 1)])
-        cmp = paired_brier_test(fs, list(fs), ys)
+        probs, ys = columns([(0.3, 1), (0.8, 0), (0.5, 1)])
+        cmp = paired_brier_test(np.stack([probs, probs], axis=1), ys)[(0, 1)]
         assert cmp.delta_mean == 0.0 and cmp.p_value == 1.0
         assert cmp.ci_low == cmp.ci_high == 0.0
         assert cmp.method == "wald"
 
     def test_constant_difference_hits_machine_floor(self):
-        a = [Forecast(f"q{i}", 0.6) for i in range(100)]
-        b = [Forecast(f"q{i}", 0.5) for i in range(100)]
-        ys = {f"q{i}": 1 for i in range(100)}
-        cmp = paired_brier_test(a, b, ys)
+        probs = np.tile([0.6, 0.5], (100, 1))
+        cmp = paired_brier_test(probs, np.ones(100))[(0, 1)]
         # every d_i = 0.16 - 0.25 = -0.09, sd = 0
         assert cmp.delta_mean == pytest.approx(-0.09)
         assert cmp.ci_low == cmp.ci_high == cmp.delta_mean
@@ -230,10 +258,7 @@ class TestPairedBrierTest:
         pa = rng.random(n)
         pb = rng.random(n)
         ys_arr = rng.integers(0, 2, size=n)
-        a = [Forecast(f"q{i:02d}", float(pa[i])) for i in range(n)]
-        b = [Forecast(f"q{i:02d}", float(pb[i])) for i in range(n)]
-        ys = {f"q{i:02d}": int(ys_arr[i]) for i in range(n)}
-        cmp = paired_brier_test(a, b, ys)
+        cmp = paired_brier_test(np.stack([pa, pb], axis=1), ys_arr.astype(np.float64))[(0, 1)]
 
         d = [(pa[i] - ys_arr[i]) ** 2 - (pb[i] - ys_arr[i]) ** 2 for i in range(n)]
         mean = sum(d) / n
@@ -245,18 +270,14 @@ class TestPairedBrierTest:
         assert cmp.p_value == pytest.approx(math.erfc(abs(mean / se) / math.sqrt(2)), abs=1e-12)
 
     def test_mismatched_ids_rejected(self):
-        a, ys = fixture([(0.5, 1), (0.5, 0)])
-        b = [Forecast("q000", 0.5), Forecast("other", 0.5)]
         with pytest.raises(ValidationError, match="different questions"):
-            paired_brier_test(a, b, ys)
+            paired_brier_test(np.full((2, 2), 0.5), np.array([1.0, 0.0, 1.0]))
 
     def test_ci_contains_estimate(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))
-            a = [Forecast(f"q{i}", float(p)) for i, p in enumerate(rng.random(n))]
-            b = [Forecast(f"q{i}", float(p)) for i, p in enumerate(rng.random(n))]
-            ys = {f"q{i}": int(y) for i, y in enumerate(rng.integers(0, 2, n))}
-            cmp = paired_brier_test(a, b, ys)
+            probs = rng.random((n, 2))
+            cmp = paired_brier_test(probs, rng.integers(0, 2, n).astype(np.float64))[(0, 1)]
             assert cmp.ci_low <= cmp.delta_mean <= cmp.ci_high
             assert 0.0 <= cmp.p_value <= 1.0
 
@@ -407,21 +428,18 @@ class TestTails:
 
 class TestExtremeBucketMass:
     def test_fixtures(self):
-        assert extreme_bucket_mass([Forecast("a", 0.5)] * 4) == 0.0
-        fs = [Forecast(str(i), p) for i, p in enumerate([0.0, 1.0, 0.5, 0.95])]
-        assert extreme_bucket_mass(fs) == 0.75
+        assert extreme_bucket_mass([0.5] * 4) == 0.0
+        assert extreme_bucket_mass([0.0, 1.0, 0.5, 0.95]) == 0.75
 
     def test_boundaries_inclusive(self):
-        assert extreme_bucket_mass([Forecast("a", 0.10), Forecast("b", 0.90)]) == 1.0
-        assert extreme_bucket_mass([Forecast("a", 0.11), Forecast("b", 0.89)]) == 0.0
+        assert extreme_bucket_mass([0.10, 0.90]) == 1.0
+        assert extreme_bucket_mass([0.11, 0.89]) == 0.0
 
     def test_absent_excluded(self):
-        fs = [Forecast("a", None), Forecast("b", 0.5)]
-        assert extreme_bucket_mass(fs) == 0.0
-        assert extreme_bucket_mass([Forecast("a", None)]) == 0.0
+        assert extreme_bucket_mass([None, 0.5]) == 0.0
+        assert extreme_bucket_mass([None]) == 0.0
         assert extreme_bucket_mass([]) == 0.0
-        fs = [Forecast("a", None), Forecast("b", 0.05)]
-        assert extreme_bucket_mass(fs) == 1.0
+        assert extreme_bucket_mass([None, 0.05]) == 1.0
 
 
 class TestConstants:

@@ -6,6 +6,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import forecast_rl
@@ -103,7 +104,7 @@ class TestAtomicWrite:
             save_forecasts([Forecast("a", 0.25), Forecast("b", object())], path)
         assert path.read_bytes() == before
         assert _tmp_files(tmp_path) == []
-        assert [f.probability for f in load_forecasts(path)] == [0.5, None]
+        np.testing.assert_array_equal(load_forecasts([path], ["a", "b"])[1][:, 0], [0.5, np.nan])
 
     def test_json_that_fails_midway_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "evaluation.json"

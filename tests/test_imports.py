@@ -1,0 +1,57 @@
+"""Every name a package module imports is used in it.
+
+An import kept only for its side effect says so on its line with
+`# noqa: F401`, with the reason.
+"""
+
+import ast
+from pathlib import Path
+
+import forecast_rl
+
+PACKAGE = Path(forecast_rl.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """'line: name' for each imported name that the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unused = sorted((line, name) for name, line in imported.items() if name not in used | exported)
+    return [f"{line}: {name}" for line, name in unused]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: hits for path in sorted(PACKAGE.glob("*.py")) if (hits := unused_imports(path.read_text()))}
+    assert found == {}
+
+
+def test_scan_catches_each_form():
+    src = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import numpy.ma  # noqa: F401  loaded for its side effect\n"
+        "from json import dumps, loads\n"
+        "from csv import (\n"
+        "    reader,\n"
+        "    writer,  # noqa: F401\n"
+        ")\n"
+        "from math import pi\n"
+        "__all__ = ['pi']\n"
+        "print(np.ones(1), loads('1'))\n"
+    )
+    assert unused_imports(src) == ["2: os", "5: dumps", "7: reader"]

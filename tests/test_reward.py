@@ -15,7 +15,8 @@ from oracle import (
 from forecast_rl.algorithms import count_rewards, guardrail_rewards, reward_table
 from forecast_rl.errors import ValidationError
 from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, N_CONTENT, NONENGLISH, RATIONALE
-from forecast_rl.reward import PenaltyConfig, soft_brier_loss
+from forecast_rl.evaluation import soft_brier_losses
+from forecast_rl.reward import PenaltyConfig
 
 
 def response_of(tokens, answer=50, schema_valid=True) -> Response:
@@ -48,15 +49,15 @@ class TestStrictAndSoft:
         assert strict_reward(0.9, 0) == pytest.approx(-0.81)
 
     def test_soft_fixtures(self):
-        assert soft_brier_loss(None, 1) == 0.25
-        assert soft_brier_loss(0.5, 1) == 0.25
-        assert soft_brier_loss(0.5, 0) == 0.25
-        assert soft_brier_loss(1.0, 0) == 1.0
+        got = soft_brier_losses(np.array([np.nan, 0.5, 0.5, 1.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+        assert got.tolist() == [0.25, 0.25, 0.25, 1.0]
 
     @given(st.one_of(st.none(), st.floats(0.0, 1.0)), st.integers(0, 1))
     def test_bounds(self, p, y):
         assert strict_reward(p, y) <= 0.0
-        assert 0.0 <= soft_brier_loss(p, y) <= 1.0
+        loss = soft_brier_losses(np.array([np.nan if p is None else p]), np.array([float(y)]))[0]
+        assert 0.0 <= loss <= 1.0
+        assert loss == (0.25 if p is None else (p - y) ** 2)
 
 
 class TestStrictPropriety:

@@ -35,6 +35,12 @@ def trade_with(profit=0.0, edge=0.1, m=0.6, qid="q", realized=1, side="long"):
     return TradeRecord(qid, side, m, cost, cost + edge, edge, realized, profit)
 
 
+def column(forecasts, ds):
+    """A {question id: probability or None} map as the probability column
+    aligned with the dataset's rows, NaN where absent."""
+    return np.array([forecasts.get(q.id) for q in ds], dtype=np.float64)
+
+
 def priced_dataset(rows):
     """rows: (qid, p_market, outcome[, volume]) in chronological order."""
     qs = []
@@ -91,7 +97,7 @@ class TestEligibility:
 
     def test_build_trades_skips_absent_forecasts(self):
         ds = priced_dataset([("a", 0.5, 1), ("b", 0.5, 1)])
-        trades = build_trades({"a": 0.8, "b": None}, ds, np.random.default_rng(0))
+        trades = build_trades(np.array([0.8, np.nan]), ds, np.random.default_rng(0))
         assert [t.question_id for t in trades] == ["a"]
 
 
@@ -209,8 +215,7 @@ class TestRunStrategies:
         forecasts = {qid: (m if i % 3 == 0 else float(np.round(rng.random(), 2))) for i, (qid, m, _) in
                      enumerate(rows)}
         forecasts["q05"] = None
-        trades, results = run_strategies(forecasts, ds, 0.05, substream(1, "ties", "m"))
-        assert trades == build_trades(forecasts, ds, substream(1, "ties", "m"))
+        results = run_strategies(column(forecasts, ds), ds, 0.05, substream(1, "ties", "m"))
         assert list(results) == list(GATES)
         for kind, got in results.items():
             rule = GatingRule(kind, 0.05 if kind == GATE_EDGE_ABOVE_ECE else None)
@@ -318,7 +323,7 @@ class TestGatingEce:
 
     def test_calibration_split_trades_the_complement(self):
         ds, forecasts = self.make_inputs()
-        ece, trade_ds = gating_ece(forecasts, ds, mode="calibration_split")
+        (ece,), trade_ds = gating_ece(column(forecasts, ds)[:, None], ds, mode="calibration_split")
         cal_ids = [q.id for q in ds][:20]
         assert [q.id for q in trade_ds] == [q.id for q in ds][20:]
         want = ece_equal_mass(
@@ -329,7 +334,7 @@ class TestGatingEce:
 
     def test_in_sample_trades_everything(self):
         ds, forecasts = self.make_inputs()
-        ece, trade_ds = gating_ece(forecasts, ds, mode="in_sample")
+        (ece,), trade_ds = gating_ece(column(forecasts, ds)[:, None], ds, mode="in_sample")
         assert trade_ds is ds
         want = ece_equal_mass(
             [Forecast(q.id, forecasts[q.id]) for q in ds],
@@ -340,23 +345,19 @@ class TestGatingEce:
     def test_unknown_mode(self):
         ds, forecasts = self.make_inputs()
         with pytest.raises(ValidationError):
-            gating_ece(forecasts, ds, mode="holdout")
+            gating_ece(column(forecasts, ds)[:, None], ds, mode="holdout")
 
 
-def built(models, ds):
-    """Each model's trades, built once with its own tie generator."""
-    return {name: build_trades(f, ds, np.random.default_rng(0)) for name, f in models.items()}
+def gated(models, ds, rule):
+    """Each model's result under one gating rule, with its own tie generator."""
+    return [run_strategy(f, ds, rule, np.random.default_rng(0)) for f in models]
 
 
 class TestPerQuestionProfits:
     def test_rows_align_and_zero_fill(self):
         ds = priced_dataset([("a", 0.6, 1), ("b", 0.6, 1), ("c", 0.6, 0)])
-        models = {
-            "m2": {"a": 0.8, "b": 0.8, "c": 0.8},
-            "m1": {"a": 0.8, "b": None, "c": 0.8},
-        }
-        values, rows, names = per_question_profits(built(models, ds), ds, GATE_ALL_MARKETS, None)
-        assert names == ["m1", "m2"]  # sorted
+        models = [{"a": 0.8, "b": None, "c": 0.8}, {"a": 0.8, "b": 0.8, "c": 0.8}]
+        values, rows = per_question_profits(gated(models, ds, GatingRule(GATE_ALL_MARKETS)), ds)
         assert rows == ["a", "b", "c"]
         assert values.shape == (3, 2)
         assert values[1, 0] == 0.0  # m1 skipped b
@@ -366,16 +367,15 @@ class TestPerQuestionProfits:
 
     def test_gating_zeroes_excluded_questions(self):
         ds = priced_dataset([("a", 0.5, 1)])
-        models = {"m": {"a": 0.505}}  # edge -0.005
-        values, _, _ = per_question_profits(built(models, ds), ds, GATE_EDGE_ABOVE_ZERO, None)
+        models = [{"a": 0.505}]  # edge -0.005
+        values, _ = per_question_profits(gated(models, ds, GatingRule(GATE_EDGE_ABOVE_ZERO)), ds)
         assert values[0, 0] == 0.0
-        values, _, _ = per_question_profits(built(models, ds), ds, GATE_ALL_MARKETS, None)
+        values, _ = per_question_profits(gated(models, ds, GatingRule(GATE_ALL_MARKETS)), ds)
         assert values[0, 0] != 0.0
 
     def test_per_model_ece_thresholds(self):
         ds = priced_dataset(FIXTURE_ROWS)
-        models = {"m": FIXTURE_FORECASTS}
-        values, rows, _ = per_question_profits(built(models, ds), ds, GATE_EDGE_ABOVE_ECE, {"m": 0.10})
+        values, rows = per_question_profits(gated([FIXTURE_FORECASTS], ds, GatingRule(GATE_EDGE_ABOVE_ECE, 0.10)), ds)
         traded = {rows[i] for i in range(len(rows)) if values[i, 0] != 0.0}
         assert traded == {"q1", "q2"}
 
