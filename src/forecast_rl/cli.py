@@ -33,7 +33,6 @@ from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
 from forecast_rl.evaluation import (
     equal_mass_ece_stat,
     evaluation_report,
-    forecasts_from_map,
     load_forecasts,
     paired_bootstrap,
     paired_bootstrap_stat,
@@ -46,10 +45,10 @@ from forecast_rl.rng import substream
 from forecast_rl.trading import (
     GATES,
     confidence_band_edges,
-    eligible,
     gating_ece,
     per_question_profits,
     run_strategies,
+    tradeable,
 )
 from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train_members
 
@@ -239,18 +238,18 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     test_ds = _load_split(cfg, "test", "test")
     members = [_find_member_params(cfg, k)[0] for k in range(cfg.ensemble_size)]
     files = []
-    member_probs = []
+    member_probs = np.empty((len(members), len(test_ds)))
     for k, params in enumerate(members):
-        member_probs.append(predict_dataset(params, test_ds))
+        member_probs[k] = predict_dataset(params, test_ds)
         path = out / f"forecasts_m{k}.jsonl"
-        save_forecasts(forecasts_from_map(member_probs[-1]), path)
+        save_forecasts(path, test_ds.ids, member_probs[k])
         files.append(path)
     ens = ensemble_predict_dataset(EnsembleSpec(members), test_ds, member_probs)
     ens_path = out / "forecasts.jsonl"
-    save_forecasts(forecasts_from_map(ens), ens_path)
+    save_forecasts(ens_path, test_ds.ids, ens)
     files.append(ens_path)
     Manifest(out).register("predict", cfg.config_hash(), files, time.monotonic() - t0)
-    n_present = sum(1 for p in ens.values() if p is not None)
+    n_present = int(np.count_nonzero(~np.isnan(ens)))
     print(f"predict: {len(ens)} questions, {n_present} with forecasts -> {ens_path}")
     return EXIT_OK
 
@@ -258,7 +257,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 def _load_forecasts(cfg: RunConfig, args, test_ds: Dataset) -> tuple[list[str], np.ndarray]:
     """The model names and their (test rows x models) probability matrix."""
     paths = [Path(p) for p in args.forecasts] if args.forecasts else [_out_dir(cfg) / "forecasts.jsonl"]
-    return load_forecasts(paths, test_ds.ids())
+    return load_forecasts(paths, test_ds.ids)
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
@@ -266,7 +265,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     test_ds = _load_split(cfg, "test", "test")
     names, probs = _load_forecasts(cfg, args, test_ds)
-    y = test_ds.outcomes()
+    y = test_ds.outcome
     n_bins = cfg.evaluation.n_bins
     files = []
 
@@ -314,7 +313,7 @@ def cmd_trade(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     test_ds = _load_split(cfg, "test", "test")
     names, probs = _load_forecasts(cfg, args, test_ds)
-    n_priced = sum(1 for q in test_ds if eligible(q))
+    n_priced = int(np.count_nonzero(tradeable(test_ds)))
     files = []
     if n_priced == 0:
         trade_path = out / "trades.json"

@@ -1,38 +1,37 @@
-"""Questions, datasets, chronological validation, and the synthetic stream.
+"""Datasets, chronological validation, and the synthetic stream.
 
-A Question is one binary event with a feature vector and timestamps.  A
-Dataset is a chronologically sorted list of Questions.  The synthetic
-generator replaces a real question corpus with a parametric stream whose
-true event probabilities are known and written to a separate oracle
-sidecar file, which training code never reads.
+A Dataset holds its questions as columns, sorted by (prediction_ts, id);
+a Question is one binary event, the row record that tests build datasets
+from.  The synthetic generator replaces a real question corpus with a
+parametric stream whose true event probabilities are known and written to
+a separate oracle sidecar file, which training code never reads.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import atomic_write, read_csv, read_jsonl, record_field, write_jsonl
+from forecast_rl.files import atomic_write, json_number, json_string, read_csv, read_jsonl, record_field, write_jsonl
 from forecast_rl.rng import substream
 
-_REQUIRED_FIELDS = (
-    "id",
-    "open_ts",
-    "close_ts",
-    "resolve_ts",
-    "prediction_ts",
-    "outcome",
-    "features",
+# Question's fields in order: the CSV header, and the order of a row tuple.
+_FIELDS = (
+    "id", "open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome", "features",
+    "market_price", "volume", "source",
 )
-_OPTIONAL_FIELDS = ("market_price", "volume", "source")
-_CSV_COLUMNS = _REQUIRED_FIELDS + _OPTIONAL_FIELDS
+_REQUIRED_FIELDS = _FIELDS[:7]
+# The Dataset column of each field.
+_COLUMNS = ("ids",) + _FIELDS[1:]
+_INTEGER_FIELDS = ("open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome")
+_SOURCES = ("market", "synthetic")
 
 
 @dataclass
@@ -54,35 +53,6 @@ class Question:
     market_price: float | None = None
     volume: float | None = None
     source: str = "synthetic"
-
-    def validate(self, feature_dim: int | None = None) -> None:
-        if not (self.open_ts <= self.prediction_ts < self.close_ts <= self.resolve_ts):
-            raise ValidationError(
-                f"question {self.id!r}: timestamps must satisfy "
-                f"open <= prediction < close <= resolve, got "
-                f"({self.open_ts}, {self.prediction_ts}, {self.close_ts}, {self.resolve_ts})"
-            )
-        if self.outcome not in (0, 1):
-            raise ValidationError(f"question {self.id!r}: outcome must be 0 or 1, got {self.outcome}")
-        if self.market_price is not None and not (0.0 < self.market_price < 1.0):
-            raise ValidationError(
-                f"question {self.id!r}: market_price must lie strictly in (0, 1), got {self.market_price}"
-            )
-        if self.volume is not None and self.volume < 0:
-            raise ValidationError(f"question {self.id!r}: volume must be nonnegative")
-        if self.source not in ("market", "synthetic"):
-            raise ValidationError(f"question {self.id!r}: unknown source {self.source!r}")
-        # x.x is finite only when every feature is finite and the squares do
-        # not overflow; training's clip norm needs it finite.
-        if not np.isfinite(np.vdot(self.features, self.features)):
-            raise ValidationError(
-                f"question {self.id!r}: features must be finite numbers whose sum of squares is finite"
-            )
-        if feature_dim is not None and self.features.shape != (feature_dim,):
-            raise ValidationError(
-                f"question {self.id!r}: feature dimension {self.features.shape[0]} "
-                f"differs from dataset dimension {feature_dim}"
-            )
 
 
 @dataclass
@@ -114,98 +84,181 @@ class SyntheticConfig:
             raise ValidationError("latent_weights must have shape (feature_dim,)")
 
 
-@dataclass
 class Dataset:
-    """Questions sorted ascending by prediction_ts (ties broken by id)."""
+    """Questions as columns, sorted ascending by prediction_ts (ties by id).
 
-    questions: list[Question] = field(default_factory=list)
-    split: str = "train"
+    `ids` and `source` are lists of str; `open_ts`, `close_ts`,
+    `resolve_ts`, `prediction_ts` and `outcome` are int64 arrays;
+    `features` is an (n, d) float64 matrix; `market_price` and `volume` are
+    float64 arrays with NaN where the field is null.
+
+    `Dataset(questions, split)` builds one from Question rows, validated
+    and sorted as `load_questions` does a file's records.
+    """
+
+    def __init__(self, questions=(), split: str = "train"):
+        rows = [tuple(getattr(q, name) for name in _FIELDS) for q in questions]
+        vars(self).update(vars(_from_rows(rows, split)))
 
     def __len__(self) -> int:
-        return len(self.questions)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.questions)
+        """Each row as a Question; its features are a view of the matrix row."""
+        return (Question(*row) for row in _rows(self, self.features))
 
     @property
     def feature_dim(self) -> int:
-        if not self.questions:
+        if not len(self):
             raise ValidationError("empty dataset has no feature dimension")
-        return self.questions[0].features.shape[0]
-
-    def feature_matrix(self) -> np.ndarray:
-        return np.array([q.features for q in self.questions], dtype=np.float64)
-
-    def outcomes(self) -> np.ndarray:
-        return np.array([q.outcome for q in self.questions], dtype=np.float64)
-
-    def ids(self) -> list[str]:
-        return [q.id for q in self.questions]
-
-    def outcome_by_id(self) -> dict[str, int]:
-        return {q.id: q.outcome for q in self.questions}
+        return self.features.shape[1]
 
 
-def _finalize(questions: list[Question], split: str) -> Dataset:
-    """Validate, dedupe, and sort into a Dataset."""
-    seen: set[str] = set()
-    for q in questions:
-        if q.id in seen:
-            raise ValidationError(f"duplicate question id {q.id!r}")
-        seen.add(q.id)
-    dim = questions[0].features.shape[0] if questions else None
-    for q in questions:
-        q.validate(feature_dim=dim)
-    questions = sorted(questions, key=lambda q: (q.prediction_ts, q.id))
-    return Dataset(questions=questions, split=split)
+def _rows(ds: Dataset, features) -> zip:
+    """Each row of `ds` as a tuple in _FIELDS order, None where a field is
+    null, with the row of `features` (the matrix or its list) as its own."""
+    ints = (getattr(ds, name).tolist() for name in _INTEGER_FIELDS)
+    prices, volumes = ([None if math.isnan(v) else v for v in c.tolist()] for c in (ds.market_price, ds.volume))
+    return zip(ds.ids, *ints, features, prices, volumes, ds.source)
 
 
-def _features(value) -> np.ndarray:
-    return np.asarray(json.loads(value) if isinstance(value, str) else value, dtype=np.float64)
+def _dataset(columns: list, split: str) -> Dataset:
+    """A Dataset holding `columns` (in _COLUMNS order) as they are."""
+    ds = Dataset.__new__(Dataset)
+    ds.split = split
+    vars(ds).update(zip(_COLUMNS, columns))
+    return ds
 
 
-def _optional_float(value) -> float | None:
-    return None if value in (None, "") else float(value)
+def _validate(ids, open_ts, close_ts, resolve_ts, prediction_ts, outcome, features, market_price, volume, source,
+              dims) -> None:
+    """Raise a ValidationError naming the first row, in file order, that
+    breaks an invariant, with its first broken check; a repeated id is
+    looked for first.  `dims` holds each row's feature count (the matrix
+    is zero-padded where a row is short)."""
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for qid in ids:
+            if qid in seen:
+                raise ValidationError(f"duplicate question id {qid!r}")
+            seen.add(qid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # x.x is finite only when every feature is finite and the squares do
+        # not overflow; training's clip norm needs it finite.
+        finite = np.isfinite(np.einsum("ij,ij->i", features, features))
+    checks = (
+        (~((open_ts <= prediction_ts) & (prediction_ts < close_ts) & (close_ts <= resolve_ts)),
+         lambda i: "timestamps must satisfy open <= prediction < close <= resolve, got "
+         f"({open_ts[i]}, {prediction_ts[i]}, {close_ts[i]}, {resolve_ts[i]})"),
+        ((outcome != 0) & (outcome != 1), lambda i: f"outcome must be 0 or 1, got {outcome[i]}"),
+        ((market_price <= 0.0) | (market_price >= 1.0),  # False where NaN (null)
+         lambda i: f"market_price must lie strictly in (0, 1), got {float(market_price[i])}"),
+        (volume < 0, lambda i: "volume must be nonnegative"),
+        (~np.isin(source, _SOURCES), lambda i: f"unknown source {source[i]!r}"),
+        (~finite, lambda i: "features must be finite numbers whose sum of squares is finite"),
+        (dims != dims[:1], lambda i: f"feature dimension {dims[i]} differs from dataset dimension {dims[0]}"),
+    )
+    bad = np.array([mask for mask, _ in checks], dtype=bool)
+    rows = bad.any(axis=0)
+    if rows.any():
+        i = int(rows.argmax())
+        message = checks[int(bad[:, i].argmax())][1]
+        raise ValidationError(f"question {ids[i]!r}: {message(i)}")
+
+
+def _sorted(columns: list, dims: np.ndarray, split: str) -> Dataset:
+    """Validate `columns` (in _COLUMNS order, rows in file order) and
+    return them as a Dataset sorted by (prediction_ts, id)."""
+    _validate(*columns, dims)
+    ids, *arrays, source = columns
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)  # str order, as Python sorts
+    order = by_id[np.argsort(columns[4][by_id], kind="stable")]  # then stably by prediction_ts
+    rows = order.tolist()
+    return _dataset([[ids[i] for i in rows], *(a[order] for a in arrays), [source[i] for i in rows]], split)
+
+
+def _from_rows(rows: list[tuple], split: str) -> Dataset:
+    """A Dataset of rows in _FIELDS order (see `_sorted`)."""
+    ids, *ints, features, prices, volumes, source = zip(*rows) if rows else [()] * len(_FIELDS)
+    dims = np.array([len(f) for f in features], dtype=np.int64)
+    d = int(dims.max(initial=0))
+    if (dims == d).all():
+        matrix = np.array(features, dtype=np.float64).reshape(len(rows), d)
+    else:  # zero-padded; the validator names the first row of another length
+        matrix = np.zeros((len(rows), d))
+        for i, f in enumerate(features):
+            matrix[i, : len(f)] = f
+    ints = [np.array(c, dtype=np.int64) for c in ints]
+    nullable = [np.array(c, dtype=np.float64) for c in (prices, volumes)]  # None becomes NaN
+    return _sorted([list(ids), *ints, matrix, *nullable, list(source)], dims, split)
 
 
 def _integer(value) -> int:
-    """An integer field: a JSON integer, an integral JSON number or a CSV
-    cell.  A boolean, or a number with a fraction, is refused rather than
-    counted as 1 or truncated."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    """An integer field of a JSONL record: a JSON integer or integral number
+    that fits in 64 bits.  A boolean, a string or a fraction is refused, not
+    counted as 1, parsed or truncated."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {json.dumps(value)[:40]}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"expected an integer that fits in 64 bits, got {value}")
+    return value
 
 
-# How each field is read; market_price and volume may be absent.
-_CASTS = {
-    **dict.fromkeys(("open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome"), _integer),
-    "features": _features,  # a JSONDecodeError is a ValueError
-    "market_price": _optional_float,
-    "volume": _optional_float,
+def _numbers(value) -> list[float]:
+    """`features`: a JSON list of numbers, none of them a boolean."""
+    if type(value) is not list or not all(map({int, float}.__contains__, map(type, value))):
+        raise ValueError(f"expected a list of numbers, got {json.dumps(value)[:40]}")
+    return list(map(float, value))
+
+
+def _nullable(number, value) -> float | None:
+    """`market_price` or `volume`: None for null (or an empty CSV cell), else
+    number(value) if that is finite, so that NaN can stand for null."""
+    if value is None or value == "":
+        return None
+    x = number(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {x}")
+    return x
+
+
+# How each field but `source` is read, in _FIELDS order: a JSONL value
+# must have its JSON type; a CSV cell is text, cast as the field needs.
+_JSONL_CASTS = {
+    "id": json_string,
+    **dict.fromkeys(_INTEGER_FIELDS, _integer),
+    "features": _numbers,
+    **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, json_number)),
+}
+_CSV_CASTS = {
+    "id": str,
+    **dict.fromkeys(_INTEGER_FIELDS, lambda cell: _integer(int(cell))),
+    "features": lambda cell: _numbers(json.loads(cell)),  # a JSONDecodeError is a ValueError
+    **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, float)),
 }
 
 
-def _question_from_record(record) -> Question:
-    """One JSONL or CSV record as a Question; errors name the field."""
+def _row(casts: dict, record) -> tuple:
+    """One JSONL or CSV record as a row in _FIELDS order; errors name the
+    field."""
     if not isinstance(record, dict):
         raise DataFormatError("record is not an object")
     for name in _REQUIRED_FIELDS:
         if name not in record or record[name] is None or record[name] == "":
             raise DataFormatError(f"missing required field {name!r}")
-    unknown = set(record) - set(_CSV_COLUMNS)
+    unknown = set(record) - set(_FIELDS)
     if unknown:
         raise DataFormatError(f"unknown fields {sorted(unknown)}")
     try:
-        fields = {name: cast(record[name]) for name, cast in _CASTS.items() if name in record}
-    except (TypeError, ValueError):
-        for name, cast in _CASTS.items():
+        values = [cast(record.get(name)) for name, cast in casts.items()]
+    except (TypeError, ValueError, OverflowError):
+        for name, cast in casts.items():
             if name in record:
                 record_field(record, name, cast)  # raises, naming the first field that does not cast
         raise
-    return Question(id=str(record["id"]), source=str(record.get("source") or "synthetic"), **fields)
+    return (*values, str(record.get("source") or "synthetic"))
 
 
 def load_questions(path: str | Path, format: str | None = None, split: str = "train") -> Dataset:
@@ -220,23 +273,13 @@ def load_questions(path: str | Path, format: str | None = None, split: str = "tr
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in ("jsonl", "csv"):
         raise ValidationError(f"unknown dataset format {format!r}")
-    read = read_jsonl if format == "jsonl" else read_csv
-    return _finalize(list(read(path, _question_from_record)), split=split)
+    read, casts = (read_jsonl, _JSONL_CASTS) if format == "jsonl" else (read_csv, _CSV_CASTS)
+    return _from_rows(list(read(path, functools.partial(_row, casts))), split)
 
 
-def _question_record(q: Question) -> dict:
-    return {
-        "id": q.id,
-        "open_ts": q.open_ts,
-        "close_ts": q.close_ts,
-        "resolve_ts": q.resolve_ts,
-        "prediction_ts": q.prediction_ts,
-        "outcome": q.outcome,
-        "features": [float(v) for v in q.features],
-        "market_price": q.market_price,
-        "volume": q.volume,
-        "source": q.source,
-    }
+def _records(dataset: Dataset):
+    """Each row as a record of every field, None where a field is null."""
+    return (dict(zip(_FIELDS, row)) for row in _rows(dataset, dataset.features.tolist()))
 
 
 def save_questions(dataset: Dataset, path: str | Path, format: str | None = None) -> None:
@@ -245,13 +288,12 @@ def save_questions(dataset: Dataset, path: str | Path, format: str | None = None
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format == "jsonl":
-        write_jsonl(path, (_question_record(q) for q in dataset))
+        write_jsonl(path, _records(dataset))
     elif format == "csv":
         with atomic_write(path, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(_CSV_COLUMNS))
+            writer = csv.DictWriter(fh, fieldnames=list(_FIELDS))
             writer.writeheader()
-            for q in dataset:
-                record = _question_record(q)
+            for record in _records(dataset):
                 record["features"] = json.dumps(record["features"])
                 writer.writerow(record)
     else:
@@ -277,9 +319,6 @@ class ChronologyReport:
     violations: list[tuple[str, str]]  # the first MAX_LISTED_VIOLATIONS (train id, test id) pairs
     n_violations: int = 0  # every violating pair, counted
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 MAX_LISTED_VIOLATIONS = 10
 
@@ -289,28 +328,18 @@ def validate_chronology(train: Dataset, test: Dataset) -> ChronologyReport:
     is predicted.
 
     On failure, counts every violating (train, test) pair and lists the
-    first MAX_LISTED_VIOLATIONS of them in train-then-test order.  The
-    count bisects the sorted test prediction times, so a bad split costs
-    O((n + m) log m) rather than O(n * m).
+    first MAX_LISTED_VIOLATIONS of them in train-then-test order.  The test
+    set is sorted by prediction time, so train row r violates against the
+    test rows [0, hits[r]), found by one `searchsorted`: O((n + m) log m)
+    rather than O(n * m).
     """
-    if not train.questions or not test.questions:
+    if not len(train) or not len(test):
         raise ValidationError("chronology validation requires non-empty train and test datasets")
-    test_ts = sorted(q.prediction_ts for q in test.questions)
-    latest_train = max(q.resolve_ts for q in train.questions)
-    if latest_train < test_ts[0]:
-        return ChronologyReport(passed=True, violations=[])
-    n_violations = 0
-    violations: list[tuple[str, str]] = []
-    for tr in train.questions:
-        hits = bisect.bisect_right(test_ts, tr.resolve_ts)  # tests predicted at or before tr resolves
-        n_violations += hits
-        if hits and len(violations) < MAX_LISTED_VIOLATIONS:
-            for te in test.questions:
-                if tr.resolve_ts >= te.prediction_ts:
-                    violations.append((tr.id, te.id))
-                    if len(violations) == MAX_LISTED_VIOLATIONS:
-                        break
-    return ChronologyReport(passed=False, violations=violations, n_violations=n_violations)
+    hits = np.searchsorted(test.prediction_ts, train.resolve_ts, side="right")
+    n_violations = int(hits.sum())
+    first = np.flatnonzero(hits)[:MAX_LISTED_VIOLATIONS].tolist()  # each lists one pair or more
+    pairs = [(train.ids[r], qid) for r in first for qid in test.ids[: min(int(hits[r]), MAX_LISTED_VIOLATIONS)]]
+    return ChronologyReport(n_violations == 0, pairs[:MAX_LISTED_VIOLATIONS], n_violations)
 
 
 # Window geometry of the synthetic stream.  Questions occupy disjoint
@@ -352,7 +381,7 @@ def generate_synthetic_stream(cfg: SyntheticConfig) -> tuple[Dataset, dict[str, 
     else:
         w0 = np.asarray(cfg.latent_weights, dtype=np.float64)
     if n == 0:
-        return Dataset(questions=[], split="train"), {}
+        return Dataset([], "train"), {}
 
     steps = rng.standard_normal((n, d)) * cfg.temporal_drift if cfg.temporal_drift > 0 else np.zeros((n, d))
     walk = w0[None, :] + np.cumsum(steps, axis=0)
@@ -360,36 +389,20 @@ def generate_synthetic_stream(cfg: SyntheticConfig) -> tuple[Dataset, dict[str, 
     logits = np.einsum("ij,ij->i", walk, features)
     # deep saturation rounds expit to exact 0/1, which the record schema forbids
     p_star = np.clip(_expit(logits), _P_CLAMP, 1.0 - _P_CLAMP)
-    outcomes = (rng.random(n) < p_star).astype(int)
+    outcomes = (rng.random(n) < p_star).astype(np.int64)
     pred_offsets = rng.integers(0, _WINDOW_OPEN_LEN, size=n)
     if cfg.market_noise is not None:
         prices = _expit(logits + cfg.market_noise * rng.standard_normal(n))
         prices = np.clip(prices, _P_CLAMP, 1.0 - _P_CLAMP)
     else:
-        prices = None
+        prices = np.full(n, np.nan)
 
-    questions = []
-    oracle: dict[str, float] = {}
-    for i in range(n):
-        qid = f"syn-{i:06d}"
-        open_ts = _BASE_TS + i * _WINDOW_STRIDE
-        close_ts = open_ts + _WINDOW_OPEN_LEN
-        questions.append(
-            Question(
-                id=qid,
-                open_ts=open_ts,
-                close_ts=close_ts,
-                resolve_ts=close_ts,
-                prediction_ts=open_ts + int(pred_offsets[i]),
-                outcome=int(outcomes[i]),
-                features=features[i],
-                market_price=float(prices[i]) if prices is not None else None,
-                volume=None,
-                source="synthetic",
-            )
-        )
-        oracle[qid] = float(p_star[i])
-    return _finalize(questions, split="train"), oracle
+    ids = [f"syn-{i:06d}" for i in range(n)]
+    open_ts = _BASE_TS + _WINDOW_STRIDE * np.arange(n, dtype=np.int64)
+    close_ts = open_ts + _WINDOW_OPEN_LEN
+    columns = [ids, open_ts, close_ts, close_ts, open_ts + pred_offsets, outcomes, features, prices,
+               np.full(n, np.nan), ["synthetic"] * n]
+    return _sorted(columns, np.full(n, d), "train"), dict(zip(ids, p_star.tolist()))
 
 
 def split_dataset(dataset: Dataset, train_fraction: float) -> tuple[Dataset, Dataset]:
@@ -397,10 +410,9 @@ def split_dataset(dataset: Dataset, train_fraction: float) -> tuple[Dataset, Dat
     the remainder test."""
     if not (0.0 < train_fraction < 1.0):
         raise ValidationError("train_fraction must lie in (0, 1)")
-    k = int(len(dataset.questions) * train_fraction)
-    train = Dataset(questions=dataset.questions[:k], split="train")
-    test = Dataset(questions=dataset.questions[k:], split="test")
-    return train, test
+    k = int(len(dataset) * train_fraction)
+    train, test = ([getattr(dataset, name)[rows] for name in _COLUMNS] for rows in (slice(None, k), slice(k, None)))
+    return _dataset(train, "train"), _dataset(test, "test")
 
 
 def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
@@ -408,4 +420,6 @@ def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
 
 
 def load_oracle(path: str | Path) -> dict[str, float]:
-    return dict(read_jsonl(path, lambda r: (record_field(r, "id", str), record_field(r, "p_star", float))))
+    return dict(
+        read_jsonl(path, lambda r: (record_field(r, "id", json_string), record_field(r, "p_star", json_number)))
+    )

@@ -18,7 +18,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-up, not inside a stage's work
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import read_jsonl, record_field, write_jsonl
+from forecast_rl.files import json_number, json_string, read_jsonl, record_field, write_jsonl
 from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -153,10 +153,6 @@ class PairedComparison:
     n_dropped = 0
 
 
-def forecasts_from_map(probabilities: dict[str, float | None]) -> list[Forecast]:
-    return [Forecast(qid, p) for qid, p in probabilities.items()]
-
-
 def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], np.ndarray]:
     """Model names (file stems, sorted) and their (len(ids), models)
     probability matrix: row i holds the forecasts for question ids[i], NaN
@@ -177,8 +173,8 @@ def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], 
         seen: set[str] = set()
 
         def parse(record) -> tuple[str, float | None]:
-            qid = record_field(record, "question_id", str)
-            p = record_field(record, "probability", lambda v: None if v is None else float(v))
+            qid = record_field(record, "question_id", json_string)
+            p = record_field(record, "probability", lambda v: None if v is None else json_number(v))
             _check_probability(qid, p)
             if qid in seen:
                 raise DataFormatError(f"duplicate question_id {qid!r}")
@@ -209,8 +205,11 @@ def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], 
     return names, np.stack([columns[n][0] for n in names], axis=1)
 
 
-def save_forecasts(forecasts: list[Forecast], path: str | Path) -> None:
-    write_jsonl(path, ({"question_id": f.question_id, "probability": f.probability} for f in forecasts))
+def save_forecasts(path: str | Path, ids: list[str], probs: np.ndarray) -> None:
+    """One {question_id, probability} record per id, in order; the
+    probability is null where `probs` holds NaN."""
+    records = zip(ids, np.asarray(probs, dtype=np.float64).tolist(), strict=True)
+    write_jsonl(path, ({"question_id": qid, "probability": None if math.isnan(p) else p} for qid, p in records))
 
 
 def soft_brier_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -168,5 +168,19 @@ def record_field(record, name: str, cast):
         raise DataFormatError(f"missing field {name!r}")
     try:
         return cast(record[name])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"field {name!r}: {exc}") from exc
+
+
+def json_string(value) -> str:
+    """A JSON string, as a `record_field` cast: a number is not turned into one."""
+    if type(value) is not str:
+        raise ValueError(f"expected a string, got {json.dumps(value)[:40]}")
+    return value
+
+
+def json_number(value) -> float:
+    """A JSON number as a float, as a `record_field` cast: no boolean or string."""
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"expected a number, got {json.dumps(value)[:40]}")
+    return float(value)

@@ -10,7 +10,6 @@ probability column aligned with the dataset's rows, NaN where absent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,23 +123,24 @@ def make_trade(p: float, m: float, y: int, rng: np.random.Generator) -> TradeRec
     )
 
 
-def eligible(q) -> bool:
-    """Tradeable: a quote exists and volume, when reported, is nonzero."""
-    return q.market_price is not None and (q.volume is None or q.volume > 0)
+def tradeable(dataset: Dataset) -> np.ndarray:
+    """Per row: a quote exists and volume, when reported, is nonzero."""
+    return ~np.isnan(dataset.market_price) & ~(dataset.volume <= 0.0)
 
 
 def build_trades(probs: np.ndarray, dataset: Dataset, rng: np.random.Generator) -> list[TradeRecord]:
-    """One trade per eligible question with a present forecast (`probs`
-    holds one per dataset row, NaN = absent), in dataset order (tie coin
-    flips consume the generator in that order)."""
+    """One trade per tradeable row with a present forecast (`probs` holds
+    one per dataset row, NaN = absent), in dataset order (tie coin flips
+    consume the generator in that order)."""
     if len(probs) != len(dataset):
         raise ValidationError(f"{len(probs)} probabilities for a dataset of {len(dataset)} questions")
+    rows = np.flatnonzero(tradeable(dataset) & ~np.isnan(probs))
     trades = []
-    for q, p in zip(dataset, probs.tolist()):
-        if not eligible(q) or math.isnan(p):
-            continue
-        t = make_trade(p, q.market_price, q.outcome, rng)
-        t.question_id = q.id
+    for i, p, m, y in zip(
+        rows.tolist(), probs[rows].tolist(), dataset.market_price[rows].tolist(), dataset.outcome[rows].tolist()
+    ):
+        t = make_trade(p, m, y, rng)
+        t.question_id = dataset.ids[i]
         trades.append(t)
     return trades
 
@@ -170,7 +170,7 @@ def run_strategy(
 ) -> StrategyResult:
     """Build the trades of a {question id: probability or None} map (a
     missing id is an absent forecast) and apply one gating rule."""
-    probs = np.array([forecasts.get(q.id) for q in dataset], dtype=np.float64)  # None becomes NaN
+    probs = np.array([forecasts.get(qid) for qid in dataset.ids], dtype=np.float64)  # None becomes NaN
     return apply_gate(build_trades(probs, dataset, rng), rule)
 
 
@@ -258,17 +258,17 @@ def gating_ece(
         n_cal = len(cal)
     else:
         raise ValidationError(f"unknown ece source {mode!r}")
-    y = dataset.outcomes()[:n_cal]
+    y = dataset.outcome[:n_cal]
     return [ece_bins(probs[:n_cal, j], y, n_bins)[0] for j in range(probs.shape[1])], trade_ds
 
 
 def per_question_profits(results: list[StrategyResult], dataset: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Profit matrix (eligible questions x models) of one gate's kept
+    """Profit matrix (tradeable questions x models) of one gate's kept
     trades, one StrategyResult per model, and the row ids.  Questions a
     model does not trade (absent forecast or gated out) contribute 0,
     keeping rows aligned for the paired bootstrap.
     """
-    rows = [q.id for q in dataset if eligible(q)]
+    rows = [dataset.ids[i] for i in np.flatnonzero(tradeable(dataset)).tolist()]
     row_index = {qid: i for i, qid in enumerate(rows)}
     values = np.zeros((len(rows), len(results)))
     for j, result in enumerate(results):

@@ -14,7 +14,6 @@ trajectory is the same whether it trains alone or in a batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from forecast_rl.algorithms import (
     reward_table,
     sample_tokens,
 )
-from forecast_rl.data import Dataset, Question
+from forecast_rl.data import Dataset
 from forecast_rl.errors import NumericAbort, ValidationError
 from forecast_rl.files import write_jsonl
 from forecast_rl.policy import (
@@ -405,10 +404,6 @@ def train_members(
         empty = RunLog([], np.empty(0), np.empty(0), np.empty(0), np.empty(0), np.empty(0))
         return [TrainResult(init_params.copy(), None, empty) for _ in members]
 
-    ts = [q.prediction_ts for q in stream.questions]
-    if any(a > b for a, b in zip(ts, ts[1:])):
-        raise ValidationError("stream must be sorted by prediction_ts")
-
     d = stream.feature_dim
     if init_params is None:
         params = PolicyParams.zeros(d, Vocabulary(cfg.content_length))
@@ -422,9 +417,9 @@ def train_members(
 
     rewards_of = reward_table(params.vocab.content_length, _effective_penalties(penalties, cfg.guardrails_enabled))
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
-    X1 = np.hstack([np.ones((n, 1)), stream.feature_matrix()])
-    Y = stream.outcomes().astype(np.intp)
-    ids = stream.ids()
+    X1 = np.hstack([np.ones((n, 1)), stream.features])
+    Y = stream.outcome
+    ids = stream.ids
     st = _Members(members, params, cfg.seed, n, G)
 
     boundaries = {0, n}
@@ -529,13 +524,13 @@ def train_dpo(
 
     # Every pair is drawn from the frozen reference (the initial policy)
     # at once: one row per question, G = 2.
-    X1 = np.hstack([np.ones((n, 1)), stream.feature_matrix()])
-    Y = stream.outcomes()
+    X1 = np.hstack([np.ones((n, 1)), stream.features])
+    Y = stream.outcome.astype(np.float64)
     ref_log_c = log_softmax_rows(X1 @ params.content_weights)
     ref_log_a = log_softmax_rows(X1 @ params.answer_weights)
     content, answers = sample_tokens(np.exp(ref_log_c), np.exp(ref_log_a), U)
     rewards, gib_ct, nep_ct = guardrail_rewards(content, answers, Y[:, None], pcfg)
-    run_log = RunLog(stream.ids(), *_group_log(answers[:, 0], rewards.sum(axis=1) / 2, gib_ct, nep_ct, L))
+    run_log = RunLog(stream.ids, *_group_log(answers[:, 0], rewards.sum(axis=1) / 2, gib_ct, nep_ct, L))
 
     rows = np.flatnonzero(rewards[:, 0] != rewards[:, 1])
     if not rows.size:
@@ -588,40 +583,23 @@ def train(
 _PREDICT_ROWS = 512  # rows per block, which bounds the (rows, N_ANSWER) temporaries
 
 
-def _greedy_forecasts(params: PolicyParams, dataset: Dataset) -> np.ndarray:
-    """Greedy forecast per question: the argmax answer token (ties to the
-    lowest index) as a probability, NaN where that token is abstain."""
-    for q in dataset:
-        if q.features.shape[0] != params.feature_dim:
-            raise ValidationError(
-                f"question {q.id!r} has feature dim {q.features.shape[0]}, "
-                f"policy expects {params.feature_dim}"
-            )
-    if not len(dataset):
+def predict_dataset(params: PolicyParams, dataset: Dataset) -> np.ndarray:
+    """Greedy forecast per row: the argmax answer token (ties to the lowest
+    index) as a probability, NaN where that token is abstain."""
+    n = len(dataset)
+    if not n:
         return np.empty(0)
-    X1 = np.hstack([np.ones((len(dataset), 1)), dataset.feature_matrix()])
-    k = np.empty(len(dataset), dtype=np.intp)
-    for lo in range(0, len(dataset), _PREDICT_ROWS):
+    if dataset.feature_dim != params.feature_dim:
+        raise ValidationError(f"dataset has feature dim {dataset.feature_dim}, policy expects {params.feature_dim}")
+    X1 = np.hstack([np.ones((n, 1)), dataset.features])
+    k = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, _PREDICT_ROWS):
         # A stack of (1, d+1) @ (d+1, N_ANSWER) products makes the same BLAS
         # call per row as one question's `xt @ W`, so the probabilities, and
         # with them every argmax tie, are bit-identical to the per-question path.
         logits = np.matmul(X1[lo : lo + _PREDICT_ROWS, None, :], params.answer_weights)[:, 0]
         k[lo : lo + _PREDICT_ROWS] = np.exp(log_softmax_rows(logits)).argmax(axis=1)
     return np.where(k == ABSTAIN, np.nan, ANSWER_VALUES[np.minimum(k, N_PROB - 1)])
-
-
-def _forecast_map(dataset: Dataset, values: np.ndarray) -> dict[str, float | None]:
-    return {qid: None if math.isnan(v) else v for qid, v in zip(dataset.ids(), values.tolist())}
-
-
-def predict(params: PolicyParams, question: Question) -> float | None:
-    """Deterministic greedy forecast for one question."""
-    return predict_dataset(params, Dataset([question], "test"))[question.id]
-
-
-def predict_dataset(params: PolicyParams, dataset: Dataset) -> dict[str, float | None]:
-    """Greedy forecasts for a whole dataset: one matmul and a row-wise argmax."""
-    return _forecast_map(dataset, _greedy_forecasts(params, dataset))
 
 
 @dataclass
@@ -640,36 +618,30 @@ class EnsembleSpec:
                 raise ValidationError("ensemble members must share vocabulary and feature dim")
 
 
-def ensemble_predict(spec: EnsembleSpec, question: Question) -> float | None:
-    """Mean of the members' forecasts for one question, skipping abstentions."""
-    return ensemble_predict_dataset(spec, Dataset([question], "test"))[question.id]
-
-
 def ensemble_predict_dataset(
     spec: EnsembleSpec,
     dataset: Dataset,
-    member_forecasts: list[dict[str, float | None]] | None = None,
-) -> dict[str, float | None]:
-    """Mean of the members' forecasts, skipping abstentions; None where
-    every member abstains.
+    member_forecasts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Mean of the members' forecasts per row, skipping abstentions; NaN
+    where every member abstains.
 
     The mean is summed in member order.  Where all present member values
     are equal it is that value, so a K-copy ensemble reproduces the single
     model bit-for-bit (a naive sum/K is not exact in floating point).
-    A caller that already holds each member's `predict_dataset` map passes
-    them as `member_forecasts` (in member order) instead of having them
-    computed again.
+    A caller that already holds each member's `predict_dataset` column
+    passes them as the (K, n) `member_forecasts` (rows in member order)
+    instead of having them computed again.
     """
     spec.validate()
     if member_forecasts is None:
-        F = np.stack([_greedy_forecasts(m, dataset) for m in spec.members])
+        F = np.stack([predict_dataset(m, dataset) for m in spec.members])
     else:
-        if len(member_forecasts) != len(spec.members):
+        F = np.asarray(member_forecasts, dtype=np.float64)
+        if F.shape != (len(spec.members), len(dataset)):
             raise ValidationError(
-                f"{len(member_forecasts)} member forecast maps for {len(spec.members)} ensemble members"
+                f"member forecasts of shape {F.shape} for {len(spec.members)} members and {len(dataset)} questions"
             )
-        ids = dataset.ids()
-        F = np.array([[np.nan if f[q] is None else f[q] for q in ids] for f in member_forecasts], dtype=np.float64)
     present = ~np.isnan(F)
     total = np.zeros(F.shape[1])
     for row, has in zip(F, present):
@@ -677,4 +649,4 @@ def ensemble_predict_dataset(
     count = present.sum(axis=0)
     mean = np.divide(total, count, out=np.full(F.shape[1], np.nan), where=count > 0)
     lo, hi = np.fmin.reduce(F, axis=0), np.fmax.reduce(F, axis=0)
-    return _forecast_map(dataset, np.where(lo == hi, lo, mean))
+    return np.where(lo == hi, lo, mean)

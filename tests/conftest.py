@@ -3,6 +3,7 @@ import pytest
 
 from forecast_rl import trainer
 from forecast_rl.data import Dataset, Question
+from forecast_rl.evaluation import Forecast
 
 
 def make_question(
@@ -33,7 +34,29 @@ def make_question(
 
 
 def make_dataset(questions, split="train") -> Dataset:
-    return Dataset(questions=sorted(questions, key=lambda q: (q.prediction_ts, q.id)), split=split)
+    return Dataset(questions, split)
+
+
+def outcome_by_id(dataset: Dataset) -> dict[str, int]:
+    return dict(zip(dataset.ids, dataset.outcome.tolist()))
+
+
+def forecasts(dataset: Dataset, probs) -> list[Forecast]:
+    """A probability column aligned with the dataset's rows as Forecasts,
+    None where the column holds NaN."""
+    return [Forecast(qid, None if np.isnan(p) else p) for qid, p in zip(dataset.ids, np.asarray(probs).tolist())]
+
+
+def predict(params, question: Question) -> float | None:
+    """Deterministic greedy forecast for one question."""
+    (p,) = trainer.predict_dataset(params, Dataset([question], "test")).tolist()
+    return None if np.isnan(p) else p
+
+
+def ensemble_predict(spec, question: Question) -> float | None:
+    """Mean of the members' forecasts for one question, skipping abstentions."""
+    (p,) = trainer.ensemble_predict_dataset(spec, Dataset([question], "test")).tolist()
+    return None if np.isnan(p) else p
 
 
 def poison_baseline(monkeypatch, member: int, index: int) -> None:

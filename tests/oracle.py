@@ -641,7 +641,7 @@ def oracle_train(stream, cfg, hp, penalties=None):
     )
     base_state = OptimizerState.for_params({"baseline": baseline})
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
-    X, Y, ids = stream.feature_matrix(), stream.outcomes(), stream.ids()
+    X, Y, ids = stream.features, stream.outcome, stream.ids
     U = substream(cfg.seed, "sampling", cfg.member).random((n, G, L + 1))
     logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}
     es = cfg.early_stop
@@ -702,7 +702,7 @@ def oracle_dpo(stream, cfg, hp, penalties=None):
     ref = snapshot_reference(params)
     rng = substream(cfg.seed, "dpo", cfg.member)
     U = rng.random((n, 2, L + 1))
-    X, Y, ids = stream.feature_matrix(), stream.outcomes(), stream.ids()
+    X, Y, ids = stream.features, stream.outcome, stream.ids
     logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}
     pairs = []
     for i in range(n):

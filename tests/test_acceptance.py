@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fd_vector_grad, max_rel_err
+from conftest import fd_vector_grad, forecasts, max_rel_err, outcome_by_id
 from oracle import (
     baseline_loss_and_grad,
     extreme_bucket_mass,
@@ -29,7 +29,6 @@ from forecast_rl.data import SyntheticConfig, generate_synthetic_stream, split_d
 from forecast_rl.evaluation import (
     Forecast,
     ece_equal_mass,
-    forecasts_from_map,
     paired_bootstrap,
     soft_brier,
 )
@@ -63,7 +62,7 @@ def verdict(num, name, ok, detail=""):
 
 
 def model_forecasts(params, ds):
-    return forecasts_from_map(predict_dataset(params, ds))
+    return forecasts(ds, predict_dataset(params, ds))
 
 
 @pytest.fixture(scope="session")
@@ -177,12 +176,12 @@ def test_criterion_04_calibration_learning(lab):
     for seed in SEEDS:
         entry = lab[seed]
         test_ds = entry["test"]
-        outcomes = test_ds.outcome_by_id()
+        outcomes = outcome_by_id(test_ds)
         init = model_forecasts(PolicyParams.zeros(4), test_ds)
         final = model_forecasts(entry["policies"]["remax"], test_ds)
         ece_init = ece_equal_mass(init, outcomes)
         ece_final = ece_equal_mass(final, outcomes)
-        bayes = soft_brier([Forecast(q.id, entry["oracle"][q.id]) for q in test_ds], outcomes)
+        bayes = soft_brier([Forecast(qid, entry["oracle"][qid]) for qid in test_ds.ids], outcomes)
         gap = soft_brier(final, outcomes) - bayes
         ok &= ece_final <= 0.5 * ece_init
         ok &= gap <= 0.03
@@ -195,8 +194,8 @@ def test_criterion_05_overconfidence_ordering(lab):
     details = []
     for seed in SEEDS:
         entry = lab[seed]
-        grpo = extreme_bucket_mass(predict_dataset(entry["policies"]["grpo"], entry["test"]).values())
-        mod = extreme_bucket_mass(predict_dataset(entry["policies"]["modified"], entry["test"]).values())
+        grpo = extreme_bucket_mass(f.probability for f in model_forecasts(entry["policies"]["grpo"], entry["test"]))
+        mod = extreme_bucket_mass(f.probability for f in model_forecasts(entry["policies"]["modified"], entry["test"]))
         ok &= grpo > mod
         details.append(f"seed {seed}: {grpo:.4f} > {mod:.4f}")
     verdict(5, "overconfidence ordering", ok, "; ".join(details))
@@ -293,8 +292,7 @@ def test_criterion_08_statistics_toolkit():
     stream, oracle = generate_synthetic_stream(
         SyntheticConfig(50000, 4, temporal_drift=0.0, market_noise=0.5, seed=7)
     )
-    forecasts = [Forecast(q.id, oracle[q.id]) for q in stream]
-    oracle_ece = ece_equal_mass(forecasts, stream.outcome_by_id())
+    oracle_ece = ece_equal_mass([Forecast(qid, oracle[qid]) for qid in stream.ids], outcome_by_id(stream))
     ok &= oracle_ece <= 0.02
     verdict(8, "statistics toolkit", ok,
             f"welch t={t:.4f} df={df:.4f}; oracle ECE {oracle_ece:.4f}")
@@ -329,15 +327,15 @@ def test_criterion_10_ensemble_identity(lab):
     test_ds = lab[0]["test"]
     single = predict_dataset(lab["members"][0], test_ds)
     copies = ensemble_predict_dataset(EnsembleSpec([lab["members"][0]] * 7), test_ds)
-    ok = copies == single
+    ok = copies.tobytes() == single.tobytes()
 
-    outcomes = test_ds.outcome_by_id()
+    outcomes = outcome_by_id(test_ds)
     member_sb = sorted(
         soft_brier(model_forecasts(p, test_ds), outcomes) for p in lab["members"]
     )
     median_sb = member_sb[3]
     ensemble = ensemble_predict_dataset(EnsembleSpec(lab["members"]), test_ds)
-    ensemble_sb = soft_brier(forecasts_from_map(ensemble), outcomes)
+    ensemble_sb = soft_brier(forecasts(test_ds, ensemble), outcomes)
     ok &= ensemble_sb <= median_sb
     verdict(10, "ensemble identity", ok,
             f"7 copies exact; ensemble {ensemble_sb:.4f} <= median {median_sb:.4f}")

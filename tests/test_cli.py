@@ -22,7 +22,7 @@ from forecast_rl.cli import (
 from forecast_rl.config import load_config
 from forecast_rl.data import load_questions, save_questions
 from forecast_rl.errors import NumericAbort
-from forecast_rl.evaluation import Z_95, Forecast, load_forecasts, paired_bootstrap, save_forecasts
+from forecast_rl.evaluation import Z_95, load_forecasts, paired_bootstrap, save_forecasts
 from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
 from forecast_rl.rng import substream
 from forecast_rl.trading import GATES, gating_ece, per_question_profits, run_strategies
@@ -138,10 +138,10 @@ class TestPipeline:
                                                          "market_noise": 0.5}})
         out = tmp_path / "out"
         assert run("synth", cfg) == EXIT_OK
-        ids = load_questions(out / "test.jsonl").ids()
+        ids = load_questions(out / "test.jsonl").ids
         dense, sparse = tmp_path / "dense.jsonl", tmp_path / "sparse.jsonl"
-        save_forecasts([Forecast(q, 0.5) for q in ids], dense)
-        save_forecasts([Forecast(q, (i % 15) / 15 if i < 15 else None) for i, q in enumerate(ids)], sparse)
+        save_forecasts(dense, ids, np.full(len(ids), 0.5))
+        save_forecasts(sparse, ids, np.array([(i % 15) / 15 if i < 15 else np.nan for i in range(len(ids))]))
         capsys.readouterr()
 
         assert run("evaluate", cfg, str(dense), str(sparse)) == EXIT_OK
@@ -291,7 +291,7 @@ class TestExitCodes:
         for cmd in ("synth", "train", "predict"):
             assert run(cmd, cfg) == EXIT_OK
         rogue = tmp_path / "rogue.jsonl"
-        save_forecasts([Forecast("no-such-question", 0.5)], rogue)
+        save_forecasts(rogue, ["no-such-question"], np.array([0.5]))
         assert run("evaluate", cfg, str(rogue)) == EXIT_VALIDATION
         assert "align" in capsys.readouterr().err
 
@@ -352,6 +352,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"question {doc['id']!r}: features" in err
         assert not list((tmp_path / "out").glob("seed3_m0_*"))
+
+    def test_non_finite_volume_exit_2(self, tmp_path, capsys):
+        """NaN stands for null in a dataset's columns, so a NaN volume would
+        make its question tradeable; it is refused at load, naming the
+        file, the line and the field."""
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        test_path = tmp_path / "out" / "test.jsonl"
+        lines = test_path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "volume": float("nan")})
+        test_path.write_text("\n".join(lines) + "\n")
+        assert run("trade", cfg) == EXIT_VALIDATION
+        assert f"{test_path}: line 3: field 'volume': expected a finite number, got nan" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_member_outcomes_are_independent(self, tmp_path, capsys, monkeypatch):
@@ -485,7 +498,7 @@ class TestStatisticsOutputs:
         paths = []
         for name, probs in columns.items():
             paths.append(str(tmp_path / f"{name}.jsonl"))
-            save_forecasts([Forecast(q.id, p) for q, p in zip(test_ds, probs)], paths[-1])
+            save_forecasts(paths[-1], test_ds.ids, np.array(probs, dtype=np.float64))
         return cfg, out, paths
 
     def test_evaluate_and_trade_outputs_are_unchanged(self, tmp_path):
@@ -517,7 +530,7 @@ class TestStatisticsOutputs:
         assert run("trade", cfg, *paths) == EXIT_OK
         config = load_config(cfg)
         test_ds = load_questions(out / "test.jsonl", split="test")
-        names, probs = load_forecasts(paths, test_ds.ids())
+        names, probs = load_forecasts(paths, test_ds.ids)
         ece, trade_ds = gating_ece(probs, test_ds, config.trading.ece_source,
                                    config.trading.calibration_fraction, config.evaluation.n_bins)
         probs = probs[len(test_ds) - len(trade_ds):]
@@ -534,6 +547,34 @@ class TestStatisticsOutputs:
         assert json.loads((out / "trades.json").read_text())["comparisons"] == json.loads(json.dumps(want))
 
 
+class TestSynthAndPredictOutputs:
+    # sha256 of the files that synth and predict wrote for this fixture (a
+    # 2-member ReMax run) while datasets were lists of per-question objects.
+    # The columnar dataset must reproduce them byte for byte.  test.csv is
+    # the test set written by save_questions as CSV; read back and written
+    # as JSONL it must give test.jsonl again.
+    DIGESTS = {
+        "forecasts.jsonl": "c4c47abac8b9876fc62253a7020e7633bf6eb6e8f86e63743bfa2536c123c835",
+        "forecasts_m0.jsonl": "087582a09ccdba8d7b158e3329d171cd5f22f7667e13adfd389da62a3d6e8931",
+        "forecasts_m1.jsonl": "7ad587c2f18438b6888cc62c5aef804017891b8286289e79e9e7fa5e13af4731",
+        "oracle.jsonl": "b1de67ef4e5f7ac082c6049beff716528a82a027381d111a120b9f181c641ae4",
+        "test.csv": "d1f0166a738a3240e2ac1095ef4239337374ffc1a2cfe29a1dadc84d5ba3f15a",
+        "test.jsonl": "7b099c2fd9244c6b9a5a89f003e8d0faa79fecb398e53c44a565b21cfd8d5357",
+        "train.jsonl": "81d5de84bd3aaf1e291abf74829a8b78a21fbbde8eadfb18662e59b8140003e8",
+    }
+
+    def test_synth_and_predict_outputs_are_unchanged(self, tmp_path):
+        cfg = write_config(tmp_path, ensemble_size=2, evaluation={"bootstrap_reps": 9})
+        out = tmp_path / "out"
+        for cmd in ("synth", "train", "predict"):
+            assert run(cmd, cfg) == EXIT_OK
+        save_questions(load_questions(out / "test.jsonl", split="test"), out / "test.csv")
+        save_questions(load_questions(out / "test.csv", split="test"), tmp_path / "from_csv.jsonl")
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert got == self.DIGESTS
+        assert (tmp_path / "from_csv.jsonl").read_bytes() == (out / "test.jsonl").read_bytes()
+
+
 class TestTieRule:
     def test_report_and_bootstrap_order_ties_by_row(self, tmp_path):
         """Row order is not id order here: ids descend while prediction_ts
@@ -546,11 +587,11 @@ class TestTieRule:
         ys = [1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 1, 0, 0]
         test_ds = make_dataset([make_question(f"q{n - i:03d}", pred_ts=100 + i, outcome=ys[i]) for i in range(n)])
         save_questions(test_ds, out / "test.jsonl")
-        assert test_ds.ids() == sorted(test_ds.ids(), reverse=True)
+        assert test_ds.ids == sorted(test_ds.ids, reverse=True)
         smooth = np.random.default_rng(4).random(n)
         paths = [str(tmp_path / "tied.jsonl"), str(tmp_path / "smooth.jsonl")]
-        save_forecasts([Forecast(q.id, 0.5) for q in test_ds], paths[0])
-        save_forecasts([Forecast(q.id, float(p)) for q, p in zip(test_ds, smooth)], paths[1])
+        save_forecasts(paths[0], test_ds.ids, np.full(n, 0.5))
+        save_forecasts(paths[1], test_ds.ids, smooth)
         assert run("evaluate", cfg, *paths) == EXIT_OK
         doc = json.loads((out / "evaluation.json").read_text())
         (cmp,) = doc["comparisons"]

@@ -32,31 +32,49 @@ from conftest import make_dataset, make_question
 
 class TestQuestionValidation:
     def test_valid_question_passes(self):
-        make_question("q1").validate()
+        assert make_dataset([make_question("q1")]).ids == ["q1"]
 
     def test_timestamp_order_enforced(self):
         q = make_question("q1")
         q.prediction_ts = q.close_ts  # prediction must precede close
         with pytest.raises(ValidationError, match="q1"):
-            q.validate()
+            make_dataset([q])
 
     def test_outcome_must_be_binary(self):
         q = make_question("q1")
         q.outcome = 2
         with pytest.raises(ValidationError, match="outcome"):
-            q.validate()
+            make_dataset([q])
 
     def test_market_price_strictly_interior(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
-            q = make_question("q1", market_price=bad)
             with pytest.raises(ValidationError, match="market_price"):
-                q.validate()
-        make_question("q1", market_price=0.5).validate()
+                make_dataset([make_question("q1", market_price=bad)])
+        make_dataset([make_question("q1", market_price=0.5)])
 
     def test_negative_volume_rejected(self):
-        q = make_question("q1", volume=-1.0)
         with pytest.raises(ValidationError, match="volume"):
-            q.validate()
+            make_dataset([make_question("q1", volume=-1.0)])
+
+    def test_first_bad_record_in_file_order_is_named(self, tmp_path):
+        """Records are checked in file order, before the sort: the first bad
+        record is named with its first broken check, whatever its place in
+        (prediction_ts, id) order."""
+        rows = [
+            make_question("z", pred_ts=500),
+            make_question("y", pred_ts=400, outcome=2, features=[0.0, 0.0, 0.0]),  # outcome before dimension
+            make_question("a", pred_ts=100, market_price=1.5),
+        ]
+        path = tmp_path / "q.jsonl"
+        path.write_text("".join(json.dumps({**vars(q), "features": q.features.tolist()}) + "\n" for q in rows))
+        with pytest.raises(ValidationError, match=r"^question 'y': outcome must be 0 or 1, got 2$"):
+            load_questions(path)
+        rows[1].outcome = 1
+        with pytest.raises(ValidationError, match=r"^question 'y': feature dimension 3 differs from dataset dimension 2$"):
+            make_dataset(rows)
+        rows[1].features = np.zeros(2)
+        with pytest.raises(ValidationError, match=r"^question 'a': market_price must lie strictly in \(0, 1\), got 1.5$"):
+            make_dataset(rows)
 
 
 class TestRoundTrip:
@@ -75,7 +93,7 @@ class TestRoundTrip:
         path = tmp_path / f"q.{suffix}"
         save_questions(ds, path)
         back = load_questions(path)
-        assert back.ids() == ds.ids()
+        assert back.ids == ds.ids
         for orig, loaded in zip(ds, back):
             assert loaded.id == orig.id
             assert loaded.prediction_ts == orig.prediction_ts
@@ -106,7 +124,7 @@ class TestRoundTrip:
         path.write_text("\n".join(reversed(lines)) + "\n")
         back = load_questions(path)
         # independent sort oracle on the fixture
-        assert back.ids() == [q.id for q in sorted(ds.questions, key=lambda q: (q.prediction_ts, q.id))]
+        assert back.ids == [q.id for q in sorted(ds, key=lambda q: (q.prediction_ts, q.id))]
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "q.jsonl"
@@ -160,7 +178,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("outcome", 0.7), ("prediction_ts", 5.9), ("outcome", True), ("open_ts", False), ("resolve_ts", float("inf"))],
+        [("outcome", 0.7), ("prediction_ts", 5.9), ("outcome", True), ("open_ts", False), ("resolve_ts", float("inf")),
+         ("close_ts", "10")],
     )
     def test_integer_fields_refuse_fractions_and_booleans(self, tmp_path, field, value):
         """int() would load 0.7 as 0, 5.9 as 5 and true as 1, each a valid
@@ -173,6 +192,61 @@ class TestRoundTrip:
         path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", field: value}) + "\n")
         message = rf"^{re.escape(str(path))}: line 2: field '{field}': expected an integer, got "
         with pytest.raises(DataFormatError, match=message):
+            load_questions(path)
+
+    @pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+    @pytest.mark.parametrize("field, value", [("volume", math.nan), ("volume", math.inf), ("market_price", math.nan)])
+    def test_non_finite_quote_or_volume_names_the_file_the_line_and_the_field(self, tmp_path, suffix, field, value):
+        """NaN stands for null in the columns, so a NaN or infinite quote or
+        volume in a file is refused at load rather than read as one."""
+        path = tmp_path / f"q.{suffix}"
+        save_questions(make_dataset([make_question(f"q{i}", 100 + i, market_price=0.5, volume=1.0) for i in range(3)]), path)
+        lines = path.read_text().splitlines()
+        k = 1 if suffix == "jsonl" else 2  # the 2nd record
+        if suffix == "jsonl":
+            lines[k] = json.dumps({**json.loads(lines[k]), field: value})
+        else:
+            header = lines[0].split(",")
+            cells = next(csv.reader([lines[k]]))
+            cells[header.index(field)] = str(value)
+            out = io.StringIO()
+            csv.writer(out).writerow(cells)
+            lines[k] = out.getvalue().strip()
+        path.write_text("\n".join(lines) + "\n")
+        message = rf"^{re.escape(str(path))}: line {k + 1}: field '{field}': expected a finite number, got "
+        with pytest.raises(DataFormatError, match=message):
+            load_questions(path)
+
+    @pytest.mark.parametrize(
+        "field, value, got",
+        [
+            ("id", 7, "expected a string, got 7"),
+            ("features", [True, 1.0], re.escape("expected a list of numbers, got [true, 1.0]")),
+            ("market_price", True, "expected a number, got true"),
+            ("volume", "10", 'expected a number, got "10"'),
+        ],
+        ids=["id", "features", "market_price", "volume"],
+    )
+    def test_jsonl_values_are_not_coerced(self, tmp_path, field, value, got):
+        """A JSONL value must have its field's JSON type: a number is no id,
+        and a boolean or a string is no number."""
+        record = {
+            "id": "a", "open_ts": 0, "close_ts": 10, "resolve_ts": 20,
+            "prediction_ts": 5, "outcome": 1, "features": [0.0, 1.0],
+        }
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", field: value}) + "\n")
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 2: field '{field}': {got}$"):
+            load_questions(path)
+
+    def test_integers_beyond_64_bits_are_refused(self, tmp_path):
+        record = {
+            "id": "a", "open_ts": 0, "close_ts": 10, "resolve_ts": 2**63,
+            "prediction_ts": 5, "outcome": 1, "features": [0.0],
+        }
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataFormatError, match=r"line 1: field 'resolve_ts': expected an integer that fits in 64 bits"):
             load_questions(path)
 
     def test_integral_numbers_load_as_integers(self, tmp_path):
@@ -192,8 +266,8 @@ class TestRoundTrip:
         save_questions(ds, tmp_path / "q.csv")
         a = load_questions(tmp_path / "q.jsonl")
         b = load_questions(tmp_path / "q.csv")
-        assert a.ids() == b.ids()
-        assert np.array_equal(a.feature_matrix(), b.feature_matrix())
+        assert a.ids == b.ids
+        assert np.array_equal(a.features, b.features)
         assert [q.market_price for q in a] == [q.market_price for q in b]
 
 
@@ -293,7 +367,7 @@ class TestChronology:
         assert not report.passed
         assert report.n_violations == int(bad.sum()) > 10
         rows, cols = np.nonzero(bad)
-        first = [(train.questions[r].id, test.questions[c].id) for r, c in zip(rows[:10], cols[:10])]
+        first = [(train.ids[r], test.ids[c]) for r, c in zip(rows[:10], cols[:10])]
         assert report.violations == first
 
 
@@ -307,8 +381,8 @@ class TestSyntheticStream:
         cfg = SyntheticConfig(n_questions=100, feature_dim=4, seed=5)
         a, oa = generate_synthetic_stream(cfg)
         b, ob = generate_synthetic_stream(SyntheticConfig(n_questions=100, feature_dim=4, seed=5))
-        assert a.ids() == b.ids()
-        assert np.array_equal(a.feature_matrix(), b.feature_matrix())
+        assert a.ids == b.ids
+        assert np.array_equal(a.features, b.features)
         assert oa == ob
 
     def test_oracle_matches_logistic_link(self):
@@ -323,7 +397,7 @@ class TestSyntheticStream:
         cfg = SyntheticConfig(n_questions=50_000, feature_dim=4, temporal_drift=0.0, seed=2)
         ds, oracle = generate_synthetic_stream(cfg)
         p = np.array([oracle[q.id] for q in ds])
-        y = ds.outcomes()
+        y = ds.outcome
         se = np.sqrt(np.sum(p * (1 - p))) / p.size
         assert abs(y.mean() - p.mean()) < 3 * se
 

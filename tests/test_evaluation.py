@@ -21,7 +21,6 @@ from forecast_rl.evaluation import (
     ece_bins,
     ece_equal_mass,
     evaluation_report,
-    forecasts_from_map,
     load_forecasts,
     normal_two_sided_p,
     paired_bootstrap,
@@ -55,9 +54,8 @@ class TestForecastIO:
             Forecast("a", 1.2).validate()
 
     def test_round_trip(self, tmp_path):
-        fs = [Forecast("a", 0.25), Forecast("b", None), Forecast("c", 1.0)]
         path = tmp_path / "f.jsonl"
-        save_forecasts(fs, path)
+        save_forecasts(path, ["a", "b", "c"], np.array([0.25, np.nan, 1.0]))
         names, probs = load_forecasts([path], ["c", "a", "b"])
         assert names == ["f"]
         np.testing.assert_array_equal(probs, [[1.0], [0.25], [np.nan]])
@@ -91,9 +89,9 @@ class TestForecastIO:
         repeated model name are refused before any alignment check."""
         (tmp_path / "b").mkdir()
         good, twin, odd = tmp_path / "m.jsonl", tmp_path / "b" / "m.jsonl", tmp_path / "odd.jsonl"
-        save_forecasts([Forecast("a", 0.5), Forecast("b", None)], good)
-        save_forecasts([Forecast("a", 0.5), Forecast("b", None)], twin)
-        save_forecasts([Forecast("a", 0.5), Forecast("z", 0.1), Forecast("y", 0.2)], odd)
+        save_forecasts(good, ["a", "b"], np.array([0.5, np.nan]))
+        save_forecasts(twin, ["a", "b"], np.array([0.5, np.nan]))
+        save_forecasts(odd, ["a", "z", "y"], np.array([0.5, 0.1, 0.2]))
         with pytest.raises(ValidationError, match=r"forecast file .*nope\.jsonl not found"):
             load_forecasts([odd, tmp_path / "nope.jsonl"], ["a", "b"])
         with pytest.raises(ValidationError, match="duplicate model name 'm' among forecast files"):
@@ -104,15 +102,27 @@ class TestForecastIO:
 
     def test_columns_follow_sorted_names_and_the_given_rows(self, tmp_path):
         paths = [tmp_path / "zeta.jsonl", tmp_path / "alpha.jsonl"]
-        save_forecasts([Forecast("b", 0.2), Forecast("a", None)], paths[0])
-        save_forecasts([Forecast("a", 0.7), Forecast("b", 0.1)], paths[1])
+        save_forecasts(paths[0], ["b", "a"], np.array([0.2, np.nan]))
+        save_forecasts(paths[1], ["a", "b"], np.array([0.7, 0.1]))
         names, probs = load_forecasts(paths, ["b", "a"])
         assert names == ["alpha", "zeta"]
         np.testing.assert_array_equal(probs, [[0.1, 0.2], [0.7, np.nan]])
 
-    def test_from_map(self):
-        fs = forecasts_from_map({"a": 0.5, "b": None})
-        assert fs == [Forecast("a", 0.5), Forecast("b", None)]
+    @pytest.mark.parametrize(
+        "field, value, got",
+        [("question_id", 1, "expected a string, got 1"), ("probability", True, "expected a number, got true")],
+        ids=["question_id", "probability"],
+    )
+    def test_values_are_not_coerced(self, tmp_path, field, value, got):
+        """An id must be a JSON string and a probability a number (or
+        null): 1 is not the id "1", and true is not the probability 1."""
+        path = tmp_path / "f.jsonl"
+        path.write_text(
+            json.dumps({"question_id": "a", "probability": 0.5}) + "\n"
+            + json.dumps({"question_id": "1", "probability": 0.5, field: value}) + "\n"
+        )
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 2: field '{field}': {got}$"):
+            load_forecasts([path], ["a", "1"])
 
 
 class TestSoftBrier:

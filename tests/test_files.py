@@ -12,7 +12,7 @@ import pytest
 import forecast_rl
 from forecast_rl.cli import EXIT_OK, EXIT_VALIDATION, main
 from forecast_rl.errors import DataFormatError
-from forecast_rl.evaluation import Forecast, load_forecasts, save_forecasts
+from forecast_rl.evaluation import load_forecasts, save_forecasts
 from forecast_rl.files import atomic_write, read_csv, read_json, read_jsonl, record_field, write_json
 
 PACKAGE = Path(forecast_rl.__file__).parent
@@ -98,10 +98,10 @@ class TestAtomicWrite:
 
     def test_forecasts_that_fail_midway_keep_the_old_file(self, tmp_path):
         path = tmp_path / "forecasts.jsonl"
-        save_forecasts([Forecast("a", 0.5), Forecast("b", None)], path)
+        save_forecasts(path, ["a", "b"], np.array([0.5, np.nan]))
         before = path.read_bytes()
         with pytest.raises(TypeError):  # the second record cannot be encoded
-            save_forecasts([Forecast("a", 0.25), Forecast("b", object())], path)
+            save_forecasts(path, ["a", object()], np.array([0.25, 0.5]))
         assert path.read_bytes() == before
         assert _tmp_files(tmp_path) == []
         np.testing.assert_array_equal(load_forecasts([path], ["a", "b"])[1][:, 0], [0.5, np.nan])

@@ -55,3 +55,42 @@ def test_scan_catches_each_form():
         "print(np.ones(1), loads('1'))\n"
     )
     assert unused_imports(src) == ["2: os", "5: dumps", "7: reader"]
+
+
+def question_uses(source: str) -> list[int]:
+    """Lines that bring `Question` into a module: importing it (also under
+    another name, or with `*`) or reading it as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [alias.lineno for alias in node.names if alias.name.split(".")[-1] in ("Question", "*")]
+        elif isinstance(node, ast.Attribute) and node.attr == "Question":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_data_module_uses_question():
+    """Question is the row record of datasets built for tests; every stage
+    works on the columns of a Dataset, which only data.py knows."""
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "data.py" and (lines := question_uses(path.read_text()))
+    }
+    assert found == {}
+
+
+def test_question_scan_catches_each_form():
+    src = (
+        "from forecast_rl.data import Dataset, Question\n"
+        "from forecast_rl.data import (\n"
+        "    QuestionBank,\n"
+        "    Question as Row,\n"
+        ")\n"
+        "from forecast_rl import data\n"
+        "row = data.Question('a')\n"
+        "from forecast_rl.data import *\n"
+        "import forecast_rl.data.Question\n"
+        "question = data.Dataset([])\n"
+    )
+    assert question_uses(src) == [1, 4, 7, 8, 9]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from conftest import make_dataset, make_question
+from conftest import make_dataset, make_question, outcome_by_id
 from forecast_rl.errors import ValidationError
 from forecast_rl.evaluation import Forecast, Z_95, ece_equal_mass
 from forecast_rl.rng import substream
@@ -20,13 +20,13 @@ from forecast_rl.trading import (
     TradeRecord,
     build_trades,
     confidence_band_edges,
-    eligible,
     gating_ece,
     make_trade,
     mean_per_trade,
     per_question_profits,
     run_strategies,
     run_strategy,
+    tradeable,
 )
 
 
@@ -38,7 +38,7 @@ def trade_with(profit=0.0, edge=0.1, m=0.6, qid="q", realized=1, side="long"):
 def column(forecasts, ds):
     """A {question id: probability or None} map as the probability column
     aligned with the dataset's rows, NaN where absent."""
-    return np.array([forecasts.get(q.id) for q in ds], dtype=np.float64)
+    return np.array([forecasts.get(qid) for qid in ds.ids], dtype=np.float64)
 
 
 def priced_dataset(rows):
@@ -90,10 +90,13 @@ class TestMakeTrade:
 
 class TestEligibility:
     def test_rules(self):
-        assert eligible(make_question("a", market_price=0.5))
-        assert eligible(make_question("a", market_price=0.5, volume=10.0))
-        assert not eligible(make_question("a"))  # no quote
-        assert not eligible(make_question("a", market_price=0.5, volume=0.0))
+        ds = make_dataset([
+            make_question("a", 100, market_price=0.5),
+            make_question("b", 101, market_price=0.5, volume=10.0),
+            make_question("c", 102),  # no quote
+            make_question("d", 103, market_price=0.5, volume=0.0),
+        ])
+        assert tradeable(ds).tolist() == [True, True, False, False]
 
     def test_build_trades_skips_absent_forecasts(self):
         ds = priced_dataset([("a", 0.5, 1), ("b", 0.5, 1)])
@@ -324,11 +327,11 @@ class TestGatingEce:
     def test_calibration_split_trades_the_complement(self):
         ds, forecasts = self.make_inputs()
         (ece,), trade_ds = gating_ece(column(forecasts, ds)[:, None], ds, mode="calibration_split")
-        cal_ids = [q.id for q in ds][:20]
-        assert [q.id for q in trade_ds] == [q.id for q in ds][20:]
+        cal_ids = ds.ids[:20]
+        assert trade_ds.ids == ds.ids[20:]
         want = ece_equal_mass(
             [Forecast(qid, forecasts[qid]) for qid in cal_ids],
-            {q.id: q.outcome for q in ds},
+            outcome_by_id(ds),
         )
         assert ece == want
 
@@ -337,8 +340,8 @@ class TestGatingEce:
         (ece,), trade_ds = gating_ece(column(forecasts, ds)[:, None], ds, mode="in_sample")
         assert trade_ds is ds
         want = ece_equal_mass(
-            [Forecast(q.id, forecasts[q.id]) for q in ds],
-            {q.id: q.outcome for q in ds},
+            [Forecast(qid, forecasts[qid]) for qid in ds.ids],
+            outcome_by_id(ds),
         )
         assert ece == want
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_dataset, make_question, poison_baseline
+from conftest import ensemble_predict, make_dataset, make_question, poison_baseline, predict
 from oracle import assess_guardrails, oracle_dpo, oracle_train, predict_probability, sample_response, total_reward
 
 from forecast_rl import trainer
@@ -18,9 +18,7 @@ from forecast_rl.trainer import (
     EnsembleSpec,
     RunLog,
     TrainConfig,
-    ensemble_predict,
     ensemble_predict_dataset,
-    predict,
     predict_dataset,
     resolve_backend,
     train,
@@ -73,7 +71,7 @@ class TestRunLogSemantics:
         params = PolicyParams.zeros(3)
         U = substream(9, "sampling", 2).random((12, hp.group_size, 9))
         pcfg = PenaltyConfig()
-        for i, q in enumerate(stream.questions):
+        for i, q in enumerate(stream):
             responses = [
                 sample_response(params, q.features, uniforms=U[i, g])
                 for g in range(hp.group_size)
@@ -235,10 +233,14 @@ class TestValidationAndEdgeCases:
         assert result.params is not init  # insulated copy
 
     def test_unsorted_stream_rejected(self):
-        qs = [make_question("a", pred_ts=200), make_question("b", pred_ts=100)]
-        bad = Dataset(questions=qs, split="train")  # bypasses sorting on purpose
-        with pytest.raises(ValidationError, match="sorted"):
-            train_online(bad, TrainConfig(), HyperParams())
+        """A Dataset is sorted when it is built, so no stream reaches
+        training out of order: the rows come back in (prediction_ts, id)
+        order and train in it."""
+        qs = [make_question("b", pred_ts=200), make_question("c", pred_ts=100), make_question("a", pred_ts=200)]
+        stream = Dataset(questions=qs, split="train")
+        assert stream.ids == ["c", "a", "b"]
+        assert stream.prediction_ts.tolist() == [100, 200, 200]
+        assert train_online(stream, TrainConfig(), HyperParams()).run_log.question_ids == ["c", "a", "b"]
 
     def test_grpo_needs_group_of_two(self):
         stream = small_stream(5)
@@ -282,8 +284,8 @@ class TestValidationAndEdgeCases:
 class TestNumericAbort:
     def test_abort_carries_last_good_state(self):
         qs = [make_question(f"q{i}", pred_ts=100 + i, features=[0.1 * i, -0.2]) for i in range(5)]
-        qs[3].features = np.array([np.inf, 0.0])  # poisoned mid-stream
         stream = make_dataset(qs)
+        stream.features[3] = [np.inf, 0.0]  # poisoned mid-stream, past the dataset's own check
         cfg = TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2)
         hp = HyperParams(actor_lr=0.01)
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericAbort) as exc_info:
@@ -328,7 +330,7 @@ class TestDpo:
         params = PolicyParams.zeros(2)
         U = substream(13, "dpo", 1).random((15, 2, 9))
         pcfg = PenaltyConfig()
-        for i, q in enumerate(stream.questions):
+        for i, q in enumerate(stream):
             pair = [sample_response(params, q.features, uniforms=U[i, k]) for k in range(2)]
             totals = [
                 total_reward(r.parse_probability(), q.outcome, assess_guardrails(r), pcfg).total
@@ -378,7 +380,7 @@ class TestPredict:
         params = PolicyParams.zeros(2)
         q = make_question("q", features=[0.3, -0.4])
         assert predict(params, q) == 0.0
-        assert predict_dataset(params, make_dataset([q])) == {"q": 0.0}
+        assert predict_dataset(params, make_dataset([q])).tolist() == [0.0]
 
     def test_abstaining_policy_predicts_none(self):
         params = PolicyParams.zeros(2)
@@ -414,7 +416,7 @@ class TestEnsemble:
     def test_dataset_helper(self):
         spec = EnsembleSpec([PolicyParams.zeros(2)])
         ds = make_dataset([make_question("a"), make_question("b", pred_ts=200)])
-        assert ensemble_predict_dataset(spec, ds) == {"a": 0.0, "b": 0.0}
+        assert ensemble_predict_dataset(spec, ds).tolist() == [0.0, 0.0]
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -515,7 +517,7 @@ class TestBatchedStep:
             assert_identical_runs(got, ref)
         # the last good state is the span boundary before the failure
         with np.errstate(invalid="ignore", over="ignore"):
-            (clean,) = train_members(make_dataset(stream.questions[:28]), cfg, hp, members=[0])
+            (clean,) = train_members(make_dataset(list(stream)[:28]), cfg, hp, members=[0])
         assert aborted.params.answer_weights.tobytes() == clean.params.answer_weights.tobytes()
         assert aborted.baseline.tobytes() == clean.baseline.tobytes()
 
@@ -524,7 +526,7 @@ class TestBatchedStep:
         """Checkpoint callbacks and the last-good state carry no baseline
         for GRPO and Modified-GRPO, like a finished run."""
         stream = small_stream(30)
-        stream.questions[25].features = np.array([np.inf, 0.0])
+        stream.features[25] = [np.inf, 0.0]
         cfg = TrainConfig(algorithm=algorithm, seed=6, checkpoint_every=10)
         seen = []
         with np.errstate(invalid="ignore", over="ignore"):
@@ -564,30 +566,28 @@ class TestVectorizedPredict:
         abstain = PolicyParams.zeros(3)
         abstain.answer_weights[1, ABSTAIN] = 3.0  # abstains where feature 0 is positive
         for params in trained + [tie, abstain]:
-            expected = {q.id: predict_probability(params, q.features) for q in stream}
-            assert predict_dataset(params, stream) == expected
-        assert predict(tie, stream.questions[0]) == 0.07
-        assert None in predict_dataset(abstain, stream).values()
+            expected = [predict_probability(params, x) for x in stream.features]
+            assert [None if np.isnan(p) else p for p in predict_dataset(params, stream).tolist()] == expected
+        assert predict(tie, next(iter(stream))) == 0.07
+        assert np.isnan(predict_dataset(abstain, stream)).any()
 
         spec = EnsembleSpec(trained + [abstain])
         ensemble = ensemble_predict_dataset(spec, stream)
-        for q in stream:
-            present = [p for p in (predict_probability(m, q.features) for m in spec.members) if p is not None]
+        for x, got in zip(stream.features, ensemble.tolist()):
+            present = [p for p in (predict_probability(m, x) for m in spec.members) if p is not None]
             if not present:
-                assert ensemble[q.id] is None
+                assert np.isnan(got)
             elif min(present) == max(present):
-                assert ensemble[q.id] == present[0]
+                assert got == present[0]
             else:
-                assert ensemble[q.id] == sum(present) / len(present)
+                assert got == sum(present) / len(present)
 
-        # the members' maps, once computed, give the same ensemble without a second predict
-        maps = [predict_dataset(m, stream) for m in spec.members]
-        again = ensemble_predict_dataset(spec, stream, maps)
-        assert list(again) == list(ensemble)
-        assert np.array([np.nan if v is None else v for v in again.values()]).tobytes() == \
-            np.array([np.nan if v is None else v for v in ensemble.values()]).tobytes()
-        with pytest.raises(ValidationError, match="member forecast maps"):
-            ensemble_predict_dataset(spec, stream, maps[:-1])
+        # the member columns, once computed, give the same ensemble without a second predict
+        columns = np.stack([predict_dataset(m, stream) for m in spec.members])
+        again = ensemble_predict_dataset(spec, stream, columns)
+        assert again.tobytes() == ensemble.tobytes()
+        with pytest.raises(ValidationError, match="member forecasts of shape"):
+            ensemble_predict_dataset(spec, stream, columns[:-1])
 
 
 
@@ -623,7 +623,7 @@ def step_runs() -> dict:
         cfg = TrainConfig(algorithm=algo, seed=1, outer_iteration_len=9, early_stop=es)
         runs[name] = train_members(small_stream(150, d=3), cfg, fast, members=members)
     stream = small_stream(60)
-    stream.questions[33].features = np.array([np.inf, 0.0])
+    stream.features[33] = [np.inf, 0.0]
     with np.errstate(invalid="ignore", over="ignore"):
         runs["numeric_abort"] = train_members(
             stream, TrainConfig(algorithm="remax", seed=6, outer_iteration_len=20),
