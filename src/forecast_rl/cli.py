@@ -463,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="accepted for compatibility; training runs every member in this process and no longer forks",
+            help="accepted for compatibility and sets nothing: training runs every member in this process, and "
+                 "the bootstraps of evaluate and trade run on up to two CPUs of the affinity mask (taskset limits them)",
         )
         if name in ("evaluate", "trade"):
             p.add_argument("forecasts", nargs="*", help="forecast JSONL files (default: <out>/forecasts.jsonl)")

@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -224,6 +225,23 @@ def _nullable(number, value) -> float | None:
     return x
 
 
+# Plain JSON-number text: no blanks, underscores, leading '+' or leading
+# zeros, and ASCII digits only (\d would match other scripts' digits too).
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _number_cell(cell) -> int | float:
+    """An integer or number CSV cell as the JSON number its text spells, so
+    that it casts as the same value in a JSONL record does.  The text a
+    non-finite float is written as (nan, inf, -inf) reads as that float,
+    for the field's cast to refuse by name."""
+    if cell in ("nan", "inf", "-inf"):
+        return float(cell)
+    if not _JSON_NUMBER.fullmatch(cell):
+        raise ValueError(f"expected a JSON number, got {cell[:40]!r}")
+    return json.loads(cell)
+
+
 # How each field but `source` is read, in _FIELDS order: a JSONL value
 # must have its JSON type; a CSV cell is text, cast as the field needs.
 _JSONL_CASTS = {
@@ -234,9 +252,9 @@ _JSONL_CASTS = {
 }
 _CSV_CASTS = {
     "id": str,
-    **dict.fromkeys(_INTEGER_FIELDS, lambda cell: _integer(int(cell))),
+    **dict.fromkeys(_INTEGER_FIELDS, lambda cell: _integer(_number_cell(cell))),
     "features": lambda cell: _numbers(json.loads(cell)),  # a JSONDecodeError is a ValueError
-    **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, float)),
+    **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, lambda cell: float(_number_cell(cell)))),
 }
 
 

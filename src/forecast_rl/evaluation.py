@@ -11,6 +11,8 @@ the identical rows.  Equal-mass ECE orders tied probabilities by row.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,10 +26,20 @@ from forecast_rl.rng import replicate_seeds
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # Bootstrap replicates go to the statistic in chunks whose (R, n) index
-# matrix holds about this many entries.  This bounds the working memory, and
-# at 1 MB per int64 work array the sort and gathers stay in a core's L2
-# cache; 2**18 measured about a fifth slower on a 3000-question ECE bootstrap.
+# matrices, summed over the chunks in flight on every worker thread, hold
+# at most this many entries (or one replicate's n, when n is larger).  This
+# bounds the working memory, and at 1 MB per int64 work array a chunk's
+# counts and cumulative sums stay in a core's L2 cache; 2**18 measured about
+# a fifth slower on a 3000-question ECE bootstrap.
 BOOTSTRAP_CHUNK_ELEMENTS = 2**17
+
+# At most this many threads share the bootstrap's chunks: two threads on
+# two CPUs is the only setting measured end to end.  More threads than the
+# process can really use cost time (on 2 CPUs, a 3000-row, 3-model ECE
+# bootstrap took 0.99 s on one thread, 0.57 s on two and 1.41 s on eight),
+# and a container's CPU quota does not narrow the affinity mask.  Two
+# threads held to one CPU ran no slower than one thread.
+BOOTSTRAP_MAX_WORKERS = 2
 
 # Lentz's continued fraction for the incomplete beta function stops when a
 # step changes the value by less than _CF_EPS relative (about one rounding
@@ -421,6 +433,18 @@ def _replicate_indices(seeds: np.ndarray, n_rows: int) -> np.ndarray:
     return idx
 
 
+def _bootstrap_workers(n_rows: int) -> int:
+    """Worker threads for the bootstrap's replicate chunks: the CPUs this
+    process may run on (its affinity mask, which `taskset` narrows), at most
+    BOOTSTRAP_MAX_WORKERS, and only as many as can each hold a whole
+    replicate within BOOTSTRAP_CHUNK_ELEMENTS indices between them."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, BOOTSTRAP_MAX_WORKERS, BOOTSTRAP_CHUNK_ELEMENTS // max(n_rows, 1)))
+
+
 def paired_bootstrap_stat(
     n_rows: int,
     stat_fn,
@@ -433,11 +457,21 @@ def paired_bootstrap_stat(
     stat_fn maps an (R, n_rows) index matrix (each row one replicate's
     rows resampled with replacement, whole rows at a time so cross-model
     pairing is preserved) to an (R, models) array of per-model
-    statistics.  Replicates are passed in chunks of about
-    BOOTSTRAP_CHUNK_ELEMENTS indices.  Each replicate uses its own
-    generator derived from a drawn seed, so results do not depend on
-    execution order or chunking.  Two-sided p-values come from the
-    zero-centered difference distribution with an add-one correction.
+    statistics.  The observed statistic is the one-row call on the
+    calling thread.  The replicates are shared out to `_bootstrap_workers`
+    threads (the calling thread is one of them; up to one per CPU the
+    process may run on, at most BOOTSTRAP_MAX_WORKERS), in chunks of about
+    BOOTSTRAP_CHUNK_ELEMENTS / workers indices, so the index matrices in
+    flight together hold no more than one chunk, or one replicate once
+    n_rows exceeds BOOTSTRAP_CHUNK_ELEMENTS.  Each worker draws a chunk's
+    indices and calls stat_fn on them, so stat_fn is called from several
+    threads at once and must not mutate shared state.  Each replicate uses
+    its own generator derived from a drawn seed, and the chunks' results
+    are put together in replicate order, so every result is the same
+    whatever the worker count, chunking or execution order.  An exception
+    stat_fn raises reaches the caller unchanged, once every worker has
+    stopped.  Two-sided p-values come from the zero-centered difference
+    distribution with an add-one correction.
     `pairs` lists the (i, j) model pairs to compare; by default every
     pair with i < j.
 
@@ -456,13 +490,38 @@ def paired_bootstrap_stat(
         raise ValidationError(f"the bootstrap statistic is not finite on the observed rows: {observed.tolist()}")
     n_models = observed.shape[0]
     seeds = replicate_seeds(rng, reps)
-    step = max(1, BOOTSTRAP_CHUNK_ELEMENTS // max(n_rows, 1))
-    boot = np.concatenate(
-        [
-            np.asarray(stat_fn(_replicate_indices(seeds[lo : lo + step], n_rows)), dtype=np.float64)
-            for lo in range(0, reps, step)
-        ]
-    )
+    workers = _bootstrap_workers(n_rows)
+    step = max(1, BOOTSTRAP_CHUNK_ELEMENTS // (workers * max(n_rows, 1)))
+    starts = range(0, reps, step)
+    chunks = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+    failed: list[BaseException] = []
+
+    def work() -> None:
+        # Take the next chunk until none is left or a worker has failed.
+        # numpy's draws, gathers and sums release the interpreter lock, so
+        # the workers' chunks run side by side.
+        try:
+            while not failed:
+                with lock:
+                    c = next(todo, None)
+                if c is None:
+                    return
+                idx = _replicate_indices(seeds[starts[c] : starts[c] + step], n_rows)
+                chunks[c] = np.asarray(stat_fn(idx), dtype=np.float64)
+        except BaseException as exc:  # re-raised below, once every worker has stopped
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(workers, len(starts)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()  # the calling thread is a worker too
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
+    boot = np.concatenate(chunks)
 
     if pairs is None:
         pairs = [(i, j) for i in range(n_models) for j in range(i + 1, n_models)]

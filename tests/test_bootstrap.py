@@ -6,10 +6,15 @@ dropped replicates) is compared exactly, bit for bit, with the loop run on
 the product's own row statistic.  The ECE is compared with the oracle to
 1e-12: it expands every drawn row by how often it was drawn, sorts by
 (probability, row index) and takes per-bin means, so it adds in a
-different order than the product.
+different order than the product.  The chunks run on worker threads, and
+their number changes no result.
 """
 
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import asdict
 from unittest import mock
 
@@ -89,6 +94,37 @@ def oracle_bootstrap(n_rows, row_stat, reps, rng):
     return out
 
 
+def workers(w):
+    """Run the bootstrap's chunks on w worker threads.  With one, a patched
+    BOOTSTRAP_CHUNK_ELEMENTS of chunk_rows * n makes chunks of exactly
+    chunk_rows replicates."""
+    return mock.patch.object(evaluation, "_bootstrap_workers", return_value=w)
+
+
+def run_bounded(fn, seconds=120):
+    """fn() on its own thread with a 1 µs switch interval, so that threads
+    are switched as often as the interpreter allows; returns its result or
+    the exception it raised, and fails if it still runs after `seconds`."""
+    out = []
+
+    def target():
+        try:
+            out.append(fn())
+        except BaseException as exc:
+            out.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive(), f"the bootstrap still runs after {seconds} s"
+    return out[0]
+
+
 def same(a: dict, b: dict) -> bool:
     return {k: (asdict(v), v.n_dropped) for k, v in a.items()} == {k: (asdict(v), v.n_dropped) for k, v in b.items()}
 
@@ -145,7 +181,7 @@ class TestBatchedEce:
         def row_stat(i):
             return stat(i[None, :])[0]
 
-        with mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
+        with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
             try:
                 want = oracle_bootstrap(n, row_stat, reps, substream(seed, "b"))
             except ValidationError:  # the observed ECE or every replicate's is undefined
@@ -238,7 +274,7 @@ class TestBatchedTotals:
         values = rng.normal(size=(n, models)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         values[rng.random((n, models)) < 0.3] = 0.0  # untraded questions
         reduce = np.mean if statistic == "mean" else np.sum
-        with mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
+        with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
             got = paired_bootstrap(values, statistic, reps, substream(1, "t"))
         want = oracle_bootstrap(n, lambda idx: reduce(values[idx], axis=0), reps, substream(1, "t"))
         assert same(got, want)
@@ -259,3 +295,97 @@ class TestBatchedTotals:
         got = paired_bootstrap(values, "total", 199, substream(4, "p"), pairs)
         assert list(got) == pairs
         assert same(got, {pair: every[pair] for pair in pairs})
+
+
+class TestWorkerThreads:
+    """The chunks run on a pool of worker threads; their number changes no
+    result, however the threads interleave."""
+
+    def test_ece_is_the_same_on_any_worker_count(self):
+        probs, ys = _forecasts(21, 300, 3, True, 0.3)
+        stat = equal_mass_ece_stat(probs, ys, 10)
+        want = oracle_bootstrap(300, lambda idx: stat(idx[None, :])[0], 199, substream(6, "w"))
+        for w in (1, 2, 5):  # 5: more workers than the host has cores
+            # 10 replicates a chunk on one worker, 2 on five: 20 to 100 chunks
+            with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 10 * 300):
+                got = run_bounded(lambda: paired_bootstrap_stat(300, stat, 199, substream(6, "w")))
+            assert same(got, want), w
+
+    @pytest.mark.parametrize("statistic", ["mean", "total"])
+    def test_totals_are_the_same_on_any_worker_count(self, statistic):
+        values = np.random.default_rng(22).normal(size=(200, 4))
+        reduce = np.mean if statistic == "mean" else np.sum
+        every = oracle_bootstrap(200, lambda idx: reduce(values[idx], axis=0), 301, substream(7, "w"))
+        pairs = [(0, 1), (2, 3), (0, 3)]
+        for w in (1, 2, 5):
+            with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 10 * 200):
+                got = run_bounded(lambda: paired_bootstrap(values, statistic, 301, substream(7, "w"), pairs))
+            assert same(got, {pair: every[pair] for pair in pairs}), w
+
+    @pytest.mark.parametrize("w", [1, 2, 5])
+    def test_an_exception_on_a_later_chunk_reaches_the_caller(self, w):
+        """A statistic that fails on the chunk holding replicate 60 of 97,
+        while the other workers are busy with later chunks: the caller gets
+        that very exception, after every worker stopped."""
+        values = np.random.default_rng(23).normal(size=(50, 2))
+        reps = 97
+        bad = np.random.default_rng(replicate_seeds(substream(8, "x"), reps)[60]).integers(0, 50, size=50)
+        boom = RuntimeError("the statistic failed on a later chunk")
+        chunks = []
+
+        def stat_fn(idx):
+            chunks.append(idx.shape[0])  # list.append is atomic
+            if any(np.array_equal(row, bad) for row in idx):
+                raise boom
+            time.sleep(0.001 * (idx[0, 0] % 10))  # uneven chunks keep the other workers busy when one fails
+            return values[idx].sum(axis=1)
+
+        before = threading.active_count()
+        with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 6 * 50):
+            got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, reps, substream(8, "x")))
+        assert got is boom
+        assert threading.active_count() == before
+        assert len(chunks) > 2  # the observed rows, then more than one chunk
+
+    def test_worker_count_is_capped(self):
+        """One thread per CPU the process may use, at most
+        BOOTSTRAP_MAX_WORKERS, and only as many as hold a whole replicate
+        each within BOOTSTRAP_CHUNK_ELEMENTS."""
+        chunk, cap = evaluation.BOOTSTRAP_CHUNK_ELEMENTS, evaluation.BOOTSTRAP_MAX_WORKERS
+        assert cap == 2
+        with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))):
+            assert evaluation._bootstrap_workers(3000) == cap
+            assert evaluation._bootstrap_workers(chunk // 2) == 2
+            assert evaluation._bootstrap_workers(chunk // 2 + 1) == 1
+            assert evaluation._bootstrap_workers(110_000) == 1
+            assert evaluation._bootstrap_workers(0) == cap
+        with mock.patch.object(os, "sched_getaffinity", return_value={3}):
+            assert evaluation._bootstrap_workers(3000) == 1
+        with mock.patch.object(os, "sched_getaffinity", side_effect=AttributeError):
+            with mock.patch.object(os, "cpu_count", return_value=8):
+                assert evaluation._bootstrap_workers(3000) == cap
+            with mock.patch.object(os, "cpu_count", return_value=None):
+                assert evaluation._bootstrap_workers(3000) == 1
+
+    @pytest.mark.parametrize("n", [100, 400, 500, 501, 1001])
+    def test_chunks_in_flight_hold_at_most_one_chunk(self, n):
+        """With 64 CPUs in the affinity mask and 1000-index chunks, the
+        index matrices that stat_fn holds at one time never exceed 1000
+        entries, or one replicate's n when n is larger."""
+        lock = threading.Lock()
+        held = [0, 0]  # now, most
+
+        def stat_fn(idx):
+            with lock:
+                held[0] += idx.size
+                held[1] = max(held)
+            time.sleep(0.002)  # long enough for the other workers' chunks to overlap
+            with lock:
+                held[0] -= idx.size
+            return np.zeros((idx.shape[0], 2))
+
+        with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))), mock.patch.object(
+            evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 1000
+        ):
+            run_bounded(lambda: paired_bootstrap_stat(n, stat_fn, 40, substream(9, "m")))
+        assert n <= held[1] <= max(1000, n)

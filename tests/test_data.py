@@ -270,6 +270,33 @@ class TestRoundTrip:
         assert np.array_equal(a.features, b.features)
         assert [q.market_price for q in a] == [q.market_price for q in b]
 
+    @pytest.mark.parametrize(
+        "field, cell",
+        [("open_ts", "1_000"), ("close_ts", " 2000 "), ("outcome", "+1"), ("market_price", " 0.5 "),
+         ("volume", "1_0.5"), ("prediction_ts", "05"), ("resolve_ts", "３０００")],
+    )
+    def test_csv_number_cells_take_plain_json_number_text(self, tmp_path, field, cell):
+        """int() and float() would read 1_000, ' 2000 ', +1 and ' 0.5 ' as
+        1000, 2000, 1 and 0.5; a CSV number cell must be the text a JSON
+        number is written as, or the record is refused, naming the field."""
+        good = {"id": "a", "open_ts": "1000", "close_ts": "2000", "resolve_ts": "3000", "prediction_ts": "1500",
+                "outcome": "1", "features": "[0.0]", "market_price": "0.5", "volume": "1e3", "source": "market"}
+
+        def write(path, rows):
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(good))
+                writer.writeheader()
+                writer.writerows(rows)
+
+        write(tmp_path / "good.csv", [good])
+        (a,) = load_questions(tmp_path / "good.csv")
+        assert (a.open_ts, a.close_ts, a.outcome, a.market_price, a.volume) == (1000, 2000, 1, 0.5, 1000.0)
+        path = tmp_path / "q.csv"
+        write(path, [good, {**good, "id": "b", field: cell}])
+        message = rf"^{re.escape(str(path))}: line 3: field '{field}': expected a JSON number, got "
+        with pytest.raises(DataFormatError, match=message):
+            load_questions(path)
+
 
 class TestDrawPredictionTimestamp:
     def test_single_integer_window(self):
