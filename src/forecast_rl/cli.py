@@ -13,7 +13,7 @@ import csv
 import locale  # noqa: F401  argparse's gettext imports it lazily in parse_args; load it at start-up
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -336,16 +336,11 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         for rule_name, result in results.items():
             curve_path = out / f"curve_{name}_{rule_name}.csv"
             with atomic_write(curve_path, newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trade_index", "question_id", "expected_edge", "profit", "cumulative_profit"])
-                for i, (t, cum) in enumerate(zip(result.trades, result.cumulative_profit.tolist())):
-                    writer.writerow([i, t.question_id, t.expected_edge, t.profit, cum])
+                csv.writer(fh).writerows(result.curve_rows())
             files.append(curve_path)
-            # head only; the full curve is in the CSV
-            model_out["rules"][rule_name] = asdict(replace(result, trades=result.trades[:20]))
+            model_out["rules"][rule_name] = result.to_dict()
         # The bands read the all-markets trades in that rule's (edge) order.
-        all_trades = results[GATES[2]].trades
-        model_out["confidence_bands"] = [asdict(b) for b in confidence_band_edges(all_trades)]
+        model_out["confidence_bands"] = [asdict(b) for b in confidence_band_edges(results[GATES[2]].trades)]
         per_model[name] = model_out
 
     comparisons = []

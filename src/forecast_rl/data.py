@@ -242,6 +242,14 @@ def _number_cell(cell) -> int | float:
     return json.loads(cell)
 
 
+def _list_cell(cell: str):
+    """The `features` CSV cell as the JSON value its text spells; blanks
+    around it are refused, as they are around a number cell."""
+    if cell != cell.strip():
+        raise ValueError(f"expected a JSON list without blanks around it, got {cell[:40]!r}")
+    return json.loads(cell)  # a JSONDecodeError is a ValueError
+
+
 # How each field but `source` is read, in _FIELDS order: a JSONL value
 # must have its JSON type; a CSV cell is text, cast as the field needs.
 _JSONL_CASTS = {
@@ -253,7 +261,7 @@ _JSONL_CASTS = {
 _CSV_CASTS = {
     "id": str,
     **dict.fromkeys(_INTEGER_FIELDS, lambda cell: _integer(_number_cell(cell))),
-    "features": lambda cell: _numbers(json.loads(cell)),  # a JSONDecodeError is a ValueError
+    "features": lambda cell: _numbers(_list_cell(cell)),
     **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, lambda cell: float(_number_cell(cell)))),
 }
 

@@ -552,27 +552,31 @@ def paired_bootstrap(
     """Paired bootstrap of column means or totals of a questions-by-models
     matrix, comparing `pairs` of columns (see `paired_bootstrap_stat`).
 
-    The resampled rows are gathered as (n, R, models) and reduced over the
-    first axis, which adds rows one after another in resampled order, as
-    `values[idx].sum(axis=0)` does for a single replicate.  (That needs
-    two or more models; with one, numpy would sum the contiguous first
-    axis pairwise, but one model has no pairs to compare.)  A chunk's
-    replicates are gathered in ceil(models / 2) parts, so that the gathered
-    array holds about two models' worth of values however many columns
-    come in.
+    The resampled rows are added one after another in resampled order, as
+    `values[idx].sum(axis=0)` does for a single replicate: a chunk's (R, n)
+    index matrix is cut into ceil(models / 2) blocks of consecutive
+    resampled positions, each gathered as (rows, R, models) and reduced
+    over its first axis, with the running total of the blocks before it
+    added to the block's first row.  So a gather holds about two models'
+    worth of the chunk's values however many columns come in, also when a
+    chunk holds a single replicate.  (The reduction needs two or more
+    models: with one, numpy would sum the contiguous first axis pairwise,
+    but one model has no pairs to compare.)
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("values must be a questions x models matrix")
     if statistic not in ("mean", "total"):
         raise ValidationError(f"unknown statistic {statistic!r}")
-    n_parts = -(-values.shape[1] // 2)
+    n_blocks = max(1, min(-(-values.shape[1] // 2), values.shape[0]))
 
     def stat_fn(idx: np.ndarray) -> np.ndarray:
-        out = []
-        for part in np.array_split(idx, n_parts):
-            gathered = np.take(values, part.T, axis=0)
-            out.append(gathered.mean(axis=0) if statistic == "mean" else gathered.sum(axis=0))
-        return np.concatenate(out)
+        total = None
+        for rows in np.array_split(idx.T, n_blocks):
+            gathered = np.take(values, rows, axis=0)
+            if total is not None:
+                gathered[0] += total  # carry on from the rows before, in order
+            total = gathered.sum(axis=0)
+        return total / values.shape[0] if statistic == "mean" else total
 
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng, pairs)

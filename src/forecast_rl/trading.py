@@ -6,11 +6,16 @@ m + 0.01 when the model's probability exceeds the price, short at
 cent stands in for fees and slippage.  Three gating rules select which
 trades count toward the totals.  A model's forecasts come as a
 probability column aligned with the dataset's rows, NaN where absent.
+
+A model's trades are one table of columns (`Trades`); gates, order,
+totals, profit matrix and confidence bands are masks and index
+arithmetic on it.  `StrategyResult` writes trades.json's records and the
+curve CSV rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,17 +32,27 @@ GATES = (GATE_EDGE_ABOVE_ECE, GATE_EDGE_ABOVE_ZERO, GATE_ALL_MARKETS)
 
 CONFIDENCE_BANDS = ((0.50, 0.65), (0.65, 0.80), (0.80, 1.00))
 
+HEAD_TRADES = 20  # kept trades listed in trades.json; the full curve is in the CSV
+CURVE_HEADER = ("trade_index", "question_id", "expected_edge", "profit", "cumulative_profit")
+
 
 @dataclass
-class TradeRecord:
-    question_id: str
-    side: str  # long | short
-    market_price: float
-    entry_cost: float
-    belief_value: float
-    expected_edge: float
-    realized_value: int
-    profit: float
+class Trades:
+    """One model's trades as columns, one entry per trade."""
+
+    row: np.ndarray  # intp: the trade's dataset row
+    question_id: np.ndarray  # object: the row's id (a str)
+    long: np.ndarray  # bool: long, else short
+    market_price: np.ndarray
+    entry_cost: np.ndarray
+    belief_value: np.ndarray
+    expected_edge: np.ndarray
+    realized_value: np.ndarray  # int64: 1 when the side taken pays out
+    profit: np.ndarray
+
+    def take(self, index) -> Trades:
+        """The trades at `index` (a mask or positions), in its order."""
+        return Trades(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 @dataclass
@@ -52,19 +67,19 @@ class GatingRule:
             if self.ece_value is None or not (0.0 <= self.ece_value <= 1.0):
                 raise ValidationError("edge_above_ece needs ece_value in [0, 1]")
 
-    def keeps(self, trade: TradeRecord) -> bool:
+    def keeps(self, expected_edge: np.ndarray) -> np.ndarray:
+        """Mask of the trades, given by their expected edges, that count."""
         if self.kind == GATE_ALL_MARKETS:
-            return True
-        if self.kind == GATE_EDGE_ABOVE_ZERO:
-            return trade.expected_edge > 0.0
-        return trade.expected_edge > self.ece_value
+            return np.ones(len(expected_edge), dtype=bool)
+        return expected_edge > (0.0 if self.kind == GATE_EDGE_ABOVE_ZERO else self.ece_value)
 
 
 @dataclass
 class StrategyResult:
-    """Kept trades in descending expected-edge order with their totals."""
+    """Kept trades in descending expected-edge order (ties by question id)
+    with their totals."""
 
-    trades: list[TradeRecord]
+    trades: Trades
     total_profit: float
     n_trades: int
     mean_profit: float | None = None
@@ -73,7 +88,21 @@ class StrategyResult:
     @property
     def cumulative_profit(self) -> np.ndarray:
         """Running profit total after each trade."""
-        return np.cumsum(np.array([t.profit for t in self.trades])) if self.trades else np.empty(0)
+        return np.cumsum(self.trades.profit)
+
+    def to_dict(self) -> dict:
+        """The trades.json entry: the totals and the first HEAD_TRADES kept
+        trades as records of every column but the row, the side spelt out."""
+        head = self.trades.take(slice(HEAD_TRADES))
+        columns = {f.name: getattr(head, f.name).tolist() for f in fields(head) if f.name not in ("row", "long")}
+        columns["side"] = np.where(head.long, "long", "short").tolist()
+        return {**vars(self), "trades": [dict(zip(columns, values)) for values in zip(*columns.values())]}
+
+    def curve_rows(self) -> list[tuple]:
+        """The profit curve CSV: CURVE_HEADER, then one row per kept trade."""
+        t = self.trades
+        return [CURVE_HEADER, *zip(range(self.n_trades), t.question_id.tolist(), t.expected_edge.tolist(),
+                                   t.profit.tolist(), self.cumulative_profit.tolist())]
 
 
 @dataclass
@@ -86,78 +115,43 @@ class BandResult:
     p_value: float | None
 
 
-def make_trade(p: float, m: float, y: int, rng: np.random.Generator) -> TradeRecord:
-    """One hypothetical share: long above the price, short below, seeded
-    coin flip on an exact tie."""
-    if not (0.0 < m < 1.0):
-        raise ValidationError(f"market price must lie strictly in (0, 1), got {m}")
-    if not (0.0 <= p <= 1.0):
-        raise ValidationError(f"probability must lie in [0, 1], got {p}")
-    if y not in (0, 1):
-        raise ValidationError(f"outcome must be 0 or 1, got {y}")
-    if p > m:
-        go_long = True
-    elif p < m:
-        go_long = False
-    else:
-        go_long = rng.random() < 0.5
-    if go_long:
-        side = "long"
-        cost = m + FEE
-        belief = p
-        realized = y
-    else:
-        side = "short"
-        cost = (1.0 - m) + FEE
-        belief = 1.0 - p
-        realized = 1 - y
-    return TradeRecord(
-        question_id="",
-        side=side,
-        market_price=m,
-        entry_cost=cost,
-        belief_value=belief,
-        expected_edge=belief - cost,
-        realized_value=realized,
-        profit=realized - cost,
-    )
-
-
 def tradeable(dataset: Dataset) -> np.ndarray:
     """Per row: a quote exists and volume, when reported, is nonzero."""
     return ~np.isnan(dataset.market_price) & ~(dataset.volume <= 0.0)
 
 
-def build_trades(probs: np.ndarray, dataset: Dataset, rng: np.random.Generator) -> list[TradeRecord]:
+def build_trades(probs: np.ndarray, dataset: Dataset, rng: np.random.Generator) -> Trades:
     """One trade per tradeable row with a present forecast (`probs` holds
-    one per dataset row, NaN = absent), in dataset order (tie coin flips
-    consume the generator in that order)."""
+    one per dataset row, NaN = absent), in dataset order: long above the
+    price, short below, and on an exact tie a seeded coin flip (one
+    `rng.random()` per tie, drawn in that order)."""
     if len(probs) != len(dataset):
         raise ValidationError(f"{len(probs)} probabilities for a dataset of {len(dataset)} questions")
     rows = np.flatnonzero(tradeable(dataset) & ~np.isnan(probs))
-    trades = []
-    for i, p, m, y in zip(
-        rows.tolist(), probs[rows].tolist(), dataset.market_price[rows].tolist(), dataset.outcome[rows].tolist()
-    ):
-        t = make_trade(p, m, y, rng)
-        t.question_id = dataset.ids[i]
-        trades.append(t)
-    return trades
+    p, m, y = probs[rows], dataset.market_price[rows], dataset.outcome[rows]
+    bad = ~((0.0 <= p) & (p <= 1.0))
+    if bad.any():
+        raise ValidationError(f"probability must lie in [0, 1], got {p[bad][0]}")
+    long = p > m
+    tie = p == m
+    long[tie] = rng.random(np.count_nonzero(tie)) < 0.5
+    cost = np.where(long, m + FEE, (1.0 - m) + FEE)
+    belief = np.where(long, p, 1.0 - p)
+    realized = np.where(long, y, 1 - y)
+    ids = np.array(dataset.ids, dtype=object)
+    return Trades(rows, ids[rows], long, m, cost, belief, belief - cost, realized, realized - cost)
 
 
-def apply_gate(trades: list[TradeRecord], rule: GatingRule) -> StrategyResult:
+def apply_gate(trades: Trades, rule: GatingRule) -> StrategyResult:
     """Keep the built trades that pass one gating rule and aggregate them
-    in descending edge order."""
+    in descending edge order, ties by question id.  The ids are objects,
+    so they compare as Python str does (as the dataset's sort does), not
+    as numpy text, which drops trailing NULs."""
     rule.validate()
-    kept = [t for t in trades if rule.keeps(t)]
-    kept.sort(key=lambda t: (-t.expected_edge, t.question_id))
-    profits = np.array([t.profit for t in kept])
-    result = StrategyResult(
-        trades=kept,
-        total_profit=float(profits.sum()) if kept else 0.0,
-        n_trades=len(kept),
-    )
-    if len(kept) >= 2:
+    kept = trades.take(rule.keeps(trades.expected_edge))
+    kept = kept.take(np.lexsort((kept.question_id, -kept.expected_edge)))
+    result = StrategyResult(kept, float(kept.profit.sum()), len(kept.row))
+    if result.n_trades >= 2:
         result.mean_profit, result.mean_ci = mean_per_trade(result)
     return result
 
@@ -195,14 +189,14 @@ def mean_per_trade(result: StrategyResult) -> tuple[float, tuple[float, float]]:
     regression estimate)."""
     if result.n_trades < 2:
         raise ValidationError("mean_per_trade needs at least 2 trades")
-    profits = np.array([t.profit for t in result.trades])
+    profits = result.trades.profit
     mean = float(profits.mean())
     se = float(profits.std(ddof=1) / np.sqrt(profits.size))
     return mean, (mean - Z_95 * se, mean + Z_95 * se)
 
 
 def confidence_band_edges(
-    trades: list[TradeRecord],
+    trades: Trades,
     bands: tuple[tuple[float, float], ...] = CONFIDENCE_BANDS,
 ) -> list[BandResult]:
     """Excess win rate over the pre-fee price per market-confidence band.
@@ -211,21 +205,18 @@ def confidence_band_edges(
     realized_value - entry_cost + fee (the win indicator minus the
     pre-fee price of the side taken), reported in percentage points with
     a one-sample t-test against zero.  Bands with fewer than 2 trades or
-    zero spread omit the test.
+    zero spread omit the test.  Each band's trades keep their order in
+    `trades`, which the sums follow.
     """
+    conf = np.maximum(trades.market_price, 1.0 - trades.market_price)
+    excess = trades.realized_value - trades.entry_cost + FEE
     out = []
     last = len(bands) - 1
     for b, (lo, hi) in enumerate(bands):
-        sel = []
-        for t in trades:
-            conf = max(t.market_price, 1.0 - t.market_price)
-            inside = (lo <= conf <= hi) if b == last else (lo <= conf < hi)
-            if inside:
-                sel.append(t.realized_value - t.entry_cost + FEE)
-        if not sel:
+        vals = excess[(lo <= conf) & ((conf <= hi) if b == last else (conf < hi))]
+        if not vals.size:
             out.append(BandResult(lo, hi, 0, None, None, None))
             continue
-        vals = np.array(sel)
         mean_pp = float(vals.mean() * 100.0)
         if vals.size < 2 or float(vals.std(ddof=1)) == 0.0:
             out.append(BandResult(lo, hi, int(vals.size), mean_pp, None, None))
@@ -268,10 +259,8 @@ def per_question_profits(results: list[StrategyResult], dataset: Dataset) -> tup
     model does not trade (absent forecast or gated out) contribute 0,
     keeping rows aligned for the paired bootstrap.
     """
-    rows = [dataset.ids[i] for i in np.flatnonzero(tradeable(dataset)).tolist()]
-    row_index = {qid: i for i, qid in enumerate(rows)}
+    rows = np.flatnonzero(tradeable(dataset))
     values = np.zeros((len(rows), len(results)))
     for j, result in enumerate(results):
-        for t in result.trades:
-            values[row_index[t.question_id], j] = t.profit
-    return values, rows
+        values[np.searchsorted(rows, result.trades.row), j] = result.trades.profit
+    return values, np.array(dataset.ids, dtype=object)[rows].tolist()

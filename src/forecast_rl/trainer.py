@@ -566,20 +566,6 @@ def train_dpo(
     return TrainResult(params, None, run_log)
 
 
-def train(
-    stream: Dataset,
-    cfg: TrainConfig,
-    hp: HyperParams,
-    penalties: PenaltyConfig | None = None,
-    init_params: PolicyParams | None = None,
-    checkpoint_cb=None,
-) -> TrainResult:
-    """Dispatch to the online loop or the offline DPO path."""
-    if cfg.algorithm == "dpo":
-        return train_dpo(stream, cfg, hp, penalties, init_params)
-    return train_online(stream, cfg, hp, penalties, init_params, checkpoint_cb)
-
-
 _PREDICT_ROWS = 512  # rows per block, which bounds the (rows, N_ANSWER) temporaries
 
 

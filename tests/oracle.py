@@ -9,7 +9,10 @@ step AdamW on a parameter dict.  The tests compare the package against
 it (`oracle_train`, `oracle_dpo`), and it keeps its own unit tests.  The
 row-wise objective values are what the finite-difference checks
 differentiate.  Two forecast statistics that no stage reports, Welch's t
-and the extreme-bucket mass, close the module for the acceptance gate.
+and the extreme-bucket mass, serve the acceptance gate.  The module
+closes with the trade backtest one `TradeRecord` at a time (`make_trade`,
+`oracle_trades`, `oracle_gate`, `oracle_profits`, `oracle_bands`), the
+reference for the columns of `forecast_rl.trading`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.evaluation import t_two_sided_p
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
@@ -33,6 +37,7 @@ from forecast_rl.policy import (
 )
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
+from forecast_rl.trading import FEE, BandResult, tradeable
 from forecast_rl.trainer import RunLog, check_early_stop
 
 
@@ -797,3 +802,93 @@ def extreme_bucket_mass(probabilities) -> float:
     if present.size == 0:
         return 0.0
     return float(np.mean((present <= 0.10) | (present >= 0.90)))
+
+
+# Trading
+
+
+@dataclass
+class TradeRecord:
+    question_id: str
+    side: str  # long | short
+    market_price: float
+    entry_cost: float
+    belief_value: float
+    expected_edge: float
+    realized_value: int
+    profit: float
+
+
+def make_trade(p: float, m: float, y: int, rng: np.random.Generator) -> TradeRecord:
+    """One hypothetical share: long above the price, short below, seeded
+    coin flip on an exact tie."""
+    if not (0.0 < m < 1.0):
+        raise ValidationError(f"market price must lie strictly in (0, 1), got {m}")
+    if not (0.0 <= p <= 1.0):
+        raise ValidationError(f"probability must lie in [0, 1], got {p}")
+    if y not in (0, 1):
+        raise ValidationError(f"outcome must be 0 or 1, got {y}")
+    if p > m:
+        go_long = True
+    elif p < m:
+        go_long = False
+    else:
+        go_long = rng.random() < 0.5
+    if go_long:
+        side, cost, belief, realized = "long", m + FEE, p, y
+    else:
+        side, cost, belief, realized = "short", (1.0 - m) + FEE, 1.0 - p, 1 - y
+    return TradeRecord("", side, m, cost, belief, belief - cost, realized, realized - cost)
+
+
+def oracle_trades(probs, dataset, rng: np.random.Generator) -> list[TradeRecord]:
+    """One trade per tradeable row with a present forecast, in dataset
+    order (NaN = absent)."""
+    trades = []
+    for i, ok in enumerate(tradeable(dataset).tolist()):
+        p = float(probs[i])
+        if ok and not np.isnan(p):
+            t = make_trade(p, float(dataset.market_price[i]), int(dataset.outcome[i]), rng)
+            t.question_id = dataset.ids[i]
+            trades.append(t)
+    return trades
+
+
+def oracle_gate(trades: list[TradeRecord], threshold: float | None) -> list[TradeRecord]:
+    """The trades whose edge exceeds `threshold` (all when None), in
+    descending edge order, ties by question id."""
+    kept = [t for t in trades if threshold is None or t.expected_edge > threshold]
+    return sorted(kept, key=lambda t: (-t.expected_edge, t.question_id))
+
+
+def oracle_profits(kept_per_model: list[list[TradeRecord]], dataset) -> np.ndarray:
+    """Profit matrix (tradeable questions x models), 0 where untraded."""
+    rows = [qid for qid, ok in zip(dataset.ids, tradeable(dataset).tolist()) if ok]
+    row_of = {qid: i for i, qid in enumerate(rows)}
+    values = np.zeros((len(rows), len(kept_per_model)))
+    for j, kept in enumerate(kept_per_model):
+        for t in kept:
+            values[row_of[t.question_id], j] = t.profit
+    return values
+
+
+def oracle_bands(trades: list[TradeRecord], bands) -> list[BandResult]:
+    """Excess win rate over the pre-fee price per market-confidence band,
+    each band's trades summed in the list's order."""
+    out = []
+    for b, (lo, hi) in enumerate(bands):
+        sel = []
+        for t in trades:
+            conf = max(t.market_price, 1.0 - t.market_price)
+            if (lo <= conf <= hi) if b == len(bands) - 1 else (lo <= conf < hi):
+                sel.append(t.realized_value - t.entry_cost + FEE)
+        vals = np.array(sel)
+        if not sel:
+            out.append(BandResult(lo, hi, 0, None, None, None))
+        elif vals.size < 2 or float(vals.std(ddof=1)) == 0.0:
+            out.append(BandResult(lo, hi, vals.size, float(vals.mean() * 100.0), None, None))
+        else:
+            t_stat = float(vals.mean() / (vals.std(ddof=1) / np.sqrt(vals.size)))
+            p = t_two_sided_p(t_stat, vals.size - 1)
+            out.append(BandResult(lo, hi, vals.size, float(vals.mean() * 100.0), t_stat, p))
+    return out

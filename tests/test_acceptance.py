@@ -48,8 +48,8 @@ from forecast_rl.trainer import (
     TrainConfig,
     ensemble_predict_dataset,
     predict_dataset,
-    train,
     train_members,
+    train_online,
 )
 
 SEEDS = (0, 1, 2)
@@ -81,7 +81,7 @@ def lab():
             ("modified", "modified_grpo", PenaltyConfig()),
             ("remax_nogib", "remax", PenaltyConfig(lambda_gib=0.0)),
         ):
-            result = train(train_ds, TrainConfig(algorithm=algo, seed=seed), HyperParams(), pen)
+            result = train_online(train_ds, TrainConfig(algorithm=algo, seed=seed), HyperParams(), pen)
             assert not result.stopped, f"{key} seed {seed} tripped the early stop"
             policies[key] = result.params
         out[seed] = {
@@ -233,26 +233,26 @@ def test_criterion_07_trading_bookkeeping(rng):
 
     ok = True
     allm = run_strategy(forecasts, ds, GatingRule(GATE_ALL_MARKETS), np.random.default_rng(0))
-    by_id = {t.question_id: t for t in allm.trades}
+    by_id = {t["question_id"]: t for t in allm.to_dict()["trades"]}
     # hand bookkeeping, written as the same arithmetic the simulator uses
-    ok &= by_id["q1"].side == "long" and by_id["q1"].entry_cost == 0.6 + FEE
-    ok &= by_id["q1"].expected_edge == 0.8 - (0.6 + FEE)
-    ok &= by_id["q2"].side == "short" and by_id["q2"].entry_cost == (1 - 0.6) + FEE
-    ok &= by_id["q2"].expected_edge == (1 - 0.2) - ((1 - 0.6) + FEE)
-    ok &= by_id["q3"].side == "long" and by_id["q4"].side == "short"
+    ok &= by_id["q1"]["side"] == "long" and by_id["q1"]["entry_cost"] == 0.6 + FEE
+    ok &= by_id["q1"]["expected_edge"] == 0.8 - (0.6 + FEE)
+    ok &= by_id["q2"]["side"] == "short" and by_id["q2"]["entry_cost"] == (1 - 0.6) + FEE
+    ok &= by_id["q2"]["expected_edge"] == (1 - 0.2) - ((1 - 0.6) + FEE)
+    ok &= by_id["q3"]["side"] == "long" and by_id["q4"]["side"] == "short"
     hand_profits = {
         "q1": 1 - (0.6 + FEE), "q2": 0 - ((1 - 0.6) + FEE),
         "q3": 0 - (0.5 + FEE), "q4": 1 - ((1 - 0.4) + FEE),
     }
-    ok &= all(by_id[q].profit == hand_profits[q] for q in hand_profits)
-    order = sorted(hand_profits, key=lambda q: (-by_id[q].expected_edge, q))
+    ok &= all(by_id[q]["profit"] == hand_profits[q] for q in hand_profits)
+    order = sorted(hand_profits, key=lambda q: (-by_id[q]["expected_edge"], q))
     ok &= allm.total_profit == float(np.array([hand_profits[q] for q in order]).sum())
     zero = run_strategy(forecasts, ds, GatingRule(GATE_EDGE_ABOVE_ZERO), np.random.default_rng(0))
     ok &= zero.total_profit == float(
-        np.array([hand_profits[q] for q in order if by_id[q].expected_edge > 0]).sum()
+        np.array([hand_profits[q] for q in order if by_id[q]["expected_edge"] > 0]).sum()
     )
     ece = run_strategy(forecasts, ds, GatingRule(GATE_EDGE_ABOVE_ECE, 0.10), np.random.default_rng(0))
-    ok &= [t.question_id for t in ece.trades] == ["q2", "q1"]
+    ok &= ece.trades.question_id.tolist() == ["q2", "q1"]
     ok &= ece.total_profit == float(
         np.array([hand_profits["q2"], hand_profits["q1"]]).sum()
     )
@@ -273,7 +273,7 @@ def test_criterion_07_trading_bookkeeping(rng):
                           (GATE_ALL_MARKETS, None)):
             result = run_strategy(fs, fixture_ds, GatingRule(kind, thr),
                                   np.random.default_rng(trial))
-            kept[kind] = {t.question_id for t in result.trades}
+            kept[kind] = set(result.trades.question_id.tolist())
         chain_ok &= kept[GATE_EDGE_ABOVE_ECE] <= kept[GATE_EDGE_ABOVE_ZERO]
         chain_ok &= kept[GATE_EDGE_ABOVE_ZERO] <= kept[GATE_ALL_MARKETS]
     ok &= chain_ok

@@ -267,7 +267,8 @@ class TestBatchedTotals:
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     @pytest.mark.parametrize(
         "n, models, reps, chunk_rows",
-        [(1, 2, 9, 1), (37, 2, 101, 8), (400, 3, 57, 5), (150, 7, 41, 3), (90, 9, 23, 2)],
+        [(1, 2, 9, 1), (37, 2, 101, 8), (400, 3, 57, 5), (150, 7, 41, 3), (90, 9, 23, 2), (60, 9, 17, 1),
+         (45, 4, 13, 1)],
     )
     def test_matches_the_per_replicate_loop(self, statistic, n, models, reps, chunk_rows):
         rng = np.random.default_rng(n)
@@ -278,6 +279,26 @@ class TestBatchedTotals:
             got = paired_bootstrap(values, statistic, reps, substream(1, "t"))
         want = oracle_bootstrap(n, lambda idx: reduce(values[idx], axis=0), reps, substream(1, "t"))
         assert same(got, want)
+
+    @pytest.mark.parametrize("models", [2, 3, 8, 9])
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_a_gather_holds_at_most_three_models_worth(self, models, chunk_rows):
+        """The resampled rows are gathered in ceil(models / 2) blocks, so no
+        gather holds more than 3 x n x R values of a chunk of R replicates,
+        also when the chunk holds a single replicate."""
+        n, reps = 50, 7
+        values = np.random.default_rng(3).normal(size=(n, models))
+        take, sizes = np.take, []
+
+        def spy(a, indices, *args, **kwargs):
+            out = take(a, indices, *args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n), \
+                mock.patch.object(evaluation.np, "take", spy):
+            paired_bootstrap(values, "total", reps, substream(1, "g"))
+        assert sizes and max(sizes) <= 3 * n * chunk_rows
 
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     def test_identical_columns_give_an_exact_zero(self, statistic):

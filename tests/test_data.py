@@ -298,6 +298,30 @@ class TestRoundTrip:
             load_questions(path)
 
 
+    @pytest.mark.parametrize("cell", [" [0.5, 1e0] ", "[0.5, 1e0] ", "\t[0.5, 1e0]", "[0.5, 1e0]\n"])
+    def test_csv_features_cell_takes_no_blanks_around_the_list(self, tmp_path, cell):
+        """json.loads would read ' [0.5, 1e0] ' as [0.5, 1.0]; like a number
+        cell, the features cell is refused with blanks around it, naming the
+        field.  Blanks inside the list are JSON and stay allowed."""
+        row = {"id": "a", "open_ts": "1000", "close_ts": "2000", "resolve_ts": "3000", "prediction_ts": "1500",
+               "outcome": "1", "features": "[0.5, 1e0]", "market_price": "0.5", "volume": "", "source": "market"}
+
+        def write(path, rows):
+            with open(path, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(row))
+                writer.writeheader()
+                writer.writerows(rows)
+
+        write(tmp_path / "good.csv", [row])
+        (a,) = load_questions(tmp_path / "good.csv")
+        assert a.features.tolist() == [0.5, 1.0]
+        path = tmp_path / "q.csv"
+        write(path, [row, {**row, "id": "b", "features": cell}])
+        message = rf"^{re.escape(str(path))}: line 3: field 'features': expected a JSON list without blanks around it"
+        with pytest.raises(DataFormatError, match=message):
+            load_questions(path)
+
+
 class TestDrawPredictionTimestamp:
     def test_single_integer_window(self):
         q = make_question("q1", open_ts=100, close_ts=101, resolve_ts=200, pred_ts=100)

@@ -94,3 +94,45 @@ def test_question_scan_catches_each_form():
         "question = data.Dataset([])\n"
     )
     assert question_uses(src) == [1, 4, 7, 8, 9]
+
+
+PER_TRADE_NAMES = ("TradeRecord", "make_trade")
+
+
+def per_trade_uses(source: str) -> list[int]:
+    """Lines that define, import, read or name as an attribute one of
+    PER_TRADE_NAMES."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in PER_TRADE_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [alias.lineno for alias in node.names if alias.name.split(".")[-1] in PER_TRADE_NAMES]
+        elif isinstance(node, ast.Name) and node.id in PER_TRADE_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in PER_TRADE_NAMES:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_no_module_holds_a_per_trade_object():
+    """Trades are columns (trading.Trades); the per-object TradeRecord and
+    make_trade are the reference in tests/oracle.py only."""
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := per_trade_uses(path.read_text()))}
+    assert found == {}
+
+
+def test_per_trade_scan_catches_each_form():
+    src = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class TradeRecord:\n"
+        "    side: str\n"
+        "def make_trade(p):\n"
+        "    return TradeRecord(p)\n"
+        "from tests.oracle import make_trade as mt\n"
+        "import trading\n"
+        "t = trading.TradeRecord\n"
+        "trades = [mt(p) for p in ()]\n"
+    )
+    assert per_trade_uses(src) == [3, 5, 6, 7, 9]

@@ -1,7 +1,9 @@
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from conftest import make_dataset, make_question, outcome_by_id
@@ -17,17 +19,18 @@ from forecast_rl.trading import (
     GATES,
     GatingRule,
     StrategyResult,
-    TradeRecord,
+    Trades,
+    apply_gate,
     build_trades,
     confidence_band_edges,
     gating_ece,
-    make_trade,
     mean_per_trade,
     per_question_profits,
     run_strategies,
     run_strategy,
     tradeable,
 )
+from oracle import TradeRecord, make_trade, oracle_bands, oracle_gate, oracle_profits, oracle_trades
 
 
 def trade_with(profit=0.0, edge=0.1, m=0.6, qid="q", realized=1, side="long"):
@@ -35,10 +38,33 @@ def trade_with(profit=0.0, edge=0.1, m=0.6, qid="q", realized=1, side="long"):
     return TradeRecord(qid, side, m, cost, cost + edge, edge, realized, profit)
 
 
+def as_columns(records: list[TradeRecord]) -> Trades:
+    """Per-trade records as the trade columns, numbered as rows in list order."""
+    def col(name, dtype):
+        return np.array([getattr(t, name) for t in records], dtype=dtype)
+
+    return Trades(np.arange(len(records)), col("question_id", object), col("side", object) == "long",
+                  col("market_price", float), col("entry_cost", float), col("belief_value", float),
+                  col("expected_edge", float), col("realized_value", np.int64), col("profit", float))
+
+
 def column(forecasts, ds):
     """A {question id: probability or None} map as the probability column
     aligned with the dataset's rows, NaN where absent."""
     return np.array([forecasts.get(qid) for qid in ds.ids], dtype=np.float64)
+
+
+def same_columns(a: Trades, b: Trades) -> bool:
+    """Every column of the same dtype and bit-equal (ids equal as str)."""
+    def same(x, y):
+        return x.dtype == y.dtype and (x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes())
+
+    return all(same(getattr(a, f.name), getattr(b, f.name)) for f in fields(Trades))
+
+
+def same_result(a: StrategyResult, b: StrategyResult) -> bool:
+    """Equal totals and trades.json entries, and bit-equal trade columns."""
+    return a.to_dict() == b.to_dict() and same_columns(a.trades, b.trades)
 
 
 def priced_dataset(rows):
@@ -101,7 +127,7 @@ class TestEligibility:
     def test_build_trades_skips_absent_forecasts(self):
         ds = priced_dataset([("a", 0.5, 1), ("b", 0.5, 1)])
         trades = build_trades(np.array([0.8, np.nan]), ds, np.random.default_rng(0))
-        assert [t.question_id for t in trades] == ["a"]
+        assert trades.question_id.tolist() == ["a"]
 
 
 FIXTURE_ROWS = [
@@ -122,7 +148,7 @@ class TestRunStrategy:
         allm = run_strategy(FIXTURE_FORECASTS, ds, GatingRule(GATE_ALL_MARKETS), rng())
         assert allm.n_trades == 4
         assert allm.total_profit == pytest.approx(0.39 - 0.41 - 0.51 + 0.39, abs=1e-9)
-        assert [t.question_id for t in allm.trades] == ["q2", "q1", "q4", "q3"]
+        assert allm.trades.question_id.tolist() == ["q2", "q1", "q4", "q3"]
         assert allm.cumulative_profit == pytest.approx([-0.41, -0.02, 0.37, -0.14], abs=1e-9)
 
         zero = run_strategy(FIXTURE_FORECASTS, ds, GatingRule(GATE_EDGE_ABOVE_ZERO), rng())
@@ -131,14 +157,14 @@ class TestRunStrategy:
 
         ece = run_strategy(FIXTURE_FORECASTS, ds, GatingRule(GATE_EDGE_ABOVE_ECE, 0.10), rng())
         assert ece.n_trades == 2
-        assert [t.question_id for t in ece.trades] == ["q2", "q1"]
+        assert ece.trades.question_id.tolist() == ["q2", "q1"]
         assert ece.total_profit == pytest.approx(-0.02, abs=1e-9)
 
     def test_edge_ties_break_by_question_id(self):
         ds = priced_dataset([("b", 0.6, 1), ("a", 0.6, 0)])
         result = run_strategy({"a": 0.8, "b": 0.8}, ds, GatingRule(GATE_ALL_MARKETS),
                               np.random.default_rng(0))
-        assert [t.question_id for t in result.trades] == ["a", "b"]
+        assert result.trades.question_id.tolist() == ["a", "b"]
 
     def test_no_eligible_questions_is_empty_not_an_error(self):
         ds = make_dataset([make_question("a")])
@@ -173,22 +199,22 @@ class TestRunStrategy:
                 results[kind] = run_strategy(forecasts, ds, GatingRule(kind, ece),
                                              np.random.default_rng(trial))
 
-            kept = {k: {t.question_id for t in r.trades} for k, r in results.items()}
+            kept = {k: set(r.trades.question_id.tolist()) for k, r in results.items()}
             assert kept[GATE_EDGE_ABOVE_ECE] <= kept[GATE_EDGE_ABOVE_ZERO] <= kept[GATE_ALL_MARKETS]
 
             allm = results[GATE_ALL_MARKETS]
-            gated_out = sum(t.profit for t in allm.trades if t.expected_edge <= 0.0)
+            gated_out = sum(allm.trades.profit[allm.trades.expected_edge <= 0.0].tolist())
             assert allm.total_profit == pytest.approx(
                 results[GATE_EDGE_ABOVE_ZERO].total_profit + gated_out, abs=1e-12
             )
 
             for r in results.values():
-                edges = [t.expected_edge for t in r.trades]
+                edges = r.trades.expected_edge.tolist()
                 assert edges == sorted(edges, reverse=True)
                 if r.n_trades:
                     assert r.cumulative_profit[-1] == pytest.approx(r.total_profit, abs=1e-12)
                     assert np.allclose(r.cumulative_profit,
-                                       np.cumsum([t.profit for t in r.trades]))
+                                       np.cumsum(r.trades.profit.tolist()))
 
     def test_perfect_foresight(self, rng):
         rows = [
@@ -200,11 +226,10 @@ class TestRunStrategy:
         result = run_strategy(forecasts, ds, GatingRule(GATE_EDGE_ABOVE_ZERO),
                               np.random.default_rng(0))
         assert result.n_trades == 30
-        for t in result.trades:
-            assert t.expected_edge > 0.0
-            assert t.realized_value == 1
+        assert (result.trades.expected_edge > 0.0).all()
+        assert (result.trades.realized_value == 1).all()
         assert result.total_profit == pytest.approx(
-            sum(1.0 - t.entry_cost for t in result.trades), abs=1e-12
+            sum((1.0 - result.trades.entry_cost).tolist()), abs=1e-12
         )
 
 
@@ -223,20 +248,20 @@ class TestRunStrategies:
         for kind, got in results.items():
             rule = GatingRule(kind, 0.05 if kind == GATE_EDGE_ABOVE_ECE else None)
             alone = run_strategy(forecasts, ds, rule, substream(1, "ties", "m"))
-            assert asdict(got) == asdict(alone)
+            assert same_result(got, alone)
             assert got.cumulative_profit.tobytes() == alone.cumulative_profit.tobytes()
 
 
 class TestMeanPerTrade:
     def test_constant_profits(self):
         trades = [trade_with(profit=0.05, qid=str(i)) for i in range(5)]
-        result = StrategyResult(trades, 0.25, 5)
+        result = StrategyResult(as_columns(trades), 0.25, 5)
         mean, (lo, hi) = mean_per_trade(result)
         assert mean == pytest.approx(0.05) and lo == hi == pytest.approx(0.05)
 
     def test_two_trade_fixture(self):
         trades = [trade_with(profit=0.39, qid="a"), trade_with(profit=-0.41, qid="b")]
-        result = StrategyResult(trades, -0.02, 2)
+        result = StrategyResult(as_columns(trades), -0.02, 2)
         mean, (lo, hi) = mean_per_trade(result)
         sd = np.std([0.39, -0.41], ddof=1)
         assert mean == pytest.approx(-0.01)
@@ -246,7 +271,7 @@ class TestMeanPerTrade:
         assert lo <= mean <= hi
 
     def test_single_trade_rejected(self):
-        result = StrategyResult([trade_with()], 0.0, 1)
+        result = StrategyResult(as_columns([trade_with()]), 0.0, 1)
         with pytest.raises(ValidationError):
             mean_per_trade(result)
 
@@ -266,7 +291,7 @@ class TestConfidenceBands:
             trade_with(m=0.2, qid="c"),   # conf 0.80 -> last band (inclusive lo)
             trade_with(m=0.95, qid="d"),  # conf 0.95 -> last band
         ]
-        bands = confidence_band_edges(trades)
+        bands = confidence_band_edges(as_columns(trades))
         assert [b.count for b in bands] == [1, 1, 2]
         assert [(b.lo, b.hi) for b in bands] == list(CONFIDENCE_BANDS)
 
@@ -275,7 +300,7 @@ class TestConfidenceBands:
         trades = [
             TradeRecord(str(i), "long", 0.5, 0.51, 0.9, 0.39, 1, 0.49) for i in range(4)
         ]
-        band = confidence_band_edges(trades)[0]
+        band = confidence_band_edges(as_columns(trades))[0]
         assert band.count == 4
         assert band.mean_pp == pytest.approx(50.0)
         assert band.t_stat is None and band.p_value is None  # zero spread
@@ -287,12 +312,12 @@ class TestConfidenceBands:
                         (1 if i < 3 else 0) - 0.61)
             for i in range(5)
         ]
-        band = confidence_band_edges(trades)[0]
+        band = confidence_band_edges(as_columns(trades))[0]
         assert band.mean_pp == pytest.approx(0.0, abs=1e-9)
         assert band.p_value > 0.9
 
     def test_empty_and_singleton_bands(self):
-        bands = confidence_band_edges([trade_with(m=0.55, qid="only")])
+        bands = confidence_band_edges(as_columns([trade_with(m=0.55, qid="only")]))
         assert bands[0].count == 1 and bands[0].mean_pp is not None
         assert bands[0].t_stat is None  # no test on a single trade
         assert bands[1].count == 0 and bands[1].mean_pp is None
@@ -305,7 +330,7 @@ class TestConfidenceBands:
             m = float(rng.uniform(0.5, 0.64))
             trades.append(TradeRecord(str(i), "long", m, m + FEE, 0.9, 0.1,
                                       realized, realized - (m + FEE)))
-        band = confidence_band_edges(trades)[0]
+        band = confidence_band_edges(as_columns(trades))[0]
         vals = [t.realized_value - t.entry_cost + FEE for t in trades]
         ref = sps.ttest_1samp(vals, 0.0)
         assert band.count == 12
@@ -396,7 +421,89 @@ class TestGatingRule:
 
     def test_to_dict_round_trip_keys(self):
         t = trade_with(profit=0.39, qid="q1")
-        assert set(asdict(t)) == {
+        (record,) = StrategyResult(as_columns([t]), 0.39, 1).to_dict()["trades"]
+        assert set(record) == {
             "question_id", "side", "market_price", "entry_cost",
             "belief_value", "expected_edge", "realized_value", "profit",
         }
+        assert record == asdict(t)
+
+
+@st.composite
+def markets(draw):
+    """A dataset and a few models' probability columns on a coarse 0.01
+    grid: many exact ties with the price and many equal edges, absent
+    forecasts, unpriced and zero-volume rows, and ids whose str order
+    differs from the row order (with a trailing NUL among them)."""
+    n = draw(st.integers(1, 30))
+    ids = draw(st.lists(st.text("ab\x00Z", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    grid = draw(st.lists(st.integers(1, 99), min_size=1, max_size=4))
+    qs = []
+    for qid in ids:
+        m = draw(st.one_of(st.none(), st.sampled_from(grid)))
+        vol = draw(st.sampled_from([None, 0.0, 5.0]))
+        qs.append(make_question(qid, pred_ts=draw(st.integers(100, 104)), outcome=draw(st.integers(0, 1)),
+                                market_price=None if m is None else m / 100, volume=vol))
+    ds = make_dataset(qs)
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        col = []
+        for m in ds.market_price.tolist():
+            kind = draw(st.sampled_from(["tie", "grid", "absent", "any"]))
+            if kind == "tie" and not np.isnan(m):
+                col.append(m)
+            elif kind == "absent":
+                col.append(np.nan)
+            elif kind == "grid":
+                col.append(draw(st.sampled_from(grid)) / 100)
+            else:
+                col.append(draw(st.integers(0, 100)) / 100)
+        models.append(np.array(col))
+    return ds, models, draw(st.integers(0, 30)) / 100, draw(st.integers(0, 2**32))
+
+
+class TestColumnsMatchTheOracle:
+    """The trade columns give what one TradeRecord per trade gave: the same
+    trades, gate order, totals, bands and profit matrices, bit for bit,
+    and the generator left in the same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=markets())
+    def test_build_gate_profits_and_bands(self, case):
+        ds, models, ece, seed = case
+        kept = {kind: [] for kind in GATES}
+        oracle_kept = {kind: [] for kind in GATES}
+        for j, probs in enumerate(models):
+            rng, oracle_rng = substream(seed, "ties", str(j)), substream(seed, "ties", str(j))
+            trades = build_trades(probs, ds, rng)
+            records = oracle_trades(probs, ds, oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            columns = as_columns(records)
+            columns.row = np.array([ds.ids.index(t.question_id) for t in records], dtype=np.intp)
+            assert same_columns(trades, columns)
+            for kind in GATES:
+                threshold = {GATE_EDGE_ABOVE_ECE: ece, GATE_EDGE_ABOVE_ZERO: 0.0, GATE_ALL_MARKETS: None}[kind]
+                got = apply_gate(trades, GatingRule(kind, ece if kind == GATE_EDGE_ABOVE_ECE else None))
+                want = oracle_gate(records, threshold)
+                profits = np.array([t.profit for t in want])
+                assert got.trades.question_id.tolist() == [t.question_id for t in want]
+                assert got.n_trades == len(want)
+                assert got.total_profit == (float(profits.sum()) if want else 0.0)
+                if len(want) >= 2:
+                    se = float(profits.std(ddof=1) / np.sqrt(profits.size))
+                    mean = float(profits.mean())
+                    assert (got.mean_profit, got.mean_ci) == (mean, (mean - Z_95 * se, mean + Z_95 * se))
+                else:
+                    assert got.mean_profit is None and got.mean_ci is None
+                assert got.to_dict()["trades"] == [asdict(t) for t in want[:20]]
+                assert got.cumulative_profit.tobytes() == np.cumsum(profits).tobytes()
+                kept[kind].append(got)
+                oracle_kept[kind].append(want)
+            bands = confidence_band_edges(kept[GATE_ALL_MARKETS][-1].trades)
+            assert [asdict(b) for b in bands] == [asdict(b) for b in oracle_bands(oracle_kept[GATE_ALL_MARKETS][-1],
+                                                                                 CONFIDENCE_BANDS)]
+        for kind in GATES:
+            values, rows = per_question_profits(kept[kind], ds)
+            assert values.tobytes() == oracle_profits(oracle_kept[kind], ds).tobytes()
+            assert rows == [qid for qid, ok in zip(ds.ids, tradeable(ds).tolist()) if ok]
+

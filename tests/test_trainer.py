@@ -21,7 +21,6 @@ from forecast_rl.trainer import (
     ensemble_predict_dataset,
     predict_dataset,
     resolve_backend,
-    train,
     train_dpo,
     train_members,
     train_online,
@@ -369,10 +368,13 @@ class TestDpo:
             train_dpo(Dataset(questions=[], split="train"), TrainConfig(algorithm="dpo"), HyperParams())
 
     def test_train_dispatch(self):
+        """train_members sends a DPO config to train_dpo."""
         stream = small_stream(30)
-        via_dispatch = train(stream, TrainConfig(algorithm="dpo", seed=11), HyperParams(dpo_lr=1e-3))
-        direct = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), HyperParams(dpo_lr=1e-3))
-        assert np.array_equal(via_dispatch.params.answer_weights, direct.params.answer_weights)
+        cfg, hp = TrainConfig(algorithm="dpo", seed=11), HyperParams(dpo_lr=1e-3)
+        (via_members,) = train_members(stream, cfg, hp, members=[0])
+        direct = train_dpo(stream, cfg, hp)
+        assert via_members.params.answer_weights.tobytes() == direct.params.answer_weights.tobytes()
+        assert via_members.params.content_weights.tobytes() == direct.params.content_weights.tobytes()
 
 
 class TestPredict:
