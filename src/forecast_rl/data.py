@@ -9,10 +9,13 @@ a separate oracle sidecar file, which training code never reads.
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
+import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import atomic_write, json_number, json_string, read_csv, read_jsonl, record_field, write_jsonl
+from forecast_rl.files import (
+    atomic_write,
+    json_number,
+    json_string,
+    read_csv,
+    read_jsonl_columns,
+    record_field,
+    write_jsonl_columns,
+)
 from forecast_rl.rng import substream
 
 # Question's fields in order: the CSV header, and the order of a row tuple.
@@ -178,20 +189,39 @@ def _sorted(columns: list, dims: np.ndarray, split: str) -> Dataset:
     return _dataset([[ids[i] for i in rows], *(a[order] for a in arrays), [source[i] for i in rows]], split)
 
 
-def _from_rows(rows: list[tuple], split: str) -> Dataset:
-    """A Dataset of rows in _FIELDS order (see `_sorted`)."""
-    ids, *ints, features, prices, volumes, source = zip(*rows) if rows else [()] * len(_FIELDS)
-    dims = np.array([len(f) for f in features], dtype=np.int64)
+def _block(columns) -> list:
+    """Field columns in _FIELDS order, each value as its cast gives it
+    (None where a price or volume is null), as arrays: the ids, the five
+    int64 columns, each row's feature count, the zero-padded feature
+    matrix, prices and volumes with NaN for null, and the sources."""
+    ids, *ints, features, prices, volumes, source = columns
+    n = len(ids)
+    dims = np.fromiter(map(len, features), dtype=np.int64, count=n)
     d = int(dims.max(initial=0))
     if (dims == d).all():
-        matrix = np.array(features, dtype=np.float64).reshape(len(rows), d)
+        matrix = np.array(features, dtype=np.float64).reshape(n, d)
     else:  # zero-padded; the validator names the first row of another length
-        matrix = np.zeros((len(rows), d))
+        matrix = np.zeros((n, d))
         for i, f in enumerate(features):
             matrix[i, : len(f)] = f
     ints = [np.array(c, dtype=np.int64) for c in ints]
     nullable = [np.array(c, dtype=np.float64) for c in (prices, volumes)]  # None becomes NaN
-    return _sorted([list(ids), *ints, matrix, *nullable, list(source)], dims, split)
+    return [list(ids), *ints, dims, matrix, *nullable, list(source)]
+
+
+def _from_blocks(blocks: list[list], split: str) -> Dataset:
+    """A Dataset of one or more `_block`s in file order (see `_sorted`)."""
+    ids, *ints, dims, matrices, prices, volumes, source = zip(*blocks)
+    d = max(m.shape[1] for m in matrices)
+    matrix = np.concatenate([np.pad(m, ((0, 0), (0, d - m.shape[1]))) for m in matrices])  # as wide as the widest
+    arrays = [np.concatenate(c) for c in (*ints, prices, volumes)]
+    ids, source = (list(itertools.chain.from_iterable(c)) for c in (ids, source))
+    return _sorted([ids, *arrays[:5], matrix, *arrays[5:], source], np.concatenate(dims), split)
+
+
+def _from_rows(rows: list[tuple], split: str) -> Dataset:
+    """A Dataset of rows in _FIELDS order (see `_sorted`)."""
+    return _from_blocks([_block(list(zip(*rows)) or [()] * len(_FIELDS))], split)
 
 
 def _integer(value) -> int:
@@ -250,19 +280,26 @@ def _list_cell(cell: str):
     return json.loads(cell)  # a JSONDecodeError is a ValueError
 
 
-# How each field but `source` is read, in _FIELDS order: a JSONL value
-# must have its JSON type; a CSV cell is text, cast as the field needs.
+def _source(value) -> str:
+    """`source`: a JSON string, "synthetic" where it is null, empty or absent."""
+    return "synthetic" if value is None or value == "" else json_string(value)
+
+
+# How each field is read, in _FIELDS order: a JSONL value must have its
+# JSON type; a CSV cell is text, cast as the field needs.
 _JSONL_CASTS = {
     "id": json_string,
     **dict.fromkeys(_INTEGER_FIELDS, _integer),
     "features": _numbers,
     **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, json_number)),
+    "source": _source,
 }
 _CSV_CASTS = {
     "id": str,
     **dict.fromkeys(_INTEGER_FIELDS, lambda cell: _integer(_number_cell(cell))),
     "features": lambda cell: _numbers(_list_cell(cell)),
     **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, lambda cell: float(_number_cell(cell)))),
+    "source": lambda cell: cell or "synthetic",  # None in a row shorter than the header
 }
 
 
@@ -278,13 +315,47 @@ def _row(casts: dict, record) -> tuple:
     if unknown:
         raise DataFormatError(f"unknown fields {sorted(unknown)}")
     try:
-        values = [cast(record.get(name)) for name, cast in casts.items()]
+        return tuple(cast(record.get(name)) for name, cast in casts.items())
     except (TypeError, ValueError, OverflowError):
         for name, cast in casts.items():
             if name in record:
                 record_field(record, name, cast)  # raises, naming the first field that does not cast
         raise
-    return (*values, str(record.get("source") or "synthetic"))
+
+
+def _floats(values: list) -> bool:
+    """True when every value is a JSON number (no boolean) that converts
+    to a float, as `json_number` takes it."""
+    kinds = set(map(type, values))
+    if not kinds <= {float, int}:
+        return False
+    if int in kinds:
+        try:
+            collections.deque(map(float, values), maxlen=0)  # an int past the float range raises
+        except OverflowError:
+            return False
+    return True
+
+
+def _finite_or_null(values: list) -> bool:
+    """True when every value is null or a finite JSON number, as
+    `_nullable(json_number, .)` takes it (an empty string aside)."""
+    numbers = list(filter(functools.partial(operator.is_not, None), values))
+    return _floats(numbers) and bool(np.isfinite(np.array(numbers, dtype=np.float64)).all())
+
+
+def _jsonl_block_is_good(keys: set[tuple], columns: list[list]) -> bool:
+    """One pass per column over a block of JSONL question records: True
+    when `_row` takes each record with no cast but `source`'s default."""
+    ids, *ints, features, prices, volumes, source = columns
+    return (
+        all(set(k) <= set(_FIELDS) and set(_REQUIRED_FIELDS) <= set(k) for k in keys)
+        and set(map(type, ids)) == {str} and "" not in ids
+        and all(set(map(type, c)) == {int} and -(2**63) <= min(c) and max(c) < 2**63 for c in ints)
+        and set(map(type, features)) == {list} and _floats(list(itertools.chain.from_iterable(features)))
+        and _finite_or_null(prices) and _finite_or_null(volumes)
+        and set(map(type, source)) <= {str, type(None)}
+    )
 
 
 def load_questions(path: str | Path, format: str | None = None, split: str = "train") -> Dataset:
@@ -299,8 +370,15 @@ def load_questions(path: str | Path, format: str | None = None, split: str = "tr
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format not in ("jsonl", "csv"):
         raise ValidationError(f"unknown dataset format {format!r}")
-    read, casts = (read_jsonl, _JSONL_CASTS) if format == "jsonl" else (read_csv, _CSV_CASTS)
-    return _from_rows(list(read(path, functools.partial(_row, casts))), split)
+    if format == "csv":
+        return _from_rows(list(read_csv(path, functools.partial(_row, _CSV_CASTS))), split)
+    blocks = []
+    for columns in read_jsonl_columns(path, _FIELDS, functools.partial(_row, _JSONL_CASTS), _jsonl_block_is_good):
+        source = columns[-1]
+        if None in source or "" in source:
+            columns[-1] = [s or "synthetic" for s in source]
+        blocks.append(_block(columns))
+    return _from_blocks(blocks or [_block([()] * len(_FIELDS))], split)
 
 
 def _records(dataset: Dataset):
@@ -314,7 +392,8 @@ def save_questions(dataset: Dataset, path: str | Path, format: str | None = None
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     if format == "jsonl":
-        write_jsonl(path, _records(dataset))
+        columns = {field: getattr(dataset, name) for field, name in zip(_FIELDS, _COLUMNS)}
+        write_jsonl_columns(path, columns, null=("market_price", "volume"))
     elif format == "csv":
         with atomic_write(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(_FIELDS))
@@ -442,10 +521,30 @@ def split_dataset(dataset: Dataset, train_fraction: float) -> tuple[Dataset, Dat
 
 
 def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
-    write_jsonl(path, ({"id": qid, "p_star": p} for qid, p in oracle.items()))
+    write_jsonl_columns(path, {"id": list(oracle), "p_star": list(oracle.values())})
 
 
 def load_oracle(path: str | Path) -> dict[str, float]:
-    return dict(
-        read_jsonl(path, lambda r: (record_field(r, "id", json_string), record_field(r, "p_star", json_number)))
-    )
+    """The oracle sidecar as {id: p_star}; a repeated id is refused."""
+    oracle: dict[str, float] = {}
+    block_ids: set[str] = set()  # ids of the block being parsed record by record
+
+    def parse(record) -> tuple[str, float]:
+        qid, p = record_field(record, "id", json_string), record_field(record, "p_star", json_number)
+        if qid in block_ids or qid in oracle:
+            raise DataFormatError(f"duplicate id {qid!r}")
+        block_ids.add(qid)
+        return qid, p
+
+    def fast(keys: set[tuple], columns: list[list]) -> bool:
+        ids, p_star = columns
+        return (
+            all({"id", "p_star"} <= set(k) for k in keys)
+            and set(map(type, ids)) == {str} and _floats(p_star)
+            and len(set(ids)) == len(ids) and oracle.keys().isdisjoint(ids)
+        )
+
+    for ids, p_star in read_jsonl_columns(path, ("id", "p_star"), parse, fast):
+        oracle.update(zip(ids, map(float, p_star)))
+        block_ids.clear()
+    return oracle

@@ -10,6 +10,7 @@ the identical rows.  Equal-mass ECE orders tied probabilities by row.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -20,7 +21,7 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-up, not inside a stage's work
 
 from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.files import json_number, json_string, read_jsonl, record_field, write_jsonl
+from forecast_rl.files import json_number, json_string, read_jsonl_columns, record_field, write_jsonl_columns
 from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -193,18 +194,33 @@ def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], 
             seen.add(qid)
             return qid, p
 
-        rows, probs, unknown = [], [], []
-        for qid, p in read_jsonl(path, parse):
-            i = row.get(qid)
-            if i is None:
-                unknown.append(qid)
-            else:
-                rows.append(i)
-                probs.append(p)
+        def fast(keys: set[tuple], block: list[list]) -> bool:
+            qids, probs = block
+            if not (
+                all({"question_id", "probability"} <= set(k) for k in keys)
+                and set(map(type, qids)) == {str}
+                and set(map(type, probs)) <= {float, int, type(None)}
+                and len(set(qids)) == len(qids) and seen.isdisjoint(qids)
+            ):
+                return False
+            try:
+                p = np.array(probs, dtype=np.float64)  # None becomes NaN
+            except OverflowError:  # an int past the float range
+                return False
+            if np.count_nonzero((p >= 0.0) & (p <= 1.0)) + probs.count(None) < len(probs):
+                return False
+            seen.update(qids)
+            return True
+
         col = np.full(len(ids), math.nan)
-        col[rows] = probs  # None becomes NaN
         got = np.zeros(len(ids), dtype=bool)
-        got[rows] = True
+        unknown = []
+        for qids, probs in read_jsonl_columns(path, ("question_id", "probability"), parse, fast):
+            rows = np.fromiter(map(row.get, qids, itertools.repeat(-1)), dtype=np.intp, count=len(qids))
+            known = rows >= 0
+            unknown += [qids[k] for k in np.flatnonzero(~known).tolist()]
+            col[rows[known]] = np.array(probs, dtype=np.float64)[known]  # None becomes NaN
+            got[rows[known]] = True
         columns[path.stem] = col, got, unknown
     for name, (_, got, unknown) in columns.items():
         if unknown or not got.all():
@@ -220,8 +236,8 @@ def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], 
 def save_forecasts(path: str | Path, ids: list[str], probs: np.ndarray) -> None:
     """One {question_id, probability} record per id, in order; the
     probability is null where `probs` holds NaN."""
-    records = zip(ids, np.asarray(probs, dtype=np.float64).tolist(), strict=True)
-    write_jsonl(path, ({"question_id": qid, "probability": None if math.isnan(p) else p} for qid, p in records))
+    columns = {"question_id": ids, "probability": np.asarray(probs, dtype=np.float64)}
+    write_jsonl_columns(path, columns, null=("probability",))
 
 
 def soft_brier_losses(probs: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -10,14 +10,23 @@ The readers turn a file that cannot be read or decoded, a JSON document
 without the keys and types its reader uses, or a JSONL / CSV record that
 its parser rejects, into a DataFormatError naming the file (and the line
 of a record), which the CLI maps to exit code 2.
+
+JSONL run files (questions, oracle, forecasts, runlog) are read and written
+here by columns, BLOCK_ROWS lines at a time, and nowhere else: a line is
+exactly the `json.dumps(record, sort_keys=True)` of its record, and every
+non-blank line read must be exactly one JSON value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
+import json.scanner
+import math
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from forecast_rl.errors import DataFormatError, ValidationError
@@ -45,11 +54,54 @@ def write_json(path: str | Path, payload) -> None:
         fh.write("\n")
 
 
-def write_jsonl(path: str | Path, records) -> None:
-    """One sorted-key JSON object per line."""
+# Lines a JSONL reader decodes, or a writer formats, before it hands them
+# on: what either holds beyond its columns is one block.
+BLOCK_ROWS = 256
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_texts(values: list, nan: str) -> list[str]:
+    """Each value as `json.dumps` writes it inside a record, NaN as `nan`;
+    a column of one type is formatted by one C-level map."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        if not math.isfinite(sum(values)):  # a NaN or an infinity (or a sum that overflows)
+            words = {**_NON_FINITE, "nan": nan}
+            texts = [words.get(t, t) for t in texts]
+        return texts
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {list} and len(set(map(len, values))) == 1 and len(values[0]):  # rows of one length
+        d = len(values[0])
+        flat = _json_texts(list(itertools.chain.from_iterable(values)), "NaN")
+        return list(map(("[" + ", ".join(["%s"] * d) + "]").__mod__, zip(*[iter(flat)] * d)))
+    return [nan if t == "NaN" else t for t in map(_encode, values)]
+
+
+def write_jsonl_columns(path: str | Path, columns: dict, null=()) -> None:
+    """One sorted-key JSON object per row of `columns` (equally long lists
+    of JSON values, or numpy arrays whose rows `tolist` turns into them,
+    keyed by field), byte for byte as `json.dumps(record, sort_keys=True)
+    + "\n"` writes each record; a NaN in a column named in `null` is
+    written as null.  Each block of BLOCK_ROWS rows is formatted column by
+    column and joined through one line template, so no more than a block
+    of Python values or text is held at a time."""
+    names = sorted(columns)
+    if len({len(columns[name]) for name in names}) > 1:
+        raise ValueError(f"columns differ in length: { {name: len(columns[name]) for name in names} }")
+    n = len(columns[names[0]]) if names else 0
+    line = "{" + ", ".join(encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names) + "}\n"
     with atomic_write(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for start in range(0, n, BLOCK_ROWS):
+            blocks = (columns[name][start : start + BLOCK_ROWS] for name in names)
+            texts = [_json_texts(b.tolist() if hasattr(b, "tolist") else b, "null" if name in null else "NaN")
+                     for name, b in zip(names, blocks)]
+            fh.write("".join(map(line.__mod__, zip(*texts))))
 
 
 _KINDS = {None: "null", int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
@@ -124,26 +176,72 @@ def _parsed(path, rows, parse):
             raise DataFormatError(str(exc), line=line_no, path=path) from exc
 
 
-def read_jsonl(path: str | Path, parse):
-    """Yield parse(record) for each non-blank line (see `_parsed`)."""
+_scan = json.scanner.make_scanner(json.JSONDecoder())  # json.loads's decoder, without its per-call checks
 
-    def rows(fh):
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield line_no, json.loads(line)
-            except ValueError as exc:
-                raise DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no) from exc
 
+def _jsonl_blocks(path):
+    """(line numbers, values) of each block of BLOCK_ROWS non-blank lines,
+    in file order.  Lines are split as file iteration splits them, after
+    universal-newline translation, and stripped; each must be exactly one
+    JSON value.  A line that is not, or text that is not UTF-8, raises
+    only once the lines before it have been yielded, so that a reader
+    names the first bad line of the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            yield from _parsed(path, rows(fh), parse)
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    lines, values, error = [], [], None
+    with fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value, end = _scan(line, 0)
+                except (StopIteration, ValueError):
+                    end = None
+                if end != len(line):
+                    try:
+                        value = json.loads(line)  # raises with the message json gives for this line
+                    except ValueError as exc:
+                        error = DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no)
+                        break
+                lines.append(line_no)
+                values.append(value)
+                if len(values) == BLOCK_ROWS:
+                    yield lines, values
+                    lines, values = [], []
+        except OSError as exc:
+            error = DataFormatError(f"cannot read {path}: {exc}")
+        except UnicodeDecodeError as exc:
+            error = DataFormatError(f"{path} is not UTF-8 text: {exc}")
+    if values:
+        yield lines, values
+    if error is not None:
+        raise error
+
+
+def read_jsonl_columns(path: str | Path, names: tuple[str, ...], parse, fast):
+    """Yield the fields `names` of each block of a JSONL file's records as
+    one list per name, in line order, None where a record lacks the field.
+
+    Each block is judged by `fast(keys, columns)`, with `keys` the distinct
+    key tuples of its records: one pass per column, True when every record
+    is good as it is.  Otherwise (or when a line is not an object) each
+    record of the block goes through parse(record), the per-record cast: its
+    first ValidationError is raised naming the file and the line (see
+    `_parsed`), and the rows it returns, in `names` order, are the block's
+    columns.  So every message is parse's, and a caller that casts the
+    columns gets the same values either way.
+    """
+    for lines, records in _jsonl_blocks(path):
+        if set(map(type, records)) == {dict}:
+            columns = [list(map(dict.get, records, itertools.repeat(name))) for name in names]
+            if fast(set(map(tuple, records)), columns):
+                yield columns
+                continue
+        yield [list(column) for column in zip(*_parsed(path, zip(lines, records), parse))]
 
 
 def read_csv(path: str | Path, parse):

@@ -37,7 +37,7 @@ from forecast_rl.algorithms import (
 )
 from forecast_rl.data import Dataset
 from forecast_rl.errors import NumericAbort, ValidationError
-from forecast_rl.files import write_jsonl
+from forecast_rl.files import write_jsonl_columns
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
@@ -138,24 +138,13 @@ class RunLog:
     def __len__(self) -> int:
         return len(self.question_ids)
 
-    def to_records(self) -> list[dict]:
-        out = []
-        for i, qid in enumerate(self.question_ids):
-            p = self.parsed[i]
-            out.append(
-                {
-                    "id": qid,
-                    "parsed": None if np.isnan(p) else float(p),
-                    "reward": float(self.rewards[i]),
-                    "gibberish": float(self.gibberish[i]),
-                    "non_english": float(self.non_english[i]),
-                    "explanation": float(self.explanation[i]),
-                }
-            )
-        return out
-
     def to_jsonl(self, path: str | Path) -> None:
-        write_jsonl(path, self.to_records())
+        """One {id, parsed (null where NaN), reward, gibberish, non_english,
+        explanation} record per question."""
+        columns = {"parsed": self.parsed, "reward": self.rewards, "gibberish": self.gibberish,
+                   "non_english": self.non_english, "explanation": self.explanation}
+        columns = {key: np.asarray(values, dtype=np.float64) for key, values in columns.items()}  # floats, as written
+        write_jsonl_columns(path, {"id": self.question_ids, **columns}, null=("parsed",))
 
     def summary(self) -> dict:
         present = self.parsed[~np.isnan(self.parsed)]

@@ -12,18 +12,27 @@ differentiate.  Two forecast statistics that no stage reports, Welch's t
 and the extreme-bucket mass, serve the acceptance gate.  The module
 closes with the trade backtest one `TradeRecord` at a time (`make_trade`,
 `oracle_trades`, `oracle_gate`, `oracle_profits`, `oracle_bands`), the
-reference for the columns of `forecast_rl.trading`.
+reference for the columns of `forecast_rl.trading`, and with the JSONL run
+files one record at a time (`oracle_read_jsonl`, `oracle_write_jsonl` and
+the three loaders built on the first), the reference for the column reader
+and writer of `forecast_rl.files`.
 """
 
 from __future__ import annotations
 
+import functools
+import json
+import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from forecast_rl.algorithms import HyperParams
-from forecast_rl.errors import NumericAbort, ValidationError
-from forecast_rl.evaluation import t_two_sided_p
+from forecast_rl.data import _JSONL_CASTS, _from_rows, _row
+from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
+from forecast_rl.evaluation import _check_probability, t_two_sided_p
+from forecast_rl.files import json_number, json_string, record_field
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
@@ -892,3 +901,93 @@ def oracle_bands(trades: list[TradeRecord], bands) -> list[BandResult]:
             p = t_two_sided_p(t_stat, vals.size - 1)
             out.append(BandResult(lo, hi, vals.size, float(vals.mean() * 100.0), t_stat, p))
     return out
+
+
+def oracle_write_jsonl(path, records) -> None:
+    """One `json.dumps(record, sort_keys=True)` line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def oracle_read_jsonl(path, parse):
+    """Yield parse(record) for each non-blank line, decoded by `json.loads`
+    one line at a time; errors name the file and the line."""
+
+    def rows(fh):
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield line_no, json.loads(line)
+            except ValueError as exc:
+                raise DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no) from exc
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, record in rows(fh):
+                try:
+                    yield parse(record)
+                except ValidationError as exc:
+                    raise DataFormatError(str(exc), line=line_no, path=path) from exc
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def oracle_load_questions(path, split: str = "train"):
+    return _from_rows(list(oracle_read_jsonl(path, functools.partial(_row, _JSONL_CASTS))), split)
+
+
+def oracle_load_oracle(path) -> dict[str, float]:
+    seen: set[str] = set()
+
+    def parse(record):
+        qid, p = record_field(record, "id", json_string), record_field(record, "p_star", json_number)
+        if qid in seen:
+            raise DataFormatError(f"duplicate id {qid!r}")
+        seen.add(qid)
+        return qid, p
+
+    return dict(oracle_read_jsonl(path, parse))
+
+
+def oracle_load_forecasts(paths, ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """`forecast_rl.evaluation.load_forecasts`, one record at a time."""
+    row = {qid: i for i, qid in enumerate(ids)}
+    columns = {}
+    for path in map(Path, paths):
+        if not path.exists():
+            raise ValidationError(f"forecast file {path} not found")
+        if path.stem in columns:
+            raise ValidationError(f"duplicate model name {path.stem!r} among forecast files")
+        seen: set[str] = set()
+
+        def parse(record):
+            qid = record_field(record, "question_id", json_string)
+            p = record_field(record, "probability", lambda v: None if v is None else json_number(v))
+            _check_probability(qid, p)
+            if qid in seen:
+                raise DataFormatError(f"duplicate question_id {qid!r}")
+            seen.add(qid)
+            return qid, p
+
+        col, got, unknown = np.full(len(ids), math.nan), np.zeros(len(ids), dtype=bool), []
+        for qid, p in oracle_read_jsonl(path, parse):
+            if qid in row:
+                col[row[qid]] = math.nan if p is None else p
+                got[row[qid]] = True
+            else:
+                unknown.append(qid)
+        columns[path.stem] = col, got, unknown
+    for name, (_, got, unknown) in columns.items():
+        if unknown or not got.all():
+            missing = sorted(ids[i] for i in np.flatnonzero(~got))[:10]
+            raise ValidationError(
+                f"model {name!r} does not align with the test set; "
+                f"missing {missing or 'none'}, unknown {sorted(unknown)[:10] or 'none'}"
+            )
+    names = sorted(columns)
+    return names, np.stack([columns[n][0] for n in names], axis=1)

@@ -548,11 +548,13 @@ class TestStatisticsOutputs:
 
 
 class TestSynthAndPredictOutputs:
-    # sha256 of the files that synth and predict wrote for this fixture (a
-    # 2-member ReMax run) while datasets were lists of per-question objects.
-    # The columnar dataset must reproduce them byte for byte.  test.csv is
-    # the test set written by save_questions as CSV; read back and written
-    # as JSONL it must give test.jsonl again.
+    # sha256 of the files that synth, train and predict wrote for this
+    # fixture (a 2-member ReMax run, checkpointed after 20 questions) while
+    # datasets were lists of per-question objects and every JSONL line was
+    # one json.dumps of a record.  The columnar dataset and the column
+    # writer must reproduce them byte for byte.  test.csv is the test set
+    # written by save_questions as CSV; read back and written as JSONL it
+    # must give test.jsonl again.
     DIGESTS = {
         "forecasts.jsonl": "c4c47abac8b9876fc62253a7020e7633bf6eb6e8f86e63743bfa2536c123c835",
         "forecasts_m0.jsonl": "087582a09ccdba8d7b158e3329d171cd5f22f7667e13adfd389da62a3d6e8931",
@@ -561,10 +563,15 @@ class TestSynthAndPredictOutputs:
         "test.csv": "d1f0166a738a3240e2ac1095ef4239337374ffc1a2cfe29a1dadc84d5ba3f15a",
         "test.jsonl": "7b099c2fd9244c6b9a5a89f003e8d0faa79fecb398e53c44a565b21cfd8d5357",
         "train.jsonl": "81d5de84bd3aaf1e291abf74829a8b78a21fbbde8eadfb18662e59b8140003e8",
+        "seed3_m0_q000020/runlog.jsonl": "a2b2752d90de822b8927c6a9235c4f49ca0701e380caa77bdaa11b4ac5378a63",
+        "seed3_m0_q000030/params.json": "50878165fe6bfff5dcb3cbb49d169f79f20f6b80db26fbd50389318575e5e704",
+        "seed3_m0_q000030/runlog.jsonl": "d0cf6c4cc39d1773e409f0c7f10a559f4b6f1974c32bff2c95bf46a6fe40d869",
+        "seed3_m1_q000030/params.json": "90ae8a23044e87faac3ec3576b88be3525319e6e54f6703f5eda4f9110432436",
+        "seed3_m1_q000030/runlog.jsonl": "0c9524beee630cbe9662f1ad2ff3077f95ca320f151582f65b1271211753eaa5",
     }
 
     def test_synth_and_predict_outputs_are_unchanged(self, tmp_path):
-        cfg = write_config(tmp_path, ensemble_size=2, evaluation={"bootstrap_reps": 9})
+        cfg = write_config(tmp_path, ensemble_size=2, evaluation={"bootstrap_reps": 9}, train={"checkpoint_every": 20})
         out = tmp_path / "out"
         for cmd in ("synth", "train", "predict"):
             assert run(cmd, cfg) == EXIT_OK

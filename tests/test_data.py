@@ -239,6 +239,30 @@ class TestRoundTrip:
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 2: field '{field}': {got}$"):
             load_questions(path)
 
+    @pytest.mark.parametrize("value", [0, 0.0, False, [], {}, 1, True], ids=repr)
+    def test_source_must_be_a_string(self, tmp_path, value):
+        """A source that is not a JSON string is refused by name, not read as
+        "synthetic" (a falsy value) or as its Python text (a truthy one)."""
+        record = {
+            "id": "a", "open_ts": 0, "close_ts": 10, "resolve_ts": 20,
+            "prediction_ts": 5, "outcome": 1, "features": [0.0, 1.0],
+        }
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "id": "b", "source": value}) + "\n")
+        got = re.escape(json.dumps(value))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 2: field 'source': expected a string, got {got}$"):
+            load_questions(path)
+
+    @pytest.mark.parametrize("value", [None, "", ...], ids=["null", "empty", "absent"])
+    def test_source_defaults_to_synthetic(self, tmp_path, value):
+        record = {
+            "id": "a", "open_ts": 0, "close_ts": 10, "resolve_ts": 20,
+            "prediction_ts": 5, "outcome": 1, "features": [0.0, 1.0],
+        }
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps(record if value is ... else {**record, "source": value}) + "\n")
+        assert load_questions(path).source == ["synthetic"]
+
     def test_integers_beyond_64_bits_are_refused(self, tmp_path):
         record = {
             "id": "a", "open_ts": 0, "close_ts": 10, "resolve_ts": 2**63,
@@ -508,6 +532,14 @@ class TestSplitAndOracleFile:
         oracle = {"a": 0.125, "b": 0.6789}
         write_oracle(oracle, tmp_path / "oracle.jsonl")
         assert load_oracle(tmp_path / "oracle.jsonl") == oracle
+
+    def test_oracle_repeated_id_is_refused(self, tmp_path):
+        """A repeated id is an error naming its line, not a silent overwrite
+        of the first p_star."""
+        path = tmp_path / "oracle.jsonl"
+        path.write_text('{"id": "a", "p_star": 0.9}\n{"id": "b", "p_star": 0.5}\n{"id": "a", "p_star": 0.1}\n')
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 3: duplicate id 'a'$"):
+            load_oracle(path)
 
     def test_oracle_bad_record_line(self, tmp_path):
         (tmp_path / "oracle.jsonl").write_text('{"id": "a", "p_star": 0.5}\n{"id": "b"}\n')

@@ -2,18 +2,39 @@
 
 import ast
 import json
+import math
 import os
+import random
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import oracle_load_forecasts, oracle_load_oracle, oracle_load_questions, oracle_write_jsonl
 
 import forecast_rl
 from forecast_rl.cli import EXIT_OK, EXIT_VALIDATION, main
-from forecast_rl.errors import DataFormatError
+from forecast_rl.data import (
+    SyntheticConfig,
+    generate_synthetic_stream,
+    load_oracle,
+    load_questions,
+    save_questions,
+    write_oracle,
+)
+from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.evaluation import load_forecasts, save_forecasts
-from forecast_rl.files import atomic_write, read_csv, read_json, read_jsonl, record_field, write_json
+from forecast_rl.files import (
+    BLOCK_ROWS,
+    atomic_write,
+    read_csv,
+    read_json,
+    read_jsonl_columns,
+    record_field,
+    write_json,
+    write_jsonl_columns,
+)
+from forecast_rl.trainer import RunLog
 
 PACKAGE = Path(forecast_rl.__file__).parent
 WRITE_MODE = set("wax+")
@@ -124,6 +145,13 @@ class TestAtomicWrite:
         assert _tmp_files(path.parent) == []
 
 
+def read_jsonl(path, parse):
+    """parse(record) of each JSONL record, through the column reader's
+    per-record path (its block check always declines)."""
+    for (values,) in read_jsonl_columns(path, ("value",), lambda record: (parse(record),), lambda keys, block: False):
+        yield from values
+
+
 class TestStrictReads:
     def test_truncated_json_names_the_file(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -151,7 +179,9 @@ class TestStrictReads:
     def test_parse_errors_name_the_file_the_line_and_the_field(self, tmp_path, reader, text):
         path = tmp_path / "records.txt"
         path.write_text(text)
-        assert next(reader(path, lambda record: record_field(record, "p", float))) == 0.5
+        good = tmp_path / "good.txt"
+        good.write_text(text.rsplit("\n", 2)[0] + "\n")  # all but the last record
+        assert list(reader(good, lambda record: record_field(record, "p", float))) == [0.5]
         first = 1 if reader is read_jsonl else 2  # a CSV's first record follows its header
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {first + 1}: field 'p': could not"):
             list(reader(path, lambda record: record_field(record, "p", float)))
@@ -249,3 +279,216 @@ def test_undecodable_csv_dataset_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {train} is not UTF-8 text")
     assert "Traceback" not in err
+
+
+def _question(i: int, **fields) -> dict:
+    record = {"id": f"q{i:05d}", "open_ts": 1000 * i, "close_ts": 1000 * i + 900, "resolve_ts": 1000 * i + 900,
+              "prediction_ts": 1000 * i + 10, "outcome": i % 2, "features": [0.5 * i, -1.25], "market_price": 0.4,
+              "volume": None, "source": "synthetic"}
+    return {**record, **fields}
+
+
+# Each schema's record i, its reader and the reference that reads one record at a time.
+SCHEMAS = {
+    "questions": (_question, lambda p, n: load_questions(p), lambda p, n: oracle_load_questions(p)),
+    "forecasts": (lambda i, **f: {"question_id": f"q{i:05d}", "probability": 0.1 * (i % 10), **f},
+                  lambda p, n: load_forecasts([p], [f"q{i:05d}" for i in range(n)]),
+                  lambda p, n: oracle_load_forecasts([p], [f"q{i:05d}" for i in range(n)])),
+    "oracle": (lambda i, **f: {"id": f"q{i:05d}", "p_star": 0.01 + 0.1 * (i % 9), **f},
+               lambda p, n: load_oracle(p), lambda p, n: oracle_load_oracle(p)),
+}
+NUMBER_FIELD = {"questions": "outcome", "forecasts": "probability", "oracle": "p_star"}
+ID_FIELD = {"questions": "id", "forecasts": "question_id", "oracle": "id"}
+
+
+def _lines(schema: str, n: int = 6, **changed) -> list[str]:
+    """n records as sorted-key lines; `changed` maps a row index to the
+    fields it overrides (a field set to ... is left out)."""
+    record = SCHEMAS[schema][0]
+    out = []
+    for i in range(n):
+        r = record(i, **changed.get(f"r{i}", {}))
+        out.append(json.dumps({k: v for k, v in r.items() if v is not ...}, sort_keys=True))
+    return out
+
+
+def _raw(line: str, field: str, text: str) -> str:
+    """`line` with the value of `field` replaced by the JSON text `text`."""
+    record = json.loads(line)
+    record[field] = "@RAW@"
+    return json.dumps(record, sort_keys=True).replace('"@RAW@"', text)
+
+
+def _parity_cases():
+    past = BLOCK_ROWS + 5  # a row in the second block
+    for schema in SCHEMAS:
+        num, key = NUMBER_FIELD[schema], ID_FIELD[schema]
+        lines = _lines(schema)
+        join = "\n".join
+        cases = {
+            "good": join(lines) + "\n",
+            "blank-lines": "\n\n".join(lines) + "\n  \n\t\n",
+            "whitespace-only-lines": join(lines[:3]) + "\n \x0b\x0c　\n" + join(lines[3:]) + "\n",
+            "crlf": "\r\n".join(lines) + "\r\n",
+            "lone-cr": "\r".join(lines) + "\r",
+            "two-values-on-a-line": join(lines[:2]) + "\n" + lines[2] + " " + lines[3] + "\n" + join(lines[4:]),
+            "value-split-across-lines": join(lines[:2]) + "\n" + lines[2][:20] + "\n" + lines[2][20:] + "\n",
+            "trailing-comma": join(lines[:2]) + "\n" + lines[2] + ",\n",
+            "u2028-in-id": join(lines).replace('"q00002"', '"q 0002"') + "\n",
+            "bom": "﻿" + join(lines) + "\n",
+            "bom-mid-file": join(lines[:2]) + "\n﻿" + join(lines[2:]) + "\n",
+            "non-object-line": join(lines[:2]) + "\n[" + lines[2] + "]\n",
+            "number-line": join(lines[:2]) + "\n5\n",
+            "null-line": "null\n" + join(lines),
+            "bad-json-then-good": join(lines[:2]) + '\n{"x": \n' + lines[3] + "\n",
+            "bool-in-number": join(_lines(schema, r3={num: True})) + "\n",
+            "integral-float": join(_lines(schema, r3={num: 1.0})) + "\n",
+            "int-past-64-bits": join(_lines(schema, r3={num: 2**64})) + "\n",
+            "int-past-float": join(_lines(schema, r3={num: 10**400})) + "\n",
+            "nan-literal": join(lines[:3] + [_raw(lines[3], num, "NaN")]) + "\n",
+            "infinity-literal": join(lines[:3] + [_raw(lines[3], num, "-Infinity")]) + "\n",
+            "null-required": join(_lines(schema, r3={key: None})) + "\n",
+            "empty-required": join(_lines(schema, r3={key: ""})) + "\n",
+            "absent-required": join(_lines(schema, r3={num: ...})) + "\n",
+            "unknown-field": join(_lines(schema, r3={"extra": 1})) + "\n",
+            "repeated-id": join(_lines(schema, r4={key: "q00001"})) + "\n",
+            "bad-field-past-a-block": join(_lines(schema, past + 10, **{f"r{past}": {num: "x"}})) + "\n",
+            "bad-json-past-a-block": join(_lines(schema, past + 10)[:past] + ["{oops"]) + "\n",
+            "repeat-across-blocks": join(_lines(schema, past + 10, **{f"r{past}": {key: "q00003"}})) + "\n",
+            "bad-field-then-bad-json": join(_lines(schema, 40, r7={num: False})[:20] + ["{oops"]) + "\n",
+        }
+        if schema == "questions":
+            cases.update({
+                "features-int-past-float": join(_lines(schema, r3={"features": [10**400, 1]})) + "\n",
+                "features-bool": join(_lines(schema, r3={"features": [True, 1]})) + "\n",
+                "features-nan": join(lines[:3] + [_raw(lines[3], "features", "[NaN, 1]")]) + "\n",
+                "ts-integral-float": join(_lines(schema, r3={"open_ts": 3000.0, "prediction_ts": 3010.0})) + "\n",
+                "price-empty-string": join(_lines(schema, r3={"market_price": ""})) + "\n",
+                "price-infinity": join(lines[:3] + [_raw(lines[3], "market_price", "Infinity")]) + "\n",
+                "keys-in-other-orders": join(lines[:3] + [json.dumps(_question(3)), json.dumps(_question(4))]) + "\n",
+                "optional-fields-absent": join(_lines(schema, r2={"market_price": ..., "volume": ..., "source": ...})),
+            })
+        if schema == "forecasts":
+            cases.update({
+                "cross-line": '{"question_id": "q00000", "probability": 0.5, "x": "}\n{"}\n'
+                              '{"question_id": "q00001", "probability": 0.5} {"question_id": "q00002", "probability": 0.5}\n',
+                "range": join(_lines(schema, r2={num: 1.5}, r3={num: "x"})) + "\n",
+            })
+        for name, text in cases.items():
+            n = past + 10 if "block" in name else 40 if "then-bad-json" in name else 6
+            yield pytest.param(schema, text, n, id=f"{schema}-{name}")
+
+
+def _outcome(load, path, n):
+    """The loaded value in comparable form, or the error's type and text."""
+    try:
+        value = load(path, n)
+    except ValidationError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, tuple):  # (model names, matrix)
+        return value[0], value[1].tolist().__repr__()
+    if isinstance(value, dict):
+        return value
+    return {name: repr(getattr(value, name).tolist() if hasattr(getattr(value, name), "tolist") else getattr(value, name))
+            for name in ("ids", "open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome", "features",
+                         "market_price", "volume", "source")}
+
+
+class TestJsonlColumns:
+    """The column reader and writer against the one-record-at-a-time
+    reference of tests/oracle.py: the same values or the same error text."""
+
+    @pytest.mark.parametrize("schema, text, n", list(_parity_cases()))
+    def test_reader_parity_table(self, tmp_path, schema, text, n):
+        path = tmp_path / f"{schema}.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        _, load, reference = SCHEMAS[schema]
+        assert _outcome(load, path, n) == _outcome(reference, path, n)
+
+    def test_a_value_cannot_span_lines(self, tmp_path):
+        """Three valid forecasts can be cut from these three lines, but
+        line 1 on its own is not JSON."""
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"question_id": "q1", "probability": 0.5, "x": "}\n{"}\n'
+                        '{"question_id": "q2", "probability": 0.5} {"question_id": "q3", "probability": 0.5}\n')
+        with pytest.raises(DataFormatError, match=r"^line 1: invalid JSON in .*f\.jsonl: Unterminated string"):
+            load_forecasts([path], ["q1", "q2", "q3"])
+
+    def test_line_numbers_cross_block_boundaries(self, tmp_path):
+        lines = _lines("oracle", 3 * BLOCK_ROWS)
+        lines[2 * BLOCK_ROWS + 1] = _raw(lines[2 * BLOCK_ROWS + 1], "p_star", "true")
+        path = tmp_path / "oracle.jsonl"
+        path.write_text("\n".join(lines[:BLOCK_ROWS]) + "\n\n\n" + "\n".join(lines[BLOCK_ROWS:]) + "\n")
+        with pytest.raises(DataFormatError, match=rf": line {2 * BLOCK_ROWS + 4}: field 'p_star': expected a number"):
+            load_oracle(path)
+
+    def test_random_files_match_the_record_reader(self, tmp_path):
+        rng = random.Random(15)
+        pool = [None, True, False, 0, 1, 2, 0.0, 0.5, 1.0, 3.5, -0.5, "", "x", "0.5", "market", [], [0.5], [1, 2],
+                [0.5, "a"], {}, {"a": 1}, 2**63, -(2**63), 10**30, 10**400, 1e300]
+        raw = ["NaN", "Infinity", "-Infinity", "[NaN, 1]", "1e999", "-0.0", "1E2"]
+        for k in range(150):
+            schema = rng.choice(list(SCHEMAS))
+            lines = _lines(schema)
+            for j, line in enumerate(lines):
+                if rng.random() < 0.3:
+                    field = rng.choice(list(json.loads(line)) + ["extra", "source"])
+                    text = rng.choice(raw) if rng.random() < 0.2 else json.dumps(rng.choice(pool))
+                    lines[j] = _raw(line, field, text)
+                if rng.random() < 0.05:
+                    cut = rng.randrange(len(lines[j]) + 1)
+                    lines[j] = lines[j][:cut] + rng.choice(['"', "}", ",", " ", "\r", " ", "\\"]) + lines[j][cut:]
+            path = tmp_path / f"{schema}{k}.jsonl"
+            path.write_bytes((rng.choice(["\n", "\n", "\r\n", "\r"]).join(lines) + "\n").encode("utf-8"))
+            _, load, reference = SCHEMAS[schema]
+            assert _outcome(load, path, 6) == _outcome(reference, path, 6), path.read_text()
+
+    def test_writer_matches_json_dumps(self, tmp_path):
+        rng = random.Random(4)
+        odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, None, True, 7, "é \"%s", [1, 2.5], {"b": 1, "a": 2}]
+        for n in (0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3):
+            columns = {
+                "b": [rng.random() for _ in range(n)],
+                "%a": [rng.choice([rng.random(), math.nan, math.inf]) for _ in range(n)],
+                "id": [f"q{i}é%" for i in range(n)],
+                "features": [[rng.random(), -rng.random()] for _ in range(n)],
+                "n": [rng.randrange(-(2**70), 2**70) for _ in range(n)],
+                "mixed": [rng.choice(odd) for _ in range(n)],
+            }
+            path = tmp_path / "columns.jsonl"
+            write_jsonl_columns(path, columns, null=("%a", "mixed"))
+            records = [
+                {k: None if k in ("%a", "mixed") and isinstance(v, float) and math.isnan(v) else v
+                 for k, v in zip(columns, row)}
+                for row in zip(*columns.values())
+            ]
+            oracle_write_jsonl(tmp_path / "records.jsonl", records)
+            assert path.read_bytes() == (tmp_path / "records.jsonl").read_bytes()
+
+    def test_run_file_writers_match_json_dumps(self, tmp_path):
+        n = BLOCK_ROWS + 9
+        ds, p_star = generate_synthetic_stream(SyntheticConfig(n_questions=n, feature_dim=3, market_noise=0.5, seed=2))
+        ds.market_price[::7] = np.nan
+        ds.volume[::3] = 25.0
+        save_questions(ds, tmp_path / "q.jsonl")
+        oracle_write_jsonl(tmp_path / "q_ref.jsonl", (dict(zip(
+            ("id", "open_ts", "close_ts", "resolve_ts", "prediction_ts", "outcome", "features", "market_price",
+             "volume", "source"),
+            (q.id, q.open_ts, q.close_ts, q.resolve_ts, q.prediction_ts, q.outcome, q.features.tolist(),
+             q.market_price, q.volume, q.source))) for q in ds))  # a row's null price or volume is None
+        probs = np.linspace(0, 1, n)
+        probs[::5] = np.nan
+        save_forecasts(tmp_path / "f.jsonl", ds.ids, probs)
+        oracle_write_jsonl(tmp_path / "f_ref.jsonl", ({"question_id": q, "probability": None if np.isnan(p) else p}
+                                                      for q, p in zip(ds.ids, probs.tolist())))
+        write_oracle(p_star, tmp_path / "o.jsonl")
+        oracle_write_jsonl(tmp_path / "o_ref.jsonl", ({"id": q, "p_star": p} for q, p in p_star.items()))
+        values = np.random.default_rng(1).random((5, n))
+        values[0, ::4] = np.nan
+        RunLog(ds.ids, *values).to_jsonl(tmp_path / "r.jsonl")
+        keys = ("parsed", "reward", "gibberish", "non_english", "explanation")
+        oracle_write_jsonl(tmp_path / "r_ref.jsonl", (
+            {"id": q, **{k: None if k == "parsed" and np.isnan(v) else v for k, v in zip(keys, row)}}
+            for q, row in zip(ds.ids, values.T.tolist())))
+        for name in ("q", "f", "o", "r"):
+            assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / f"{name}_ref.jsonl").read_bytes(), name
