@@ -9,13 +9,11 @@ a separate oracle sidecar file, which training code never reads.
 
 from __future__ import annotations
 
-import collections
 import csv
 import functools
 import itertools
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -280,6 +278,14 @@ def _list_cell(cell: str):
     return json.loads(cell)  # a JSONDecodeError is a ValueError
 
 
+def _id(value) -> str:
+    """`id`: a JSON string, not empty (`_row` refuses an empty one as
+    missing before it casts, but a column is cast without `_row`)."""
+    if value == "":
+        raise ValueError("expected a non-empty string")
+    return json_string(value)
+
+
 def _source(value) -> str:
     """`source`: a JSON string, "synthetic" where it is null, empty or absent."""
     return "synthetic" if value is None or value == "" else json_string(value)
@@ -288,7 +294,7 @@ def _source(value) -> str:
 # How each field is read, in _FIELDS order: a JSONL value must have its
 # JSON type; a CSV cell is text, cast as the field needs.
 _JSONL_CASTS = {
-    "id": json_string,
+    "id": _id,
     **dict.fromkeys(_INTEGER_FIELDS, _integer),
     "features": _numbers,
     **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, json_number)),
@@ -323,41 +329,6 @@ def _row(casts: dict, record) -> tuple:
         raise
 
 
-def _floats(values: list) -> bool:
-    """True when every value is a JSON number (no boolean) that converts
-    to a float, as `json_number` takes it."""
-    kinds = set(map(type, values))
-    if not kinds <= {float, int}:
-        return False
-    if int in kinds:
-        try:
-            collections.deque(map(float, values), maxlen=0)  # an int past the float range raises
-        except OverflowError:
-            return False
-    return True
-
-
-def _finite_or_null(values: list) -> bool:
-    """True when every value is null or a finite JSON number, as
-    `_nullable(json_number, .)` takes it (an empty string aside)."""
-    numbers = list(filter(functools.partial(operator.is_not, None), values))
-    return _floats(numbers) and bool(np.isfinite(np.array(numbers, dtype=np.float64)).all())
-
-
-def _jsonl_block_is_good(keys: set[tuple], columns: list[list]) -> bool:
-    """One pass per column over a block of JSONL question records: True
-    when `_row` takes each record with no cast but `source`'s default."""
-    ids, *ints, features, prices, volumes, source = columns
-    return (
-        all(set(k) <= set(_FIELDS) and set(_REQUIRED_FIELDS) <= set(k) for k in keys)
-        and set(map(type, ids)) == {str} and "" not in ids
-        and all(set(map(type, c)) == {int} and -(2**63) <= min(c) and max(c) < 2**63 for c in ints)
-        and set(map(type, features)) == {list} and _floats(list(itertools.chain.from_iterable(features)))
-        and _finite_or_null(prices) and _finite_or_null(volumes)
-        and set(map(type, source)) <= {str, type(None)}
-    )
-
-
 def load_questions(path: str | Path, format: str | None = None, split: str = "train") -> Dataset:
     """Load a Dataset from JSONL or CSV.
 
@@ -372,13 +343,9 @@ def load_questions(path: str | Path, format: str | None = None, split: str = "tr
         raise ValidationError(f"unknown dataset format {format!r}")
     if format == "csv":
         return _from_rows(list(read_csv(path, functools.partial(_row, _CSV_CASTS))), split)
-    blocks = []
-    for columns in read_jsonl_columns(path, _FIELDS, functools.partial(_row, _JSONL_CASTS), _jsonl_block_is_good):
-        source = columns[-1]
-        if None in source or "" in source:
-            columns[-1] = [s or "synthetic" for s in source]
-        blocks.append(_block(columns))
-    return _from_blocks(blocks or [_block([()] * len(_FIELDS))], split)
+    parse = functools.partial(_row, _JSONL_CASTS)
+    blocks = read_jsonl_columns(path, _JSONL_CASTS, parse, required=_REQUIRED_FIELDS, closed=True)
+    return _from_blocks(list(map(_block, blocks)) or [_block([()] * len(_FIELDS))], split)
 
 
 def _records(dataset: Dataset):
@@ -524,27 +491,20 @@ def write_oracle(oracle: dict[str, float], path: str | Path) -> None:
     write_jsonl_columns(path, {"id": list(oracle), "p_star": list(oracle.values())})
 
 
+_ORACLE_CASTS = {"id": json_string, "p_star": json_number}
+
+
 def load_oracle(path: str | Path) -> dict[str, float]:
     """The oracle sidecar as {id: p_star}; a repeated id is refused."""
-    oracle: dict[str, float] = {}
-    block_ids: set[str] = set()  # ids of the block being parsed record by record
-
     def parse(record) -> tuple[str, float]:
-        qid, p = record_field(record, "id", json_string), record_field(record, "p_star", json_number)
-        if qid in block_ids or qid in oracle:
-            raise DataFormatError(f"duplicate id {qid!r}")
-        block_ids.add(qid)
-        return qid, p
+        return tuple(record_field(record, name, cast) for name, cast in _ORACLE_CASTS.items())
 
-    def fast(keys: set[tuple], columns: list[list]) -> bool:
-        ids, p_star = columns
-        return (
-            all({"id", "p_star"} <= set(k) for k in keys)
-            and set(map(type, ids)) == {str} and _floats(p_star)
-            and len(set(ids)) == len(ids) and oracle.keys().isdisjoint(ids)
-        )
-
-    for ids, p_star in read_jsonl_columns(path, ("id", "p_star"), parse, fast):
-        oracle.update(zip(ids, map(float, p_star)))
-        block_ids.clear()
+    oracle: dict[str, float] = {}
+    n = 0
+    for ids, p_star in read_jsonl_columns(path, _ORACLE_CASTS, parse, required=_ORACLE_CASTS):
+        oracle.update(zip(ids, p_star))
+        n += len(ids)
+    if len(oracle) < n:  # an id repeats: read again with a set of the ids, to name its line
+        for _ in read_jsonl_columns(path, _ORACLE_CASTS, parse, required=_ORACLE_CASTS, unique="id"):
+            pass
     return oracle

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import numpy.ma  # noqa: F401  np.percentile loads it lazily; load it at start-up, not inside a stage's work
 
-from forecast_rl.errors import DataFormatError, ValidationError
+from forecast_rl.errors import ValidationError
 from forecast_rl.files import json_number, json_string, read_jsonl_columns, record_field, write_jsonl_columns
 from forecast_rl.rng import replicate_seeds
 
@@ -166,6 +166,29 @@ class PairedComparison:
     n_dropped = 0
 
 
+def _number_or_null(value) -> float | None:
+    return None if value is None else json_number(value)
+
+
+def _probability(value) -> float | None:
+    """`probability` as its column cast: `_forecast`'s checks of it."""
+    p = _number_or_null(value)
+    _check_probability("", p)
+    return p
+
+
+_FORECAST_CASTS = {"question_id": json_string, "probability": _probability}
+
+
+def _forecast(record) -> tuple[str, float | None]:
+    """One forecast record as (question_id, probability); a probability
+    outside [0, 1] is refused naming the question."""
+    qid = record_field(record, "question_id", json_string)
+    p = record_field(record, "probability", _number_or_null)
+    _check_probability(qid, p)
+    return qid, p
+
+
 def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], np.ndarray]:
     """Model names (file stems, sorted) and their (len(ids), models)
     probability matrix: row i holds the forecasts for question ids[i], NaN
@@ -183,39 +206,11 @@ def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], 
             raise ValidationError(f"forecast file {path} not found")
         if path.stem in columns:
             raise ValidationError(f"duplicate model name {path.stem!r} among forecast files")
-        seen: set[str] = set()
-
-        def parse(record) -> tuple[str, float | None]:
-            qid = record_field(record, "question_id", json_string)
-            p = record_field(record, "probability", lambda v: None if v is None else json_number(v))
-            _check_probability(qid, p)
-            if qid in seen:
-                raise DataFormatError(f"duplicate question_id {qid!r}")
-            seen.add(qid)
-            return qid, p
-
-        def fast(keys: set[tuple], block: list[list]) -> bool:
-            qids, probs = block
-            if not (
-                all({"question_id", "probability"} <= set(k) for k in keys)
-                and set(map(type, qids)) == {str}
-                and set(map(type, probs)) <= {float, int, type(None)}
-                and len(set(qids)) == len(qids) and seen.isdisjoint(qids)
-            ):
-                return False
-            try:
-                p = np.array(probs, dtype=np.float64)  # None becomes NaN
-            except OverflowError:  # an int past the float range
-                return False
-            if np.count_nonzero((p >= 0.0) & (p <= 1.0)) + probs.count(None) < len(probs):
-                return False
-            seen.update(qids)
-            return True
-
         col = np.full(len(ids), math.nan)
         got = np.zeros(len(ids), dtype=bool)
         unknown = []
-        for qids, probs in read_jsonl_columns(path, ("question_id", "probability"), parse, fast):
+        blocks = read_jsonl_columns(path, _FORECAST_CASTS, _forecast, required=_FORECAST_CASTS, unique="question_id")
+        for qids, probs in blocks:
             rows = np.fromiter(map(row.get, qids, itertools.repeat(-1)), dtype=np.intp, count=len(qids))
             known = rows >= 0
             unknown += [qids[k] for k in np.flatnonzero(~known).tolist()]

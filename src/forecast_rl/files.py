@@ -183,9 +183,10 @@ def _jsonl_blocks(path):
     """(line numbers, values) of each block of BLOCK_ROWS non-blank lines,
     in file order.  Lines are split as file iteration splits them, after
     universal-newline translation, and stripped; each must be exactly one
-    JSON value.  A line that is not, or text that is not UTF-8, raises
-    only once the lines before it have been yielded, so that a reader
-    names the first bad line of the file."""
+    JSON value.  A line that is not raises only once the lines before it
+    have been yielded, so that a reader names the first bad line of the
+    file.  Text that is not UTF-8 raises once the lines of the chunks
+    decoded before it have been yielded; lines in its own chunk are not."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
@@ -222,26 +223,58 @@ def _jsonl_blocks(path):
         raise error
 
 
-def read_jsonl_columns(path: str | Path, names: tuple[str, ...], parse, fast):
-    """Yield the fields `names` of each block of a JSONL file's records as
-    one list per name, in line order, None where a record lacks the field.
+def _cast_columns(records: list, casts: dict, required: set, closed: bool) -> list[list] | None:
+    """casts[name] of each record's value of name (None where it lacks the
+    field), one list per key of `casts`; None if a record is not an object,
+    lacks a `required` key or (if `closed`) has a key outside `casts`, or
+    if a cast raises."""
+    if set(map(type, records)) != {dict}:
+        return None
+    for keys in set(map(tuple, records)):  # the distinct key orders: one, as a writer writes them
+        if not required.issubset(keys) or closed and not casts.keys() >= set(keys):
+            return None
+    try:
+        return [list(map(cast, map(dict.get, records, itertools.repeat(name)))) for name, cast in casts.items()]
+    except (TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
+        return None
 
-    Each block is judged by `fast(keys, columns)`, with `keys` the distinct
-    key tuples of its records: one pass per column, True when every record
-    is good as it is.  Otherwise (or when a line is not an object) each
-    record of the block goes through parse(record), the per-record cast: its
-    first ValidationError is raised naming the file and the line (see
-    `_parsed`), and the rows it returns, in `names` order, are the block's
-    columns.  So every message is parse's, and a caller that casts the
-    columns gets the same values either way.
+
+def read_jsonl_columns(path: str | Path, casts: dict, parse, required=(), closed=False, unique=None):
+    """Yield the fields of each block of a JSONL file's records as one list
+    per key of `casts`, in its order and in line order.
+
+    Each block is first cast column by column (see `_cast_columns`).  If
+    that fails, each of its records goes through parse(record), the
+    per-record cast: its first ValidationError is raised naming the file
+    and the line (see `_parsed`), and the rows it returns, in `casts`
+    order, are the block's columns.  So every message is parse's; a
+    column cast must raise where parse refuses the record and give
+    parse's value where it does not.
+
+    With `unique`, a key of `casts`, a record that repeats an earlier
+    record's value of it is refused after its parse, on its own line.
     """
+    at = list(casts).index(unique) if unique is not None else None
+    seen: set = set()
+
+    def parse_unique(record):
+        row = parse(record)
+        if at is not None:
+            if row[at] in seen:
+                raise DataFormatError(f"duplicate {unique} {row[at]!r}")
+            seen.add(row[at])
+        return row
+
     for lines, records in _jsonl_blocks(path):
-        if set(map(type, records)) == {dict}:
-            columns = [list(map(dict.get, records, itertools.repeat(name))) for name in names]
-            if fast(set(map(tuple, records)), columns):
-                yield columns
-                continue
-        yield [list(column) for column in zip(*_parsed(path, zip(lines, records), parse))]
+        columns = _cast_columns(records, casts, set(required), closed)
+        if columns is not None and at is not None:
+            if len(set(columns[at])) < len(records) or not seen.isdisjoint(columns[at]):
+                columns = None
+            else:
+                seen.update(columns[at])
+        if columns is None:
+            columns = [list(column) for column in zip(*_parsed(path, zip(lines, records), parse_unique))]
+        yield columns
 
 
 def read_csv(path: str | Path, parse):

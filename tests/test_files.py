@@ -147,8 +147,11 @@ class TestAtomicWrite:
 
 def read_jsonl(path, parse):
     """parse(record) of each JSONL record, through the column reader's
-    per-record path (its block check always declines)."""
-    for (values,) in read_jsonl_columns(path, ("value",), lambda record: (parse(record),), lambda keys, block: False):
+    per-record path (its column cast always refuses)."""
+    def refuse(value):
+        raise ValueError("left to parse")
+
+    for (values,) in read_jsonl_columns(path, {"value": refuse}, lambda record: (parse(record),)):
         yield from values
 
 
@@ -179,9 +182,12 @@ class TestStrictReads:
     def test_parse_errors_name_the_file_the_line_and_the_field(self, tmp_path, reader, text):
         path = tmp_path / "records.txt"
         path.write_text(text)
-        good = tmp_path / "good.txt"
-        good.write_text(text.rsplit("\n", 2)[0] + "\n")  # all but the last record
-        assert list(reader(good, lambda record: record_field(record, "p", float))) == [0.5]
+        if reader is read_jsonl:  # a block is yielded only once all of its records parse
+            good = tmp_path / "good.txt"
+            good.write_text(text.rsplit("\n", 2)[0] + "\n")  # all but the last record
+            assert list(reader(good, lambda record: record_field(record, "p", float))) == [0.5]
+        else:
+            assert next(reader(path, lambda record: record_field(record, "p", float))) == 0.5
         first = 1 if reader is read_jsonl else 2  # a CSV's first record follows its header
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {first + 1}: field 'p': could not"):
             list(reader(path, lambda record: record_field(record, "p", float)))
