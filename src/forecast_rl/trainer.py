@@ -8,8 +8,10 @@ modes (gibberish takeover, extreme-probability pileup).
 
 One numpy step trains every ensemble member at once over a leading
 member axis, composing the array functions of `algorithms`.  Each
-member consumes its own pre-drawn array of uniform variates, so its
-trajectory is the same whether it trains alone or in a batch.
+member draws its sampling uniforms from its own generator, a block of
+questions at a time, so its trajectory is the same whether it trains
+alone or in a batch, and the uniforms held at once do not grow with the
+stream.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ BACKENDS = ("auto", "numpy")
 SPAN_EARLY_STOP = 1
 SPAN_NUMERIC = 2
 
-# Questions whose reference log-probs are taken in one block.  The
-# reference is fixed between resets, so any block within a span gives the
-# same bits; a small one keeps the (block, members, V) temporaries small.
-# Training 4 GRPO members on 1,300 questions (d = 4), the train process
-# peaked at 40.9 MB with blocks of 1 or 16, 41.5 MB with 64 and 46.9 MB
-# with whole 500-question spans.
+# Questions whose reference log-probs are taken in one block, and whose
+# sampling uniforms are drawn in one block.  The reference is fixed
+# between resets, and a generator's consecutive draws of any sizes give
+# the values of one draw, so any block gives the same bits; a small one
+# keeps the (block, members, V) temporaries and the (members, block, G,
+# L+1) uniforms small.  Training 4 GRPO members on 1,300 questions
+# (d = 4), the train process peaked at 40.9 MB with reference blocks of 1
+# or 16, 41.5 MB with 64 and 46.9 MB with whole 500-question spans.
 REF_BLOCK = 16
 
 # The two content token kinds the guard rails count.
@@ -216,6 +220,12 @@ class _Members:
     others share the batch.  The actor's weights, reference, AdamW
     moments and last good state are each one (K, d+1, N_CONTENT +
     N_ANSWER) stack: the content head's columns, then the answer head's.
+
+    Only the run-log columns have the stream length on an axis.  Each
+    member keeps its own sampling generator, and `U` holds the uniforms
+    of questions `u_start` onwards for at most REF_BLOCK questions;
+    `_advance` draws the next block when a question passes its end.  The
+    early-stop counts are a ring of `window` rows.
     """
 
     _ROWS = (
@@ -223,7 +233,7 @@ class _Members:
         "es_counts", "window", "good", "good_b",
     )
 
-    def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int):
+    def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int, window: int):
         K, L = len(members), params.vocab.content_length
         self.members = list(members)
         self.L = L
@@ -232,9 +242,9 @@ class _Members:
         self.ref = self.w.copy()
         self.m, self.v = np.zeros_like(self.w), np.zeros_like(self.w)
         self.m_b, self.v_b = np.zeros_like(self.w_b), np.zeros_like(self.w_b)
-        self.U = np.empty((K, n, G, L + 1))  # each member's pre-drawn sampling uniforms
-        for k, m in enumerate(members):
-            substream(seed, "sampling", m).random(out=self.U[k])
+        self.rngs = [substream(seed, "sampling", m) for m in members]
+        self.U = np.empty((K, 0, G, L + 1))  # sampling uniforms of questions u_start, u_start + 1, ...
+        self.u_start = 0
         # The log, per question: the first response's answer token, every
         # response's (gibberish, non-English) token counts and the mean
         # reward.  `run_log` turns them into the RunLog columns.
@@ -242,9 +252,10 @@ class _Members:
         self.counts = np.zeros((K, n, G, 2), dtype=np.min_scalar_type(L))
         self.reward = np.zeros((K, n))
         # The early-stop guard in integer counts: per question (gibberish
-        # tokens, answer present, answer extreme), and their sums over the
-        # current window.
-        self.es_counts = np.zeros((K, n, 3), dtype=np.int64)
+        # tokens, answer present, answer extreme) in a ring where question
+        # i takes row i % rows, and their sums over the current window.  A
+        # window longer than the stream never wraps.
+        self.es_counts = np.zeros((K, min(window, n), 3), dtype=np.int64)
         self.window = np.zeros((K, 3), dtype=np.int64)
         self.snapshot()
 
@@ -260,16 +271,27 @@ class _Members:
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[keep])
         self.members = [self.members[r] for r in keep]
+        self.rngs = [self.rngs[r] for r in keep]
+
+    def draw_uniforms(self, start: int, rows: int) -> None:
+        """Fill `U` with each member's next `rows` questions of uniforms,
+        those of questions start, start + 1, ...: the values one draw of
+        the whole stream would give them."""
+        self.U = np.empty((len(self.rngs), rows, *self.U.shape[2:]))
+        for k, rng in enumerate(self.rngs):
+            rng.random(out=self.U[k])
+        self.u_start = start
 
     def params(self, r: int, good: bool = False) -> PolicyParams:
         W = (self.good if good else self.w)[r]
         return PolicyParams(W[:, :N_CONTENT].copy(), W[:, N_CONTENT:].copy(), Vocabulary(self.L))
 
-    def run_log(self, r: int, ids: list[str], end: int, reason: str | None = None) -> RunLog:
-        counts = self.counts[r, :end].astype(np.int64)
+    def run_log(self, r: int, ids: list[str], start: int, end: int, reason: str | None = None) -> RunLog:
+        """The member's log of questions start .. end - 1."""
+        counts = self.counts[r, start:end].astype(np.int64)
         return RunLog(
-            ids[:end],
-            *_group_log(self.first[r, :end].astype(np.int64), self.reward[r, :end].copy(),
+            ids[start:end],
+            *_group_log(self.first[r, start:end].astype(np.int64), self.reward[r, start:end].copy(),
                         counts[..., 0], counts[..., 1], self.L),
             stopped=reason is not None, stop_reason=reason,
         )
@@ -286,8 +308,10 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
     """
     R, _, G, n_tok = st.U.shape
     L = n_tok - 1
+    n = X1.shape[0]
     token_div = G if algo == "remax" else G * n_tok
     es_tokens = es.window * G * L
+    ring = st.es_counts.shape[1]
     # Every running member has taken one AdamW step per question since
     # question 0, so question i is step i + 1 of the actor and the baseline.
     bc1, bc2 = bias_corrections(hp, np.arange(start + 1, end + 1))
@@ -299,10 +323,14 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
         j = i - start
         if j % REF_BLOCK == 0:
             ref_log = block_log_probs(X1[i : min(i + REF_BLOCK, end)], st.ref)
+        if i - st.u_start == st.U.shape[1]:
+            # Blocks run on across spans and events: the survivors of an
+            # event still hold the uniforms of the questions after it.
+            st.draw_uniforms(i, min(REF_BLOCK, n - i))
         xt = X1[i]
         log_p = policy_log_probs(xt, st.w)
         p = np.exp(log_p)
-        content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], st.U[:, i])
+        content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], st.U[:, i - st.u_start])
         counts = np.add.reduce(content[..., None] == _COUNTED, axis=2)
         rewards = rewards_of[Y[i], answers, counts[..., 0], counts[..., 1]]
         mu = np.add.reduce(rewards, axis=1) / G
@@ -334,11 +362,11 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
 
         events = [(int(r), SPAN_NUMERIC, i, None) for r in bad.nonzero()[0]]
         if es.enabled:
-            st.es_counts[:, i, 0] = np.add.reduce(counts[..., 0], axis=1)
-            st.es_counts[:, i, 1:] = _ANSWER_FLAGS[answers[:, 0]]
-            st.window += st.es_counts[:, i]
-            if i >= es.window:
-                st.window -= st.es_counts[:, i - es.window]
+            row = st.es_counts[:, i % ring]
+            st.window -= row  # question i - window's counts, or zeros before the ring wraps
+            row[:, 0] = np.add.reduce(counts[..., 0], axis=1)
+            row[:, 1:] = _ANSWER_FLAGS[answers[:, 0]]
+            st.window += row
             if i + 1 >= es.window:
                 gib_hit = st.window[:, 0] / es_tokens > es.gibberish_threshold
                 present = st.window[:, 1]
@@ -374,7 +402,9 @@ def train_members(
     NumericAbort that carries the last good parameters (from the most
     recent span boundary) and the log up to the failing question.
     `checkpoint_cb(member, params, baseline, index, partial_log)` is
-    called at every `checkpoint_every` boundary for each running member.
+    called at every `checkpoint_every` boundary for each running member;
+    `partial_log` holds the questions since the previous boundary, so the
+    logs handed out over a run add up to one copy of the stream.
     """
     cfg.validate()
     hp.validate()
@@ -409,7 +439,7 @@ def train_members(
     X1 = np.hstack([np.ones((n, 1)), stream.features])
     Y = stream.outcome
     ids = stream.ids
-    st = _Members(members, params, cfg.seed, n, G)
+    st = _Members(members, params, cfg.seed, n, G, cfg.early_stop.window)
 
     boundaries = {0, n}
     boundaries.update(range(0, n, cfg.outer_iteration_len))
@@ -424,15 +454,17 @@ def train_members(
         return (st.good_b if good else st.w_b)[r].copy()
 
     def finished(r: int, end: int, reason: str | None = None) -> TrainResult:
-        return TrainResult(st.params(r), baseline(r), st.run_log(r, ids, end, reason), reason is not None, reason)
+        return TrainResult(st.params(r), baseline(r), st.run_log(r, ids, 0, end, reason), reason is not None, reason)
 
     results: dict[int, TrainResult | NumericAbort] = {}
+    logged = 0  # the questions handed to checkpoint_cb so far
     for s, e in zip(bounds[:-1], bounds[1:]):
         if s > 0 and s % cfg.outer_iteration_len == 0:
             st.reset_reference()
         if checkpoint_cb is not None and s > 0 and cfg.checkpoint_every > 0 and s % cfg.checkpoint_every == 0:
             for r, m in enumerate(st.members):
-                checkpoint_cb(m, st.params(r), baseline(r), s, st.run_log(r, ids, s))
+                checkpoint_cb(m, st.params(r), baseline(r), s, st.run_log(r, ids, logged, s))
+            logged = s
         st.snapshot()
         i = s
         while i < e and st.members:
@@ -443,7 +475,7 @@ def train_members(
                         f"non-finite gradient at question {ids[at]!r} (index {at})",
                         params=st.params(r, good=True),
                         baseline=baseline(r, good=True),
-                        run_log=st.run_log(r, ids, at),
+                        run_log=st.run_log(r, ids, 0, at),
                     )
                 else:
                     results[st.members[r]] = finished(r, at, reason)

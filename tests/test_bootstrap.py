@@ -163,6 +163,36 @@ def _wide():
     return probs, ys, 10, 5
 
 
+@st.composite
+def percentile_samples(draw):
+    """1 to 300 values: ties on a scaled 0.01 grid, one repeated value,
+    signed zeros among few values, or magnitudes from 1e-300 to 1e300."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["grid", "equal", "zeros", "wide"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    if kind == "grid":
+        return np.round(rng.normal(size=n), 2) * scale
+    if kind == "equal":
+        return np.full(n, rng.normal() * scale)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0, scale, -scale], n)
+    return rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n)
+
+
+class TestPercentiles:
+    @settings(max_examples=400, deadline=None)
+    @given(d=percentile_samples())
+    @example(d=np.array([-0.0]))
+    @example(d=np.array([0.0, -0.0]))
+    @example(d=np.array([-0.0, -0.0]))
+    @example(d=np.array([1.5, -2.0]))
+    def test_bit_equal_to_np_percentile(self, d):
+        """The CI bounds are np.percentile's, bit for bit, with the sign
+        of every zero."""
+        assert np.array(evaluation._ci95(d)).tobytes() == np.percentile(d, [2.5, 97.5]).tobytes()
+
+
 class TestBatchedEce:
     @settings(max_examples=60, deadline=None)
     @given(data=forecast_matrices(), reps=st.integers(1, 40), chunk_rows=st.integers(1, 7))

@@ -189,6 +189,31 @@ class TestPipeline:
         partial = (tmp_path / "out" / "seed3_m0_q000010" / "runlog.jsonl").read_text()
         assert len(partial.strip().split("\n")) == 10
 
+    @staticmethod
+    def _runlogs(tmp_path, every: int) -> list[list[str]]:
+        """The lines of member 0's runlog.jsonl files, in question order."""
+        cfg = write_config(tmp_path, train={"checkpoint_every": every})
+        assert run("synth", cfg) == EXIT_OK
+        assert run("train", cfg) == EXIT_OK
+        dirs = sorted((tmp_path / "out").glob("seed3_m0_q*"))
+        assert len(dirs) == -(-30 // every)  # the intermediate checkpoints and the final one
+        return [(d / "runlog.jsonl").read_text().splitlines() for d in dirs]
+
+    @pytest.mark.parametrize("every", [1, 7, 30])
+    def test_checkpoint_runlogs_are_linear_in_the_stream(self, tmp_path, every):
+        """A run of n questions writes at most 2n runlog lines, whatever
+        the checkpoint cadence."""
+        logs = self._runlogs(tmp_path, every)
+        assert len(logs[-1]) == 30
+        assert sum(map(len, logs)) <= 2 * 30
+
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_intermediate_runlogs_concatenate_to_the_final_one(self, tmp_path, every):
+        *partial, final = self._runlogs(tmp_path, every)
+        lines = [line for log in partial for line in log]
+        assert [len(log) for log in partial] == [every] * len(partial)
+        assert lines == final[: len(lines)]
+
     @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo"])
     def test_checkpoints_without_a_baseline_save_null(self, tmp_path, algorithm):
         """Intermediate and final checkpoints of algorithms without a
@@ -624,7 +649,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_stages_import_no_module_inside_main(tmp_path):
     """numpy loads some sub-modules on first use, and argparse loads
     locale; a stage that loaded one inside cli.main would count its import
-    as work."""
+    as work.  numpy.ma (about 1 MB, which np.percentile and np.unique
+    import) is loaded by no stage at all."""
     cfg = write_config(tmp_path, ensemble_size=2, evaluation={"bootstrap_reps": 9})
     members = [str(tmp_path / "out" / f"forecasts_m{k}.jsonl") for k in range(2)]
     code = (
@@ -634,5 +660,6 @@ def test_stages_import_no_module_inside_main(tmp_path):
         f"                     ('trade', {members!r}), ('report', [])]:\n"
         f"    assert cli.main([stage, '--config', {str(cfg)!r}, *files]) == 0, stage\n"
         "print(sorted(set(sys.modules) - before))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
-    assert _python(code).splitlines()[-1] == "[]"
+    assert _python(code).splitlines()[-2:] == ["[]", "[]"]

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,18 +201,21 @@ class TestEarlyStop:
 
 class TestCheckpointCallback:
     def test_boundary_indices_and_partial_logs(self):
+        """Each boundary hands out the log of the questions since the one
+        before, bit for bit the rows of the final log."""
         stream = small_stream(35)
         calls = []
 
         def cb(params, baseline, index, partial):
-            calls.append((index, len(partial), list(partial.question_ids)))
+            calls.append((index, partial))
 
         cfg = TrainConfig(algorithm="remax", seed=4, checkpoint_every=10)
         result = train_online(stream, cfg, HyperParams(actor_lr=0.01), checkpoint_cb=cb)
         assert [c[0] for c in calls] == [10, 20, 30]
-        for index, n_logged, ids in calls:
-            assert n_logged == index
-            assert ids == result.run_log.question_ids[:index]
+        for index, partial in calls:
+            assert partial.question_ids == result.run_log.question_ids[index - 10 : index]
+            for col in ("parsed",) + LOG_COLUMNS:
+                assert getattr(partial, col).tobytes() == getattr(result.run_log, col)[index - 10 : index].tobytes()
 
     def test_no_callback_without_checkpoint_every(self):
         stream = small_stream(30)
@@ -591,6 +595,55 @@ class TestVectorizedPredict:
         with pytest.raises(ValidationError, match="member forecasts of shape"):
             ensemble_predict_dataset(spec, stream, columns[:-1])
 
+
+class TestTrainingMemory:
+    """Training holds nothing per question but the run log it returns."""
+
+    @staticmethod
+    def _traced_peak(n: int) -> int:
+        """tracemalloc peak of training 4 GRPO members on n questions in
+        one span, the returned results still held."""
+        stream = small_stream(n)
+        cfg = TrainConfig(algorithm="grpo", seed=1, outer_iteration_len=n)
+        tracemalloc.start()
+        try:
+            results = train_members(stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1, 2, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(r.run_log) for r in results] == [n] * 4
+        return peak
+
+    def test_peak_grows_by_less_than_200_bytes_per_member_question(self):
+        """The run-log columns (17 B per member-question at G = 4), the
+        returned RunLogs and the per-question feature rows make about
+        100 B; uniforms drawn for the whole stream would add 288 B."""
+        growth = (self._traced_peak(2000) - self._traced_peak(1000)) / (4 * 1000)
+        assert growth < 200
+
+    def test_uniforms_are_drawn_a_block_at_a_time(self, monkeypatch):
+        """Each member's generator fills at most REF_BLOCK questions of
+        uniforms at a time: two members stop inside a block while the third
+        trains on their blocks' rows and then draws the rest of the stream
+        once.  The run is the pinned `gibberish_stop` run."""
+        draws = {}
+
+        class Recording:
+            def __init__(self, rng, member):
+                self.rng, self.member = rng, member
+
+            def random(self, out):
+                draws.setdefault(self.member, []).append(out.shape[0])
+                self.rng.random(out=out)
+
+        monkeypatch.setattr(trainer, "substream", lambda seed, name, m: Recording(substream(seed, name, m), m))
+        monkeypatch.setattr(trainer, "REF_BLOCK", 16)
+        cfg = TrainConfig(algorithm="remax", seed=1, outer_iteration_len=9,
+                          early_stop=EarlyStopConfig(window=20, gibberish_threshold=0.36))
+        results = train_members(small_stream(150, d=3), cfg, HyperParams(actor_lr=0.05), members=[0, 1, 2])
+        assert [run_digest(r) for r in results] == TestStepDigests.DIGESTS["gibberish_stop"]
+        assert [len(r.run_log) for r in results] == [41, 36, 150]
+        assert draws == {0: [16] * 3, 1: [16] * 3, 2: [16] * 9 + [6]}
 
 
 def run_digest(result) -> str:
