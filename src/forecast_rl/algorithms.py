@@ -1,14 +1,16 @@
 """The training maths: pure array functions over a leading row axis.
 
-In the online step a row is one ensemble member; when DPO scores its
-preference pairs a row is one question.  Each function keeps a fixed
+In the online step a row is one ensemble member; in DPO a row is one
+question, or one preference pair.  Each function keeps a fixed
 summation order, so a row's result never depends on which other rows
 share the call.  Gradients are returned for minimization (the objective
 negated), ready for AdamW, and are exact for the linear-softmax policy.
 
-The online step holds both heads in one joint vocabulary (see HEADS) and
-runs once per question, so its functions call `np.add.reduce` where
-`.sum` would add a Python-level wrapper around the same reduction.
+Both training loops hold the two heads in one joint vocabulary and one
+(d+1, N_CONTENT + N_ANSWER) weight stack (see HEADS), and score responses
+from `reward_table`.  The online step runs once per question, so its
+functions call `np.add.reduce` where `.sum` would add a Python-level
+wrapper around the same reduction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from forecast_rl.errors import ValidationError
-from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, N_CONTENT, NONENGLISH
+from forecast_rl.policy import ABSTAIN, N_ANSWER, N_CONTENT
 from forecast_rl.reward import PenaltyConfig
 
 ALGORITHMS = ("grpo", "modified_grpo", "remax", "dpo")
@@ -108,6 +110,15 @@ def two_head_log_softmax(Z: np.ndarray) -> np.ndarray:
     return shifted - np.log(sums)[..., HEAD_OF]
 
 
+def head_logits(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Joint logits X @ W of rows X (..., d+1) under one (d+1, N_CONTENT +
+    N_ANSWER) weight stack, as one product per head on a contiguous copy of
+    its columns: on OpenBLAS, one product over both heads, or a single row
+    times a column view, can round differently in the last bits from the
+    product with each head's own array."""
+    return np.concatenate([X @ np.ascontiguousarray(W[:, head]) for head in HEADS], axis=-1)
+
+
 def policy_log_probs(xt: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Joint log-probabilities (R, N_CONTENT + N_ANSWER) of xt under each
     row r of a (R, d+1, N_CONTENT + N_ANSWER) weight stack, with the
@@ -156,17 +167,6 @@ def count_rewards(answers, y, gib_ct, nep_ct, L: int, pen: PenaltyConfig) -> np.
     miss = np.where(rat_ct > 0, 0.0, -pen.lambda_miss)
     rationale = rat_ct / L
     return strict + (-pen.lambda_lang * (nep_ct / L)) + (-pen.lambda_gib * (gib_ct / L)) + miss + pen.lambda_exp * rationale
-
-
-def guardrail_rewards(
-    content: np.ndarray, answers: np.ndarray, y, pen: PenaltyConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`count_rewards` of sampled responses: content (..., L) and answers
-    (...).  Returns the rewards with the gibberish and non-English token
-    counts."""
-    gib_ct = (content == GIBBERISH).sum(axis=-1)
-    nep_ct = (content == NONENGLISH).sum(axis=-1)
-    return count_rewards(answers, y, gib_ct, nep_ct, content.shape[-1], pen), gib_ct, nep_ct
 
 
 def reward_table(L: int, pen: PenaltyConfig) -> np.ndarray:
@@ -256,34 +256,38 @@ def adamw_rows(W, m, v, g, lr: float, hp: HyperParams, bc1, bc2) -> None:
     W -= lr * upd
 
 
-def dpo_gradients(
-    xb: np.ndarray,
-    w_c: np.ndarray,
-    w_a: np.ndarray,
-    cdiff: np.ndarray,
-    answers: np.ndarray,
-    ref_margin: np.ndarray,
-    beta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight gradients of the mean DPO loss -log sigmoid(beta (m - m_ref))
-    over a minibatch of B preference pairs.
+def dpo_margins(log_p: np.ndarray, cdiff: np.ndarray, answers: np.ndarray) -> np.ndarray:
+    """Winner-minus-loser log-probability m of B preference pairs under
+    joint log-probabilities `log_p` (B, N_CONTENT + N_ANSWER).
 
-    `xb` (B, d+1) holds the bias-augmented features, `cdiff` (B, N_CONTENT)
-    the winner-minus-loser content token counts, `answers` (B, 2) the
-    winner's and loser's answer tokens and `ref_margin` the reference
-    policy's margin m_ref.  Shared content probabilities cancel in the
-    margin m, leaving the token-count differences.
+    `cdiff` (B, N_CONTENT) holds the winner-minus-loser content token
+    counts and `answers` (B, 2) the winner's and loser's answer tokens.
+    Shared content tokens cancel in m, leaving the count differences.
+    """
+    rows = np.arange(len(log_p))
+    return (
+        np.add.reduce(cdiff * log_p[:, HEADS[0]], axis=1)
+        + log_p[rows, N_CONTENT + answers[:, 0]] - log_p[rows, N_CONTENT + answers[:, 1]]
+    )
+
+
+def dpo_gradient(
+    xb: np.ndarray, W: np.ndarray, cdiff: np.ndarray, answers: np.ndarray, ref_margin: np.ndarray, beta: float
+) -> np.ndarray:
+    """Joint weight gradient (d+1, N_CONTENT + N_ANSWER) of the mean DPO
+    loss -log sigmoid(beta (m - m_ref)) over a minibatch of B preference
+    pairs, under the weight stack `W`.
+
+    `xb` (B, d+1) holds the bias-augmented features, `cdiff` and `answers`
+    the pairs as `dpo_margins` takes them, and `ref_margin` the reference
+    policy's margin m_ref.
     """
     B = len(xb)
-    rows = np.arange(B)
-    log_c = log_softmax_rows(xb @ w_c)
-    log_a = log_softmax_rows(xb @ w_a)
-    margin = np.sum(cdiff * log_c, axis=1) + log_a[rows, answers[:, 0]] - log_a[rows, answers[:, 1]]
-    z = beta * (margin - ref_margin)
+    z = beta * (dpo_margins(two_head_log_softmax(head_logits(xb, W)), cdiff, answers) - ref_margin)
     coeff = -beta / (1.0 + np.exp(z))  # d loss / d margin per pair
-    g_content = xb.T @ (coeff[:, None] * cdiff) / B
-    mask = np.zeros((B, N_ANSWER))
-    mask[rows, answers[:, 0]] += 1.0
-    mask[rows, answers[:, 1]] -= 1.0
-    g_answer = xb.T @ (coeff[:, None] * mask) / B
-    return g_content, g_answer
+    dm = np.zeros((B, N_CONTENT + N_ANSWER))  # d margin / d logits per pair
+    dm[:, HEADS[0]] = cdiff
+    rows = np.arange(B)
+    dm[rows, N_CONTENT + answers[:, 0]] += 1.0
+    dm[rows, N_CONTENT + answers[:, 1]] -= 1.0
+    return xb.T @ (coeff[:, None] * dm) / B

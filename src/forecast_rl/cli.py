@@ -172,20 +172,28 @@ def _write_checkpoint(dirpath: Path, cfg: RunConfig, params: PolicyParams, basel
     return files
 
 
+def _check_chronology(cfg: RunConfig, train_ds: Dataset) -> None:
+    """Refuse a train split that resolves at or after a prediction of the
+    test split, when there is one.  The test split is read only for this,
+    so it is freed before training."""
+    test_path = _data_path(cfg, "test")
+    if not test_path.exists():
+        return
+    test_ds = load_questions(test_path, split="test")
+    if len(test_ds):
+        report = validate_chronology(train_ds, test_ds)
+        if not report.passed:
+            raise ValidationError(
+                f"chronology violation: {report.n_violations} (train, test) pairs where the train "
+                f"question resolves at or after the test prediction, e.g. {report.violations}"
+            )
+
+
 def cmd_train(cfg: RunConfig, args) -> int:
     t0 = time.monotonic()
     out = _out_dir(cfg)
     train_ds = _load_split(cfg, "train", "train")
-    test_path = _data_path(cfg, "test")
-    if test_path.exists():
-        test_ds = load_questions(test_path, split="test")
-        if len(test_ds):
-            report = validate_chronology(train_ds, test_ds)
-            if not report.passed:
-                raise ValidationError(
-                    f"chronology violation: {report.n_violations} (train, test) pairs where the train "
-                    f"question resolves at or after the test prediction, e.g. {report.violations}"
-                )
+    _check_chronology(cfg, train_ds)
 
     files: list[Path] = []
 

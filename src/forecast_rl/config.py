@@ -26,14 +26,12 @@ from forecast_rl.trainer import BACKENDS, TrainConfig
 SCHEMA_VERSION = 1
 
 # Fields the program sets, never a config document: the synthetic latent
-# weights are an array for library callers, and the seeds and the member
-# index are derived from the run seed.  They stay out of `to_dict`, and so
-# out of `config_hash`.
+# weights are an array for library callers, and the seeds are derived from
+# the run seed.  They stay out of `to_dict`, and so out of `config_hash`.
 LIBRARY_ONLY = {
     (SyntheticConfig, "latent_weights"),
     (SyntheticConfig, "seed"),
     (TrainConfig, "seed"),
-    (TrainConfig, "member"),
 }
 
 

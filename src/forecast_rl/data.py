@@ -372,17 +372,6 @@ def save_questions(dataset: Dataset, path: str | Path, format: str | None = None
         raise ValidationError(f"unknown dataset format {format!r}")
 
 
-def draw_prediction_timestamp(q: Question, rng: np.random.Generator) -> int:
-    """Draw a prediction timestamp uniformly on [open_ts, close_ts)."""
-    if q.open_ts >= q.close_ts:
-        raise ValidationError(
-            f"question {q.id!r}: degenerate window, open_ts {q.open_ts} >= close_ts {q.close_ts}"
-        )
-    ts = int(rng.integers(q.open_ts, q.close_ts))
-    q.prediction_ts = ts
-    return ts
-
-
 @dataclass
 class ChronologyReport:
     """Result of the train/test look-ahead check."""

@@ -42,17 +42,6 @@ class Vocabulary:
         if self.content_length < 1:
             raise ValidationError("content_length must be >= 1")
 
-    @property
-    def n_content(self) -> int:
-        return N_CONTENT
-
-    @property
-    def n_answer(self) -> int:
-        return N_ANSWER
-
-    def max_entropy(self) -> float:
-        return self.content_length * np.log(N_CONTENT) + np.log(N_ANSWER)
-
 
 @dataclass
 class PolicyParams:

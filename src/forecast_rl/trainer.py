@@ -16,7 +16,7 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +29,15 @@ from forecast_rl.algorithms import (
     bias_corrections,
     block_log_probs,
     clip_scale,
-    dpo_gradients,
-    guardrail_rewards,
+    dpo_gradient,
+    dpo_margins,
+    head_logits,
     log_softmax_rows,
     logit_gradient,
     policy_log_probs,
     reward_table,
     sample_tokens,
+    two_head_log_softmax,
 )
 from forecast_rl.data import Dataset
 from forecast_rl.errors import NumericAbort, ValidationError
@@ -107,7 +109,6 @@ class TrainConfig:
     outer_iteration_len: int = 500
     early_stop: EarlyStopConfig = field(default_factory=EarlyStopConfig)
     seed: int = 0
-    member: int = 0  # ensemble member index; selects the sampling substream
     guardrails_enabled: bool = True
     checkpoint_every: int = 0
     content_length: int = 8
@@ -121,8 +122,6 @@ class TrainConfig:
             raise ValidationError("checkpoint_every must be >= 0")
         if self.content_length < 1:
             raise ValidationError("content_length must be >= 1")
-        if self.member < 0:
-            raise ValidationError("member must be >= 0")
         self.early_stop.validate()
 
 
@@ -199,6 +198,16 @@ def _effective_penalties(penalties: PenaltyConfig, enabled: bool) -> PenaltyConf
     if enabled:
         return penalties
     return PenaltyConfig(0.0, 0.0, 0.0, 0.0, penalties.input_truncation_chars)
+
+
+def _unstack(W: np.ndarray, L: int) -> PolicyParams:
+    """The policy of one (d+1, N_CONTENT + N_ANSWER) weight stack."""
+    return PolicyParams(W[:, :N_CONTENT].copy(), W[:, N_CONTENT:].copy(), Vocabulary(L))
+
+
+def _response_counts(content: np.ndarray) -> np.ndarray:
+    """(gibberish, non-English) token counts of responses (..., L)."""
+    return np.add.reduce(content[..., None] == _COUNTED, axis=-2)
 
 
 def _group_log(first: np.ndarray, mu: np.ndarray, gib_ct: np.ndarray, nep_ct: np.ndarray, L: int) -> tuple:
@@ -283,8 +292,7 @@ class _Members:
         self.u_start = start
 
     def params(self, r: int, good: bool = False) -> PolicyParams:
-        W = (self.good if good else self.w)[r]
-        return PolicyParams(W[:, :N_CONTENT].copy(), W[:, N_CONTENT:].copy(), Vocabulary(self.L))
+        return _unstack((self.good if good else self.w)[r], self.L)
 
     def run_log(self, r: int, ids: list[str], start: int, end: int, reason: str | None = None) -> RunLog:
         """The member's log of questions start .. end - 1."""
@@ -331,7 +339,7 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
         log_p = policy_log_probs(xt, st.w)
         p = np.exp(log_p)
         content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], st.U[:, i - st.u_start])
-        counts = np.add.reduce(content[..., None] == _COUNTED, axis=2)
+        counts = _response_counts(content)
         rewards = rewards_of[Y[i], answers, counts[..., 0], counts[..., 1]]
         mu = np.add.reduce(rewards, axis=1) / G
         b = np.add.reduce(xt * st.w_b, axis=1) if algo == "remax" else None
@@ -414,7 +422,7 @@ def train_members(
     if not members or len(set(members)) != len(members) or min(members) < 0:
         raise ValidationError(f"members must be distinct non-negative indices, got {members}")
     if cfg.algorithm == "dpo":
-        return [train_dpo(stream, replace(cfg, member=m), hp, penalties, init_params) for m in members]
+        return [train_dpo(stream, cfg, hp, penalties, init_params, m) for m in members]
 
     n = len(stream)
     if n == 0:
@@ -488,43 +496,22 @@ def train_members(
     return [results[m] for m in members]
 
 
-def train_online(
-    stream: Dataset,
-    cfg: TrainConfig,
-    hp: HyperParams,
-    penalties: PenaltyConfig | None = None,
-    init_params: PolicyParams | None = None,
-    checkpoint_cb=None,
-) -> TrainResult:
-    """Single chronological pass over the stream with one update per
-    question, for the one member `cfg.member`.
-
-    Early stop returns a partial, flagged RunLog.  A numeric failure
-    raises NumericAbort carrying the last good parameters (from the most
-    recent span boundary) and the log up to the failing question.
-    """
-    if cfg.algorithm == "dpo":
-        raise ValidationError("dpo is trained offline; use train_dpo")
-    cb = None if checkpoint_cb is None else lambda member, *args: checkpoint_cb(*args)
-    (result,) = train_members(stream, cfg, hp, penalties, [cfg.member], init_params, cb)
-    if isinstance(result, NumericAbort):
-        raise result
-    return result
-
-
 def train_dpo(
     stream: Dataset,
     cfg: TrainConfig,
     hp: HyperParams,
     penalties: PenaltyConfig | None = None,
     init_params: PolicyParams | None = None,
+    member: int = 0,
 ) -> TrainResult:
-    """Offline preference training.
+    """Offline preference training of ensemble member `member`, which
+    draws from substream(cfg.seed, "dpo", member).
 
     Two responses per question are sampled once from the frozen reference
     (the initial policy); the higher-total-reward response is preferred
     and ties are dropped.  The pair set is then optimized for dpo_epochs
-    shuffled epochs in minibatches of dpo_batch.
+    shuffled epochs in minibatches of dpo_batch.  The weights and AdamW
+    moments are (d+1, N_CONTENT + N_ANSWER) stacks, as in the online step.
     """
     cfg.validate()
     hp.validate()
@@ -535,56 +522,52 @@ def train_dpo(
         raise ValidationError("dpo training needs a non-empty stream")
 
     d = stream.feature_dim
-    params = init_params.copy() if init_params is not None else PolicyParams.zeros(d, Vocabulary(cfg.content_length))
+    params = init_params if init_params is not None else PolicyParams.zeros(d, Vocabulary(cfg.content_length))
     if params.feature_dim != d:
         raise ValidationError("init_params feature_dim does not match the stream")
     L = params.vocab.content_length
-    pcfg = _effective_penalties(penalties, cfg.guardrails_enabled)
-    rng = substream(cfg.seed, "dpo", cfg.member)
+    rewards_of = reward_table(L, _effective_penalties(penalties, cfg.guardrails_enabled))
+    rng = substream(cfg.seed, "dpo", member)
     U = rng.random((n, 2, L + 1))
 
     # Every pair is drawn from the frozen reference (the initial policy)
     # at once: one row per question, G = 2.
     X1 = np.hstack([np.ones((n, 1)), stream.features])
-    Y = stream.outcome.astype(np.float64)
-    ref_log_c = log_softmax_rows(X1 @ params.content_weights)
-    ref_log_a = log_softmax_rows(X1 @ params.answer_weights)
-    content, answers = sample_tokens(np.exp(ref_log_c), np.exp(ref_log_a), U)
-    rewards, gib_ct, nep_ct = guardrail_rewards(content, answers, Y[:, None], pcfg)
+    W = np.hstack((params.content_weights, params.answer_weights))
+    ref_log = two_head_log_softmax(head_logits(X1, W))
+    p = np.exp(ref_log)
+    content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], U)
+    counts = _response_counts(content)
+    gib_ct, nep_ct = counts[..., 0], counts[..., 1]
+    rewards = rewards_of[stream.outcome[:, None], answers, gib_ct, nep_ct]
     run_log = RunLog(stream.ids, *_group_log(answers[:, 0], rewards.sum(axis=1) / 2, gib_ct, nep_ct, L))
 
     rows = np.flatnonzero(rewards[:, 0] != rewards[:, 1])
     if not rows.size:
         raise ValidationError("no valid preference pairs: every sampled pair tied")
     winner = (rewards[rows, 1] > rewards[rows, 0]).astype(np.intp)
-    counts = (content[rows, :, :, None] == np.arange(N_CONTENT)).sum(axis=2).astype(np.float64)
-    cdiff = counts[np.arange(rows.size), winner] - counts[np.arange(rows.size), 1 - winner]
+    pair = np.arange(rows.size)
+    token_counts = (content[rows, :, :, None] == np.arange(N_CONTENT)).sum(axis=2).astype(np.float64)
+    cdiff = token_counts[pair, winner] - token_counts[pair, 1 - winner]
     pair_answers = np.stack([answers[rows, winner], answers[rows, 1 - winner]], axis=1)
-    ref_margin = (
-        (cdiff * ref_log_c[rows]).sum(axis=1)
-        + ref_log_a[rows, pair_answers[:, 0]] - ref_log_a[rows, pair_answers[:, 1]]
-    )
+    ref_margin = dpo_margins(ref_log[rows], cdiff, pair_answers)
     Xt = X1[rows]
 
-    w_c, w_a = params.content_weights, params.answer_weights
-    m_c, v_c = np.zeros_like(w_c), np.zeros_like(w_c)
-    m_a, v_a = np.zeros_like(w_a), np.zeros_like(w_a)
+    m, v = np.zeros_like(W), np.zeros_like(W)
     t = 0
-    P = rows.size
     for _ in range(hp.dpo_epochs):
-        perm = rng.permutation(P)
-        for lo in range(0, P, hp.dpo_batch):
+        perm = rng.permutation(rows.size)
+        for lo in range(0, rows.size, hp.dpo_batch):
             sel = perm[lo : lo + hp.dpo_batch]
-            g_c, g_a = dpo_gradients(Xt[sel], w_c, w_a, cdiff[sel], pair_answers[sel], ref_margin[sel], hp.dpo_beta)
+            g = dpo_gradient(Xt[sel], W, cdiff[sel], pair_answers[sel], ref_margin[sel], hp.dpo_beta)
+            # Each head's squares are summed on their own: one sum over the stack adds in another order.
+            g_c, g_a = g[:, :N_CONTENT], g[:, N_CONTENT:]
             norm = np.sqrt((g_c * g_c).sum() + (g_a * g_a).sum())
             if not np.isfinite(norm):
                 raise NumericAbort("non-finite DPO gradient")
-            scale = clip_scale(norm, hp.grad_clip_norm)
             t += 1
-            bc = bias_corrections(hp, t)
-            adamw_rows(w_c, m_c, v_c, g_c * scale, hp.dpo_lr, hp, *bc)
-            adamw_rows(w_a, m_a, v_a, g_a * scale, hp.dpo_lr, hp, *bc)
-    return TrainResult(params, None, run_log)
+            adamw_rows(W, m, v, g * clip_scale(norm, hp.grad_clip_norm), hp.dpo_lr, hp, *bias_corrections(hp, t))
+    return TrainResult(_unstack(W, L), None, run_log)
 
 
 _PREDICT_ROWS = 512  # rows per block, which bounds the (rows, N_ANSWER) temporaries

@@ -640,8 +640,8 @@ def adamw_step(
 # Training loops
 
 
-def oracle_train(stream, cfg, hp, penalties=None):
-    """Reference online loop for one member, built from per-response
+def oracle_train(stream, cfg, hp, penalties=None, member=0):
+    """Reference online loop for member `member`, built from per-response
     objects: sample each response, audit and score it, form the
     advantages, build a GroupRollout, take the objective's gradient and
     one AdamW step."""
@@ -656,7 +656,7 @@ def oracle_train(stream, cfg, hp, penalties=None):
     base_state = OptimizerState.for_params({"baseline": baseline})
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
     X, Y, ids = stream.features, stream.outcome, stream.ids
-    U = substream(cfg.seed, "sampling", cfg.member).random((n, G, L + 1))
+    U = substream(cfg.seed, "sampling", member).random((n, G, L + 1))
     logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}
     es = cfg.early_stop
     ref = snapshot_reference(params)
@@ -703,8 +703,8 @@ def oracle_train(stream, cfg, hp, penalties=None):
     return params, baseline, RunLog(ids, *logs.values())
 
 
-def oracle_dpo(stream, cfg, hp, penalties=None):
-    """Reference DPO for one member: sample each question's pair from the
+def oracle_dpo(stream, cfg, hp, penalties=None, member=0):
+    """Reference DPO for member `member`: sample each question's pair from the
     frozen initial policy, score both responses, keep the pairs whose
     totals differ, then step AdamW on the minibatch mean of
     `dpo_loss_and_grad` for dpo_epochs shuffled epochs."""
@@ -714,7 +714,7 @@ def oracle_dpo(stream, cfg, hp, penalties=None):
     n, d, L = len(stream), stream.feature_dim, cfg.content_length
     params = PolicyParams.zeros(d, Vocabulary(L))
     ref = snapshot_reference(params)
-    rng = substream(cfg.seed, "dpo", cfg.member)
+    rng = substream(cfg.seed, "dpo", member)
     U = rng.random((n, 2, L + 1))
     X, Y, ids = stream.features, stream.outcome, stream.ids
     logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fd_vector_grad, forecasts, max_rel_err, outcome_by_id
+from conftest import fd_vector_grad, forecasts, max_rel_err, outcome_by_id, train_one
 from oracle import (
     baseline_loss_and_grad,
     extreme_bucket_mass,
@@ -23,7 +23,7 @@ from oracle import (
 )
 from test_algorithms import dpo_gradient_error, policy_gradient_error
 
-from forecast_rl.algorithms import HyperParams, guardrail_rewards
+from forecast_rl.algorithms import HyperParams, reward_table
 from forecast_rl.cli import EXIT_OK, main as cli_main
 from forecast_rl.data import SyntheticConfig, generate_synthetic_stream, split_dataset
 from forecast_rl.evaluation import (
@@ -49,7 +49,6 @@ from forecast_rl.trainer import (
     ensemble_predict_dataset,
     predict_dataset,
     train_members,
-    train_online,
 )
 
 SEEDS = (0, 1, 2)
@@ -81,7 +80,7 @@ def lab():
             ("modified", "modified_grpo", PenaltyConfig()),
             ("remax_nogib", "remax", PenaltyConfig(lambda_gib=0.0)),
         ):
-            result = train_online(train_ds, TrainConfig(algorithm=algo, seed=seed), HyperParams(), pen)
+            result = train_one(train_ds, TrainConfig(algorithm=algo, seed=seed), HyperParams(), pen)
             assert not result.stopped, f"{key} seed {seed} tripped the early stop"
             policies[key] = result.params
         out[seed] = {
@@ -104,9 +103,7 @@ def lab():
 def test_criterion_01_strict_propriety():
     # The trainer's reward for each grid answer, guard-rails off.
     grid = np.arange(101) / 100.0
-    answers = np.arange(101)[None]
-    rationale = np.zeros((1, 101, 1), dtype=np.int64)
-    r1, r0 = (guardrail_rewards(rationale, answers, y, PenaltyConfig(0.0, 0.0, 0.0, 0.0))[0][0] for y in (1.0, 0.0))
+    r0, r1 = reward_table(1, PenaltyConfig(0.0, 0.0, 0.0, 0.0))[:, :101, 0, 0]
     rng = substream(11, "acceptance", "propriety")
     ok = True
     for p in rng.random(1000):

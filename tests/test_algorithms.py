@@ -37,7 +37,7 @@ from forecast_rl.algorithms import (
     advantages,
     bias_corrections,
     clip_scale,
-    dpo_gradients,
+    dpo_gradient,
     logit_gradient,
     policy_log_probs,
 )
@@ -77,9 +77,8 @@ def dpo_grad(params, ref, pairs, hp):
                       for _, w, l in pairs]).astype(np.float64)
     answers = np.array([[w.answer, l.answer] for _, w, l in pairs])
     ref_margin = np.array([response_logprob(ref, x, w) - response_logprob(ref, x, l) for x, w, l in pairs])
-    g_c, g_a = dpo_gradients(xb, params.content_weights, params.answer_weights, cdiff, answers, ref_margin,
-                             hp.dpo_beta)
-    return {"content": g_c, "answer": g_a}
+    g = dpo_gradient(xb, joint_weights(params)[0], cdiff, answers, ref_margin, hp.dpo_beta)
+    return {"content": g[:, :N_CONTENT], "answer": g[:, N_CONTENT:]}
 
 
 def token_weights(algorithm, rewards, L, baseline=0.0):

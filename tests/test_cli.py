@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import make_dataset, make_question, poison_baseline
 
+from forecast_rl import cli
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.cli import (
     EXIT_EARLY_STOP,
@@ -21,12 +23,11 @@ from forecast_rl.cli import (
 )
 from forecast_rl.config import load_config
 from forecast_rl.data import load_questions, save_questions
-from forecast_rl.errors import NumericAbort
 from forecast_rl.evaluation import Z_95, load_forecasts, paired_bootstrap, save_forecasts
 from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
 from forecast_rl.rng import substream
 from forecast_rl.trading import GATES, gating_ece, per_question_profits, run_strategies
-from forecast_rl.trainer import train_online
+from forecast_rl.trainer import train_members
 
 BASE = {
     "schema_version": 1,
@@ -417,12 +418,8 @@ class TestExitCodes:
 
         run_cfg = load_config(cfg)
         for name, member in dirs.items():
-            run_cfg.train.member = member
-            try:
-                alone = train_online(load_questions(out / "train.jsonl"), run_cfg.train, run_cfg.hyperparams,
-                                     run_cfg.penalties)
-            except NumericAbort as exc:
-                alone = exc
+            (alone,) = train_members(load_questions(out / "train.jsonl"), run_cfg.train, run_cfg.hyperparams,
+                                     run_cfg.penalties, [member])
             params, baseline = load_checkpoint(out / name / "params.json")
             assert params.answer_weights.tobytes() == alone.params.answer_weights.tobytes()
             assert params.content_weights.tobytes() == alone.params.content_weights.tobytes()
@@ -440,6 +437,27 @@ class TestExitCodes:
         save_questions(train_ds, out / "test.jsonl")
         assert run("train", cfg) == EXIT_VALIDATION
         assert f"chronology violation: {30 * 30} (train, test) pairs" in capsys.readouterr().err
+
+    def test_test_split_is_freed_before_training(self, tmp_path, monkeypatch):
+        """The test split is read only for the chronology check, so the
+        test Dataset that train loads is gone while the members train."""
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        loaded, alive = [], []
+
+        def load(*args, **kwargs):
+            dataset = load_questions(*args, **kwargs)
+            loaded.append(weakref.ref(dataset))
+            return dataset
+
+        def traced(*args, **kwargs):
+            alive.extend(ref() for ref in loaded if ref() is not None and ref().split == "test")
+            return train_members(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_questions", load)
+        monkeypatch.setattr(cli, "train_members", traced)
+        assert run("train", cfg) == EXIT_OK
+        assert len(loaded) == 2 and alive == []
 
     def test_empty_stream_synth_then_train(self, tmp_path):
         cfg = write_config(

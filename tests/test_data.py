@@ -15,7 +15,6 @@ from forecast_rl.data import (
     Dataset,
     Question,
     SyntheticConfig,
-    draw_prediction_timestamp,
     generate_synthetic_stream,
     load_oracle,
     load_questions,
@@ -344,34 +343,6 @@ class TestRoundTrip:
         message = rf"^{re.escape(str(path))}: line 3: field 'features': expected a JSON list without blanks around it"
         with pytest.raises(DataFormatError, match=message):
             load_questions(path)
-
-
-class TestDrawPredictionTimestamp:
-    def test_single_integer_window(self):
-        q = make_question("q1", open_ts=100, close_ts=101, resolve_ts=200, pred_ts=100)
-        assert draw_prediction_timestamp(q, np.random.default_rng(0)) == 100
-
-    def test_deterministic_under_seed(self):
-        q1 = make_question("q1", open_ts=0, close_ts=1000, resolve_ts=2000, pred_ts=0)
-        q2 = make_question("q1", open_ts=0, close_ts=1000, resolve_ts=2000, pred_ts=0)
-        t1 = draw_prediction_timestamp(q1, np.random.default_rng(9))
-        t2 = draw_prediction_timestamp(q2, np.random.default_rng(9))
-        assert t1 == t2
-        assert q1.prediction_ts == t1
-
-    def test_degenerate_window_rejected(self):
-        q = make_question("q1", open_ts=100, close_ts=100, resolve_ts=200, pred_ts=100)
-        with pytest.raises(ValidationError, match="degenerate"):
-            draw_prediction_timestamp(q, np.random.default_rng(0))
-
-    def test_uniform_mean(self):
-        rng = np.random.default_rng(4)
-        q = make_question("q1", open_ts=0, close_ts=1000, resolve_ts=2000, pred_ts=0)
-        draws = np.array([draw_prediction_timestamp(q, rng) for _ in range(10_000)])
-        # uniform on [0, 1000): mean 499.5, sd per draw ~ 1000/sqrt(12)
-        se = 1000 / np.sqrt(12) / np.sqrt(draws.size)
-        assert abs(draws.mean() - 499.5) < 3 * se
-        assert draws.min() >= 0 and draws.max() < 1000
 
 
 class TestChronology:

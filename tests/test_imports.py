@@ -96,33 +96,39 @@ def test_question_scan_catches_each_form():
     assert question_uses(src) == [1, 4, 7, 8, 9]
 
 
-PER_TRADE_NAMES = ("TradeRecord", "make_trade")
+# Names that no package module may define, import or read: the per-object
+# trade record lives in tests/oracle.py, the one-member training wrapper in
+# tests/conftest.py (`train_one`), and the rest are gone.
+REMOVED_NAMES = (
+    "TradeRecord", "make_trade", "train_online", "guardrail_rewards", "dpo_gradients",
+    "draw_prediction_timestamp", "max_entropy", "n_content", "n_answer",
+)
 
 
-def per_trade_uses(source: str) -> list[int]:
+def removed_uses(source: str) -> list[int]:
     """Lines that define, import, read or name as an attribute one of
-    PER_TRADE_NAMES."""
+    REMOVED_NAMES."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in PER_TRADE_NAMES:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in REMOVED_NAMES:
             lines.append(node.lineno)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            lines += [alias.lineno for alias in node.names if alias.name.split(".")[-1] in PER_TRADE_NAMES]
-        elif isinstance(node, ast.Name) and node.id in PER_TRADE_NAMES:
+            lines += [alias.lineno for alias in node.names if alias.name.split(".")[-1] in REMOVED_NAMES]
+        elif isinstance(node, ast.Name) and node.id in REMOVED_NAMES:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in PER_TRADE_NAMES:
+        elif isinstance(node, ast.Attribute) and node.attr in REMOVED_NAMES:
             lines.append(node.lineno)
     return sorted(set(lines))
 
 
-def test_no_module_holds_a_per_trade_object():
-    """Trades are columns (trading.Trades); the per-object TradeRecord and
-    make_trade are the reference in tests/oracle.py only."""
-    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := per_trade_uses(path.read_text()))}
+def test_no_module_uses_a_removed_name():
+    """Trades are columns (trading.Trades), DPO shares the online step's
+    weight stack and reward table, and no stage calls the rest."""
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := removed_uses(path.read_text()))}
     assert found == {}
 
 
-def test_per_trade_scan_catches_each_form():
+def test_removed_name_scan_catches_each_form():
     src = (
         "from dataclasses import dataclass\n"
         "@dataclass\n"
@@ -134,5 +140,8 @@ def test_per_trade_scan_catches_each_form():
         "import trading\n"
         "t = trading.TradeRecord\n"
         "trades = [mt(p) for p in ()]\n"
+        "from forecast_rl.trainer import train_online, train_members\n"
+        "h = vocab.max_entropy()\n"
+        "train_dpo_member = 0\n"
     )
-    assert per_trade_uses(src) == [3, 5, 6, 7, 9]
+    assert removed_uses(src) == [3, 5, 6, 7, 9, 11, 12]

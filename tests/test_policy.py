@@ -229,18 +229,14 @@ class TestKLAndEntropy:
         assert kl_divergence(p, q, x) == pytest.approx(expected, abs=1e-12)
 
     def test_entropy_uniform_max(self):
-        vocab = Vocabulary(8)
-        p = PolicyParams.zeros(4, vocab)
-        x = np.zeros(4)
-        expected = 8 * np.log(3) + np.log(102)
-        assert entropy(p, x) == pytest.approx(expected, abs=1e-12)
-        assert vocab.max_entropy() == pytest.approx(expected, abs=1e-12)
+        p = PolicyParams.zeros(4, Vocabulary(8))
+        assert entropy(p, np.zeros(4)) == pytest.approx(8 * np.log(3) + np.log(102), abs=1e-12)
 
     def test_entropy_below_max_for_nonuniform(self, rng):
         for _ in range(20):
             p = random_params(rng, scale=1.0)
             x = rng.normal(size=3)
-            assert entropy(p, x) < p.vocab.max_entropy()
+            assert entropy(p, x) < p.vocab.content_length * np.log(3) + np.log(102)
 
     def test_entropy_saturated_near_zero(self):
         p = PolicyParams.zeros(1, Vocabulary(2))

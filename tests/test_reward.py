@@ -12,7 +12,8 @@ from oracle import (
     total_reward,
 )
 
-from forecast_rl.algorithms import count_rewards, guardrail_rewards, reward_table
+from forecast_rl import trainer
+from forecast_rl.algorithms import count_rewards, reward_table
 from forecast_rl.errors import ValidationError
 from forecast_rl.policy import ABSTAIN, GIBBERISH, N_ANSWER, N_CONTENT, NONENGLISH, RATIONALE
 from forecast_rl.evaluation import soft_brier_losses
@@ -166,7 +167,9 @@ class TestGuardrailRewards:
             answers = rng.integers(0, N_ANSWER, size=(50, 4))
             answers[:, 0] = ABSTAIN
             y = rng.integers(0, 2, size=(50, 1))
-            rewards, gib_ct, nep_ct = guardrail_rewards(content, answers, y.astype(np.float64), pen)
+            counts = trainer._response_counts(content)
+            gib_ct, nep_ct = counts[..., 0], counts[..., 1]
+            rewards = reward_table(6, pen)[y, answers, gib_ct, nep_ct]
             for r in range(50):
                 for g in range(4):
                     resp = Response(content[r, g], int(answers[r, g]))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ensemble_predict, make_dataset, make_question, poison_baseline, predict
+from conftest import ensemble_predict, make_dataset, make_question, poison_baseline, predict, train_one
 from oracle import assess_guardrails, oracle_dpo, oracle_train, predict_probability, sample_response, total_reward
 
 from forecast_rl import trainer
@@ -24,7 +24,6 @@ from forecast_rl.trainer import (
     resolve_backend,
     train_dpo,
     train_members,
-    train_online,
 )
 
 
@@ -47,7 +46,7 @@ class TestZeroLearningRate:
     def test_online_params_do_not_move(self, algorithm):
         stream = small_stream(10)
         cfg = TrainConfig(algorithm=algorithm, seed=3)
-        result = train_online(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp())
         assert np.all(result.params.content_weights == 0.0)
         assert np.all(result.params.answer_weights == 0.0)
         assert len(result.run_log) == 10
@@ -64,9 +63,9 @@ class TestRunLogSemantics:
         """With zero learning rates the policy is frozen, so every logged
         quantity can be recomputed outside the trainer."""
         stream = small_stream(12, d=3, seed=5)
-        cfg = TrainConfig(algorithm="remax", seed=9, member=2)
+        cfg = TrainConfig(algorithm="remax", seed=9)
         hp = frozen_hp()
-        result = train_online(stream, cfg, hp)
+        result = train_one(stream, cfg, hp, member=2)
 
         params = PolicyParams.zeros(3)
         U = substream(9, "sampling", 2).random((12, hp.group_size, 9))
@@ -120,8 +119,8 @@ class TestDeterminism:
         stream = small_stream(25)
         cfg = TrainConfig(algorithm="grpo", seed=7)
         hp = HyperParams(actor_lr=0.05)
-        a = train_online(stream, cfg, hp)
-        b = train_online(stream, TrainConfig(algorithm="grpo", seed=7), HyperParams(actor_lr=0.05))
+        a = train_one(stream, cfg, hp)
+        b = train_one(stream, TrainConfig(algorithm="grpo", seed=7), HyperParams(actor_lr=0.05))
         assert np.array_equal(a.params.content_weights, b.params.content_weights)
         assert np.array_equal(a.params.answer_weights, b.params.answer_weights)
         assert np.array_equal(a.run_log.rewards, b.run_log.rewards)
@@ -129,8 +128,8 @@ class TestDeterminism:
     def test_members_draw_distinct_streams(self):
         stream = small_stream(25)
         hp = HyperParams(actor_lr=0.05)
-        a = train_online(stream, TrainConfig(algorithm="grpo", seed=7, member=0), hp)
-        b = train_online(stream, TrainConfig(algorithm="grpo", seed=7, member=1), hp)
+        a = train_one(stream, TrainConfig(algorithm="grpo", seed=7), hp, member=0)
+        b = train_one(stream, TrainConfig(algorithm="grpo", seed=7), hp, member=1)
         assert not np.array_equal(a.run_log.rewards, b.run_log.rewards)
         assert not np.array_equal(a.params.answer_weights, b.params.answer_weights)
 
@@ -139,20 +138,20 @@ class TestDeterminism:
         checkpoint boundaries never perturb the trajectory."""
         stream = small_stream(40)
         hp = HyperParams(actor_lr=0.05, kl_coeff=0.0)
-        a = train_online(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=7), hp)
-        b = train_online(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=500), hp)
+        a = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=7), hp)
+        b = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=500), hp)
         assert np.array_equal(a.params.answer_weights, b.params.answer_weights)
 
         hp_kl = HyperParams(actor_lr=0.05, kl_coeff=0.1)
-        c = train_online(stream, TrainConfig(algorithm="remax", seed=1, checkpoint_every=11), hp_kl)
-        d = train_online(stream, TrainConfig(algorithm="remax", seed=1, checkpoint_every=0), hp_kl)
+        c = train_one(stream, TrainConfig(algorithm="remax", seed=1, checkpoint_every=11), hp_kl)
+        d = train_one(stream, TrainConfig(algorithm="remax", seed=1, checkpoint_every=0), hp_kl)
         assert np.array_equal(c.params.answer_weights, d.params.answer_weights)
 
     def test_reference_reset_changes_the_trajectory(self):
         stream = small_stream(60)
         hp = HyperParams(actor_lr=0.05, kl_coeff=0.5)
-        short = train_online(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=10), hp)
-        never = train_online(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=600), hp)
+        short = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=10), hp)
+        never = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=600), hp)
         assert not np.array_equal(short.params.answer_weights, never.params.answer_weights)
 
 
@@ -163,7 +162,7 @@ class TestEarlyStop:
             algorithm="remax", seed=2,
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=0.001),
         )
-        result = train_online(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp())
         # uniform policy keeps ~1/3 gibberish, far above the threshold
         assert result.stopped and result.stop_reason == "gibberish"
         assert len(result.run_log) == 5
@@ -176,7 +175,7 @@ class TestEarlyStop:
             algorithm="remax", seed=2,
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=1.0, extreme_mass_threshold=0.001),
         )
-        result = train_online(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp())
         assert result.stopped and result.stop_reason == "extreme_mass"
         assert len(result.run_log) % 1 == 0 and len(result.run_log) >= 5
 
@@ -186,7 +185,7 @@ class TestEarlyStop:
             algorithm="remax", seed=2,
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=0.001, enabled=False),
         )
-        result = train_online(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp())
         assert not result.stopped and len(result.run_log) == 50
 
     def test_window_larger_than_stream_never_fires(self):
@@ -195,7 +194,7 @@ class TestEarlyStop:
             algorithm="remax", seed=2,
             early_stop=EarlyStopConfig(window=21, gibberish_threshold=0.001),
         )
-        result = train_online(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp())
         assert not result.stopped and len(result.run_log) == 20
 
 
@@ -210,7 +209,7 @@ class TestCheckpointCallback:
             calls.append((index, partial))
 
         cfg = TrainConfig(algorithm="remax", seed=4, checkpoint_every=10)
-        result = train_online(stream, cfg, HyperParams(actor_lr=0.01), checkpoint_cb=cb)
+        result = train_one(stream, cfg, HyperParams(actor_lr=0.01), checkpoint_cb=cb)
         assert [c[0] for c in calls] == [10, 20, 30]
         for index, partial in calls:
             assert partial.question_ids == result.run_log.question_ids[index - 10 : index]
@@ -221,7 +220,7 @@ class TestCheckpointCallback:
         stream = small_stream(30)
         calls = []
         cfg = TrainConfig(algorithm="remax", seed=4, checkpoint_every=0)
-        train_online(stream, cfg, frozen_hp(), checkpoint_cb=lambda *a: calls.append(a))
+        train_one(stream, cfg, frozen_hp(), checkpoint_cb=lambda *a: calls.append(a))
         assert calls == []
 
 
@@ -229,9 +228,9 @@ class TestValidationAndEdgeCases:
     def test_empty_stream_needs_init_params(self):
         empty = Dataset(questions=[], split="train")
         with pytest.raises(ValidationError):
-            train_online(empty, TrainConfig(), HyperParams())
+            train_one(empty, TrainConfig(), HyperParams())
         init = PolicyParams.zeros(2)
-        result = train_online(empty, TrainConfig(), HyperParams(), init_params=init)
+        result = train_one(empty, TrainConfig(), HyperParams(), init_params=init)
         assert len(result.run_log) == 0 and result.baseline is None
         assert result.params is not init  # insulated copy
 
@@ -243,31 +242,25 @@ class TestValidationAndEdgeCases:
         stream = Dataset(questions=qs, split="train")
         assert stream.ids == ["c", "a", "b"]
         assert stream.prediction_ts.tolist() == [100, 200, 200]
-        assert train_online(stream, TrainConfig(), HyperParams()).run_log.question_ids == ["c", "a", "b"]
+        assert train_one(stream, TrainConfig(), HyperParams()).run_log.question_ids == ["c", "a", "b"]
 
     def test_grpo_needs_group_of_two(self):
         stream = small_stream(5)
         with pytest.raises(ValidationError, match="group_size"):
-            train_online(stream, TrainConfig(algorithm="grpo"), HyperParams(group_size=1))
+            train_one(stream, TrainConfig(algorithm="grpo"), HyperParams(group_size=1))
         # ReMax accepts singleton groups
-        result = train_online(stream, TrainConfig(algorithm="remax"), frozen_hp(group_size=1))
+        result = train_one(stream, TrainConfig(algorithm="remax"), frozen_hp(group_size=1))
         assert len(result.run_log) == 5
-
-    def test_dpo_not_trainable_online(self):
-        with pytest.raises(ValidationError, match="dpo"):
-            train_online(small_stream(5), TrainConfig(algorithm="dpo"), HyperParams())
 
     def test_init_params_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            train_online(small_stream(5, d=2), TrainConfig(), HyperParams(),
-                         init_params=PolicyParams.zeros(4))
+            train_one(small_stream(5, d=2), TrainConfig(), HyperParams(), init_params=PolicyParams.zeros(4))
 
     def test_config_validation(self):
         for bad in (
             TrainConfig(algorithm="ppo"),
             TrainConfig(outer_iteration_len=0),
             TrainConfig(checkpoint_every=-1),
-            TrainConfig(member=-1),
             TrainConfig(content_length=0),
             TrainConfig(early_stop=EarlyStopConfig(window=0)),
             TrainConfig(early_stop=EarlyStopConfig(gibberish_threshold=0.0)),
@@ -292,14 +285,14 @@ class TestNumericAbort:
         cfg = TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2)
         hp = HyperParams(actor_lr=0.01)
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericAbort) as exc_info:
-            train_online(stream, cfg, hp)
+            train_one(stream, cfg, hp)
         abort = exc_info.value
         assert len(abort.run_log) == 3
         assert abort.run_log.question_ids == ["q0", "q1", "q2"]
 
         # last good parameters are the span boundary before the failure:
         # identical to training on just the first two questions
-        clean = train_online(
+        clean = train_one(
             make_dataset(qs[:2]), TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2), hp,
         )
         assert np.array_equal(abort.params.answer_weights, clean.params.answer_weights)
@@ -320,15 +313,15 @@ class TestDpo:
     def test_member_substream(self):
         stream = small_stream(40)
         hp = HyperParams(dpo_lr=1e-3)
-        a = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11, member=0), hp)
-        b = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11, member=1), hp)
+        a = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), hp, member=0)
+        b = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), hp, member=1)
         assert not np.array_equal(a.run_log.rewards, b.run_log.rewards)
 
     def test_log_matches_independent_resampling(self):
         stream = small_stream(15, d=2, seed=8)
-        cfg = TrainConfig(algorithm="dpo", seed=13, member=1)
+        cfg = TrainConfig(algorithm="dpo", seed=13)
         hp = HyperParams()
-        result = train_dpo(stream, cfg, hp)
+        result = train_dpo(stream, cfg, hp, member=1)
 
         params = PolicyParams.zeros(2)
         U = substream(13, "dpo", 1).random((15, 2, 9))
@@ -341,17 +334,17 @@ class TestDpo:
             ]
             assert result.run_log.rewards[i] == pytest.approx(np.mean(totals), abs=1e-12)
 
-    @pytest.mark.parametrize("cfg", [
-        TrainConfig(algorithm="dpo", seed=11),
-        TrainConfig(algorithm="dpo", seed=3, member=2, guardrails_enabled=False),
-    ])
-    def test_matches_per_object_oracle(self, cfg):
+    @pytest.mark.parametrize("cfg,member", [
+        (TrainConfig(algorithm="dpo", seed=11), 0),
+        (TrainConfig(algorithm="dpo", seed=3, guardrails_enabled=False), 2),
+    ], ids=["cfg0", "cfg1"])
+    def test_matches_per_object_oracle(self, cfg, member):
         """The same rewards, hence the same preference pairs, and final
         weights within 1e-10 of the per-object DPO loop."""
         stream = small_stream(60)
         hp = HyperParams(dpo_lr=1e-3, dpo_batch=16)
-        got = train_dpo(stream, cfg, hp)
-        params, pairs, log = oracle_dpo(stream, cfg, hp)
+        got = train_dpo(stream, cfg, hp, member=member)
+        params, pairs, log = oracle_dpo(stream, cfg, hp, member=member)
         assert np.array_equal(got.run_log.rewards, log.rewards)
         assert len(pairs) > hp.dpo_batch  # several minibatches per epoch
         assert not np.all(got.params.answer_weights == 0.0)
@@ -471,10 +464,10 @@ class TestBatchedStep:
     def test_parity_with_oracle_and_kernel(self, algorithm):
         stream = small_stream(120, d=3)
         hp = HyperParams(actor_lr=0.01, baseline_lr=0.01, kl_coeff=0.1)
-        cfg = TrainConfig(algorithm=algorithm, seed=5, member=1, outer_iteration_len=40)
-        got = train_online(stream, cfg, hp)
+        cfg = TrainConfig(algorithm=algorithm, seed=5, outer_iteration_len=40)
+        got = train_one(stream, cfg, hp, member=1)
         assert not np.all(got.params.answer_weights == 0.0)
-        assert_close_runs(got, *oracle_train(stream, cfg, hp))
+        assert_close_runs(got, *oracle_train(stream, cfg, hp, member=1))
 
     @pytest.mark.parametrize("algorithm,es,reason", [
         ("remax", EarlyStopConfig(window=6, gibberish_threshold=0.3), "gibberish"),
@@ -484,7 +477,7 @@ class TestBatchedStep:
         stream = small_stream(150, d=3)
         hp = HyperParams(actor_lr=0.05)
         cfg = TrainConfig(algorithm=algorithm, seed=2, outer_iteration_len=9, early_stop=es)
-        got = train_online(stream, cfg, hp)
+        got = train_one(stream, cfg, hp)
         assert got.stop_reason == reason and len(got.run_log) < 150
         assert_close_runs(got, *oracle_train(stream, cfg, hp))
 
@@ -556,7 +549,7 @@ class TestBatchedStep:
         hp = HyperParams(dpo_lr=1e-3)
         a, b = train_members(stream, TrainConfig(algorithm="dpo", seed=11), hp, members=[0, 1])
         for m, got in ((0, a), (1, b)):
-            ref = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11, member=m), hp)
+            ref = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), hp, member=m)
             assert got.params.answer_weights.tobytes() == ref.params.answer_weights.tobytes()
 
 
@@ -723,3 +716,47 @@ class TestStepDigests:
         straddle the early stops, or a span at a time give the same bits."""
         monkeypatch.setattr(trainer, "REF_BLOCK", block)
         assert {name: [run_digest(r) for r in results] for name, results in step_runs().items()} == self.DIGESTS
+
+
+def dpo_runs() -> dict:
+    """DPO runs over several minibatches per epoch: the defaults, active
+    clipping, guard rails off, and random initial weights with one pair per
+    minibatch, at L = 4 and at L = 12."""
+    stream = small_stream(60)
+    hp = HyperParams(dpo_lr=1e-3, dpo_batch=16)
+    runs = {
+        "default": train_members(stream, TrainConfig(algorithm="dpo", seed=11), hp, members=[0, 1]),
+        "clipped": train_members(stream, TrainConfig(algorithm="dpo", seed=3),
+                                 HyperParams(dpo_lr=1e-3, dpo_batch=16, grad_clip_norm=1e-4), members=[2]),
+        "no_guardrails": train_members(stream, TrainConfig(algorithm="dpo", seed=3, guardrails_enabled=False), hp,
+                                       members=[2]),
+    }
+    rng = np.random.default_rng(31)
+    for name, d, L, batch in (("one_pair_batches", 3, 8, 1), ("random_init_l4", 3, 4, 8), ("random_init_l12", 4, 12, 8)):
+        init = PolicyParams.zeros(d, Vocabulary(L))
+        init.content_weights[:] = rng.normal(size=init.content_weights.shape) * 0.5
+        init.answer_weights[:] = rng.normal(size=init.answer_weights.shape) * 0.5
+        cfg = TrainConfig(algorithm="dpo", seed=7, content_length=L)
+        hp_wd = HyperParams(dpo_lr=1e-3, dpo_batch=batch, dpo_epochs=3, weight_decay=0.01)
+        runs[name] = train_members(small_stream(50, d=d, seed=4), cfg, hp_wd, members=[0, 3], init_params=init)
+    return runs
+
+
+class TestDpoDigests:
+    # sha256 (`run_digest`) of every member of `dpo_runs`, as DPO wrote them
+    # when each head kept its own weight arrays and AdamW moments.
+    DIGESTS = {
+        "default": ["86e1c90622e9306103a8a9b667a56b85b06695422a1c9c594b376c7852500273",
+                    "bfafdf5006a297ab4cbfc11982cb4ca698520fed5bab44b0d1c5483e66b17e82"],
+        "clipped": ["e6a6a1f5442426314686b64e003c0431ef95b7d4f0c6d567dbb084e0a51b1ddc"],
+        "no_guardrails": ["caa8b2b5df7f0ee38a5569eb9652359c1cc1e7f91db0a73a53c458b5b245d111"],
+        "one_pair_batches": ["d2924d894f07258371972383881b9fdea2e1e51507a8fcbd68ed0e988eb21479",
+                             "3f24d9eeead32a0fa67ad38d8c2dab28d2e9fd61ba500af1ad705960d9e26d04"],
+        "random_init_l4": ["cf8b1dd6635bcb3eb810095f427731fc7c4f20180bd8071101dca9b37d142183",
+                           "5029cbad0a375cc7060ef469a0d17fa194aedcd1b32d3681c1fc7ea343a95915"],
+        "random_init_l12": ["55eb7e1fc642562ff0b5b77c6fde61b9069ea1907f8dabb37e69099347b8f67f",
+                            "ef8fb1d803f1e37a05e3cd34f1b11fae03edb7e1245592d68246f5e9eced30ac"],
+    }
+
+    def test_runs_match_the_pinned_digests(self):
+        assert {name: [run_digest(r) for r in results] for name, results in dpo_runs().items()} == self.DIGESTS
