@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from forecast_rl.errors import DataFormatError, ValidationError
+from forecast_rl.errors import ValidationError
 from forecast_rl.files import (
     atomic_write,
     json_number,
     json_string,
-    read_csv,
+    read_csv_columns,
     read_jsonl_columns,
-    record_field,
     write_jsonl_columns,
 )
 from forecast_rl.rng import substream
@@ -271,28 +270,32 @@ def _number_cell(cell) -> int | float:
 
 
 def _list_cell(cell: str):
-    """The `features` CSV cell as the JSON value its text spells; blanks
-    around it are refused, as they are around a number cell."""
+    """The `features` CSV cell as the JSON value its text spells; an empty
+    cell, or blanks around the text, are refused, as they are for a number
+    cell."""
+    if cell == "":
+        raise ValueError("expected a JSON list, got ''")
     if cell != cell.strip():
         raise ValueError(f"expected a JSON list without blanks around it, got {cell[:40]!r}")
     return json.loads(cell)  # a JSONDecodeError is a ValueError
 
 
 def _id(value) -> str:
-    """`id`: a JSON string, not empty (`_row` refuses an empty one as
-    missing before it casts, but a column is cast without `_row`)."""
+    """`id`: a JSON string (or CSV cell), not empty."""
     if value == "":
         raise ValueError("expected a non-empty string")
     return json_string(value)
 
 
 def _source(value) -> str:
-    """`source`: a JSON string, "synthetic" where it is null, empty or absent."""
+    """`source`: a JSON string (or CSV cell), "synthetic" where it is null,
+    empty or absent."""
     return "synthetic" if value is None or value == "" else json_string(value)
 
 
 # How each field is read, in _FIELDS order: a JSONL value must have its
-# JSON type; a CSV cell is text, cast as the field needs.
+# JSON type; a CSV cell is text, cast as the field needs.  A field that
+# needs a value refuses null and "" in its cast.
 _JSONL_CASTS = {
     "id": _id,
     **dict.fromkeys(_INTEGER_FIELDS, _integer),
@@ -301,50 +304,25 @@ _JSONL_CASTS = {
     "source": _source,
 }
 _CSV_CASTS = {
-    "id": str,
+    **_JSONL_CASTS,
     **dict.fromkeys(_INTEGER_FIELDS, lambda cell: _integer(_number_cell(cell))),
     "features": lambda cell: _numbers(_list_cell(cell)),
     **dict.fromkeys(("market_price", "volume"), functools.partial(_nullable, lambda cell: float(_number_cell(cell)))),
-    "source": lambda cell: cell or "synthetic",  # None in a row shorter than the header
 }
 
 
-def _row(casts: dict, record) -> tuple:
-    """One JSONL or CSV record as a row in _FIELDS order; errors name the
-    field."""
-    if not isinstance(record, dict):
-        raise DataFormatError("record is not an object")
-    for name in _REQUIRED_FIELDS:
-        if name not in record or record[name] is None or record[name] == "":
-            raise DataFormatError(f"missing required field {name!r}")
-    unknown = set(record) - set(_FIELDS)
-    if unknown:
-        raise DataFormatError(f"unknown fields {sorted(unknown)}")
-    try:
-        return tuple(cast(record.get(name)) for name, cast in casts.items())
-    except (TypeError, ValueError, OverflowError):
-        for name, cast in casts.items():
-            if name in record:
-                record_field(record, name, cast)  # raises, naming the first field that does not cast
-        raise
+def load_questions(path: str | Path, split: str = "train") -> Dataset:
+    """Load a Dataset from CSV (a `.csv` suffix) or JSONL.
 
-
-def load_questions(path: str | Path, format: str | None = None, split: str = "train") -> Dataset:
-    """Load a Dataset from JSONL or CSV.
-
-    The format is inferred from the suffix unless given.  Parse failures
-    report the file, the offending line and the field; invariant
-    violations report the question id.  Duplicate ids are rejected.
+    Parse failures report the file, the offending line and the field;
+    invariant violations report the question id.  Duplicate ids are
+    rejected.
     """
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise ValidationError(f"unknown dataset format {format!r}")
-    if format == "csv":
-        return _from_rows(list(read_csv(path, functools.partial(_row, _CSV_CASTS))), split)
-    parse = functools.partial(_row, _JSONL_CASTS)
-    blocks = read_jsonl_columns(path, _JSONL_CASTS, parse, required=_REQUIRED_FIELDS, closed=True)
+    if path.suffix.lower() == ".csv":
+        blocks = read_csv_columns(path, _CSV_CASTS, required=_REQUIRED_FIELDS, closed=True)
+    else:
+        blocks = read_jsonl_columns(path, _JSONL_CASTS, required=_REQUIRED_FIELDS, closed=True)
     return _from_blocks(list(map(_block, blocks)) or [_block([()] * len(_FIELDS))], split)
 
 
@@ -353,15 +331,11 @@ def _records(dataset: Dataset):
     return (dict(zip(_FIELDS, row)) for row in _rows(dataset, dataset.features.tolist()))
 
 
-def save_questions(dataset: Dataset, path: str | Path, format: str | None = None) -> None:
-    """Write a Dataset as JSONL or CSV with identical field names."""
+def save_questions(dataset: Dataset, path: str | Path) -> None:
+    """Write a Dataset as CSV (a `.csv` suffix) or JSONL, with identical
+    field names."""
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format == "jsonl":
-        columns = {field: getattr(dataset, name) for field, name in zip(_FIELDS, _COLUMNS)}
-        write_jsonl_columns(path, columns, null=("market_price", "volume"))
-    elif format == "csv":
+    if path.suffix.lower() == ".csv":
         with atomic_write(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(_FIELDS))
             writer.writeheader()
@@ -369,7 +343,8 @@ def save_questions(dataset: Dataset, path: str | Path, format: str | None = None
                 record["features"] = json.dumps(record["features"])
                 writer.writerow(record)
     else:
-        raise ValidationError(f"unknown dataset format {format!r}")
+        columns = {field: getattr(dataset, name) for field, name in zip(_FIELDS, _COLUMNS)}
+        write_jsonl_columns(path, columns, null=("market_price", "volume"))
 
 
 @dataclass
@@ -485,15 +460,7 @@ _ORACLE_CASTS = {"id": json_string, "p_star": json_number}
 
 def load_oracle(path: str | Path) -> dict[str, float]:
     """The oracle sidecar as {id: p_star}; a repeated id is refused."""
-    def parse(record) -> tuple[str, float]:
-        return tuple(record_field(record, name, cast) for name, cast in _ORACLE_CASTS.items())
-
     oracle: dict[str, float] = {}
-    n = 0
-    for ids, p_star in read_jsonl_columns(path, _ORACLE_CASTS, parse, required=_ORACLE_CASTS):
+    for ids, p_star in read_jsonl_columns(path, _ORACLE_CASTS, required=_ORACLE_CASTS, unique="id"):
         oracle.update(zip(ids, p_star))
-        n += len(ids)
-    if len(oracle) < n:  # an id repeats: read again with a set of the ids, to name its line
-        for _ in read_jsonl_columns(path, _ORACLE_CASTS, parse, required=_ORACLE_CASTS, unique="id"):
-            pass
     return oracle

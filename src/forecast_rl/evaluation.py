@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl.errors import ValidationError
-from forecast_rl.files import json_number, json_string, read_jsonl_columns, record_field, write_jsonl_columns
+from forecast_rl.files import json_number, json_string, read_jsonl_columns, write_jsonl_columns
 from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -115,18 +115,15 @@ def t_two_sided_p(t: float, df: float) -> float:
     return 1.0 - front * _beta_cf(b, a, y) / b
 
 
-def _check_probability(question_id: str, p: float | None) -> None:
-    if p is not None and not (0.0 <= p <= 1.0):
-        raise ValidationError(f"forecast {question_id!r}: probability must lie in [0, 1], got {p}")
-
-
 @dataclass
 class Forecast:
     question_id: str
     probability: float | None
 
     def validate(self) -> None:
-        _check_probability(self.question_id, self.probability)
+        p = self.probability
+        if p is not None and not (0.0 <= p <= 1.0):
+            raise ValidationError(f"forecast {self.question_id!r}: probability must lie in [0, 1], got {p}")
 
 
 @dataclass
@@ -165,27 +162,17 @@ class PairedComparison:
     n_dropped = 0
 
 
-def _number_or_null(value) -> float | None:
-    return None if value is None else json_number(value)
-
-
 def _probability(value) -> float | None:
-    """`probability` as its column cast: `_forecast`'s checks of it."""
-    p = _number_or_null(value)
-    _check_probability("", p)
+    """`probability`: null, or a JSON number in [0, 1]."""
+    if value is None:
+        return None
+    p = json_number(value)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {p}")
     return p
 
 
 _FORECAST_CASTS = {"question_id": json_string, "probability": _probability}
-
-
-def _forecast(record) -> tuple[str, float | None]:
-    """One forecast record as (question_id, probability); a probability
-    outside [0, 1] is refused naming the question."""
-    qid = record_field(record, "question_id", json_string)
-    p = record_field(record, "probability", _number_or_null)
-    _check_probability(qid, p)
-    return qid, p
 
 
 def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], np.ndarray]:
@@ -208,7 +195,7 @@ def load_forecasts(paths: list[str | Path], ids: list[str]) -> tuple[list[str], 
         col = np.full(len(ids), math.nan)
         got = np.zeros(len(ids), dtype=bool)
         unknown = []
-        blocks = read_jsonl_columns(path, _FORECAST_CASTS, _forecast, required=_FORECAST_CASTS, unique="question_id")
+        blocks = read_jsonl_columns(path, _FORECAST_CASTS, required=_FORECAST_CASTS, unique="question_id")
         for qids, probs in blocks:
             rows = np.fromiter(map(row.get, qids, itertools.repeat(-1)), dtype=np.intp, count=len(qids))
             known = rows >= 0

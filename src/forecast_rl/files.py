@@ -8,13 +8,17 @@ manifest, so `report` lists it among the unregistered files.
 
 The readers turn a file that cannot be read or decoded, a JSON document
 without the keys and types its reader uses, or a JSONL / CSV record that
-its parser rejects, into a DataFormatError naming the file (and the line
+its schema refuses, into a DataFormatError naming the file (and the line
 of a record), which the CLI maps to exit code 2.
 
 JSONL run files (questions, oracle, forecasts, runlog) are read and written
 here by columns, BLOCK_ROWS lines at a time, and nowhere else: a line is
 exactly the `json.dumps(record, sort_keys=True)` of its record, and every
-non-blank line read must be exactly one JSON value.
+non-blank line read must be exactly one JSON value.  CSV question files are
+read by the same columns.  A schema declares each field once, as a cast
+that turns the field's value (None where the record lacks it) into what is
+loaded, or raises; one rule (`_cast_record`) decides which refusal names
+a bad record.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from forecast_rl.errors import DataFormatError, ValidationError
+from forecast_rl.errors import DataFormatError
 
 
 @contextlib.contextmanager
@@ -166,61 +170,71 @@ def read_json(path: str | Path, shape=None):
     return doc
 
 
-def _parsed(path, rows, parse):
-    """parse(record) of each (line number, record); a ValidationError that
-    parse raises is re-raised naming the file and the line."""
-    for line_no, record in rows:
-        try:
-            yield parse(record)
-        except ValidationError as exc:
-            raise DataFormatError(str(exc), line=line_no, path=path) from exc
-
-
 _scan = json.scanner.make_scanner(json.JSONDecoder())  # json.loads's decoder, without its per-call checks
 
 
-def _jsonl_blocks(path):
-    """(line numbers, values) of each block of BLOCK_ROWS non-blank lines,
-    in file order.  Lines are split as file iteration splits them, after
-    universal-newline translation, and stripped; each must be exactly one
-    JSON value.  A line that is not raises only once the lines before it
-    have been yielded, so that a reader names the first bad line of the
-    file.  Text that is not UTF-8 raises once the lines of the chunks
-    decoded before it have been yielded; lines in its own chunk are not."""
+def _jsonl_records(path, fh):
+    """(line number, value) of each non-blank line of `fh`, in file order.
+    Lines are split as file iteration splits them, after universal-newline
+    translation, and stripped; each must be exactly one JSON value."""
+    for line_no, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value, end = _scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):
+            try:
+                value = json.loads(line)  # raises with the message json gives for this line
+            except ValueError as exc:
+                raise DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no) from exc
+        yield line_no, value
+
+
+def _csv_records(path, fh):
+    """(line number, record) of each row under the header row, keyed by the
+    header, in file order; the header is line 1 and the rows count from 2.
+    A short row's missing cells are ""."""
+    return enumerate(csv.DictReader(fh, restval=""), start=2)
+
+
+def _blocks(path, records, newline=None):
+    """(line numbers, records) of each block of BLOCK_ROWS records that
+    records(path, fh) reads from the file.  A record that cannot be read
+    raises only once the records before it have been yielded, so that a
+    reader names the first bad line of the file.  Text that is not UTF-8
+    raises once the records of the chunks decoded before it have been
+    yielded; records in its own chunk are not."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8", newline=newline)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     lines, values, error = [], [], None
     with fh:
         try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    value, end = _scan(line, 0)
-                except (StopIteration, ValueError):
-                    end = None
-                if end != len(line):
-                    try:
-                        value = json.loads(line)  # raises with the message json gives for this line
-                    except ValueError as exc:
-                        error = DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no)
-                        break
+            for line_no, value in records(path, fh):
                 lines.append(line_no)
                 values.append(value)
                 if len(values) == BLOCK_ROWS:
                     yield lines, values
                     lines, values = [], []
+        except DataFormatError as exc:
+            error = exc
         except OSError as exc:
             error = DataFormatError(f"cannot read {path}: {exc}")
         except UnicodeDecodeError as exc:
             error = DataFormatError(f"{path} is not UTF-8 text: {exc}")
+        except csv.Error as exc:
+            error = DataFormatError(f"invalid CSV in {path}: {exc}")
     if values:
         yield lines, values
     if error is not None:
         raise error
+
+
+_CAST_ERRORS = (TypeError, ValueError, OverflowError)  # a ValidationError is a ValueError
 
 
 def _cast_columns(records: list, casts: dict, required: set, closed: bool) -> list[list] | None:
@@ -235,37 +249,45 @@ def _cast_columns(records: list, casts: dict, required: set, closed: bool) -> li
             return None
     try:
         return [list(map(cast, map(dict.get, records, itertools.repeat(name)))) for name, cast in casts.items()]
-    except (TypeError, ValueError, OverflowError):  # a ValidationError is a ValueError
+    except _CAST_ERRORS:
         return None
 
 
-def read_jsonl_columns(path: str | Path, casts: dict, parse, required=(), closed=False, unique=None):
-    """Yield the fields of each block of a JSONL file's records as one list
+def _cast_record(record, casts: dict, required, closed: bool) -> tuple:
+    """casts[name] of the record's value of each name, in `casts` order, or
+    a DataFormatError with the first check the record fails: it is an
+    object, has every `required` key, has no other key if `closed`, and
+    each value casts."""
+    if not isinstance(record, dict):
+        raise DataFormatError("record is not an object")
+    for name in required:
+        if name not in record:
+            raise DataFormatError(f"missing field {name!r}")
+    if closed and not casts.keys() >= record.keys():
+        raise DataFormatError(f"unknown fields {sorted(record.keys() - casts.keys(), key=str)}")
+    row = []
+    for name, cast in casts.items():
+        try:
+            row.append(cast(record.get(name)))
+        except _CAST_ERRORS as exc:
+            raise DataFormatError(f"field {name!r}: {exc}") from exc
+    return tuple(row)
+
+
+def _read_columns(path, blocks, casts: dict, required, closed: bool, unique):
+    """Yield the fields of each (line numbers, records) block as one list
     per key of `casts`, in its order and in line order.
 
     Each block is first cast column by column (see `_cast_columns`).  If
-    that fails, each of its records goes through parse(record), the
-    per-record cast: its first ValidationError is raised naming the file
-    and the line (see `_parsed`), and the rows it returns, in `casts`
-    order, are the block's columns.  So every message is parse's; a
-    column cast must raise where parse refuses the record and give
-    parse's value where it does not.
-
-    With `unique`, a key of `casts`, a record that repeats an earlier
-    record's value of it is refused after its parse, on its own line.
+    that fails, or a `unique` value repeats, its records are cast one at a
+    time with the same casts (see `_cast_record`), and the first refusal
+    is raised naming the file and the line: a record's failed check, or
+    `duplicate <unique> 'v'` for a record that repeats an earlier
+    record's value of `unique`, a key of `casts`.
     """
     at = list(casts).index(unique) if unique is not None else None
     seen: set = set()
-
-    def parse_unique(record):
-        row = parse(record)
-        if at is not None:
-            if row[at] in seen:
-                raise DataFormatError(f"duplicate {unique} {row[at]!r}")
-            seen.add(row[at])
-        return row
-
-    for lines, records in _jsonl_blocks(path):
+    for lines, records in blocks:
         columns = _cast_columns(records, casts, set(required), closed)
         if columns is not None and at is not None:
             if len(set(columns[at])) < len(records) or not seen.isdisjoint(columns[at]):
@@ -273,45 +295,42 @@ def read_jsonl_columns(path: str | Path, casts: dict, parse, required=(), closed
             else:
                 seen.update(columns[at])
         if columns is None:
-            columns = [list(column) for column in zip(*_parsed(path, zip(lines, records), parse_unique))]
+            rows = []
+            for line_no, record in zip(lines, records):
+                try:
+                    row = _cast_record(record, casts, required, closed)
+                    if at is not None:
+                        if row[at] in seen:
+                            raise DataFormatError(f"duplicate {unique} {row[at]!r}")
+                        seen.add(row[at])
+                except DataFormatError as exc:
+                    raise DataFormatError(str(exc), line=line_no, path=path) from exc
+                rows.append(row)
+            columns = [list(column) for column in zip(*rows)]
         yield columns
 
 
-def read_csv(path: str | Path, parse):
-    """Yield parse(record) for each row under the header row (see `_parsed`)."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            yield from _parsed(path, enumerate(csv.DictReader(fh), start=2), parse)
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    except csv.Error as exc:
-        raise DataFormatError(f"invalid CSV in {path}: {exc}") from exc
+def read_jsonl_columns(path: str | Path, casts: dict, required=(), closed=False, unique=None):
+    """The fields of a JSONL file's records, one block at a time (see
+    `_read_columns` and `_jsonl_records`)."""
+    return _read_columns(path, _blocks(path, _jsonl_records), casts, required, closed, unique)
 
 
-def record_field(record, name: str, cast):
-    """cast(record[name]), or a DataFormatError naming the field when the
-    record is not an object, lacks the field or the value does not cast."""
-    if not isinstance(record, dict):
-        raise DataFormatError("record is not an object")
-    if name not in record:
-        raise DataFormatError(f"missing field {name!r}")
-    try:
-        return cast(record[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"field {name!r}: {exc}") from exc
+def read_csv_columns(path: str | Path, casts: dict, required=(), closed=False):
+    """The fields of a CSV file's rows, one block at a time (see
+    `_read_columns` and `_csv_records`)."""
+    return _read_columns(path, _blocks(path, _csv_records, newline=""), casts, required, closed, None)
 
 
 def json_string(value) -> str:
-    """A JSON string, as a `record_field` cast: a number is not turned into one."""
+    """A JSON string, as a field cast: a number is not turned into one."""
     if type(value) is not str:
         raise ValueError(f"expected a string, got {json.dumps(value)[:40]}")
     return value
 
 
 def json_number(value) -> float:
-    """A JSON number as a float, as a `record_field` cast: no boolean or string."""
+    """A JSON number as a float, as a field cast: no boolean or string."""
     if type(value) is not float and type(value) is not int:
         raise ValueError(f"expected a number, got {json.dumps(value)[:40]}")
     return float(value)

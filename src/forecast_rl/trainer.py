@@ -172,21 +172,6 @@ class TrainResult:
     stop_reason: str | None = None
 
 
-def check_early_stop(
-    parsed_window: np.ndarray, gibberish_window: np.ndarray, cfg: EarlyStopConfig
-) -> tuple[bool, str | None]:
-    """Collapse test over one full window of per-question log values."""
-    gib_mean = float(np.mean(gibberish_window))
-    if gib_mean > cfg.gibberish_threshold:
-        return True, "gibberish"
-    present = parsed_window[~np.isnan(parsed_window)]
-    if present.size:
-        extreme = float(np.mean((present <= 0.10) | (present >= 0.90)))
-        if extreme > cfg.extreme_mass_threshold:
-            return True, "extreme_mass"
-    return False, None
-
-
 def resolve_backend(backend: str) -> str:
     """The implementation a config's `backend` names: always the numpy step."""
     if backend not in BACKENDS:

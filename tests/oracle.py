@@ -6,21 +6,23 @@ way the paper states it: sample a `Response`, audit its tokens, score
 it, form the group's advantages, take the objective's gradient through
 a `GroupRollout` (a maximization target, negated before the step), and
 step AdamW on a parameter dict.  The tests compare the package against
-it (`oracle_train`, `oracle_dpo`), and it keeps its own unit tests.  The
-row-wise objective values are what the finite-difference checks
+it (`oracle_train`, which stops a member by the windowed
+`check_early_stop`, and `oracle_dpo`), and it keeps its own unit tests.
+The row-wise objective values are what the finite-difference checks
 differentiate.  Two forecast statistics that no stage reports, Welch's t
 and the extreme-bucket mass, serve the acceptance gate.  The module
 closes with the trade backtest one `TradeRecord` at a time (`make_trade`,
 `oracle_trades`, `oracle_gate`, `oracle_profits`, `oracle_bands`), the
-reference for the columns of `forecast_rl.trading`, and with the JSONL run
-files one record at a time (`oracle_read_jsonl`, `oracle_write_jsonl` and
-the three loaders built on the first), the reference for the column reader
-and writer of `forecast_rl.files`.
+reference for the columns of `forecast_rl.trading`, and with the run files
+one record at a time (`oracle_record`, the refusal rule of one record;
+`oracle_read_jsonl`, `oracle_read_csv`, `oracle_write_jsonl` and the three
+loaders built on the readers), the reference for the column readers and
+writer of `forecast_rl.files`.
 """
 
 from __future__ import annotations
 
-import functools
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from forecast_rl.algorithms import HyperParams
-from forecast_rl.data import _JSONL_CASTS, _from_rows, _row
+from forecast_rl.data import _CSV_CASTS, _JSONL_CASTS, _ORACLE_CASTS, _REQUIRED_FIELDS, _from_rows
 from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
-from forecast_rl.evaluation import _check_probability, t_two_sided_p
-from forecast_rl.files import json_number, json_string, record_field
+from forecast_rl.evaluation import _FORECAST_CASTS, t_two_sided_p
 from forecast_rl.policy import (
     ABSTAIN,
     ANSWER_VALUES,
@@ -47,7 +48,7 @@ from forecast_rl.policy import (
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 from forecast_rl.trading import FEE, BandResult, tradeable
-from forecast_rl.trainer import RunLog, check_early_stop
+from forecast_rl.trainer import EarlyStopConfig, RunLog
 
 
 # Policy
@@ -640,6 +641,21 @@ def adamw_step(
 # Training loops
 
 
+def check_early_stop(
+    parsed_window: np.ndarray, gibberish_window: np.ndarray, cfg: EarlyStopConfig
+) -> tuple[bool, str | None]:
+    """Collapse test over one full window of per-question log values."""
+    gib_mean = float(np.mean(gibberish_window))
+    if gib_mean > cfg.gibberish_threshold:
+        return True, "gibberish"
+    present = parsed_window[~np.isnan(parsed_window)]
+    if present.size:
+        extreme = float(np.mean((present <= 0.10) | (present >= 0.90)))
+        if extreme > cfg.extreme_mass_threshold:
+            return True, "extreme_mass"
+    return False, None
+
+
 def oracle_train(stream, cfg, hp, penalties=None, member=0):
     """Reference online loop for member `member`, built from per-response
     objects: sample each response, audit and score it, form the
@@ -910,11 +926,56 @@ def oracle_write_jsonl(path, records) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def oracle_record(record, casts: dict, required=(), closed=False, unique=None, seen=None) -> tuple:
+    """A record's fields in `casts` order, or a DataFormatError with the
+    first check it fails, in this order: the record is an object; it has
+    every `required` key; if `closed`, it has no other key; each value, in
+    `casts` order, casts (None where the record lacks the field); with
+    `unique`, its value of that field is not in `seen`, which it joins."""
+    if not isinstance(record, dict):
+        raise DataFormatError("record is not an object")
+    for name in required:
+        if name not in record:
+            raise DataFormatError(f"missing field {name!r}")
+    unknown = [name for name in record if name not in casts]
+    if closed and unknown:
+        raise DataFormatError(f"unknown fields {sorted(unknown, key=str)}")
+    row = {}
+    for name, cast in casts.items():
+        try:
+            row[name] = cast(record.get(name))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataFormatError(f"field {name!r}: {exc}") from exc
+    if unique is not None:
+        if row[unique] in seen:
+            raise DataFormatError(f"duplicate {unique} {row[unique]!r}")
+        seen.add(row[unique])
+    return tuple(row.values())
+
+
+def _oracle_read(path, records, parse, newline=None):
+    """Yield parse(record) for each (line number, record) that records(fh)
+    yields; errors name the file and the line."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            for line_no, record in records(fh):
+                try:
+                    yield parse(record)
+                except ValidationError as exc:
+                    raise DataFormatError(str(exc), line=line_no, path=path) from exc
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DataFormatError(f"invalid CSV in {path}: {exc}") from exc
+
+
 def oracle_read_jsonl(path, parse):
     """Yield parse(record) for each non-blank line, decoded by `json.loads`
     one line at a time; errors name the file and the line."""
 
-    def rows(fh):
+    def records(fh):
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -924,34 +985,32 @@ def oracle_read_jsonl(path, parse):
             except ValueError as exc:
                 raise DataFormatError(f"invalid JSON in {path}: {exc}", line=line_no) from exc
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, record in rows(fh):
-                try:
-                    yield parse(record)
-                except ValidationError as exc:
-                    raise DataFormatError(str(exc), line=line_no, path=path) from exc
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return _oracle_read(path, records, parse)
+
+
+def oracle_read_csv(path, parse):
+    """Yield parse(record) for each row under the header row, one row at a
+    time, a short row's missing cells read as ""."""
+
+    def records(fh):
+        return enumerate(csv.DictReader(fh, restval=""), start=2)
+
+    return _oracle_read(path, records, parse, newline="")
 
 
 def oracle_load_questions(path, split: str = "train"):
-    return _from_rows(list(oracle_read_jsonl(path, functools.partial(_row, _JSONL_CASTS))), split)
+    if str(path).lower().endswith(".csv"):
+        read, casts = oracle_read_csv, _CSV_CASTS
+    else:
+        read, casts = oracle_read_jsonl, _JSONL_CASTS
+    rows = read(path, lambda record: oracle_record(record, casts, _REQUIRED_FIELDS, closed=True))
+    return _from_rows(list(rows), split)
 
 
 def oracle_load_oracle(path) -> dict[str, float]:
     seen: set[str] = set()
-
-    def parse(record):
-        qid, p = record_field(record, "id", json_string), record_field(record, "p_star", json_number)
-        if qid in seen:
-            raise DataFormatError(f"duplicate id {qid!r}")
-        seen.add(qid)
-        return qid, p
-
-    return dict(oracle_read_jsonl(path, parse))
+    return dict(oracle_read_jsonl(path, lambda record: oracle_record(record, _ORACLE_CASTS, _ORACLE_CASTS, False,
+                                                                        "id", seen)))
 
 
 def oracle_load_forecasts(paths, ids: list[str]) -> tuple[list[str], np.ndarray]:
@@ -966,13 +1025,7 @@ def oracle_load_forecasts(paths, ids: list[str]) -> tuple[list[str], np.ndarray]
         seen: set[str] = set()
 
         def parse(record):
-            qid = record_field(record, "question_id", json_string)
-            p = record_field(record, "probability", lambda v: None if v is None else json_number(v))
-            _check_probability(qid, p)
-            if qid in seen:
-                raise DataFormatError(f"duplicate question_id {qid!r}")
-            seen.add(qid)
-            return qid, p
+            return oracle_record(record, _FORECAST_CASTS, _FORECAST_CASTS, False, "question_id", seen)
 
         col, got, unknown = np.full(len(ids), math.nan), np.zeros(len(ids), dtype=bool), []
         for qid, p in oracle_read_jsonl(path, parse):

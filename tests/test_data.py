@@ -321,6 +321,24 @@ class TestRoundTrip:
             load_questions(path)
 
 
+    @pytest.mark.parametrize(
+        "field, got",
+        [("id", "expected a non-empty string"), ("open_ts", "expected a JSON number, got ''"),
+         ("outcome", "expected a JSON number, got ''"), ("features", "expected a JSON list, got ''")],
+    )
+    def test_csv_empty_cell_is_refused_by_its_field_cast(self, tmp_path, field, got):
+        """An empty cell is null; a field that needs a value refuses it in
+        its own cast, naming the field, while an empty optional cell loads."""
+        row = {"id": "a", "open_ts": "1000", "close_ts": "2000", "resolve_ts": "3000", "prediction_ts": "1500",
+               "outcome": "1", "features": "[0.5]", "market_price": "", "volume": "", "source": ""}
+        path = tmp_path / "q.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
+            writer.writerows([row, {**row, "id": "b", field: ""}])
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 3: field '{field}': {got}$"):
+            load_questions(path)
+
     @pytest.mark.parametrize("cell", [" [0.5, 1e0] ", "[0.5, 1e0] ", "\t[0.5, 1e0]", "[0.5, 1e0]\n"])
     def test_csv_features_cell_takes_no_blanks_around_the_list(self, tmp_path, cell):
         """json.loads would read ' [0.5, 1e0] ' as [0.5, 1.0]; like a number

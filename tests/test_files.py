@@ -1,6 +1,8 @@
 """Run files: one module writes them atomically and reads them strictly."""
 
 import ast
+import csv
+import io
 import json
 import math
 import os
@@ -27,10 +29,10 @@ from forecast_rl.evaluation import load_forecasts, save_forecasts
 from forecast_rl.files import (
     BLOCK_ROWS,
     atomic_write,
-    read_csv,
+    json_string,
+    read_csv_columns,
     read_json,
     read_jsonl_columns,
-    record_field,
     write_json,
     write_jsonl_columns,
 )
@@ -145,14 +147,16 @@ class TestAtomicWrite:
         assert _tmp_files(path.parent) == []
 
 
-def read_jsonl(path, parse):
-    """parse(record) of each JSONL record, through the column reader's
-    per-record path (its column cast always refuses)."""
-    def refuse(value):
-        raise ValueError("left to parse")
+def read_jsonl(path, casts, required=()):
+    """Each JSONL record's fields as a tuple in `casts` order."""
+    for columns in read_jsonl_columns(path, casts, required=required):
+        yield from zip(*columns)
 
-    for (values,) in read_jsonl_columns(path, {"value": refuse}, lambda record: (parse(record),)):
-        yield from values
+
+def read_csv(path, casts, required=()):
+    """Each CSV row's fields as a tuple in `casts` order."""
+    for columns in read_csv_columns(path, casts, required=required):
+        yield from zip(*columns)
 
 
 class TestStrictReads:
@@ -169,9 +173,9 @@ class TestStrictReads:
     def test_jsonl_names_the_file_and_the_line(self, tmp_path):
         path = tmp_path / "oracle.jsonl"
         path.write_text('{"id": "a"}\n\n{"id": "b"}\n{"id": \n')
-        it = read_jsonl(path, lambda record: record)
-        assert next(it) == {"id": "a"}
-        assert next(it) == {"id": "b"}
+        it = read_jsonl(path, {"id": json_string})
+        assert next(it) == ("a",)
+        assert next(it) == ("b",)
         with pytest.raises(DataFormatError, match=r"line 4: invalid JSON in .*oracle\.jsonl"):
             next(it)
 
@@ -182,23 +186,40 @@ class TestStrictReads:
     def test_parse_errors_name_the_file_the_line_and_the_field(self, tmp_path, reader, text):
         path = tmp_path / "records.txt"
         path.write_text(text)
-        if reader is read_jsonl:  # a block is yielded only once all of its records parse
-            good = tmp_path / "good.txt"
-            good.write_text(text.rsplit("\n", 2)[0] + "\n")  # all but the last record
-            assert list(reader(good, lambda record: record_field(record, "p", float))) == [0.5]
-        else:
-            assert next(reader(path, lambda record: record_field(record, "p", float))) == 0.5
+        good = tmp_path / "good.txt"  # a block is yielded only once all of its records cast
+        good.write_text(text.rsplit("\n", 2)[0] + "\n")  # all but the last record
+        assert list(reader(good, {"p": float})) == [(0.5,)]
         first = 1 if reader is read_jsonl else 2  # a CSV's first record follows its header
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {first + 1}: field 'p': could not"):
-            list(reader(path, lambda record: record_field(record, "p", float)))
+            list(reader(path, {"p": float}))
         with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {first}: missing field 'q'"):
-            list(reader(path, lambda record: record_field(record, "q", float)))
+            list(reader(path, {"q": float}, required=("q",)))
 
     def test_undecodable_bytes(self, tmp_path):
         path = tmp_path / "forecasts.jsonl"
         path.write_bytes(b'{"question_id": "\xff"}\n')
         with pytest.raises(DataFormatError, match="forecasts.jsonl"):
-            list(read_jsonl(path, lambda record: record))
+            list(read_jsonl(path, {"question_id": json_string}))
+
+    @pytest.mark.parametrize("late", ["csv-error", "not-utf-8"])
+    def test_csv_refusal_comes_before_a_later_error_in_its_block(self, tmp_path, late):
+        """A bad cell on line 3 is named although the rows of its block
+        cannot all be read: line 9 is not CSV (a cell past the field size
+        limit) or not UTF-8 (in a later decoded chunk than line 3)."""
+        rows = [_csv_cells(_question(i)) for i in range(8)]
+        rows[1][_FIELD_NAMES.index("outcome")] = "yes"
+        for row in rows[2:7]:
+            row[_FIELD_NAMES.index("source")] = "x" * 4000  # pushes line 9 past the first decoded chunks
+        path = tmp_path / "q.csv"
+        text = _csv_text([_FIELD_NAMES, *rows]).encode("utf-8")
+        late_row = b'"' + b"x" * (csv.field_size_limit() + 1) + b'"\n' if late == "csv-error" else b"\xff,1\n"
+        path.write_bytes(text + late_row)
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line 3: field 'outcome': expected a JSON"):
+            load_questions(path)
+        good = tmp_path / "q_good.csv"
+        good.write_bytes(path.read_bytes().replace(b",yes,", b",1,"))
+        with pytest.raises(DataFormatError, match="invalid CSV" if late == "csv-error" else "is not UTF-8 text"):
+            load_questions(good)
 
 
 CONFIG = {
@@ -294,6 +315,22 @@ def _question(i: int, **fields) -> dict:
     return {**record, **fields}
 
 
+_FIELD_NAMES = list(_question(0))
+
+
+def _csv_cells(record: dict) -> list[str]:
+    """A question record's CSV cells in _FIELD_NAMES order, as
+    save_questions writes them."""
+    return ["" if record[name] is None else json.dumps(record[name]) if name == "features" else str(record[name])
+            for name in _FIELD_NAMES]
+
+
+def _csv_text(rows: list[list[str]]) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 # Each schema's record i, its reader and the reference that reads one record at a time.
 SCHEMAS = {
     "questions": (_question, lambda p, n: load_questions(p), lambda p, n: oracle_load_questions(p)),
@@ -383,6 +420,58 @@ def _parity_cases():
         for name, text in cases.items():
             n = past + 10 if "block" in name else 40 if "then-bad-json" in name else 6
             yield pytest.param(schema, text, n, id=f"{schema}-{name}")
+    yield from _csv_parity_cases()
+
+
+def _csv_parity_cases():
+    """Question files as CSV, against the one-row-at-a-time CSV reference."""
+    past = BLOCK_ROWS + 5  # a row in the second block
+    col = _FIELD_NAMES.index
+
+    def rows(n=6, **cells):
+        """n rows of cells; `cells` maps r<i> to {field: cell} overrides, or
+        to a list that replaces the row."""
+        out = [_csv_cells(_question(i)) for i in range(n)]
+        for key, change in cells.items():
+            i = int(key[1:])
+            if isinstance(change, list):
+                out[i] = change
+            else:
+                for name, cell in change.items():
+                    out[i][col(name)] = cell
+        return _csv_text([_FIELD_NAMES, *out])
+
+    good = rows()
+    cases = {
+        "good": good,
+        "crlf-and-blank-rows": good.replace("\r\n", "\r\n\r\n"),
+        "lf": good.replace("\r\n", "\n"),
+        "empty-id": rows(r3={"id": ""}),
+        "empty-integer": rows(r3={"outcome": ""}),
+        "empty-features": rows(r3={"features": ""}),
+        "empty-optional-cells": rows(r2={"market_price": "", "volume": "", "source": ""}),
+        "short-row-optional": rows(r2=_csv_cells(_question(2))[:7]),
+        "short-row-required": rows(r2=_csv_cells(_question(2))[:4]),
+        "long-row": rows(r2=_csv_cells(_question(2)) + ["extra"]),
+        "header-lacks-required": _csv_text([[n for n in _FIELD_NAMES if n != "outcome"]]
+                                           + [[c for n, c in zip(_FIELD_NAMES, _csv_cells(_question(i))) if n != "outcome"]
+                                              for i in range(6)]),
+        "header-lacks-optional": _csv_text([_FIELD_NAMES[:7]] + [_csv_cells(_question(i))[:7] for i in range(6)]),
+        "header-unknown-column": _csv_text([_FIELD_NAMES + ["bogus"]] + [_csv_cells(_question(i)) + ["1"] for i in range(6)]),
+        "unknown-column-and-long-row": _csv_text([_FIELD_NAMES + ["bogus"]]
+                                                 + [_csv_cells(_question(i)) + ["1", "2"] for i in range(6)]),
+        "nan-price": rows(r3={"market_price": "nan"}),
+        "inf-volume": rows(r3={"volume": "inf"}),
+        "minus-inf-outcome": rows(r3={"outcome": "-inf"}),
+        "nan-integer": rows(r3={"open_ts": "nan"}),
+        "nan-in-features": rows(r3={"features": "[NaN, 1]"}),
+        "multiline-quoted-id": rows(r3={"id": "q\n3"}),
+        "repeated-id": rows(r4={"id": "q00001"}),
+        "bad-cell-past-a-block": rows(past + 10, **{f"r{past}": {"outcome": "x"}}),
+        "bad-cell-then-csv-error": rows(40, r7={"outcome": "1.5"}, r20={"id": "x" * (csv.field_size_limit() + 1)}),
+    }
+    for name, text in cases.items():
+        yield pytest.param("csv", text, 6, id=f"csv-{name}")
 
 
 def _outcome(load, path, n):
@@ -401,14 +490,14 @@ def _outcome(load, path, n):
 
 
 class TestJsonlColumns:
-    """The column reader and writer against the one-record-at-a-time
+    """The column readers and writer against the one-record-at-a-time
     reference of tests/oracle.py: the same values or the same error text."""
 
     @pytest.mark.parametrize("schema, text, n", list(_parity_cases()))
     def test_reader_parity_table(self, tmp_path, schema, text, n):
-        path = tmp_path / f"{schema}.jsonl"
+        path = tmp_path / ("questions.csv" if schema == "csv" else f"{schema}.jsonl")
         path.write_bytes(text.encode("utf-8"))
-        _, load, reference = SCHEMAS[schema]
+        _, load, reference = SCHEMAS["questions" if schema == "csv" else schema]
         assert _outcome(load, path, n) == _outcome(reference, path, n)
 
     def test_a_value_cannot_span_lines(self, tmp_path):
