@@ -395,16 +395,22 @@ def evaluation_report(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> Eva
     )
 
 
-def _wald(d: np.ndarray) -> PairedComparison:
-    """Wald test of the mean of the per-question differences d."""
+def _mean_se(d: np.ndarray) -> tuple[float, float | None]:
+    """Mean of the non-empty d and its standard error, sd / sqrt(n) with
+    the sample sd; None where that sd is 0 (or d holds one value)."""
     mean = float(d.mean())
     sd = float(d.std(ddof=1)) if d.size > 1 else 0.0
-    if sd == 0.0:
+    return mean, (sd / np.sqrt(d.size) if sd != 0.0 else None)
+
+
+def _wald(d: np.ndarray) -> PairedComparison:
+    """Wald test of the mean of the per-question differences d."""
+    mean, se = _mean_se(d)
+    if se is None:
         # Degenerate differences: flat CI; p hits the machine floor unless
         # the difference is exactly zero.
         p = 1.0 if mean == 0.0 else float(np.finfo(np.float64).tiny)
         return PairedComparison(mean, mean, mean, p, "wald")
-    se = sd / np.sqrt(d.size)
     p = normal_two_sided_p(float(mean / se))
     return PairedComparison(mean, mean - Z_95 * se, mean + Z_95 * se, p, "wald")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from forecast_rl.data import Dataset, split_dataset
 from forecast_rl.errors import ValidationError
-from forecast_rl.evaluation import Z_95, ece_bins, t_two_sided_p
+from forecast_rl.evaluation import _mean_se, _wald, ece_bins, t_two_sided_p
 
 FEE = 0.01
 
@@ -189,10 +189,8 @@ def mean_per_trade(result: StrategyResult) -> tuple[float, tuple[float, float]]:
     regression estimate)."""
     if result.n_trades < 2:
         raise ValidationError("mean_per_trade needs at least 2 trades")
-    profits = result.trades.profit
-    mean = float(profits.mean())
-    se = float(profits.std(ddof=1) / np.sqrt(profits.size))
-    return mean, (mean - Z_95 * se, mean + Z_95 * se)
+    wald = _wald(result.trades.profit)
+    return wald.delta_mean, (wald.ci_low, wald.ci_high)
 
 
 def confidence_band_edges(
@@ -217,13 +215,10 @@ def confidence_band_edges(
         if not vals.size:
             out.append(BandResult(lo, hi, 0, None, None, None))
             continue
-        mean_pp = float(vals.mean() * 100.0)
-        if vals.size < 2 or float(vals.std(ddof=1)) == 0.0:
-            out.append(BandResult(lo, hi, int(vals.size), mean_pp, None, None))
-            continue
-        t_stat = float(vals.mean() / (vals.std(ddof=1) / np.sqrt(vals.size)))
-        p = t_two_sided_p(t_stat, vals.size - 1)
-        out.append(BandResult(lo, hi, int(vals.size), mean_pp, t_stat, p))
+        mean, se = _mean_se(vals)
+        t_stat = None if se is None else float(mean / se)
+        p = None if se is None else t_two_sided_p(t_stat, vals.size - 1)
+        out.append(BandResult(lo, hi, int(vals.size), mean * 100.0, t_stat, p))
     return out
 
 
