@@ -360,7 +360,10 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         M = len(names)
         pairs = [(g * M + a, g * M + b) for g in range(len(GATES)) for a in range(M) for b in range(a + 1, M)]
         rng = substream(cfg.seed, "bootstrap", "trade")
-        boot = paired_bootstrap(np.concatenate(values, axis=1), "total", cfg.evaluation.bootstrap_reps, rng, pairs)
+        # By keyword: perfbench's span hook takes reps from the third
+        # positional argument or from the keywords.
+        reps = cfg.evaluation.bootstrap_reps
+        boot = paired_bootstrap(np.concatenate(values, axis=1), reps=reps, rng=rng, pairs=pairs)
         for (i, j), cmp in boot.items():
             (gate, a), b = divmod(i, M), j % M
             comparisons.append(

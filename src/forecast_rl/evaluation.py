@@ -245,28 +245,6 @@ def soft_brier(forecasts: list[Forecast], outcomes: dict[str, int]) -> float:
     return float(soft_brier_losses(*_forecast_column(forecasts, outcomes)).mean())
 
 
-def _equal_mass_bins(probs: np.ndarray, ys: np.ndarray, n_bins: int) -> list[BinRow]:
-    n = probs.shape[0]
-    q, r = divmod(n, n_bins)
-    rows = []
-    start = 0
-    for b in range(n_bins):
-        size = q + 1 if b < r else q
-        sel_p = probs[start : start + size]
-        sel_y = ys[start : start + size]
-        rows.append(
-            BinRow(
-                lo=float(sel_p[0]),
-                hi=float(sel_p[-1]),
-                count=size,
-                mean_confidence=float(sel_p.mean()),
-                empirical_frequency=float(sel_y.mean()),
-            )
-        )
-        start += size
-    return rows
-
-
 def _present_order(probs: np.ndarray) -> np.ndarray:
     """Rows of the present (non-NaN) probabilities in ascending order, tied
     probabilities by row (a stable sort of ascending rows)."""
@@ -279,7 +257,9 @@ def ece_bins(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> tuple[float,
     table, the number of present forecasts and the number absent.
 
     The present forecasts, sorted by (probability, row), are partitioned
-    into n_bins contiguous groups with the larger groups first.
+    into n_bins contiguous groups with the larger groups first.  This is
+    `_ece_from_counts` of one all-ones count row, so the ECE and the bins
+    are those of the bootstrap's observed statistic, bit for bit.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
@@ -287,8 +267,13 @@ def ece_bins(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> tuple[float,
     n = order.size
     if n < n_bins:
         raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {n}")
-    rows = _equal_mass_bins(probs[order], y[order], n_bins)
-    ece = sum((row.count / n) * abs(row.empirical_frequency - row.mean_confidence) for row in rows)
+    p = probs[order]
+    ece, size, sum_p, sum_y = (a[0] for a in _ece_from_counts(np.ones((1, n), dtype=np.int64), p, y[order], n_bins))
+    first = np.cumsum(size) - size
+    rows = [
+        BinRow(float(p[a]), float(p[a + k - 1]), k, float(conf), float(freq))
+        for a, k, conf, freq in zip(first.tolist(), size.tolist(), sum_p / size, sum_y / size)
+    ]
     return float(ece), rows, n, probs.size - n
 
 
@@ -311,11 +296,14 @@ def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -
     split by count.  Per bin the mean confidence and frequency are
     sum / size, and the ECE adds (size / k) * |freq - conf| in bin order.
     A row with fewer than n_bins draws has no ECE: it gets NaN.
+
+    Returns the (R,) ECEs and the (R, n_bins) bin sizes and bin sums of
+    c*p and c*y.
     """
     R, m = c.shape
     out = np.full(R, np.nan)
     if m == 0:
-        return out
+        return out, *np.zeros((3, R, n_bins))
     flat = c.ravel()
     cum = np.cumsum(flat)  # runs on across rows, so that one search serves every row
     row0 = np.arange(0, R * m, m)
@@ -349,7 +337,7 @@ def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -
     conf, freq = sums[0][ok] / size[ok], sums[1][ok] / size[ok]
     # cumsum adds strictly left to right, as sum() over the bins does.
     out[ok] = np.cumsum((size[ok] / k[ok, None]) * np.abs(freq - conf), axis=1)[:, -1]
-    return out
+    return out, size, sums[0], sums[1]
 
 
 def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
@@ -377,7 +365,7 @@ def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
         R = idx.shape[0]
         counts = np.bincount((idx + np.arange(0, R * n, n)[:, None]).ravel(), minlength=R * n).reshape(R, n)
         return np.stack(
-            [_ece_from_counts(np.take(counts, order, axis=1), p, y, n_bins) for order, p, y in models], axis=1
+            [_ece_from_counts(np.take(counts, order, axis=1), p, y, n_bins)[0] for order, p, y in models], axis=1
         )
 
     return stat
@@ -570,12 +558,11 @@ def paired_bootstrap_stat(
 
 def paired_bootstrap(
     values: np.ndarray,
-    statistic: str = "mean",
     reps: int = 9999,
     rng: np.random.Generator | None = None,
     pairs=None,
 ) -> dict[tuple[int, int], PairedComparison]:
-    """Paired bootstrap of column means or totals of a questions-by-models
+    """Paired bootstrap of the column totals of a questions-by-models
     matrix, comparing `pairs` of columns (see `paired_bootstrap_stat`).
 
     The resampled rows are added one after another in resampled order, as
@@ -592,8 +579,6 @@ def paired_bootstrap(
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("values must be a questions x models matrix")
-    if statistic not in ("mean", "total"):
-        raise ValidationError(f"unknown statistic {statistic!r}")
     n_blocks = max(1, min(-(-values.shape[1] // 2), values.shape[0]))
 
     def stat_fn(idx: np.ndarray) -> np.ndarray:
@@ -603,6 +588,6 @@ def paired_bootstrap(
             if total is not None:
                 gathered[0] += total  # carry on from the rows before, in order
             total = gathered.sum(axis=0)
-        return total / values.shape[0] if statistic == "mean" else total
+        return total
 
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng, pairs)

@@ -195,9 +195,12 @@ def _jsonl_records(path, fh):
 
 def _csv_records(path, fh):
     """(line number, record) of each row under the header row, keyed by the
-    header, in file order; the header is line 1 and the rows count from 2.
-    A short row's missing cells are ""."""
-    return enumerate(csv.DictReader(fh, restval=""), start=2)
+    header, in file order.  A record's number is the file line it ends on
+    (`DictReader.line_num` once it is read), so blank lines and a quoted
+    cell that spans lines count.  A short row's missing cells are ""."""
+    reader = csv.DictReader(fh, restval="")
+    for record in reader:
+        yield reader.line_num, record
 
 
 def _blocks(path, records, newline=None):

@@ -990,10 +990,13 @@ def oracle_read_jsonl(path, parse):
 
 def oracle_read_csv(path, parse):
     """Yield parse(record) for each row under the header row, one row at a
-    time, a short row's missing cells read as ""."""
+    time, a short row's missing cells read as ""; errors name the line the
+    record ends on."""
 
     def records(fh):
-        return enumerate(csv.DictReader(fh, restval=""), start=2)
+        reader = csv.DictReader(fh, restval="")
+        for record in reader:
+            yield reader.line_num, record
 
     return _oracle_read(path, records, parse, newline="")
 

@@ -283,7 +283,7 @@ def test_criterion_08_statistics_toolkit():
 
     col = substream(11, "acceptance", "bootstrap").normal(size=40)
     values = np.stack([col, col], axis=1)
-    cmp = paired_bootstrap(values, "mean", 999, substream(11, "acceptance", "reps"))[(0, 1)]
+    cmp = paired_bootstrap(values, 999, substream(11, "acceptance", "reps"))[(0, 1)]
     ok &= cmp.p_value == 1.0 and cmp.ci_low == 0.0 and cmp.ci_high == 0.0
 
     stream, oracle = generate_synthetic_stream(

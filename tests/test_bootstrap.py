@@ -246,8 +246,8 @@ class TestBatchedEce:
         assert_close(got, want)
 
     def test_one_row_call(self, rng):
-        """The observed rows drawn once each: the count-matrix ECE and the
-        report's sorted-column ECE both equal the oracle."""
+        """The observed rows drawn once each: the count-matrix ECE equals
+        the oracle, and the report's ECE is that very number."""
         probs = np.round(rng.random(101), 2)
         probs[::7] = np.nan
         ys = rng.integers(0, 2, 101).astype(np.float64)
@@ -255,7 +255,7 @@ class TestBatchedEce:
             want = oracle_ece(probs, ys, np.arange(101), n_bins)
             got = equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.arange(101)[None, :])[0, 0]
             assert got == pytest.approx(want, rel=0, abs=1e-12)
-            assert ece_bins(probs, ys, n_bins)[0] == pytest.approx(want, rel=0, abs=1e-12)
+            assert ece_bins(probs, ys, n_bins)[0] == got
 
     def test_too_few_present_rejected(self):
         """A row set with fewer than n_bins present forecasts has no ECE;
@@ -293,6 +293,13 @@ class TestBatchedEce:
         assert (cmp.delta_mean, cmp.ci_low, cmp.ci_high, cmp.p_value) == (0.0, 0.0, 0.0, 1.0)
 
 
+def _values_for(statistic: str, values: np.ndarray) -> np.ndarray:
+    """The matrix whose column totals give `statistic`: the values for
+    "total", the values over their row count for "mean" (the column means,
+    up to rounding)."""
+    return values / values.shape[0] if statistic == "mean" else values
+
+
 class TestBatchedTotals:
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     @pytest.mark.parametrize(
@@ -304,10 +311,10 @@ class TestBatchedTotals:
         rng = np.random.default_rng(n)
         values = rng.normal(size=(n, models)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
         values[rng.random((n, models)) < 0.3] = 0.0  # untraded questions
-        reduce = np.mean if statistic == "mean" else np.sum
+        values = _values_for(statistic, values)
         with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
-            got = paired_bootstrap(values, statistic, reps, substream(1, "t"))
-        want = oracle_bootstrap(n, lambda idx: reduce(values[idx], axis=0), reps, substream(1, "t"))
+            got = paired_bootstrap(values, reps, substream(1, "t"))
+        want = oracle_bootstrap(n, lambda idx: np.sum(values[idx], axis=0), reps, substream(1, "t"))
         assert same(got, want)
 
     @pytest.mark.parametrize("models", [2, 3, 8, 9])
@@ -327,23 +334,23 @@ class TestBatchedTotals:
 
         with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n), \
                 mock.patch.object(evaluation.np, "take", spy):
-            paired_bootstrap(values, "total", reps, substream(1, "g"))
+            paired_bootstrap(values, reps, substream(1, "g"))
         assert sizes and max(sizes) <= 3 * n * chunk_rows
 
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     def test_identical_columns_give_an_exact_zero(self, statistic):
         col = np.random.default_rng(8).normal(size=300)
-        values = np.stack([col, col, col + 1.0], axis=1)
-        cmp = paired_bootstrap(values, statistic, 999, substream(2, "z"))[(0, 1)]
+        values = _values_for(statistic, np.stack([col, col, col + 1.0], axis=1))
+        cmp = paired_bootstrap(values, 999, substream(2, "z"))[(0, 1)]
         assert (cmp.delta_mean, cmp.ci_low, cmp.ci_high, cmp.p_value) == (0.0, 0.0, 0.0, 1.0)
 
     def test_listed_pairs_only(self):
         """Given pairs, only those are compared, in the order given, each
         exactly as in the all-pairs call."""
         values = np.random.default_rng(5).normal(size=(120, 6))
-        every = paired_bootstrap(values, "total", 199, substream(4, "p"))
+        every = paired_bootstrap(values, 199, substream(4, "p"))
         pairs = [(3, 5), (0, 1), (3, 4)]
-        got = paired_bootstrap(values, "total", 199, substream(4, "p"), pairs)
+        got = paired_bootstrap(values, 199, substream(4, "p"), pairs)
         assert list(got) == pairs
         assert same(got, {pair: every[pair] for pair in pairs})
 
@@ -364,13 +371,12 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     def test_totals_are_the_same_on_any_worker_count(self, statistic):
-        values = np.random.default_rng(22).normal(size=(200, 4))
-        reduce = np.mean if statistic == "mean" else np.sum
-        every = oracle_bootstrap(200, lambda idx: reduce(values[idx], axis=0), 301, substream(7, "w"))
+        values = _values_for(statistic, np.random.default_rng(22).normal(size=(200, 4)))
+        every = oracle_bootstrap(200, lambda idx: np.sum(values[idx], axis=0), 301, substream(7, "w"))
         pairs = [(0, 1), (2, 3), (0, 3)]
         for w in (1, 2, 5):
             with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 10 * 200):
-                got = run_bounded(lambda: paired_bootstrap(values, statistic, 301, substream(7, "w"), pairs))
+                got = run_bounded(lambda: paired_bootstrap(values, 301, substream(7, "w"), pairs))
             assert same(got, {pair: every[pair] for pair in pairs}), w
 
     @pytest.mark.parametrize("w", [1, 2, 5])

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -504,11 +505,17 @@ class TestStatisticsOutputs:
     # test checks each of them against scipy below.  evaluation.json and
     # trades.json were re-pinned when the ECE bootstrap began to order tied
     # probabilities by row index and the trade gates began to share one
-    # replicate set (they were f9c92d01... and bf019496...).
+    # replicate set (they were f9c92d01... and bf019496...).  The bins_*.csv
+    # files, evaluation.json and trades.json were re-pinned when the report's
+    # ECE and bins became the one-row call of the bootstrap's count-matrix
+    # ECE, whose bin means are sequential sums: they moved in the last bits
+    # of the bin means, the ECEs and the gating_ece values (bins were
+    # 2ca09a61..., 275f67c2..., d0a0b902...; evaluation.json e7bca65a...;
+    # trades.json 738ea9f5...).
     DIGESTS = {
-        "bins_echo.csv": "2ca09a61784d649ebefbd84f8f4bd556596fe09ebeab70fbbbcfa67ccb47b7b7",
-        "bins_grid.csv": "275f67c280d366da90ba97c0251b0e2a2130acca9c5c4e817b68c08d7fcd08e5",
-        "bins_smooth.csv": "d0a0b9023e571fe4284ff63a8111f4e12b60865aace3a8685d325cfbc24b5939",
+        "bins_echo.csv": "c596a2941a6d2068fd37b31573a7a3e8229e98817178fefb625e810abdd88512",
+        "bins_grid.csv": "551c71a88a58c3aa0d530c8ae3d0f7002700c9c530c03719975b416886b8bd10",
+        "bins_smooth.csv": "b1a60428f8c27ba75f5ea633cca0cfc807427067a463268449317c1a8eea005f",
         "curve_echo_all_markets.csv": "8ffe689dc7664e808c1c3469f3a77acf8d7911341184bb305c40b30551d6a3c8",
         "curve_echo_edge_above_ece.csv": "70139497930092241372c5122a7236a48ebd51a04d75bfcf4b6941bc2bc9e661",
         "curve_echo_edge_above_zero.csv": "70139497930092241372c5122a7236a48ebd51a04d75bfcf4b6941bc2bc9e661",
@@ -518,8 +525,8 @@ class TestStatisticsOutputs:
         "curve_smooth_all_markets.csv": "420467b49371ab5f415f65440b4755c1bdf2b7183d86ec396c1e82d4bd3c17d1",
         "curve_smooth_edge_above_ece.csv": "6209eb00421bf47b8b14157e03033bfee1e2969144ac2879c64a6df7371e610f",
         "curve_smooth_edge_above_zero.csv": "9256e4ffd92be5cbbeab1dca5772b6d6b48c622984b19e860581a9908ee1c687",
-        "evaluation.json": "e7bca65a0d19f46937d391ab2acee2dfca1b6009eebcfa243399e77c7f8ecc0d",
-        "trades.json": "738ea9f5f699bbd0ff1d74fc8895a2ddd17ca67370074e3f940c16b804019751",
+        "evaluation.json": "8460d1b9c4626993be537d60d76bdf8ba2395e984efb6e162bf12db3a0536af5",
+        "trades.json": "2293d7d825ede5a5c03ed2ea78fe4fdabdfe8b54a0ca4bde433d2df39b31b7e5",
     }
 
     @staticmethod
@@ -565,6 +572,25 @@ class TestStatisticsOutputs:
         for b in bands:
             assert b["p_value"] == pytest.approx(2 * stdtr(b["count"] - 1, -abs(b["t_stat"])), rel=0, abs=1e-12)
 
+    def test_reported_ece_is_the_compared_ece_and_its_bin_sum(self, tmp_path):
+        """Each comparison's ECE delta is exactly the difference of the two
+        reported ECEs, and each reported ECE is exactly the left-to-right
+        sum of (count / n) * |frequency - confidence| over its bin rows."""
+        cfg, out, paths = self._models(tmp_path)
+        assert run("evaluate", cfg, *paths) == EXIT_OK
+        doc = json.loads((out / "evaluation.json").read_text())
+        models = doc["models"]
+        assert len(doc["comparisons"]) == 3
+        for c in doc["comparisons"]:
+            assert c["ece"]["delta_mean"] == models[c["model_a"]]["ece"] - models[c["model_b"]]["ece"]
+        for name, m in models.items():
+            with open(out / f"bins_{name}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            ece = 0.0
+            for r in rows:
+                gap = abs(float(r["empirical_frequency"]) - float(r["mean_confidence"]))
+                ece += (int(r["count"]) / m["n_questions"]) * gap
+            assert m["ece"] == ece
 
     def test_each_gate_compares_on_one_shared_replicate_set(self, tmp_path):
         """Every gate's comparisons equal a bootstrap of that gate's profit
@@ -582,7 +608,7 @@ class TestStatisticsOutputs:
         want = []
         for rule in GATES:
             values, _ = per_question_profits([r[rule] for r in results], trade_ds)
-            boot = paired_bootstrap(values, "total", config.evaluation.bootstrap_reps,
+            boot = paired_bootstrap(values, config.evaluation.bootstrap_reps,
                                     substream(config.seed, "bootstrap", "trade"))
             want += [{"rule": rule, "model_a": names[i], "model_b": names[j], "total_profit_delta": asdict(cmp)}
                      for (i, j), cmp in sorted(boot.items())]

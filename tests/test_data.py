@@ -358,7 +358,8 @@ class TestRoundTrip:
         assert a.features.tolist() == [0.5, 1.0]
         path = tmp_path / "q.csv"
         write(path, [row, {**row, "id": "b", "features": cell}])
-        message = rf"^{re.escape(str(path))}: line 3: field 'features': expected a JSON list without blanks around it"
+        line = 3 + cell.count("\n")  # a record is named by the line it ends on
+        message = rf"^{re.escape(str(path))}: line {line}: field 'features': expected a JSON list without blanks around it"
         with pytest.raises(DataFormatError, match=message):
             load_questions(path)
 

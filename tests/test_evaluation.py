@@ -295,7 +295,7 @@ class TestPairedBrierTest:
 class TestPairedBootstrap:
     def test_identical_columns(self):
         values = np.tile(np.linspace(0, 1, 20)[:, None], (1, 2))
-        cmp = paired_bootstrap(values, "mean", reps=199, rng=substream(0, "t"))[(0, 1)]
+        cmp = paired_bootstrap(values, reps=199, rng=substream(0, "t"))[(0, 1)]
         assert cmp.delta_mean == 0.0
         assert cmp.ci_low == cmp.ci_high == 0.0
         assert cmp.p_value == 1.0
@@ -304,7 +304,7 @@ class TestPairedBootstrap:
         n, reps = 15, 199
         a = np.linspace(-1, 1, n)
         values = np.stack([a, a + 1.0], axis=1)
-        cmp = paired_bootstrap(values, "total", reps=reps, rng=substream(0, "t"))[(0, 1)]
+        cmp = paired_bootstrap(values, reps=reps, rng=substream(0, "t"))[(0, 1)]
         assert cmp.delta_mean == pytest.approx(-float(n))
         assert cmp.ci_low == pytest.approx(-float(n)) and cmp.ci_high == pytest.approx(-float(n))
         assert cmp.p_value == pytest.approx(1.0 / (reps + 1))
@@ -313,14 +313,14 @@ class TestPairedBootstrap:
         rng = np.random.default_rng(44)
         values = rng.normal(size=(12, 2))
         reps = 200
-        got = paired_bootstrap(values, "mean", reps=reps, rng=substream(9, "boot"))[(0, 1)]
+        got = paired_bootstrap(values, reps=reps, rng=substream(9, "boot"))[(0, 1)]
 
         seeds = replicate_seeds(substream(9, "boot"), reps)
         diffs = np.empty(reps)
         for r in range(reps):
             idx = np.random.default_rng(seeds[r]).integers(0, 12, size=12)
-            diffs[r] = values[idx, 0].mean() - values[idx, 1].mean()
-        d_hat = values[:, 0].mean() - values[:, 1].mean()
+            diffs[r] = sum(values[idx, 0]) - sum(values[idx, 1])  # totals in resampled order
+        d_hat = sum(values[:, 0]) - sum(values[:, 1])
         lo, hi = np.percentile(diffs, [2.5, 97.5])
         p = (1 + np.sum(np.abs(diffs - d_hat) >= abs(d_hat))) / (reps + 1)
         assert got.delta_mean == pytest.approx(d_hat, abs=1e-15)
@@ -330,36 +330,33 @@ class TestPairedBootstrap:
 
     def test_row_pairing_preserved(self):
         """Shifting one row's entries jointly leaves every paired
-        difference untouched, replicate by replicate."""
+        difference untouched, replicate by replicate.  The values lie on a
+        1/64 grid, so every total is exact and so is the shift."""
         rng = np.random.default_rng(45)
-        values = rng.normal(size=(10, 3))
+        values = rng.integers(-640, 640, size=(10, 3)) / 64.0
         shifted = values.copy()
         shifted[4] += 100.0
-        a = paired_bootstrap(values, "mean", reps=150, rng=substream(2, "p"))
-        b = paired_bootstrap(shifted, "mean", reps=150, rng=substream(2, "p"))
+        a = paired_bootstrap(values, reps=150, rng=substream(2, "p"))
+        b = paired_bootstrap(shifted, reps=150, rng=substream(2, "p"))
+        assert list(a) == list(b) == [(0, 1), (0, 2), (1, 2)]
         for key in a:
-            assert a[key].delta_mean == pytest.approx(b[key].delta_mean, abs=1e-12)
-            assert a[key].ci_low == pytest.approx(b[key].ci_low, abs=1e-12)
-            assert a[key].ci_high == pytest.approx(b[key].ci_high, abs=1e-12)
-            assert a[key].p_value == b[key].p_value
+            assert asdict(a[key]) == asdict(b[key])
 
     def test_determinism_and_validation(self):
         values = np.random.default_rng(46).normal(size=(8, 2))
-        a = paired_bootstrap(values, "mean", reps=99, rng=substream(3, "d"))[(0, 1)]
-        b = paired_bootstrap(values, "mean", reps=99, rng=substream(3, "d"))[(0, 1)]
+        a = paired_bootstrap(values, reps=99, rng=substream(3, "d"))[(0, 1)]
+        b = paired_bootstrap(values, reps=99, rng=substream(3, "d"))[(0, 1)]
         assert (a.ci_low, a.ci_high, a.p_value) == (b.ci_low, b.ci_high, b.p_value)
-        with pytest.raises(ValidationError):
-            paired_bootstrap(values, "median", reps=9, rng=substream(0, "t"))
-        with pytest.raises(ValidationError):
-            paired_bootstrap(values, "mean", reps=0, rng=substream(0, "t"))
-        with pytest.raises(ValidationError):
-            paired_bootstrap(values, "mean", reps=9, rng=None)
-        with pytest.raises(ValidationError):
-            paired_bootstrap(np.zeros(5), "mean", reps=9, rng=substream(0, "t"))
+        with pytest.raises(ValidationError, match="reps must be >= 1"):
+            paired_bootstrap(values, reps=0, rng=substream(0, "t"))
+        with pytest.raises(ValidationError, match="needs a generator"):
+            paired_bootstrap(values, reps=9, rng=None)
+        with pytest.raises(ValidationError, match="questions x models"):
+            paired_bootstrap(np.zeros(5), reps=9, rng=substream(0, "t"))
 
     def test_three_models_all_pairs(self):
         values = np.random.default_rng(47).normal(size=(9, 3))
-        out = paired_bootstrap(values, "mean", reps=49, rng=substream(4, "m"))
+        out = paired_bootstrap(values, reps=49, rng=substream(4, "m"))
         assert set(out) == {(0, 1), (0, 2), (1, 2)}
         for cmp in out.values():
             assert 0.0 <= cmp.p_value <= 1.0

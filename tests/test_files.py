@@ -201,6 +201,21 @@ class TestStrictReads:
         with pytest.raises(DataFormatError, match="forecasts.jsonl"):
             list(read_jsonl(path, {"question_id": json_string}))
 
+    @pytest.mark.parametrize("case, line", [("blank-lines", 5), ("multiline-cell", 4)])
+    def test_csv_errors_name_the_line_in_the_file(self, tmp_path, case, line):
+        """A CSV record is named by the file line it ends on.  Blank lines:
+        a header, two blank lines, a good row, and the bad row on line 5.
+        A quoted cell that spans lines 2 and 3, then the bad row on line 4."""
+        good, bad = _csv_cells(_question(0)), _csv_cells(_question(1))
+        bad[_FIELD_NAMES.index("outcome")] = "yes"
+        if case == "multiline-cell":
+            good[_FIELD_NAMES.index("source")] = "two\nlines"
+        header, rows = _csv_text([_FIELD_NAMES, good, bad]).split("\r\n", 1)
+        path = tmp_path / "q.csv"
+        path.write_bytes((header + ("\r\n\r\n\r\n" if case == "blank-lines" else "\r\n") + rows).encode("utf-8"))
+        with pytest.raises(DataFormatError, match=rf"^{re.escape(str(path))}: line {line}: field 'outcome'"):
+            load_questions(path)
+
     @pytest.mark.parametrize("late", ["csv-error", "not-utf-8"])
     def test_csv_refusal_comes_before_a_later_error_in_its_block(self, tmp_path, late):
         """A bad cell on line 3 is named although the rows of its block
