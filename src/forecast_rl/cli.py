@@ -174,10 +174,13 @@ def _write_checkpoint(dirpath: Path, cfg: RunConfig, params: PolicyParams, basel
 
 def _check_chronology(cfg: RunConfig, train_ds: Dataset) -> None:
     """Refuse a train split that resolves at or after a prediction of the
-    test split, when there is one.  The test split is read only for this,
-    so it is freed before training."""
+    test split, when there is one: the default test file may be absent,
+    a configured data.test_path may not.  The test split is read only for
+    this, so it is freed before training."""
     test_path = _data_path(cfg, "test")
     if not test_path.exists():
+        if cfg.data.test_path is not None:
+            raise ValidationError(f"data.test_path {test_path} not found; the chronology check needs the test split")
         return
     test_ds = load_questions(test_path, split="test")
     if len(test_ds):
@@ -231,13 +234,20 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def _find_member_params(cfg: RunConfig, member: int) -> tuple[PolicyParams, np.ndarray | None]:
-    """Load the member's checkpoint with the highest question index."""
+    """Load the member's checkpoint with the highest question index among
+    those the last train stage registered in manifest.json, so checkpoints
+    left by an earlier train in the same directory are not read."""
     out = _out_dir(cfg)
-    prefix = f"seed{cfg.seed}_m{member}_q"
-    indexed = [(int(p.name[len(prefix):]), p) for p in out.glob(prefix + "*") if p.name[len(prefix):].isdigit()]
+    prefix, suffix = f"seed{cfg.seed}_m{member}_q", "/params.json"
+    registered = Manifest(out).doc["stages"].get("train", {"files": []})["files"]
+    indexed = [
+        (int(f[len(prefix) : -len(suffix)]), f)
+        for f in registered
+        if f.startswith(prefix) and f.endswith(suffix) and f[len(prefix) : -len(suffix)].isdigit()
+    ]
     if not indexed:
-        raise ValidationError(f"no checkpoint for member {member} under {out} (expected {prefix}*)")
-    return load_checkpoint(max(indexed)[1] / "params.json")
+        raise ValidationError(f"no checkpoint {prefix}*{suffix} of member {member} registered by train in {out}")
+    return load_checkpoint(out / max(indexed)[1])
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:

@@ -25,7 +25,7 @@ from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# Bootstrap replicates go to the statistic in chunks whose (R, n) index
+# Bootstrap replicates go to the statistic in chunks whose (R, n) count
 # matrices, summed over the chunks in flight on every worker thread, hold
 # at most this many entries (or one replicate's n, when n is larger).  This
 # bounds the working memory, and at 1 MB per int64 work array a chunk's
@@ -341,29 +341,26 @@ def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -
 
 
 def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
-    """Bootstrap statistic for paired_bootstrap_stat: maps an (R, n) index
+    """Bootstrap statistic for paired_bootstrap_stat: maps an (R, n) count
     matrix to the (R, models) equal-mass ECE of each column of `probs`
     (questions x models, NaN = absent) on each resampled row set, NaN
     where a row set holds fewer than n_bins present forecasts.
 
-    Each chunk's index matrix becomes one (R, n) count matrix, shared by
-    every model.  Tied probabilities are ordered by row index, so a
-    replicate's ECE depends only on which rows were drawn, not on the
-    order of the draws.
+    Every model reads the same count matrix, its columns taken in that
+    model's (probability, row index) order.  Tied probabilities are
+    ordered by row index, so a replicate's ECE depends only on how often
+    each row was drawn.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    n = probs.shape[0]
     models = []
     for j in range(probs.shape[1]):
         order = _present_order(probs[:, j])
         models.append((order, probs[order, j], ys[order]))
 
-    def stat(idx: np.ndarray) -> np.ndarray:
-        R = idx.shape[0]
-        counts = np.bincount((idx + np.arange(0, R * n, n)[:, None]).ravel(), minlength=R * n).reshape(R, n)
+    def stat(counts: np.ndarray) -> np.ndarray:
         return np.stack(
             [_ece_from_counts(np.take(counts, order, axis=1), p, y, n_bins)[0] for order, p, y in models], axis=1
         )
@@ -413,15 +410,17 @@ def paired_brier_test(probs: np.ndarray, y: np.ndarray) -> dict[tuple[int, int],
     return {(i, j): _wald(losses[i] - losses[j]) for i in range(len(losses)) for j in range(i + 1, len(losses))}
 
 
-def _replicate_indices(seeds: np.ndarray, n_rows: int) -> np.ndarray:
-    """(len(seeds), n_rows) resampled row indices, one generator per seed:
-    row r is `np.random.default_rng(seeds[r]).integers(0, n_rows, n_rows)`
-    (default_rng of an integer is Generator(PCG64(seed)), built here
-    without its argument dispatch)."""
+def _replicate_counts(seeds: np.ndarray, n_rows: int) -> np.ndarray:
+    """(len(seeds), n_rows) count matrix, one generator per seed: row r
+    counts the draws `np.random.default_rng(seeds[r]).integers(0, n_rows,
+    n_rows)` (default_rng of an integer is Generator(PCG64(seed)), built
+    here without its argument dispatch), shifted by r * n_rows so that one
+    bincount counts the whole chunk."""
     idx = np.empty((len(seeds), n_rows), dtype=np.int64)
     for r, seed in enumerate(seeds):
         idx[r] = np.random.Generator(np.random.PCG64(seed)).integers(0, n_rows, size=n_rows)
-    return idx
+    idx += np.arange(len(seeds))[:, None] * n_rows
+    return np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
 
 
 def _bootstrap_workers(n_rows: int) -> int:
@@ -468,17 +467,18 @@ def paired_bootstrap_stat(
 ) -> dict[tuple[int, int], PairedComparison]:
     """Question-level paired bootstrap over an arbitrary row statistic.
 
-    stat_fn maps an (R, n_rows) index matrix (each row one replicate's
-    rows resampled with replacement, whole rows at a time so cross-model
-    pairing is preserved) to an (R, models) array of per-model
-    statistics.  The observed statistic is the one-row call on the
-    calling thread.  The replicates are shared out to `_bootstrap_workers`
+    stat_fn maps an (R, n_rows) count matrix to an (R, models) array of
+    per-model statistics.  Row r counts how often replicate r drew each
+    row when it resampled n_rows rows with replacement, whole rows at a
+    time so cross-model pairing is preserved.  The observed statistic is
+    the call on one all-ones row, on the calling thread.
+    The replicates are shared out to `_bootstrap_workers`
     threads (the calling thread is one of them; up to one per CPU the
     process may run on, at most BOOTSTRAP_MAX_WORKERS), in chunks of about
-    BOOTSTRAP_CHUNK_ELEMENTS / workers indices, so the index matrices in
+    BOOTSTRAP_CHUNK_ELEMENTS / workers entries, so the count matrices in
     flight together hold no more than one chunk, or one replicate once
     n_rows exceeds BOOTSTRAP_CHUNK_ELEMENTS.  Each worker draws a chunk's
-    indices and calls stat_fn on them, so stat_fn is called from several
+    counts and calls stat_fn on them, so stat_fn is called from several
     threads at once and must not mutate shared state.  Each replicate uses
     its own generator derived from a drawn seed, and the chunks' results
     are put together in replicate order, so every result is the same
@@ -499,7 +499,7 @@ def paired_bootstrap_stat(
         raise ValidationError("paired_bootstrap needs a generator")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
-    observed = np.asarray(stat_fn(np.arange(n_rows)[None, :]), dtype=np.float64)[0]
+    observed = np.asarray(stat_fn(np.ones((1, n_rows), dtype=np.int64)), dtype=np.float64)[0]
     if not np.isfinite(observed).all():
         raise ValidationError(f"the bootstrap statistic is not finite on the observed rows: {observed.tolist()}")
     n_models = observed.shape[0]
@@ -522,8 +522,8 @@ def paired_bootstrap_stat(
                     c = next(todo, None)
                 if c is None:
                     return
-                idx = _replicate_indices(seeds[starts[c] : starts[c] + step], n_rows)
-                chunks[c] = np.asarray(stat_fn(idx), dtype=np.float64)
+                counts = _replicate_counts(seeds[starts[c] : starts[c] + step], n_rows)
+                chunks[c] = np.asarray(stat_fn(counts), dtype=np.float64)
         except BaseException as exc:  # re-raised below, once every worker has stopped
             failed.append(exc)
 
@@ -565,29 +565,17 @@ def paired_bootstrap(
     """Paired bootstrap of the column totals of a questions-by-models
     matrix, comparing `pairs` of columns (see `paired_bootstrap_stat`).
 
-    The resampled rows are added one after another in resampled order, as
-    `values[idx].sum(axis=0)` does for a single replicate: a chunk's (R, n)
-    index matrix is cut into ceil(models / 2) blocks of consecutive
-    resampled positions, each gathered as (rows, R, models) and reduced
-    over its first axis, with the running total of the blocks before it
-    added to the block's first row.  So a gather holds about two models'
-    worth of the chunk's values however many columns come in, also when a
-    chunk holds a single replicate.  (The reduction needs two or more
-    models: with one, numpy would sum the contiguous first axis pairwise,
-    but one model has no pairs to compare.)
+    A replicate's totals are its count row times the values, each row
+    weighted by how often it was drawn and added in row order, so they can
+    differ in the last bits from the resampled rows added in resampled
+    order.  `einsum`, not `@`: a BLAS product may round a row differently
+    with the number of rows in its chunk, and no result may depend on that.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ValidationError("values must be a questions x models matrix")
-    n_blocks = max(1, min(-(-values.shape[1] // 2), values.shape[0]))
 
-    def stat_fn(idx: np.ndarray) -> np.ndarray:
-        total = None
-        for rows in np.array_split(idx.T, n_blocks):
-            gathered = np.take(values, rows, axis=0)
-            if total is not None:
-                gathered[0] += total  # carry on from the rows before, in order
-            total = gathered.sum(axis=0)
-        return total
+    def stat_fn(counts: np.ndarray) -> np.ndarray:
+        return np.einsum("rn,nm->rm", counts.astype(np.float64), values)
 
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng, pairs)

@@ -1,13 +1,16 @@
 """The chunked paired bootstrap against the per-replicate loop it replaced,
-and the count-matrix equal-mass ECE against a brute-force count oracle.
+and the count-matrix statistics against brute-force oracles.
 
-The bootstrap machinery (replicate streams, chunking, CIs, p-values,
-dropped replicates) is compared exactly, bit for bit, with the loop run on
-the product's own row statistic.  The ECE is compared with the oracle to
-1e-12: it expands every drawn row by how often it was drawn, sorts by
-(probability, row index) and takes per-bin means, so it adds in a
-different order than the product.  The chunks run on worker threads, and
-their number changes no result.
+The product's statistics read an (R, n) count matrix; the oracles read
+each replicate's drawn indices, and `counts` turns those into the count
+rows.  The bootstrap machinery (replicate streams, chunking, CIs,
+p-values, dropped replicates) is compared exactly, bit for bit, with the
+index loop run on the product's own row statistic.  The ECE is compared
+with the oracle to 1e-12: it expands every drawn row by how often it was
+drawn, sorts by (probability, row index) and takes per-bin means, so it
+adds in a different order than the product.  Profit totals are compared
+with the resampled rows added in resampled order to a relative 1e-12.
+The chunks run on worker threads, and their number changes no result.
 """
 
 import math
@@ -49,6 +52,27 @@ def _binned_ece(p, y, n_bins):
         terms.append((size / p.size) * abs(freq - conf))
         start += size
     return float(sum(terms))
+
+
+def counts(idx, n):
+    """The (R, n) count matrix of (R, n) index rows: how often each row
+    drew each of the n rows."""
+    return np.stack([np.bincount(i, minlength=n) for i in idx])
+
+
+def row_stat_of(stat, n):
+    """The product's statistic `stat` (count matrix -> (R, models)) as a
+    row statistic of one index array, for the oracle loop."""
+    return lambda idx: stat(counts(idx[None, :], n))[0]
+
+
+def totals_stat(values):
+    """The statistic `paired_bootstrap` hands to `paired_bootstrap_stat`
+    for `values`."""
+    got = []
+    with mock.patch.object(evaluation, "paired_bootstrap_stat", lambda n, stat_fn, *rest, **kw: got.append(stat_fn)):
+        paired_bootstrap(values, 9, substream(0, "s"))
+    return got[0]
 
 
 def oracle_ece(probs, ys, idx, n_bins):
@@ -203,14 +227,12 @@ class TestBatchedEce:
         stat = equal_mass_ece_stat(probs, ys, n_bins)
         idx = np.random.default_rng(seed).integers(0, n, size=(chunk_rows, n))
         want = [[oracle_ece(probs[:, j], ys, i, n_bins) for j in range(models)] for i in idx]
-        assert_close(stat(idx), np.array(want))
+        assert_close(stat(counts(idx, n)), np.array(want))
 
         # The bootstrap around it is exact: the per-replicate loop on the
         # product's own row statistic, with chunks of chunk_rows replicates
         # so reps is rarely a multiple.
-        def row_stat(i):
-            return stat(i[None, :])[0]
-
+        row_stat = row_stat_of(stat, n)
         with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
             try:
                 want = oracle_bootstrap(n, row_stat, reps, substream(seed, "b"))
@@ -228,7 +250,7 @@ class TestBatchedEce:
         probs, ys = _forecasts(9, 500, 2, False, 0.05)
         probs[:, 1] = np.round(probs[:, 1], 2)
         idx = np.random.default_rng(9).integers(0, 500, size=(6, 500))
-        got = equal_mass_ece_stat(probs, ys, 10)(idx)
+        got = equal_mass_ece_stat(probs, ys, 10)(counts(idx, 500))
         assert_close(got[:, 0], [position_ece(probs[:, 0], ys, i, 10) for i in idx])
         assert_close(got[:, 1], [position_ece(probs[:, 1], ys, np.sort(i), 10) for i in idx])
         assert not np.allclose(got[:, 1], [position_ece(probs[:, 1], ys, i, 10) for i in idx], rtol=0, atol=1e-12)
@@ -241,7 +263,7 @@ class TestBatchedEce:
         distinct = [np.unique(probs[~np.isnan(probs[:, j]), j]).size for j in range(2)]
         assert distinct[0] > 2**16 > distinct[1]
         idx = np.vstack([np.arange(n), np.random.default_rng(seed).integers(0, n, size=(2, n))])
-        got = equal_mass_ece_stat(probs, ys, n_bins)(idx)
+        got = equal_mass_ece_stat(probs, ys, n_bins)(counts(idx, n))
         want = np.array([[oracle_ece(probs[:, j], ys, i, n_bins) for j in range(2)] for i in idx])
         assert_close(got, want)
 
@@ -253,7 +275,7 @@ class TestBatchedEce:
         ys = rng.integers(0, 2, 101).astype(np.float64)
         for n_bins in (1, 3, 10, 13):
             want = oracle_ece(probs, ys, np.arange(101), n_bins)
-            got = equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.arange(101)[None, :])[0, 0]
+            got = equal_mass_ece_stat(probs[:, None], ys, n_bins)(np.ones((1, 101), dtype=np.int64))[0, 0]
             assert got == pytest.approx(want, rel=0, abs=1e-12)
             assert ece_bins(probs, ys, n_bins)[0] == got
 
@@ -263,7 +285,7 @@ class TestBatchedEce:
         probs = np.array([[0.5, 0.5]] * 2 + [[np.nan, 0.5]] * 9)
         ys = np.ones(11)
         stat = equal_mass_ece_stat(probs, ys, 10)
-        got = stat(np.arange(11)[None, :])
+        got = stat(np.ones((1, 11), dtype=np.int64))
         assert np.isnan(got[0, 0])
         assert got[0, 1] == pytest.approx(oracle_ece(probs[:, 1], ys, np.arange(11), 10), rel=0, abs=1e-12)
         with pytest.raises(ValidationError, match="observed rows"):
@@ -280,7 +302,7 @@ class TestBatchedEce:
         ys = rng.integers(0, 2, 60).astype(np.float64)
         stat = equal_mass_ece_stat(probs, ys, 10)
         got = paired_bootstrap_stat(60, stat, 199, substream(3, "s"))
-        want = oracle_bootstrap(60, lambda idx: stat(idx[None, :])[0], 199, substream(3, "s"))
+        want = oracle_bootstrap(60, row_stat_of(stat, 60), 199, substream(3, "s"))
         assert same(got, want)
         assert 0 < got[(0, 1)].n_dropped < 199
 
@@ -314,28 +336,43 @@ class TestBatchedTotals:
         values = _values_for(statistic, values)
         with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n):
             got = paired_bootstrap(values, reps, substream(1, "t"))
-        want = oracle_bootstrap(n, lambda idx: np.sum(values[idx], axis=0), reps, substream(1, "t"))
+        want = oracle_bootstrap(n, row_stat_of(totals_stat(values), n), reps, substream(1, "t"))
         assert same(got, want)
 
-    @pytest.mark.parametrize("models", [2, 3, 8, 9])
-    @pytest.mark.parametrize("chunk_rows", [1, 3])
-    def test_a_gather_holds_at_most_three_models_worth(self, models, chunk_rows):
-        """The resampled rows are gathered in ceil(models / 2) blocks, so no
-        gather holds more than 3 x n x R values of a chunk of R replicates,
-        also when the chunk holds a single replicate."""
-        n, reps = 50, 7
-        values = np.random.default_rng(3).normal(size=(n, models))
-        take, sizes = np.take, []
+    @pytest.mark.parametrize("n, models", [(1, 2), (37, 2), (400, 3), (150, 7), (1500, 9)])
+    def test_totals_match_the_resampled_order_sums(self, n, models):
+        """Each replicate's totals, summed in row order weighted by count,
+        equal its resampled rows added in resampled order to a relative
+        1e-12 of the absolute values they add."""
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, models)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        values[rng.random((n, models)) < 0.3] = 0.0
+        idx = rng.integers(0, n, size=(25, n))
+        got = totals_stat(values)(counts(idx, n))
+        for r, i in enumerate(idx):
+            want, scale = np.sum(values[i], axis=0), np.sum(np.abs(values[i]), axis=0)
+            assert np.all(np.abs(got[r] - want) <= 1e-12 * scale), r
 
-        def spy(a, indices, *args, **kwargs):
-            out = take(a, indices, *args, **kwargs)
-            sizes.append(out.size)
-            return out
+    @pytest.mark.parametrize("n, models", [(7, 2), (333, 3), (1500, 9), (3001, 9)])
+    def test_a_row_does_not_depend_on_its_chunk(self, n, models):
+        """Each row of a multi-row chunk's totals is bit-identical to that
+        row's own one-row call, so chunking and worker count change no
+        total (a BLAS matrix product breaks this)."""
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=(n, models)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        stat = totals_stat(values)
+        c = counts(rng.integers(0, n, size=(40, n)), n)
+        for rows in (2, 5, 17, 40):
+            chunk = stat(c[:rows])
+            for r in range(rows):
+                assert chunk[r].tobytes() == stat(c[r : r + 1])[0].tobytes(), (rows, r)
 
-        with workers(1), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", chunk_rows * n), \
-                mock.patch.object(evaluation.np, "take", spy):
-            paired_bootstrap(values, reps, substream(1, "g"))
-        assert sizes and max(sizes) <= 3 * n * chunk_rows
+    def test_no_rows(self):
+        """A matrix with no rows compares equal totals: p = 1, zero CIs."""
+        got = paired_bootstrap(np.zeros((0, 3)), 99, substream(0, "e"))
+        assert list(got) == [(0, 1), (0, 2), (1, 2)]
+        for cmp in got.values():
+            assert (cmp.delta_mean, cmp.ci_low, cmp.ci_high, cmp.p_value, cmp.n_dropped) == (0.0, 0.0, 0.0, 1.0, 0)
 
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     def test_identical_columns_give_an_exact_zero(self, statistic):
@@ -362,7 +399,7 @@ class TestWorkerThreads:
     def test_ece_is_the_same_on_any_worker_count(self):
         probs, ys = _forecasts(21, 300, 3, True, 0.3)
         stat = equal_mass_ece_stat(probs, ys, 10)
-        want = oracle_bootstrap(300, lambda idx: stat(idx[None, :])[0], 199, substream(6, "w"))
+        want = oracle_bootstrap(300, row_stat_of(stat, 300), 199, substream(6, "w"))
         for w in (1, 2, 5):  # 5: more workers than the host has cores
             # 10 replicates a chunk on one worker, 2 on five: 20 to 100 chunks
             with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 10 * 300):
@@ -372,7 +409,7 @@ class TestWorkerThreads:
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     def test_totals_are_the_same_on_any_worker_count(self, statistic):
         values = _values_for(statistic, np.random.default_rng(22).normal(size=(200, 4)))
-        every = oracle_bootstrap(200, lambda idx: np.sum(values[idx], axis=0), 301, substream(7, "w"))
+        every = oracle_bootstrap(200, row_stat_of(totals_stat(values), 200), 301, substream(7, "w"))
         pairs = [(0, 1), (2, 3), (0, 3)]
         for w in (1, 2, 5):
             with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 10 * 200):
@@ -387,15 +424,16 @@ class TestWorkerThreads:
         values = np.random.default_rng(23).normal(size=(50, 2))
         reps = 97
         bad = np.random.default_rng(replicate_seeds(substream(8, "x"), reps)[60]).integers(0, 50, size=50)
+        bad = np.bincount(bad, minlength=50)  # replicate 60's count row
         boom = RuntimeError("the statistic failed on a later chunk")
         chunks = []
 
-        def stat_fn(idx):
-            chunks.append(idx.shape[0])  # list.append is atomic
-            if any(np.array_equal(row, bad) for row in idx):
+        def stat_fn(c):
+            chunks.append(c.shape[0])  # list.append is atomic
+            if any(np.array_equal(row, bad) for row in c):
                 raise boom
-            time.sleep(0.001 * (idx[0, 0] % 10))  # uneven chunks keep the other workers busy when one fails
-            return values[idx].sum(axis=1)
+            time.sleep(0.001 * (c[0, 0] % 10))  # uneven chunks keep the other workers busy when one fails
+            return c @ values
 
         before = threading.active_count()
         with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 6 * 50):
@@ -426,20 +464,20 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize("n", [100, 400, 500, 501, 1001])
     def test_chunks_in_flight_hold_at_most_one_chunk(self, n):
-        """With 64 CPUs in the affinity mask and 1000-index chunks, the
-        index matrices that stat_fn holds at one time never exceed 1000
+        """With 64 CPUs in the affinity mask and 1000-entry chunks, the
+        count matrices that stat_fn holds at one time never exceed 1000
         entries, or one replicate's n when n is larger."""
         lock = threading.Lock()
         held = [0, 0]  # now, most
 
-        def stat_fn(idx):
+        def stat_fn(c):
             with lock:
-                held[0] += idx.size
+                held[0] += c.size
                 held[1] = max(held)
             time.sleep(0.002)  # long enough for the other workers' chunks to overlap
             with lock:
-                held[0] -= idx.size
-            return np.zeros((idx.shape[0], 2))
+                held[0] -= c.size
+            return np.zeros((c.shape[0], 2))
 
         with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))), mock.patch.object(
             evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 1000

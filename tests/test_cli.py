@@ -174,13 +174,41 @@ class TestPipeline:
         cfg = write_config(tmp_path)
         assert run("synth", cfg) == EXIT_OK
         out = tmp_path / "out"
+        paths = []
         for index, answer in ((999999, 20), (1000000, 70)):
             params = PolicyParams.zeros(2)
             params.answer_weights[0, answer] = 5.0
-            save_checkpoint(params, out / f"seed3_m0_q{index:06d}" / "params.json")
+            paths.append(out / f"seed3_m0_q{index:06d}" / "params.json")
+            save_checkpoint(params, paths[-1])
+        Manifest(out).register("train", "hash", paths, 0.0)
         assert run("predict", cfg) == EXIT_OK
         rows = [json.loads(line) for line in (out / "forecasts.jsonl").read_text().splitlines()]
         assert rows and {r["probability"] for r in rows} == {0.7}
+
+    def test_predict_reads_the_checkpoints_of_the_last_train(self, tmp_path, capsys):
+        """A second train on a shorter stream in the same directory leaves
+        the first train's later checkpoint on disk; predict reads the
+        second train's checkpoint, as in a fresh directory, and without a
+        registered checkpoint it exits 2."""
+        def config(n, out):
+            return write_config(tmp_path, output_dir=str(tmp_path / out),
+                                data={"synthetic": {"n_questions": n, "feature_dim": 2, "market_noise": 0.5}})
+
+        for n in (60, 40):
+            for cmd in ("synth", "train"):
+                assert run(cmd, config(n, "out")) == EXIT_OK
+        assert (tmp_path / "out" / "seed3_m0_q000030").exists()
+        assert run("predict", config(40, "out")) == EXIT_OK
+        for cmd in ("synth", "train", "predict"):
+            assert run(cmd, config(40, "fresh")) == EXIT_OK
+        for name in ("forecasts.jsonl", "forecasts_m0.jsonl"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+        manifest = Manifest(tmp_path / "out")
+        del manifest.doc["stages"]["train"]
+        manifest.save()
+        assert run("predict", config(40, "out")) == EXIT_VALIDATION
+        assert "no checkpoint seed3_m0_q*/params.json of member 0 registered by train" in capsys.readouterr().err
 
     def test_checkpoint_cadence(self, tmp_path):
         cfg = write_config(tmp_path, train={"checkpoint_every": 10})
@@ -439,6 +467,24 @@ class TestExitCodes:
         assert run("train", cfg) == EXIT_VALIDATION
         assert f"chronology violation: {30 * 30} (train, test) pairs" in capsys.readouterr().err
 
+    def test_missing_configured_test_path_exit_2(self, tmp_path, capsys):
+        """A configured data.test_path that does not exist is refused,
+        naming the key, rather than skipping the chronology check; the
+        default test path may be absent."""
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        out = tmp_path / "out"
+        train_ds, test_ds = load_questions(out / "train.jsonl"), load_questions(out / "test.jsonl", split="test")
+        save_questions(test_ds, out / "train.jsonl")  # violates chronology against the real test split
+        save_questions(train_ds, out / "test.jsonl")
+        misspelled = write_config(tmp_path, data={"test_path": str(out / "tset.jsonl")})
+        assert run("train", misspelled) == EXIT_VALIDATION
+        assert f"data.test_path {out / 'tset.jsonl'} not found" in capsys.readouterr().err
+        assert not list(out.glob("seed3_m0_*"))
+
+        (out / "test.jsonl").unlink()
+        assert run("train", write_config(tmp_path)) == EXIT_OK
+
     def test_test_split_is_freed_before_training(self, tmp_path, monkeypatch):
         """The test split is read only for the chronology check, so the
         test Dataset that train loads is gone while the members train."""
@@ -467,6 +513,27 @@ class TestExitCodes:
         )
         assert run("synth", cfg) == EXIT_OK
         assert run("train", cfg) == EXIT_VALIDATION
+
+
+    def test_trade_with_every_priced_question_in_the_calibration_half(self, tmp_path):
+        """A CSV test set priced only in its calibration half leaves no row
+        to trade: the comparisons have p = 1 and zero CIs, and trade exits 0."""
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        test_ds = load_questions(tmp_path / "out" / "test.jsonl", split="test")
+        test_ds.market_price[len(test_ds) // 2 :] = np.nan
+        save_questions(test_ds, tmp_path / "test.csv")
+        cfg = write_config(tmp_path, data={"test_path": str(tmp_path / "test.csv")})
+        paths = []
+        for name, probs in (("a", 0.3), ("b", 0.7)):
+            paths.append(str(tmp_path / f"{name}.jsonl"))
+            save_forecasts(paths[-1], test_ds.ids, np.full(len(test_ds), probs))
+        assert run("trade", cfg, *paths) == EXIT_OK
+        comparisons = json.loads((tmp_path / "out" / "trades.json").read_text())["comparisons"]
+        assert len(comparisons) == 3
+        for c in comparisons:
+            delta = c["total_profit_delta"]
+            assert (delta["delta_mean"], delta["ci_low"], delta["ci_high"], delta["p_value"]) == (0.0, 0.0, 0.0, 1.0)
 
 
 class TestReportAndManifest:
@@ -511,7 +578,10 @@ class TestStatisticsOutputs:
     # ECE, whose bin means are sequential sums: they moved in the last bits
     # of the bin means, the ECEs and the gating_ece values (bins were
     # 2ca09a61..., 275f67c2..., d0a0b902...; evaluation.json e7bca65a...;
-    # trades.json 738ea9f5...).
+    # trades.json 738ea9f5...).  trades.json was re-pinned when the profit
+    # totals became count-weighted sums in row order rather than sums in
+    # resampled order: only comparison ci_low / ci_high values moved, by
+    # 1-4 ulps (it was 2293d7d8...).
     DIGESTS = {
         "bins_echo.csv": "c596a2941a6d2068fd37b31573a7a3e8229e98817178fefb625e810abdd88512",
         "bins_grid.csv": "551c71a88a58c3aa0d530c8ae3d0f7002700c9c530c03719975b416886b8bd10",
@@ -526,7 +596,7 @@ class TestStatisticsOutputs:
         "curve_smooth_edge_above_ece.csv": "6209eb00421bf47b8b14157e03033bfee1e2969144ac2879c64a6df7371e610f",
         "curve_smooth_edge_above_zero.csv": "9256e4ffd92be5cbbeab1dca5772b6d6b48c622984b19e860581a9908ee1c687",
         "evaluation.json": "8460d1b9c4626993be537d60d76bdf8ba2395e984efb6e162bf12db3a0536af5",
-        "trades.json": "2293d7d825ede5a5c03ed2ea78fe4fdabdfe8b54a0ca4bde433d2df39b31b7e5",
+        "trades.json": "596cca7831497f0d9ef4cfa8a5414d560bcb7eba0ffcffa0d85497ee713eb6f7",
     }
 
     @staticmethod

@@ -105,6 +105,7 @@ REMOVED_NAMES = (
     "TradeRecord", "make_trade", "train_online", "guardrail_rewards", "dpo_gradients",
     "draw_prediction_timestamp", "max_entropy", "n_content", "n_answer", "check_early_stop",
     "record_field", "_row", "_parsed", "_forecast", "_number_or_null", "_equal_mass_bins",
+    "_replicate_indices",
 )
 
 
@@ -127,8 +128,8 @@ def removed_uses(source: str) -> list[int]:
 def test_no_module_uses_a_removed_name():
     """Trades are columns (trading.Trades), DPO shares the online step's
     weight stack and reward table, record files are read by columns with
-    one cast per field, every equal-mass ECE is the count-matrix one, and
-    no stage calls the rest."""
+    one cast per field, every equal-mass ECE is the count-matrix one, the
+    bootstrap resamples as counts, and no stage calls the rest."""
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := removed_uses(path.read_text()))}
     assert found == {}
 
