@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs", type=int, default=1,
             help="accepted for compatibility and sets nothing: training runs every member in this process, and "
-                 "the bootstraps of evaluate and trade run on up to two CPUs of the affinity mask (taskset limits them)",
+                 "the bootstraps of evaluate and trade fork up to two worker processes, one per CPU of the affinity "
+                 "mask and the cgroup CPU quota (taskset limits them)",
         )
         if name in ("evaluate", "trade"):
             p.add_argument("forecasts", nargs="*", help="forecast JSONL files (default: <out>/forecasts.jsonl)")

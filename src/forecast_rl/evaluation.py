@@ -12,33 +12,37 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import os
-import threading
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from forecast_rl.errors import ValidationError
-from forecast_rl.files import json_number, json_string, read_jsonl_columns, write_jsonl_columns
+from forecast_rl.files import cgroup_cpus, json_number, json_string, read_jsonl_columns, write_jsonl_columns
 from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
 # Bootstrap replicates go to the statistic in chunks whose (R, n) count
-# matrices, summed over the chunks in flight on every worker thread, hold
+# matrices, summed over the chunks in flight on every worker process, hold
 # at most this many entries (or one replicate's n, when n is larger).  This
 # bounds the working memory, and at 1 MB per int64 work array a chunk's
 # counts and cumulative sums stay in a core's L2 cache; 2**18 measured about
 # a fifth slower on a 3000-question ECE bootstrap.
 BOOTSTRAP_CHUNK_ELEMENTS = 2**17
 
-# At most this many threads share the bootstrap's chunks: two threads on
-# two CPUs is the only setting measured end to end.  More threads than the
-# process can really use cost time (on 2 CPUs, a 3000-row, 3-model ECE
-# bootstrap took 0.99 s on one thread, 0.57 s on two and 1.41 s on eight),
-# and a container's CPU quota does not narrow the affinity mask.  Two
-# threads held to one CPU ran no slower than one thread.
+# At most this many forked processes share the bootstrap's chunks: two
+# workers on two CPUs is the only setting measured end to end.  More
+# workers than the process can really use cost time (on 2 CPUs, a
+# 3000-row, 3-model ECE bootstrap took 0.99 s on one thread, 0.57 s on two
+# and 1.41 s on eight), so the count is also held to the CPUs of the
+# affinity mask and of the cgroup CPU quota, which the mask does not show.
+# Processes, not threads: drawing a replicate's generator and counting its
+# draws hold the interpreter lock, and two threads ran the profit-total
+# bootstrap slower than one.
 BOOTSTRAP_MAX_WORKERS = 2
 
 # Lentz's continued fraction for the incomplete beta function stops when a
@@ -268,7 +272,8 @@ def ece_bins(probs: np.ndarray, y: np.ndarray, n_bins: int = 10) -> tuple[float,
     if n < n_bins:
         raise ValidationError(f"ece needs at least {n_bins} present forecasts, got {n}")
     p = probs[order]
-    ece, size, sum_p, sum_y = (a[0] for a in _ece_from_counts(np.ones((1, n), dtype=np.int64), p, y[order], n_bins))
+    ones = np.ones((1, n), dtype=np.int64)
+    ece, size, sum_p, sum_y = (a[0] for a in _ece_from_counts(ones, p, y[order], n_bins, {}))
     first = np.cumsum(size) - size
     rows = [
         BinRow(float(p[a]), float(p[a + k - 1]), k, float(conf), float(freq))
@@ -283,7 +288,19 @@ def ece_equal_mass(forecasts: list[Forecast], outcomes: dict[str, int], n_bins: 
     return ece_bins(*_forecast_column(forecasts, outcomes), n_bins)[0]
 
 
-def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -> np.ndarray:
+def _reused(store: dict, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised `shape` array on the memory of store[name], which is
+    replaced when it is too small.  A bootstrap worker reuses its chunk
+    arrays from chunk to chunk: fresh arrays in a forked process fault in
+    new pages for every chunk."""
+    size = math.prod(shape)
+    a = store.get(name)
+    if a is None or a.size < size or a.dtype != dtype:
+        a = store[name] = np.empty(size, dtype)
+    return a[:size].reshape(shape)
+
+
+def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int, store: dict) -> np.ndarray:
     """Equal-mass ECE of every row of a count matrix.
 
     `c` (R, m) holds how often each of a model's m present forecasts was
@@ -298,14 +315,16 @@ def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -
     A row with fewer than n_bins draws has no ECE: it gets NaN.
 
     Returns the (R,) ECEs and the (R, n_bins) bin sizes and bin sums of
-    c*p and c*y.
+    c*p and c*y.  The running counts and the products c*p and c*y are
+    worked out in `store`'s arrays (see `_reused`).
     """
     R, m = c.shape
     out = np.full(R, np.nan)
     if m == 0:
         return out, *np.zeros((3, R, n_bins))
     flat = c.ravel()
-    cum = np.cumsum(flat)  # runs on across rows, so that one search serves every row
+    # The running count runs on across rows, so that one search serves every row.
+    cum = np.cumsum(flat, out=_reused(store, "cum", flat.shape, flat.dtype))
     row0 = np.arange(0, R * m, m)
     before = cum[row0] - flat[row0]  # draws in earlier rows
     k = cum[row0 + m - 1] - before
@@ -328,9 +347,11 @@ def _ece_from_counts(c: np.ndarray, p: np.ndarray, y: np.ndarray, n_bins: int) -
     whole[:, :-1] = first[:, :-1] < first[:, 1:]
     j = first - row0[:, None]
     sums = []
+    prod = _reused(store, "prod", (R, m), np.float64)
     for v in (p, y):
         split = head * v[j]
-        s = np.where(whole, np.add.reduceat((c * v).ravel(), starts.ravel()).reshape(R, n_bins), 0.0) - split
+        np.multiply(c, v, out=prod)
+        s = np.where(whole, np.add.reduceat(prod.ravel(), starts.ravel()).reshape(R, n_bins), 0.0) - split
         s[:, :-1] += split[:, 1:]
         sums.append(s)
     ok = k >= n_bins
@@ -349,7 +370,8 @@ def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
     Every model reads the same count matrix, its columns taken in that
     model's (probability, row index) order.  Tied probabilities are
     ordered by row index, so a replicate's ECE depends only on how often
-    each row was drawn.
+    each row was drawn.  The statistic works in arrays it reuses from call
+    to call, so one process must not call it from two threads at once.
     """
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
@@ -359,11 +381,16 @@ def equal_mass_ece_stat(probs: np.ndarray, ys: np.ndarray, n_bins: int = 10):
     for j in range(probs.shape[1]):
         order = _present_order(probs[:, j])
         models.append((order, probs[order, j], ys[order]))
+    store: dict[str, np.ndarray] = {}
+
+    def ece(counts: np.ndarray, order: np.ndarray, p: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # mode="clip" (the order holds valid rows): with the default "raise",
+        # take writes through a fresh buffer instead of into `out`.
+        c = _reused(store, "gathered", (len(counts), order.size), counts.dtype)
+        return _ece_from_counts(np.take(counts, order, axis=1, out=c, mode="clip"), p, y, n_bins, store)[0]
 
     def stat(counts: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [_ece_from_counts(np.take(counts, order, axis=1), p, y, n_bins)[0] for order, p, y in models], axis=1
-        )
+        return np.stack([ece(counts, *model) for model in models], axis=1)
 
     return stat
 
@@ -410,13 +437,13 @@ def paired_brier_test(probs: np.ndarray, y: np.ndarray) -> dict[tuple[int, int],
     return {(i, j): _wald(losses[i] - losses[j]) for i in range(len(losses)) for j in range(i + 1, len(losses))}
 
 
-def _replicate_counts(seeds: np.ndarray, n_rows: int) -> np.ndarray:
+def _replicate_counts(seeds: np.ndarray, n_rows: int, idx: np.ndarray) -> np.ndarray:
     """(len(seeds), n_rows) count matrix, one generator per seed: row r
     counts the draws `np.random.default_rng(seeds[r]).integers(0, n_rows,
     n_rows)` (default_rng of an integer is Generator(PCG64(seed)), built
-    here without its argument dispatch), shifted by r * n_rows so that one
+    here without its argument dispatch).  The draws go into `idx`, a
+    (len(seeds), n_rows) int64 array, shifted by r * n_rows so that one
     bincount counts the whole chunk."""
-    idx = np.empty((len(seeds), n_rows), dtype=np.int64)
     for r, seed in enumerate(seeds):
         idx[r] = np.random.Generator(np.random.PCG64(seed)).integers(0, n_rows, size=n_rows)
     idx += np.arange(len(seeds))[:, None] * n_rows
@@ -424,15 +451,115 @@ def _replicate_counts(seeds: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 def _bootstrap_workers(n_rows: int) -> int:
-    """Worker threads for the bootstrap's replicate chunks: the CPUs this
-    process may run on (its affinity mask, which `taskset` narrows), at most
-    BOOTSTRAP_MAX_WORKERS, and only as many as can each hold a whole
-    replicate within BOOTSTRAP_CHUNK_ELEMENTS indices between them."""
+    """Worker processes for the bootstrap's replicate chunks: the CPUs this
+    process may run on (its affinity mask, which `taskset` narrows, and its
+    cgroup's CPU quota, rounded up), at most BOOTSTRAP_MAX_WORKERS, and only
+    as many as can each hold a whole replicate within
+    BOOTSTRAP_CHUNK_ELEMENTS indices between them.  One on a platform
+    without `os.fork`."""
+    if not hasattr(os, "fork"):
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
+    cpus = math.ceil(min(cpus, cgroup_cpus()))
     return max(1, min(cpus, BOOTSTRAP_MAX_WORKERS, BOOTSTRAP_CHUNK_ELEMENTS // max(n_rows, 1)))
+
+
+def _fill_chunks(boot: np.ndarray, seeds: np.ndarray, n_rows: int, stat_fn, step: int, first: int, stride: int):
+    """Chunks first, first + stride, ... of `step` replicates each: draw a
+    chunk's counts and write stat_fn of them into its rows of `boot`.  The
+    draws go into one array that every chunk reuses."""
+    store: dict[str, np.ndarray] = {}
+    for start in range(first * step, len(seeds), stride * step):
+        chunk = seeds[start : start + step]
+        idx = _reused(store, "draws", (len(chunk), n_rows), np.int64)
+        boot[start : start + len(chunk)] = stat_fn(_replicate_counts(chunk, n_rows, idx))
+
+
+def _worker_report(exc: BaseException) -> bytes:
+    """`exc` pickled for the parent, or, where it does not pickle or
+    unpickle (both can raise almost any exception), a RuntimeError that
+    names it."""
+    try:
+        report = pickle.dumps(exc)
+        pickle.loads(report)
+    except Exception:
+        report = pickle.dumps(RuntimeError(f"a bootstrap worker failed with {exc!r}"))
+    return report
+
+
+def _read_to_end(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 65536):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _run_forked(workers: int, work) -> None:
+    """work(w) for each w < workers, each in a child process of its own
+    started with `os.fork`; returns once every child has exited.
+
+    A child leaves with `os._exit`, so it runs no exit handler and flushes
+    no buffer it inherited (the caller's buffered stdout, say).  An
+    exception work raises in a child is pickled back through a pipe, and
+    the lowest failed worker's is raised here after every child has been
+    reaped; a child that exits otherwise than with status 0 without
+    reporting is a RuntimeError that names its status.  If this process
+    fails while it waits (KeyboardInterrupt included), it kills and reaps
+    the children before the exception goes on.
+    """
+    children: list[tuple[int, int]] = []  # (pid, read end of its report pipe), in worker order
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        work(w)
+                        code = 0
+                    except BaseException as exc:
+                        report = memoryview(_worker_report(exc))
+                        while report:
+                            report = report[os.write(wr, report) :]
+                finally:
+                    os._exit(code)
+            children.append((pid, r))
+            os.close(wr)
+        failure = None
+        while children:
+            pid, r = children[0]
+            report = _read_to_end(r)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            os.close(r)
+            if failure is None and report:
+                failure = pickle.loads(report)
+            elif failure is None and status != 0:
+                failure = RuntimeError(f"a bootstrap worker exited with status {status} and reported no error")
+        if failure is not None:
+            raise failure
+    except BaseException:
+        if children:
+            import signal  # here, not at module level: importing it costs every stage about 1 ms
+
+            for pid, r in children:
+                os.close(r)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # reaped just before this process failed
+                    pass
+        raise
 
 
 def _ci95(d: np.ndarray) -> tuple[float, float]:
@@ -471,21 +598,22 @@ def paired_bootstrap_stat(
     per-model statistics.  Row r counts how often replicate r drew each
     row when it resampled n_rows rows with replacement, whole rows at a
     time so cross-model pairing is preserved.  The observed statistic is
-    the call on one all-ones row, on the calling thread.
-    The replicates are shared out to `_bootstrap_workers`
-    threads (the calling thread is one of them; up to one per CPU the
-    process may run on, at most BOOTSTRAP_MAX_WORKERS), in chunks of about
-    BOOTSTRAP_CHUNK_ELEMENTS / workers entries, so the count matrices in
-    flight together hold no more than one chunk, or one replicate once
-    n_rows exceeds BOOTSTRAP_CHUNK_ELEMENTS.  Each worker draws a chunk's
-    counts and calls stat_fn on them, so stat_fn is called from several
-    threads at once and must not mutate shared state.  Each replicate uses
-    its own generator derived from a drawn seed, and the chunks' results
-    are put together in replicate order, so every result is the same
+    the call on one all-ones row, in the calling process.
+    The replicates are shared out to `_bootstrap_workers` worker processes
+    (up to one per CPU the process may use, at most BOOTSTRAP_MAX_WORKERS),
+    in chunks of about BOOTSTRAP_CHUNK_ELEMENTS / workers entries, so the
+    count matrices in flight together hold no more than one chunk, or one
+    replicate once n_rows exceeds BOOTSTRAP_CHUNK_ELEMENTS.  Worker w draws
+    the counts of chunks w, w + workers, ... and calls stat_fn on them in a
+    process forked for the call (see `_run_forked`), whose only output is
+    the statistics it writes into their rows of one shared result array.
+    With one worker the chunks run in the calling process.  Each replicate uses its own generator derived
+    from a drawn seed and fills its own row, so every result is the same
     whatever the worker count, chunking or execution order.  An exception
-    stat_fn raises reaches the caller unchanged, once every worker has
-    stopped.  Two-sided p-values come from the zero-centered difference
-    distribution with an add-one correction.
+    stat_fn raises in a worker reaches the caller as a copy (same type and
+    arguments), once every worker has stopped.  Two-sided p-values come
+    from the zero-centered difference distribution with an add-one
+    correction.
     `pairs` lists the (i, j) model pairs to compare; by default every
     pair with i < j.
 
@@ -506,36 +634,14 @@ def paired_bootstrap_stat(
     seeds = replicate_seeds(rng, reps)
     workers = _bootstrap_workers(n_rows)
     step = max(1, BOOTSTRAP_CHUNK_ELEMENTS // (workers * max(n_rows, 1)))
-    starts = range(0, reps, step)
-    chunks = [None] * len(starts)
-    todo = iter(range(len(starts)))
-    lock = threading.Lock()
-    failed: list[BaseException] = []
-
-    def work() -> None:
-        # Take the next chunk until none is left or a worker has failed.
-        # numpy's draws, gathers and sums release the interpreter lock, so
-        # the workers' chunks run side by side.
-        try:
-            while not failed:
-                with lock:
-                    c = next(todo, None)
-                if c is None:
-                    return
-                counts = _replicate_counts(seeds[starts[c] : starts[c] + step], n_rows)
-                chunks[c] = np.asarray(stat_fn(counts), dtype=np.float64)
-        except BaseException as exc:  # re-raised below, once every worker has stopped
-            failed.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(min(workers, len(starts)) - 1)]
-    for thread in threads:
-        thread.start()
-    work()  # the calling thread is a worker too
-    for thread in threads:
-        thread.join()
-    if failed:
-        raise failed[0]
-    boot = np.concatenate(chunks)
+    workers = min(workers, -(-reps // step))
+    if workers == 1:
+        boot = np.empty((reps, n_models))
+        _fill_chunks(boot, seeds, n_rows, stat_fn, step, 0, 1)
+    else:  # the workers write their rows into one shared anonymous mapping
+        shared = mmap.mmap(-1, max(1, reps * n_models) * 8)
+        boot = np.frombuffer(shared, dtype=np.float64, count=reps * n_models).reshape(reps, n_models)
+        _run_forked(workers, lambda w: _fill_chunks(boot, seeds, n_rows, stat_fn, step, w, workers))
 
     if pairs is None:
         pairs = [(i, j) for i in range(n_models) for j in range(i + 1, n_models)]
@@ -575,7 +681,11 @@ def paired_bootstrap(
     if values.ndim != 2:
         raise ValidationError("values must be a questions x models matrix")
 
+    store: dict[str, np.ndarray] = {}
+
     def stat_fn(counts: np.ndarray) -> np.ndarray:
-        return np.einsum("rn,nm->rm", counts.astype(np.float64), values)
+        weights = _reused(store, "weights", counts.shape, np.float64)
+        np.copyto(weights, counts)
+        return np.einsum("rn,nm->rm", weights, values)
 
     return paired_bootstrap_stat(values.shape[0], stat_fn, reps, rng, pairs)

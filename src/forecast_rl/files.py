@@ -19,6 +19,9 @@ read by the same columns.  A schema declares each field once, as a cast
 that turns the field's value (None where the record lacks it) into what is
 loaded, or raises; one rule (`_cast_record`) decides which refusal names
 a bad record.
+
+`cgroup_cpus` reads the one file this package reads that is not a run
+file: the process's CPU quota.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from forecast_rl.errors import DataFormatError
+
+# The cgroup file system whose CPU quota `cgroup_cpus` reads; in a
+# container it is the container's own cgroup.
+CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 @contextlib.contextmanager
@@ -337,3 +344,25 @@ def json_number(value) -> float:
     if type(value) is not float and type(value) is not int:
         raise ValueError(f"expected a number, got {json.dumps(value)[:40]}")
     return float(value)
+
+
+def cgroup_cpus(root: Path = CGROUP_ROOT) -> float:
+    """CPUs that the CPU quota of the cgroup mounted at `root` grants, as
+    quota / period: cgroup v2's `cpu.max` ("max" or "<quota> <period>"), else
+    v1's `cpu/cpu.cfs_quota_us` (-1 for none) and `cpu/cpu.cfs_period_us`.
+    Infinite where there is no quota or no such file."""
+    try:
+        quota, period = (root / "cpu.max").read_text().split()
+    except OSError:
+        try:
+            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (root / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return math.inf
+    except ValueError:  # not two fields
+        return math.inf
+    try:
+        quota, period = int(quota), int(period)
+    except ValueError:  # "max", or not numbers
+        return math.inf
+    return quota / period if quota > 0 and period > 0 else math.inf

@@ -49,6 +49,6 @@ def replicate_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw `n` independent child seeds from `rng` in one call.
 
     Used for per-replicate bootstrap generators: results do not depend on
-    how replicates are later batched or threaded.
+    how replicates are later chunked or shared out among worker processes.
     """
     return rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)

@@ -10,12 +10,12 @@ with the oracle to 1e-12: it expands every drawn row by how often it was
 drawn, sorts by (probability, row index) and takes per-bin means, so it
 adds in a different order than the product.  Profit totals are compared
 with the resampled rows added in resampled order to a relative 1e-12.
-The chunks run on worker threads, and their number changes no result.
+The chunks run in forked worker processes, and their number changes no
+result.
 """
 
 import math
 import os
-import sys
 import threading
 import time
 from dataclasses import asdict
@@ -35,6 +35,7 @@ from forecast_rl.evaluation import (
     paired_bootstrap,
     paired_bootstrap_stat,
 )
+from forecast_rl.files import cgroup_cpus
 from forecast_rl.rng import replicate_seeds, substream
 
 
@@ -85,8 +86,8 @@ def oracle_ece(probs, ys, idx, n_bins):
 
 
 def position_ece(probs, ys, idx, n_bins):
-    """The ECE the rank-radix implementation computed: drawn rows in draw
-    order, a float stable argsort, so tied probabilities keep draw order."""
+    """The draw-order ECE: drawn rows in draw order, a float stable
+    argsort, so tied probabilities keep draw order."""
     p, y = probs[idx], ys[idx]
     mask = ~np.isnan(p)
     order = np.argsort(p[mask], kind="stable")
@@ -119,16 +120,15 @@ def oracle_bootstrap(n_rows, row_stat, reps, rng):
 
 
 def workers(w):
-    """Run the bootstrap's chunks on w worker threads.  With one, a patched
-    BOOTSTRAP_CHUNK_ELEMENTS of chunk_rows * n makes chunks of exactly
-    chunk_rows replicates."""
+    """Run the bootstrap's chunks in w worker processes.  With one, a
+    patched BOOTSTRAP_CHUNK_ELEMENTS of chunk_rows * n makes chunks of
+    exactly chunk_rows replicates."""
     return mock.patch.object(evaluation, "_bootstrap_workers", return_value=w)
 
 
 def run_bounded(fn, seconds=120):
-    """fn() on its own thread with a 1 µs switch interval, so that threads
-    are switched as often as the interpreter allows; returns its result or
-    the exception it raised, and fails if it still runs after `seconds`."""
+    """fn() on its own thread: returns its result or the exception it
+    raised, and fails if it still runs after `seconds`."""
     out = []
 
     def target():
@@ -137,16 +137,17 @@ def run_bounded(fn, seconds=120):
         except BaseException as exc:
             out.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        thread = threading.Thread(target=target, daemon=True)
-        thread.start()
-        thread.join(seconds)
-    finally:
-        sys.setswitchinterval(interval)
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
     assert not thread.is_alive(), f"the bootstrap still runs after {seconds} s"
     return out[0]
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def same(a: dict, b: dict) -> bool:
@@ -244,8 +245,8 @@ class TestBatchedEce:
         assert same(got, want)
 
     def test_ties_follow_row_index_not_draw_order(self):
-        """A replicate's ECE is the rank-radix ECE of its indices sorted
-        ascending; on untied probabilities it is the rank-radix ECE of the
+        """A replicate's ECE is the draw-order ECE of its indices sorted
+        ascending; on untied probabilities it is the draw-order ECE of the
         indices as drawn."""
         probs, ys = _forecasts(9, 500, 2, False, 0.05)
         probs[:, 1] = np.round(probs[:, 1], 2)
@@ -255,7 +256,7 @@ class TestBatchedEce:
         assert_close(got[:, 1], [position_ece(probs[:, 1], ys, np.sort(i), 10) for i in idx])
         assert not np.allclose(got[:, 1], [position_ece(probs[:, 1], ys, i, 10) for i in idx], rtol=0, atol=1e-12)
 
-    def test_two_radix_passes_past_65535_ranks(self):
+    def test_more_than_65535_distinct_probabilities(self):
         """More than 2**16 distinct probabilities in one column and fewer in
         the other, on the observed rows and on two resamples."""
         probs, ys, n_bins, seed = _wide()
@@ -393,8 +394,9 @@ class TestBatchedTotals:
 
 
 class TestWorkerThreads:
-    """The chunks run on a pool of worker threads; their number changes no
-    result, however the threads interleave."""
+    """The chunks run in forked worker processes (the class keeps the name
+    it had when they ran on threads); their number changes no result, and
+    no process outlives the call."""
 
     def test_ece_is_the_same_on_any_worker_count(self):
         probs, ys = _forecasts(21, 300, 3, True, 0.3)
@@ -405,6 +407,7 @@ class TestWorkerThreads:
             with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 10 * 300):
                 got = run_bounded(lambda: paired_bootstrap_stat(300, stat, 199, substream(6, "w")))
             assert same(got, want), w
+        assert_no_child_left()
 
     @pytest.mark.parametrize("statistic", ["mean", "total"])
     def test_totals_are_the_same_on_any_worker_count(self, statistic):
@@ -416,44 +419,96 @@ class TestWorkerThreads:
                 got = run_bounded(lambda: paired_bootstrap(values, 301, substream(7, "w"), pairs))
             assert same(got, {pair: every[pair] for pair in pairs}), w
 
+    @staticmethod
+    def _replicate_60():
+        """The count row of replicate 60 of 97 drawn from substream(8, "x"),
+        which lies past the first chunk on any worker count."""
+        idx = np.random.default_rng(replicate_seeds(substream(8, "x"), 97)[60]).integers(0, 50, size=50)
+        return np.bincount(idx, minlength=50)
+
     @pytest.mark.parametrize("w", [1, 2, 5])
     def test_an_exception_on_a_later_chunk_reaches_the_caller(self, w):
         """A statistic that fails on the chunk holding replicate 60 of 97,
         while the other workers are busy with later chunks: the caller gets
-        that very exception, after every worker stopped."""
+        an exception of that type with those arguments, after every worker
+        was reaped."""
         values = np.random.default_rng(23).normal(size=(50, 2))
-        reps = 97
-        bad = np.random.default_rng(replicate_seeds(substream(8, "x"), reps)[60]).integers(0, 50, size=50)
-        bad = np.bincount(bad, minlength=50)  # replicate 60's count row
-        boom = RuntimeError("the statistic failed on a later chunk")
-        chunks = []
+        bad = self._replicate_60()
 
         def stat_fn(c):
-            chunks.append(c.shape[0])  # list.append is atomic
             if any(np.array_equal(row, bad) for row in c):
-                raise boom
+                raise RuntimeError("the statistic failed on a later chunk", 60)
             time.sleep(0.001 * (c[0, 0] % 10))  # uneven chunks keep the other workers busy when one fails
             return c @ values
 
-        before = threading.active_count()
         with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 6 * 50):
-            got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, reps, substream(8, "x")))
-        assert got is boom
-        assert threading.active_count() == before
-        assert len(chunks) > 2  # the observed rows, then more than one chunk
+            got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, 97, substream(8, "x")))
+        assert type(got) is RuntimeError
+        assert got.args == ("the statistic failed on a later chunk", 60)
+        assert_no_child_left()
 
-    def test_worker_count_is_capped(self):
-        """One thread per CPU the process may use, at most
-        BOOTSTRAP_MAX_WORKERS, and only as many as hold a whole replicate
-        each within BOOTSTRAP_CHUNK_ELEMENTS."""
+    @pytest.mark.parametrize("w", [2, 5])
+    def test_a_worker_that_dies_is_an_error(self, w):
+        """A worker that leaves with os._exit(3) on the chunk holding
+        replicate 60: the call raises an error naming status 3 and returns
+        no result, and no child is left."""
+        bad = self._replicate_60()
+
+        def stat_fn(c):
+            if any(np.array_equal(row, bad) for row in c):
+                os._exit(3)
+            return np.zeros((len(c), 2))
+
+        with workers(w), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 6 * 50):
+            got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, 97, substream(8, "x")))
+        assert isinstance(got, RuntimeError)
+        assert "exited with status 3" in str(got)
+        assert_no_child_left()
+
+    def test_an_interrupted_caller_kills_its_workers(self):
+        """A KeyboardInterrupt while the caller waits for two workers that
+        would each run for 20 s: it reaches the caller at once, and no child
+        is left."""
+
+        def stat_fn(c):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return np.zeros((len(c), 2))
+
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        parent = os.getpid()
+        t0 = time.monotonic()
+        # 49 replicates a chunk: one chunk for each worker
+        with workers(2), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 2 * 49 * 50), mock.patch.object(
+            evaluation, "_read_to_end", interrupted
+        ):
+            got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, 97, substream(8, "x")), seconds=10)
+        assert type(got) is KeyboardInterrupt
+        assert time.monotonic() - t0 < 10
+        assert_no_child_left()
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        """One process per CPU the process may use (its affinity mask and
+        its CPU quota, rounded up), at most BOOTSTRAP_MAX_WORKERS, only as
+        many as hold a whole replicate each within BOOTSTRAP_CHUNK_ELEMENTS,
+        and one where os.fork is missing."""
         chunk, cap = evaluation.BOOTSTRAP_CHUNK_ELEMENTS, evaluation.BOOTSTRAP_MAX_WORKERS
         assert cap == 2
+        monkeypatch.setattr(evaluation, "cgroup_cpus", lambda: math.inf)
         with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))):
             assert evaluation._bootstrap_workers(3000) == cap
             assert evaluation._bootstrap_workers(chunk // 2) == 2
             assert evaluation._bootstrap_workers(chunk // 2 + 1) == 1
             assert evaluation._bootstrap_workers(110_000) == 1
             assert evaluation._bootstrap_workers(0) == cap
+            for quota, want in [(0.5, 1), (1.0, 1), (1.5, 2), (8.0, cap)]:
+                with mock.patch.object(evaluation, "cgroup_cpus", return_value=quota):
+                    assert evaluation._bootstrap_workers(3000) == want, quota
+            with monkeypatch.context() as m:
+                m.delattr(os, "fork")
+                assert evaluation._bootstrap_workers(3000) == 1
         with mock.patch.object(os, "sched_getaffinity", return_value={3}):
             assert evaluation._bootstrap_workers(3000) == 1
         with mock.patch.object(os, "sched_getaffinity", side_effect=AttributeError):
@@ -462,25 +517,52 @@ class TestWorkerThreads:
             with mock.patch.object(os, "cpu_count", return_value=None):
                 assert evaluation._bootstrap_workers(3000) == 1
 
+    @pytest.mark.parametrize(
+        "files, want",
+        [
+            ({"cpu.max": "max 100000\n"}, math.inf),
+            ({"cpu.max": "150000 100000\n"}, 1.5),
+            ({"cpu.max": "50000 100000\n"}, 0.5),
+            ({"cpu.max": "200000 100000\n", "cpu/cpu.cfs_quota_us": "50000\n"}, 2.0),  # v2 comes first
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, math.inf),
+            ({"cpu/cpu.cfs_quota_us": "100000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1.0),
+            ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "50000\n"}, 5.0),
+            ({"cpu/cpu.cfs_quota_us": "100000\n"}, math.inf),  # no period
+            ({"cpu.max": "garbage\n"}, math.inf),
+            ({"cpu.max": "lots 100000\n"}, math.inf),
+            ({}, math.inf),
+        ],
+    )
+    def test_cgroup_cpu_quota(self, tmp_path, files, want):
+        """The quota read from fake cgroup v2 and v1 files."""
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert cgroup_cpus(tmp_path) == want
+
     @pytest.mark.parametrize("n", [100, 400, 500, 501, 1001])
-    def test_chunks_in_flight_hold_at_most_one_chunk(self, n):
-        """With 64 CPUs in the affinity mask and 1000-entry chunks, the
-        count matrices that stat_fn holds at one time never exceed 1000
-        entries, or one replicate's n when n is larger."""
-        lock = threading.Lock()
-        held = [0, 0]  # now, most
+    def test_chunks_in_flight_hold_at_most_one_chunk(self, n, tmp_path):
+        """With 64 CPUs in the affinity mask and 1000-entry chunks, each
+        worker's count matrices times the number of workers never exceed
+        1000 entries, or one replicate's n when n is larger; every worker
+        is a process of its own."""
+        log = tmp_path / "calls"
 
         def stat_fn(c):
-            with lock:
-                held[0] += c.size
-                held[1] = max(held)
-            time.sleep(0.002)  # long enough for the other workers' chunks to overlap
-            with lock:
-                held[0] -= c.size
+            assert c.size * w <= max(1000, n), (c.size, w)
+            with open(log, "a") as fh:  # one short append: atomic across processes
+                fh.write(f"{os.getpid()} {c.size}\n")
             return np.zeros((c.shape[0], 2))
 
         with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))), mock.patch.object(
             evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 1000
         ):
-            run_bounded(lambda: paired_bootstrap_stat(n, stat_fn, 40, substream(9, "m")))
-        assert n <= held[1] <= max(1000, n)
+            w = evaluation._bootstrap_workers(n)
+            got = run_bounded(lambda: paired_bootstrap_stat(n, stat_fn, 40, substream(9, "m")))
+        assert isinstance(got, dict), got
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert calls[0] == [str(os.getpid()), str(n)]  # the observed rows
+        assert sum(int(size) for _, size in calls[1:]) == 40 * n
+        pids = {pid for pid, _ in calls[1:]}
+        assert len(pids) == w and (w == 1 or str(os.getpid()) not in pids)
+        assert_no_child_left()

@@ -685,6 +685,26 @@ class TestStatisticsOutputs:
         assert len(want) == 9
         assert json.loads((out / "trades.json").read_text())["comparisons"] == json.loads(json.dumps(want))
 
+    def test_forked_workers_print_nothing_and_change_no_file(self, tmp_path):
+        """evaluate, then trade, in one process whose stdout is a pipe, with
+        the bootstraps on two forked workers and many chunks: evaluate's
+        lines are still buffered when trade forks, and each appears once.
+        The files are those of the pinned digests."""
+        cfg, out, paths = self._models(tmp_path)
+        code = (
+            "import sys\n"
+            "from forecast_rl import cli, evaluation\n"
+            "evaluation._bootstrap_workers = lambda n_rows: 2\n"
+            "evaluation.BOOTSTRAP_CHUNK_ELEMENTS = 2**12\n"
+            "for stage in ('evaluate', 'trade'):\n"
+            "    assert cli.main([stage, '--config', sys.argv[1], *sys.argv[2:]]) == 0, stage\n"
+        )
+        lines = _python(code, str(cfg), *paths).splitlines()
+        assert len(lines) == 6 and len(set(lines)) == 6, lines
+        assert [line.split(":")[0] for line in lines] == ["echo", "grid", "smooth"] * 2
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.DIGESTS}
+        assert got == self.DIGESTS
+
 
 class TestSynthAndPredictOutputs:
     # sha256 of the files that synth, train and predict wrote for this
@@ -745,11 +765,14 @@ class TestTieRule:
         assert report_delta == pytest.approx(cmp["ece"]["delta_mean"], rel=0, abs=1e-12)
 
 
-def _python(code):
+def _python(code, *args):
+    """stdout of `python -c code *args`, run with its stdout a pipe and
+    block-buffered, as by default (PYTHONUNBUFFERED is not passed on)."""
     import forecast_rl
 
-    env = {**os.environ, "PYTHONPATH": str(Path(forecast_rl.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(forecast_rl.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
                           timeout=120, env=env).stdout
 
 
