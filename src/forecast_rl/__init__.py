@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 
 from forecast_rl.errors import (
     DataFormatError,
-    NumericAbort,
     ValidationError,
 )
 
 __all__ = [
     "DataFormatError",
-    "NumericAbort",
     "ValidationError",
     "__version__",
 ]

@@ -29,7 +29,7 @@ from forecast_rl.data import (
     validate_chronology,
     write_oracle,
 )
-from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
+from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.evaluation import (
     equal_mass_ece_stat,
     evaluation_report,
@@ -163,12 +163,10 @@ def _checkpoint_name(seed: int, member: int, index: int) -> str:
 
 
 def _write_checkpoint(dirpath: Path, cfg: RunConfig, params: PolicyParams, baseline, run_log) -> list[Path]:
-    files = [dirpath / "params.json", dirpath / "config.json"]
+    files = [dirpath / "params.json", dirpath / "config.json", dirpath / "runlog.jsonl"]
     save_checkpoint(params, files[0], baseline_weights=baseline)
     cfg.save(files[1])
-    if run_log is not None:
-        run_log.to_jsonl(dirpath / "runlog.jsonl")
-        files.append(dirpath / "runlog.jsonl")
+    run_log.to_jsonl(files[2])
     return files
 
 
@@ -215,20 +213,18 @@ def cmd_train(cfg: RunConfig, args) -> int:
     )
     code = EXIT_OK
     for member, result in zip(members, results):
-        if isinstance(result, NumericAbort):
-            d = out / f"seed{cfg.seed}_m{member}_lastgood"
-            files.extend(_write_checkpoint(d, cfg, result.params, result.baseline, result.run_log))
-            print(f"member {member}: numeric abort: {result}", file=sys.stderr)
-            code = max(code, EXIT_NUMERIC)
-            continue
-        d = out / _checkpoint_name(cfg.seed, member, len(result.run_log))
-        files.extend(_write_checkpoint(d, cfg, result.params, result.baseline, result.run_log))
         s = result.run_log.summary()
-        if result.stopped:
+        name = _checkpoint_name(cfg.seed, member, s["n_questions"])
+        if result.numeric_error is not None:
+            name = f"seed{cfg.seed}_m{member}_lastgood"
+            print(f"member {member}: numeric abort: {result.numeric_error}", file=sys.stderr)
+            code = max(code, EXIT_NUMERIC)
+        elif result.stop_reason is not None:
             print(f"member {member}: early stop ({result.stop_reason}) after {s['n_questions']} questions")
             code = max(code, EXIT_EARLY_STOP)
         else:
             print(f"member {member}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}")
+        files.extend(_write_checkpoint(out / name, cfg, result.params, result.baseline, result.run_log))
     Manifest(out).register("train", cfg.config_hash(), files, time.monotonic() - t0)
     return code
 
@@ -340,10 +336,9 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         print("trade: no priced questions in the test set; empty result written")
         return EXIT_OK
 
-    ece_values, trade_ds = gating_ece(
+    ece_values, trade_ds, trade_probs = gating_ece(
         probs, test_ds, cfg.trading.ece_source, cfg.trading.calibration_fraction, cfg.evaluation.n_bins
     )
-    trade_probs = probs[len(test_ds) - len(trade_ds) :]  # the trading set is the test set's tail
 
     per_model = {}
     gated = []  # each model's StrategyResult per gate
@@ -499,9 +494,6 @@ def main(argv=None) -> int:
             cfg.output_dir = args.out
         cfg.validate()
         return COMMANDS[args.command](cfg, args)
-    except NumericAbort as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (ValidationError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -20,13 +20,3 @@ class DataFormatError(ValidationError):
         super().__init__(message)
         self.line = line
 
-
-class NumericAbort(RuntimeError):
-    """Training hit non-finite numbers.  Carries the last good parameter
-    snapshot so callers can checkpoint it.  CLI maps this to exit code 4."""
-
-    def __init__(self, message: str, params=None, baseline=None, run_log=None):
-        super().__init__(message)
-        self.params = params
-        self.baseline = baseline
-        self.run_log = run_log

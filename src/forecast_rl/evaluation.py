@@ -497,20 +497,32 @@ def _read_to_end(fd: int) -> bytes:
     return b"".join(parts)
 
 
+def _next_finished(fd: int, children: dict) -> int:
+    """The worker that finished next: the index it wrote to the shared pipe
+    `fd`, or, once every worker has exited, the lowest of `children` (one
+    that left without writing it)."""
+    index = os.read(fd, 4)
+    return int.from_bytes(index, "little") if index else min(children)
+
+
 def _run_forked(workers: int, work) -> None:
     """work(w) for each w < workers, each in a child process of its own
     started with `os.fork`; returns once every child has exited.
 
     A child leaves with `os._exit`, so it runs no exit handler and flushes
-    no buffer it inherited (the caller's buffered stdout, say).  An
-    exception work raises in a child is pickled back through a pipe, and
-    the lowest failed worker's is raised here after every child has been
-    reaped; a child that exits otherwise than with status 0 without
-    reporting is a RuntimeError that names its status.  If this process
-    fails while it waits (KeyboardInterrupt included), it kills and reaps
-    the children before the exception goes on.
+    no buffer it inherited (the caller's buffered stdout, say).  When work
+    returns or raises, the child writes its index to one shared pipe and
+    then, for an exception, the pickled exception to a pipe of its own.
+    The children are handled in the order they finish: each one's report
+    is read and the child reaped.  At the first failure, the children
+    still running are killed and reaped and the exception is raised here.
+    A child that exits otherwise than with status 0 without reporting is
+    a RuntimeError that names its status.  If this process fails while it
+    waits (KeyboardInterrupt included), it kills and reaps the children
+    before the exception goes on.
     """
-    children: list[tuple[int, int]] = []  # (pid, read end of its report pipe), in worker order
+    children: dict[int, tuple[int, int]] = {}  # worker: (pid, read end of its report pipe)
+    done_r, done_w = os.pipe()
     try:
         for w in range(workers):
             r, wr = os.pipe()
@@ -524,35 +536,38 @@ def _run_forked(workers: int, work) -> None:
                 code = 1
                 try:
                     os.close(r)
+                    os.close(done_r)
                     try:
                         work(w)
-                        code = 0
+                        code, report = 0, b""
                     except BaseException as exc:
-                        report = memoryview(_worker_report(exc))
-                        while report:
-                            report = report[os.write(wr, report) :]
+                        report = _worker_report(exc)
+                    os.write(done_w, w.to_bytes(4, "little"))
+                    view = memoryview(report)
+                    while view:
+                        view = view[os.write(wr, view) :]
                 finally:
                     os._exit(code)
-            children.append((pid, r))
+            children[w] = (pid, r)
             os.close(wr)
-        failure = None
+        os.close(done_w)
+        done_w = -1
         while children:
-            pid, r = children[0]
+            w = _next_finished(done_r, children)
+            pid, r = children[w]
             report = _read_to_end(r)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
+            del children[w]
             os.close(r)
-            if failure is None and report:
-                failure = pickle.loads(report)
-            elif failure is None and status != 0:
-                failure = RuntimeError(f"a bootstrap worker exited with status {status} and reported no error")
-        if failure is not None:
-            raise failure
+            if report:
+                raise pickle.loads(report)
+            if status != 0:
+                raise RuntimeError(f"a bootstrap worker exited with status {status} and reported no error")
     except BaseException:
         if children:
             import signal  # here, not at module level: importing it costs every stage about 1 ms
 
-            for pid, r in children:
+            for pid, r in children.values():
                 os.close(r)
                 try:
                     os.kill(pid, signal.SIGKILL)
@@ -560,6 +575,10 @@ def _run_forked(workers: int, work) -> None:
                 except (ProcessLookupError, ChildProcessError):  # reaped just before this process failed
                     pass
         raise
+    finally:
+        os.close(done_r)
+        if done_w >= 0:
+            os.close(done_w)
 
 
 def _ci95(d: np.ndarray) -> tuple[float, float]:

@@ -228,14 +228,15 @@ def gating_ece(
     mode: str = "calibration_split",
     calibration_fraction: float = 0.5,
     n_bins: int = 10,
-) -> tuple[list[float], Dataset]:
+) -> tuple[list[float], Dataset, np.ndarray]:
     """ECE threshold of the edge_above_ece gate for each column of `probs`
-    (dataset rows x models, NaN = absent), and the dataset to trade.
+    (dataset rows x models, NaN = absent), the dataset to trade, and its
+    rows of `probs`.
 
     calibration_split estimates ECE on the chronologically first
     `calibration_fraction` of the rows and trades only the disjoint
-    remainder (returned as the trading set, the dataset's tail);
-    in_sample estimates on every row and trades all of them.
+    remainder, the dataset's tail; in_sample estimates on every row and
+    trades all of them.
     """
     if mode == "in_sample":
         n_cal, trade_ds = len(dataset), dataset
@@ -245,7 +246,8 @@ def gating_ece(
     else:
         raise ValidationError(f"unknown ece source {mode!r}")
     y = dataset.outcome[:n_cal]
-    return [ece_bins(probs[:n_cal, j], y, n_bins)[0] for j in range(probs.shape[1])], trade_ds
+    ece = [ece_bins(probs[:n_cal, j], y, n_bins)[0] for j in range(probs.shape[1])]
+    return ece, trade_ds, probs[len(dataset) - len(trade_ds) :]
 
 
 def per_question_profits(results: list[StrategyResult], dataset: Dataset) -> tuple[np.ndarray, list[str]]:

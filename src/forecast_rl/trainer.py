@@ -40,7 +40,7 @@ from forecast_rl.algorithms import (
     two_head_log_softmax,
 )
 from forecast_rl.data import Dataset
-from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.errors import ValidationError
 from forecast_rl.files import write_jsonl_columns
 from forecast_rl.policy import (
     ABSTAIN,
@@ -127,49 +127,63 @@ class TrainConfig:
 
 @dataclass
 class RunLog:
-    """One record per training question, in stream order."""
+    """One record per training question, in stream order, in the columns
+    the step writes: the first response's answer token, every response's
+    (gibberish, non-English) token counts and the group-mean total reward.
+    A log owns its rows: a view would pin the whole batch's arrays."""
 
     question_ids: list[str]
-    parsed: np.ndarray  # NaN where the first sampled response abstained
-    rewards: np.ndarray  # group-mean total reward
-    gibberish: np.ndarray  # group-mean proportions
-    non_english: np.ndarray
-    explanation: np.ndarray
-    stopped: bool = False
-    stop_reason: str | None = None
+    first: np.ndarray  # (n,) answer tokens
+    counts: np.ndarray  # (n, G, 2) token counts out of content_length
+    rewards: np.ndarray  # (n,)
+    content_length: int
 
     def __len__(self) -> int:
         return len(self.question_ids)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The float columns: the first response's forecast (NaN where it
+        abstained), and the group means of the gibberish, non-English and
+        rationale proportions."""
+        L, G = self.content_length, self.counts.shape[1]
+        gib, nep = self.counts[..., 0], self.counts[..., 1]  # L - gib - nep cannot wrap: they count L tokens
+        return {
+            "parsed": np.where(self.first == ABSTAIN, np.nan, self.first / 100.0),
+            **{key: (ct / L).sum(axis=1) / G
+               for key, ct in (("gibberish", gib), ("non_english", nep), ("explanation", L - gib - nep))},
+        }
+
     def to_jsonl(self, path: str | Path) -> None:
         """One {id, parsed (null where NaN), reward, gibberish, non_english,
         explanation} record per question."""
-        columns = {"parsed": self.parsed, "reward": self.rewards, "gibberish": self.gibberish,
-                   "non_english": self.non_english, "explanation": self.explanation}
-        columns = {key: np.asarray(values, dtype=np.float64) for key, values in columns.items()}  # floats, as written
+        columns = self.columns()
+        columns = {"parsed": columns.pop("parsed"), "reward": self.rewards, **columns}
         write_jsonl_columns(path, {"id": self.question_ids, **columns}, null=("parsed",))
 
     def summary(self) -> dict:
-        present = self.parsed[~np.isnan(self.parsed)]
-        extreme = float(np.mean((present <= 0.10) | (present >= 0.90))) if present.size else 0.0
+        n = len(self)
+        present, extreme = _ANSWER_FLAGS[self.first].sum(axis=0).tolist()
         return {
-            "n_questions": len(self),
-            "mean_reward": float(self.rewards.mean()) if len(self) else 0.0,
-            "mean_gibberish": float(self.gibberish.mean()) if len(self) else 0.0,
-            "abstain_rate": 1.0 - (present.size / len(self)) if len(self) else 0.0,
-            "extreme_bucket_mass": extreme,
-            "stopped": self.stopped,
-            "stop_reason": self.stop_reason,
+            "n_questions": n,
+            "mean_reward": float(self.rewards.mean()) if n else 0.0,
+            "mean_gibberish": float(self.columns()["gibberish"].mean()) if n else 0.0,
+            "abstain_rate": 1.0 - present / n if n else 0.0,
+            "extreme_bucket_mass": extreme / present if present else 0.0,
         }
 
 
 @dataclass
 class TrainResult:
+    """How one member's training ended.  `stop_reason` names an early stop
+    ("gibberish" or "extreme_mass").  `numeric_error` says where a gradient
+    was not finite; `params` and `baseline` are then the last good ones,
+    and the member trained no further."""
+
     params: PolicyParams
     baseline: np.ndarray | None
     run_log: RunLog
-    stopped: bool = False
     stop_reason: str | None = None
+    numeric_error: str | None = None
 
 
 def resolve_backend(backend: str) -> str:
@@ -193,16 +207,6 @@ def _unstack(W: np.ndarray, L: int) -> PolicyParams:
 def _response_counts(content: np.ndarray) -> np.ndarray:
     """(gibberish, non-English) token counts of responses (..., L)."""
     return np.add.reduce(content[..., None] == _COUNTED, axis=-2)
-
-
-def _group_log(first: np.ndarray, mu: np.ndarray, gib_ct: np.ndarray, nep_ct: np.ndarray, L: int) -> tuple:
-    """RunLog columns of (n, G) response groups from their first answer
-    tokens `first` (n,) and token counts: the first response's forecast
-    (NaN where it abstained), the mean reward `mu`, and the group means of
-    the gibberish, non-English and rationale proportions."""
-    G = gib_ct.shape[1]
-    parsed = np.where(first == ABSTAIN, np.nan, first / 100.0)
-    return (parsed, mu, *((ct / L).sum(axis=1) / G for ct in (gib_ct, nep_ct, L - gib_ct - nep_ct)))
 
 
 class _Members:
@@ -241,7 +245,7 @@ class _Members:
         self.u_start = 0
         # The log, per question: the first response's answer token, every
         # response's (gibberish, non-English) token counts and the mean
-        # reward.  `run_log` turns them into the RunLog columns.
+        # reward: the columns of the members' RunLogs.
         self.first = np.zeros((K, n), dtype=np.uint8)
         self.counts = np.zeros((K, n, G, 2), dtype=np.min_scalar_type(L))
         self.reward = np.zeros((K, n))
@@ -279,15 +283,11 @@ class _Members:
     def params(self, r: int, good: bool = False) -> PolicyParams:
         return _unstack((self.good if good else self.w)[r], self.L)
 
-    def run_log(self, r: int, ids: list[str], start: int, end: int, reason: str | None = None) -> RunLog:
-        """The member's log of questions start .. end - 1."""
-        counts = self.counts[r, start:end].astype(np.int64)
-        return RunLog(
-            ids[start:end],
-            *_group_log(self.first[r, start:end].astype(np.int64), self.reward[r, start:end].copy(),
-                        counts[..., 0], counts[..., 1], self.L),
-            stopped=reason is not None, stop_reason=reason,
-        )
+    def run_log(self, r: int, ids: list[str], start: int, end: int) -> RunLog:
+        """A copy of the member's log of questions start .. end - 1."""
+        rows = slice(start, end)
+        return RunLog(ids[rows], self.first[r, rows].copy(), self.counts[r, rows].copy(), self.reward[r, rows].copy(),
+                      self.L)
 
 
 def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
@@ -381,7 +381,7 @@ def train_members(
     members=(0,),
     init_params: PolicyParams | None = None,
     checkpoint_cb=None,
-) -> list[TrainResult | NumericAbort]:
+) -> list[TrainResult]:
     """Train one policy per ensemble member on the same stream.
 
     Member m draws its rollouts from substream(cfg.seed, "sampling", m)
@@ -390,10 +390,10 @@ def train_members(
     together.
 
     A member that early-stops or meets a non-finite gradient is frozen
-    there while the others keep training.  The result list follows
-    `members`: a TrainResult, or for a non-finite gradient the
-    NumericAbort that carries the last good parameters (from the most
-    recent span boundary) and the log up to the failing question.
+    there while the others keep training.  The result list holds one
+    TrainResult per member, in `members` order.  After a non-finite
+    gradient, its parameters are the last good ones (from the most recent
+    span boundary) and its log ends before the failing question.
     `checkpoint_cb(member, params, baseline, index, partial_log)` is
     called at every `checkpoint_every` boundary for each running member;
     `partial_log` holds the questions since the previous boundary, so the
@@ -413,7 +413,8 @@ def train_members(
     if n == 0:
         if init_params is None:
             raise ValidationError("an empty stream needs init_params to size the policy")
-        empty = RunLog([], np.empty(0), np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+        L = init_params.vocab.content_length
+        empty = RunLog([], np.empty(0, np.uint8), np.empty((0, hp.group_size, 2), np.uint8), np.empty(0), L)
         return [TrainResult(init_params.copy(), None, empty) for _ in members]
 
     d = stream.feature_dim
@@ -446,10 +447,11 @@ def train_members(
             return None
         return (st.good_b if good else st.w_b)[r].copy()
 
-    def finished(r: int, end: int, reason: str | None = None) -> TrainResult:
-        return TrainResult(st.params(r), baseline(r), st.run_log(r, ids, 0, end, reason), reason is not None, reason)
+    def outcome(r: int, end: int, reason: str | None = None, error: str | None = None) -> TrainResult:
+        good = error is not None
+        return TrainResult(st.params(r, good), baseline(r, good), st.run_log(r, ids, 0, end), reason, error)
 
-    results: dict[int, TrainResult | NumericAbort] = {}
+    results: dict[int, TrainResult] = {}
     logged = 0  # the questions handed to checkpoint_cb so far
     for s, e in zip(bounds[:-1], bounds[1:]):
         if s > 0 and s % cfg.outer_iteration_len == 0:
@@ -463,21 +465,14 @@ def train_members(
         while i < e and st.members:
             i, events = _advance(st, X1, Y, i, e, cfg.algorithm, hp, rewards_of, cfg.early_stop, actor_lr)
             for r, status, at, reason in events:
-                if status == SPAN_NUMERIC:
-                    results[st.members[r]] = NumericAbort(
-                        f"non-finite gradient at question {ids[at]!r} (index {at})",
-                        params=st.params(r, good=True),
-                        baseline=baseline(r, good=True),
-                        run_log=st.run_log(r, ids, 0, at),
-                    )
-                else:
-                    results[st.members[r]] = finished(r, at, reason)
+                error = f"non-finite gradient at question {ids[at]!r} (index {at})" if status == SPAN_NUMERIC else None
+                results[st.members[r]] = outcome(r, at, reason, error)
             if events:
                 st.drop([ev[0] for ev in events])
         if not st.members:
             break
     for r, m in enumerate(st.members):
-        results[m] = finished(r, n)
+        results[m] = outcome(r, n)
     return [results[m] for m in members]
 
 
@@ -497,6 +492,8 @@ def train_dpo(
     and ties are dropped.  The pair set is then optimized for dpo_epochs
     shuffled epochs in minibatches of dpo_batch.  The weights and AdamW
     moments are (d+1, N_CONTENT + N_ANSWER) stacks, as in the online step.
+    A minibatch whose gradient is not finite ends the training, and the
+    result holds the weights from before it.
     """
     cfg.validate()
     hp.validate()
@@ -525,7 +522,7 @@ def train_dpo(
     counts = _response_counts(content)
     gib_ct, nep_ct = counts[..., 0], counts[..., 1]
     rewards = rewards_of[stream.outcome[:, None], answers, gib_ct, nep_ct]
-    run_log = RunLog(stream.ids, *_group_log(answers[:, 0], rewards.sum(axis=1) / 2, gib_ct, nep_ct, L))
+    run_log = RunLog(stream.ids, answers[:, 0].copy(), counts, rewards.sum(axis=1) / 2, L)
 
     rows = np.flatnonzero(rewards[:, 0] != rewards[:, 1])
     if not rows.size:
@@ -549,7 +546,7 @@ def train_dpo(
             g_c, g_a = g[:, :N_CONTENT], g[:, N_CONTENT:]
             norm = np.sqrt((g_c * g_c).sum() + (g_a * g_a).sum())
             if not np.isfinite(norm):
-                raise NumericAbort("non-finite DPO gradient")
+                return TrainResult(_unstack(W, L), None, run_log, numeric_error="non-finite DPO gradient")
             t += 1
             adamw_rows(W, m, v, g * clip_scale(norm, hp.grad_clip_norm), hp.dpo_lr, hp, *bias_corrections(hp, t))
     return TrainResult(_unstack(W, L), None, run_log)

@@ -3,7 +3,6 @@ import pytest
 
 from forecast_rl import trainer
 from forecast_rl.data import Dataset, Question
-from forecast_rl.errors import NumericAbort
 from forecast_rl.evaluation import Forecast
 
 
@@ -61,13 +60,11 @@ def ensemble_predict(spec, question: Question) -> float | None:
 
 
 def train_one(stream, cfg, hp, penalties=None, init_params=None, checkpoint_cb=None, member=0):
-    """Member `member`'s run of `train_members`: its TrainResult, or its
-    NumericAbort raised.  `checkpoint_cb(params, baseline, index,
-    partial_log)` sees that member's checkpoints."""
+    """Member `member`'s TrainResult from `train_members`.
+    `checkpoint_cb(params, baseline, index, partial_log)` sees that
+    member's checkpoints."""
     cb = None if checkpoint_cb is None else lambda m, *args: checkpoint_cb(*args)
     (result,) = trainer.train_members(stream, cfg, hp, penalties, [member], init_params, cb)
-    if isinstance(result, NumericAbort):
-        raise result
     return result
 
 

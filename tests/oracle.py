@@ -7,7 +7,10 @@ it, form the group's advantages, take the objective's gradient through
 a `GroupRollout` (a maximization target, negated before the step), and
 step AdamW on a parameter dict.  The tests compare the package against
 it (`oracle_train`, which stops a member by the windowed
-`check_early_stop`, and `oracle_dpo`), and it keeps its own unit tests.
+`check_early_stop`, and `oracle_dpo`, both returning an `OracleLog` of
+per-question floats), and it keeps its own unit tests.  Its maths raises
+its own `NumericAbort` on a non-finite number; the package records one in
+`TrainResult.numeric_error` instead.
 The row-wise objective values are what the finite-difference checks
 differentiate.  Two forecast statistics that no stage reports, Welch's t
 and the extreme-bucket mass, serve the acceptance gate.  The module
@@ -32,7 +35,7 @@ import numpy as np
 
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import _CSV_CASTS, _JSONL_CASTS, _ORACLE_CASTS, _REQUIRED_FIELDS, _from_rows
-from forecast_rl.errors import DataFormatError, NumericAbort, ValidationError
+from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.evaluation import _FORECAST_CASTS, t_two_sided_p
 from forecast_rl.policy import (
     ABSTAIN,
@@ -48,7 +51,11 @@ from forecast_rl.policy import (
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 from forecast_rl.trading import FEE, BandResult, tradeable
-from forecast_rl.trainer import EarlyStopConfig, RunLog
+from forecast_rl.trainer import EarlyStopConfig
+
+
+class NumericAbort(RuntimeError):
+    """The per-object maths met a non-finite number."""
 
 
 # Policy
@@ -641,6 +648,19 @@ def adamw_step(
 # Training loops
 
 
+@dataclass
+class OracleLog:
+    """The per-question floats of a reference run, and its early stop."""
+
+    question_ids: list[str]
+    parsed: np.ndarray  # NaN where the first response abstained
+    rewards: np.ndarray  # group-mean total reward
+    gibberish: np.ndarray  # group-mean proportions
+    non_english: np.ndarray
+    explanation: np.ndarray
+    stop_reason: str | None = None
+
+
 def check_early_stop(
     parsed_window: np.ndarray, gibberish_window: np.ndarray, cfg: EarlyStopConfig
 ) -> tuple[bool, str | None]:
@@ -714,9 +734,9 @@ def oracle_train(stream, cfg, hp, penalties=None, member=0):
             lo = i + 1 - es.window
             hit, reason = check_early_stop(logs["parsed"][lo : i + 1], logs["gib"][lo : i + 1], es)
             if hit:
-                log = RunLog(ids[: i + 1], *(v[: i + 1] for v in logs.values()), True, reason)
+                log = OracleLog(ids[: i + 1], *(v[: i + 1] for v in logs.values()), reason)
                 return params, baseline, log
-    return params, baseline, RunLog(ids, *logs.values())
+    return params, baseline, OracleLog(ids, *logs.values())
 
 
 def oracle_dpo(stream, cfg, hp, penalties=None, member=0):
@@ -756,7 +776,7 @@ def oracle_dpo(stream, cfg, hp, penalties=None, member=0):
             sel = perm[lo : lo + hp.dpo_batch]
             grads = [dpo_loss_and_grad(params, ref, *pairs[j], hp)[1] for j in sel]
             adamw_step(weights, {k: sum(g[k] for g in grads) / len(sel) for k in weights}, state, hp, hp.dpo_lr)
-    return params, pairs, RunLog(ids, *logs.values())
+    return params, pairs, OracleLog(ids, *logs.values())
 
 
 # Row-wise objective values for finite differences

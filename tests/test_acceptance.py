@@ -81,7 +81,7 @@ def lab():
             ("remax_nogib", "remax", PenaltyConfig(lambda_gib=0.0)),
         ):
             result = train_one(train_ds, TrainConfig(algorithm=algo, seed=seed), HyperParams(), pen)
-            assert not result.stopped, f"{key} seed {seed} tripped the early stop"
+            assert result.stop_reason is None, f"{key} seed {seed} tripped the early stop"
             policies[key] = result.params
         out[seed] = {
             "train": train_ds,

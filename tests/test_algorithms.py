@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import fd_rows_grad, fd_vector_grad, joint_weights, max_rel_err
 from oracle import (
     GroupRollout,
+    NumericAbort,
     OptimizerState,
     Response,
     adamw_step,
@@ -41,7 +42,7 @@ from forecast_rl.algorithms import (
     logit_gradient,
     policy_log_probs,
 )
-from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.errors import ValidationError
 from forecast_rl.policy import N_ANSWER, N_CONTENT, RATIONALE, PolicyParams, Vocabulary
 
 

@@ -420,10 +420,10 @@ class TestWorkerThreads:
             assert same(got, {pair: every[pair] for pair in pairs}), w
 
     @staticmethod
-    def _replicate_60():
-        """The count row of replicate 60 of 97 drawn from substream(8, "x"),
-        which lies past the first chunk on any worker count."""
-        idx = np.random.default_rng(replicate_seeds(substream(8, "x"), 97)[60]).integers(0, 50, size=50)
+    def _replicate_row(r):
+        """The count row of replicate r of 97 drawn from substream(8, "x").
+        Replicate 60 lies past the first chunk on any worker count."""
+        idx = np.random.default_rng(replicate_seeds(substream(8, "x"), 97)[r]).integers(0, 50, size=50)
         return np.bincount(idx, minlength=50)
 
     @pytest.mark.parametrize("w", [1, 2, 5])
@@ -433,7 +433,7 @@ class TestWorkerThreads:
         an exception of that type with those arguments, after every worker
         was reaped."""
         values = np.random.default_rng(23).normal(size=(50, 2))
-        bad = self._replicate_60()
+        bad = self._replicate_row(60)
 
         def stat_fn(c):
             if any(np.array_equal(row, bad) for row in c):
@@ -452,7 +452,7 @@ class TestWorkerThreads:
         """A worker that leaves with os._exit(3) on the chunk holding
         replicate 60: the call raises an error naming status 3 and returns
         no result, and no child is left."""
-        bad = self._replicate_60()
+        bad = self._replicate_row(60)
 
         def stat_fn(c):
             if any(np.array_equal(row, bad) for row in c):
@@ -465,6 +465,29 @@ class TestWorkerThreads:
         assert "exited with status 3" in str(got)
         assert_no_child_left()
 
+    def test_the_first_failure_stops_the_other_workers(self):
+        """Worker 1 fails on its first chunk while worker 0's chunk sleeps
+        for 5 s: the exception reaches the caller long before worker 0
+        would finish, and no child is left."""
+        bad = self._replicate_row(49)  # the first replicate of worker 1's chunk
+
+        def stat_fn(c):
+            if os.getpid() != parent:
+                if any(np.array_equal(row, bad) for row in c):
+                    raise RuntimeError("worker 1 failed")
+                time.sleep(5)
+            return np.zeros((len(c), 2))
+
+        parent = os.getpid()
+        t0 = time.monotonic()
+        # 49 replicates a chunk: one chunk for each worker
+        with workers(2), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 2 * 49 * 50):
+            got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, 97, substream(8, "x")), seconds=10)
+        elapsed = time.monotonic() - t0
+        assert type(got) is RuntimeError and got.args == ("worker 1 failed",)
+        assert elapsed < 2.5
+        assert_no_child_left()
+
     def test_an_interrupted_caller_kills_its_workers(self):
         """A KeyboardInterrupt while the caller waits for two workers that
         would each run for 20 s: it reaches the caller at once, and no child
@@ -475,14 +498,14 @@ class TestWorkerThreads:
                 time.sleep(20)
             return np.zeros((len(c), 2))
 
-        def interrupted(fd):
+        def interrupted(fd, children):
             raise KeyboardInterrupt
 
         parent = os.getpid()
         t0 = time.monotonic()
         # 49 replicates a chunk: one chunk for each worker
         with workers(2), mock.patch.object(evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 2 * 49 * 50), mock.patch.object(
-            evaluation, "_read_to_end", interrupted
+            evaluation, "_next_finished", interrupted
         ):
             got = run_bounded(lambda: paired_bootstrap_stat(50, stat_fn, 97, substream(8, "x")), seconds=10)
         assert type(got) is KeyboardInterrupt

@@ -359,6 +359,8 @@ class TestExitCodes:
         assert run("train", cfg) == EXIT_EARLY_STOP
         assert "early stop (gibberish)" in capsys.readouterr().out
         assert (tmp_path / "out" / "seed3_m0_q000005" / "params.json").exists()
+        runlog = (tmp_path / "out" / "seed3_m0_q000005" / "runlog.jsonl").read_bytes()
+        assert hashlib.sha256(runlog).hexdigest() == "7ba322ad9c3deeeef4b8134c939fc00fd52031706973dc7306c045018c6bd3d8"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_abort_exit_4(self, tmp_path, capsys):
@@ -366,11 +368,33 @@ class TestExitCodes:
         assert run("synth", cfg) == EXIT_OK
 
         assert run("train", cfg) == EXIT_NUMERIC
-        assert "numeric abort" in capsys.readouterr().err
+        assert "member 0: numeric abort: non-finite gradient at question" in capsys.readouterr().err
         lastgood = tmp_path / "out" / "seed3_m0_lastgood"
         assert (lastgood / "params.json").exists()
         log = (lastgood / "runlog.jsonl").read_text().strip()
         assert len(log.split("\n")) == 2  # questions before the one that overflowed
+        digest = hashlib.sha256((lastgood / "runlog.jsonl").read_bytes()).hexdigest()
+        assert digest == "c8577ecbd5a60024f46eed05450acc855c3add207dd5f3e5e6e9ebc8e1e6e822"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dpo_numeric_abort_stops_each_member_alone(self, tmp_path, capsys):
+        """A DPO learning rate of 1e308 overflows each member's weights:
+        each member leaves its last good weights and its run log in a
+        registered lastgood checkpoint, and train exits 4."""
+        cfg = write_config(tmp_path, ensemble_size=2, train={"algorithm": "dpo"}, hyperparams={"dpo_lr": 1e308})
+        assert run("synth", cfg) == EXIT_OK
+        assert run("train", cfg) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        out = tmp_path / "out"
+        registered = Manifest(out).doc["stages"]["train"]["files"]
+        for member in (0, 1):
+            assert f"member {member}: numeric abort: non-finite DPO gradient" in err
+            lastgood = f"seed3_m{member}_lastgood"
+            assert {f"{lastgood}/{name}" for name in ("params.json", "config.json", "runlog.jsonl")} <= set(registered)
+            params, baseline = load_checkpoint(out / lastgood / "params.json")  # finite, or it would not load
+            assert baseline is None
+            assert len((out / lastgood / "runlog.jsonl").read_text().splitlines()) == 30
+        assert Manifest(out).unregistered_files() == []
 
     @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo", "remax"])
     def test_huge_feature_trains_on(self, tmp_path, capsys, algorithm):
@@ -670,9 +694,8 @@ class TestStatisticsOutputs:
         config = load_config(cfg)
         test_ds = load_questions(out / "test.jsonl", split="test")
         names, probs = load_forecasts(paths, test_ds.ids)
-        ece, trade_ds = gating_ece(probs, test_ds, config.trading.ece_source,
-                                   config.trading.calibration_fraction, config.evaluation.n_bins)
-        probs = probs[len(test_ds) - len(trade_ds):]
+        ece, trade_ds, probs = gating_ece(probs, test_ds, config.trading.ece_source,
+                                          config.trading.calibration_fraction, config.evaluation.n_bins)
         results = [run_strategies(probs[:, j], trade_ds, ece[j], substream(config.seed, "ties", name))
                    for j, name in enumerate(names)]
         want = []

@@ -36,6 +36,7 @@ from forecast_rl.files import (
     write_json,
     write_jsonl_columns,
 )
+from forecast_rl.policy import N_ANSWER
 from forecast_rl.trainer import RunLog
 
 PACKAGE = Path(forecast_rl.__file__).parent
@@ -593,9 +594,14 @@ class TestJsonlColumns:
                                                       for q, p in zip(ds.ids, probs.tolist())))
         write_oracle(p_star, tmp_path / "o.jsonl")
         oracle_write_jsonl(tmp_path / "o_ref.jsonl", ({"id": q, "p_star": p} for q, p in p_star.items()))
-        values = np.random.default_rng(1).random((5, n))
-        values[0, ::4] = np.nan
-        RunLog(ds.ids, *values).to_jsonl(tmp_path / "r.jsonl")
+        rng = np.random.default_rng(1)
+        gib = rng.integers(0, 9, size=(n, 3))
+        counts = np.stack([gib, rng.integers(0, 9 - gib)], axis=2).astype(np.uint8)  # of L = 8 tokens
+        log = RunLog(ds.ids, rng.integers(0, N_ANSWER, size=n).astype(np.uint8), counts, rng.normal(size=n), 8)
+        log.to_jsonl(tmp_path / "r.jsonl")
+        columns = log.columns()
+        values = np.stack([columns.pop("parsed"), log.rewards, *columns.values()])
+        assert np.isnan(values[0]).any()
         keys = ("parsed", "reward", "gibberish", "non_english", "explanation")
         oracle_write_jsonl(tmp_path / "r_ref.jsonl", (
             {"id": q, **{k: None if k == "parsed" and np.isnan(v) else v for k, v in zip(keys, row)}}

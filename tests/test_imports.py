@@ -97,15 +97,15 @@ def test_question_scan_catches_each_form():
 
 
 # Names that no package module may define, import or read: the per-object
-# trade record and the windowed early-stop test live in tests/oracle.py,
-# the one-member training wrapper in tests/conftest.py (`train_one`), the
-# per-record parsers gave way to the column readers' one refusal rule, and
-# the rest are gone.
+# trade record, the windowed early-stop test and the per-object maths'
+# NumericAbort live in tests/oracle.py, the one-member training wrapper in
+# tests/conftest.py (`train_one`), the per-record parsers gave way to the
+# column readers' one refusal rule, and the rest are gone.
 REMOVED_NAMES = (
     "TradeRecord", "make_trade", "train_online", "guardrail_rewards", "dpo_gradients",
     "draw_prediction_timestamp", "max_entropy", "n_content", "n_answer", "check_early_stop",
     "record_field", "_row", "_parsed", "_forecast", "_number_or_null", "_equal_mass_bins",
-    "_replicate_indices",
+    "_replicate_indices", "NumericAbort", "_group_log",
 )
 
 
@@ -129,7 +129,10 @@ def test_no_module_uses_a_removed_name():
     """Trades are columns (trading.Trades), DPO shares the online step's
     weight stack and reward table, record files are read by columns with
     one cast per field, every equal-mass ECE is the count-matrix one, the
-    bootstrap resamples as counts, and no stage calls the rest."""
+    bootstrap resamples as counts, every member's training ends as one
+    TrainResult (a numeric abort is its `numeric_error`, not an exception)
+    whose RunLog keeps the step's compact columns and makes their floats
+    itself, and no stage calls the rest."""
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := removed_uses(path.read_text()))}
     assert found == {}
 

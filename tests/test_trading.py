@@ -351,9 +351,11 @@ class TestGatingEce:
 
     def test_calibration_split_trades_the_complement(self):
         ds, forecasts = self.make_inputs()
-        (ece,), trade_ds = gating_ece(column(forecasts, ds)[:, None], ds, mode="calibration_split")
+        probs = column(forecasts, ds)[:, None]
+        (ece,), trade_ds, trade_probs = gating_ece(probs, ds, mode="calibration_split")
         cal_ids = ds.ids[:20]
         assert trade_ds.ids == ds.ids[20:]
+        assert trade_probs.tobytes() == column(forecasts, trade_ds)[:, None].tobytes()
         want = ece_equal_mass(
             [Forecast(qid, forecasts[qid]) for qid in cal_ids],
             outcome_by_id(ds),
@@ -362,8 +364,10 @@ class TestGatingEce:
 
     def test_in_sample_trades_everything(self):
         ds, forecasts = self.make_inputs()
-        (ece,), trade_ds = gating_ece(column(forecasts, ds)[:, None], ds, mode="in_sample")
+        probs = column(forecasts, ds)[:, None]
+        (ece,), trade_ds, trade_probs = gating_ece(probs, ds, mode="in_sample")
         assert trade_ds is ds
+        assert trade_probs.tobytes() == probs.tobytes()
         want = ece_equal_mass(
             [Forecast(qid, forecasts[qid]) for qid in ds.ids],
             outcome_by_id(ds),

@@ -1,16 +1,25 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import ensemble_predict, make_dataset, make_question, poison_baseline, predict, train_one
-from oracle import assess_guardrails, oracle_dpo, oracle_train, predict_probability, sample_response, total_reward
+from oracle import (
+    assess_guardrails,
+    extreme_bucket_mass,
+    oracle_dpo,
+    oracle_train,
+    predict_probability,
+    sample_response,
+    total_reward,
+)
 
 from forecast_rl import trainer
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import Dataset, SyntheticConfig, generate_synthetic_stream
-from forecast_rl.errors import NumericAbort, ValidationError
+from forecast_rl.errors import ValidationError
 from forecast_rl.policy import ABSTAIN, PolicyParams, Vocabulary
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
@@ -70,6 +79,7 @@ class TestRunLogSemantics:
         params = PolicyParams.zeros(3)
         U = substream(9, "sampling", 2).random((12, hp.group_size, 9))
         pcfg = PenaltyConfig()
+        columns = result.run_log.columns()
         for i, q in enumerate(stream):
             responses = [
                 sample_response(params, q.features, uniforms=U[i, g])
@@ -82,36 +92,54 @@ class TestRunLogSemantics:
                 totals.append(total_reward(r.parse_probability(), q.outcome, a, pcfg).total)
                 gps.append(a.gibberish_proportion)
             p0 = responses[0].parse_probability()
-            logged = result.run_log.parsed[i]
+            logged = columns["parsed"][i]
             assert (p0 is None and np.isnan(logged)) or logged == p0
             assert result.run_log.rewards[i] == pytest.approx(np.mean(totals), abs=1e-12)
-            assert result.run_log.gibberish[i] == pytest.approx(np.mean(gps), abs=1e-12)
+            assert columns["gibberish"][i] == pytest.approx(np.mean(gps), abs=1e-12)
             assert result.run_log.question_ids[i] == q.id
 
+    @staticmethod
+    def hand_log(tokens, counts=None):
+        """A log of one answer token per question, -0.1 × (i + 1) rewards
+        and two responses of L = 4 per question."""
+        n = len(tokens)
+        counts = np.zeros((n, 2, 2)) if counts is None else counts
+        return RunLog([f"q{i}" for i in range(n)], np.array(tokens, dtype=np.uint8), np.asarray(counts, np.uint8),
+                      -0.1 * np.arange(1, n + 1), 4)
+
     def test_summary_fields(self):
-        log = RunLog(
-            ["a", "b", "c", "d"],
-            np.array([0.05, np.nan, 0.5, 0.95]),
-            np.array([-0.1, -0.2, -0.3, -0.4]),
-            np.zeros(4), np.zeros(4), np.zeros(4),
-        )
+        counts = [[[4, 0], [0, 0]], [[0, 1], [0, 0]], [[2, 2], [0, 0]], [[0, 0], [0, 0]]]
+        log = self.hand_log([5, ABSTAIN, 50, 95], counts)
+        columns = log.columns()
+        assert columns["parsed"].tolist()[::2] == [0.05, 0.5] and np.isnan(columns["parsed"][1])
+        assert columns["gibberish"].tolist() == [0.5, 0.0, 0.25, 0.0]
+        assert columns["non_english"].tolist() == [0.0, 0.125, 0.25, 0.0]
+        assert columns["explanation"].tolist() == [0.5, 0.875, 0.5, 1.0]
         s = log.summary()
         assert s["n_questions"] == 4
         assert s["abstain_rate"] == 0.25
         assert s["extreme_bucket_mass"] == pytest.approx(2 / 3)
         assert s["mean_reward"] == pytest.approx(-0.25)
-        assert s["stopped"] is False
+        assert s["mean_gibberish"] == 0.1875
+
+    def test_extreme_mass_is_the_oracle_rule(self):
+        """The 10% and 90% edges count as extreme, 11% and 89% do not, and
+        abstentions count in neither part of the share."""
+        log = self.hand_log([10, ABSTAIN, 90, 11, ABSTAIN, 89, 10])
+        parsed = [None if np.isnan(p) else p for p in log.columns()["parsed"].tolist()]
+        assert log.summary()["extreme_bucket_mass"] == extreme_bucket_mass(parsed) == 0.6
+        assert self.hand_log([ABSTAIN]).summary()["extreme_bucket_mass"] == extreme_bucket_mass([None]) == 0.0
 
     def test_records_round_trip(self, tmp_path):
         import json
 
-        log = RunLog(["a", "b"], np.array([np.nan, 0.4]), np.array([-1.0, -0.36]),
-                     np.zeros(2), np.zeros(2), np.ones(2))
+        log = self.hand_log([ABSTAIN, 40])
         path = tmp_path / "runlog.jsonl"
         log.to_jsonl(path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows[0]["parsed"] is None and rows[1]["parsed"] == 0.4
-        assert rows[1]["reward"] == -0.36
+        assert rows[1]["reward"] == -0.2
+        assert rows[1]["explanation"] == 1.0
 
 
 class TestDeterminism:
@@ -164,10 +192,8 @@ class TestEarlyStop:
         )
         result = train_one(stream, cfg, frozen_hp())
         # uniform policy keeps ~1/3 gibberish, far above the threshold
-        assert result.stopped and result.stop_reason == "gibberish"
+        assert result.stop_reason == "gibberish" and result.numeric_error is None
         assert len(result.run_log) == 5
-        assert result.run_log.stopped and result.run_log.stop_reason == "gibberish"
-        assert result.run_log.summary()["stopped"] is True
 
     def test_extreme_mass_collapse_detected(self):
         stream = small_stream(200)
@@ -176,7 +202,7 @@ class TestEarlyStop:
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=1.0, extreme_mass_threshold=0.001),
         )
         result = train_one(stream, cfg, frozen_hp())
-        assert result.stopped and result.stop_reason == "extreme_mass"
+        assert result.stop_reason == "extreme_mass"
         assert len(result.run_log) % 1 == 0 and len(result.run_log) >= 5
 
     def test_disabled_guard_runs_to_completion(self):
@@ -186,7 +212,7 @@ class TestEarlyStop:
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=0.001, enabled=False),
         )
         result = train_one(stream, cfg, frozen_hp())
-        assert not result.stopped and len(result.run_log) == 50
+        assert result.stop_reason is None and len(result.run_log) == 50
 
     def test_window_larger_than_stream_never_fires(self):
         stream = small_stream(20)
@@ -195,7 +221,7 @@ class TestEarlyStop:
             early_stop=EarlyStopConfig(window=21, gibberish_threshold=0.001),
         )
         result = train_one(stream, cfg, frozen_hp())
-        assert not result.stopped and len(result.run_log) == 20
+        assert result.stop_reason is None and len(result.run_log) == 20
 
 
 class TestCheckpointCallback:
@@ -213,8 +239,9 @@ class TestCheckpointCallback:
         assert [c[0] for c in calls] == [10, 20, 30]
         for index, partial in calls:
             assert partial.question_ids == result.run_log.question_ids[index - 10 : index]
-            for col in ("parsed",) + LOG_COLUMNS:
+            for col in ("first", "counts", "rewards"):
                 assert getattr(partial, col).tobytes() == getattr(result.run_log, col)[index - 10 : index].tobytes()
+                assert getattr(partial, col).base is None  # its own rows, not a view of the batch's
 
     def test_no_callback_without_checkpoint_every(self):
         stream = small_stream(30)
@@ -284,9 +311,10 @@ class TestNumericAbort:
         stream.features[3] = [np.inf, 0.0]  # poisoned mid-stream, past the dataset's own check
         cfg = TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2)
         hp = HyperParams(actor_lr=0.01)
-        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericAbort) as exc_info:
-            train_one(stream, cfg, hp)
-        abort = exc_info.value
+        with np.errstate(invalid="ignore", over="ignore"):
+            abort = train_one(stream, cfg, hp)
+        assert abort.numeric_error == "non-finite gradient at question 'q3' (index 3)"
+        assert abort.stop_reason is None
         assert len(abort.run_log) == 3
         assert abort.run_log.question_ids == ["q0", "q1", "q2"]
 
@@ -349,6 +377,31 @@ class TestDpo:
         assert len(pairs) > hp.dpo_batch  # several minibatches per epoch
         assert not np.all(got.params.answer_weights == 0.0)
         assert_close_runs(got, params, None, log)
+
+    def test_a_non_finite_gradient_stops_only_that_member(self, monkeypatch):
+        """Member 0's first gradient of its second epoch is not finite: it
+        ends with the weights of its first epoch, and member 1 trains on
+        exactly as alone."""
+        stream = small_stream(60)
+        cfg = TrainConfig(algorithm="dpo", seed=11)
+        hp = HyperParams(dpo_lr=1e-3, dpo_batch=16, dpo_epochs=2)
+        alone = train_dpo(stream, cfg, hp, member=1)
+        real, calls, poisoned = trainer.dpo_gradient, [], []
+
+        def gradient(*args):
+            calls.append(None)
+            g = real(*args)
+            return g * np.nan if len(calls) in poisoned else g
+
+        monkeypatch.setattr(trainer, "dpo_gradient", gradient)
+        (first_epoch,) = train_members(stream, cfg, HyperParams(dpo_lr=1e-3, dpo_batch=16, dpo_epochs=1))
+        poisoned.append(len(calls) + 1)
+        calls.clear()
+        aborted, member1 = train_members(stream, cfg, hp, members=[0, 1])
+        assert (aborted.numeric_error, aborted.stop_reason) == ("non-finite DPO gradient", None)
+        assert_identical_runs(aborted, replace(first_epoch, numeric_error=aborted.numeric_error))
+        assert member1.numeric_error is None
+        assert_identical_runs(member1, alone)
 
     def test_all_tied_pairs_rejected(self):
         # a policy saturated on one answer ties every pair once guard-rails
@@ -428,23 +481,28 @@ class TestEnsemble:
             ).validate()
 
 
-LOG_COLUMNS = ("rewards", "gibberish", "non_english", "explanation")
+def float_columns(log) -> dict:
+    """A RunLog's per-question floats, in the order the digests hash them."""
+    columns = log.columns()
+    return {"parsed": columns.pop("parsed"), "rewards": log.rewards, **columns}
 
 
 def assert_close_runs(got, params, baseline, log, atol=1e-10):
+    """A TrainResult against an oracle run and its OracleLog."""
     assert np.allclose(got.params.content_weights, params.content_weights, rtol=0, atol=atol)
     assert np.allclose(got.params.answer_weights, params.answer_weights, rtol=0, atol=atol)
     if got.baseline is not None:
         assert np.allclose(got.baseline, baseline, rtol=0, atol=atol)
     assert got.run_log.question_ids == log.question_ids
-    assert (got.run_log.stopped, got.run_log.stop_reason) == (log.stopped, log.stop_reason)
-    assert np.array_equal(got.run_log.parsed, log.parsed, equal_nan=True)
-    for col in LOG_COLUMNS:
-        assert np.allclose(getattr(got.run_log, col), getattr(log, col), rtol=0, atol=atol)
+    assert (got.stop_reason, got.numeric_error) == (log.stop_reason, None)
+    columns = float_columns(got.run_log)
+    assert np.array_equal(columns.pop("parsed"), log.parsed, equal_nan=True)
+    for col, values in columns.items():
+        assert np.allclose(values, getattr(log, col), rtol=0, atol=atol)
 
 
 def assert_identical_runs(a, b):
-    assert type(a) is type(b)
+    assert (a.stop_reason, a.numeric_error) == (b.stop_reason, b.numeric_error)
     for x, y in ((a.params.content_weights, b.params.content_weights),
                  (a.params.answer_weights, b.params.answer_weights)):
         assert x.tobytes() == y.tobytes()
@@ -452,8 +510,8 @@ def assert_identical_runs(a, b):
     if a.baseline is not None:
         assert a.baseline.tobytes() == b.baseline.tobytes()
     assert a.run_log.question_ids == b.run_log.question_ids
-    assert (a.run_log.stopped, a.run_log.stop_reason) == (b.run_log.stopped, b.run_log.stop_reason)
-    for col in ("parsed",) + LOG_COLUMNS:
+    assert a.run_log.content_length == b.run_log.content_length
+    for col in ("first", "counts", "rewards"):
         assert getattr(a.run_log, col).tobytes() == getattr(b.run_log, col).tobytes()
 
 
@@ -508,10 +566,9 @@ class TestBatchedStep:
             batch = train_members(stream, cfg, hp, members=members)
             alone = [train_members(stream, cfg, hp, members=[m])[0] for m in members]
         aborted, survivor, stopped = batch
-        assert isinstance(aborted, NumericAbort) and len(aborted.run_log) == 30
-        assert "index 30" in str(aborted)
-        assert not survivor.stopped and len(survivor.run_log) == 60
-        assert stopped.stopped and stopped.stop_reason == "gibberish" and len(stopped.run_log) == 40
+        assert "index 30" in aborted.numeric_error and len(aborted.run_log) == 30
+        assert (survivor.stop_reason, survivor.numeric_error) == (None, None) and len(survivor.run_log) == 60
+        assert stopped.stop_reason == "gibberish" and stopped.numeric_error is None and len(stopped.run_log) == 40
         for got, ref in zip(batch, alone):
             assert_identical_runs(got, ref)
         # the last good state is the span boundary before the failure
@@ -534,7 +591,7 @@ class TestBatchedStep:
                 checkpoint_cb=lambda member, params, baseline, index, log: seen.append(baseline),
             )
         assert len(seen) == 4 and all(b is None for b in seen)
-        assert all(isinstance(r, NumericAbort) and r.baseline is None for r in results)
+        assert all(r.numeric_error is not None and r.baseline is None for r in results)
         (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01))
         assert finished.baseline is None
 
@@ -608,9 +665,10 @@ class TestTrainingMemory:
         return peak
 
     def test_peak_grows_by_less_than_200_bytes_per_member_question(self):
-        """The run-log columns (17 B per member-question at G = 4), the
-        returned RunLogs and the per-question feature rows make about
-        100 B; uniforms drawn for the whole stream would add 288 B."""
+        """The run-log columns (17 B per member-question at G = 4) and the
+        returned RunLogs' copies of them measure about 30 B; float run-log
+        columns measured about 100 B, and uniforms drawn for the whole
+        stream would add 288 B."""
         growth = (self._traced_peak(2000) - self._traced_peak(1000)) / (4 * 1000)
         assert growth < 200
 
@@ -640,16 +698,18 @@ class TestTrainingMemory:
 
 
 def run_digest(result) -> str:
-    """sha256 of a member's final (or last good) weights and its run log."""
-    h = hashlib.sha256(type(result).__name__.encode())
+    """sha256 of a member's ending, its final (or last good) weights and
+    its run log's floats.  The ending is named as when a numeric abort was
+    a `NumericAbort` and every other ending a `TrainResult`, so the pinned
+    digests hold."""
+    h = hashlib.sha256(b"TrainResult" if result.numeric_error is None else b"NumericAbort")
     h.update(result.params.content_weights.tobytes())
     h.update(result.params.answer_weights.tobytes())
     h.update(b"none" if result.baseline is None else result.baseline.tobytes())
-    log = result.run_log
-    h.update("\n".join(log.question_ids).encode())
-    h.update(repr((log.stopped, log.stop_reason)).encode())
-    for col in ("parsed",) + LOG_COLUMNS:
-        h.update(getattr(log, col).tobytes())
+    h.update("\n".join(result.run_log.question_ids).encode())
+    h.update(repr((result.stop_reason is not None, result.stop_reason)).encode())
+    for values in float_columns(result.run_log).values():
+        h.update(values.tobytes())
     return h.hexdigest()
 
 
@@ -707,7 +767,7 @@ class TestStepDigests:
             [(41, "gibberish"), (36, "gibberish"), (150, None)]
         assert [(len(r.run_log), r.stop_reason) for r in runs["extreme_stop"]] == \
             [(17, "extreme_mass"), (28, "extreme_mass")]
-        assert all(isinstance(r, NumericAbort) and len(r.run_log) == 33 for r in runs["numeric_abort"])
+        assert all(r.numeric_error is not None and len(r.run_log) == 33 for r in runs["numeric_abort"])
         assert {name: [run_digest(r) for r in results] for name, results in runs.items()} == self.DIGESTS
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
