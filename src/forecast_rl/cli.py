@@ -8,49 +8,66 @@ validation failure, 3 early stop, 4 numeric abort.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import locale  # noqa: F401  argparse's gettext imports it lazily in parse_args; load it at start-up
-import sys
-import time
-from dataclasses import asdict
-from pathlib import Path
+import gc
 
-import numpy as np
+# A stage is a short process that keeps nearly all of its import-time
+# objects until it exits.  The cyclic collector would scan that growing
+# heap again and again while numpy and the package import, and once more
+# at interpreter exit, so it is off while they import and the heap they
+# leave is then frozen: no later collection visits it, and forked
+# bootstrap workers inherit it as it is.  The importer's collector state
+# is restored even when an import fails.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import csv
+    import locale  # noqa: F401  argparse's gettext imports it lazily in parse_args; load it at start-up
+    import sys
+    import time
+    from dataclasses import asdict
+    from pathlib import Path
 
-from forecast_rl import __version__
-from forecast_rl.config import RunConfig, load_config
-from forecast_rl.data import (
-    Dataset,
-    generate_synthetic_stream,
-    load_questions,
-    save_questions,
-    split_dataset,
-    validate_chronology,
-    write_oracle,
-)
-from forecast_rl.errors import DataFormatError, ValidationError
-from forecast_rl.evaluation import (
-    equal_mass_ece_stat,
-    evaluation_report,
-    load_forecasts,
-    paired_bootstrap,
-    paired_bootstrap_stat,
-    paired_brier_test,
-    save_forecasts,
-)
-from forecast_rl.files import atomic_write, read_json, write_json
-from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
-from forecast_rl.rng import substream
-from forecast_rl.trading import (
-    GATES,
-    confidence_band_edges,
-    gating_ece,
-    per_question_profits,
-    run_strategies,
-    tradeable,
-)
-from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train_members
+    import numpy as np
+
+    from forecast_rl import __version__
+    from forecast_rl.config import RunConfig, load_config
+    from forecast_rl.data import (
+        Dataset,
+        generate_synthetic_stream,
+        load_questions,
+        save_questions,
+        split_dataset,
+        validate_chronology,
+        write_oracle,
+    )
+    from forecast_rl.errors import DataFormatError, ValidationError
+    from forecast_rl.evaluation import (
+        equal_mass_ece_stat,
+        evaluation_report,
+        load_forecasts,
+        paired_bootstrap,
+        paired_bootstrap_stat,
+        paired_brier_test,
+        save_forecasts,
+    )
+    from forecast_rl.files import atomic_write, read_json, write_json
+    from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
+    from forecast_rl.rng import substream
+    from forecast_rl.trading import (
+        GATES,
+        confidence_band_edges,
+        gating_ece,
+        per_question_profits,
+        run_strategies,
+        tradeable,
+    )
+    from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train_members
+
+    gc.freeze()
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -215,15 +232,21 @@ def cmd_train(cfg: RunConfig, args) -> int:
     for member, result in zip(members, results):
         s = result.run_log.summary()
         name = _checkpoint_name(cfg.seed, member, s["n_questions"])
+        collapse = (
+            f"mean gibberish {s['mean_gibberish']:.4f}, abstain rate {s['abstain_rate']:.4f}, "
+            f"extreme bucket mass {s['extreme_bucket_mass']:.4f}"
+        )
         if result.numeric_error is not None:
             name = f"seed{cfg.seed}_m{member}_lastgood"
             print(f"member {member}: numeric abort: {result.numeric_error}", file=sys.stderr)
             code = max(code, EXIT_NUMERIC)
         elif result.stop_reason is not None:
-            print(f"member {member}: early stop ({result.stop_reason}) after {s['n_questions']} questions")
+            print(f"member {member}: early stop ({result.stop_reason}) after {s['n_questions']} questions, {collapse}")
             code = max(code, EXIT_EARLY_STOP)
         else:
-            print(f"member {member}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}")
+            print(
+                f"member {member}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}, {collapse}"
+            )
         files.extend(_write_checkpoint(out / name, cfg, result.params, result.baseline, result.run_log))
     Manifest(out).register("train", cfg.config_hash(), files, time.monotonic() - t0)
     return code

@@ -3,8 +3,9 @@
 A writer fills `.<name>.<pid>.tmp` in the target's directory and then
 moves it over the target with `os.replace`, so a crash leaves the old file
 or the new one, never a truncated one; if the write raises, the temp file
-is removed.  A temp file left by a killed process is not registered in the
-manifest, so `report` lists it among the unregistered files.
+is removed, and an OSError becomes a DataFormatError naming the target.  A
+temp file left by a killed process is not registered in the manifest, so
+`report` lists it among the unregistered files.
 
 The readers turn a file that cannot be read or decoded, a JSON document
 without the keys and types its reader uses, or a JSONL / CSV record that
@@ -45,17 +46,23 @@ CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 @contextlib.contextmanager
 def atomic_write(path: str | Path, newline: str | None = None):
-    """A UTF-8 text handle whose content replaces `path` when the block ends."""
+    """A UTF-8 text handle whose content replaces `path` when the block ends.
+    An OSError on the way (a directory that cannot be made, a file that
+    cannot be opened, written or moved) becomes a DataFormatError naming
+    `path`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str | Path, payload) -> None:

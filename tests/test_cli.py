@@ -329,6 +329,17 @@ class TestExitCodes:
         assert run("synth", write_config(tmp_path), "--seed", "-3") == EXIT_VALIDATION
         assert "seed" in capsys.readouterr().err
 
+    def test_output_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        """An output file that cannot be written ends with exit 2 and a
+        message naming it, not with a traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, output_dir=str(blocker / "out"))
+        assert run("synth", cfg) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker / 'out' / 'train.jsonl'}: ")
+        assert "Not a directory" in err
+
     def test_numba_backend_without_numba_exit_2(self, tmp_path):
         """numba is no longer a backend: the config is refused, naming the
         key, whether or not numba is installed."""
@@ -479,6 +490,27 @@ class TestExitCodes:
             assert baseline.tobytes() == alone.baseline.tobytes()
             log = (out / name / "runlog.jsonl").read_text().splitlines()
             assert [json.loads(line)["id"] for line in log] == alone.run_log.question_ids
+
+    @pytest.mark.parametrize("early_stop", [{}, {"window": 5, "gibberish_threshold": 0.001}])
+    def test_train_lines_show_the_collapse_indicators(self, tmp_path, capsys, early_stop):
+        """Each member's line, trained or stopped early, ends with its run
+        log's mean gibberish, abstain rate and extreme bucket mass."""
+        cfg = write_config(tmp_path, ensemble_size=2, train={"algorithm": "remax", "early_stop": early_stop})
+        assert run("synth", cfg) == EXIT_OK
+        run("train", cfg)
+        lines = capsys.readouterr().out.splitlines()
+        run_cfg = load_config(cfg)
+        results = train_members(load_questions(tmp_path / "out" / "train.jsonl"), run_cfg.train,
+                                run_cfg.hyperparams, run_cfg.penalties, [0, 1])
+        for member, result in enumerate(results):
+            s = result.run_log.summary()
+            (line,) = [text for text in lines if text.startswith(f"member {member}: ")]
+            collapse = (
+                f"mean gibberish {s['mean_gibberish']:.4f}, abstain rate {s['abstain_rate']:.4f}, "
+                f"extreme bucket mass {s['extreme_bucket_mass']:.4f}"
+            )
+            before = f"mean reward {s['mean_reward']:.4f}" if result.stop_reason is None else "questions"
+            assert line.endswith(f"{before}, {collapse}")
 
     def test_chronology_violation_reports_the_pair_count(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -804,6 +836,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     logistic, the tails and the t quantile are computed with `math`."""
     code = "import sys, forecast_rl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     assert _python(code).split() == ["[]"]
+
+
+def test_cli_import_freezes_its_heap_and_leaves_gc_on():
+    """Importing the CLI freezes the objects its imports made, so neither
+    a collection nor interpreter exit scans them, and leaves the
+    collector on."""
+    code = "import gc, forecast_rl.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    assert _python(code).split() == ["True", "True"]
+
+
+def test_a_failed_cli_import_leaves_gc_on():
+    """An import of the CLI that fails still turns the collector back on."""
+    code = (
+        "import gc, sys\n"
+        "sys.modules['forecast_rl.trading'] = None\n"
+        "try:\n"
+        "    import forecast_rl.cli\n"
+        "except ImportError:\n"
+        "    print('ImportError', gc.isenabled())\n"
+    )
+    assert _python(code).split() == ["ImportError", "True"]
 
 
 def test_stages_import_no_module_inside_main(tmp_path):

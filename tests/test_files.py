@@ -120,6 +120,15 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert _tmp_files(tmp_path) == []
 
+    def test_a_replace_that_fails_names_the_file_and_removes_the_temp_file(self, tmp_path):
+        path = tmp_path / "report.md"
+        path.mkdir()  # os.replace cannot move a file over a directory
+        with pytest.raises(DataFormatError, match=rf"^cannot write {re.escape(str(path))}: "):
+            with atomic_write(path) as fh:
+                fh.write("new\n")
+        assert path.is_dir()
+        assert _tmp_files(tmp_path) == []
+
     def test_forecasts_that_fail_midway_keep_the_old_file(self, tmp_path):
         path = tmp_path / "forecasts.jsonl"
         save_forecasts(path, ["a", "b"], np.array([0.5, np.nan]))
