@@ -16,9 +16,9 @@ from forecast_rl.reward import PenaltyConfig
 from forecast_rl.trainer import TrainConfig, train_members
 
 
-def time_run(stream, cfg, k: int) -> tuple[float, list]:
+def time_run(stream, cfg, k: int, seed: int) -> tuple[float, list]:
     t0 = time.perf_counter()
-    results = train_members(stream, cfg, HyperParams(), PenaltyConfig(), range(k))
+    results = train_members(stream, cfg, HyperParams(), PenaltyConfig(), range(k), seed=seed)
     return time.perf_counter() - t0, results
 
 
@@ -31,17 +31,13 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    stream, _ = generate_synthetic_stream(
-        SyntheticConfig(args.n, args.d, market_noise=0.5, seed=args.seed)
-    )
-    warmup, _ = generate_synthetic_stream(
-        SyntheticConfig(64, args.d, market_noise=0.5, seed=args.seed + 1)
-    )
-    cfg = TrainConfig(algorithm=args.algorithm, seed=args.seed)
+    stream, _ = generate_synthetic_stream(SyntheticConfig(args.n, args.d, market_noise=0.5), args.seed)
+    warmup, _ = generate_synthetic_stream(SyntheticConfig(64, args.d, market_noise=0.5), args.seed + 1)
+    cfg = TrainConfig(algorithm=args.algorithm)
 
     for k in (1, 4):
-        time_run(warmup, cfg, k)
-        elapsed, results = time_run(stream, cfg, k)
+        time_run(warmup, cfg, k, args.seed)
+        elapsed, results = time_run(stream, cfg, k, args.seed)
         print(f"numpy K={k}: {elapsed:8.3f} s  {k * args.n / elapsed:10.0f} member-questions/s  "
               f"member 0 mean reward {results[0].run_log.summary()['mean_reward']:+.4f}")
 

@@ -64,8 +64,7 @@ class HyperParams:
         raise ValidationError(f"no actor learning rate for algorithm {algorithm!r}")
 
     def validate(self) -> None:
-        positive = ("group_size", "adam_beta1", "adam_beta2", "adam_eps",
-                    "grad_clip_norm", "dpo_beta", "dpo_epochs", "dpo_batch")
+        positive = ("group_size", "adam_eps", "grad_clip_norm", "dpo_beta", "dpo_epochs", "dpo_batch")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -77,8 +76,9 @@ class HyperParams:
                 raise ValidationError(f"{name} must be >= 0")
         if self.actor_lr is not None and self.actor_lr < 0:
             raise ValidationError("actor_lr must be >= 0")
-        if not (0.0 < self.clip_eps < 1.0):
-            raise ValidationError("clip_eps must lie in (0, 1)")
+        for name in ("clip_eps", "adam_beta1", "adam_beta2"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ValidationError(f"{name} must lie in (0, 1)")
 
 
 # The joint vocabulary of the two heads: N_CONTENT content columns, then

@@ -62,7 +62,7 @@ try:
         run_strategies,
         tradeable,
     )
-    from forecast_rl.trainer import EnsembleSpec, ensemble_predict_dataset, predict_dataset, train_members
+    from forecast_rl.trainer import ensemble_predict_dataset, predict_dataset, train_members
 
     gc.freeze()
 finally:
@@ -158,9 +158,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
         raise ValidationError("synth needs a data.synthetic block in the config")
     t0 = time.monotonic()
     out = _out_dir(cfg)
-    synth = cfg.data.synthetic
-    synth.seed = cfg.seed
-    stream, oracle = generate_synthetic_stream(synth)
+    stream, oracle = generate_synthetic_stream(cfg.data.synthetic, cfg.seed)
     train_ds, test_ds = split_dataset(stream, cfg.data.train_fraction) if len(stream) else (stream, Dataset([], "test"))
     train_path = _data_path(cfg, "train")
     test_path = _data_path(cfg, "test")
@@ -211,6 +209,8 @@ def cmd_train(cfg: RunConfig, args) -> int:
     t0 = time.monotonic()
     out = _out_dir(cfg)
     train_ds = _load_split(cfg, "train", "train")
+    if not len(train_ds):
+        raise ValidationError(f"train dataset {_data_path(cfg, 'train')} holds no questions")
     _check_chronology(cfg, train_ds)
 
     files: list[Path] = []
@@ -227,6 +227,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
         cfg.penalties,
         members,
         checkpoint_cb=checkpoint_cb,
+        seed=cfg.seed,
     )
     code = EXIT_OK
     for member, result in zip(members, results):
@@ -281,7 +282,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         path = out / f"forecasts_m{k}.jsonl"
         save_forecasts(path, test_ds.ids, member_probs[k])
         files.append(path)
-    ens = ensemble_predict_dataset(EnsembleSpec(members), test_ds, member_probs)
+    ens = ensemble_predict_dataset(member_probs)
     ens_path = out / "forecasts.jsonl"
     save_forecasts(ens_path, test_ds.ids, ens)
     files.append(ens_path)
@@ -512,7 +513,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-            cfg.train.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()

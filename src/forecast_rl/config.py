@@ -1,9 +1,10 @@
 """Run configuration: one strict JSON document drives every subcommand.
 
-Each key is a field of its section's dataclass, read and written by one
-walk over the fields that casts each value by its type hint.  Unknown keys
-anywhere in the document are errors so hyperparameter typos fail loudly
-instead of silently falling back to defaults.
+Each key is a field of its section's dataclass, and each field a key: a
+section holds nothing a config document cannot set.  Sections are read and
+written by one walk over the fields that casts each value by its type hint.
+Unknown keys anywhere in the document are errors so hyperparameter typos
+fail loudly instead of silently falling back to defaults.
 """
 
 from __future__ import annotations
@@ -24,15 +25,6 @@ from forecast_rl.reward import PenaltyConfig
 from forecast_rl.trainer import BACKENDS, TrainConfig
 
 SCHEMA_VERSION = 1
-
-# Fields the program sets, never a config document: the synthetic latent
-# weights are an array for library callers, and the seeds are derived from
-# the run seed.  They stay out of `to_dict`, and so out of `config_hash`.
-LIBRARY_ONLY = {
-    (SyntheticConfig, "latent_weights"),
-    (SyntheticConfig, "seed"),
-    (TrainConfig, "seed"),
-}
 
 
 @dataclass
@@ -149,13 +141,11 @@ _CASTERS = {int: _json_int, float: _json_float, bool: _json_bool, str: _json_str
 
 @functools.cache
 def _config_fields(cls) -> tuple[tuple[str, object, bool], ...]:
-    """(name, type hint, required) of each field of a config section that a
-    config document may set."""
+    """(name, type hint, required) of each field of a config section: its
+    config keys."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
-        for f in fields(cls)
-        if (cls, f.name) not in LIBRARY_ONLY
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
     )
 
 
@@ -214,7 +204,6 @@ def parse_config(raw: dict) -> RunConfig:
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(f"config schema_version must be {SCHEMA_VERSION}, got {version!r}")
     cfg = _from_json({k: v for k, v in raw.items() if k != "schema_version"}, RunConfig, "config")
-    cfg.train.seed = cfg.seed
     cfg.validate()
     return cfg
 

@@ -77,10 +77,8 @@ class SyntheticConfig:
 
     n_questions: int
     feature_dim: int
-    latent_weights: np.ndarray | None = None
     temporal_drift: float = 0.0
     market_noise: float | None = 0.5
-    seed: int = 0
 
     def validate(self) -> None:
         if self.n_questions < 0:
@@ -89,8 +87,6 @@ class SyntheticConfig:
             raise ValidationError("feature_dim must be >= 1")
         if self.temporal_drift < 0:
             raise ValidationError("temporal_drift must be >= 0")
-        if self.latent_weights is not None and np.asarray(self.latent_weights).shape != (self.feature_dim,):
-            raise ValidationError("latent_weights must have shape (feature_dim,)")
 
 
 class Dataset:
@@ -402,20 +398,27 @@ def _expit(logits: np.ndarray) -> np.ndarray:
     return np.array([_logistic(v) for v in logits.tolist()])
 
 
-def generate_synthetic_stream(cfg: SyntheticConfig) -> tuple[Dataset, dict[str, float]]:
-    """Generate the synthetic stream and its oracle probabilities.
+def generate_synthetic_stream(
+    cfg: SyntheticConfig, seed: int, latent_weights: np.ndarray | None = None
+) -> tuple[Dataset, dict[str, float]]:
+    """Generate the synthetic stream and its oracle probabilities from
+    substream(seed, "data").
 
     Returns the Dataset and a mapping id -> true probability.  The oracle
     mapping is meant for a sidecar file read only by evaluation code.
+    `latent_weights`, a (feature_dim,) vector, replaces the drawn initial
+    latent weights.
     """
     cfg.validate()
-    rng = substream(cfg.seed, "data")
+    rng = substream(seed, "data")
     n, d = cfg.n_questions, cfg.feature_dim
 
-    if cfg.latent_weights is None:
+    if latent_weights is None:
         w0 = rng.standard_normal(d)
     else:
-        w0 = np.asarray(cfg.latent_weights, dtype=np.float64)
+        w0 = np.asarray(latent_weights, dtype=np.float64)
+        if w0.shape != (d,):
+            raise ValidationError("latent_weights must have shape (feature_dim,)")
     if n == 0:
         return Dataset([], "train"), {}
 

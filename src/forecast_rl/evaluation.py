@@ -607,8 +607,8 @@ def _ci95(d: np.ndarray) -> tuple[float, float]:
 def paired_bootstrap_stat(
     n_rows: int,
     stat_fn,
-    reps: int = 9999,
-    rng: np.random.Generator | None = None,
+    reps: int,
+    rng: np.random.Generator,
     pairs=None,
 ) -> dict[tuple[int, int], PairedComparison]:
     """Question-level paired bootstrap over an arbitrary row statistic.
@@ -642,8 +642,6 @@ def paired_bootstrap_stat(
     finite on the observed rows, or a pair with no replicate left, is a
     ValidationError.
     """
-    if rng is None:
-        raise ValidationError("paired_bootstrap needs a generator")
     if reps < 1:
         raise ValidationError("reps must be >= 1")
     observed = np.asarray(stat_fn(np.ones((1, n_rows), dtype=np.int64)), dtype=np.float64)[0]
@@ -683,8 +681,8 @@ def paired_bootstrap_stat(
 
 def paired_bootstrap(
     values: np.ndarray,
-    reps: int = 9999,
-    rng: np.random.Generator | None = None,
+    reps: int,
+    rng: np.random.Generator,
     pairs=None,
 ) -> dict[tuple[int, int], PairedComparison]:
     """Paired bootstrap of the column totals of a questions-by-models

@@ -108,7 +108,6 @@ class TrainConfig:
     algorithm: str = "remax"
     outer_iteration_len: int = 500
     early_stop: EarlyStopConfig = field(default_factory=EarlyStopConfig)
-    seed: int = 0
     guardrails_enabled: bool = True
     checkpoint_every: int = 0
     content_length: int = 8
@@ -381,10 +380,12 @@ def train_members(
     members=(0,),
     init_params: PolicyParams | None = None,
     checkpoint_cb=None,
+    *,
+    seed: int,
 ) -> list[TrainResult]:
     """Train one policy per ensemble member on the same stream.
 
-    Member m draws its rollouts from substream(cfg.seed, "sampling", m)
+    Member m draws its rollouts from substream(seed, "sampling", m)
     (DPO: "dpo", m), so a member's trajectory is the same whether it is
     trained alone or in a batch.  All members take each online step
     together.
@@ -407,7 +408,7 @@ def train_members(
     if not members or len(set(members)) != len(members) or min(members) < 0:
         raise ValidationError(f"members must be distinct non-negative indices, got {members}")
     if cfg.algorithm == "dpo":
-        return [train_dpo(stream, cfg, hp, penalties, init_params, m) for m in members]
+        return [train_dpo(stream, cfg, hp, penalties, init_params, m, seed=seed) for m in members]
 
     n = len(stream)
     if n == 0:
@@ -433,7 +434,7 @@ def train_members(
     X1 = np.hstack([np.ones((n, 1)), stream.features])
     Y = stream.outcome
     ids = stream.ids
-    st = _Members(members, params, cfg.seed, n, G, cfg.early_stop.window)
+    st = _Members(members, params, seed, n, G, cfg.early_stop.window)
 
     boundaries = {0, n}
     boundaries.update(range(0, n, cfg.outer_iteration_len))
@@ -483,9 +484,11 @@ def train_dpo(
     penalties: PenaltyConfig | None = None,
     init_params: PolicyParams | None = None,
     member: int = 0,
+    *,
+    seed: int,
 ) -> TrainResult:
     """Offline preference training of ensemble member `member`, which
-    draws from substream(cfg.seed, "dpo", member).
+    draws from substream(seed, "dpo", member).
 
     Two responses per question are sampled once from the frozen reference
     (the initial policy); the higher-total-reward response is preferred
@@ -509,7 +512,7 @@ def train_dpo(
         raise ValidationError("init_params feature_dim does not match the stream")
     L = params.vocab.content_length
     rewards_of = reward_table(L, _effective_penalties(penalties, cfg.guardrails_enabled))
-    rng = substream(cfg.seed, "dpo", member)
+    rng = substream(seed, "dpo", member)
     U = rng.random((n, 2, L + 1))
 
     # Every pair is drawn from the frozen reference (the initial policy)
@@ -574,46 +577,18 @@ def predict_dataset(params: PolicyParams, dataset: Dataset) -> np.ndarray:
     return np.where(k == ABSTAIN, np.nan, ANSWER_VALUES[np.minimum(k, N_PROB - 1)])
 
 
-@dataclass
-class EnsembleSpec:
-    """K policies whose forecasts are averaged."""
-
-    members: list[PolicyParams]
-
-    def validate(self) -> None:
-        if not self.members:
-            raise ValidationError("an ensemble needs at least one member")
-        dim = self.members[0].feature_dim
-        L = self.members[0].vocab.content_length
-        for m in self.members[1:]:
-            if m.feature_dim != dim or m.vocab.content_length != L:
-                raise ValidationError("ensemble members must share vocabulary and feature dim")
-
-
-def ensemble_predict_dataset(
-    spec: EnsembleSpec,
-    dataset: Dataset,
-    member_forecasts: np.ndarray | None = None,
-) -> np.ndarray:
-    """Mean of the members' forecasts per row, skipping abstentions; NaN
+def ensemble_predict_dataset(member_forecasts: np.ndarray) -> np.ndarray:
+    """Mean per row of the (K, n) member forecast matrix (rows in member
+    order, each a `predict_dataset` column), skipping abstentions; NaN
     where every member abstains.
 
     The mean is summed in member order.  Where all present member values
     are equal it is that value, so a K-copy ensemble reproduces the single
     model bit-for-bit (a naive sum/K is not exact in floating point).
-    A caller that already holds each member's `predict_dataset` column
-    passes them as the (K, n) `member_forecasts` (rows in member order)
-    instead of having them computed again.
     """
-    spec.validate()
-    if member_forecasts is None:
-        F = np.stack([predict_dataset(m, dataset) for m in spec.members])
-    else:
-        F = np.asarray(member_forecasts, dtype=np.float64)
-        if F.shape != (len(spec.members), len(dataset)):
-            raise ValidationError(
-                f"member forecasts of shape {F.shape} for {len(spec.members)} members and {len(dataset)} questions"
-            )
+    F = np.asarray(member_forecasts, dtype=np.float64)
+    if F.ndim != 2 or not len(F):
+        raise ValidationError(f"an ensemble needs a (members, questions) forecast matrix, got shape {F.shape}")
     present = ~np.isnan(F)
     total = np.zeros(F.shape[1])
     for row, has in zip(F, present):

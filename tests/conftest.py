@@ -53,18 +53,19 @@ def predict(params, question: Question) -> float | None:
     return None if np.isnan(p) else p
 
 
-def ensemble_predict(spec, question: Question) -> float | None:
-    """Mean of the members' forecasts for one question, skipping abstentions."""
-    (p,) = trainer.ensemble_predict_dataset(spec, Dataset([question], "test")).tolist()
+def ensemble_predict(members, question: Question) -> float | None:
+    """Mean of the member policies' forecasts for one question, skipping abstentions."""
+    dataset = Dataset([question], "test")
+    (p,) = trainer.ensemble_predict_dataset(np.stack([trainer.predict_dataset(m, dataset) for m in members])).tolist()
     return None if np.isnan(p) else p
 
 
-def train_one(stream, cfg, hp, penalties=None, init_params=None, checkpoint_cb=None, member=0):
+def train_one(stream, cfg, hp, penalties=None, init_params=None, checkpoint_cb=None, member=0, *, seed):
     """Member `member`'s TrainResult from `train_members`.
     `checkpoint_cb(params, baseline, index, partial_log)` sees that
     member's checkpoints."""
     cb = None if checkpoint_cb is None else lambda m, *args: checkpoint_cb(*args)
-    (result,) = trainer.train_members(stream, cfg, hp, penalties, [member], init_params, cb)
+    (result,) = trainer.train_members(stream, cfg, hp, penalties, [member], init_params, cb, seed=seed)
     return result
 
 

@@ -676,7 +676,7 @@ def check_early_stop(
     return False, None
 
 
-def oracle_train(stream, cfg, hp, penalties=None, member=0):
+def oracle_train(stream, cfg, hp, penalties=None, member=0, *, seed):
     """Reference online loop for member `member`, built from per-response
     objects: sample each response, audit and score it, form the
     advantages, build a GroupRollout, take the objective's gradient and
@@ -692,7 +692,7 @@ def oracle_train(stream, cfg, hp, penalties=None, member=0):
     base_state = OptimizerState.for_params({"baseline": baseline})
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
     X, Y, ids = stream.features, stream.outcome, stream.ids
-    U = substream(cfg.seed, "sampling", member).random((n, G, L + 1))
+    U = substream(seed, "sampling", member).random((n, G, L + 1))
     logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}
     es = cfg.early_stop
     ref = snapshot_reference(params)
@@ -739,7 +739,7 @@ def oracle_train(stream, cfg, hp, penalties=None, member=0):
     return params, baseline, OracleLog(ids, *logs.values())
 
 
-def oracle_dpo(stream, cfg, hp, penalties=None, member=0):
+def oracle_dpo(stream, cfg, hp, penalties=None, member=0, *, seed):
     """Reference DPO for member `member`: sample each question's pair from the
     frozen initial policy, score both responses, keep the pairs whose
     totals differ, then step AdamW on the minibatch mean of
@@ -750,7 +750,7 @@ def oracle_dpo(stream, cfg, hp, penalties=None, member=0):
     n, d, L = len(stream), stream.feature_dim, cfg.content_length
     params = PolicyParams.zeros(d, Vocabulary(L))
     ref = snapshot_reference(params)
-    rng = substream(cfg.seed, "dpo", member)
+    rng = substream(seed, "dpo", member)
     U = rng.random((n, 2, L + 1))
     X, Y, ids = stream.features, stream.outcome, stream.ids
     logs = {k: np.zeros(n) for k in ("parsed", "reward", "gib", "nep", "expq")}

@@ -44,7 +44,6 @@ from forecast_rl.trading import (
     run_strategy,
 )
 from forecast_rl.trainer import (
-    EnsembleSpec,
     TrainConfig,
     ensemble_predict_dataset,
     predict_dataset,
@@ -69,9 +68,7 @@ def lab():
     """Streams and trained policies shared by the behavioural checks."""
     out = {}
     for seed in SEEDS:
-        stream, oracle = generate_synthetic_stream(
-            SyntheticConfig(20000, 4, temporal_drift=0.0, market_noise=0.5, seed=seed)
-        )
+        stream, oracle = generate_synthetic_stream(SyntheticConfig(20000, 4, market_noise=0.5), seed)
         train_ds, test_ds = split_dataset(stream, 0.5)
         policies = {}
         for key, algo, pen in (
@@ -80,7 +77,7 @@ def lab():
             ("modified", "modified_grpo", PenaltyConfig()),
             ("remax_nogib", "remax", PenaltyConfig(lambda_gib=0.0)),
         ):
-            result = train_one(train_ds, TrainConfig(algorithm=algo, seed=seed), HyperParams(), pen)
+            result = train_one(train_ds, TrainConfig(algorithm=algo), HyperParams(), pen, seed=seed)
             assert result.stop_reason is None, f"{key} seed {seed} tripped the early stop"
             policies[key] = result.params
         out[seed] = {
@@ -90,7 +87,7 @@ def lab():
             "policies": policies,
         }
     results = train_members(
-        out[0]["train"], TrainConfig(algorithm="remax", seed=0), HyperParams(), PenaltyConfig(), range(7)
+        out[0]["train"], TrainConfig(algorithm="remax"), HyperParams(), PenaltyConfig(), range(7), seed=0
     )
     members = [r.params for r in results]
     remax = out[0]["policies"]["remax"]
@@ -286,9 +283,7 @@ def test_criterion_08_statistics_toolkit():
     cmp = paired_bootstrap(values, 999, substream(11, "acceptance", "reps"))[(0, 1)]
     ok &= cmp.p_value == 1.0 and cmp.ci_low == 0.0 and cmp.ci_high == 0.0
 
-    stream, oracle = generate_synthetic_stream(
-        SyntheticConfig(50000, 4, temporal_drift=0.0, market_noise=0.5, seed=7)
-    )
+    stream, oracle = generate_synthetic_stream(SyntheticConfig(50000, 4, market_noise=0.5), 7)
     oracle_ece = ece_equal_mass([Forecast(qid, oracle[qid]) for qid in stream.ids], outcome_by_id(stream))
     ok &= oracle_ece <= 0.02
     verdict(8, "statistics toolkit", ok,
@@ -323,7 +318,7 @@ def test_criterion_09_determinism(tmp_path):
 def test_criterion_10_ensemble_identity(lab):
     test_ds = lab[0]["test"]
     single = predict_dataset(lab["members"][0], test_ds)
-    copies = ensemble_predict_dataset(EnsembleSpec([lab["members"][0]] * 7), test_ds)
+    copies = ensemble_predict_dataset(np.stack([single] * 7))
     ok = copies.tobytes() == single.tobytes()
 
     outcomes = outcome_by_id(test_ds)
@@ -331,7 +326,7 @@ def test_criterion_10_ensemble_identity(lab):
         soft_brier(model_forecasts(p, test_ds), outcomes) for p in lab["members"]
     )
     median_sb = member_sb[3]
-    ensemble = ensemble_predict_dataset(EnsembleSpec(lab["members"]), test_ds)
+    ensemble = ensemble_predict_dataset(np.stack([predict_dataset(p, test_ds) for p in lab["members"]]))
     ensemble_sb = soft_brier(forecasts(test_ds, ensemble), outcomes)
     ok &= ensemble_sb <= median_sb
     verdict(10, "ensemble identity", ok,

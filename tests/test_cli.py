@@ -23,7 +23,7 @@ from forecast_rl.cli import (
     main,
 )
 from forecast_rl.config import load_config
-from forecast_rl.data import load_questions, save_questions
+from forecast_rl.data import generate_synthetic_stream, load_questions, save_questions
 from forecast_rl.evaluation import Z_95, load_forecasts, paired_bootstrap, save_forecasts
 from forecast_rl.policy import PolicyParams, load_checkpoint, save_checkpoint
 from forecast_rl.rng import substream
@@ -281,6 +281,27 @@ class TestDeterminism:
         assert (out_b / "seed11_m0_q000030").exists()
         assert (out_a / "train.jsonl").read_bytes() != (out_b / "train.jsonl").read_bytes()
 
+    def test_seed_override_reaches_synth_and_train(self, tmp_path, monkeypatch):
+        """The config's seed, or `--seed` when given, is the seed synth
+        draws the stream from and the seed train passes to `train_members`."""
+        cfg = write_config(tmp_path)
+        seeds = []
+
+        def synth(synthetic, seed, *args):
+            seeds.append(("synth", seed))
+            return generate_synthetic_stream(synthetic, seed, *args)
+
+        def train(*args, seed, **kwargs):
+            seeds.append(("train", seed))
+            return train_members(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(cli, "generate_synthetic_stream", synth)
+        monkeypatch.setattr(cli, "train_members", train)
+        for cmd in ("synth", "train"):
+            assert run(cmd, cfg, "--seed", "11") == EXIT_OK
+        assert run("train", cfg) == EXIT_OK
+        assert seeds == [("synth", 11), ("train", 11), ("train", 3)]
+
 
 class TestExitCodes:
     def test_validation_failures_exit_2(self, tmp_path, capsys):
@@ -317,6 +338,9 @@ class TestExitCodes:
             ({"data": {"synthetic": {"n_questions": 20.7, "feature_dim": 2}}}, "data.synthetic.n_questions"),
             ({"data": {"synthetic": {}}}, "data.synthetic.n_questions"),
             ({"data": {"synthetic": {"n_questions": 20}}}, "data.synthetic.feature_dim"),
+            # A beta of 1 or more trains on a zero bias correction or a negative second moment.
+            ({"hyperparams": {"adam_beta1": 1.0}}, "adam_beta1"),
+            ({"hyperparams": {"adam_beta2": 1.5}}, "adam_beta2"),
         ],
     )
     def test_miscast_config_values_exit_2(self, tmp_path, capsys, overrides, field):
@@ -324,6 +348,21 @@ class TestExitCodes:
         assert run("synth", cfg) == EXIT_VALIDATION
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("algorithm, with_test_file", [("remax", True), ("remax", False), ("dpo", False)])
+    def test_empty_train_split_exit_2(self, tmp_path, capsys, algorithm, with_test_file):
+        """One question splits into an empty train file and a one-question
+        test file.  Train refuses the empty train split, naming its file,
+        before the chronology check, whether or not the test file is there,
+        for the online algorithms and DPO alike."""
+        cfg = write_config(tmp_path, train={"algorithm": algorithm},
+                           data={"synthetic": {"n_questions": 1, "feature_dim": 2, "market_noise": 0.5}})
+        assert run("synth", cfg) == EXIT_OK
+        out = tmp_path / "out"
+        if not with_test_file:
+            (out / "test.jsonl").unlink()
+        assert run("train", cfg) == EXIT_VALIDATION
+        assert f"error: train dataset {out / 'train.jsonl'} holds no questions\n" in capsys.readouterr().err
 
     def test_seed_override_must_be_nonnegative(self, tmp_path, capsys):
         assert run("synth", write_config(tmp_path), "--seed", "-3") == EXIT_VALIDATION
@@ -483,7 +522,7 @@ class TestExitCodes:
         run_cfg = load_config(cfg)
         for name, member in dirs.items():
             (alone,) = train_members(load_questions(out / "train.jsonl"), run_cfg.train, run_cfg.hyperparams,
-                                     run_cfg.penalties, [member])
+                                     run_cfg.penalties, [member], seed=run_cfg.seed)
             params, baseline = load_checkpoint(out / name / "params.json")
             assert params.answer_weights.tobytes() == alone.params.answer_weights.tobytes()
             assert params.content_weights.tobytes() == alone.params.content_weights.tobytes()
@@ -501,7 +540,7 @@ class TestExitCodes:
         lines = capsys.readouterr().out.splitlines()
         run_cfg = load_config(cfg)
         results = train_members(load_questions(tmp_path / "out" / "train.jsonl"), run_cfg.train,
-                                run_cfg.hyperparams, run_cfg.penalties, [0, 1])
+                                run_cfg.hyperparams, run_cfg.penalties, [0, 1], seed=run_cfg.seed)
         for member, result in enumerate(results):
             s = result.run_log.summary()
             (line,) = [text for text in lines if text.startswith(f"member {member}: ")]

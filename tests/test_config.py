@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -69,10 +70,6 @@ class TestParse:
         assert cfg.penalties.lambda_gib == 0.5
         assert cfg.trading.ece_source == "in_sample"
 
-    def test_seed_propagates_into_train(self):
-        cfg = parse_config({"schema_version": 1, "seed": 42})
-        assert cfg.train.seed == 42
-
     def test_round_trip_is_stable(self):
         cfg = parse_config(json.loads(json.dumps(FULL_RAW)))
         again = parse_config(cfg.to_dict())
@@ -105,7 +102,7 @@ class TestParse:
             ({"schema_version": 1, "penalties": {"lambda_tok": 0.1}}, "penalties"),
             ({"schema_version": 1, "evaluation": {"bins": 10}}, "evaluation"),
             ({"schema_version": 1, "trading": {"gate": "x"}}, "trading"),
-            # Fields the program sets are unknown keys to a config.
+            # The program passes the seeds and latent weights as arguments; they are not keys.
             ({"schema_version": 1, "data": {"synthetic": {"n_questions": 5, "feature_dim": 2,
                                                           "latent_weights": [1.0, 2.0]}}},
              "data.synthetic"),
@@ -311,8 +308,8 @@ SCHEMA = {
         "clip_eps": OPEN_UNIT,
         "group_size": st.integers(1, 64),
         "entropy_coeff": NONNEG,
-        "adam_beta1": POSITIVE,
-        "adam_beta2": POSITIVE,
+        "adam_beta1": OPEN_UNIT,
+        "adam_beta2": OPEN_UNIT,
         "adam_eps": POSITIVE,
         "weight_decay": NONNEG,
         "grad_clip_norm": POSITIVE,
@@ -382,3 +379,23 @@ class TestRoundTrip:
         if cfg.data.synthetic is not None:
             expected |= {f"data.synthetic.{k}" for k in SYNTHETIC}
         assert _key_paths(doc) == expected
+
+
+def _field_paths(section, prefix: str = "") -> set[str]:
+    paths = set()
+    for f in fields(section):
+        paths.add(prefix + f.name)
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            paths |= _field_paths(value, f"{prefix}{f.name}.")
+    return paths
+
+
+def test_each_section_field_is_a_document_key():
+    """A config section holds its document keys and nothing else: every
+    dataclass field is written by `to_dict`, and is a key a config may set."""
+    cfg = RunConfig(data=DataConfig(synthetic=SyntheticConfig(10, 2)))
+    doc = cfg.to_dict()
+    assert doc.pop("schema_version") == SCHEMA_VERSION
+    keys = _key_paths(SCHEMA) | {f"data.synthetic.{k}" for k in SYNTHETIC}
+    assert _field_paths(cfg) == _key_paths(doc) == keys

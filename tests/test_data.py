@@ -438,14 +438,17 @@ class TestChronology:
 
 class TestSyntheticStream:
     def test_zero_weights_give_half(self):
-        cfg = SyntheticConfig(n_questions=50, feature_dim=3, latent_weights=np.zeros(3), seed=0)
-        _, oracle = generate_synthetic_stream(cfg)
+        _, oracle = generate_synthetic_stream(SyntheticConfig(n_questions=50, feature_dim=3), 0, np.zeros(3))
         assert all(p == 0.5 for p in oracle.values())
 
+    def test_latent_weights_need_one_per_feature(self):
+        with pytest.raises(ValidationError, match=r"latent_weights must have shape \(feature_dim,\)"):
+            generate_synthetic_stream(SyntheticConfig(n_questions=5, feature_dim=3), 0, np.zeros(2))
+
     def test_deterministic(self):
-        cfg = SyntheticConfig(n_questions=100, feature_dim=4, seed=5)
-        a, oa = generate_synthetic_stream(cfg)
-        b, ob = generate_synthetic_stream(SyntheticConfig(n_questions=100, feature_dim=4, seed=5))
+        cfg = SyntheticConfig(n_questions=100, feature_dim=4)
+        a, oa = generate_synthetic_stream(cfg, 5)
+        b, ob = generate_synthetic_stream(SyntheticConfig(n_questions=100, feature_dim=4), 5)
         assert a.ids == b.ids
         assert np.array_equal(a.features, b.features)
         assert oa == ob
@@ -453,28 +456,28 @@ class TestSyntheticStream:
     def test_oracle_matches_logistic_link(self):
         # reconstruct p* from the stream's own features and the fixed weights
         w = np.array([0.3, -1.1])
-        cfg = SyntheticConfig(n_questions=200, feature_dim=2, latent_weights=w, temporal_drift=0.0, seed=1)
-        ds, oracle = generate_synthetic_stream(cfg)
+        cfg = SyntheticConfig(n_questions=200, feature_dim=2, temporal_drift=0.0)
+        ds, oracle = generate_synthetic_stream(cfg, 1, w)
         for q in ds:
             assert oracle[q.id] == pytest.approx(float(expit(w @ q.features)), abs=1e-12)
 
     def test_outcome_frequency_matches_oracle_mean(self):
-        cfg = SyntheticConfig(n_questions=50_000, feature_dim=4, temporal_drift=0.0, seed=2)
-        ds, oracle = generate_synthetic_stream(cfg)
+        cfg = SyntheticConfig(n_questions=50_000, feature_dim=4, temporal_drift=0.0)
+        ds, oracle = generate_synthetic_stream(cfg, 2)
         p = np.array([oracle[q.id] for q in ds])
         y = ds.outcome
         se = np.sqrt(np.sum(p * (1 - p))) / p.size
         assert abs(y.mean() - p.mean()) < 3 * se
 
     def test_oracle_probabilities_interior(self):
-        cfg = SyntheticConfig(n_questions=1000, feature_dim=4, temporal_drift=0.5, seed=3)
-        _, oracle = generate_synthetic_stream(cfg)
+        cfg = SyntheticConfig(n_questions=1000, feature_dim=4, temporal_drift=0.5)
+        _, oracle = generate_synthetic_stream(cfg, 3)
         vals = np.array(list(oracle.values()))
         assert np.all((vals > 0.0) & (vals < 1.0))
 
     def test_timestamps_strictly_increasing_and_self_consistent(self):
-        cfg = SyntheticConfig(n_questions=500, feature_dim=2, seed=4)
-        ds, _ = generate_synthetic_stream(cfg)
+        cfg = SyntheticConfig(n_questions=500, feature_dim=2)
+        ds, _ = generate_synthetic_stream(cfg, 4)
         ts = [q.prediction_ts for q in ds]
         assert all(a < b for a, b in zip(ts, ts[1:]))
         # every question resolves before the next one is predicted, so any
@@ -483,12 +486,12 @@ class TestSyntheticStream:
         assert validate_chronology(train, test).passed
 
     def test_market_noise_none_disables_quotes(self):
-        cfg = SyntheticConfig(n_questions=20, feature_dim=2, market_noise=None, seed=0)
-        ds, _ = generate_synthetic_stream(cfg)
+        cfg = SyntheticConfig(n_questions=20, feature_dim=2, market_noise=None)
+        ds, _ = generate_synthetic_stream(cfg, 0)
         assert all(q.market_price is None for q in ds)
 
     def test_n_zero_empty(self):
-        ds, oracle = generate_synthetic_stream(SyntheticConfig(n_questions=0, feature_dim=2, seed=0))
+        ds, oracle = generate_synthetic_stream(SyntheticConfig(n_questions=0, feature_dim=2), 0)
         assert len(ds) == 0 and oracle == {}
 
 
@@ -505,15 +508,15 @@ class TestExpit:
 
 class TestSplitAndOracleFile:
     def test_split_fractions(self):
-        cfg = SyntheticConfig(n_questions=100, feature_dim=2, seed=0)
-        ds, _ = generate_synthetic_stream(cfg)
+        cfg = SyntheticConfig(n_questions=100, feature_dim=2)
+        ds, _ = generate_synthetic_stream(cfg, 0)
         train, test = split_dataset(ds, 0.3)
         assert len(train) == 30 and len(test) == 70
         assert train.split == "train" and test.split == "test"
         assert max(q.prediction_ts for q in train) < min(q.prediction_ts for q in test)
 
     def test_split_fraction_bounds(self):
-        ds, _ = generate_synthetic_stream(SyntheticConfig(n_questions=10, feature_dim=2, seed=0))
+        ds, _ = generate_synthetic_stream(SyntheticConfig(n_questions=10, feature_dim=2), 0)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValidationError):
                 split_dataset(ds, bad)
@@ -540,6 +543,6 @@ class TestSplitAndOracleFile:
 def test_data_substream_isolated_from_sampling():
     # generation consumes only the "data" substream
     a = substream(0, "data").random(3)
-    generate_synthetic_stream(SyntheticConfig(n_questions=10, feature_dim=2, seed=0))
+    generate_synthetic_stream(SyntheticConfig(n_questions=10, feature_dim=2), 0)
     b = substream(0, "data").random(3)
     assert np.array_equal(a, b)

@@ -587,7 +587,7 @@ class TestJsonlColumns:
 
     def test_run_file_writers_match_json_dumps(self, tmp_path):
         n = BLOCK_ROWS + 9
-        ds, p_star = generate_synthetic_stream(SyntheticConfig(n_questions=n, feature_dim=3, market_noise=0.5, seed=2))
+        ds, p_star = generate_synthetic_stream(SyntheticConfig(n_questions=n, feature_dim=3, market_noise=0.5), 2)
         ds.market_price[::7] = np.nan
         ds.volume[::3] = 25.0
         save_questions(ds, tmp_path / "q.jsonl")

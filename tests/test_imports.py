@@ -100,12 +100,14 @@ def test_question_scan_catches_each_form():
 # trade record, the windowed early-stop test and the per-object maths'
 # NumericAbort live in tests/oracle.py, the one-member training wrapper in
 # tests/conftest.py (`train_one`), the per-record parsers gave way to the
-# column readers' one refusal rule, and the rest are gone.
+# column readers' one refusal rule, the run seed is passed where it is used
+# rather than copied into config sections, the ensemble is a function of the
+# member forecast matrix, and the rest are gone.
 REMOVED_NAMES = (
     "TradeRecord", "make_trade", "train_online", "guardrail_rewards", "dpo_gradients",
     "draw_prediction_timestamp", "max_entropy", "n_content", "n_answer", "check_early_stop",
     "record_field", "_row", "_parsed", "_forecast", "_number_or_null", "_equal_mass_bins",
-    "_replicate_indices", "NumericAbort", "_group_log",
+    "_replicate_indices", "NumericAbort", "_group_log", "LIBRARY_ONLY", "EnsembleSpec",
 )
 
 
@@ -132,7 +134,8 @@ def test_no_module_uses_a_removed_name():
     bootstrap resamples as counts, every member's training ends as one
     TrainResult (a numeric abort is its `numeric_error`, not an exception)
     whose RunLog keeps the step's compact columns and makes their floats
-    itself, and no stage calls the rest."""
+    itself, config sections hold only config keys, the ensemble averages a
+    forecast matrix, and no stage calls the rest."""
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := removed_uses(path.read_text()))}
     assert found == {}
 

@@ -25,7 +25,6 @@ from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 from forecast_rl.trainer import (
     EarlyStopConfig,
-    EnsembleSpec,
     RunLog,
     TrainConfig,
     ensemble_predict_dataset,
@@ -37,9 +36,7 @@ from forecast_rl.trainer import (
 
 
 def small_stream(n=30, d=2, seed=0):
-    stream, _ = generate_synthetic_stream(
-        SyntheticConfig(n_questions=n, feature_dim=d, market_noise=None, seed=seed)
-    )
+    stream, _ = generate_synthetic_stream(SyntheticConfig(n_questions=n, feature_dim=d, market_noise=None), seed)
     return stream
 
 
@@ -54,15 +51,15 @@ class TestZeroLearningRate:
     @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo", "remax"])
     def test_online_params_do_not_move(self, algorithm):
         stream = small_stream(10)
-        cfg = TrainConfig(algorithm=algorithm, seed=3)
-        result = train_one(stream, cfg, frozen_hp())
+        cfg = TrainConfig(algorithm=algorithm)
+        result = train_one(stream, cfg, frozen_hp(), seed=3)
         assert np.all(result.params.content_weights == 0.0)
         assert np.all(result.params.answer_weights == 0.0)
         assert len(result.run_log) == 10
 
     def test_dpo_params_do_not_move(self):
         stream = small_stream(20)
-        result = train_dpo(stream, TrainConfig(algorithm="dpo", seed=3), frozen_hp())
+        result = train_dpo(stream, TrainConfig(algorithm="dpo"), frozen_hp(), seed=3)
         assert np.all(result.params.content_weights == 0.0)
         assert np.all(result.params.answer_weights == 0.0)
 
@@ -72,9 +69,9 @@ class TestRunLogSemantics:
         """With zero learning rates the policy is frozen, so every logged
         quantity can be recomputed outside the trainer."""
         stream = small_stream(12, d=3, seed=5)
-        cfg = TrainConfig(algorithm="remax", seed=9)
+        cfg = TrainConfig(algorithm="remax")
         hp = frozen_hp()
-        result = train_one(stream, cfg, hp, member=2)
+        result = train_one(stream, cfg, hp, member=2, seed=9)
 
         params = PolicyParams.zeros(3)
         U = substream(9, "sampling", 2).random((12, hp.group_size, 9))
@@ -145,10 +142,10 @@ class TestRunLogSemantics:
 class TestDeterminism:
     def test_same_seed_replays_exactly(self):
         stream = small_stream(25)
-        cfg = TrainConfig(algorithm="grpo", seed=7)
+        cfg = TrainConfig(algorithm="grpo")
         hp = HyperParams(actor_lr=0.05)
-        a = train_one(stream, cfg, hp)
-        b = train_one(stream, TrainConfig(algorithm="grpo", seed=7), HyperParams(actor_lr=0.05))
+        a = train_one(stream, cfg, hp, seed=7)
+        b = train_one(stream, TrainConfig(algorithm="grpo"), HyperParams(actor_lr=0.05), seed=7)
         assert np.array_equal(a.params.content_weights, b.params.content_weights)
         assert np.array_equal(a.params.answer_weights, b.params.answer_weights)
         assert np.array_equal(a.run_log.rewards, b.run_log.rewards)
@@ -156,8 +153,8 @@ class TestDeterminism:
     def test_members_draw_distinct_streams(self):
         stream = small_stream(25)
         hp = HyperParams(actor_lr=0.05)
-        a = train_one(stream, TrainConfig(algorithm="grpo", seed=7), hp, member=0)
-        b = train_one(stream, TrainConfig(algorithm="grpo", seed=7), hp, member=1)
+        a = train_one(stream, TrainConfig(algorithm="grpo"), hp, member=0, seed=7)
+        b = train_one(stream, TrainConfig(algorithm="grpo"), hp, member=1, seed=7)
         assert not np.array_equal(a.run_log.rewards, b.run_log.rewards)
         assert not np.array_equal(a.params.answer_weights, b.params.answer_weights)
 
@@ -166,20 +163,20 @@ class TestDeterminism:
         checkpoint boundaries never perturb the trajectory."""
         stream = small_stream(40)
         hp = HyperParams(actor_lr=0.05, kl_coeff=0.0)
-        a = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=7), hp)
-        b = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=500), hp)
+        a = train_one(stream, TrainConfig(algorithm="remax", outer_iteration_len=7), hp, seed=1)
+        b = train_one(stream, TrainConfig(algorithm="remax", outer_iteration_len=500), hp, seed=1)
         assert np.array_equal(a.params.answer_weights, b.params.answer_weights)
 
         hp_kl = HyperParams(actor_lr=0.05, kl_coeff=0.1)
-        c = train_one(stream, TrainConfig(algorithm="remax", seed=1, checkpoint_every=11), hp_kl)
-        d = train_one(stream, TrainConfig(algorithm="remax", seed=1, checkpoint_every=0), hp_kl)
+        c = train_one(stream, TrainConfig(algorithm="remax", checkpoint_every=11), hp_kl, seed=1)
+        d = train_one(stream, TrainConfig(algorithm="remax", checkpoint_every=0), hp_kl, seed=1)
         assert np.array_equal(c.params.answer_weights, d.params.answer_weights)
 
     def test_reference_reset_changes_the_trajectory(self):
         stream = small_stream(60)
         hp = HyperParams(actor_lr=0.05, kl_coeff=0.5)
-        short = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=10), hp)
-        never = train_one(stream, TrainConfig(algorithm="remax", seed=1, outer_iteration_len=600), hp)
+        short = train_one(stream, TrainConfig(algorithm="remax", outer_iteration_len=10), hp, seed=1)
+        never = train_one(stream, TrainConfig(algorithm="remax", outer_iteration_len=600), hp, seed=1)
         assert not np.array_equal(short.params.answer_weights, never.params.answer_weights)
 
 
@@ -187,10 +184,10 @@ class TestEarlyStop:
     def test_gibberish_collapse_detected(self):
         stream = small_stream(50)
         cfg = TrainConfig(
-            algorithm="remax", seed=2,
+            algorithm="remax",
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=0.001),
         )
-        result = train_one(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp(), seed=2)
         # uniform policy keeps ~1/3 gibberish, far above the threshold
         assert result.stop_reason == "gibberish" and result.numeric_error is None
         assert len(result.run_log) == 5
@@ -198,29 +195,29 @@ class TestEarlyStop:
     def test_extreme_mass_collapse_detected(self):
         stream = small_stream(200)
         cfg = TrainConfig(
-            algorithm="remax", seed=2,
+            algorithm="remax",
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=1.0, extreme_mass_threshold=0.001),
         )
-        result = train_one(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp(), seed=2)
         assert result.stop_reason == "extreme_mass"
         assert len(result.run_log) % 1 == 0 and len(result.run_log) >= 5
 
     def test_disabled_guard_runs_to_completion(self):
         stream = small_stream(50)
         cfg = TrainConfig(
-            algorithm="remax", seed=2,
+            algorithm="remax",
             early_stop=EarlyStopConfig(window=5, gibberish_threshold=0.001, enabled=False),
         )
-        result = train_one(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp(), seed=2)
         assert result.stop_reason is None and len(result.run_log) == 50
 
     def test_window_larger_than_stream_never_fires(self):
         stream = small_stream(20)
         cfg = TrainConfig(
-            algorithm="remax", seed=2,
+            algorithm="remax",
             early_stop=EarlyStopConfig(window=21, gibberish_threshold=0.001),
         )
-        result = train_one(stream, cfg, frozen_hp())
+        result = train_one(stream, cfg, frozen_hp(), seed=2)
         assert result.stop_reason is None and len(result.run_log) == 20
 
 
@@ -234,8 +231,8 @@ class TestCheckpointCallback:
         def cb(params, baseline, index, partial):
             calls.append((index, partial))
 
-        cfg = TrainConfig(algorithm="remax", seed=4, checkpoint_every=10)
-        result = train_one(stream, cfg, HyperParams(actor_lr=0.01), checkpoint_cb=cb)
+        cfg = TrainConfig(algorithm="remax", checkpoint_every=10)
+        result = train_one(stream, cfg, HyperParams(actor_lr=0.01), checkpoint_cb=cb, seed=4)
         assert [c[0] for c in calls] == [10, 20, 30]
         for index, partial in calls:
             assert partial.question_ids == result.run_log.question_ids[index - 10 : index]
@@ -246,8 +243,8 @@ class TestCheckpointCallback:
     def test_no_callback_without_checkpoint_every(self):
         stream = small_stream(30)
         calls = []
-        cfg = TrainConfig(algorithm="remax", seed=4, checkpoint_every=0)
-        train_one(stream, cfg, frozen_hp(), checkpoint_cb=lambda *a: calls.append(a))
+        cfg = TrainConfig(algorithm="remax", checkpoint_every=0)
+        train_one(stream, cfg, frozen_hp(), checkpoint_cb=lambda *a: calls.append(a), seed=4)
         assert calls == []
 
 
@@ -255,9 +252,9 @@ class TestValidationAndEdgeCases:
     def test_empty_stream_needs_init_params(self):
         empty = Dataset(questions=[], split="train")
         with pytest.raises(ValidationError):
-            train_one(empty, TrainConfig(), HyperParams())
+            train_one(empty, TrainConfig(), HyperParams(), seed=0)
         init = PolicyParams.zeros(2)
-        result = train_one(empty, TrainConfig(), HyperParams(), init_params=init)
+        result = train_one(empty, TrainConfig(), HyperParams(), init_params=init, seed=0)
         assert len(result.run_log) == 0 and result.baseline is None
         assert result.params is not init  # insulated copy
 
@@ -269,19 +266,19 @@ class TestValidationAndEdgeCases:
         stream = Dataset(questions=qs, split="train")
         assert stream.ids == ["c", "a", "b"]
         assert stream.prediction_ts.tolist() == [100, 200, 200]
-        assert train_one(stream, TrainConfig(), HyperParams()).run_log.question_ids == ["c", "a", "b"]
+        assert train_one(stream, TrainConfig(), HyperParams(), seed=0).run_log.question_ids == ["c", "a", "b"]
 
     def test_grpo_needs_group_of_two(self):
         stream = small_stream(5)
         with pytest.raises(ValidationError, match="group_size"):
-            train_one(stream, TrainConfig(algorithm="grpo"), HyperParams(group_size=1))
+            train_one(stream, TrainConfig(algorithm="grpo"), HyperParams(group_size=1), seed=0)
         # ReMax accepts singleton groups
-        result = train_one(stream, TrainConfig(algorithm="remax"), frozen_hp(group_size=1))
+        result = train_one(stream, TrainConfig(algorithm="remax"), frozen_hp(group_size=1), seed=0)
         assert len(result.run_log) == 5
 
     def test_init_params_dim_mismatch(self):
         with pytest.raises(ValidationError):
-            train_one(small_stream(5, d=2), TrainConfig(), HyperParams(), init_params=PolicyParams.zeros(4))
+            train_one(small_stream(5, d=2), TrainConfig(), HyperParams(), init_params=PolicyParams.zeros(4), seed=0)
 
     def test_config_validation(self):
         for bad in (
@@ -309,10 +306,10 @@ class TestNumericAbort:
         qs = [make_question(f"q{i}", pred_ts=100 + i, features=[0.1 * i, -0.2]) for i in range(5)]
         stream = make_dataset(qs)
         stream.features[3] = [np.inf, 0.0]  # poisoned mid-stream, past the dataset's own check
-        cfg = TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2)
+        cfg = TrainConfig(algorithm="remax", outer_iteration_len=2)
         hp = HyperParams(actor_lr=0.01)
         with np.errstate(invalid="ignore", over="ignore"):
-            abort = train_one(stream, cfg, hp)
+            abort = train_one(stream, cfg, hp, seed=6)
         assert abort.numeric_error == "non-finite gradient at question 'q3' (index 3)"
         assert abort.stop_reason is None
         assert len(abort.run_log) == 3
@@ -321,7 +318,7 @@ class TestNumericAbort:
         # last good parameters are the span boundary before the failure:
         # identical to training on just the first two questions
         clean = train_one(
-            make_dataset(qs[:2]), TrainConfig(algorithm="remax", seed=6, outer_iteration_len=2), hp,
+            make_dataset(qs[:2]), TrainConfig(algorithm="remax", outer_iteration_len=2), hp, seed=6,
         )
         assert np.array_equal(abort.params.answer_weights, clean.params.answer_weights)
         assert np.array_equal(abort.params.content_weights, clean.params.content_weights)
@@ -330,10 +327,10 @@ class TestNumericAbort:
 class TestDpo:
     def test_moves_and_is_deterministic(self):
         stream = small_stream(60)
-        cfg = TrainConfig(algorithm="dpo", seed=11)
+        cfg = TrainConfig(algorithm="dpo")
         hp = HyperParams(dpo_lr=1e-3)
-        a = train_dpo(stream, cfg, hp)
-        b = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), HyperParams(dpo_lr=1e-3))
+        a = train_dpo(stream, cfg, hp, seed=11)
+        b = train_dpo(stream, TrainConfig(algorithm="dpo"), HyperParams(dpo_lr=1e-3), seed=11)
         assert not np.all(a.params.answer_weights == 0.0)
         assert np.array_equal(a.params.answer_weights, b.params.answer_weights)
         assert a.baseline is None and len(a.run_log) == 60
@@ -341,15 +338,15 @@ class TestDpo:
     def test_member_substream(self):
         stream = small_stream(40)
         hp = HyperParams(dpo_lr=1e-3)
-        a = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), hp, member=0)
-        b = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), hp, member=1)
+        a = train_dpo(stream, TrainConfig(algorithm="dpo"), hp, member=0, seed=11)
+        b = train_dpo(stream, TrainConfig(algorithm="dpo"), hp, member=1, seed=11)
         assert not np.array_equal(a.run_log.rewards, b.run_log.rewards)
 
     def test_log_matches_independent_resampling(self):
         stream = small_stream(15, d=2, seed=8)
-        cfg = TrainConfig(algorithm="dpo", seed=13)
+        cfg = TrainConfig(algorithm="dpo")
         hp = HyperParams()
-        result = train_dpo(stream, cfg, hp, member=1)
+        result = train_dpo(stream, cfg, hp, member=1, seed=13)
 
         params = PolicyParams.zeros(2)
         U = substream(13, "dpo", 1).random((15, 2, 9))
@@ -362,17 +359,17 @@ class TestDpo:
             ]
             assert result.run_log.rewards[i] == pytest.approx(np.mean(totals), abs=1e-12)
 
-    @pytest.mark.parametrize("cfg,member", [
-        (TrainConfig(algorithm="dpo", seed=11), 0),
-        (TrainConfig(algorithm="dpo", seed=3, guardrails_enabled=False), 2),
+    @pytest.mark.parametrize("cfg,seed,member", [
+        (TrainConfig(algorithm="dpo"), 11, 0),
+        (TrainConfig(algorithm="dpo", guardrails_enabled=False), 3, 2),
     ], ids=["cfg0", "cfg1"])
-    def test_matches_per_object_oracle(self, cfg, member):
+    def test_matches_per_object_oracle(self, cfg, seed, member):
         """The same rewards, hence the same preference pairs, and final
         weights within 1e-10 of the per-object DPO loop."""
         stream = small_stream(60)
         hp = HyperParams(dpo_lr=1e-3, dpo_batch=16)
-        got = train_dpo(stream, cfg, hp, member=member)
-        params, pairs, log = oracle_dpo(stream, cfg, hp, member=member)
+        got = train_dpo(stream, cfg, hp, member=member, seed=seed)
+        params, pairs, log = oracle_dpo(stream, cfg, hp, member=member, seed=seed)
         assert np.array_equal(got.run_log.rewards, log.rewards)
         assert len(pairs) > hp.dpo_batch  # several minibatches per epoch
         assert not np.all(got.params.answer_weights == 0.0)
@@ -383,9 +380,9 @@ class TestDpo:
         ends with the weights of its first epoch, and member 1 trains on
         exactly as alone."""
         stream = small_stream(60)
-        cfg = TrainConfig(algorithm="dpo", seed=11)
+        cfg = TrainConfig(algorithm="dpo")
         hp = HyperParams(dpo_lr=1e-3, dpo_batch=16, dpo_epochs=2)
-        alone = train_dpo(stream, cfg, hp, member=1)
+        alone = train_dpo(stream, cfg, hp, member=1, seed=11)
         real, calls, poisoned = trainer.dpo_gradient, [], []
 
         def gradient(*args):
@@ -394,10 +391,10 @@ class TestDpo:
             return g * np.nan if len(calls) in poisoned else g
 
         monkeypatch.setattr(trainer, "dpo_gradient", gradient)
-        (first_epoch,) = train_members(stream, cfg, HyperParams(dpo_lr=1e-3, dpo_batch=16, dpo_epochs=1))
+        (first_epoch,) = train_members(stream, cfg, HyperParams(dpo_lr=1e-3, dpo_batch=16, dpo_epochs=1), seed=11)
         poisoned.append(len(calls) + 1)
         calls.clear()
-        aborted, member1 = train_members(stream, cfg, hp, members=[0, 1])
+        aborted, member1 = train_members(stream, cfg, hp, members=[0, 1], seed=11)
         assert (aborted.numeric_error, aborted.stop_reason) == ("non-finite DPO gradient", None)
         assert_identical_runs(aborted, replace(first_epoch, numeric_error=aborted.numeric_error))
         assert member1.numeric_error is None
@@ -409,20 +406,20 @@ class TestDpo:
         stream = small_stream(10)
         init = PolicyParams.zeros(2)
         init.answer_weights[0, 50] = 1000.0
-        cfg = TrainConfig(algorithm="dpo", seed=1, guardrails_enabled=False)
+        cfg = TrainConfig(algorithm="dpo", guardrails_enabled=False)
         with pytest.raises(ValidationError, match="tied"):
-            train_dpo(stream, cfg, HyperParams(), init_params=init)
+            train_dpo(stream, cfg, HyperParams(), init_params=init, seed=1)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValidationError):
-            train_dpo(Dataset(questions=[], split="train"), TrainConfig(algorithm="dpo"), HyperParams())
+            train_dpo(Dataset(questions=[], split="train"), TrainConfig(algorithm="dpo"), HyperParams(), seed=0)
 
     def test_train_dispatch(self):
         """train_members sends a DPO config to train_dpo."""
         stream = small_stream(30)
-        cfg, hp = TrainConfig(algorithm="dpo", seed=11), HyperParams(dpo_lr=1e-3)
-        (via_members,) = train_members(stream, cfg, hp, members=[0])
-        direct = train_dpo(stream, cfg, hp)
+        cfg, hp = TrainConfig(algorithm="dpo"), HyperParams(dpo_lr=1e-3)
+        (via_members,) = train_members(stream, cfg, hp, members=[0], seed=11)
+        direct = train_dpo(stream, cfg, hp, seed=11)
         assert via_members.params.answer_weights.tobytes() == direct.params.answer_weights.tobytes()
         assert via_members.params.content_weights.tobytes() == direct.params.content_weights.tobytes()
 
@@ -450,8 +447,7 @@ class TestEnsemble:
         params.answer_weights[0, 37] = 3.0
         q = make_question("q", features=[0.5, 0.5])
         single = predict(params, q)
-        spec = EnsembleSpec([params.copy() for _ in range(3)])
-        assert ensemble_predict(spec, q) == single == 0.37
+        assert ensemble_predict([params.copy() for _ in range(3)], q) == single == 0.37
 
     def test_mean_and_abstain_skipping(self):
         lo = PolicyParams.zeros(2)
@@ -461,24 +457,19 @@ class TestEnsemble:
         out = PolicyParams.zeros(2)
         out.answer_weights[0, ABSTAIN] = 50.0
         q = make_question("q")
-        assert ensemble_predict(EnsembleSpec([lo, hi]), q) == pytest.approx(0.4)
-        assert ensemble_predict(EnsembleSpec([lo, hi, out]), q) == pytest.approx(0.4)
-        assert ensemble_predict(EnsembleSpec([out, out]), q) is None
+        assert ensemble_predict([lo, hi], q) == pytest.approx(0.4)
+        assert ensemble_predict([lo, hi, out], q) == pytest.approx(0.4)
+        assert ensemble_predict([out, out], q) is None
 
     def test_dataset_helper(self):
-        spec = EnsembleSpec([PolicyParams.zeros(2)])
         ds = make_dataset([make_question("a"), make_question("b", pred_ts=200)])
-        assert ensemble_predict_dataset(spec, ds).tolist() == [0.0, 0.0]
+        assert ensemble_predict_dataset(predict_dataset(PolicyParams.zeros(2), ds)[None]).tolist() == [0.0, 0.0]
 
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            EnsembleSpec([]).validate()
-        with pytest.raises(ValidationError):
-            EnsembleSpec([PolicyParams.zeros(2), PolicyParams.zeros(3)]).validate()
-        with pytest.raises(ValidationError):
-            EnsembleSpec(
-                [PolicyParams.zeros(2), PolicyParams.zeros(2, Vocabulary(4))]
-            ).validate()
+        """The forecasts must be a (members, questions) matrix with at least one member row."""
+        for bad in (np.empty((0, 3)), np.zeros(3), np.zeros((1, 2, 3))):
+            with pytest.raises(ValidationError, match="forecast matrix"):
+                ensemble_predict_dataset(bad)
 
 
 def float_columns(log) -> dict:
@@ -522,10 +513,10 @@ class TestBatchedStep:
     def test_parity_with_oracle_and_kernel(self, algorithm):
         stream = small_stream(120, d=3)
         hp = HyperParams(actor_lr=0.01, baseline_lr=0.01, kl_coeff=0.1)
-        cfg = TrainConfig(algorithm=algorithm, seed=5, outer_iteration_len=40)
-        got = train_one(stream, cfg, hp, member=1)
+        cfg = TrainConfig(algorithm=algorithm, outer_iteration_len=40)
+        got = train_one(stream, cfg, hp, member=1, seed=5)
         assert not np.all(got.params.answer_weights == 0.0)
-        assert_close_runs(got, *oracle_train(stream, cfg, hp, member=1))
+        assert_close_runs(got, *oracle_train(stream, cfg, hp, member=1, seed=5))
 
     @pytest.mark.parametrize("algorithm,es,reason", [
         ("remax", EarlyStopConfig(window=6, gibberish_threshold=0.3), "gibberish"),
@@ -534,20 +525,20 @@ class TestBatchedStep:
     def test_early_stop_parity(self, algorithm, es, reason):
         stream = small_stream(150, d=3)
         hp = HyperParams(actor_lr=0.05)
-        cfg = TrainConfig(algorithm=algorithm, seed=2, outer_iteration_len=9, early_stop=es)
-        got = train_one(stream, cfg, hp)
+        cfg = TrainConfig(algorithm=algorithm, outer_iteration_len=9, early_stop=es)
+        got = train_one(stream, cfg, hp, seed=2)
         assert got.stop_reason == reason and len(got.run_log) < 150
-        assert_close_runs(got, *oracle_train(stream, cfg, hp))
+        assert_close_runs(got, *oracle_train(stream, cfg, hp, seed=2))
 
     @pytest.mark.parametrize("algorithm", ["grpo", "remax"])
     def test_member_is_byte_identical_alone_and_in_a_batch(self, algorithm):
         stream = small_stream(80, d=3)
         hp = HyperParams(actor_lr=0.01, baseline_lr=0.01)
-        cfg = TrainConfig(algorithm=algorithm, seed=4, outer_iteration_len=25)
+        cfg = TrainConfig(algorithm=algorithm, outer_iteration_len=25)
         members = [0, 4, 2]
-        batch = train_members(stream, cfg, hp, members=members)
+        batch = train_members(stream, cfg, hp, members=members, seed=4)
         for m, got in zip(members, batch):
-            (alone,) = train_members(stream, cfg, hp, members=[m])
+            (alone,) = train_members(stream, cfg, hp, members=[m], seed=4)
             assert_identical_runs(got, alone)
 
     def test_stopped_members_freeze_while_others_train(self, monkeypatch):
@@ -558,13 +549,13 @@ class TestBatchedStep:
         poison_baseline(monkeypatch, member=0, index=30)
         hp = HyperParams(actor_lr=0.01)
         cfg = TrainConfig(
-            algorithm="remax", seed=1, outer_iteration_len=4,
+            algorithm="remax", outer_iteration_len=4,
             early_stop=EarlyStopConfig(window=10, gibberish_threshold=0.4),
         )
         members = [0, 1, 6]
         with np.errstate(invalid="ignore", over="ignore"):
-            batch = train_members(stream, cfg, hp, members=members)
-            alone = [train_members(stream, cfg, hp, members=[m])[0] for m in members]
+            batch = train_members(stream, cfg, hp, members=members, seed=1)
+            alone = [train_members(stream, cfg, hp, members=[m], seed=1)[0] for m in members]
         aborted, survivor, stopped = batch
         assert "index 30" in aborted.numeric_error and len(aborted.run_log) == 30
         assert (survivor.stop_reason, survivor.numeric_error) == (None, None) and len(survivor.run_log) == 60
@@ -573,7 +564,7 @@ class TestBatchedStep:
             assert_identical_runs(got, ref)
         # the last good state is the span boundary before the failure
         with np.errstate(invalid="ignore", over="ignore"):
-            (clean,) = train_members(make_dataset(list(stream)[:28]), cfg, hp, members=[0])
+            (clean,) = train_members(make_dataset(list(stream)[:28]), cfg, hp, members=[0], seed=1)
         assert aborted.params.answer_weights.tobytes() == clean.params.answer_weights.tobytes()
         assert aborted.baseline.tobytes() == clean.baseline.tobytes()
 
@@ -583,30 +574,31 @@ class TestBatchedStep:
         for GRPO and Modified-GRPO, like a finished run."""
         stream = small_stream(30)
         stream.features[25] = [np.inf, 0.0]
-        cfg = TrainConfig(algorithm=algorithm, seed=6, checkpoint_every=10)
+        cfg = TrainConfig(algorithm=algorithm, checkpoint_every=10)
         seen = []
         with np.errstate(invalid="ignore", over="ignore"):
             results = train_members(
                 stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1],
                 checkpoint_cb=lambda member, params, baseline, index, log: seen.append(baseline),
+                seed=6,
             )
         assert len(seen) == 4 and all(b is None for b in seen)
         assert all(r.numeric_error is not None and r.baseline is None for r in results)
-        (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01))
+        (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01), seed=6)
         assert finished.baseline is None
 
     def test_members_validated(self):
         stream = small_stream(5)
         for bad in ([], [0, 0], [-1]):
             with pytest.raises(ValidationError, match="members"):
-                train_members(stream, TrainConfig(), HyperParams(), members=bad)
+                train_members(stream, TrainConfig(), HyperParams(), members=bad, seed=0)
 
     def test_dpo_members_match_single_runs(self):
         stream = small_stream(30)
         hp = HyperParams(dpo_lr=1e-3)
-        a, b = train_members(stream, TrainConfig(algorithm="dpo", seed=11), hp, members=[0, 1])
+        a, b = train_members(stream, TrainConfig(algorithm="dpo"), hp, members=[0, 1], seed=11)
         for m, got in ((0, a), (1, b)):
-            ref = train_dpo(stream, TrainConfig(algorithm="dpo", seed=11), hp, member=m)
+            ref = train_dpo(stream, TrainConfig(algorithm="dpo"), hp, member=m, seed=11)
             assert got.params.answer_weights.tobytes() == ref.params.answer_weights.tobytes()
 
 
@@ -616,7 +608,7 @@ class TestVectorizedPredict:
         on trained policies, an argmax tie, and an abstaining policy."""
         stream = small_stream(300, d=3, seed=2)
         hp = HyperParams(actor_lr=0.02)
-        trained = [r.params for r in train_members(stream, TrainConfig(seed=3), hp, members=[0, 1, 2])]
+        trained = [r.params for r in train_members(stream, TrainConfig(), hp, members=[0, 1, 2], seed=3)]
         tie = PolicyParams.zeros(3)
         tie.answer_weights[0, [40, 7, 93]] = 2.0
         abstain = PolicyParams.zeros(3)
@@ -627,23 +619,16 @@ class TestVectorizedPredict:
         assert predict(tie, next(iter(stream))) == 0.07
         assert np.isnan(predict_dataset(abstain, stream)).any()
 
-        spec = EnsembleSpec(trained + [abstain])
-        ensemble = ensemble_predict_dataset(spec, stream)
+        members = trained + [abstain]
+        ensemble = ensemble_predict_dataset(np.stack([predict_dataset(m, stream) for m in members]))
         for x, got in zip(stream.features, ensemble.tolist()):
-            present = [p for p in (predict_probability(m, x) for m in spec.members) if p is not None]
+            present = [p for p in (predict_probability(m, x) for m in members) if p is not None]
             if not present:
                 assert np.isnan(got)
             elif min(present) == max(present):
                 assert got == present[0]
             else:
                 assert got == sum(present) / len(present)
-
-        # the member columns, once computed, give the same ensemble without a second predict
-        columns = np.stack([predict_dataset(m, stream) for m in spec.members])
-        again = ensemble_predict_dataset(spec, stream, columns)
-        assert again.tobytes() == ensemble.tobytes()
-        with pytest.raises(ValidationError, match="member forecasts of shape"):
-            ensemble_predict_dataset(spec, stream, columns[:-1])
 
 
 class TestTrainingMemory:
@@ -654,10 +639,10 @@ class TestTrainingMemory:
         """tracemalloc peak of training 4 GRPO members on n questions in
         one span, the returned results still held."""
         stream = small_stream(n)
-        cfg = TrainConfig(algorithm="grpo", seed=1, outer_iteration_len=n)
+        cfg = TrainConfig(algorithm="grpo", outer_iteration_len=n)
         tracemalloc.start()
         try:
-            results = train_members(stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1, 2, 3])
+            results = train_members(stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1, 2, 3], seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -689,9 +674,10 @@ class TestTrainingMemory:
 
         monkeypatch.setattr(trainer, "substream", lambda seed, name, m: Recording(substream(seed, name, m), m))
         monkeypatch.setattr(trainer, "REF_BLOCK", 16)
-        cfg = TrainConfig(algorithm="remax", seed=1, outer_iteration_len=9,
+        cfg = TrainConfig(algorithm="remax", outer_iteration_len=9,
                           early_stop=EarlyStopConfig(window=20, gibberish_threshold=0.36))
-        results = train_members(small_stream(150, d=3), cfg, HyperParams(actor_lr=0.05), members=[0, 1, 2])
+        results = train_members(small_stream(150, d=3), cfg, HyperParams(actor_lr=0.05), members=[0, 1, 2],
+                                seed=1)
         assert [run_digest(r) for r in results] == TestStepDigests.DIGESTS["gibberish_stop"]
         assert [len(r.run_log) for r in results] == [41, 36, 150]
         assert draws == {0: [16] * 3, 1: [16] * 3, 2: [16] * 9 + [6]}
@@ -719,8 +705,8 @@ def step_runs() -> dict:
     on) and a numeric abort, each crossing several reference resets."""
     hp = HyperParams(actor_lr=0.01, baseline_lr=0.01, kl_coeff=0.1)
     runs = {
-        algo: train_members(small_stream(200, d=3), TrainConfig(algorithm=algo, seed=5, outer_iteration_len=40),
-                            hp, members=[0, 1])
+        algo: train_members(small_stream(200, d=3), TrainConfig(algorithm=algo, outer_iteration_len=40),
+                            hp, members=[0, 1], seed=5)
         for algo in ("grpo", "modified_grpo", "remax")
     }
     fast = HyperParams(actor_lr=0.05)
@@ -728,14 +714,14 @@ def step_runs() -> dict:
         ("gibberish_stop", "remax", EarlyStopConfig(window=20, gibberish_threshold=0.36), [0, 1, 2]),
         ("extreme_stop", "grpo", EarlyStopConfig(window=10, extreme_mass_threshold=0.3), [0, 1]),
     ):
-        cfg = TrainConfig(algorithm=algo, seed=1, outer_iteration_len=9, early_stop=es)
-        runs[name] = train_members(small_stream(150, d=3), cfg, fast, members=members)
+        cfg = TrainConfig(algorithm=algo, outer_iteration_len=9, early_stop=es)
+        runs[name] = train_members(small_stream(150, d=3), cfg, fast, members=members, seed=1)
     stream = small_stream(60)
     stream.features[33] = [np.inf, 0.0]
     with np.errstate(invalid="ignore", over="ignore"):
         runs["numeric_abort"] = train_members(
-            stream, TrainConfig(algorithm="remax", seed=6, outer_iteration_len=20),
-            HyperParams(actor_lr=0.01, baseline_lr=0.01), members=[0, 1],
+            stream, TrainConfig(algorithm="remax", outer_iteration_len=20),
+            HyperParams(actor_lr=0.01, baseline_lr=0.01), members=[0, 1], seed=6,
         )
     return runs
 
@@ -785,20 +771,21 @@ def dpo_runs() -> dict:
     stream = small_stream(60)
     hp = HyperParams(dpo_lr=1e-3, dpo_batch=16)
     runs = {
-        "default": train_members(stream, TrainConfig(algorithm="dpo", seed=11), hp, members=[0, 1]),
-        "clipped": train_members(stream, TrainConfig(algorithm="dpo", seed=3),
-                                 HyperParams(dpo_lr=1e-3, dpo_batch=16, grad_clip_norm=1e-4), members=[2]),
-        "no_guardrails": train_members(stream, TrainConfig(algorithm="dpo", seed=3, guardrails_enabled=False), hp,
-                                       members=[2]),
+        "default": train_members(stream, TrainConfig(algorithm="dpo"), hp, members=[0, 1], seed=11),
+        "clipped": train_members(stream, TrainConfig(algorithm="dpo"),
+                                 HyperParams(dpo_lr=1e-3, dpo_batch=16, grad_clip_norm=1e-4), members=[2], seed=3),
+        "no_guardrails": train_members(stream, TrainConfig(algorithm="dpo", guardrails_enabled=False), hp,
+                                       members=[2], seed=3),
     }
     rng = np.random.default_rng(31)
     for name, d, L, batch in (("one_pair_batches", 3, 8, 1), ("random_init_l4", 3, 4, 8), ("random_init_l12", 4, 12, 8)):
         init = PolicyParams.zeros(d, Vocabulary(L))
         init.content_weights[:] = rng.normal(size=init.content_weights.shape) * 0.5
         init.answer_weights[:] = rng.normal(size=init.answer_weights.shape) * 0.5
-        cfg = TrainConfig(algorithm="dpo", seed=7, content_length=L)
+        cfg = TrainConfig(algorithm="dpo", content_length=L)
         hp_wd = HyperParams(dpo_lr=1e-3, dpo_batch=batch, dpo_epochs=3, weight_decay=0.01)
-        runs[name] = train_members(small_stream(50, d=d, seed=4), cfg, hp_wd, members=[0, 3], init_params=init)
+        runs[name] = train_members(small_stream(50, d=d, seed=4), cfg, hp_wd, members=[0, 3], init_params=init,
+                                   seed=7)
     return runs
 
 
