@@ -159,16 +159,16 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     t0 = time.monotonic()
     out = _out_dir(cfg)
     stream, oracle = generate_synthetic_stream(cfg.data.synthetic, cfg.seed)
-    train_ds, test_ds = split_dataset(stream, cfg.data.train_fraction) if len(stream) else (stream, Dataset([], "test"))
-    train_path = _data_path(cfg, "train")
-    test_path = _data_path(cfg, "test")
+    train_ds, test_ds = split_dataset(stream, cfg.data.train_fraction)
+    if not len(train_ds):
+        raise ValidationError(
+            f"data.synthetic.n_questions {cfg.data.synthetic.n_questions} and data.train_fraction "
+            f"{cfg.data.train_fraction} leave no train question"
+        )
     oracle_path = _data_path(cfg, "oracle")
-    save_questions(train_ds, train_path)
-    save_questions(test_ds, test_path)
+    files = [*save_questions(train_ds, _data_path(cfg, "train")), *save_questions(test_ds, _data_path(cfg, "test"))]
     write_oracle(oracle, oracle_path)
-    Manifest(out).register(
-        "synth", cfg.config_hash(), [train_path, test_path, oracle_path], time.monotonic() - t0
-    )
+    Manifest(out).register("synth", cfg.config_hash(), [*files, oracle_path], time.monotonic() - t0)
     print(f"synth: {len(train_ds)} train / {len(test_ds)} test questions -> {out}")
     return EXIT_OK
 

@@ -20,14 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from forecast_rl.errors import ValidationError
+from forecast_rl.errors import DataFormatError, ValidationError
 from forecast_rl.files import (
     atomic_write,
     json_number,
     json_string,
     read_csv_columns,
     read_jsonl_columns,
+    read_npy,
+    remove,
+    sha256,
     write_jsonl_columns,
+    write_npy,
 )
 from forecast_rl.rng import substream
 
@@ -312,12 +316,24 @@ def load_questions(path: str | Path, split: str = "train") -> Dataset:
 
     Parse failures report the file, the offending line and the field;
     invariant violations report the question id.  Duplicate ids are
-    rejected.
+    rejected.  A JSONL file whose sidecar (see `save_questions`) records
+    the file's own SHA-256 is read from the sidecar's columns, through the
+    same checks and sort, instead of decoded; a sidecar that is not one
+    is refused.
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
         blocks = read_csv_columns(path, _CSV_CASTS, required=_REQUIRED_FIELDS, closed=True)
     else:
+        sidecar = _sidecar(path)
+        if sidecar.exists():
+            record = _read_sidecar(sidecar)
+            if record["sha256"].item() == sha256(path).encode():
+                columns = [record[name] for name in _COLUMNS]
+                columns[0], columns[-1] = columns[0].tolist(), columns[-1].tolist()
+                if not _sidecar_holds(columns):
+                    raise DataFormatError(f"{sidecar} holds values that {path.name} cannot; {_SIDECAR_HINT}")
+                return _sorted(columns, np.full(len(columns[0]), columns[6].shape[1]), split)
         blocks = read_jsonl_columns(path, _JSONL_CASTS, required=_REQUIRED_FIELDS, closed=True)
     return _from_blocks(list(map(_block, blocks)) or [_block([()] * len(_FIELDS))], split)
 
@@ -327,10 +343,19 @@ def _records(dataset: Dataset):
     return (dict(zip(_FIELDS, row)) for row in _rows(dataset, dataset.features.tolist()))
 
 
-def save_questions(dataset: Dataset, path: str | Path) -> None:
+def save_questions(dataset: Dataset, path: str | Path) -> list[Path]:
     """Write a Dataset as CSV (a `.csv` suffix) or JSONL, with identical
-    field names."""
+    field names, and return the files written.
+
+    A JSONL file gets a sidecar, `<file>.npy`: one `.npy` record holding
+    the file's SHA-256 and the dataset's columns, which `load_questions`
+    reads in place of decoding the file while the digest matches.  A CSV
+    file, an empty dataset, or one whose values decode to others (see
+    `_sidecar_holds`) gets none, and an old sidecar at that path is
+    removed.
+    """
     path = Path(path)
+    sidecar = _sidecar(path)
     if path.suffix.lower() == ".csv":
         with atomic_write(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(_FIELDS))
@@ -339,8 +364,72 @@ def save_questions(dataset: Dataset, path: str | Path) -> None:
                 record["features"] = json.dumps(record["features"])
                 writer.writerow(record)
     else:
-        columns = {field: getattr(dataset, name) for field, name in zip(_FIELDS, _COLUMNS)}
-        write_jsonl_columns(path, columns, null=("market_price", "volume"))
+        columns = [getattr(dataset, name) for name in _COLUMNS]
+        write_jsonl_columns(path, dict(zip(_FIELDS, columns)), null=("market_price", "volume"))
+        if len(dataset) and _sidecar_holds(columns):
+            write_npy(sidecar, _sidecar_record(columns, sha256(path)))
+            return [path, sidecar]
+    remove(sidecar)
+    return [path]
+
+
+_SIDECAR_HINT = "delete it or re-run synth"
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".npy")
+
+
+def _sidecar_dtype(n: int, d: int, id_chars: int, source_chars: int) -> np.dtype:
+    """A sidecar's one record: the hex SHA-256 of its JSONL file, then each
+    Dataset column of n rows in _COLUMNS order, strings fixed-width."""
+    shapes = {"ids": (f"<U{id_chars}", (n,)), "features": ("<f8", (n, d)), "market_price": ("<f8", (n,)),
+              "volume": ("<f8", (n,)), "source": (f"<U{source_chars}", (n,))}
+    return np.dtype([("sha256", "S64"), *((name, *shapes.get(name, ("<i8", (n,)))) for name in _COLUMNS)])
+
+
+def _sidecar_holds(columns: list) -> bool:
+    """Whether columns (in _COLUMNS order) in a sidecar load as decoding
+    their JSONL loads them: with the same values, or refused by the same
+    `_validate` check.  Not so for a value that a JSONL cast refuses or
+    changes and `_validate` lets through (a string id or source that is
+    not a non-empty str, an integer column that is not int64, an infinite
+    price or volume), nor for a string holding NUL, which a numpy string
+    drops at its end."""
+    ids, *ints, _, market_price, volume, source = columns
+    strings = [*ids, *source]
+    return (set(map(type, strings)) == {str} and all(strings) and "\0" not in "".join(strings)
+            and all(np.asarray(c).dtype == np.int64 for c in ints)
+            and not (np.isinf(market_price).any() or np.isinf(volume).any()))
+
+
+def _sidecar_record(columns: list, digest: str) -> np.ndarray:
+    """The sidecar record of columns (in _COLUMNS order) whose JSONL file
+    has the hex SHA-256 `digest`."""
+    n, d = columns[6].shape
+    record = np.zeros((), _sidecar_dtype(n, d, max(map(len, columns[0])), max(map(len, columns[-1]))))
+    record["sha256"] = digest
+    for name, column in zip(_COLUMNS, columns):
+        record[name] = column
+    for name in ("market_price", "volume"):  # every null as the NaN that decoding a null gives
+        record[name][np.isnan(record[name])] = np.nan
+    return record
+
+
+def _read_sidecar(sidecar: Path) -> np.ndarray:
+    """A sidecar's record; a file that is not one is refused, naming it."""
+    try:
+        record = read_npy(sidecar)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{exc}; {_SIDECAR_HINT}") from exc
+    try:
+        n, d = record.dtype.fields["features"][0].shape
+        layout = _sidecar_dtype(n, d, *(record.dtype.fields[name][0].base.itemsize // 4 for name in ("ids", "source")))
+    except (TypeError, KeyError, ValueError):  # no fields, or not a sidecar's
+        layout = None
+    if layout is None or record.shape != () or record.dtype != layout:
+        raise DataFormatError(f"{sidecar} is not a question sidecar; {_SIDECAR_HINT}")
+    return record
 
 
 @dataclass

@@ -21,6 +21,10 @@ that turns the field's value (None where the record lacks it) into what is
 loaded, or raises; one rule (`_cast_record`) decides which refusal names
 a bad record.
 
+A question split's sidecar (see `data.save_questions`) is one numpy
+array in the `.npy` format, written by `write_npy` and read by `read_npy`
+without pickles; `sha256` digests the file it is bound to.
+
 `cgroup_cpus` reads the one file this package reads that is not a run
 file: the process's CPU quota.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import itertools
 import json
 import json.scanner
@@ -36,6 +41,8 @@ import math
 import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy.lib.format
 
 from forecast_rl.errors import DataFormatError
 
@@ -45,17 +52,17 @@ CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 @contextlib.contextmanager
-def atomic_write(path: str | Path, newline: str | None = None):
-    """A UTF-8 text handle whose content replaces `path` when the block ends.
-    An OSError on the way (a directory that cannot be made, a file that
-    cannot be opened, written or moved) becomes a DataFormatError naming
-    `path`."""
+def atomic_write(path: str | Path, newline: str | None = None, binary: bool = False):
+    """A UTF-8 text handle (a byte handle if `binary`) whose content
+    replaces `path` when the block ends.  An OSError on the way (a
+    directory that cannot be made, a file that cannot be opened, written or
+    moved) becomes a DataFormatError naming `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline=newline) as fh:
                 yield fh
             os.replace(tmp, path)
         except BaseException:
@@ -63,6 +70,47 @@ def atomic_write(path: str | Path, newline: str | None = None):
             raise
     except OSError as exc:
         raise DataFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def remove(path: str | Path) -> None:
+    """Delete `path` if it exists; an OSError becomes a DataFormatError."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataFormatError(f"cannot remove {path}: {exc}") from exc
+
+
+def sha256(path: str | Path) -> str:
+    """The hex SHA-256 of the file's bytes, read a MiB at a time."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
+def write_npy(path: str | Path, array) -> None:
+    """A numpy array in the `.npy` format; one holding objects is refused."""
+    with atomic_write(path, binary=True) as fh:
+        numpy.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def read_npy(path: str | Path):
+    """The array of a `.npy` file, which must end where the array does.
+    Pickled objects are refused."""
+    try:
+        with open(path, "rb") as fh:
+            array = numpy.lib.format.read_array(fh, allow_pickle=False)
+            if fh.read(1):
+                raise ValueError("bytes follow the array")
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, EOFError) as exc:  # a bad header, a short read, an object array
+        raise DataFormatError(f"{path} is not a .npy array: {exc}") from exc
+    return array
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import make_dataset, make_question, poison_baseline
 
-from forecast_rl import cli
+from forecast_rl import cli, data, files
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.cli import (
     EXIT_EARLY_STOP,
@@ -351,18 +351,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("algorithm, with_test_file", [("remax", True), ("remax", False), ("dpo", False)])
     def test_empty_train_split_exit_2(self, tmp_path, capsys, algorithm, with_test_file):
-        """One question splits into an empty train file and a one-question
-        test file.  Train refuses the empty train split, naming its file,
-        before the chronology check, whether or not the test file is there,
-        for the online algorithms and DPO alike."""
-        cfg = write_config(tmp_path, train={"algorithm": algorithm},
-                           data={"synthetic": {"n_questions": 1, "feature_dim": 2, "market_noise": 0.5}})
-        assert run("synth", cfg) == EXIT_OK
+        """An empty train file, beside a one-question test file or none.
+        Train refuses the empty train split, naming its file, before the
+        chronology check, whether or not the test file is there, for the
+        online algorithms and DPO alike.  synth writes no such split, so
+        the files are built directly."""
+        cfg = write_config(tmp_path, train={"algorithm": algorithm})
         out = tmp_path / "out"
-        if not with_test_file:
-            (out / "test.jsonl").unlink()
+        save_questions(make_dataset([]), out / "train.jsonl")
+        if with_test_file:
+            save_questions(make_dataset([make_question("q0", pred_ts=500, features=[0.5, 1.0])], "test"),
+                           out / "test.jsonl")
         assert run("train", cfg) == EXIT_VALIDATION
         assert f"error: train dataset {out / 'train.jsonl'} holds no questions\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_questions, train_fraction", [(0, 0.5), (1, 0.5), (4, 0.2)])
+    def test_synth_refuses_a_split_without_train_questions(self, tmp_path, capsys, n_questions, train_fraction):
+        """n_questions * train_fraction < 1 leaves the train split empty;
+        synth exits 2 naming both keys and writes no file."""
+        cfg = write_config(tmp_path, data={"train_fraction": train_fraction,
+                                           "synthetic": {"n_questions": n_questions, "feature_dim": 2}})
+        assert run("synth", cfg) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "data.synthetic.n_questions" in err and "data.train_fraction" in err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_must_be_nonnegative(self, tmp_path, capsys):
         assert run("synth", write_config(tmp_path), "--seed", "-3") == EXIT_VALIDATION
@@ -602,13 +614,17 @@ class TestExitCodes:
         assert len(loaded) == 2 and alive == []
 
     def test_empty_stream_synth_then_train(self, tmp_path):
+        """synth refuses an empty stream; empty split files built directly
+        are refused by train."""
         cfg = write_config(
             tmp_path,
             data={"synthetic": {"n_questions": 0, "feature_dim": 2, "market_noise": 0.5}},
         )
-        assert run("synth", cfg) == EXIT_OK
+        assert run("synth", cfg) == EXIT_VALIDATION
+        out = tmp_path / "out"
+        save_questions(make_dataset([]), out / "train.jsonl")
+        save_questions(make_dataset([], "test"), out / "test.jsonl")
         assert run("train", cfg) == EXIT_VALIDATION
-
 
     def test_trade_with_every_priced_question_in_the_calibration_half(self, tmp_path):
         """A CSV test set priced only in its calibration half leaves no row
@@ -629,6 +645,46 @@ class TestExitCodes:
         for c in comparisons:
             delta = c["total_profit_delta"]
             assert (delta["delta_mean"], delta["ci_low"], delta["ci_high"], delta["p_value"]) == (0.0, 0.0, 0.0, 1.0)
+
+
+class TestQuestionSidecars:
+    """synth writes train.jsonl.npy and test.jsonl.npy beside the splits;
+    a stage reads a split from its sidecar while the digest matches."""
+
+    def test_evaluate_scores_an_outcome_flipped_in_test_jsonl(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        path = out / "test.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        forecasts = str(tmp_path / "f.jsonl")
+        save_forecasts(forecasts, [r["id"] for r in records], np.full(len(records), 0.9))
+        records[0]["outcome"] = 1 - records[0]["outcome"]
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        assert run("evaluate", cfg, forecasts) == EXIT_OK
+        got = json.loads((out / "evaluation.json").read_text())["models"]["f"]["soft_brier_mean"]
+        assert got == pytest.approx(np.mean([(0.9 - r["outcome"]) ** 2 for r in records]), rel=1e-12)
+
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_a_truncated_sidecar_exits_2_naming_it(self, tmp_path, capsys, stage):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        sidecar = out / "test.jsonl.npy"
+        sidecar.write_bytes(sidecar.read_bytes()[:1000])
+        assert run(stage, cfg) == EXIT_VALIDATION  # train reads the test split for its chronology check
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar} is not a .npy array: ") and err.endswith("; delete it or re-run synth\n")
+
+    def test_a_re_synth_leaves_no_unregistered_file(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        assert run("synth", cfg, "--seed", "4") == EXIT_OK
+        assert Manifest(out).doc["stages"]["synth"]["files"] == [
+            "oracle.jsonl", "test.jsonl", "test.jsonl.npy", "train.jsonl", "train.jsonl.npy"]
+        assert run("report", cfg) == EXIT_OK
+        assert "unregistered_files" not in json.loads((out / "report.json").read_text())
 
 
 class TestReportAndManifest:
@@ -915,3 +971,27 @@ def test_stages_import_no_module_inside_main(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     assert _python(code).splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_stages_decode_no_question_jsonl(tmp_path, monkeypatch):
+    """After synth, train, predict, evaluate and trade read both splits
+    from their sidecars: five loads, no question JSONL decoded."""
+    cfg = write_config(tmp_path, ensemble_size=2, evaluation={"bootstrap_reps": 9})
+    members = [str(tmp_path / "out" / f"forecasts_m{k}.jsonl") for k in range(2)]
+    assert run("synth", cfg) == EXIT_OK
+    loads, decoded = [], []
+
+    def load(path, *args, **kwargs):
+        loads.append(Path(path).name)
+        return load_questions(path, *args, **kwargs)
+
+    def read_jsonl_columns(path, *args, **kwargs):
+        decoded.append(Path(path).name)
+        return files.read_jsonl_columns(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_questions", load)
+    monkeypatch.setattr(data, "read_jsonl_columns", read_jsonl_columns)
+    for stage, extra in [("train", []), ("predict", []), ("evaluate", members), ("trade", members)]:
+        assert run(stage, cfg, *extra) == EXIT_OK, stage
+    assert loads == ["train.jsonl", "test.jsonl", "test.jsonl", "test.jsonl", "test.jsonl"]
+    assert decoded == []

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from forecast_rl import data
 from forecast_rl.data import (
     _expit,
     Dataset,
@@ -362,6 +365,117 @@ class TestRoundTrip:
         message = rf"^{re.escape(str(path))}: line {line}: field 'features': expected a JSON list without blanks around it"
         with pytest.raises(DataFormatError, match=message):
             load_questions(path)
+
+
+def _stream_with_nulls_and_both_sources(n=40):
+    ds, _ = generate_synthetic_stream(SyntheticConfig(n_questions=n, feature_dim=3, market_noise=0.5), 5)
+    ds.market_price[::4] = np.nan
+    ds.volume[1::3] = 7.5
+    ds.source[::5] = ["market"] * len(ds.source[::5])
+    return ds
+
+
+class TestSidecar:
+    """save_questions writes `<file>.npy` beside a JSONL split: the file's
+    SHA-256 and the dataset's columns, read in place of decoding it."""
+
+    def test_sidecar_load_equals_the_decoded_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "test.jsonl"
+        assert save_questions(_stream_with_nulls_and_both_sources(), path) == [path, tmp_path / "test.jsonl.npy"]
+        shutil.copy(path, tmp_path / "plain.jsonl")  # no sidecar: decoded
+        decoded = load_questions(tmp_path / "plain.jsonl", split="test")
+        monkeypatch.setattr(data, "read_jsonl_columns", None)  # a decode would fail: the sidecar is read
+        loaded = load_questions(path, split="test")
+        assert np.isnan(decoded.market_price).any() and np.isnan(decoded.volume).any()
+        assert set(decoded.source) == {"market", "synthetic"}
+        assert vars(loaded).keys() == vars(decoded).keys()
+        for name, want in vars(decoded).items():
+            got = getattr(loaded, name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+                assert got.flags.c_contiguous, name
+            else:
+                assert got == want and list(map(type, got)) == list(map(type, want)), name
+
+    def test_sidecar_binds_the_jsonl_bytes(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        save_questions(_stream_with_nulls_and_both_sources(5), path)
+        record = np.load(tmp_path / "q.jsonl.npy", allow_pickle=False)
+        assert record.shape == () and record["sha256"].item().decode() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_an_edited_jsonl_is_decoded(self, tmp_path):
+        """The first record's outcome flipped: the digest no longer matches,
+        so the file is decoded and the flip is loaded."""
+        path = tmp_path / "q.jsonl"
+        ds = _stream_with_nulls_and_both_sources(5)
+        save_questions(ds, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), "outcome": 1 - int(ds.outcome[0])}, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        assert load_questions(path).outcome.tolist() == [1 - ds.outcome[0], *ds.outcome[1:].tolist()]
+
+    @pytest.mark.parametrize("case", ["empty", "magic", "header", "half", "one-byte-short", "trailing-byte",
+                                      "another-array", "object-array"])
+    def test_an_unreadable_sidecar_is_refused_naming_it(self, tmp_path, case):
+        path = tmp_path / "test.jsonl"
+        save_questions(_stream_with_nulls_and_both_sources(), path)
+        sidecar = tmp_path / "test.jsonl.npy"
+        raw = sidecar.read_bytes()
+        header = raw.index(b"\n") + 1
+        cut = {"empty": 0, "magic": 8, "header": header, "half": (header + len(raw)) // 2, "one-byte-short": -1}
+        if case in cut:
+            sidecar.write_bytes(raw[: cut[case]])
+        elif case == "trailing-byte":
+            sidecar.write_bytes(raw + b"\0")
+        else:
+            with open(sidecar, "wb") as fh:  # np.save would add another .npy suffix to a path
+                np.lib.format.write_array(fh, np.arange(3) if case == "another-array" else np.array([{}]))
+        with pytest.raises(DataFormatError, match=rf"^(cannot read )?{re.escape(str(sidecar))}\b.*; delete it or re-run synth$"):
+            load_questions(path)
+
+    @pytest.mark.parametrize("suffix", ["csv", "jsonl"])
+    def test_csv_and_empty_splits_get_no_sidecar_and_lose_an_old_one(self, tmp_path, suffix):
+        path = tmp_path / f"q.{suffix}"
+        sidecar = tmp_path / f"q.{suffix}.npy"
+        sidecar.write_bytes(b"old")
+        ds = _stream_with_nulls_and_both_sources(5) if suffix == "csv" else make_dataset([])
+        assert save_questions(ds, path) == [path]
+        assert not sidecar.exists()
+        assert len(load_questions(path)) == len(ds)
+
+    @pytest.mark.parametrize("column, value", [("volume", math.inf), ("market_price", -math.inf), ("ids", "a\0"),
+                                               ("source", ""), ("outcome", 0.5)])
+    def test_a_dataset_whose_jsonl_decodes_otherwise_gets_no_sidecar(self, tmp_path, column, value):
+        """Values the JSONL casts refuse or change and the validator lets
+        through, or that a numpy string cannot hold, are left to the
+        decoder."""
+        ds = _stream_with_nulls_and_both_sources(5)
+        if column == "outcome":
+            ds.outcome = ds.outcome.astype(np.float64)
+        getattr(ds, column)[2] = value
+        path = tmp_path / "q.jsonl"
+        sidecar = tmp_path / "q.jsonl.npy"
+        sidecar.write_bytes(b"old")
+        assert save_questions(ds, path) == [path]
+        assert not sidecar.exists()
+
+    def test_a_sidecar_holding_what_its_jsonl_cannot_is_refused(self, tmp_path):
+        """A record with the right digest but an empty id is refused;
+        one that breaks an invariant fails the decoder's own check."""
+        path = tmp_path / "q.jsonl"
+        save_questions(_stream_with_nulls_and_both_sources(5), path)
+        sidecar = tmp_path / "q.jsonl.npy"
+        record = np.load(sidecar, allow_pickle=False)
+        for field, value, error, message in [
+            ("ids", "", DataFormatError, "holds values that q.jsonl cannot; delete it or re-run synth"),
+            ("outcome", 2, ValidationError, "outcome must be 0 or 1, got 2"),
+        ]:
+            forged = record.copy()
+            forged[field][1] = value
+            with open(sidecar, "wb") as fh:
+                np.lib.format.write_array(fh, forged)
+            with pytest.raises(error, match=re.escape(message)):
+                load_questions(path)
 
 
 class TestChronology:

@@ -35,6 +35,7 @@ from forecast_rl.files import (
     read_jsonl_columns,
     write_json,
     write_jsonl_columns,
+    write_npy,
 )
 from forecast_rl.policy import N_ANSWER
 from forecast_rl.trainer import RunLog
@@ -120,12 +121,17 @@ class TestAtomicWrite:
         assert path.read_text() == "old\n"
         assert _tmp_files(tmp_path) == []
 
-    def test_a_replace_that_fails_names_the_file_and_removes_the_temp_file(self, tmp_path):
-        path = tmp_path / "report.md"
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_a_replace_that_fails_names_the_file_and_removes_the_temp_file(self, tmp_path, binary):
+        """Binary: the write of a question split's `.npy` sidecar."""
+        path = tmp_path / ("test.jsonl.npy" if binary else "report.md")
         path.mkdir()  # os.replace cannot move a file over a directory
         with pytest.raises(DataFormatError, match=rf"^cannot write {re.escape(str(path))}: "):
-            with atomic_write(path) as fh:
-                fh.write("new\n")
+            if binary:
+                write_npy(path, np.arange(3))
+            else:
+                with atomic_write(path) as fh:
+                    fh.write("new\n")
         assert path.is_dir()
         assert _tmp_files(tmp_path) == []
 
