@@ -23,10 +23,20 @@ try:
     import argparse
     import csv
     import locale  # noqa: F401  argparse's gettext imports it lazily in parse_args; load it at start-up
+    import os
     import sys
     import time
     from dataclasses import asdict
     from pathlib import Path
+
+    # One BLAS thread, unless the user's environment names a count.  Every
+    # matrix product here is small, so numpy's OpenBLAS thread pool (one
+    # thread per CPU, started at import) made no stage faster but spent
+    # CPU, and it would be alive while a stage forks its bootstrap workers.
+    # A fixed count also keeps the host's CPU count out of every product.
+    # It must be set before numpy is first imported.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
     import numpy as np
 
@@ -309,7 +319,10 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
     reports = {}
     for j, name in enumerate(names):
-        report = evaluation_report(probs[:, j], y, n_bins)
+        try:
+            report = evaluation_report(probs[:, j], y, n_bins)
+        except ValidationError as exc:  # too few present forecasts for n_bins bins
+            raise ValidationError(f"model {name}: {exc}; evaluation.n_bins sets the minimum") from None
         reports[name] = asdict(report)
         bins_path = out / f"bins_{name}.csv"
         with atomic_write(bins_path, newline="") as fh:
@@ -360,9 +373,15 @@ def cmd_trade(cfg: RunConfig, args) -> int:
         print("trade: no priced questions in the test set; empty result written")
         return EXIT_OK
 
-    ece_values, trade_ds, trade_probs = gating_ece(
-        probs, test_ds, cfg.trading.ece_source, cfg.trading.calibration_fraction, cfg.evaluation.n_bins
-    )
+    try:
+        ece_values, trade_ds, trade_probs = gating_ece(
+            probs, test_ds, cfg.trading.ece_source, cfg.trading.calibration_fraction, cfg.evaluation.n_bins, names
+        )
+    except ValidationError as exc:  # too few present forecasts for n_bins bins
+        keys = "evaluation.n_bins sets the minimum"
+        if cfg.trading.ece_source == "calibration_split":
+            keys = "trading.calibration_fraction sets the rows and " + keys
+        raise ValidationError(f"{exc}; {keys}") from None
 
     per_model = {}
     gated = []  # each model's StrategyResult per gate
@@ -500,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs", type=int, default=1,
             help="accepted for compatibility and sets nothing: training runs every member in this process, and "
                  "the bootstraps of evaluate and trade fork up to two worker processes, one per CPU of the affinity "
-                 "mask and the cgroup CPU quota (taskset limits them)",
+                 "mask and the cgroup CPU quota (taskset limits them), whose count matrices in flight hold at most "
+                 "2**17 entries together, or one replicate each on larger splits",
         )
         if name in ("evaluate", "trade"):
             p.add_argument("forecasts", nargs="*", help="forecast JSONL files (default: <out>/forecasts.jsonl)")

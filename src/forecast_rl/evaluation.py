@@ -26,12 +26,14 @@ from forecast_rl.rng import replicate_seeds
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# Bootstrap replicates go to the statistic in chunks whose (R, n) count
-# matrices, summed over the chunks in flight on every worker process, hold
-# at most this many entries (or one replicate's n, when n is larger).  This
-# bounds the working memory, and at 1 MB per int64 work array a chunk's
-# counts and cumulative sums stay in a core's L2 cache; 2**18 measured about
-# a fifth slower on a 3000-question ECE bootstrap.
+# Bootstrap replicates go to the statistic in chunks of
+# max(1, BOOTSTRAP_CHUNK_ELEMENTS // (workers * n)) replicates, so the (R, n)
+# count matrices in flight on all the worker processes together hold at most
+# this many entries, or one replicate per worker once n exceeds
+# BOOTSTRAP_CHUNK_ELEMENTS / workers.  This bounds the working memory, and at
+# 1 MB per int64 work array a chunk's counts and cumulative sums stay in a
+# core's L2 cache; 2**18 measured about a fifth slower on a 3000-question ECE
+# bootstrap.
 BOOTSTRAP_CHUNK_ELEMENTS = 2**17
 
 # At most this many forked processes share the bootstrap's chunks: two
@@ -450,13 +452,14 @@ def _replicate_counts(seeds: np.ndarray, n_rows: int, idx: np.ndarray) -> np.nda
     return np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape)
 
 
-def _bootstrap_workers(n_rows: int) -> int:
+def _bootstrap_workers() -> int:
     """Worker processes for the bootstrap's replicate chunks: the CPUs this
     process may run on (its affinity mask, which `taskset` narrows, and its
-    cgroup's CPU quota, rounded up), at most BOOTSTRAP_MAX_WORKERS, and only
-    as many as can each hold a whole replicate within
-    BOOTSTRAP_CHUNK_ELEMENTS indices between them.  One on a platform
-    without `os.fork`."""
+    cgroup's CPU quota, rounded up), at most BOOTSTRAP_MAX_WORKERS.  One on
+    a platform without `os.fork`.  The count does not depend on the rows:
+    the chunk size holds the count matrices in flight to one chunk, or to
+    one replicate per worker once a replicate is larger than a worker's
+    share of BOOTSTRAP_CHUNK_ELEMENTS."""
     if not hasattr(os, "fork"):
         return 1
     try:
@@ -464,7 +467,7 @@ def _bootstrap_workers(n_rows: int) -> int:
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     cpus = math.ceil(min(cpus, cgroup_cpus()))
-    return max(1, min(cpus, BOOTSTRAP_MAX_WORKERS, BOOTSTRAP_CHUNK_ELEMENTS // max(n_rows, 1)))
+    return max(1, min(cpus, BOOTSTRAP_MAX_WORKERS))
 
 
 def _fill_chunks(boot: np.ndarray, seeds: np.ndarray, n_rows: int, stat_fn, step: int, first: int, stride: int):
@@ -619,14 +622,16 @@ def paired_bootstrap_stat(
     time so cross-model pairing is preserved.  The observed statistic is
     the call on one all-ones row, in the calling process.
     The replicates are shared out to `_bootstrap_workers` worker processes
-    (up to one per CPU the process may use, at most BOOTSTRAP_MAX_WORKERS),
-    in chunks of about BOOTSTRAP_CHUNK_ELEMENTS / workers entries, so the
-    count matrices in flight together hold no more than one chunk, or one
-    replicate once n_rows exceeds BOOTSTRAP_CHUNK_ELEMENTS.  Worker w draws
-    the counts of chunks w, w + workers, ... and calls stat_fn on them in a
-    process forked for the call (see `_run_forked`), whose only output is
-    the statistics it writes into their rows of one shared result array.
-    With one worker the chunks run in the calling process.  Each replicate uses its own generator derived
+    (up to one per CPU the process may use, at most BOOTSTRAP_MAX_WORKERS,
+    and no more than there are chunks), in chunks of
+    max(1, BOOTSTRAP_CHUNK_ELEMENTS // (workers * n_rows)) replicates, so
+    the count matrices in flight together hold at most one chunk, or one
+    replicate per worker once n_rows exceeds BOOTSTRAP_CHUNK_ELEMENTS /
+    workers.  Worker w draws the counts of chunks w, w + workers, ... and
+    calls stat_fn on them in a process forked for the call (see
+    `_run_forked`), whose only output is the statistics it writes into
+    their rows of one shared result array.  With one worker the chunks run
+    in the calling process.  Each replicate uses its own generator derived
     from a drawn seed and fills its own row, so every result is the same
     whatever the worker count, chunking or execution order.  An exception
     stat_fn raises in a worker reaches the caller as a copy (same type and
@@ -649,7 +654,7 @@ def paired_bootstrap_stat(
         raise ValidationError(f"the bootstrap statistic is not finite on the observed rows: {observed.tolist()}")
     n_models = observed.shape[0]
     seeds = replicate_seeds(rng, reps)
-    workers = _bootstrap_workers(n_rows)
+    workers = _bootstrap_workers()
     step = max(1, BOOTSTRAP_CHUNK_ELEMENTS // (workers * max(n_rows, 1)))
     workers = min(workers, -(-reps // step))
     if workers == 1:

@@ -228,6 +228,7 @@ def gating_ece(
     mode: str = "calibration_split",
     calibration_fraction: float = 0.5,
     n_bins: int = 10,
+    names: list[str] | None = None,
 ) -> tuple[list[float], Dataset, np.ndarray]:
     """ECE threshold of the edge_above_ece gate for each column of `probs`
     (dataset rows x models, NaN = absent), the dataset to trade, and its
@@ -236,7 +237,9 @@ def gating_ece(
     calibration_split estimates ECE on the chronologically first
     `calibration_fraction` of the rows and trades only the disjoint
     remainder, the dataset's tail; in_sample estimates on every row and
-    trades all of them.
+    trades all of them.  A column with too few present forecasts in the
+    estimating rows is a ValidationError that names it, as `names[j]` or
+    by its index.
     """
     if mode == "in_sample":
         n_cal, trade_ds = len(dataset), dataset
@@ -246,7 +249,13 @@ def gating_ece(
     else:
         raise ValidationError(f"unknown ece source {mode!r}")
     y = dataset.outcome[:n_cal]
-    ece = [ece_bins(probs[:n_cal, j], y, n_bins)[0] for j in range(probs.shape[1])]
+    ece = []
+    for j in range(probs.shape[1]):
+        try:
+            ece.append(ece_bins(probs[:n_cal, j], y, n_bins)[0])
+        except ValidationError as exc:
+            name = names[j] if names else f"column {j}"
+            raise ValidationError(f"model {name}: {exc}, in the first {n_cal} of {len(dataset)} rows") from None
     return ece, trade_ds, probs[len(dataset) - len(trade_ds) :]
 
 

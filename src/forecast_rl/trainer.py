@@ -221,16 +221,14 @@ class _Members:
     Only the run-log columns have the stream length on an axis.  Each
     member keeps its own sampling generator, and `U` holds the uniforms
     of questions `u_start` onwards for at most REF_BLOCK questions;
-    `_advance` draws the next block when a question passes its end.  The
-    early-stop counts are a ring of `window` rows.
+    `_advance` draws the next block when a question passes its end.
     """
 
     _ROWS = (
-        "w", "w_b", "ref", "m", "v", "m_b", "v_b", "U", "first", "counts", "reward",
-        "es_counts", "window", "good", "good_b",
+        "w", "w_b", "ref", "m", "v", "m_b", "v_b", "U", "first", "counts", "reward", "window", "good", "good_b",
     )
 
-    def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int, window: int):
+    def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int):
         K, L = len(members), params.vocab.content_length
         self.members = list(members)
         self.L = L
@@ -248,11 +246,9 @@ class _Members:
         self.first = np.zeros((K, n), dtype=np.uint8)
         self.counts = np.zeros((K, n, G, 2), dtype=np.min_scalar_type(L))
         self.reward = np.zeros((K, n))
-        # The early-stop guard in integer counts: per question (gibberish
-        # tokens, answer present, answer extreme) in a ring where question
-        # i takes row i % rows, and their sums over the current window.  A
-        # window longer than the stream never wraps.
-        self.es_counts = np.zeros((K, min(window, n), 3), dtype=np.int64)
+        # The early-stop guard in integer counts: the sums of (gibberish
+        # tokens, answer present, answer extreme) over the questions of the
+        # current window, whose per-question terms the log columns hold.
         self.window = np.zeros((K, 3), dtype=np.int64)
         self.snapshot()
 
@@ -303,7 +299,6 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
     n = X1.shape[0]
     token_div = G if algo == "remax" else G * n_tok
     es_tokens = es.window * G * L
-    ring = st.es_counts.shape[1]
     # Every running member has taken one AdamW step per question since
     # question 0, so question i is step i + 1 of the actor and the baseline.
     bc1, bc2 = bias_corrections(hp, np.arange(start + 1, end + 1))
@@ -354,11 +349,14 @@ def _advance(st: _Members, X1: np.ndarray, Y: np.ndarray, start: int, end: int,
 
         events = [(int(r), SPAN_NUMERIC, i, None) for r in bad.nonzero()[0]]
         if es.enabled:
-            row = st.es_counts[:, i % ring]
-            st.window -= row  # question i - window's counts, or zeros before the ring wraps
-            row[:, 0] = np.add.reduce(counts[..., 0], axis=1)
-            row[:, 1:] = _ANSWER_FLAGS[answers[:, 0]]
-            st.window += row
+            gib = np.add.reduce(counts[..., 0], axis=1)
+            flags = _ANSWER_FLAGS[answers[:, 0]]
+            if i >= es.window:  # question i - window leaves the window; the log holds its counts
+                # in int64: np.add.reduce of the log's uint counts gives uint64
+                gib -= np.add.reduce(st.counts[:, i - es.window, :, 0], axis=1, dtype=np.int64)
+                flags -= _ANSWER_FLAGS[st.first[:, i - es.window]]
+            st.window[:, 0] += gib
+            st.window[:, 1:] += flags
             if i + 1 >= es.window:
                 gib_hit = st.window[:, 0] / es_tokens > es.gibberish_threshold
                 present = st.window[:, 1]
@@ -434,7 +432,7 @@ def train_members(
     X1 = np.hstack([np.ones((n, 1)), stream.features])
     Y = stream.outcome
     ids = stream.ids
-    st = _Members(members, params, seed, n, G, cfg.early_stop.window)
+    st = _Members(members, params, seed, n, G)
 
     boundaries = {0, n}
     boundaries.update(range(0, n, cfg.outer_iteration_len))

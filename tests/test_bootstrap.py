@@ -514,31 +514,49 @@ class TestWorkerThreads:
 
     def test_worker_count_is_capped(self, monkeypatch):
         """One process per CPU the process may use (its affinity mask and
-        its CPU quota, rounded up), at most BOOTSTRAP_MAX_WORKERS, only as
-        many as hold a whole replicate each within BOOTSTRAP_CHUNK_ELEMENTS,
-        and one where os.fork is missing."""
-        chunk, cap = evaluation.BOOTSTRAP_CHUNK_ELEMENTS, evaluation.BOOTSTRAP_MAX_WORKERS
+        its CPU quota, rounded up), at most BOOTSTRAP_MAX_WORKERS, and one
+        where os.fork is missing."""
+        cap = evaluation.BOOTSTRAP_MAX_WORKERS
         assert cap == 2
         monkeypatch.setattr(evaluation, "cgroup_cpus", lambda: math.inf)
         with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))):
-            assert evaluation._bootstrap_workers(3000) == cap
-            assert evaluation._bootstrap_workers(chunk // 2) == 2
-            assert evaluation._bootstrap_workers(chunk // 2 + 1) == 1
-            assert evaluation._bootstrap_workers(110_000) == 1
-            assert evaluation._bootstrap_workers(0) == cap
+            assert evaluation._bootstrap_workers() == cap
             for quota, want in [(0.5, 1), (1.0, 1), (1.5, 2), (8.0, cap)]:
                 with mock.patch.object(evaluation, "cgroup_cpus", return_value=quota):
-                    assert evaluation._bootstrap_workers(3000) == want, quota
+                    assert evaluation._bootstrap_workers() == want, quota
             with monkeypatch.context() as m:
                 m.delattr(os, "fork")
-                assert evaluation._bootstrap_workers(3000) == 1
+                assert evaluation._bootstrap_workers() == 1
         with mock.patch.object(os, "sched_getaffinity", return_value={3}):
-            assert evaluation._bootstrap_workers(3000) == 1
+            assert evaluation._bootstrap_workers() == 1
         with mock.patch.object(os, "sched_getaffinity", side_effect=AttributeError):
             with mock.patch.object(os, "cpu_count", return_value=8):
-                assert evaluation._bootstrap_workers(3000) == cap
+                assert evaluation._bootstrap_workers() == cap
             with mock.patch.object(os, "cpu_count", return_value=None):
-                assert evaluation._bootstrap_workers(3000) == 1
+                assert evaluation._bootstrap_workers() == 1
+
+    @pytest.mark.parametrize("n", [evaluation.BOOTSTRAP_CHUNK_ELEMENTS // 2 + 1, 70_000, 110_000])
+    def test_worker_count_does_not_depend_on_the_rows(self, n, tmp_path, monkeypatch):
+        """With the default chunk size and two CPUs, a bootstrap over more
+        rows than half a chunk still runs in two worker processes, one
+        replicate a chunk, and gives one worker's results."""
+        values = np.random.default_rng(24).normal(size=(n, 2))
+        log = tmp_path / "pids"
+
+        def stat_fn(c):
+            with open(log, "a") as fh:  # one short append: atomic across processes
+                fh.write(f"{os.getpid()}\n")
+            return np.einsum("rn,nm->rm", c.astype(np.float64), values)
+
+        monkeypatch.setattr(evaluation, "cgroup_cpus", lambda: math.inf)
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+            got = run_bounded(lambda: paired_bootstrap_stat(n, stat_fn, 6, substream(10, "n")))
+        pids = log.read_text().split()
+        assert pids[0] == str(os.getpid()) and len(pids) == 7  # the observed rows, then one call per replicate
+        assert len(set(pids[1:])) == 2 and str(os.getpid()) not in pids[1:]
+        assert_no_child_left()
+        with workers(1):
+            assert same(got, paired_bootstrap_stat(n, stat_fn, 6, substream(10, "n")))
 
     @pytest.mark.parametrize(
         "files, want",
@@ -567,12 +585,12 @@ class TestWorkerThreads:
     def test_chunks_in_flight_hold_at_most_one_chunk(self, n, tmp_path):
         """With 64 CPUs in the affinity mask and 1000-entry chunks, each
         worker's count matrices times the number of workers never exceed
-        1000 entries, or one replicate's n when n is larger; every worker
-        is a process of its own."""
+        1000 entries, or one replicate per worker when n is larger than a
+        worker's share; every worker is a process of its own."""
         log = tmp_path / "calls"
 
         def stat_fn(c):
-            assert c.size * w <= max(1000, n), (c.size, w)
+            assert c.size * w <= max(1000, n * w), (c.size, w)
             with open(log, "a") as fh:  # one short append: atomic across processes
                 fh.write(f"{os.getpid()} {c.size}\n")
             return np.zeros((c.shape[0], 2))
@@ -580,7 +598,7 @@ class TestWorkerThreads:
         with mock.patch.object(os, "sched_getaffinity", return_value=set(range(64))), mock.patch.object(
             evaluation, "BOOTSTRAP_CHUNK_ELEMENTS", 1000
         ):
-            w = evaluation._bootstrap_workers(n)
+            w = evaluation._bootstrap_workers()
             got = run_bounded(lambda: paired_bootstrap_stat(n, stat_fn, 40, substream(9, "m")))
         assert isinstance(got, dict), got
         calls = [line.split() for line in log.read_text().splitlines()]

@@ -327,6 +327,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not found" in err
 
+    def test_evaluate_names_the_model_and_key_of_a_short_ece(self, tmp_path, capsys):
+        """A forecast file with 3 present forecasts has no 10-bin ECE: the
+        error names the model and evaluation.n_bins."""
+        cfg = write_config(tmp_path)
+        assert run("synth", cfg) == EXIT_OK
+        ids = load_questions(tmp_path / "out" / "test.jsonl").ids
+        dense, short = tmp_path / "dense.jsonl", tmp_path / "short.jsonl"
+        save_forecasts(dense, ids, np.full(len(ids), 0.5))
+        save_forecasts(short, ids, np.array([0.5 if i < 3 else np.nan for i in range(len(ids))]))
+        capsys.readouterr()
+        assert run("evaluate", cfg, str(dense), str(short)) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: model short: ece needs at least 10 present forecasts, got 3; evaluation.n_bins sets the minimum\n"
+        )
+
+    def test_trade_names_the_model_and_keys_of_a_short_ece(self, tmp_path, capsys):
+        """A calibration split of 4 of 200 test questions has no 10-bin
+        ECE: the error names the model, trading.calibration_fraction and
+        evaluation.n_bins."""
+        cfg = write_config(tmp_path, data={"synthetic": {"n_questions": 400, "feature_dim": 2, "market_noise": 0.5}},
+                           trading={"calibration_fraction": 0.02})
+        assert run("synth", cfg) == EXIT_OK
+        ids = load_questions(tmp_path / "out" / "test.jsonl").ids
+        save_forecasts(tmp_path / "flat.jsonl", ids, np.full(len(ids), 0.5))
+        capsys.readouterr()
+        assert run("trade", cfg, str(tmp_path / "flat.jsonl")) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: model flat: ece needs at least 10 present forecasts, got 4, in the first 4 of 200 rows; "
+            "trading.calibration_fraction sets the rows and evaluation.n_bins sets the minimum\n"
+        )
+
     @pytest.mark.parametrize(
         "overrides, field",
         [
@@ -844,7 +875,7 @@ class TestStatisticsOutputs:
         code = (
             "import sys\n"
             "from forecast_rl import cli, evaluation\n"
-            "evaluation._bootstrap_workers = lambda n_rows: 2\n"
+            "evaluation._bootstrap_workers = lambda: 2\n"
             "evaluation.BOOTSTRAP_CHUNK_ELEMENTS = 2**12\n"
             "for stage in ('evaluate', 'trade'):\n"
             "    assert cli.main([stage, '--config', sys.argv[1], *sys.argv[2:]]) == 0, stage\n"
@@ -863,7 +894,8 @@ class TestSynthAndPredictOutputs:
     # one json.dumps of a record.  The columnar dataset and the column
     # writer must reproduce them byte for byte.  test.csv is the test set
     # written by save_questions as CSV; read back and written as JSONL it
-    # must give test.jsonl again.
+    # must give test.jsonl again.  The .jsonl.npy sidecars, the column
+    # records save_questions writes beside each JSONL split, are pinned too.
     DIGESTS = {
         "forecasts.jsonl": "c4c47abac8b9876fc62253a7020e7633bf6eb6e8f86e63743bfa2536c123c835",
         "forecasts_m0.jsonl": "087582a09ccdba8d7b158e3329d171cd5f22f7667e13adfd389da62a3d6e8931",
@@ -872,6 +904,8 @@ class TestSynthAndPredictOutputs:
         "test.csv": "d1f0166a738a3240e2ac1095ef4239337374ffc1a2cfe29a1dadc84d5ba3f15a",
         "test.jsonl": "7b099c2fd9244c6b9a5a89f003e8d0faa79fecb398e53c44a565b21cfd8d5357",
         "train.jsonl": "81d5de84bd3aaf1e291abf74829a8b78a21fbbde8eadfb18662e59b8140003e8",
+        "test.jsonl.npy": "8589696ca42e6cdeb54abc65fd5a3fae9d7f15dd3e0b227eaa386c3acb4543ae",
+        "train.jsonl.npy": "1e554f88424954878692a70181af23f4ee5b31a15ab33e22c20d631376d632dd",
         "seed3_m0_q000020/runlog.jsonl": "a2b2752d90de822b8927c6a9235c4f49ca0701e380caa77bdaa11b4ac5378a63",
         "seed3_m0_q000030/params.json": "50878165fe6bfff5dcb3cbb49d169f79f20f6b80db26fbd50389318575e5e704",
         "seed3_m0_q000030/runlog.jsonl": "d0cf6c4cc39d1773e409f0c7f10a559f4b6f1974c32bff2c95bf46a6fe40d869",
@@ -915,15 +949,49 @@ class TestTieRule:
         assert report_delta == pytest.approx(cmp["ece"]["delta_mean"], rel=0, abs=1e-12)
 
 
-def _python(code, *args):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(code, *args, env=None):
     """stdout of `python -c code *args`, run with its stdout a pipe and
-    block-buffered, as by default (PYTHONUNBUFFERED is not passed on)."""
+    block-buffered, as by default (PYTHONUNBUFFERED is not passed on), and
+    with no BLAS thread count in its environment but those in `env`."""
     import forecast_rl
 
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(forecast_rl.__file__).parents[1])
+    run_env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED" and k not in BLAS_THREAD_VARS}
+    run_env["PYTHONPATH"] = str(Path(forecast_rl.__file__).parents[1])
+    run_env.update(env or {})
     return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
-                          timeout=120, env=env).stdout
+                          timeout=120, env=run_env).stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_a_stage_process_runs_one_blas_thread():
+    """Importing the CLI sets one BLAS thread before numpy starts its pool,
+    so a stage process has no thread beyond the main one; a count the
+    user's environment names is kept."""
+    code = ("import os, sys, forecast_rl.cli\n"
+            "print(len(os.listdir('/proc/self/task')), *map(os.environ.get, sys.argv[1:]))")
+    assert _python(code, *BLAS_THREAD_VARS).split() == ["1", "1", "1", "1"]
+    assert _python(code, *BLAS_THREAD_VARS, env={"OPENBLAS_NUM_THREADS": "2"}).split()[1:] == ["2", "1", "1"]
+
+
+def test_stage_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """synth, train and predict, each a process of its own, write the same
+    files under 1 and 2 OpenBLAS threads, but for manifest.json (timings)
+    and the checkpoints' config.json (the output directory)."""
+    code = "import sys\nfrom forecast_rl import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    digests = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        cfg = write_config(tmp_path / threads, ensemble_size=2)
+        for stage in ("synth", "train", "predict"):
+            _python(code, stage, "--config", str(cfg), env={"OPENBLAS_NUM_THREADS": threads})
+        out = tmp_path / threads / "out"
+        digests.append({p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in out.rglob("*") if p.is_file() and p.name not in ("manifest.json", "config.json")})
+    assert "forecasts.jsonl" in digests[0] and "train.jsonl.npy" in digests[0]
+    assert digests[0] == digests[1]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

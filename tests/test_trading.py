@@ -374,6 +374,17 @@ class TestGatingEce:
         )
         assert ece == want
 
+    def test_too_few_forecasts_name_the_column(self):
+        """10 bins need 10 present forecasts in the calibration rows; the
+        error names the column by its name, or by its index."""
+        ds, forecasts = self.make_inputs()
+        probs = np.hstack((column(forecasts, ds)[:, None], np.full((len(ds), 1), np.nan)))
+        probs[:12, 1] = 0.5
+        with pytest.raises(ValidationError, match=r"^model column 1: .* got 12, in the first 20 of 40 rows$"):
+            gating_ece(probs, ds, mode="calibration_split", n_bins=13)
+        with pytest.raises(ValidationError, match=r"^model b: .* got 12, in the first 40 of 40 rows$"):
+            gating_ece(probs, ds, mode="in_sample", n_bins=13, names=["a", "b"])
+
     def test_unknown_mode(self):
         ds, forecasts = self.make_inputs()
         with pytest.raises(ValidationError):
