@@ -2,8 +2,12 @@
 
 One JSON config drives six subcommands: synth, train, predict, evaluate,
 trade, report.  Every output lands in the config's output directory and
-is registered in manifest.json there.  Exit codes: 0 success, 2
-validation failure, 3 early stop, 4 numeric abort.
+is registered in manifest.json there.  A stage is
+`cmd_x(cfg, args, manifest) -> (exit code, files written)`: `main` opens
+the manifest before the stage (so a malformed one exits 2 before any file
+is written), times the call, and registers the files it returns with the
+elapsed time.  A stage that raises registers nothing.  Exit codes: 0
+success, 2 validation failure, 3 early stop, 4 numeric abort.
 """
 
 from __future__ import annotations
@@ -144,16 +148,11 @@ class Manifest:
         return sorted(actual - self.registered_files())
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.output_dir)
-
-
 def _data_path(cfg: RunConfig, which: str) -> Path:
     configured = getattr(cfg.data, f"{which}_path")
     if configured is not None:
         return Path(configured)
-    suffix = "jsonl"
-    return _out_dir(cfg) / f"{which}.{suffix}"
+    return Path(cfg.output_dir) / f"{which}.jsonl"
 
 
 def _load_split(cfg: RunConfig, which: str, split: str) -> Dataset:
@@ -163,11 +162,9 @@ def _load_split(cfg: RunConfig, which: str, split: str) -> Dataset:
     return load_questions(path, split=split)
 
 
-def cmd_synth(cfg: RunConfig, args) -> int:
+def cmd_synth(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
     if cfg.data.synthetic is None:
         raise ValidationError("synth needs a data.synthetic block in the config")
-    t0 = time.monotonic()
-    out = _out_dir(cfg)
     stream, oracle = generate_synthetic_stream(cfg.data.synthetic, cfg.seed)
     train_ds, test_ds = split_dataset(stream, cfg.data.train_fraction)
     if not len(train_ds):
@@ -178,9 +175,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     oracle_path = _data_path(cfg, "oracle")
     files = [*save_questions(train_ds, _data_path(cfg, "train")), *save_questions(test_ds, _data_path(cfg, "test"))]
     write_oracle(oracle, oracle_path)
-    Manifest(out).register("synth", cfg.config_hash(), [*files, oracle_path], time.monotonic() - t0)
-    print(f"synth: {len(train_ds)} train / {len(test_ds)} test questions -> {out}")
-    return EXIT_OK
+    print(f"synth: {len(train_ds)} train / {len(test_ds)} test questions -> {manifest.out_dir}")
+    return EXIT_OK, [*files, oracle_path]
 
 
 def _checkpoint_name(seed: int, member: int, index: int) -> str:
@@ -215,9 +211,8 @@ def _check_chronology(cfg: RunConfig, train_ds: Dataset) -> None:
             )
 
 
-def cmd_train(cfg: RunConfig, args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_train(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
+    out = manifest.out_dir
     train_ds = _load_split(cfg, "train", "train")
     if not len(train_ds):
         raise ValidationError(f"train dataset {_data_path(cfg, 'train')} holds no questions")
@@ -259,17 +254,16 @@ def cmd_train(cfg: RunConfig, args) -> int:
                 f"member {member}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}, {collapse}"
             )
         files.extend(_write_checkpoint(out / name, cfg, result.params, result.baseline, result.run_log))
-    Manifest(out).register("train", cfg.config_hash(), files, time.monotonic() - t0)
-    return code
+    return code, files
 
 
-def _find_member_params(cfg: RunConfig, member: int) -> tuple[PolicyParams, np.ndarray | None]:
+def _find_member_params(manifest: Manifest, seed: int, member: int) -> tuple[PolicyParams, np.ndarray | None]:
     """Load the member's checkpoint with the highest question index among
     those the last train stage registered in manifest.json, so checkpoints
     left by an earlier train in the same directory are not read."""
-    out = _out_dir(cfg)
-    prefix, suffix = f"seed{cfg.seed}_m{member}_q", "/params.json"
-    registered = Manifest(out).doc["stages"].get("train", {"files": []})["files"]
+    out = manifest.out_dir
+    prefix, suffix = f"seed{seed}_m{member}_q", "/params.json"
+    registered = manifest.doc["stages"].get("train", {"files": []})["files"]
     indexed = [
         (int(f[len(prefix) : -len(suffix)]), f)
         for f in registered
@@ -280,11 +274,10 @@ def _find_member_params(cfg: RunConfig, member: int) -> tuple[PolicyParams, np.n
     return load_checkpoint(out / max(indexed)[1])
 
 
-def cmd_predict(cfg: RunConfig, args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_predict(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
+    out = manifest.out_dir
     test_ds = _load_split(cfg, "test", "test")
-    members = [_find_member_params(cfg, k)[0] for k in range(cfg.ensemble_size)]
+    members = [_find_member_params(manifest, cfg.seed, k)[0] for k in range(cfg.ensemble_size)]
     files = []
     member_probs = np.empty((len(members), len(test_ds)))
     for k, params in enumerate(members):
@@ -296,23 +289,21 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     ens_path = out / "forecasts.jsonl"
     save_forecasts(ens_path, test_ds.ids, ens)
     files.append(ens_path)
-    Manifest(out).register("predict", cfg.config_hash(), files, time.monotonic() - t0)
     n_present = int(np.count_nonzero(~np.isnan(ens)))
     print(f"predict: {len(ens)} questions, {n_present} with forecasts -> {ens_path}")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
-def _load_forecasts(cfg: RunConfig, args, test_ds: Dataset) -> tuple[list[str], np.ndarray]:
+def _load_forecasts(out: Path, args, test_ds: Dataset) -> tuple[list[str], np.ndarray]:
     """The model names and their (test rows x models) probability matrix."""
-    paths = [Path(p) for p in args.forecasts] if args.forecasts else [_out_dir(cfg) / "forecasts.jsonl"]
+    paths = [Path(p) for p in args.forecasts] if args.forecasts else [out / "forecasts.jsonl"]
     return load_forecasts(paths, test_ds.ids)
 
 
-def cmd_evaluate(cfg: RunConfig, args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_evaluate(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
+    out = manifest.out_dir
     test_ds = _load_split(cfg, "test", "test")
-    names, probs = _load_forecasts(cfg, args, test_ds)
+    names, probs = _load_forecasts(out, args, test_ds)
     y = test_ds.outcome
     n_bins = cfg.evaluation.n_bins
     files = []
@@ -352,26 +343,22 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     eval_path = out / "evaluation.json"
     write_json(eval_path, {"models": reports, "comparisons": comparisons})
     files.append(eval_path)
-    Manifest(out).register("evaluate", cfg.config_hash(), files, time.monotonic() - t0)
     for name in names:
         r = reports[name]
         print(f"{name}: soft-Brier {r['soft_brier_mean']:.4f}, ECE {r['ece']:.4f} (n={r['n_questions']})")
-    return EXIT_OK
+    return EXIT_OK, files
 
 
-def cmd_trade(cfg: RunConfig, args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(cfg)
+def cmd_trade(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
+    out = manifest.out_dir
     test_ds = _load_split(cfg, "test", "test")
-    names, probs = _load_forecasts(cfg, args, test_ds)
+    names, probs = _load_forecasts(out, args, test_ds)
     n_priced = int(np.count_nonzero(tradeable(test_ds)))
-    files = []
+    trade_path = out / "trades.json"
     if n_priced == 0:
-        trade_path = out / "trades.json"
         write_json(trade_path, {"models": {}, "comparisons": [], "note": "no priced questions"})
-        Manifest(out).register("trade", cfg.config_hash(), [trade_path], time.monotonic() - t0)
         print("trade: no priced questions in the test set; empty result written")
-        return EXIT_OK
+        return EXIT_OK, [trade_path]
 
     try:
         ece_values, trade_ds, trade_probs = gating_ece(
@@ -383,6 +370,7 @@ def cmd_trade(cfg: RunConfig, args) -> int:
             keys = "trading.calibration_fraction sets the rows and " + keys
         raise ValidationError(f"{exc}; {keys}") from None
 
+    files = []
     per_model = {}
     gated = []  # each model's StrategyResult per gate
     for j, name in enumerate(names):
@@ -418,23 +406,19 @@ def cmd_trade(cfg: RunConfig, args) -> int:
                 {"rule": GATES[gate], "model_a": names[a], "model_b": names[b], "total_profit_delta": asdict(cmp)}
             )
 
-    trade_path = out / "trades.json"
     write_json(trade_path, {"models": per_model, "comparisons": comparisons})
     files.append(trade_path)
-    Manifest(out).register("trade", cfg.config_hash(), files, time.monotonic() - t0)
     for name in names:
         totals = {r: per_model[name]["rules"][r]["total_profit"] for r in GATES}
         print(
             f"{name}: edge>ECE ${totals[GATES[0]]:.2f} ({per_model[name]['rules'][GATES[0]]['n_trades']} trades), "
             f"edge>0 ${totals[GATES[1]]:.2f}, all ${totals[GATES[2]]:.2f}"
         )
-    return EXIT_OK
+    return EXIT_OK, files
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(cfg)
-    manifest = Manifest(out)
+def cmd_report(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
+    out = manifest.out_dir
     unregistered = manifest.unregistered_files()
     doc: dict = {"config_hash": cfg.config_hash(), "stages_run": sorted(manifest.doc["stages"])}
 
@@ -489,9 +473,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
     write_json(report_json, doc)
     with atomic_write(report_md) as fh:
         fh.write("\n".join(lines) + "\n")
-    manifest.register("report", cfg.config_hash(), [report_json, report_md], time.monotonic() - t0)
     print(f"report -> {report_md}" + (f" ({len(unregistered)} unregistered files!)" if unregistered else ""))
-    return EXIT_OK
+    return EXIT_OK, [report_json, report_md]
 
 
 COMMANDS = {
@@ -517,10 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--jobs", type=int, default=1,
-            help="accepted for compatibility and sets nothing: training runs every member in this process, and "
-                 "the bootstraps of evaluate and trade fork up to two worker processes, one per CPU of the affinity "
-                 "mask and the cgroup CPU quota (taskset limits them), whose count matrices in flight hold at most "
-                 "2**17 entries together, or one replicate each on larger splits",
+            help="accepted for compatibility and sets nothing; the README's Evaluation and trading section says "
+                 "how the bootstrap workers are chosen",
         )
         if name in ("evaluate", "trade"):
             p.add_argument("forecasts", nargs="*", help="forecast JSONL files (default: <out>/forecasts.jsonl)")
@@ -536,7 +517,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg.output_dir = args.out
         cfg.validate()
-        return COMMANDS[args.command](cfg, args)
+        manifest = Manifest(Path(cfg.output_dir))
+        t0 = time.monotonic()
+        code, files = COMMANDS[args.command](cfg, args, manifest)
+        manifest.register(args.command, cfg.config_hash(), files, time.monotonic() - t0)
+        return code
     except (ValidationError, DataFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -198,6 +198,22 @@ def _effective_penalties(penalties: PenaltyConfig, enabled: bool) -> PenaltyConf
     return PenaltyConfig(0.0, 0.0, 0.0, 0.0, penalties.input_truncation_chars)
 
 
+def _initial_params(cfg: TrainConfig, init_params: PolicyParams | None, d: int | None) -> PolicyParams:
+    """The policy a run starts from: zeros of feature dimension d and
+    cfg.content_length, or init_params, which must match both (an empty
+    stream has no feature dimension: d is None)."""
+    if init_params is None:
+        return PolicyParams.zeros(d, Vocabulary(cfg.content_length))
+    if d is not None and init_params.feature_dim != d:
+        raise ValidationError("init_params feature_dim does not match the stream")
+    if init_params.vocab.content_length != cfg.content_length:
+        raise ValidationError(
+            f"init_params content_length {init_params.vocab.content_length} does not match "
+            f"train.content_length {cfg.content_length}"
+        )
+    return init_params
+
+
 def _unstack(W: np.ndarray, L: int) -> PolicyParams:
     """The policy of one (d+1, N_CONTENT + N_ANSWER) weight stack."""
     return PolicyParams(W[:, :N_CONTENT].copy(), W[:, N_CONTENT:].copy(), Vocabulary(L))
@@ -412,17 +428,12 @@ def train_members(
     if n == 0:
         if init_params is None:
             raise ValidationError("an empty stream needs init_params to size the policy")
-        L = init_params.vocab.content_length
-        empty = RunLog([], np.empty(0, np.uint8), np.empty((0, hp.group_size, 2), np.uint8), np.empty(0), L)
-        return [TrainResult(init_params.copy(), None, empty) for _ in members]
+        params = _initial_params(cfg, init_params, None)
+        empty = RunLog([], np.empty(0, np.uint8), np.empty((0, hp.group_size, 2), np.uint8), np.empty(0),
+                       cfg.content_length)
+        return [TrainResult(params.copy(), None, empty) for _ in members]
 
-    d = stream.feature_dim
-    if init_params is None:
-        params = PolicyParams.zeros(d, Vocabulary(cfg.content_length))
-    else:
-        if init_params.feature_dim != d:
-            raise ValidationError("init_params feature_dim does not match the stream")
-        params = init_params
+    params = _initial_params(cfg, init_params, stream.feature_dim)
     G = hp.group_size
     if cfg.algorithm in ("grpo", "modified_grpo") and G < 2:
         raise ValidationError("GRPO variants need group_size >= 2")
@@ -504,11 +515,8 @@ def train_dpo(
     if n == 0:
         raise ValidationError("dpo training needs a non-empty stream")
 
-    d = stream.feature_dim
-    params = init_params if init_params is not None else PolicyParams.zeros(d, Vocabulary(cfg.content_length))
-    if params.feature_dim != d:
-        raise ValidationError("init_params feature_dim does not match the stream")
-    L = params.vocab.content_length
+    params = _initial_params(cfg, init_params, stream.feature_dim)
+    L = cfg.content_length
     rewards_of = reward_table(L, _effective_penalties(penalties, cfg.guardrails_enabled))
     rng = substream(seed, "dpo", member)
     U = rng.random((n, 2, L + 1))

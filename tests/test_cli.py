@@ -743,6 +743,59 @@ class TestReportAndManifest:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["stages_run"] == []
 
+    @staticmethod
+    def _snapshot(out: Path) -> dict:
+        """Each file of the run directory but manifest.json, by its inode
+        and bytes: an atomic rewrite always moves a new inode in place."""
+        return {p.relative_to(out).as_posix(): (p.stat().st_ino, p.read_bytes())
+                for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+
+    def test_each_stage_registers_the_files_it_wrote(self, tmp_path):
+        cfg = write_config(tmp_path, ensemble_size=2, train={"algorithm": "remax", "checkpoint_every": 10})
+        out = tmp_path / "out"
+        before = {}
+        for stage in ("synth", "train", "predict", "evaluate", "trade", "report"):
+            assert run(stage, cfg) == EXIT_OK
+            after = self._snapshot(out)
+            written = sorted(name for name, state in after.items() if before.get(name) != state)
+            assert Manifest(out).doc["stages"][stage]["files"] == written, stage
+            before = after
+        assert len(Manifest(out).doc["stages"]["train"]["files"]) == 2 * 3 * 3  # 2 members, 3 checkpoints each
+
+    def test_an_early_stopped_train_registers_its_checkpoints(self, tmp_path):
+        cfg = write_config(tmp_path, train={"early_stop": {"window": 5, "gibberish_threshold": 0.001}})
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        assert run("train", cfg) == EXIT_EARLY_STOP
+        assert Manifest(out).doc["stages"]["train"]["files"] == [
+            f"seed3_m0_q000005/{name}" for name in ("config.json", "params.json", "runlog.jsonl")]
+        assert Manifest(out).unregistered_files() == []
+
+    def test_a_stage_that_exits_2_leaves_the_manifest_as_it_was(self, tmp_path):
+        """evaluate writes the first model's bins before the second model's
+        ECE fails; the manifest keeps its bytes all the same."""
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("synth", cfg) == EXIT_OK
+        manifest = (out / "manifest.json").read_bytes()
+        ids = load_questions(out / "test.jsonl").ids
+        dense, short = tmp_path / "dense.jsonl", tmp_path / "short.jsonl"
+        save_forecasts(dense, ids, np.full(len(ids), 0.5))
+        save_forecasts(short, ids, np.array([0.5 if i < 3 else np.nan for i in range(len(ids))]))
+        assert run("evaluate", cfg, str(dense), str(short)) == EXIT_VALIDATION
+        assert (out / "bins_dense.csv").exists()
+        assert (out / "manifest.json").read_bytes() == manifest
+
+    def test_a_malformed_manifest_exits_2_before_the_stage_writes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text('{"stages": 1}')
+        assert run("synth", cfg) == EXIT_VALIDATION
+        assert f"error: {out / 'manifest.json'}: " in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert not (out / "train.jsonl").exists()
+
 
 class TestStatisticsOutputs:
     # sha256 of the files that the per-replicate bootstrap loop, with trades

@@ -280,6 +280,16 @@ class TestValidationAndEdgeCases:
         with pytest.raises(ValidationError):
             train_one(small_stream(5, d=2), TrainConfig(), HyperParams(), init_params=PolicyParams.zeros(4), seed=0)
 
+    @pytest.mark.parametrize("algorithm, n", [("remax", 5), ("remax", 0), ("dpo", 5)])
+    def test_init_params_content_length_mismatch(self, algorithm, n):
+        """The online step, the empty stream and DPO each refuse init_params
+        whose content length is not the config's, naming both."""
+        stream = small_stream(5, d=2) if n else Dataset(questions=[], split="train")
+        init = PolicyParams.zeros(2, Vocabulary(2))
+        with pytest.raises(ValidationError, match="init_params content_length 2 does not match train.content_length 8"):
+            train_members(stream, TrainConfig(algorithm=algorithm, content_length=8), HyperParams(), members=[0],
+                          init_params=init, seed=0)
+
     def test_config_validation(self):
         for bad in (
             TrainConfig(algorithm="ppo"),
