@@ -183,9 +183,9 @@ def _checkpoint_name(seed: int, member: int, index: int) -> str:
     return f"seed{seed}_m{member}_q{index:06d}"
 
 
-def _write_checkpoint(dirpath: Path, cfg: RunConfig, params: PolicyParams, baseline, run_log) -> list[Path]:
+def _write_checkpoint(dirpath: Path, cfg: RunConfig, params: PolicyParams, run_log) -> list[Path]:
     files = [dirpath / "params.json", dirpath / "config.json", dirpath / "runlog.jsonl"]
-    save_checkpoint(params, files[0], baseline_weights=baseline)
+    save_checkpoint(params, files[0])
     cfg.save(files[1])
     run_log.to_jsonl(files[2])
     return files
@@ -220,9 +220,9 @@ def cmd_train(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]
 
     files: list[Path] = []
 
-    def checkpoint_cb(member, params, baseline, index, run_log):
+    def checkpoint_cb(member, params, index, run_log):
         d = out / _checkpoint_name(cfg.seed, member, index)
-        files.extend(_write_checkpoint(d, cfg, params, baseline, run_log))
+        files.extend(_write_checkpoint(d, cfg, params, run_log))
 
     members = list(range(cfg.ensemble_size))
     results = train_members(
@@ -253,14 +253,14 @@ def cmd_train(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]
             print(
                 f"member {member}: trained {s['n_questions']} questions, mean reward {s['mean_reward']:.4f}, {collapse}"
             )
-        files.extend(_write_checkpoint(out / name, cfg, result.params, result.baseline, result.run_log))
+        files.extend(_write_checkpoint(out / name, cfg, result.params, result.run_log))
     return code, files
 
 
-def _find_member_params(manifest: Manifest, seed: int, member: int) -> tuple[PolicyParams, np.ndarray | None]:
-    """Load the member's checkpoint with the highest question index among
-    those the last train stage registered in manifest.json, so checkpoints
-    left by an earlier train in the same directory are not read."""
+def _find_member_params(manifest: Manifest, seed: int, member: int) -> Path:
+    """The path of the member's checkpoint with the highest question index
+    among those the last train stage registered in manifest.json, so
+    checkpoints left by an earlier train in the same directory are not read."""
     out = manifest.out_dir
     prefix, suffix = f"seed{seed}_m{member}_q", "/params.json"
     registered = manifest.doc["stages"].get("train", {"files": []})["files"]
@@ -271,17 +271,22 @@ def _find_member_params(manifest: Manifest, seed: int, member: int) -> tuple[Pol
     ]
     if not indexed:
         raise ValidationError(f"no checkpoint {prefix}*{suffix} of member {member} registered by train in {out}")
-    return load_checkpoint(out / max(indexed)[1])
+    return out / max(indexed)[1]
 
 
 def cmd_predict(cfg: RunConfig, args, manifest: Manifest) -> tuple[int, list[Path]]:
     out = manifest.out_dir
     test_ds = _load_split(cfg, "test", "test")
-    members = [_find_member_params(manifest, cfg.seed, k)[0] for k in range(cfg.ensemble_size)]
+    paths = [_find_member_params(manifest, cfg.seed, k) for k in range(cfg.ensemble_size)]
+    members = [load_checkpoint(path) for path in paths]
     files = []
     member_probs = np.empty((len(members), len(test_ds)))
-    for k, params in enumerate(members):
-        member_probs[k] = predict_dataset(params, test_ds)
+    for k, (ckpt, params) in enumerate(zip(paths, members)):
+        try:
+            member_probs[k] = predict_dataset(params, test_ds)
+        except ValidationError as exc:  # the checkpoint was trained on other data
+            sources = f"checkpoint {ckpt} and test split {_data_path(cfg, 'test')}"
+            raise ValidationError(f"{sources}: {exc}; re-run train on this data") from None
         path = out / f"forecasts_m{k}.jsonl"
         save_forecasts(path, test_ds.ids, member_probs[k])
         files.append(path)

@@ -51,7 +51,6 @@ from forecast_rl.policy import (
     N_PROB,
     NONENGLISH,
     PolicyParams,
-    Vocabulary,
 )
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
@@ -173,13 +172,13 @@ class RunLog:
 
 @dataclass
 class TrainResult:
-    """How one member's training ended.  `stop_reason` names an early stop
+    """How one member's training ended.  `params` is its trained state,
+    the ReMax baseline included.  `stop_reason` names an early stop
     ("gibberish" or "extreme_mass").  `numeric_error` says where a gradient
-    was not finite; `params` and `baseline` are then the last good ones,
-    and the member trained no further."""
+    was not finite; `params` is then the last good state, and the member
+    trained no further."""
 
     params: PolicyParams
-    baseline: np.ndarray | None
     run_log: RunLog
     stop_reason: str | None = None
     numeric_error: str | None = None
@@ -201,22 +200,20 @@ def _effective_penalties(penalties: PenaltyConfig, enabled: bool) -> PenaltyConf
 def _initial_params(cfg: TrainConfig, init_params: PolicyParams | None, d: int | None) -> PolicyParams:
     """The policy a run starts from: zeros of feature dimension d and
     cfg.content_length, or init_params, which must match both (an empty
-    stream has no feature dimension: d is None)."""
+    stream has no feature dimension: d is None) and, as every baseline
+    starts at zero, carry none."""
     if init_params is None:
-        return PolicyParams.zeros(d, Vocabulary(cfg.content_length))
+        return PolicyParams.zeros(d, cfg.content_length)
     if d is not None and init_params.feature_dim != d:
         raise ValidationError("init_params feature_dim does not match the stream")
-    if init_params.vocab.content_length != cfg.content_length:
+    if init_params.content_length != cfg.content_length:
         raise ValidationError(
-            f"init_params content_length {init_params.vocab.content_length} does not match "
+            f"init_params content_length {init_params.content_length} does not match "
             f"train.content_length {cfg.content_length}"
         )
+    if init_params.baseline is not None:
+        raise ValidationError("init_params carries a baseline; every member's baseline starts at zero")
     return init_params
-
-
-def _unstack(W: np.ndarray, L: int) -> PolicyParams:
-    """The policy of one (d+1, N_CONTENT + N_ANSWER) weight stack."""
-    return PolicyParams(W[:, :N_CONTENT].copy(), W[:, N_CONTENT:].copy(), Vocabulary(L))
 
 
 def _response_counts(content: np.ndarray) -> np.ndarray:
@@ -244,11 +241,11 @@ class _Members:
         "w", "w_b", "ref", "m", "v", "m_b", "v_b", "U", "first", "counts", "reward", "window", "good", "good_b",
     )
 
-    def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int):
-        K, L = len(members), params.vocab.content_length
+    def __init__(self, members: list[int], params: PolicyParams, seed: int, n: int, G: int, remax: bool):
+        K, L = len(members), params.content_length
         self.members = list(members)
-        self.L = L
-        self.w = np.repeat(np.hstack((params.content_weights, params.answer_weights))[None], K, axis=0)
+        self.L, self.remax = L, remax
+        self.w = np.repeat(params.weights[None], K, axis=0)
         self.w_b = np.zeros((K, self.w.shape[1]))
         self.ref = self.w.copy()
         self.m, self.v = np.zeros_like(self.w), np.zeros_like(self.w)
@@ -292,7 +289,9 @@ class _Members:
         self.u_start = start
 
     def params(self, r: int, good: bool = False) -> PolicyParams:
-        return _unstack((self.good if good else self.w)[r], self.L)
+        """The member's current (or last good) state; the baseline only for ReMax."""
+        w, w_b = (self.good, self.good_b) if good else (self.w, self.w_b)
+        return PolicyParams(w[r].copy(), self.L, w_b[r].copy() if self.remax else None)
 
     def run_log(self, r: int, ids: list[str], start: int, end: int) -> RunLog:
         """A copy of the member's log of questions start .. end - 1."""
@@ -409,7 +408,7 @@ def train_members(
     TrainResult per member, in `members` order.  After a non-finite
     gradient, its parameters are the last good ones (from the most recent
     span boundary) and its log ends before the failing question.
-    `checkpoint_cb(member, params, baseline, index, partial_log)` is
+    `checkpoint_cb(member, params, index, partial_log)` is
     called at every `checkpoint_every` boundary for each running member;
     `partial_log` holds the questions since the previous boundary, so the
     logs handed out over a run add up to one copy of the stream.
@@ -431,19 +430,19 @@ def train_members(
         params = _initial_params(cfg, init_params, None)
         empty = RunLog([], np.empty(0, np.uint8), np.empty((0, hp.group_size, 2), np.uint8), np.empty(0),
                        cfg.content_length)
-        return [TrainResult(params.copy(), None, empty) for _ in members]
+        return [TrainResult(params.copy(), empty) for _ in members]
 
     params = _initial_params(cfg, init_params, stream.feature_dim)
     G = hp.group_size
     if cfg.algorithm in ("grpo", "modified_grpo") and G < 2:
         raise ValidationError("GRPO variants need group_size >= 2")
 
-    rewards_of = reward_table(params.vocab.content_length, _effective_penalties(penalties, cfg.guardrails_enabled))
+    rewards_of = reward_table(params.content_length, _effective_penalties(penalties, cfg.guardrails_enabled))
     actor_lr = hp.resolve_actor_lr(cfg.algorithm)
     X1 = np.hstack([np.ones((n, 1)), stream.features])
     Y = stream.outcome
     ids = stream.ids
-    st = _Members(members, params, seed, n, G)
+    st = _Members(members, params, seed, n, G, cfg.algorithm == "remax")
 
     boundaries = {0, n}
     boundaries.update(range(0, n, cfg.outer_iteration_len))
@@ -451,15 +450,8 @@ def train_members(
         boundaries.update(range(0, n, cfg.checkpoint_every))
     bounds = sorted(boundaries)
 
-    def baseline(r: int, good: bool = False) -> np.ndarray | None:
-        """The member's ReMax baseline weights; None for algorithms without one."""
-        if cfg.algorithm != "remax":
-            return None
-        return (st.good_b if good else st.w_b)[r].copy()
-
     def outcome(r: int, end: int, reason: str | None = None, error: str | None = None) -> TrainResult:
-        good = error is not None
-        return TrainResult(st.params(r, good), baseline(r, good), st.run_log(r, ids, 0, end), reason, error)
+        return TrainResult(st.params(r, error is not None), st.run_log(r, ids, 0, end), reason, error)
 
     results: dict[int, TrainResult] = {}
     logged = 0  # the questions handed to checkpoint_cb so far
@@ -468,7 +460,7 @@ def train_members(
             st.reset_reference()
         if checkpoint_cb is not None and s > 0 and cfg.checkpoint_every > 0 and s % cfg.checkpoint_every == 0:
             for r, m in enumerate(st.members):
-                checkpoint_cb(m, st.params(r), baseline(r), s, st.run_log(r, ids, logged, s))
+                checkpoint_cb(m, st.params(r), s, st.run_log(r, ids, logged, s))
             logged = s
         st.snapshot()
         i = s
@@ -524,7 +516,7 @@ def train_dpo(
     # Every pair is drawn from the frozen reference (the initial policy)
     # at once: one row per question, G = 2.
     X1 = np.hstack([np.ones((n, 1)), stream.features])
-    W = np.hstack((params.content_weights, params.answer_weights))
+    W = params.weights.copy()  # AdamW updates the stack in place
     ref_log = two_head_log_softmax(head_logits(X1, W))
     p = np.exp(ref_log)
     content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], U)
@@ -555,10 +547,10 @@ def train_dpo(
             g_c, g_a = g[:, :N_CONTENT], g[:, N_CONTENT:]
             norm = np.sqrt((g_c * g_c).sum() + (g_a * g_a).sum())
             if not np.isfinite(norm):
-                return TrainResult(_unstack(W, L), None, run_log, numeric_error="non-finite DPO gradient")
+                return TrainResult(PolicyParams(W, L), run_log, numeric_error="non-finite DPO gradient")
             t += 1
             adamw_rows(W, m, v, g * clip_scale(norm, hp.grad_clip_norm), hp.dpo_lr, hp, *bias_corrections(hp, t))
-    return TrainResult(_unstack(W, L), None, run_log)
+    return TrainResult(PolicyParams(W, L), run_log)
 
 
 _PREDICT_ROWS = 512  # rows per block, which bounds the (rows, N_ANSWER) temporaries
@@ -573,12 +565,13 @@ def predict_dataset(params: PolicyParams, dataset: Dataset) -> np.ndarray:
     if dataset.feature_dim != params.feature_dim:
         raise ValidationError(f"dataset has feature dim {dataset.feature_dim}, policy expects {params.feature_dim}")
     X1 = np.hstack([np.ones((n, 1)), dataset.features])
+    W = np.ascontiguousarray(params.answer_weights)
     k = np.empty(n, dtype=np.intp)
     for lo in range(0, n, _PREDICT_ROWS):
         # A stack of (1, d+1) @ (d+1, N_ANSWER) products makes the same BLAS
         # call per row as one question's `xt @ W`, so the probabilities, and
         # with them every argmax tie, are bit-identical to the per-question path.
-        logits = np.matmul(X1[lo : lo + _PREDICT_ROWS, None, :], params.answer_weights)[:, 0]
+        logits = np.matmul(X1[lo : lo + _PREDICT_ROWS, None, :], W)[:, 0]
         k[lo : lo + _PREDICT_ROWS] = np.exp(log_softmax_rows(logits)).argmax(axis=1)
     return np.where(k == ABSTAIN, np.nan, ANSWER_VALUES[np.minimum(k, N_PROB - 1)])
 

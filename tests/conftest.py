@@ -62,7 +62,7 @@ def ensemble_predict(members, question: Question) -> float | None:
 
 def train_one(stream, cfg, hp, penalties=None, init_params=None, checkpoint_cb=None, member=0, *, seed):
     """Member `member`'s TrainResult from `train_members`.
-    `checkpoint_cb(params, baseline, index, partial_log)` sees that
+    `checkpoint_cb(params, index, partial_log)` sees that
     member's checkpoints."""
     cb = None if checkpoint_cb is None else lambda m, *args: checkpoint_cb(*args)
     (result,) = trainer.train_members(stream, cfg, hp, penalties, [member], init_params, cb, seed=seed)
@@ -86,12 +86,6 @@ def poison_baseline(monkeypatch, member: int, index: int) -> None:
         return real(st, X1, Y, start, end, *args)
 
     monkeypatch.setattr(trainer, "_advance", advance)
-
-
-def joint_weights(params) -> np.ndarray:
-    """A policy's two heads as the trainer stacks them: one (1, d+1,
-    N_CONTENT + N_ANSWER) weight stack, content columns first."""
-    return np.hstack((params.content_weights, params.answer_weights))[None]
 
 
 @pytest.fixture

@@ -46,7 +46,6 @@ from forecast_rl.policy import (
     NONENGLISH,
     RATIONALE,
     PolicyParams,
-    Vocabulary,
 )
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
@@ -128,7 +127,7 @@ def sample_response(
     Either an rng or a pre-drawn array of L+1 uniforms must be given; the
     uniforms path lets the oracle consume the trainer's randomness.
     """
-    L = params.vocab.content_length
+    L = params.content_length
     if uniforms is None:
         if rng is None:
             raise ValidationError("sample_response needs an rng or pre-drawn uniforms")
@@ -167,7 +166,7 @@ def kl_divergence(params: PolicyParams, ref: PolicyParams, x: np.ndarray) -> flo
     Tokens are independent given x, so the response-level KL is L times
     the content-head KL plus the answer-head KL.
     """
-    L = params.vocab.content_length
+    L = params.content_length
     log_c, log_a = head_log_distributions(params, x)
     ref_log_c, ref_log_a = head_log_distributions(ref, x)
     kl_c = float(np.sum(np.exp(log_c) * (log_c - ref_log_c)))
@@ -177,7 +176,7 @@ def kl_divergence(params: PolicyParams, ref: PolicyParams, x: np.ndarray) -> flo
 
 def entropy(params: PolicyParams, x: np.ndarray) -> float:
     """Entropy of the full response distribution at x."""
-    L = params.vocab.content_length
+    L = params.content_length
     log_c, log_a = head_log_distributions(params, x)
     h_c = -float(np.sum(np.exp(log_c) * log_c))
     h_a = -float(np.sum(np.exp(log_a) * log_a))
@@ -188,8 +187,7 @@ def snapshot_reference(params: PolicyParams) -> PolicyParams:
     """Frozen copy for KL anchoring; arrays are marked read-only so a
     buggy update step cannot silently mutate the anchor."""
     ref = params.copy()
-    ref.content_weights.flags.writeable = False
-    ref.answer_weights.flags.writeable = False
+    ref.weights.flags.writeable = False
     return ref
 
 
@@ -416,7 +414,7 @@ def _regularizer_terms(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """-beta*KL + ent_coeff*H and its logit gradients, plus the current
     log-distributions (returned to avoid recomputing them)."""
-    L = params.vocab.content_length
+    L = params.content_length
     log_c, log_a = head_log_distributions(params, x)
     ref_log_c, ref_log_a = head_log_distributions(ref, x)
     kl_c, dkl_c = _kl_and_grad_z(log_c, ref_log_c)
@@ -443,7 +441,7 @@ def grpo_objective_and_grad(
     always propagates).
     """
     G = len(group.responses)
-    L = params.vocab.content_length
+    L = params.content_length
     n_tok = L + 1
     reg, gz_c, gz_a, log_c, log_a = _regularizer_terms(params, ref, hp, group.features)
 
@@ -489,7 +487,7 @@ def remax_objective_and_grad(
     its advantage times the sum of its token log-probabilities.
     """
     G = len(group.responses)
-    L = params.vocab.content_length
+    L = params.content_length
     reg, gz_c, gz_a, log_c, log_a = _regularizer_terms(params, ref, hp, group.features)
 
     value = 0.0
@@ -684,7 +682,7 @@ def oracle_train(stream, cfg, hp, penalties=None, member=0, *, seed):
     pcfg = penalties if penalties is not None else PenaltyConfig()
     n, d = len(stream), stream.feature_dim
     G, L = hp.group_size, cfg.content_length
-    params = PolicyParams.zeros(d, Vocabulary(L))
+    params = PolicyParams.zeros(d, L)
     baseline = np.zeros(d + 1)
     actor_state = OptimizerState.for_params(
         {"content": params.content_weights, "answer": params.answer_weights}
@@ -748,7 +746,7 @@ def oracle_dpo(stream, cfg, hp, penalties=None, member=0, *, seed):
     if not cfg.guardrails_enabled:
         pcfg = PenaltyConfig(0.0, 0.0, 0.0, 0.0)
     n, d, L = len(stream), stream.feature_dim, cfg.content_length
-    params = PolicyParams.zeros(d, Vocabulary(L))
+    params = PolicyParams.zeros(d, L)
     ref = snapshot_reference(params)
     rng = substream(seed, "dpo", member)
     U = rng.random((n, 2, L + 1))
@@ -800,7 +798,7 @@ def policy_objective_rows(w_c, w_a, ref: PolicyParams, x, responses: list[Respon
     surrogate (token_w = A / (G (L+1))) and of the ReMax objective
     (token_w = A / G).
     """
-    L = ref.vocab.content_length
+    L = ref.content_length
     log_c, log_a = _head_log_rows(x, w_c), _head_log_rows(x, w_a)
     ref_c, ref_a = head_log_distributions(ref, x)
     value = sum(tw * (log_c[:, r.content].sum(axis=1) + log_a[:, r.answer]) for tw, r in zip(token_w, responses))

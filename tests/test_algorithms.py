@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_rows_grad, fd_vector_grad, joint_weights, max_rel_err
+from conftest import fd_rows_grad, fd_vector_grad, max_rel_err
 from oracle import (
     GroupRollout,
     NumericAbort,
@@ -43,11 +43,11 @@ from forecast_rl.algorithms import (
     policy_log_probs,
 )
 from forecast_rl.errors import ValidationError
-from forecast_rl.policy import N_ANSWER, N_CONTENT, RATIONALE, PolicyParams, Vocabulary
+from forecast_rl.policy import N_ANSWER, N_CONTENT, RATIONALE, PolicyParams
 
 
 def random_params(rng, d=2, L=8, scale=0.3) -> PolicyParams:
-    p = PolicyParams.zeros(d, Vocabulary(L))
+    p = PolicyParams.zeros(d, L)
     p.content_weights[:] = rng.normal(size=(d + 1, N_CONTENT)) * scale
     p.answer_weights[:] = rng.normal(size=(d + 1, N_ANSWER)) * scale
     return p
@@ -62,9 +62,9 @@ def policy_grad(params, ref, x, responses, token_w, hp):
     maximization target, like `oracle.policy_objective_rows`), from one
     row of the array functions."""
     xt = augment(x)
-    log_p = policy_log_probs(xt, joint_weights(params))
+    log_p = policy_log_probs(xt, params.weights[None])
     tokens = np.array([[[*r.content, r.answer + N_CONTENT] for r in responses]])
-    gz = logit_gradient(np.exp(log_p), log_p, policy_log_probs(xt, joint_weights(ref)), tokens,
+    gz = logit_gradient(np.exp(log_p), log_p, policy_log_probs(xt, ref.weights[None]), tokens,
                         np.asarray(token_w)[None], hp)
     g = -np.outer(xt, gz[0])
     return {"content": g[:, :N_CONTENT], "answer": g[:, N_CONTENT:]}
@@ -78,7 +78,7 @@ def dpo_grad(params, ref, pairs, hp):
                       for _, w, l in pairs]).astype(np.float64)
     answers = np.array([[w.answer, l.answer] for _, w, l in pairs])
     ref_margin = np.array([response_logprob(ref, x, w) - response_logprob(ref, x, l) for x, w, l in pairs])
-    g = dpo_gradient(xb, joint_weights(params)[0], cdiff, answers, ref_margin, hp.dpo_beta)
+    g = dpo_gradient(xb, params.weights, cdiff, answers, ref_margin, hp.dpo_beta)
     return {"content": g[:, :N_CONTENT], "answer": g[:, N_CONTENT:]}
 
 
@@ -216,7 +216,7 @@ class TestGrpoObjective:
     def test_clip_selects_bounded_branch(self):
         # single content token, ratio 1.5 on every slot, advantage 1:
         # min(1.5 * 1, 1.2 * 1) = 1.2
-        params = PolicyParams.zeros(2, Vocabulary(content_length=1))
+        params = PolicyParams.zeros(2, content_length=1)
         x = np.zeros(2)
         r = Response(np.array([RATIONALE]), 50)
         log_c, log_a = head_log_distributions(params, x)
@@ -244,7 +244,7 @@ class TestGrpoObjective:
                 rewards, grpo_advantages(rewards), old,
             )
             log_c, log_a = head_log_distributions(params, x)
-            n_tok = params.vocab.content_length + 1
+            n_tok = params.content_length + 1
             total = 0.0
             for i, resp in enumerate(group.responses):
                 logp = [float(log_c[t]) for t in resp.content] + [float(log_a[resp.answer])]

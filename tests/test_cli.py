@@ -210,6 +210,21 @@ class TestPipeline:
         assert run("predict", config(40, "out")) == EXIT_VALIDATION
         assert "no checkpoint seed3_m0_q*/params.json of member 0 registered by train" in capsys.readouterr().err
 
+    def test_predict_names_the_files_whose_feature_dims_differ(self, tmp_path, capsys):
+        """After a re-synth with another feature_dim, predict names the
+        member's checkpoint and the test split, and says to re-run train."""
+        assert run("synth", write_config(tmp_path)) == EXIT_OK
+        assert run("train", write_config(tmp_path)) == EXIT_OK
+        cfg = write_config(tmp_path, data={"synthetic": {"n_questions": 60, "feature_dim": 4, "market_noise": 0.5}})
+        assert run("synth", cfg) == EXIT_OK
+        capsys.readouterr()
+        assert run("predict", cfg) == EXIT_VALIDATION
+        out = tmp_path / "out"
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {out / 'seed3_m0_q000030' / 'params.json'} and test split {out / 'test.jsonl'}: "
+            "dataset has feature dim 4, policy expects 2; re-run train on this data\n"
+        )
+
     def test_checkpoint_cadence(self, tmp_path):
         cfg = write_config(tmp_path, train={"checkpoint_every": 10})
         assert run("synth", cfg) == EXIT_OK
@@ -468,6 +483,8 @@ class TestExitCodes:
         assert len(log.split("\n")) == 2  # questions before the one that overflowed
         digest = hashlib.sha256((lastgood / "runlog.jsonl").read_bytes()).hexdigest()
         assert digest == "c8577ecbd5a60024f46eed05450acc855c3add207dd5f3e5e6e9ebc8e1e6e822"
+        digest = hashlib.sha256((lastgood / "params.json").read_bytes()).hexdigest()  # the last good baseline too
+        assert digest == "eeb4e01d920e87af3c93d779eb2f2eda8f68e37a7eb917e16cb4c4efa2f00d4f"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dpo_numeric_abort_stops_each_member_alone(self, tmp_path, capsys):
@@ -484,8 +501,8 @@ class TestExitCodes:
             assert f"member {member}: numeric abort: non-finite DPO gradient" in err
             lastgood = f"seed3_m{member}_lastgood"
             assert {f"{lastgood}/{name}" for name in ("params.json", "config.json", "runlog.jsonl")} <= set(registered)
-            params, baseline = load_checkpoint(out / lastgood / "params.json")  # finite, or it would not load
-            assert baseline is None
+            params = load_checkpoint(out / lastgood / "params.json")  # finite, or it would not load
+            assert params.baseline is None
             assert len((out / lastgood / "runlog.jsonl").read_text().splitlines()) == 30
         assert Manifest(out).unregistered_files() == []
 
@@ -504,7 +521,7 @@ class TestExitCodes:
 
         assert run("train", cfg) == EXIT_OK
         assert "trained 30 questions" in capsys.readouterr().out
-        params, _ = load_checkpoint(tmp_path / "out" / "seed3_m0_q000030" / "params.json")
+        params = load_checkpoint(tmp_path / "out" / "seed3_m0_q000030" / "params.json")
         params.validate()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e200])
@@ -566,10 +583,10 @@ class TestExitCodes:
         for name, member in dirs.items():
             (alone,) = train_members(load_questions(out / "train.jsonl"), run_cfg.train, run_cfg.hyperparams,
                                      run_cfg.penalties, [member], seed=run_cfg.seed)
-            params, baseline = load_checkpoint(out / name / "params.json")
+            params = load_checkpoint(out / name / "params.json")
             assert params.answer_weights.tobytes() == alone.params.answer_weights.tobytes()
             assert params.content_weights.tobytes() == alone.params.content_weights.tobytes()
-            assert baseline.tobytes() == alone.baseline.tobytes()
+            assert params.baseline.tobytes() == alone.params.baseline.tobytes()
             log = (out / name / "runlog.jsonl").read_text().splitlines()
             assert [json.loads(line)["id"] for line in log] == alone.run_log.question_ids
 
@@ -959,7 +976,9 @@ class TestSynthAndPredictOutputs:
         "train.jsonl": "81d5de84bd3aaf1e291abf74829a8b78a21fbbde8eadfb18662e59b8140003e8",
         "test.jsonl.npy": "8589696ca42e6cdeb54abc65fd5a3fae9d7f15dd3e0b227eaa386c3acb4543ae",
         "train.jsonl.npy": "1e554f88424954878692a70181af23f4ee5b31a15ab33e22c20d631376d632dd",
+        "seed3_m0_q000020/params.json": "cf69355b2067945496c4840081e1e9728b1f07f38cf68925de00cd49a7fa7b93",
         "seed3_m0_q000020/runlog.jsonl": "a2b2752d90de822b8927c6a9235c4f49ca0701e380caa77bdaa11b4ac5378a63",
+        "seed3_m1_q000020/params.json": "58313c8e985c697ac8d111fcf87889ca24891692f7a9f92d22b83fb9130e0ee5",
         "seed3_m0_q000030/params.json": "50878165fe6bfff5dcb3cbb49d169f79f20f6b80db26fbd50389318575e5e704",
         "seed3_m0_q000030/runlog.jsonl": "d0cf6c4cc39d1773e409f0c7f10a559f4b6f1974c32bff2c95bf46a6fe40d869",
         "seed3_m1_q000030/params.json": "90ae8a23044e87faac3ec3576b88be3525319e6e54f6703f5eda4f9110432436",

@@ -296,6 +296,10 @@ RULES = {"all_markets": {"total_profit": "12.5", "n_trades": 3}}
         ("seed3_m0_q000030/params.json", {"version": 9}, "predict", "unsupported checkpoint version 9"),
         ("seed3_m0_q000030/params.json", None, "predict", "content_weights[1][0] must be a number"),
         ("seed3_m0_q000030/params.json", "ragged", "predict", "the rows of content_weights differ in length"),
+        ("seed3_m0_q000030/params.json", ("content_length", 0), "predict", "content_length must be >= 1"),
+        *[("seed3_m0_q000030/params.json", ("baseline_weights", b), "predict",
+           "baseline_weights must hold feature_dim + 1 = 3 finite numbers")
+          for b in ([1.0], [0.0, float("inf"), 0.0], [float("nan"), 0.0, 0.0])],
         ("evaluation.json", {}, "report", "the document has no key 'models'"),
         ("evaluation.json", {"models": {"m": {}}, "comparisons": []}, "report",
          "models.m has no key 'soft_brier_mean'"),
@@ -305,7 +309,8 @@ RULES = {"all_markets": {"total_profit": "12.5", "n_trades": 3}}
         ("manifest.json", {"stages": {"synth": {"files": "test.jsonl"}}}, "evaluate",
          "stages.synth.files must be a list"),
     ],
-    ids=["params-keys", "params-version", "params-string-weight", "params-ragged", "evaluation-empty",
+    ids=["params-keys", "params-version", "params-string-weight", "params-ragged", "params-content-length",
+         "params-baseline-length", "params-baseline-infinity", "params-baseline-nan", "evaluation-empty",
          "evaluation-model-keys", "trades-string-profit", "manifest-list", "manifest-files"],
 )
 def test_wrong_shaped_run_file_exits_2(tmp_path, capsys, name, doc, stage, message):
@@ -318,6 +323,8 @@ def test_wrong_shaped_run_file_exits_2(tmp_path, capsys, name, doc, stage, messa
     elif doc == "ragged":
         doc = json.loads(path.read_text())
         doc["content_weights"][1].append(0.0)
+    elif isinstance(doc, tuple):  # one key's value replaced
+        doc = {**json.loads(path.read_text()), doc[0]: doc[1]}
     path.write_text(json.dumps(doc))
     capsys.readouterr()
 

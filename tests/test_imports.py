@@ -108,6 +108,7 @@ REMOVED_NAMES = (
     "draw_prediction_timestamp", "max_entropy", "n_content", "n_answer", "check_early_stop",
     "record_field", "_row", "_parsed", "_forecast", "_number_or_null", "_equal_mass_bins",
     "_replicate_indices", "NumericAbort", "_group_log", "LIBRARY_ONLY", "EnsembleSpec", "_out_dir",
+    "Vocabulary", "_unstack",
 )
 
 
@@ -135,8 +136,10 @@ def test_no_module_uses_a_removed_name():
     TrainResult (a numeric abort is its `numeric_error`, not an exception)
     whose RunLog keeps the step's compact columns and makes their floats
     itself, config sections hold only config keys, the ensemble averages a
-    forecast matrix, no stage calls the rest, and stages take the run
-    directory from the manifest that `main` opens."""
+    forecast matrix, no stage calls the rest, stages take the run
+    directory from the manifest that `main` opens, and a member's trained
+    state is one PolicyParams: the joint weight stack, its content length
+    and its ReMax baseline."""
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py")) if (lines := removed_uses(path.read_text()))}
     assert found == {}
 

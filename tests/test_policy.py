@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from conftest import joint_weights
 from oracle import (
     Response,
     augment,
@@ -24,18 +23,14 @@ from forecast_rl.policy import (
     N_ANSWER,
     N_CONTENT,
     PolicyParams,
-    Vocabulary,
     load_checkpoint,
     save_checkpoint,
 )
 
 
 def random_params(rng, d=3, L=8, scale=0.5) -> PolicyParams:
-    return PolicyParams(
-        content_weights=rng.normal(0, scale, (d + 1, N_CONTENT)),
-        answer_weights=rng.normal(0, scale, (d + 1, N_ANSWER)),
-        vocab=Vocabulary(L),
-    )
+    heads = (rng.normal(0, scale, (d + 1, N_CONTENT)), rng.normal(0, scale, (d + 1, N_ANSWER)))
+    return PolicyParams(np.hstack(heads), L)
 
 
 def brute_softmax(logits):
@@ -86,7 +81,7 @@ class TestDistributions:
 def sample(params, x, u):
     """The trainer's sampler on one policy: u (G, L+1) uniforms, one row
     per response."""
-    p = np.exp(policy_log_probs(augment(x), joint_weights(params)))
+    p = np.exp(policy_log_probs(augment(x), params.weights[None]))
     content, answers = sample_tokens(p[:, :N_CONTENT], p[:, N_CONTENT:], u[None])
     return content[0], answers[0]
 
@@ -132,7 +127,7 @@ class TestSampling:
         assert np.array_equal(r.content, content[0]) and r.answer == answers[0]
 
     def test_abstain_frequency_uniform_policy(self):
-        p = PolicyParams.zeros(2, Vocabulary(1))
+        p = PolicyParams.zeros(2, 1)
         gen = np.random.default_rng(8)
         n = 100_000
         _, answers = sample(p, np.zeros(2), gen.random((n, 2)))
@@ -152,7 +147,7 @@ class TestSampling:
 
 class TestLogprob:
     def test_uniform_logprob(self):
-        p = PolicyParams.zeros(3, Vocabulary(8))
+        p = PolicyParams.zeros(3, 8)
         r = Response(content=np.zeros(8, dtype=np.int64), answer=50)
         expected = 8 * np.log(1 / 3) + np.log(1 / 102)
         assert response_logprob(p, np.zeros(3), r) == pytest.approx(expected, abs=1e-12)
@@ -210,9 +205,9 @@ class TestKLAndEntropy:
     def test_kl_two_way_closed_form(self):
         # shift one content logit by ln 2 against uniform; with 3 tokens:
         # p = (2/4, 1/4, 1/4), q = uniform(1/3)
-        p = PolicyParams.zeros(1, Vocabulary(1))
+        p = PolicyParams.zeros(1, 1)
         p.content_weights[0, 0] = np.log(2.0)
-        q = PolicyParams.zeros(1, Vocabulary(1))
+        q = PolicyParams.zeros(1, 1)
         x = np.zeros(1)
         probs = np.array([0.5, 0.25, 0.25])
         expected_content = float(np.sum(probs * np.log(probs / (1 / 3))))
@@ -229,17 +224,17 @@ class TestKLAndEntropy:
         assert kl_divergence(p, q, x) == pytest.approx(expected, abs=1e-12)
 
     def test_entropy_uniform_max(self):
-        p = PolicyParams.zeros(4, Vocabulary(8))
+        p = PolicyParams.zeros(4, 8)
         assert entropy(p, np.zeros(4)) == pytest.approx(8 * np.log(3) + np.log(102), abs=1e-12)
 
     def test_entropy_below_max_for_nonuniform(self, rng):
         for _ in range(20):
             p = random_params(rng, scale=1.0)
             x = rng.normal(size=3)
-            assert entropy(p, x) < p.vocab.content_length * np.log(3) + np.log(102)
+            assert entropy(p, x) < p.content_length * np.log(3) + np.log(102)
 
     def test_entropy_saturated_near_zero(self):
-        p = PolicyParams.zeros(1, Vocabulary(2))
+        p = PolicyParams.zeros(1, 2)
         p.content_weights[0, 0] = 1e3
         p.answer_weights[0, 5] = 1e3
         assert entropy(p, np.zeros(1)) == pytest.approx(0.0, abs=1e-6)
@@ -278,20 +273,20 @@ class TestSnapshot:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         p = random_params(rng, d=5, L=3)
-        baseline = rng.normal(size=6)
+        p.baseline = rng.normal(size=6)
         path = tmp_path / "ck.json"
-        save_checkpoint(p, path, baseline_weights=baseline)
-        q, b = load_checkpoint(path)
+        save_checkpoint(p, path)
+        q = load_checkpoint(path)
         assert np.array_equal(q.content_weights, p.content_weights)
         assert np.array_equal(q.answer_weights, p.answer_weights)
-        assert np.array_equal(b, baseline)
-        assert q.vocab.content_length == 3
+        assert np.array_equal(q.baseline, p.baseline)
+        assert q.content_length == 3
 
     def test_no_baseline_round_trip(self, tmp_path):
         p = PolicyParams.zeros(2)
         save_checkpoint(p, tmp_path / "ck.json")
-        q, b = load_checkpoint(tmp_path / "ck.json")
-        assert b is None
+        q = load_checkpoint(tmp_path / "ck.json")
+        assert q.baseline is None
         assert q.feature_dim == 2
 
     def test_version_checked(self, tmp_path):

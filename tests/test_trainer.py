@@ -20,7 +20,7 @@ from forecast_rl import trainer
 from forecast_rl.algorithms import HyperParams
 from forecast_rl.data import Dataset, SyntheticConfig, generate_synthetic_stream
 from forecast_rl.errors import ValidationError
-from forecast_rl.policy import ABSTAIN, PolicyParams, Vocabulary
+from forecast_rl.policy import ABSTAIN, PolicyParams
 from forecast_rl.reward import PenaltyConfig
 from forecast_rl.rng import substream
 from forecast_rl.trainer import (
@@ -228,7 +228,7 @@ class TestCheckpointCallback:
         stream = small_stream(35)
         calls = []
 
-        def cb(params, baseline, index, partial):
+        def cb(params, index, partial):
             calls.append((index, partial))
 
         cfg = TrainConfig(algorithm="remax", checkpoint_every=10)
@@ -255,7 +255,7 @@ class TestValidationAndEdgeCases:
             train_one(empty, TrainConfig(), HyperParams(), seed=0)
         init = PolicyParams.zeros(2)
         result = train_one(empty, TrainConfig(), HyperParams(), init_params=init, seed=0)
-        assert len(result.run_log) == 0 and result.baseline is None
+        assert len(result.run_log) == 0 and result.params.baseline is None
         assert result.params is not init  # insulated copy
 
     def test_unsorted_stream_rejected(self):
@@ -285,10 +285,18 @@ class TestValidationAndEdgeCases:
         """The online step, the empty stream and DPO each refuse init_params
         whose content length is not the config's, naming both."""
         stream = small_stream(5, d=2) if n else Dataset(questions=[], split="train")
-        init = PolicyParams.zeros(2, Vocabulary(2))
+        init = PolicyParams.zeros(2, 2)
         with pytest.raises(ValidationError, match="init_params content_length 2 does not match train.content_length 8"):
             train_members(stream, TrainConfig(algorithm=algorithm, content_length=8), HyperParams(), members=[0],
                           init_params=init, seed=0)
+
+    def test_init_params_with_a_baseline_refused(self):
+        """Every member's baseline starts at zero, so a baseline in
+        init_params would be ignored: it is refused instead."""
+        init = PolicyParams.zeros(2)
+        init.baseline = np.ones(3)
+        with pytest.raises(ValidationError, match="init_params carries a baseline"):
+            train_one(small_stream(5, d=2), TrainConfig(), HyperParams(), init_params=init, seed=0)
 
     def test_config_validation(self):
         for bad in (
@@ -343,7 +351,7 @@ class TestDpo:
         b = train_dpo(stream, TrainConfig(algorithm="dpo"), HyperParams(dpo_lr=1e-3), seed=11)
         assert not np.all(a.params.answer_weights == 0.0)
         assert np.array_equal(a.params.answer_weights, b.params.answer_weights)
-        assert a.baseline is None and len(a.run_log) == 60
+        assert a.params.baseline is None and len(a.run_log) == 60
 
     def test_member_substream(self):
         stream = small_stream(40)
@@ -492,8 +500,8 @@ def assert_close_runs(got, params, baseline, log, atol=1e-10):
     """A TrainResult against an oracle run and its OracleLog."""
     assert np.allclose(got.params.content_weights, params.content_weights, rtol=0, atol=atol)
     assert np.allclose(got.params.answer_weights, params.answer_weights, rtol=0, atol=atol)
-    if got.baseline is not None:
-        assert np.allclose(got.baseline, baseline, rtol=0, atol=atol)
+    if got.params.baseline is not None:
+        assert np.allclose(got.params.baseline, baseline, rtol=0, atol=atol)
     assert got.run_log.question_ids == log.question_ids
     assert (got.stop_reason, got.numeric_error) == (log.stop_reason, None)
     columns = float_columns(got.run_log)
@@ -507,9 +515,9 @@ def assert_identical_runs(a, b):
     for x, y in ((a.params.content_weights, b.params.content_weights),
                  (a.params.answer_weights, b.params.answer_weights)):
         assert x.tobytes() == y.tobytes()
-    assert (a.baseline is None) == (b.baseline is None)
-    if a.baseline is not None:
-        assert a.baseline.tobytes() == b.baseline.tobytes()
+    assert (a.params.baseline is None) == (b.params.baseline is None)
+    if a.params.baseline is not None:
+        assert a.params.baseline.tobytes() == b.params.baseline.tobytes()
     assert a.run_log.question_ids == b.run_log.question_ids
     assert a.run_log.content_length == b.run_log.content_length
     for col in ("first", "counts", "rewards"):
@@ -576,7 +584,7 @@ class TestBatchedStep:
         with np.errstate(invalid="ignore", over="ignore"):
             (clean,) = train_members(make_dataset(list(stream)[:28]), cfg, hp, members=[0], seed=1)
         assert aborted.params.answer_weights.tobytes() == clean.params.answer_weights.tobytes()
-        assert aborted.baseline.tobytes() == clean.baseline.tobytes()
+        assert aborted.params.baseline.tobytes() == clean.params.baseline.tobytes()
 
     @pytest.mark.parametrize("algorithm", ["grpo", "modified_grpo"])
     def test_algorithms_without_a_baseline_hand_out_none(self, algorithm):
@@ -589,13 +597,13 @@ class TestBatchedStep:
         with np.errstate(invalid="ignore", over="ignore"):
             results = train_members(
                 stream, cfg, HyperParams(actor_lr=0.01), members=[0, 1],
-                checkpoint_cb=lambda member, params, baseline, index, log: seen.append(baseline),
+                checkpoint_cb=lambda member, params, index, log: seen.append(params.baseline),
                 seed=6,
             )
         assert len(seen) == 4 and all(b is None for b in seen)
-        assert all(r.numeric_error is not None and r.baseline is None for r in results)
+        assert all(r.numeric_error is not None and r.params.baseline is None for r in results)
         (finished,) = train_members(small_stream(30), cfg, HyperParams(actor_lr=0.01), seed=6)
-        assert finished.baseline is None
+        assert finished.params.baseline is None
 
     def test_members_validated(self):
         stream = small_stream(5)
@@ -701,7 +709,7 @@ def run_digest(result) -> str:
     h = hashlib.sha256(b"TrainResult" if result.numeric_error is None else b"NumericAbort")
     h.update(result.params.content_weights.tobytes())
     h.update(result.params.answer_weights.tobytes())
-    h.update(b"none" if result.baseline is None else result.baseline.tobytes())
+    h.update(b"none" if result.params.baseline is None else result.params.baseline.tobytes())
     h.update("\n".join(result.run_log.question_ids).encode())
     h.update(repr((result.stop_reason is not None, result.stop_reason)).encode())
     for values in float_columns(result.run_log).values():
@@ -789,7 +797,7 @@ def dpo_runs() -> dict:
     }
     rng = np.random.default_rng(31)
     for name, d, L, batch in (("one_pair_batches", 3, 8, 1), ("random_init_l4", 3, 4, 8), ("random_init_l12", 4, 12, 8)):
-        init = PolicyParams.zeros(d, Vocabulary(L))
+        init = PolicyParams.zeros(d, L)
         init.content_weights[:] = rng.normal(size=init.content_weights.shape) * 0.5
         init.answer_weights[:] = rng.normal(size=init.answer_weights.shape) * 0.5
         cfg = TrainConfig(algorithm="dpo", content_length=L)
